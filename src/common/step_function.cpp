@@ -121,7 +121,7 @@ StepFunction StepFunction::clamped_sum(const StepFunction& a,
     }
     while (ia < a.times_.size() && a.times_[ia] == t) va = a.values_[ia++];
     while (ib < b.times_.size() && b.times_[ib] == t) vb = b.values_[ib++];
-    out.set(t, std::min(va + vb, cap));
+    out.set(t, std::clamp(va + vb, 0.0, cap));
   }
   out.compact();
   return out;

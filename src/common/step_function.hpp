@@ -55,8 +55,10 @@ class StepFunction {
   /// Removes consecutive breakpoints with (near-)equal values.
   void compact(double epsilon = 0.0);
 
-  /// min(a(t) + b(t), cap) as a new step function. Used to merge engine
-  /// resource usage with background noise without exceeding capacity.
+  /// clamp(a(t) + b(t), 0, cap) as a new step function. Used to merge engine
+  /// resource usage with background noise without exceeding capacity; the
+  /// zero floor absorbs floating-point cancellation residue (e.g. -4e-15
+  /// cores left when equal add/remove deltas net out in a UsageRecorder).
   static StepFunction clamped_sum(const StepFunction& a,
                                   const StepFunction& b, double cap);
 

@@ -1,11 +1,39 @@
-// Fault-tolerance configuration shared by both simulated engines.
+// Fault-tolerance scaffold shared by both simulated engines (DESIGN.md §10).
 //
-// Both the Pregel and the GAS engine recover from injected worker crashes
-// the same way — periodic snapshots, heartbeat failure detection, restart
-// from the last complete checkpoint — and both carry remote traffic over a
-// sim::ReliableChannel. These knobs parameterize that machinery; engine
-// headers embed them in their config structs.
+// The Pregel and the GAS engine recover from injected worker crashes the
+// same way — periodic snapshots, heartbeat failure detection, restart from
+// the last complete checkpoint — and both carry remote traffic over a
+// sim::ReliableChannel. FaultHarness is that machinery, written once: the
+// simulated cluster (per-machine CPU, NIC and background noise), crash and
+// NIC-rate scheduling, the checkpoint write/complete/abort lifecycle, the
+// crash -> detect -> recover state machine with its epoch-guarded event
+// scheduling, and the assembly of the run's artifacts. An engine run derives
+// from it and supplies only the hooks below — snapshot, restore, tear down a
+// worker, close the aborted step, start the next step — plus per-worker
+// sizes as data.
+// The hooks run only on checkpoint, crash and recovery; the hot path never
+// goes through a virtual call.
 #pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "common/step_function.hpp"
+#include "common/time.hpp"
+#include "engine/comm_batcher.hpp"
+#include "engine/phase_logger.hpp"
+#include "sim/cluster.hpp"
+#include "sim/failure_detector.hpp"
+#include "sim/fault_injector.hpp"
+#include "sim/fluid_queue.hpp"
+#include "sim/reliable_channel.hpp"
+#include "sim/simulation.hpp"
+#include "sim/usage_recorder.hpp"
+#include "trace/records.hpp"
 
 namespace g10::engine {
 
@@ -31,6 +59,197 @@ struct RetryConfig {
   double backoff = 2.0;           ///< timeout multiplier per failed attempt
   double jitter = 0.25;           ///< deterministic timeout jitter fraction
   int max_attempts = 4;           ///< transmissions before the budget ends
+};
+
+/// Unmodeled background CPU activity per machine (OS daemons, JIT compiler
+/// threads): a clamped random walk added to the ground-truth CPU signal.
+/// Grade10's models do not describe it, which contributes realistic
+/// attribution error (paper §IV-B). The defaults are the JVM engine's; the
+/// GAS engine overrides them with a quieter native process.
+struct NoiseConfig {
+  bool enabled = true;
+  DurationNs interval = 25 * kMillisecond;
+  double max_cores = 1.2;
+  double sigma = 0.3;  ///< random-walk step (cores)
+};
+
+/// Base of one engine run: owns the simulated cluster and its fault
+/// handling. Engine configs supply `cluster`, `seed`, `noise`, `checkpoint`,
+/// `retry`, `heartbeat`, `crash_log` and `batch`.
+class FaultHarness {
+ public:
+  FaultHarness(const FaultHarness&) = delete;
+  FaultHarness& operator=(const FaultHarness&) = delete;
+
+ protected:
+  /// `nominal_horizon` anchors percent-based fault times (the engine's
+  /// closed-form makespan estimate).
+  template <typename Config>
+  FaultHarness(const Config& cfg, TimeNs nominal_horizon)
+      : FaultHarness(cfg.cluster, cfg.seed, cfg.noise, cfg.checkpoint,
+                     cfg.retry, cfg.heartbeat, cfg.crash_log, cfg.batch,
+                     nominal_horizon) {}
+  virtual ~FaultHarness() = default;
+
+  /// Machine w's NIC transmit queue and CPU usage recorder.
+  sim::FluidQueue& nic(int w) {
+    return *machines_[static_cast<std::size_t>(w)].nic;
+  }
+  sim::UsageRecorder& cpu(int w) {
+    return *machines_[static_cast<std::size_t>(w)].cpu;
+  }
+
+  // ---- time helpers ---------------------------------------------------------
+  DurationNs ns_for_work(double work) const {
+    return static_cast<DurationNs>(work / machine_.core_work_per_sec *
+                                   static_cast<double>(kSecond));
+  }
+  static DurationNs ns_from_seconds(double s) {
+    return static_cast<DurationNs>(s * static_cast<double>(kSecond));
+  }
+  /// Multiplicative jitter, uniform in [1 - magnitude, 1 + magnitude].
+  double jitter(double magnitude) {
+    return 1.0 + magnitude * (2.0 * rng_.next_double() - 1.0);
+  }
+
+  /// Schedules `fn` at `t`, cancelled implicitly when a crash bumps the
+  /// epoch: every event belonging to the aborted execution attempt carries
+  /// the epoch it was scheduled in and becomes a no-op once stale.
+  template <typename Fn>
+  void schedule_epoch(TimeNs t, Fn fn) {
+    sim_.schedule_at(t, [this, e = epoch_, fn = std::move(fn)]() mutable {
+      if (e == epoch_) fn();
+    });
+  }
+
+  /// Sends `bytes` from worker w to `dst` through the reliable channel.
+  /// Every planned attempt, retransmits included, costs the payload on w's
+  /// NIC at its own time. Returns when the sender holds the ack.
+  TimeNs send_reliable(int w, int dst, double bytes, TimeNs now);
+
+  /// True from a crash until its recovery completes. Recovery then owns the
+  /// timeline: a step must neither start nor retire its barrier, or the
+  /// retired step would open a checkpoint the recovery has to abort.
+  bool failure_pending() const { return any_dead_; }
+
+  /// Records an END logged ahead of simulated time (a drained communication
+  /// phase, a step barrier); an aborted step closes no earlier than this.
+  void note_logged_end(TimeNs t) {
+    logged_end_floor_ = std::max(logged_end_floor_, t);
+  }
+
+  /// Called once the graph is loaded. `owned_vertices[w]` sizes worker w's
+  /// checkpoint write and state reload; `reingest_work[w]` is the extra
+  /// recovery work when w itself is the restarted victim. Starts the noise
+  /// walk, schedules the first start_step() at `load_end`, and arms crashes and
+  /// NIC-rate changes.
+  void start_execution(TimeNs load_end, std::vector<double> owned_vertices,
+                       std::vector<double> reingest_work);
+
+  /// Vertices owned by worker w, as passed to start_execution().
+  double owned_vertices(int w) const {
+    return owned_vertices_[static_cast<std::size_t>(w)];
+  }
+
+  /// Step barrier after `completed` steps: when a checkpoint is due, writes
+  /// it and returns true; start_step() follows once the write completes.
+  /// Returns false when the caller should start the next step itself.
+  bool checkpoint_if_due(int completed, TimeNs t);
+
+  /// Closes `path` at max(now, its begin) or, truncating, abandons it; a
+  /// no-op when the path is not open.
+  void close_or_abandon(const trace::PathRef& path, bool truncate,
+                        TimeNs now, trace::MachineId machine);
+
+  /// Marks the job complete at `makespan`: the noise walk and NIC-rate
+  /// changes stop, and simulate() may return.
+  void finish(TimeNs makespan) {
+    makespan_ = makespan;
+    execute_finished_ = true;
+  }
+
+  /// Runs the simulation to completion and assembles the artifacts: logs,
+  /// communication counters, per-machine CPU/network ground truth, and the
+  /// engine's final `vertex_values` (moved out).
+  trace::RunArtifacts simulate(std::vector<double>& vertex_values);
+
+  Rng rng_;
+  sim::FaultInjector faults_;
+  const sim::MachineSpec machine_;  ///< every machine's hardware
+  const int workers_;
+  sim::Simulation sim_;
+  PhaseLogger log_;
+  const trace::PathRef job_path_;
+  const trace::PathRef exec_path_;
+  std::vector<char> dead_;  ///< per worker: crashed, not yet recovered
+  sim::ReliableChannel channel_;
+  // Per-destination send coalescing (DESIGN.md §13) plus the run's logical
+  // communication counters reported through RunArtifacts::comm.
+  CommBatcher batcher_;
+  std::vector<CommBatcher::Flush> flush_scratch_;
+  trace::CommStats comm_;
+
+ private:
+  /// One simulated machine's resources.
+  struct Machine {
+    std::unique_ptr<sim::FluidQueue> nic;
+    std::unique_ptr<sim::UsageRecorder> cpu;
+    StepFunction noise;  ///< unmodeled background CPU
+    double noise_level = 0.0;
+  };
+
+  FaultHarness(const sim::ClusterSpec& cluster, std::uint64_t seed,
+               const NoiseConfig& noise, const CheckpointConfig& checkpoint,
+               const RetryConfig& retry, sim::FailureDetectorConfig heartbeat,
+               CrashLogStyle crash_log, const CommBatcherConfig& batch,
+               TimeNs nominal_horizon);
+
+  // ---- engine hooks: called only on checkpoint, crash and recovery ----------
+  virtual void save_snapshot() = 0;
+  virtual void restore_snapshot() = 0;
+  /// Stops worker w at `now`: releases its in-flight CPU and closes (or,
+  /// truncating, abandons) its open phases. The harness then drops the
+  /// worker's queued and buffered traffic.
+  virtual void teardown_worker(int w, TimeNs now, bool truncate) = 0;
+  /// Closes the aborted step's still-open global phases at `close` (or
+  /// abandons them) and retires its path index.
+  virtual void abort_step(TimeNs close, bool truncate) = 0;
+  /// Starts the next step at `t`.
+  virtual void start_step(TimeNs t) = 0;
+
+  void noise_tick(int w);
+  void schedule_next_crash(TimeNs floor);
+  void schedule_nic_changes();
+  TimeNs write_checkpoint(TimeNs t);
+  void complete_checkpoint();
+  void abort_checkpoint(int victim, TimeNs now);
+  void stop_worker(int w, TimeNs now, bool truncate);
+  void fire_crash();
+  void detect_and_recover();
+
+  std::vector<Machine> machines_;
+  const NoiseConfig noise_;
+  const CheckpointConfig checkpoint_;
+  const CrashLogStyle crash_log_;
+  sim::FailureDetector detector_;
+  bool checkpointing_ = false;  ///< armed iff the spec contains a crash
+  bool execute_finished_ = false;
+  TimeNs makespan_ = 0;
+  std::vector<double> owned_vertices_;
+  std::vector<double> reingest_work_;
+
+  std::uint64_t epoch_ = 0;  ///< bumped when recovery aborts an attempt
+  bool any_dead_ = false;
+  int crash_victim_ = -1;
+  TimeNs crash_time_ = 0;
+  /// Latest END logged ahead of time. Never reset: every such END of an
+  /// earlier step precedes the current step's start, so only the max counts.
+  TimeNs logged_end_floor_ = 0;
+  int recovery_seq_ = 0;
+  int checkpoint_seq_ = 0;
+  bool checkpoint_active_ = false;  ///< a checkpoint write is in flight
+  trace::PathRef checkpoint_path_;
+  std::vector<TimeNs> checkpoint_wend_;  ///< per-worker write-finish times
 };
 
 }  // namespace g10::engine

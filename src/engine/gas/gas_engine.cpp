@@ -2,19 +2,11 @@
 
 #include <algorithm>
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
-#include "engine/phase_logger.hpp"
 #include "graph/partition.hpp"
-#include "sim/failure_detector.hpp"
-#include "sim/fluid_queue.hpp"
-#include "sim/reliable_channel.hpp"
-#include "sim/simulation.hpp"
-#include "sim/usage_recorder.hpp"
 
 namespace g10::engine {
 
@@ -24,10 +16,6 @@ using algorithms::GasProgram;
 using algorithms::GatherEdges;
 using graph::EdgeIndex;
 using graph::Graph;
-
-// Matches the Pregel engine's salt: fault decisions draw from a forked RNG
-// stream so they never perturb the engine's own sequence.
-constexpr std::uint64_t kFaultSeedSalt = 0x9e3779b97f4a7c15ULL;
 
 /// Deterministic closed-form makespan estimate; anchors percent-based fault
 /// times. Capped at 64 iterations for convergence-bounded programs.
@@ -58,21 +46,18 @@ using trace::PathRef;
 /// Phase-type names interned once per process; the engine then builds paths
 /// from symbols without touching the symbol table's mutex.
 struct GasSymbols {
-  trace::Symbol job, load_graph, load_worker, execute, iteration, gather_step,
+  trace::Symbol load_graph, load_worker, iteration, gather_step,
       worker_gather, gather_thread, apply_step, worker_apply, apply_thread,
       scatter_step, worker_scatter, scatter_thread, exchange_step,
-      worker_exchange, checkpoint, checkpoint_worker, recovery,
-      recovery_worker, store_results, store_worker;
+      worker_exchange, store_results, store_worker;
 };
 
 const GasSymbols& gas_symbols() {
   static const GasSymbols symbols = [] {
     auto& table = trace::SymbolTable::global();
     GasSymbols s;
-    s.job = table.intern("Job");
     s.load_graph = table.intern("LoadGraph");
     s.load_worker = table.intern("LoadWorker");
-    s.execute = table.intern("Execute");
     s.iteration = table.intern("Iteration");
     s.gather_step = table.intern("GatherStep");
     s.worker_gather = table.intern("WorkerGather");
@@ -85,10 +70,6 @@ const GasSymbols& gas_symbols() {
     s.scatter_thread = table.intern("ScatterThread");
     s.exchange_step = table.intern("ExchangeStep");
     s.worker_exchange = table.intern("WorkerExchange");
-    s.checkpoint = table.intern("Checkpoint");
-    s.checkpoint_worker = table.intern("CheckpointWorker");
-    s.recovery = table.intern("Recovery");
-    s.recovery_worker = table.intern("RecoveryWorker");
     s.store_results = table.intern("StoreResults");
     s.store_worker = table.intern("StoreWorker");
     return s;
@@ -96,35 +77,27 @@ const GasSymbols& gas_symbols() {
   return symbols;
 }
 
-class GasRun {
+/// Whole-run mutable state; crash handling, checkpoints and the simulated
+/// machines live in FaultHarness (DESIGN.md §10).
+class GasRun final : public FaultHarness {
  public:
   GasRun(const GasConfig& cfg, const Graph& g, const GasProgram& prog)
-      : cfg_(cfg),
+      : FaultHarness(cfg, gas_nominal_horizon(cfg, g, prog)),
+        cfg_(cfg),
         g_(g),
         prog_(prog),
-        rng_(cfg.seed),
-        faults_(cfg.cluster.faults, cfg.seed ^ kFaultSeedSalt),
-        workers_(cfg.cluster.machine_count),
         threads_(cfg.effective_threads()) {
-    cfg_.cluster.validate();
     G10_CHECK(g_.vertex_count() > 0);
     G10_CHECK_MSG(threads_ <= cfg_.cluster.machine.cores,
                   "threads per worker must not exceed cores");
-    G10_CHECK_MSG(cfg_.checkpoint.interval_steps > 0,
-                  "checkpoint interval must be positive");
   }
 
-  trace::RunArtifacts execute();
+  trace::RunArtifacts execute() {
+    load_graph();
+    return simulate(value_);
+  }
 
  private:
-  struct WorkerState {
-    std::unique_ptr<sim::FluidQueue> nic;
-    std::unique_ptr<sim::UsageRecorder> cpu;
-    StepFunction noise;  ///< unmodeled background CPU
-    double noise_level = 0.0;
-    std::vector<VertexId> masters;
-  };
-
   /// One barriered compute step (gather/apply/scatter) in flight.
   struct StepRuntime {
     PathRef step_path;
@@ -146,33 +119,10 @@ class GasRun {
     std::vector<char> worker_open;
   };
 
-  /// Schedules `fn` at `t`, cancelled implicitly when a crash bumps the
-  /// epoch: every event belonging to the aborted execution attempt carries
-  /// the epoch it was scheduled in and becomes a no-op once stale.
-  template <typename Fn>
-  void schedule_epoch(TimeNs t, Fn fn) {
-    sim_.schedule_at(t, [this, e = epoch_, fn = std::move(fn)]() mutable {
-      if (e == epoch_) fn();
-    });
-  }
-
-  double speed() const { return cfg_.cluster.machine.core_work_per_sec; }
-  DurationNs ns_for_work(double work) const {
-    return static_cast<DurationNs>(work / speed() *
-                                   static_cast<double>(kSecond));
-  }
-  static DurationNs ns_from_seconds(double s) {
-    return static_cast<DurationNs>(s * static_cast<double>(kSecond));
-  }
-  double jitter(double magnitude) {
-    return 1.0 + magnitude * (2.0 * rng_.next_double() - 1.0);
-  }
-
   /// Splits `total_work` units into chunk durations of roughly
   /// chunk_edges-equivalent work, with multiplicative jitter per chunk.
   std::vector<DurationNs> make_chunks(double total_work, double chunk_work);
 
-  void noise_tick(int w);
   void load_graph();
   void start_iteration(TimeNs t);
   void compute_iteration_effects();  ///< correctness: apply + activation
@@ -187,19 +137,12 @@ class GasRun {
   void finish_iteration(TimeNs t);
   void finish_execute(TimeNs t);
 
-  // ---- fault tolerance ----------------------------------------------------
-  void save_checkpoint_state();
-  void restore_checkpoint_state();
-  TimeNs write_checkpoint(TimeNs t);
-  void complete_checkpoint();
-  void abort_checkpoint(int victim, TimeNs now);
-  void schedule_next_crash(TimeNs floor);
-  void schedule_nic_changes();
-  void fire_crash();
-  void detect_and_recover();
-  void teardown_worker(int w, TimeNs now, bool truncate);
-  void close_or_abandon(const PathRef& path, bool truncate, TimeNs now,
-                        trace::MachineId machine);
+  // ---- FaultHarness hooks -------------------------------------------------
+  void save_snapshot() override;
+  void restore_snapshot() override;
+  void teardown_worker(int w, TimeNs now, bool truncate) override;
+  void abort_step(TimeNs close, bool truncate) override;
+  void start_step(TimeNs t) override { start_iteration(t); }
 
   PathRef iteration_path() const {
     // Paths use the monotonic instance counter, not the logical iteration:
@@ -211,17 +154,9 @@ class GasRun {
   GasConfig cfg_;
   const Graph& g_;
   const GasProgram& prog_;
-  Rng rng_;
-  sim::FaultInjector faults_;
-  int workers_;
   int threads_;
 
-  sim::Simulation sim_;
-  PhaseLogger log_;
-  const PathRef job_path_ = PathRef{}.child(gas_symbols().job, 0);
-  const PathRef exec_path_ = job_path_.child(gas_symbols().execute, 0);
   graph::VertexCutPartition cut_;
-  std::vector<WorkerState> ws_;
 
   std::vector<double> value_;
   std::vector<double> new_value_;
@@ -255,32 +190,9 @@ class GasRun {
   std::vector<double> nbr_val_buf_;
   std::vector<double> nbr_wt_buf_;
 
-  // Per-destination exchange coalescing (DESIGN.md §13) plus the run's
-  // logical communication counters reported through RunArtifacts::comm.
-  CommBatcher batcher_;
-  std::vector<CommBatcher::Flush> flush_scratch_;
-  trace::CommStats comm_;
-
   StepRuntime step_;
   int iteration_ = 0;
   int iteration_instance_ = 0;  ///< monotonic Iteration path index
-  bool execute_finished_ = false;
-  TimeNs makespan_ = 0;
-
-  // ---- fault tolerance state ----
-  std::uint64_t epoch_ = 0;
-  bool checkpointing_ = false;  ///< armed only when the spec has a crash
-  sim::FailureDetector detector_;
-  sim::ReliableChannel channel_;
-  std::vector<char> dead_;
-  bool any_dead_ = false;
-  int crash_victim_ = -1;
-  TimeNs crash_time_ = 0;
-  std::vector<double> worker_edges_;  ///< edge-partition sizes (re-ingestion)
-  /// Latest END logged ahead of simulated time within the current iteration
-  /// (step barriers, drained exchange ends): the abort close of the
-  /// Iteration must cover every such child END.
-  TimeNs logged_end_floor_ = 0;
 
   struct Snapshot {
     int iteration = 0;
@@ -288,11 +200,6 @@ class GasRun {
     std::vector<char> active;
   };
   Snapshot snapshot_;
-  bool checkpoint_active_ = false;
-  int checkpoint_seq_ = 0;
-  int recovery_seq_ = 0;
-  PathRef checkpoint_path_;
-  std::vector<TimeNs> checkpoint_wend_;
 
   // ---- event-driven exchange (non-trivial channel only) ----
   PathRef exchange_path_;
@@ -327,20 +234,6 @@ std::vector<DurationNs> GasRun::make_chunks(double total_work,
   return chunks;
 }
 
-void GasRun::noise_tick(int w) {
-  if (execute_finished_) return;
-  auto& state = ws_[static_cast<std::size_t>(w)];
-  state.noise_level = std::clamp(
-      state.noise_level + rng_.next_normal(0.0, cfg_.noise.sigma), 0.0,
-      cfg_.noise.max_cores);
-  // The walk keeps drawing while a machine is down (RNG stream stability),
-  // but a dead machine reports no background CPU.
-  state.noise.set(sim_.now(),
-                  dead_[static_cast<std::size_t>(w)] != 0 ? 0.0
-                                                          : state.noise_level);
-  sim_.schedule_after(cfg_.noise.interval, [this, w] { noise_tick(w); });
-}
-
 void GasRun::load_graph() {
   switch (cfg_.partitioning) {
     case VertexCutStrategy::kHashSource:
@@ -362,22 +255,14 @@ void GasRun::load_graph() {
   }
 
   const VertexId n = g_.vertex_count();
-  ws_.resize(static_cast<std::size_t>(workers_));
-  for (int w = 0; w < workers_; ++w) {
-    auto& state = ws_[static_cast<std::size_t>(w)];
-    state.nic = std::make_unique<sim::FluidQueue>(
-        cfg_.cluster.machine.nic_bytes_per_sec());
-    state.cpu = std::make_unique<sim::UsageRecorder>(
-        gas_names::kCpu, static_cast<double>(cfg_.cluster.machine.cores));
-  }
+  // Vertices mastered per worker size its checkpoint, reload and store work.
+  std::vector<double> masters(static_cast<std::size_t>(workers_), 0.0);
   for (VertexId v = 0; v < n; ++v) {
-    if (!cut_.replicas[v].empty()) {
-      ws_[cut_.master[v]].masters.push_back(v);
-    } else {
+    if (cut_.replicas[v].empty()) {
       // Isolated vertices are mastered on a hash-chosen worker.
-      ws_[v % static_cast<VertexId>(workers_)].masters.push_back(v);
       cut_.master[v] = v % static_cast<VertexId>(workers_);
     }
+    masters[cut_.master[v]] += 1.0;
   }
 
   // Edge-ownership CSRs: resolve each edge's owning partition once, here,
@@ -428,37 +313,30 @@ void GasRun::load_graph() {
   log_.begin(job_path_, 0, trace::kGlobalMachine);
   log_.begin(load, 0, trace::kGlobalMachine);
   const auto per_worker_edges = cut_.edge_counts();
-  worker_edges_.assign(static_cast<std::size_t>(workers_), 0.0);
+  std::vector<double> reingest(static_cast<std::size_t>(workers_));
   TimeNs load_end = 0;
   for (int w = 0; w < workers_; ++w) {
-    auto& state = ws_[static_cast<std::size_t>(w)];
     const auto edges =
         static_cast<double>(per_worker_edges[static_cast<std::size_t>(w)]);
-    worker_edges_[static_cast<std::size_t>(w)] = edges;
+    // A restarted victim re-ingests its edge partition from storage.
+    reingest[static_cast<std::size_t>(w)] =
+        edges * cfg_.costs.work_per_load_edge;
     const double cores = static_cast<double>(cfg_.cluster.machine.cores);
     const DurationNs duration = ns_for_work(
         edges * cfg_.costs.work_per_load_edge / cores * jitter(0.05) /
         faults_.speed_factor(w, 0));
-    state.nic->enqueue(0, edges * cfg_.costs.bytes_per_load_edge);
-    state.cpu->add(0, cores);
-    state.cpu->add(duration, -cores);
+    nic(w).enqueue(0, edges * cfg_.costs.bytes_per_load_edge);
+    cpu(w).add(0, cores);
+    cpu(w).add(duration, -cores);
     const PathRef worker_load = load.child(gas_symbols().load_worker, w);
     log_.begin(worker_load, 0, w);
-    const TimeNs done = std::max(duration, state.nic->time_empty(duration));
+    const TimeNs done = std::max(duration, nic(w).time_empty(duration));
     log_.end(worker_load, done, w);
     load_end = std::max(load_end, done);
   }
   log_.end(load, load_end, trace::kGlobalMachine);
   log_.begin(exec_path_, load_end, trace::kGlobalMachine);
-  if (cfg_.noise.enabled) {
-    for (int w = 0; w < workers_; ++w) {
-      sim_.schedule_at(0, [this, w] { noise_tick(w); });
-    }
-  }
-  schedule_epoch(load_end, [this] { start_iteration(sim_.now()); });
-  if (checkpointing_) save_checkpoint_state();
-  schedule_next_crash(load_end);
-  schedule_nic_changes();
+  start_execution(load_end, std::move(masters), std::move(reingest));
 }
 
 void GasRun::compute_iteration_effects() {
@@ -626,8 +504,7 @@ void GasRun::compute_iteration_effects() {
 }
 
 void GasRun::start_iteration(TimeNs t) {
-  if (any_dead_) return;  // recovery owns the timeline until it completes
-  logged_end_floor_ = 0;
+  if (failure_pending()) return;  // recovery owns the timeline
   bool any_active = false;
   for (char a : active_) {
     if (a) {
@@ -711,7 +588,6 @@ void GasRun::step_thread_continue(int w, int th) {
   const auto slot = static_cast<std::size_t>(w * threads_ + th);
   auto& chunks = step_.chunks[static_cast<std::size_t>(w)];
   auto& cursor = step_.next_chunk[static_cast<std::size_t>(w)];
-  auto& state = ws_[static_cast<std::size_t>(w)];
   if (cursor < chunks.size()) {
     const double intensity =
         rng_.next_double(cfg_.costs.cpu_intensity_min, 1.0);
@@ -720,11 +596,11 @@ void GasRun::step_thread_continue(int w, int th) {
         1, static_cast<DurationNs>(static_cast<double>(chunks[cursor++]) /
                                    intensity /
                                    faults_.speed_factor(w, now)));
-    state.cpu->add(now, intensity);
+    cpu(w).add(now, intensity);
     step_.running[slot] = intensity;
     schedule_epoch(now + duration, [this, w, th, slot, intensity] {
       if (dead_[static_cast<std::size_t>(w)] != 0) return;
-      ws_[static_cast<std::size_t>(w)].cpu->add(sim_.now(), -intensity);
+      cpu(w).add(sim_.now(), -intensity);
       step_.running[slot] = 0.0;
       step_thread_continue(w, th);
     });
@@ -744,11 +620,11 @@ void GasRun::step_thread_continue(int w, int th) {
         bug * static_cast<double>(
                   now - step_.worker_begin[static_cast<std::size_t>(w)]));
     if (extra > 0) {
-      state.cpu->add(now, 1.0);
+      cpu(w).add(now, 1.0);
       step_.running[slot] = 1.0;
       schedule_epoch(now + extra, [this, w, th, slot] {
         if (dead_[static_cast<std::size_t>(w)] != 0) return;
-        ws_[static_cast<std::size_t>(w)].cpu->add(sim_.now(), -1.0);
+        cpu(w).add(sim_.now(), -1.0);
         step_.running[slot] = 0.0;
         step_thread_continue(w, th);
       });
@@ -770,7 +646,7 @@ void GasRun::step_worker_finished(int w, TimeNs t) {
     barrier += ns_from_seconds(cfg_.costs.step_barrier_seconds);
     log_.end(step_.step_path, barrier, trace::kGlobalMachine);
     step_.active = false;
-    logged_end_floor_ = std::max(logged_end_floor_, barrier);
+    note_logged_end(barrier);
     schedule_epoch(barrier, [this, cb = std::move(step_.on_done)]() mutable {
       cb(sim_.now());
     });
@@ -786,7 +662,6 @@ void GasRun::run_exchange(TimeNs t, std::function<void(TimeNs)> on_done) {
     // existed.
     TimeNs latest = t;
     for (int w = 0; w < workers_; ++w) {
-      auto& state = ws_[static_cast<std::size_t>(w)];
       double bytes = exchange_bytes_[static_cast<std::size_t>(w)];
       if (batcher_.enabled()) {
         // Drain the coalescing buffers instead; with the default exact
@@ -798,11 +673,11 @@ void GasRun::run_exchange(TimeNs t, std::function<void(TimeNs)> on_done) {
       const auto values = exchange_values_[static_cast<std::size_t>(w)];
       const DurationNs serialize = ns_for_work(
           values * cfg_.costs.work_per_exchange_value * jitter(0.05));
-      state.cpu->add(t, 1.0);
-      state.cpu->add(t + serialize, -1.0);
-      state.nic->enqueue(t, bytes);
+      cpu(w).add(t, 1.0);
+      cpu(w).add(t + serialize, -1.0);
+      nic(w).enqueue(t, bytes);
       const TimeNs end =
-          std::max(t + serialize, state.nic->time_empty(t + serialize));
+          std::max(t + serialize, nic(w).time_empty(t + serialize));
       const PathRef worker = step.child(gas_symbols().worker_exchange, w);
       log_.begin(worker, t, w);
       log_.end(worker, end, w);
@@ -827,28 +702,15 @@ void GasRun::run_exchange(TimeNs t, std::function<void(TimeNs)> on_done) {
   exchange_open_.assign(static_cast<std::size_t>(workers_), 1);
   exchange_on_done_ = std::move(on_done);
   for (int w = 0; w < workers_; ++w) {
-    auto& state = ws_[static_cast<std::size_t>(w)];
     const auto values = exchange_values_[static_cast<std::size_t>(w)];
     const DurationNs serialize = ns_for_work(
         values * cfg_.costs.work_per_exchange_value * jitter(0.05));
-    state.cpu->add(t, 1.0);
-    state.cpu->add(t + serialize, -1.0);
+    cpu(w).add(t, 1.0);
+    cpu(w).add(t + serialize, -1.0);
     log_.begin(step.child(gas_symbols().worker_exchange, w), t, w);
     TimeNs send_done = t;
     const auto plan_one = [&](int dst, double bytes) {
-      const auto plan = channel_.plan_send(w, dst, t);
-      ++comm_.channel_plans;
-      for (const auto& attempt : plan.attempts) {
-        if (attempt.at <= t) {
-          state.nic->enqueue(t, bytes);
-        } else {
-          schedule_epoch(attempt.at, [this, w, bytes] {
-            if (dead_[static_cast<std::size_t>(w)] != 0) return;
-            ws_[static_cast<std::size_t>(w)].nic->enqueue(sim_.now(), bytes);
-          });
-        }
-      }
-      send_done = std::max(send_done, plan.complete);
+      send_done = std::max(send_done, send_reliable(w, dst, bytes, t));
     };
     if (batcher_.enabled()) {
       // Drained ascending by destination — the same deterministic order as
@@ -871,23 +733,22 @@ void GasRun::run_exchange(TimeNs t, std::function<void(TimeNs)> on_done) {
 
 void GasRun::finalize_exchange_worker(int w, TimeNs begin, TimeNs send_done) {
   if (dead_[static_cast<std::size_t>(w)] != 0) return;
-  auto& state = ws_[static_cast<std::size_t>(w)];
   const TimeNs now = sim_.now();
-  const TimeNs end = std::max(now, state.nic->time_empty(now));
+  const TimeNs end = std::max(now, nic(w).time_empty(now));
   const PathRef worker = exchange_path_.child(gas_symbols().worker_exchange, w);
   if (send_done > begin) {
     log_.block(gas_names::kRetry, worker, begin, send_done, w);
   }
   log_.end(worker, end, w);
   exchange_open_[static_cast<std::size_t>(w)] = 0;
-  logged_end_floor_ = std::max(logged_end_floor_, end);
+  note_logged_end(end);
   exchange_latest_ = std::max(exchange_latest_, end);
   if (--exchange_left_ == 0) {
     exchange_active_ = false;
     const TimeNs latest =
         exchange_latest_ + ns_from_seconds(cfg_.costs.step_barrier_seconds);
     log_.end(exchange_path_, latest, trace::kGlobalMachine);
-    logged_end_floor_ = std::max(logged_end_floor_, latest);
+    note_logged_end(latest);
     schedule_epoch(latest,
                    [this, cb = std::move(exchange_on_done_)]() mutable {
                      cb(sim_.now());
@@ -896,6 +757,7 @@ void GasRun::finalize_exchange_worker(int w, TimeNs begin, TimeNs send_done) {
 }
 
 void GasRun::finish_iteration(TimeNs t) {
+  if (failure_pending()) return;
   log_.end(iteration_path(), t, trace::kGlobalMachine);
   double step_values = 0.0;
   double step_bytes = 0.0;
@@ -912,17 +774,7 @@ void GasRun::finish_iteration(TimeNs t) {
   active_.swap(next_active_);
   ++iteration_;
   ++iteration_instance_;
-  if (checkpointing_ && iteration_ % cfg_.checkpoint.interval_steps == 0) {
-    const TimeNs cp_end = write_checkpoint(t);
-    schedule_epoch(cp_end, [this] {
-      // A crash inside the window aborts the write (detect_and_recover);
-      // the snapshot falls back to the previous complete one.
-      if (any_dead_) return;
-      complete_checkpoint();
-      start_iteration(sim_.now());
-    });
-    return;
-  }
+  if (checkpoint_if_due(iteration_, t)) return;
   start_iteration(t);
 }
 
@@ -932,15 +784,13 @@ void GasRun::finish_execute(TimeNs t) {
   log_.begin(store, t, trace::kGlobalMachine);
   TimeNs store_end = t;
   for (int w = 0; w < workers_; ++w) {
-    auto& state = ws_[static_cast<std::size_t>(w)];
-    const auto vertices =
-        static_cast<double>(state.masters.size());
+    const double vertices = owned_vertices(w);
     const double cores = static_cast<double>(cfg_.cluster.machine.cores);
     const DurationNs duration = ns_for_work(
         vertices * cfg_.costs.work_per_store_vertex / cores * jitter(0.05) /
         faults_.speed_factor(w, t));
-    state.cpu->add(t, cores);
-    state.cpu->add(t + duration, -cores);
+    cpu(w).add(t, cores);
+    cpu(w).add(t + duration, -cores);
     const PathRef worker_store = store.child(gas_symbols().store_worker, w);
     log_.begin(worker_store, t, w);
     log_.end(worker_store, t + duration, w);
@@ -948,17 +798,16 @@ void GasRun::finish_execute(TimeNs t) {
   }
   log_.end(store, store_end, trace::kGlobalMachine);
   log_.end(job_path_, store_end, trace::kGlobalMachine);
-  makespan_ = store_end;
-  execute_finished_ = true;
+  finish(store_end);
 }
 
-void GasRun::save_checkpoint_state() {
+void GasRun::save_snapshot() {
   snapshot_.iteration = iteration_;
   snapshot_.value = value_;
   snapshot_.active = active_;
 }
 
-void GasRun::restore_checkpoint_state() {
+void GasRun::restore_snapshot() {
   iteration_ = snapshot_.iteration;
   value_ = snapshot_.value;
   active_ = snapshot_.active;
@@ -966,123 +815,13 @@ void GasRun::restore_checkpoint_state() {
   // compute_iteration_effects when the iteration re-executes.
 }
 
-TimeNs GasRun::write_checkpoint(TimeNs t) {
-  // Open the checkpoint phases now; closure is deferred until the write
-  // completes (complete_checkpoint), so a crash landing inside the window
-  // truncates them — the log shows an interrupted checkpoint, and the
-  // snapshot falls back to the previous complete one.
-  checkpoint_path_ = exec_path_.child(gas_symbols().checkpoint,
-                                      checkpoint_seq_++);
-  log_.begin(checkpoint_path_, t, trace::kGlobalMachine);
-  checkpoint_wend_.assign(static_cast<std::size_t>(workers_), t);
-  TimeNs cp_end = t;
-  for (int w = 0; w < workers_; ++w) {
-    auto& state = ws_[static_cast<std::size_t>(w)];
-    const DurationNs duration =
-        ns_from_seconds(cfg_.checkpoint.base_seconds) +
-        ns_for_work(static_cast<double>(state.masters.size()) *
-                    cfg_.checkpoint.work_per_vertex);
-    const TimeNs wend = t + duration;
-    checkpoint_wend_[static_cast<std::size_t>(w)] = wend;
-    log_.begin(checkpoint_path_.child(gas_symbols().checkpoint_worker, w), t,
-               w);
-    // Serialization is single-threaded per worker.
-    state.cpu->add(t, 1.0);
-    cp_end = std::max(cp_end, wend);
-  }
-  checkpoint_active_ = true;
-  return cp_end;
-}
-
-void GasRun::complete_checkpoint() {
-  TimeNs cp_end = 0;
-  for (int w = 0; w < workers_; ++w) {
-    auto& state = ws_[static_cast<std::size_t>(w)];
-    const TimeNs wend = checkpoint_wend_[static_cast<std::size_t>(w)];
-    log_.end(checkpoint_path_.child(gas_symbols().checkpoint_worker, w), wend,
-             w);
-    state.cpu->add(wend, -1.0);
-    cp_end = std::max(cp_end, wend);
-  }
-  log_.end(checkpoint_path_, cp_end, trace::kGlobalMachine);
-  checkpoint_active_ = false;
-  save_checkpoint_state();
-}
-
-void GasRun::abort_checkpoint(int victim, TimeNs now) {
-  // Survivors stop writing when the failure is detected (`now`); the victim
-  // stopped at the crash instant itself.
-  const bool truncated = cfg_.crash_log == CrashLogStyle::kTruncated;
-  TimeNs cp_close = 0;
-  for (int w = 0; w < workers_; ++w) {
-    auto& state = ws_[static_cast<std::size_t>(w)];
-    const PathRef worker_cp =
-        checkpoint_path_.child(gas_symbols().checkpoint_worker, w);
-    const TimeNs wend = checkpoint_wend_[static_cast<std::size_t>(w)];
-    const TimeNs stop =
-        w == victim ? std::min(crash_time_, wend) : std::min(now, wend);
-    if (w == victim && truncated) {
-      log_.abandon(worker_cp);
-    } else {
-      log_.end(worker_cp, stop, w);
-      cp_close = std::max(cp_close, stop);
-    }
-    state.cpu->add(stop, -1.0);
-  }
-  if (truncated) {
-    log_.abandon(checkpoint_path_);
-  } else {
-    log_.end(checkpoint_path_, cp_close, trace::kGlobalMachine);
-  }
-  checkpoint_active_ = false;
-  // The snapshot was not saved: recovery falls back to the previous one.
-}
-
-void GasRun::schedule_next_crash(TimeNs floor) {
-  if (!checkpointing_) return;
-  const auto t = faults_.next_crash_time();
-  if (!t) return;
-  // Not epoch-guarded: a crash belongs to the run, not to one execution
-  // attempt. A crash falling inside a recovery window fires right after it.
-  sim_.schedule_at(std::max(*t, floor), [this] { fire_crash(); });
-}
-
-void GasRun::schedule_nic_changes() {
-  if (faults_.empty()) return;
-  const double base_rate = cfg_.cluster.machine.nic_bytes_per_sec();
-  for (const TimeNs t : faults_.nic_change_times()) {
-    // Boundaries may predate the point where scheduling happens (a window
-    // opening at t=0 while the graph is still loading): apply them now.
-    sim_.schedule_at(std::max(t, sim_.now()), [this, base_rate] {
-      if (execute_finished_) return;
-      const TimeNs now = sim_.now();
-      for (int w = 0; w < workers_; ++w) {
-        ws_[static_cast<std::size_t>(w)].nic->set_rate(
-            now, base_rate * faults_.nic_factor(w, now));
-      }
-    });
-  }
-}
-
-void GasRun::close_or_abandon(const PathRef& path, bool truncate, TimeNs now,
-                              trace::MachineId machine) {
-  const auto begin = log_.open_begin(path);
-  if (!begin) return;
-  if (truncate) {
-    log_.abandon(path);
-  } else {
-    log_.end(path, std::max(now, *begin), machine);
-  }
-}
-
 void GasRun::teardown_worker(int w, TimeNs now, bool truncate) {
-  auto& state = ws_[static_cast<std::size_t>(w)];
   if (step_.active) {
     const PathRef& worker = step_.worker_paths[static_cast<std::size_t>(w)];
     for (int th = 0; th < threads_; ++th) {
       const auto slot = static_cast<std::size_t>(w * threads_ + th);
       if (step_.running[slot] > 0.0) {
-        state.cpu->add(now, -step_.running[slot]);
+        cpu(w).add(now, -step_.running[slot]);
         step_.running[slot] = 0.0;
       }
       if (step_.thread_open[slot]) {
@@ -1101,148 +840,20 @@ void GasRun::teardown_worker(int w, TimeNs now, bool truncate) {
                      truncate, now, w);
     exchange_open_[static_cast<std::size_t>(w)] = 0;
   }
-  // In-flight traffic of the aborted iteration is gone — both the NIC queue
-  // and anything still sitting in the coalescing buffers; the re-execution
-  // regenerates it.
-  state.nic->clear(now);
-  if (batcher_.enabled()) batcher_.clear(w);
 }
 
-void GasRun::fire_crash() {
-  if (execute_finished_) return;
-  // A second failure while one is still being handled is picked up by
-  // schedule_next_crash() after the in-flight recovery completes.
-  if (any_dead_) return;
-  const TimeNs now = sim_.now();
-  const auto victim = faults_.take_crash(now);
-  if (!victim) return;
-  const int v = *victim;
-  crash_victim_ = v;
-  crash_time_ = now;
-  any_dead_ = true;
-  dead_[static_cast<std::size_t>(v)] = 1;
-  channel_.set_dead(v, true);
-
-  // The victim dies silently: its compute stops, its queued traffic is
-  // gone, its open phases close (log shipper flush) or truncate. Survivors
-  // keep running until the failure detector times out the victim's
-  // heartbeats; nobody here consults the injector about the future.
-  teardown_worker(v, now, cfg_.crash_log == CrashLogStyle::kTruncated);
-  sim_.schedule_at(detector_.detect_time(v, now),
-                   [this] { detect_and_recover(); });
-}
-
-void GasRun::detect_and_recover() {
-  const TimeNs now = sim_.now();  // heartbeat-timeout detection instant
-  const int victim = crash_victim_;
-  // A new epoch invalidates every event of the aborted execution attempt.
-  ++epoch_;
-  const bool truncated = cfg_.crash_log == CrashLogStyle::kTruncated;
-  for (int w = 0; w < workers_; ++w) {
-    if (w != victim) teardown_worker(w, now, false);
-  }
-  // Step barriers and drained exchange ENDs were logged ahead of time; the
-  // aborted phases must close at or after every logged child END.
-  const TimeNs iter_close = std::max(now, logged_end_floor_);
+void GasRun::abort_step(TimeNs close, bool truncate) {
   if (step_.active) {
-    close_or_abandon(step_.step_path, truncated, iter_close,
-                     trace::kGlobalMachine);
+    close_or_abandon(step_.step_path, truncate, close, trace::kGlobalMachine);
     step_ = StepRuntime{};
   }
   if (exchange_active_) {
-    close_or_abandon(exchange_path_, truncated, iter_close,
-                     trace::kGlobalMachine);
+    close_or_abandon(exchange_path_, truncate, close, trace::kGlobalMachine);
     exchange_active_ = false;
     exchange_on_done_ = nullptr;
   }
-  close_or_abandon(iteration_path(), truncated, iter_close,
-                   trace::kGlobalMachine);
-  if (checkpoint_active_) abort_checkpoint(victim, now);
+  close_or_abandon(iteration_path(), truncate, close, trace::kGlobalMachine);
   ++iteration_instance_;
-
-  // Snapshot-restart recovery: every worker reloads the last complete
-  // snapshot; the restarted victim additionally re-ingests its edge
-  // partition from storage. The whole window is dead time, reported as
-  // "Recovery" blocking events.
-  const PathRef rec = exec_path_.child(gas_symbols().recovery, recovery_seq_++);
-  log_.begin(rec, now, trace::kGlobalMachine);
-  const DurationNs restart = ns_from_seconds(cfg_.checkpoint.restart_seconds);
-  const double cores = static_cast<double>(cfg_.cluster.machine.cores);
-  TimeNs rec_end = now + restart;
-  for (int w = 0; w < workers_; ++w) {
-    double reload_work = static_cast<double>(ws_[static_cast<std::size_t>(w)]
-                                                 .masters.size()) *
-                         cfg_.checkpoint.reload_work_per_vertex;
-    if (w == victim) {
-      reload_work += worker_edges_[static_cast<std::size_t>(w)] *
-                     cfg_.costs.work_per_load_edge;
-    }
-    const TimeNs wend = now + restart + ns_for_work(reload_work / cores);
-    const PathRef worker_rec = rec.child(gas_symbols().recovery_worker, w);
-    log_.begin(worker_rec, now, w);
-    log_.end(worker_rec, wend, w);
-    log_.block(gas_names::kRecovery, worker_rec, now, wend, w);
-    rec_end = std::max(rec_end, wend);
-  }
-  log_.end(rec, rec_end, trace::kGlobalMachine);
-  restore_checkpoint_state();
-  dead_[static_cast<std::size_t>(victim)] = 0;
-  channel_.set_dead(victim, false);
-  any_dead_ = false;
-  crash_victim_ = -1;
-  // Resume after both the recovery window and the last logged END of the
-  // aborted iteration, so repeated Iteration instances never overlap.
-  const TimeNs resume = std::max(rec_end, iter_close);
-  schedule_epoch(resume, [this] { start_iteration(sim_.now()); });
-  schedule_next_crash(resume);
-}
-
-trace::RunArtifacts GasRun::execute() {
-  if (!faults_.empty()) {
-    faults_.resolve(gas_nominal_horizon(cfg_, g_, prog_));
-    checkpointing_ = faults_.has_kind(sim::FaultKind::kCrash);
-  }
-  sim::FailureDetectorConfig heartbeat = cfg_.heartbeat;
-  heartbeat.seed ^= cfg_.seed;
-  detector_ = sim::FailureDetector(heartbeat, &faults_);
-  sim::ReliableChannelConfig channel;
-  channel.timeout_seconds = cfg_.retry.timeout_seconds;
-  channel.backoff = cfg_.retry.backoff;
-  channel.jitter = cfg_.retry.jitter;
-  channel.max_attempts = std::max(1, cfg_.retry.max_attempts);
-  channel_ = sim::ReliableChannel(channel, &faults_, workers_);
-  batcher_ = CommBatcher(cfg_.batch, workers_);
-  dead_.assign(static_cast<std::size_t>(workers_), 0);
-  load_graph();
-  sim_.run();
-  G10_CHECK_MSG(execute_finished_, "simulation ended before the job finished");
-
-  trace::RunArtifacts artifacts;
-  artifacts.makespan = makespan_;
-  artifacts.vertex_values = value_;
-  comm_.batch_flushes =
-      static_cast<std::int64_t>(batcher_.stats().total_flushes());
-  artifacts.comm = std::move(comm_);
-  artifacts.phase_events = log_.take_phase_events();
-  artifacts.blocking_events = log_.take_blocking_events();
-  for (int w = 0; w < workers_; ++w) {
-    auto& state = ws_[static_cast<std::size_t>(w)];
-    trace::GroundTruthSeries cpu;
-    cpu.resource = gas_names::kCpu;
-    cpu.machine = w;
-    cpu.capacity = static_cast<double>(cfg_.cluster.machine.cores);
-    cpu.series = StepFunction::clamped_sum(state.cpu->series(), state.noise,
-                                           cpu.capacity);
-    artifacts.ground_truth.push_back(std::move(cpu));
-
-    trace::GroundTruthSeries net;
-    net.resource = gas_names::kNetwork;
-    net.machine = w;
-    net.capacity = cfg_.cluster.machine.nic_bytes_per_sec();
-    net.series = state.nic->finalize_rate_series(makespan_);
-    artifacts.ground_truth.push_back(std::move(net));
-  }
-  return artifacts;
 }
 
 }  // namespace

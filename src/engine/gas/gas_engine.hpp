@@ -71,14 +71,6 @@ struct GasCostModel {
   double cpu_intensity_min = 0.85;
 };
 
-/// Unmodeled background CPU (OS daemons); smaller than the JVM engine's.
-struct GasNoiseConfig {
-  bool enabled = true;
-  DurationNs interval = 25 * kMillisecond;
-  double max_cores = 0.4;
-  double sigma = 0.1;
-};
-
 /// Reproduction of the §IV-D synchronization bug. When a gather step on a
 /// worker triggers the bug, one thread receives a message stream right as
 /// the others reach the barrier and keeps processing: its duration grows by
@@ -108,7 +100,8 @@ struct GasConfig {
   /// disables it). The exchange step is already one bulk barrier, so here
   /// batching only changes how the drained buffers reach the channel.
   CommBatcherConfig batch;
-  GasNoiseConfig noise;
+  /// Unmodeled background CPU (OS daemons); smaller than the JVM engine's.
+  NoiseConfig noise{.max_cores = 0.4, .sigma = 0.1};
   SyncBugConfig sync_bug;
   VertexCutStrategy partitioning = VertexCutStrategy::kHashSource;
   CheckpointConfig checkpoint;

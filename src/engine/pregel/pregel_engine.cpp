@@ -2,21 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
-#include "engine/phase_logger.hpp"
 #include "graph/partition.hpp"
-#include "sim/failure_detector.hpp"
-#include "sim/fault_injector.hpp"
-#include "sim/fluid_queue.hpp"
-#include "sim/reliable_channel.hpp"
-#include "sim/simulation.hpp"
-#include "sim/usage_recorder.hpp"
 
 namespace g10::engine {
 
@@ -32,20 +22,17 @@ using trace::PathRef;
 /// Phase-type names interned once per process; engines then build paths
 /// from symbols without touching the symbol table's mutex.
 struct PregelSymbols {
-  trace::Symbol job, load_graph, load_worker, execute, superstep,
-      worker_prepare, worker_compute, compute_thread, worker_communicate,
-      worker_barrier, gc_pause, checkpoint, checkpoint_worker, recovery,
-      recovery_worker, store_results, store_worker;
+  trace::Symbol load_graph, load_worker, superstep, worker_prepare,
+      worker_compute, compute_thread, worker_communicate, worker_barrier,
+      gc_pause, store_results, store_worker;
 };
 
 const PregelSymbols& pregel_symbols() {
   static const PregelSymbols symbols = [] {
     auto& table = trace::SymbolTable::global();
     PregelSymbols s;
-    s.job = table.intern("Job");
     s.load_graph = table.intern("LoadGraph");
     s.load_worker = table.intern("LoadWorker");
-    s.execute = table.intern("Execute");
     s.superstep = table.intern("Superstep");
     s.worker_prepare = table.intern("WorkerPrepare");
     s.worker_compute = table.intern("WorkerCompute");
@@ -53,20 +40,12 @@ const PregelSymbols& pregel_symbols() {
     s.worker_communicate = table.intern("WorkerCommunicate");
     s.worker_barrier = table.intern("WorkerBarrier");
     s.gc_pause = table.intern("GcPause");
-    s.checkpoint = table.intern("Checkpoint");
-    s.checkpoint_worker = table.intern("CheckpointWorker");
-    s.recovery = table.intern("Recovery");
-    s.recovery_worker = table.intern("RecoveryWorker");
     s.store_results = table.intern("StoreResults");
     s.store_worker = table.intern("StoreWorker");
     return s;
   }();
   return symbols;
 }
-
-// Seed offset for the fault injector's forked RNG stream: fault decisions
-// must not perturb the engine's own draw sequence.
-constexpr std::uint64_t kFaultSeedSalt = 0x9e3779b97f4a7c15ULL;
 
 /// Closed-form makespan estimate shared by PregelEngine::estimate_horizon
 /// and percent-time resolution inside a run. Deliberately ignores GC, queue
@@ -96,27 +75,26 @@ TimeNs pregel_nominal_horizon(const PregelConfig& cfg, const Graph& g,
 }
 
 /// Whole-run mutable state. One instance per PregelEngine::run call; the
-/// event callbacks all close over `this`.
-class PregelRun {
+/// event callbacks all close over `this`. Crash handling, checkpoints and
+/// the simulated machines live in FaultHarness (DESIGN.md §10).
+class PregelRun final : public FaultHarness {
  public:
   PregelRun(const PregelConfig& cfg, const Graph& g, const PregelProgram& prog)
-      : cfg_(cfg),
+      : FaultHarness(cfg, pregel_nominal_horizon(cfg, g, prog)),
+        cfg_(cfg),
         g_(g),
         prog_(prog),
-        rng_(cfg.seed),
-        faults_(cfg.cluster.faults, cfg.seed ^ kFaultSeedSalt),
-        workers_(cfg.cluster.machine_count),
         threads_(cfg.effective_threads()),
         combiner_(prog.combiner()) {
-    cfg_.cluster.validate();
     G10_CHECK(g_.vertex_count() > 0);
     G10_CHECK_MSG(threads_ <= cfg_.cluster.machine.cores,
                   "threads per worker must not exceed cores");
-    G10_CHECK(cfg_.checkpoint.interval_steps > 0);
-    G10_CHECK(cfg_.retry.max_attempts >= 0);
   }
 
-  trace::RunArtifacts execute();
+  trace::RunArtifacts execute() {
+    load_graph();
+    return simulate(value_);
+  }
 
  private:
   // ---- static per-run structures -----------------------------------------
@@ -165,30 +143,12 @@ class PregelRun {
     PathRef communicate_phase;
     PathRef barrier_phase;
 
-    std::unique_ptr<sim::FluidQueue> nic;
-    std::unique_ptr<sim::UsageRecorder> cpu;
-    StepFunction noise;        ///< unmodeled background CPU
-    double noise_level = 0.0;
     TimeNs compute_end = 0;
     TimeNs ready = 0;  ///< compute + communication + GC all finished
     std::vector<ThreadState> threads;
   };
 
   // ---- helpers ------------------------------------------------------------
-  double seconds_for_work(double work) const {
-    return work / cfg_.cluster.machine.core_work_per_sec;
-  }
-  DurationNs ns_for_work(double work) const {
-    return static_cast<DurationNs>(seconds_for_work(work) *
-                                   static_cast<double>(kSecond));
-  }
-  static DurationNs ns_from_seconds(double s) {
-    return static_cast<DurationNs>(s * static_cast<double>(kSecond));
-  }
-  double jitter(double magnitude) {
-    return 1.0 + magnitude * (2.0 * rng_.next_double() - 1.0);
-  }
-
   std::uint32_t message_count(VertexId v) const { return msg_count_cur_[v]; }
 
   /// Delivers v's outbox message to every out-neighbor. The combiner switch
@@ -253,18 +213,7 @@ class PregelRun {
     }
   }
 
-  /// Schedules `fn` at `t`, cancelled implicitly when a crash bumps the
-  /// epoch: every event belonging to the aborted execution attempt carries
-  /// the epoch it was scheduled in and becomes a no-op once stale.
-  template <typename Fn>
-  void schedule_epoch(TimeNs t, Fn fn) {
-    sim_.schedule_at(t, [this, e = epoch_, fn = std::move(fn)] {
-      if (e == epoch_) fn();
-    });
-  }
-
   // ---- phases of the run ----------------------------------------------------
-  void noise_tick(int w);
   void load_graph();
   void start_superstep(TimeNs t);
   void thread_continue(int w, int th);
@@ -281,20 +230,12 @@ class PregelRun {
   void finish_superstep(TimeNs barrier_time);
   void finish_execute(TimeNs t);
 
-  // ---- fault tolerance ------------------------------------------------------
-  void save_checkpoint_state();
-  void restore_checkpoint_state();
-  TimeNs write_checkpoint(TimeNs t);
-  void complete_checkpoint();
-  void abort_checkpoint(int victim, TimeNs now);
-  void schedule_next_crash(TimeNs floor);
-  void schedule_nic_changes();
-  void fire_crash();
-  void detect_and_recover();
-  void teardown_worker(int w, TimeNs now, bool truncate);
-  void close_or_abandon(const PathRef& path, bool truncate, TimeNs now,
-                        trace::MachineId machine);
-  double worker_vertex_count(int w) const;
+  // ---- FaultHarness hooks ---------------------------------------------------
+  void save_snapshot() override;
+  void restore_snapshot() override;
+  void teardown_worker(int w, TimeNs now, bool truncate) override;
+  void abort_step(TimeNs close, bool truncate) override;
+  void start_step(TimeNs t) override { start_superstep(t); }
 
   PathRef superstep_path() const {
     // Paths use the monotonic instance counter, not the logical superstep:
@@ -307,16 +248,9 @@ class PregelRun {
   PregelConfig cfg_;
   const Graph& g_;
   const PregelProgram& prog_;
-  Rng rng_;
-  sim::FaultInjector faults_;
-  int workers_;
   int threads_;
   Combiner combiner_;
 
-  sim::Simulation sim_;
-  PhaseLogger log_;
-  const PathRef job_path_ = PathRef{}.child(pregel_symbols().job, 0);
-  const PathRef exec_path_ = job_path_.child(pregel_symbols().execute, 0);
   graph::EdgeCutPartition owner_;
   std::vector<WorkerState> ws_;
 
@@ -345,35 +279,13 @@ class PregelRun {
   std::vector<std::uint32_t> remote_dst_;
   std::vector<std::uint32_t> remote_cnt_;
 
-  // Per-destination send coalescing (DESIGN.md §13) plus the run's logical
-  // communication counters reported through RunArtifacts::comm.
-  CommBatcher batcher_;
-  std::vector<CommBatcher::Flush> flush_scratch_;
-  trace::CommStats comm_;
   std::uint64_t step_messages_ = 0;
 
   int superstep_ = 0;           ///< logical superstep (algorithm semantics)
   int superstep_instance_ = 0;  ///< Superstep path index (never reused)
   int workers_done_ = 0;
   int gc_seq_ = 0;  ///< GcPause instance index within the current superstep
-  bool execute_finished_ = false;
-  TimeNs makespan_ = 0;
 
-  // ---- fault-injection state ------------------------------------------------
-  bool checkpointing_ = false;  ///< armed iff the spec contains a crash
-  sim::FailureDetector detector_;
-  sim::ReliableChannel channel_;
-  std::vector<char> dead_;      ///< per-worker: crashed, not yet recovered
-  bool any_dead_ = false;
-  int crash_victim_ = -1;
-  TimeNs crash_time_ = 0;
-  std::vector<TimeNs> comm_end_;  ///< per-worker logged Communicate END times
-  int epoch_ = 0;               ///< bumped when recovery aborts an attempt
-  int recovery_seq_ = 0;
-  int checkpoint_seq_ = 0;
-  bool checkpoint_active_ = false;  ///< a checkpoint write is in flight
-  PathRef checkpoint_path_;
-  std::vector<TimeNs> checkpoint_wend_;  ///< per-worker write-finish times
   struct Snapshot {
     int superstep = 0;
     std::vector<double> value;
@@ -384,20 +296,6 @@ class PregelRun {
     std::vector<std::uint64_t> msg_offsets;  ///< kNone arena offsets
   } snapshot_;
 };
-
-void PregelRun::noise_tick(int w) {
-  if (execute_finished_) return;
-  auto& state = ws_[static_cast<std::size_t>(w)];
-  state.noise_level = std::clamp(
-      state.noise_level + rng_.next_normal(0.0, cfg_.noise.sigma), 0.0,
-      cfg_.noise.max_cores);
-  // The walk keeps advancing (fixed RNG draw schedule) but a crashed
-  // machine reports zero background CPU until it rejoins.
-  state.noise.set(sim_.now(),
-                  dead_[static_cast<std::size_t>(w)] != 0 ? 0.0
-                                                          : state.noise_level);
-  sim_.schedule_after(cfg_.noise.interval, [this, w] { noise_tick(w); });
-}
 
 void PregelRun::load_graph() {
   const VertexId n = g_.vertex_count();
@@ -410,10 +308,6 @@ void PregelRun::load_graph() {
   const int partitions = threads_ * cfg_.partitions_per_thread;
   for (int w = 0; w < workers_; ++w) {
     auto& state = ws_[static_cast<std::size_t>(w)];
-    state.nic = std::make_unique<sim::FluidQueue>(
-        cfg_.cluster.machine.nic_bytes_per_sec());
-    state.cpu = std::make_unique<sim::UsageRecorder>(
-        pregel_names::kCpu, static_cast<double>(cfg_.cluster.machine.cores));
     state.threads.resize(static_cast<std::size_t>(threads_));
     // Contiguous split of the worker's vertices into partitions.
     const auto& mine = worker_vertices[static_cast<std::size_t>(w)];
@@ -468,41 +362,36 @@ void PregelRun::load_graph() {
   log_.begin(job, 0, trace::kGlobalMachine);
   log_.begin(load, 0, trace::kGlobalMachine);
   TimeNs load_end = 0;
+  std::vector<double> owned(static_cast<std::size_t>(workers_), 0.0);
   for (int w = 0; w < workers_; ++w) {
     auto& state = ws_[static_cast<std::size_t>(w)];
     double edges = 0.0;
     for (const auto& part : state.partitions) {
+      owned[static_cast<std::size_t>(w)] += static_cast<double>(part.size());
       for (VertexId v : part) edges += static_cast<double>(g_.out_degree(v));
     }
     const double cores = static_cast<double>(cfg_.cluster.machine.cores);
     const DurationNs duration = ns_for_work(
         edges * cfg_.costs.work_per_load_edge / cores * jitter(0.05) /
         faults_.speed_factor(w, 0));
-    state.nic->enqueue(0, edges * cfg_.costs.bytes_per_load_edge);
-    state.cpu->add(0, cores);
-    state.cpu->add(duration, -cores);
+    nic(w).enqueue(0, edges * cfg_.costs.bytes_per_load_edge);
+    cpu(w).add(0, cores);
+    cpu(w).add(duration, -cores);
     const PathRef worker_load = load.child(pregel_symbols().load_worker, w);
     log_.begin(worker_load, 0, w);
-    const TimeNs done = std::max(duration, state.nic->time_empty(duration));
+    const TimeNs done = std::max(duration, nic(w).time_empty(duration));
     log_.end(worker_load, done, w);
     load_end = std::max(load_end, done);
   }
   log_.end(load, load_end, trace::kGlobalMachine);
   log_.begin(exec_path_, load_end, trace::kGlobalMachine);
-  if (cfg_.noise.enabled) {
-    for (int w = 0; w < workers_; ++w) {
-      sim_.schedule_at(0, [this, w] { noise_tick(w); });
-    }
-  }
-  schedule_epoch(load_end, [this] { start_superstep(sim_.now()); });
-  if (checkpointing_) save_checkpoint_state();
-  schedule_next_crash(load_end);
-  schedule_nic_changes();
+  // Checkpoint/restart recovery reloads state only: no re-ingest work.
+  start_execution(load_end, std::move(owned),
+                  std::vector<double>(static_cast<std::size_t>(workers_), 0.0));
 }
 
 void PregelRun::start_superstep(TimeNs t) {
-  if (any_dead_) return;  // recovery restarts execution itself
-  std::fill(comm_end_.begin(), comm_end_.end(), TimeNs{0});
+  if (failure_pending()) return;  // recovery restarts execution itself
   // Determine the active set; stop when nothing is runnable.
   std::size_t total_active = 0;
   for (int w = 0; w < workers_; ++w) {
@@ -534,8 +423,8 @@ void PregelRun::start_superstep(TimeNs t) {
     log_.begin(prepare, t, w);
     log_.end(prepare, t + prep, w);
     // Prepare burns one core per worker (bookkeeping is single-threaded).
-    state.cpu->add(t, 1.0);
-    state.cpu->add(t + prep, -1.0);
+    cpu(w).add(t, 1.0);
+    cpu(w).add(t + prep, -1.0);
     state.compute_phase = step.child(pregel_symbols().worker_compute, w);
     state.communicate_phase = step.child(pregel_symbols().worker_communicate, w);
     state.barrier_phase = step.child(pregel_symbols().worker_barrier, w);
@@ -577,13 +466,13 @@ void PregelRun::thread_continue(int w, int th) {
   //    front half of the outgoing buffer — so pressure first converts them
   //    into NIC traffic, then stalls on the queue like the unbatched path.
   if (batcher_.enabled() && batcher_.pending(w) > 0.0 &&
-      state.nic->level(now) + batcher_.pending(w) >
+      nic(w).level(now) + batcher_.pending(w) >
           cfg_.queue.capacity_bytes) {
     batcher_.take_all(w, FlushCause::kSize, flush_scratch_);
     for (const auto& f : flush_scratch_) flush_batch(w, f.dst, f.bytes, now);
   }
-  if (state.nic->level(now) > cfg_.queue.capacity_bytes) {
-    const TimeNs resume = state.nic->time_until_level(
+  if (nic(w).level(now) > cfg_.queue.capacity_bytes) {
+    const TimeNs resume = nic(w).time_until_level(
         now, cfg_.queue.capacity_bytes * cfg_.queue.resume_fraction);
     schedule_epoch(resume, [this, w, th, now, resume] {
       if (dead_[static_cast<std::size_t>(w)] != 0) return;
@@ -692,7 +581,7 @@ void PregelRun::thread_continue(int w, int th) {
   const DurationNs duration = std::max<DurationNs>(
       1, ns_for_work(work * jitter(cfg_.costs.work_jitter) / intensity /
                      faults_.speed_factor(w, now)));
-  state.cpu->add(now, intensity);
+  cpu(w).add(now, intensity);
   thread.running_intensity = intensity;
   ++state.running_chunks;
   schedule_epoch(now + duration, [this, w, th, remote_bytes, alloc, intensity] {
@@ -705,13 +594,13 @@ void PregelRun::finish_chunk(int w, int th, double remote_bytes,
   if (dead_[static_cast<std::size_t>(w)] != 0) return;
   auto& state = ws_[static_cast<std::size_t>(w)];
   const TimeNs now = sim_.now();
-  state.cpu->add(now, -intensity);
+  cpu(w).add(now, -intensity);
   state.threads[static_cast<std::size_t>(th)].running_intensity = 0.0;
   --state.running_chunks;
   state.alloc_bytes += alloc_bytes;
   if (state.gc_active) {
     // GC is running: this core is immediately taken over by the collector.
-    state.cpu->add(now, 1.0);
+    cpu(w).add(now, 1.0);
     state.gc_cores_taken += 1.0;
   } else if (cfg_.gc.enabled && state.alloc_bytes > cfg_.gc.young_gen_bytes) {
     start_gc(w);
@@ -725,24 +614,11 @@ void PregelRun::finish_chunk(int w, int th, double remote_bytes,
 /// retransmits) costs the payload bytes on this worker's NIC at its own
 /// time.
 TimeNs PregelRun::flush_batch(int w, int dst, double bytes, TimeNs now) {
-  auto& state = ws_[static_cast<std::size_t>(w)];
   if (channel_.trivial()) {
-    state.nic->enqueue(now, bytes);
+    nic(w).enqueue(now, bytes);
     return now;
   }
-  const auto plan = channel_.plan_send(w, dst, now);
-  ++comm_.channel_plans;
-  for (const auto& attempt : plan.attempts) {
-    if (attempt.at <= now) {
-      state.nic->enqueue(now, bytes);
-    } else {
-      schedule_epoch(attempt.at, [this, w, bytes] {
-        if (dead_[static_cast<std::size_t>(w)] != 0) return;
-        ws_[static_cast<std::size_t>(w)].nic->enqueue(sim_.now(), bytes);
-      });
-    }
-  }
-  return plan.complete;
+  return send_reliable(w, dst, bytes, now);
 }
 
 /// Arms the simulated-time flush deadline for worker w's buffers. Trivial
@@ -757,7 +633,7 @@ void PregelRun::arm_flush_timer(int w) {
     batcher_.take_all(w, FlushCause::kTimer, flush_scratch_);
     double total = 0.0;
     for (const auto& f : flush_scratch_) total += f.bytes;
-    ws_[static_cast<std::size_t>(w)].nic->enqueue(sim_.now(), total);
+    nic(w).enqueue(sim_.now(), total);
   });
 }
 
@@ -787,13 +663,13 @@ void PregelRun::send_chunk(int w, int th, double remote_bytes) {
     // Fast path (batching disabled): without fault events every send is a
     // single immediate attempt, so the flush bypasses the channel and the
     // trace stays byte-identical to the pre-batching engine.
-    state.nic->enqueue(now, remote_bytes);
+    nic(w).enqueue(now, remote_bytes);
     thread_continue(w, th);
     return;
   }
   if (remote_bytes <= 0.0) {
     // Chunks with no remote traffic behave identically in every mode.
-    state.nic->enqueue(now, remote_bytes);
+    nic(w).enqueue(now, remote_bytes);
     thread_continue(w, th);
     return;
   }
@@ -845,7 +721,7 @@ void PregelRun::start_gc(int w) {
   // the remaining cores are absorbed one by one as chunks complete.
   state.gc_cores_taken = static_cast<double>(cfg_.cluster.machine.cores) -
                          static_cast<double>(state.running_chunks);
-  state.cpu->add(now, state.gc_cores_taken);
+  cpu(w).add(now, state.gc_cores_taken);
   schedule_epoch(state.gc_end, [this, w] { end_gc(w); });
 }
 
@@ -854,7 +730,7 @@ void PregelRun::end_gc(int w) {
   // A crash teardown may have force-finished this collection already.
   if (!state.gc_active) return;
   const TimeNs now = sim_.now();
-  state.cpu->add(now, -state.gc_cores_taken);
+  cpu(w).add(now, -state.gc_cores_taken);
   state.gc_cores_taken = 0.0;
   state.gc_active = false;
   log_.end(state.gc_phase, now, w);
@@ -893,7 +769,7 @@ void PregelRun::worker_compute_done(int w) {
         batcher_.take_all(w, FlushCause::kBarrier, flush_scratch_);
         double total = 0.0;
         for (const auto& f : flush_scratch_) total += f.bytes;
-        state.nic->enqueue(now, total);
+        nic(w).enqueue(now, total);
       }
     } else {
       // With a live channel the last compute thread already flushed.
@@ -901,11 +777,11 @@ void PregelRun::worker_compute_done(int w) {
                     "unflushed batch at compute end");
     }
   }
-  const TimeNs drained = state.nic->time_empty(now);
+  const TimeNs drained = nic(w).time_empty(now);
   log_.end(state.communicate_phase, drained, w);
   // The END above is logged ahead of simulated time; remember it so a crash
   // teardown can close the Superstep at or after every logged child END.
-  comm_end_[static_cast<std::size_t>(w)] = drained;
+  note_logged_end(drained);
   log_.begin(state.barrier_phase, now, w);
   state.ready = std::max(drained, state.gc_active ? state.gc_end : now);
   if (++workers_done_ == workers_) {
@@ -917,9 +793,7 @@ void PregelRun::worker_compute_done(int w) {
 }
 
 void PregelRun::finish_superstep(TimeNs barrier_time) {
-  // A crash with a pending detection leaves the superstep to the recovery
-  // path; the barrier must not retire it half-dead.
-  if (any_dead_) return;
+  if (failure_pending()) return;
   const PathRef step = superstep_path();
   for (int w = 0; w < workers_; ++w) {
     log_.end(ws_[static_cast<std::size_t>(w)].barrier_phase, barrier_time, w);
@@ -954,18 +828,7 @@ void PregelRun::finish_superstep(TimeNs barrier_time) {
   step_messages_ = 0;
   ++superstep_;
   ++superstep_instance_;
-  if (checkpointing_ &&
-      superstep_ % cfg_.checkpoint.interval_steps == 0) {
-    const TimeNs cp_end = write_checkpoint(barrier_time);
-    schedule_epoch(cp_end, [this] {
-      // A crash inside the write window leaves the checkpoint to be aborted
-      // by the recovery path instead of completed here.
-      if (any_dead_) return;
-      complete_checkpoint();
-      start_superstep(sim_.now());
-    });
-    return;
-  }
+  if (checkpoint_if_due(superstep_, barrier_time)) return;
   start_superstep(barrier_time);
 }
 
@@ -976,17 +839,13 @@ void PregelRun::finish_execute(TimeNs t) {
   log_.begin(store, t, trace::kGlobalMachine);
   TimeNs store_end = t;
   for (int w = 0; w < workers_; ++w) {
-    auto& state = ws_[static_cast<std::size_t>(w)];
-    double vertices = 0.0;
-    for (const auto& part : state.partitions) {
-      vertices += static_cast<double>(part.size());
-    }
+    const double vertices = owned_vertices(w);
     const double cores = static_cast<double>(cfg_.cluster.machine.cores);
     const DurationNs duration = ns_for_work(
         vertices * cfg_.costs.work_per_store_vertex / cores * jitter(0.05) /
         faults_.speed_factor(w, t));
-    state.cpu->add(t, cores);
-    state.cpu->add(t + duration, -cores);
+    cpu(w).add(t, cores);
+    cpu(w).add(t + duration, -cores);
     const PathRef worker_store = store.child(pregel_symbols().store_worker, w);
     log_.begin(worker_store, t, w);
     log_.end(worker_store, t + duration, w);
@@ -994,20 +853,10 @@ void PregelRun::finish_execute(TimeNs t) {
   }
   log_.end(store, store_end, trace::kGlobalMachine);
   log_.end(job, store_end, trace::kGlobalMachine);
-  makespan_ = store_end;
-  execute_finished_ = true;
+  finish(store_end);
 }
 
-double PregelRun::worker_vertex_count(int w) const {
-  const auto& state = ws_[static_cast<std::size_t>(w)];
-  double vertices = 0.0;
-  for (const auto& part : state.partitions) {
-    vertices += static_cast<double>(part.size());
-  }
-  return vertices;
-}
-
-void PregelRun::save_checkpoint_state() {
+void PregelRun::save_snapshot() {
   snapshot_.superstep = superstep_;
   snapshot_.value = value_;
   snapshot_.halted = halted_;
@@ -1017,7 +866,7 @@ void PregelRun::save_checkpoint_state() {
   snapshot_.msg_offsets = msg_offsets_cur_;
 }
 
-void PregelRun::restore_checkpoint_state() {
+void PregelRun::restore_snapshot() {
   superstep_ = snapshot_.superstep;
   value_ = snapshot_.value;
   halted_ = snapshot_.halted;
@@ -1034,122 +883,12 @@ void PregelRun::restore_checkpoint_state() {
   step_messages_ = 0;
 }
 
-TimeNs PregelRun::write_checkpoint(TimeNs t) {
-  // Open the checkpoint phases now; closure is deferred until the write
-  // completes (complete_checkpoint), so a crash landing inside the window
-  // truncates them — the log shows an interrupted checkpoint, and the
-  // snapshot falls back to the previous complete one.
-  checkpoint_path_ =
-      exec_path_.child(pregel_symbols().checkpoint, checkpoint_seq_++);
-  log_.begin(checkpoint_path_, t, trace::kGlobalMachine);
-  checkpoint_wend_.assign(static_cast<std::size_t>(workers_), t);
-  TimeNs cp_end = t;
-  for (int w = 0; w < workers_; ++w) {
-    auto& state = ws_[static_cast<std::size_t>(w)];
-    const DurationNs duration =
-        ns_from_seconds(cfg_.checkpoint.base_seconds) +
-        ns_for_work(worker_vertex_count(w) * cfg_.checkpoint.work_per_vertex);
-    const TimeNs wend = t + duration;
-    checkpoint_wend_[static_cast<std::size_t>(w)] = wend;
-    log_.begin(checkpoint_path_.child(pregel_symbols().checkpoint_worker, w), t,
-               w);
-    // Serialization is single-threaded per worker.
-    state.cpu->add(t, 1.0);
-    cp_end = std::max(cp_end, wend);
-  }
-  checkpoint_active_ = true;
-  return cp_end;
-}
-
-void PregelRun::complete_checkpoint() {
-  TimeNs cp_end = 0;
-  for (int w = 0; w < workers_; ++w) {
-    auto& state = ws_[static_cast<std::size_t>(w)];
-    const TimeNs wend = checkpoint_wend_[static_cast<std::size_t>(w)];
-    log_.end(checkpoint_path_.child(pregel_symbols().checkpoint_worker, w),
-             wend, w);
-    state.cpu->add(wend, -1.0);
-    cp_end = std::max(cp_end, wend);
-  }
-  log_.end(checkpoint_path_, cp_end, trace::kGlobalMachine);
-  checkpoint_active_ = false;
-  save_checkpoint_state();
-}
-
-void PregelRun::abort_checkpoint(int victim, TimeNs now) {
-  // Survivors stop writing when the failure is detected (`now`); the victim
-  // stopped at the crash instant itself.
-  const bool truncated = cfg_.crash_log == CrashLogStyle::kTruncated;
-  TimeNs cp_close = 0;
-  for (int w = 0; w < workers_; ++w) {
-    auto& state = ws_[static_cast<std::size_t>(w)];
-    const PathRef worker_cp =
-        checkpoint_path_.child(pregel_symbols().checkpoint_worker, w);
-    const TimeNs wend = checkpoint_wend_[static_cast<std::size_t>(w)];
-    const TimeNs stop =
-        w == victim ? std::min(crash_time_, wend) : std::min(now, wend);
-    if (w == victim && truncated) {
-      log_.abandon(worker_cp);
-    } else {
-      log_.end(worker_cp, stop, w);
-      cp_close = std::max(cp_close, stop);
-    }
-    state.cpu->add(stop, -1.0);
-  }
-  if (truncated) {
-    log_.abandon(checkpoint_path_);
-  } else {
-    log_.end(checkpoint_path_, cp_close, trace::kGlobalMachine);
-  }
-  checkpoint_active_ = false;
-  // The snapshot was not saved: recovery falls back to the previous one.
-}
-
-void PregelRun::schedule_next_crash(TimeNs floor) {
-  if (!checkpointing_) return;
-  const auto t = faults_.next_crash_time();
-  if (!t) return;
-  // Not epoch-guarded: a crash belongs to the run, not to one execution
-  // attempt. A crash falling inside a recovery window fires right after it.
-  sim_.schedule_at(std::max(*t, floor), [this] { fire_crash(); });
-}
-
-void PregelRun::schedule_nic_changes() {
-  if (faults_.empty()) return;
-  const double base_rate = cfg_.cluster.machine.nic_bytes_per_sec();
-  for (const TimeNs t : faults_.nic_change_times()) {
-    // Boundaries may predate the point where scheduling happens (a window
-    // opening at t=0 while the graph is still loading): apply them now.
-    sim_.schedule_at(std::max(t, sim_.now()), [this, base_rate] {
-      if (execute_finished_) return;
-      const TimeNs now = sim_.now();
-      for (int w = 0; w < workers_; ++w) {
-        ws_[static_cast<std::size_t>(w)].nic->set_rate(
-            now, base_rate * faults_.nic_factor(w, now));
-      }
-    });
-  }
-}
-
-void PregelRun::close_or_abandon(const PathRef& path, bool truncate,
-                                 TimeNs now, trace::MachineId machine) {
-  const auto begin = log_.open_begin(path);
-  if (!begin) return;
-  if (truncate) {
-    log_.abandon(path);
-  } else {
-    // Some phase begins are logged ahead of simulated time (WorkerCompute
-    // opens at t+prep); never end a phase before its begin.
-    log_.end(path, std::max(now, *begin), machine);
-  }
-}
-
 void PregelRun::teardown_worker(int w, TimeNs now, bool truncate) {
   auto& state = ws_[static_cast<std::size_t>(w)];
   for (int th = 0; th < threads_; ++th) {
     auto& thread = state.threads[static_cast<std::size_t>(th)];
     if (thread.running_intensity > 0.0) {
-      state.cpu->add(now, -thread.running_intensity);
+      cpu(w).add(now, -thread.running_intensity);
       thread.running_intensity = 0.0;
     }
     if (thread.phase_open) {
@@ -1171,7 +910,7 @@ void PregelRun::teardown_worker(int w, TimeNs now, bool truncate) {
   }
   state.running_chunks = 0;
   if (state.gc_active) {
-    state.cpu->add(now, -state.gc_cores_taken);
+    cpu(w).add(now, -state.gc_cores_taken);
     state.gc_cores_taken = 0.0;
     state.gc_active = false;
     close_or_abandon(state.gc_phase, truncate, now, w);
@@ -1180,144 +919,11 @@ void PregelRun::teardown_worker(int w, TimeNs now, bool truncate) {
   close_or_abandon(state.compute_phase, truncate, now, w);
   close_or_abandon(state.communicate_phase, truncate, now, w);
   close_or_abandon(state.barrier_phase, truncate, now, w);
-  // In-flight traffic of the aborted superstep is gone — both the NIC
-  // queue and anything still sitting in the coalescing buffers; the
-  // re-execution regenerates it.
-  state.nic->clear(now);
-  if (batcher_.enabled()) batcher_.clear(w);
 }
 
-void PregelRun::fire_crash() {
-  if (execute_finished_) return;
-  // A second failure while one is still being handled is picked up by
-  // schedule_next_crash() after the in-flight recovery completes.
-  if (any_dead_) return;
-  const TimeNs now = sim_.now();
-  const auto victim = faults_.take_crash(now);
-  if (!victim) return;
-  const int v = *victim;
-  crash_victim_ = v;
-  crash_time_ = now;
-  any_dead_ = true;
-  dead_[static_cast<std::size_t>(v)] = 1;
-  channel_.set_dead(v, true);
-
-  // The victim dies silently: its compute stops, its queued traffic is
-  // gone, its open phases close (log shipper flush) or truncate. Survivors
-  // keep running — their sends to the victim fail deterministically and
-  // give up after the retry budget — until the failure detector times out
-  // the victim's heartbeats; nobody here consults the injector about the
-  // future.
-  teardown_worker(v, now, cfg_.crash_log == CrashLogStyle::kTruncated);
-  sim_.schedule_at(detector_.detect_time(v, now),
-                   [this] { detect_and_recover(); });
-}
-
-void PregelRun::detect_and_recover() {
-  const TimeNs now = sim_.now();  // heartbeat-timeout detection instant
-  const int victim = crash_victim_;
-  // A new epoch invalidates every event of the aborted execution attempt.
-  ++epoch_;
-  const bool truncated = cfg_.crash_log == CrashLogStyle::kTruncated;
-  const PathRef step = superstep_path();
-  const bool step_open = log_.is_open(step);
-  // Some WorkerCommunicate ENDs were logged ahead of time; the Superstep
-  // must close at or after every logged child END.
-  TimeNs step_close = now;
-  for (int w = 0; w < workers_; ++w) {
-    if (w != victim) teardown_worker(w, now, false);
-    step_close = std::max(step_close, comm_end_[static_cast<std::size_t>(w)]);
-  }
-  if (step_open) {
-    if (truncated) {
-      log_.abandon(step);
-    } else {
-      log_.end(step, step_close, trace::kGlobalMachine);
-    }
-  }
-  if (checkpoint_active_) abort_checkpoint(victim, now);
+void PregelRun::abort_step(TimeNs close, bool truncate) {
+  close_or_abandon(superstep_path(), truncate, close, trace::kGlobalMachine);
   ++superstep_instance_;
-
-  // Checkpoint-restart recovery: the master restarts the victim and every
-  // worker reloads the last checkpoint. The whole window is dead time,
-  // reported as "Recovery" blocking events.
-  const PathRef rec =
-      exec_path_.child(pregel_symbols().recovery, recovery_seq_++);
-  log_.begin(rec, now, trace::kGlobalMachine);
-  const DurationNs restart = ns_from_seconds(cfg_.checkpoint.restart_seconds);
-  TimeNs rec_end = now + restart;
-  for (int w = 0; w < workers_; ++w) {
-    const DurationNs reload = ns_for_work(
-        worker_vertex_count(w) * cfg_.checkpoint.reload_work_per_vertex /
-        static_cast<double>(cfg_.cluster.machine.cores));
-    const TimeNs wend = now + restart + reload;
-    const PathRef worker_rec =
-        rec.child(pregel_symbols().recovery_worker, w);
-    log_.begin(worker_rec, now, w);
-    log_.end(worker_rec, wend, w);
-    log_.block(pregel_names::kRecovery, worker_rec, now, wend, w);
-    rec_end = std::max(rec_end, wend);
-  }
-  log_.end(rec, rec_end, trace::kGlobalMachine);
-  restore_checkpoint_state();
-  dead_[static_cast<std::size_t>(victim)] = 0;
-  channel_.set_dead(victim, false);
-  any_dead_ = false;
-  crash_victim_ = -1;
-  // Resume after both the recovery window and the last logged END of the
-  // aborted superstep, so repeated Superstep instances never overlap.
-  const TimeNs resume = std::max(rec_end, step_close);
-  schedule_epoch(resume, [this] { start_superstep(sim_.now()); });
-  schedule_next_crash(resume);
-}
-
-trace::RunArtifacts PregelRun::execute() {
-  if (!faults_.empty()) {
-    faults_.resolve(pregel_nominal_horizon(cfg_, g_, prog_));
-    checkpointing_ = faults_.has_kind(sim::FaultKind::kCrash);
-  }
-  sim::FailureDetectorConfig heartbeat = cfg_.heartbeat;
-  heartbeat.seed ^= cfg_.seed;
-  detector_ = sim::FailureDetector(heartbeat, &faults_);
-  sim::ReliableChannelConfig channel;
-  channel.timeout_seconds = cfg_.retry.timeout_seconds;
-  channel.backoff = cfg_.retry.backoff;
-  channel.jitter = cfg_.retry.jitter;
-  channel.max_attempts = std::max(1, cfg_.retry.max_attempts);
-  channel_ = sim::ReliableChannel(channel, &faults_, workers_);
-  batcher_ = CommBatcher(cfg_.batch, workers_);
-  dead_.assign(static_cast<std::size_t>(workers_), 0);
-  comm_end_.assign(static_cast<std::size_t>(workers_), 0);
-  load_graph();
-  sim_.run();
-  G10_CHECK_MSG(execute_finished_, "simulation ended before the job finished");
-
-  trace::RunArtifacts artifacts;
-  artifacts.makespan = makespan_;
-  artifacts.vertex_values = value_;
-  comm_.batch_flushes =
-      static_cast<std::int64_t>(batcher_.stats().total_flushes());
-  artifacts.comm = std::move(comm_);
-  artifacts.phase_events = log_.take_phase_events();
-  artifacts.blocking_events = log_.take_blocking_events();
-  for (int w = 0; w < workers_; ++w) {
-    auto& state = ws_[static_cast<std::size_t>(w)];
-    trace::GroundTruthSeries cpu;
-    cpu.resource = pregel_names::kCpu;
-    cpu.machine = w;
-    cpu.capacity = static_cast<double>(cfg_.cluster.machine.cores);
-    cpu.series = StepFunction::clamped_sum(state.cpu->series(), state.noise,
-                                           cpu.capacity);
-    artifacts.ground_truth.push_back(std::move(cpu));
-
-    trace::GroundTruthSeries net;
-    net.resource = pregel_names::kNetwork;
-    net.machine = w;
-    net.capacity = cfg_.cluster.machine.nic_bytes_per_sec();
-    net.series = state.nic->finalize_rate_series(makespan_);
-    artifacts.ground_truth.push_back(std::move(net));
-  }
-  return artifacts;
 }
 
 }  // namespace

@@ -42,7 +42,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "algorithms/pregel_program.hpp"
 #include "engine/comm_batcher.hpp"
@@ -77,17 +76,6 @@ struct PregelCostModel {
   /// while its recorded CPU usage drops below one core — exactly the
   /// model-vs-reality gap the paper's tuned Exact(1 core) rule papers over.
   double cpu_intensity_min = 0.80;
-};
-
-/// Unmodeled background CPU activity per machine (OS daemons, JIT compiler
-/// threads): a clamped random walk added to the ground-truth CPU signal.
-/// Grade10's models do not describe it, which contributes realistic
-/// attribution error (paper §IV-B).
-struct NoiseConfig {
-  bool enabled = true;
-  DurationNs interval = 25 * kMillisecond;
-  double max_cores = 1.2;
-  double sigma = 0.3;  ///< random-walk step (cores)
 };
 
 /// Stop-the-world generational GC model.

@@ -51,6 +51,9 @@ std::shared_ptr<const graph::Graph> cached_dataset(const std::string& spec) {
     } else {
       G10_CHECK_MSG(false, "unknown dataset spec: " + spec);
     }
+    // Concurrent runs read the shared graph, and GAS gathers over in-edges:
+    // build the lazily derived reverse index here, before publication.
+    slot->ensure_in_index();
   }
   return slot;
 }

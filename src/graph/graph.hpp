@@ -81,8 +81,11 @@ class Graph {
   const std::vector<EdgeIndex>& out_offsets() const { return out_offsets_; }
   const std::vector<VertexId>& out_targets() const { return out_targets_; }
 
- private:
+  /// Builds the reverse index now. The lazy build on first use is not
+  /// synchronized: call this before sharing one graph across threads.
   void ensure_in_index() const;
+
+ private:
 
   std::vector<EdgeIndex> out_offsets_;
   std::vector<VertexId> out_targets_;

@@ -130,6 +130,22 @@ TEST(StepFunctionTest, ClampedSumWithEmptyOperand) {
   EXPECT_DOUBLE_EQ(sum2.value_at(0), 0.0);
 }
 
+TEST(StepFunctionTest, ClampedSumFloorsCancellationResidueAtZero) {
+  // Removing fractional intensities in a different grouping than they were
+  // added leaves a tiny negative residue instead of exact zero; summed with
+  // an idle noise walk it must not surface as negative usage.
+  StepFunction a;
+  a.set(0, 0.3);
+  a.set(10, 0.3 - 0.1 - 0.2);
+  ASSERT_LT(a.value_at(10), 0.0);
+  StepFunction idle;
+  idle.set(5, 0.0);
+  const StepFunction sum = StepFunction::clamped_sum(a, idle, 4.0);
+  EXPECT_DOUBLE_EQ(sum.value_at(0), 0.3);
+  EXPECT_EQ(sum.value_at(10), 0.0);
+  for (const double v : sum.values()) EXPECT_GE(v, 0.0);
+}
+
 class ClampedSumPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ClampedSumPropertyTest, MatchesPointwiseDefinition) {
@@ -148,7 +164,7 @@ TEST_P(ClampedSumPropertyTest, MatchesPointwiseDefinition) {
   const StepFunction sum = StepFunction::clamped_sum(a, b, cap);
   for (TimeNs t = 0; t < 300; t += 3) {
     EXPECT_NEAR(sum.value_at(t),
-                std::min(a.value_at(t) + b.value_at(t), cap), 1e-12)
+                std::clamp(a.value_at(t) + b.value_at(t), 0.0, cap), 1e-12)
         << "t=" << t;
   }
 }

@@ -309,5 +309,35 @@ TEST(GasFaultTest, LossyNicCausesRetryBlocksWithoutChangingOutput) {
   expect_values_near(result.vertex_values, baseline.vertex_values, 1e-12);
 }
 
+TEST(GasFaultTest, CrashUnderLossyNicRecovers) {
+  // g10_run --engine gas --dataset datagen:512 --workers 4 --iterations 10
+  // under crash + lossy NIC. A crash while the exchange drained used to
+  // let the iteration retire its barrier anyway; the checkpoint it opened
+  // then ended before it began when recovery aborted it.
+  graph::DatagenParams params;
+  params.vertices = 512;
+  const auto g = generate_datagen_like(params);
+  const auto spec =
+      sim::FaultSpec::parse("crash:w3@40%,nic:w1@10%+40%:x0.25:loss=0.3");
+  ASSERT_TRUE(spec.has_value());
+  const auto reference = algorithms::pagerank_reference(g, 10);
+  for (const std::uint64_t seed : {4, 5, 6, 7}) {
+    GasConfig cfg;
+    cfg.cluster.machine_count = 4;
+    cfg.cluster.faults = *spec;
+    cfg.seed = seed;
+    const auto result = GasEngine(cfg).run(g, PageRank(10));
+    expect_values_near(result.vertex_values, reference, 1e-9);
+    std::map<std::string, int> open;
+    for (const auto& event : result.phase_events) {
+      open[event.path.to_string()] +=
+          event.kind == trace::PhaseEventRecord::Kind::Begin ? 1 : -1;
+    }
+    for (const auto& [key, count] : open) {
+      EXPECT_EQ(count, 0) << key << " (seed " << seed << ")";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace g10::engine

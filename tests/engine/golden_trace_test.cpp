@@ -2,7 +2,10 @@
 // committed fixtures across refactors of the trace-generation path. The
 // original fixtures were produced by the pre-batching delivery path, so the
 // batch-off runs pin that path byte-for-byte; the `_batched` fixtures pin
-// the default coalesced delivery schedule (DESIGN.md §13).
+// the default coalesced delivery schedule (DESIGN.md §13). The `_faulted`
+// fixtures pin the shared crash/checkpoint/recovery path (DESIGN.md §10)
+// in both crash-log styles; they also carry the monitoring samples, so CPU
+// accounting through checkpoint writes and crash teardown is pinned too.
 //
 // Set G10_REGEN_GOLDEN=1 (or use the `regen-golden` CMake target /
 // tools/regen_golden.sh) to rewrite every fixture from the current build
@@ -19,6 +22,8 @@
 #include "engine/gas/gas_engine.hpp"
 #include "engine/pregel/pregel_engine.hpp"
 #include "graph/generators.hpp"
+#include "monitor/sampler.hpp"
+#include "sim/fault_injector.hpp"
 #include "trace/log_io.hpp"
 
 namespace g10 {
@@ -57,6 +62,26 @@ std::string render(const trace::RunArtifacts& artifacts) {
   trace::write_log(os, artifacts.phase_events, artifacts.blocking_events, {});
   return os.str();
 }
+
+/// Phase and blocking records plus the ground truth sampled at 5 ms.
+std::string render_with_samples(const trace::RunArtifacts& artifacts) {
+  std::ostringstream os;
+  trace::write_log(os, artifacts.phase_events, artifacts.blocking_events,
+                   monitor::sample_ground_truth(artifacts.ground_truth,
+                                                5 * kMillisecond,
+                                                artifacts.makespan));
+  return os.str();
+}
+
+sim::FaultSpec fault_spec(const std::string& text) {
+  auto spec = sim::FaultSpec::parse(text);
+  EXPECT_TRUE(spec.has_value()) << text;
+  return spec.value_or(sim::FaultSpec{});
+}
+
+constexpr const char* kCrashPartition = "crash:w1@40%,part:w0-w2@30%+20%";
+constexpr const char* kCrashLossyNic =
+    "crash:w1@40%,nic:w*@10%+40%:x0.5:loss=0.3";
 
 graph::Graph make_graph() {
   graph::DatagenParams params;
@@ -108,6 +133,53 @@ TEST(GoldenTraceTest, GasPageRankBatchedMatchesFixture) {
   const auto artifacts = engine::GasEngine(gas_config())
                              .run(make_graph(), algorithms::PageRank(5));
   check_or_regen("gas_pagerank_d512_s99_batched.log", render(artifacts));
+}
+
+TEST(GoldenTraceTest, PregelCrashPartitionReconciledMatchesFixture) {
+  auto cfg = pregel_config();
+  cfg.cluster.faults = fault_spec(kCrashPartition);
+  const auto artifacts =
+      engine::PregelEngine(cfg).run(make_graph(), algorithms::PageRank(5));
+  check_or_regen("pregel_pagerank_d512_s99_faulted.log",
+                 render_with_samples(artifacts));
+}
+
+TEST(GoldenTraceTest, PregelCrashPartitionTruncatedMatchesFixture) {
+  auto cfg = pregel_config();
+  cfg.cluster.faults = fault_spec(kCrashPartition);
+  cfg.crash_log = engine::CrashLogStyle::kTruncated;
+  const auto artifacts =
+      engine::PregelEngine(cfg).run(make_graph(), algorithms::PageRank(5));
+  check_or_regen("pregel_pagerank_d512_s99_faulted_truncated.log",
+                 render_with_samples(artifacts));
+}
+
+TEST(GoldenTraceTest, PregelCrashLossyNicMatchesFixture) {
+  auto cfg = pregel_config();
+  cfg.cluster.faults = fault_spec(kCrashLossyNic);
+  const auto artifacts =
+      engine::PregelEngine(cfg).run(make_graph(), algorithms::PageRank(5));
+  check_or_regen("pregel_pagerank_d512_s99_faulted_lossy.log",
+                 render_with_samples(artifacts));
+}
+
+TEST(GoldenTraceTest, GasCrashPartitionReconciledMatchesFixture) {
+  auto cfg = gas_config();
+  cfg.cluster.faults = fault_spec(kCrashPartition);
+  const auto artifacts =
+      engine::GasEngine(cfg).run(make_graph(), algorithms::PageRank(5));
+  check_or_regen("gas_pagerank_d512_s99_faulted.log",
+                 render_with_samples(artifacts));
+}
+
+TEST(GoldenTraceTest, GasCrashPartitionTruncatedMatchesFixture) {
+  auto cfg = gas_config();
+  cfg.cluster.faults = fault_spec(kCrashPartition);
+  cfg.crash_log = engine::CrashLogStyle::kTruncated;
+  const auto artifacts =
+      engine::GasEngine(cfg).run(make_graph(), algorithms::PageRank(5));
+  check_or_regen("gas_pagerank_d512_s99_faulted_truncated.log",
+                 render_with_samples(artifacts));
 }
 
 TEST(GoldenTraceTest, DataflowMatchesFixture) {
