@@ -53,18 +53,17 @@ LeafDemand make_leaf_demand(const PhaseInstance& leaf,
   return demand;
 }
 
-/// Fills one (resource, machine) matrix with the demand of its leaves.
-void fill_matrix(DemandMatrix& matrix, const ResourceModel& resources,
-                 const AttributionRuleSet& rules, const ExecutionTrace& trace,
+/// Fills one (resource, machine) matrix with the demand of `leaves`, the
+/// trace's leaves on that machine (all of them for a global resource).
+void fill_matrix(DemandMatrix& matrix, const AttributionRuleSet& rules,
+                 const ExecutionTrace& trace,
+                 const std::vector<InstanceId>& leaves,
                  const TimesliceGrid& grid, TimesliceIndex slice_count) {
   matrix.slice_count = slice_count;
   matrix.exact.assign(static_cast<std::size_t>(slice_count), 0.0);
   matrix.variable.assign(static_cast<std::size_t>(slice_count), 0.0);
-  const bool global =
-      resources.resource(matrix.resource).scope == ResourceScope::kGlobal;
-  for (const InstanceId leaf_id : trace.leaves()) {
+  for (const InstanceId leaf_id : leaves) {
     const PhaseInstance& leaf = trace.instance(leaf_id);
-    if (!global && leaf.machine != matrix.machine) continue;
     const AttributionRule rule = rules.get(leaf.type, matrix.resource);
     if (rule.is_none()) continue;
     if (leaf.duration() <= 0) continue;
@@ -115,11 +114,32 @@ std::vector<DemandMatrix> estimate_demand(const ResourceModel& resources,
     }
   }
 
+  // Bucket the leaves by machine once, keeping trace order within each
+  // bucket, so every matrix sums its leaves in the same order as a scan.
+  const std::vector<trace::MachineId>& machines = trace.machines();
+  std::vector<std::vector<InstanceId>> leaves_on(machines.size());
+  const auto bucket = [&machines](trace::MachineId machine) {
+    return static_cast<std::size_t>(
+        std::lower_bound(machines.begin(), machines.end(), machine) -
+        machines.begin());
+  };
+  for (const InstanceId leaf : trace.leaves()) {
+    const trace::MachineId machine = trace.instance(leaf).machine;
+    if (machine != trace::kGlobalMachine) {
+      leaves_on[bucket(machine)].push_back(leaf);
+    }
+  }
+
   // Each (resource, machine) matrix is independent; fan out one per task.
   // Every matrix is filled by exactly one thread, so the result is
   // bit-identical to the serial loop.
   parallel_for(pool, matrices.size(), 1, [&](std::size_t m) {
-    fill_matrix(matrices[m], resources, rules, trace, grid, slice_count);
+    DemandMatrix& matrix = matrices[m];
+    const bool global =
+        resources.resource(matrix.resource).scope == ResourceScope::kGlobal;
+    fill_matrix(matrix, rules, trace,
+                global ? trace.leaves() : leaves_on[bucket(matrix.machine)],
+                grid, slice_count);
   });
   return matrices;
 }

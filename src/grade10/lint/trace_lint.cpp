@@ -1,6 +1,7 @@
 #include "grade10/lint/trace_lint.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 #include <set>
 #include <string>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "common/strings.hpp"
+#include "grade10/trace/path_index.hpp"
 
 namespace g10::lint {
 
@@ -16,9 +18,10 @@ namespace {
 using trace::kGlobalMachine;
 using trace::MachineId;
 
+using NodeId = core::PathIndex::NodeId;
+
 /// One phase instance reassembled from its BEGIN/END events.
 struct Instance {
-  trace::PhasePath path;
   bool has_begin = false;
   bool has_end = false;
   TimeNs begin = 0;
@@ -26,8 +29,36 @@ struct Instance {
   MachineId begin_machine = kGlobalMachine;
   MachineId end_machine = kGlobalMachine;
 
+  bool seen() const { return has_begin || has_end; }
   bool complete() const { return has_begin && has_end; }
 };
+
+/// A finding held back until the findings are put in rendered-path order.
+struct Deferred {
+  std::string rule_id;
+  Severity severity;
+  std::string context;  ///< empty: the instance's path, rendered later
+  std::string message;
+};
+
+/// Deferred findings under the rendered key a path-keyed map would have
+/// visited them by: (path, "") for one instance, (parent path, type) for
+/// one group of REPEATED siblings.
+struct DeferredBatch {
+  std::pair<std::string, std::string> order;
+  std::vector<Deferred> findings;
+};
+
+/// True when `a` renders before `b` as decimal text ("10" < "2"): sibling
+/// paths differ only in their last index, so this is their path order.
+bool renders_before(std::int64_t a, std::int64_t b) {
+  char da[24];
+  char db[24];
+  const auto ea = std::to_chars(da, da + sizeof da, a).ptr;
+  const auto eb = std::to_chars(db, db + sizeof db, b).ptr;
+  return std::string_view(da, static_cast<std::size_t>(ea - da)) <
+         std::string_view(db, static_cast<std::size_t>(eb - db));
+}
 
 class TraceLinter {
  public:
@@ -61,15 +92,39 @@ class TraceLinter {
                 std::move(message));
   }
 
+  /// Emits deferred findings in the order of their batches' keys. All go
+  /// through add_once: findings whose context is an instance path are
+  /// unique per (rule, context) anyway.
+  void emit(std::vector<DeferredBatch> batches) {
+    std::sort(batches.begin(), batches.end(),
+              [](const DeferredBatch& a, const DeferredBatch& b) {
+                return a.order < b.order;
+              });
+    for (DeferredBatch& batch : batches) {
+      for (Deferred& d : batch.findings) {
+        add_once(std::move(d.rule_id), d.severity, std::move(d.context),
+                 std::move(d.message));
+      }
+    }
+  }
+
+  Instance* instance_of(NodeId node) {
+    if (node < 0 || static_cast<std::size_t>(node) >= instances_.size()) {
+      return nullptr;
+    }
+    Instance& inst = instances_[static_cast<std::size_t>(node)];
+    return inst.seen() ? &inst : nullptr;
+  }
+
   void collect_instances() {
     for (const trace::PhaseEventRecord& event : log_.phase_events) {
-      const std::string key = event.path.to_string();
-      auto [it, inserted] = instances_.try_emplace(key);
-      Instance& inst = it->second;
-      if (inserted) inst.path = event.path;
+      const NodeId node = index_.insert(event.path);
+      instances_.resize(index_.size());
+      Instance& inst = instances_[static_cast<std::size_t>(node)];
       if (event.kind == trace::PhaseEventRecord::Kind::Begin) {
         if (inst.has_begin) {
-          report_.add("trace-duplicate-begin", Severity::kError, at(key),
+          report_.add("trace-duplicate-begin", Severity::kError,
+                      at(event.path.to_string()),
                       "phase instance begins more than once");
           continue;
         }
@@ -78,7 +133,8 @@ class TraceLinter {
         inst.begin_machine = event.machine;
       } else {
         if (inst.has_end) {
-          report_.add("trace-duplicate-end", Severity::kError, at(key),
+          report_.add("trace-duplicate-end", Severity::kError,
+                      at(event.path.to_string()),
                       "phase instance ends more than once");
           continue;
         }
@@ -88,116 +144,161 @@ class TraceLinter {
       }
       machines_.insert(event.machine);
     }
+    // Model ids of the index's types, resolved once per type.
+    for (core::PathIndex::TypeId t = 0; t < index_.type_count(); ++t) {
+      model_types_.push_back(model_.execution.find(index_.type_name(t)));
+    }
+  }
+
+  core::PhaseTypeId model_type(NodeId node) const {
+    return model_types_[index_.type_id(node)];
   }
 
   void check_instances() {
-    for (const auto& [key, inst] : instances_) {
+    std::vector<DeferredBatch> batches;
+    std::vector<Deferred> found;
+    for (NodeId node = 0; node < static_cast<NodeId>(instances_.size());
+         ++node) {
+      const Instance& inst = instances_[static_cast<std::size_t>(node)];
+      if (!inst.seen()) continue;
       if (inst.has_begin && !inst.has_end) {
-        report_.add("trace-unbalanced-begin", Severity::kError, at(key),
-                    "phase instance begins but never ends (truncated log?)");
+        found.push_back({"trace-unbalanced-begin", Severity::kError, {},
+                         "phase instance begins but never ends (truncated "
+                         "log?)"});
       } else if (inst.has_end && !inst.has_begin) {
-        report_.add("trace-unbalanced-end", Severity::kError, at(key),
-                    "phase instance ends without ever beginning");
+        found.push_back({"trace-unbalanced-end", Severity::kError, {},
+                         "phase instance ends without ever beginning"});
       }
       if (inst.complete() && inst.end < inst.begin) {
-        report_.add("trace-nonmonotonic-time", Severity::kError, at(key),
-                    "phase instance ends at " + std::to_string(inst.end) +
-                        "ns, before its begin at " +
-                        std::to_string(inst.begin) + "ns");
+        found.push_back({"trace-nonmonotonic-time", Severity::kError, {},
+                         "phase instance ends at " + std::to_string(inst.end) +
+                             "ns, before its begin at " +
+                             std::to_string(inst.begin) + "ns"});
       }
       if (inst.complete() && inst.begin_machine != inst.end_machine) {
-        report_.add("trace-machine-mismatch", Severity::kWarning, at(key),
-                    "BEGIN reports machine " +
-                        std::to_string(inst.begin_machine) +
-                        " but END reports machine " +
-                        std::to_string(inst.end_machine));
+        found.push_back({"trace-machine-mismatch", Severity::kWarning, {},
+                         "BEGIN reports machine " +
+                             std::to_string(inst.begin_machine) +
+                             " but END reports machine " +
+                             std::to_string(inst.end_machine)});
       }
-      check_against_model(key, inst);
+      check_against_model(node, inst, found);
+      if (found.empty()) continue;
+      std::string path = index_.path(node);
+      for (Deferred& d : found) {
+        if (d.context.empty()) d.context = path;
+      }
+      batches.push_back({{std::move(path), {}}, std::move(found)});
+      found.clear();
     }
+    emit(std::move(batches));
   }
 
-  void check_against_model(const std::string& key, const Instance& inst) {
-    const auto& elements = inst.path.elements;
-    if (elements.empty()) return;
-    const std::string& leaf_type = elements.back().type;
-    const core::PhaseTypeId type_id = model_.execution.find(leaf_type);
+  void check_against_model(NodeId node, const Instance& inst,
+                           std::vector<Deferred>& found) {
+    if (node == core::PathIndex::kRoot) return;
+    const std::string& leaf_type = index_.type_name(index_.type_id(node));
+    const core::PhaseTypeId type_id = model_type(node);
     if (type_id == core::kNoPhaseType) {
-      add_once("trace-unknown-phase-type", Severity::kError, leaf_type,
-               "phase type '" + leaf_type + "' is not in the model");
+      found.push_back({"trace-unknown-phase-type", Severity::kError, leaf_type,
+                       "phase type '" + leaf_type + "' is not in the model"});
       return;
     }
-    if (elements.size() == 1) {
+    const NodeId parent_node = index_.parent(node);
+    if (parent_node == core::PathIndex::kRoot) {
       if (type_id != model_.execution.root()) {
-        add_once("trace-hierarchy-mismatch", Severity::kError, leaf_type,
-                 "phase type '" + leaf_type +
-                     "' appears at the top of a path but is not the "
-                     "model's root");
+        found.push_back({"trace-hierarchy-mismatch", Severity::kError,
+                         leaf_type,
+                         "phase type '" + leaf_type +
+                             "' appears at the top of a path but is not the "
+                             "model's root"});
       }
       return;
     }
-    const std::string& parent_type = elements[elements.size() - 2].type;
-    const core::PhaseTypeId parent_id = model_.execution.find(parent_type);
+    const std::string& parent_type =
+        index_.type_name(index_.type_id(parent_node));
+    const core::PhaseTypeId parent_id = model_type(parent_node);
     if (parent_id != core::kNoPhaseType &&
         model_.execution.type(type_id).parent != parent_id) {
-      add_once("trace-hierarchy-mismatch", Severity::kError,
-               parent_type + "/" + leaf_type,
-               "the model does not declare '" + parent_type +
-                   "' as the parent of '" + leaf_type + "'");
+      found.push_back({"trace-hierarchy-mismatch", Severity::kError,
+                       parent_type + "/" + leaf_type,
+                       "the model does not declare '" + parent_type +
+                           "' as the parent of '" + leaf_type + "'"});
     }
-    const std::string parent_key = inst.path.parent().to_string();
-    const auto parent_it = instances_.find(parent_key);
-    if (parent_it == instances_.end()) {
-      add_once("trace-missing-parent", Severity::kError, key,
-               "parent instance '" + parent_key +
-                   "' never appears in the log");
+    const Instance* parent = instance_of(parent_node);
+    if (parent == nullptr) {
+      found.push_back({"trace-missing-parent", Severity::kError, {},
+                       "parent instance '" + index_.path(parent_node) +
+                           "' never appears in the log"});
       return;
     }
-    const Instance& parent = parent_it->second;
-    if (inst.complete() && parent.complete() &&
-        (inst.begin < parent.begin || inst.end > parent.end)) {
-      report_.add("trace-child-escapes-parent", Severity::kError, at(key),
-                  "instance runs [" + std::to_string(inst.begin) + ", " +
-                      std::to_string(inst.end) +
-                      ")ns, outside its parent's [" +
-                      std::to_string(parent.begin) + ", " +
-                      std::to_string(parent.end) + ")ns");
+    if (inst.complete() && parent->complete() &&
+        (inst.begin < parent->begin || inst.end > parent->end)) {
+      found.push_back({"trace-child-escapes-parent", Severity::kError, {},
+                       "instance runs [" + std::to_string(inst.begin) + ", " +
+                           std::to_string(inst.end) +
+                           ")ns, outside its parent's [" +
+                           std::to_string(parent->begin) + ", " +
+                           std::to_string(parent->end) + ")ns"});
     }
   }
 
   void check_sibling_overlap() {
     // Instances of a REPEATED type under one parent must run sequentially
     // (paper: supersteps); concurrent instances of non-repeated types
-    // (one worker per machine) are expected.
-    std::map<std::pair<std::string, std::string>, std::vector<const Instance*>>
-        groups;
-    for (const auto& [key, inst] : instances_) {
-      if (!inst.complete() || inst.path.elements.empty()) continue;
-      const std::string& type = inst.path.leaf().type;
-      const core::PhaseTypeId id = model_.execution.find(type);
+    // (one worker per machine) are expected. Members of a group enter the
+    // begin-time sort in path order, which fixes how ties fall.
+    std::vector<NodeId> members;
+    for (NodeId node = 1; node < static_cast<NodeId>(instances_.size());
+         ++node) {
+      if (!instances_[static_cast<std::size_t>(node)].complete()) continue;
+      const core::PhaseTypeId id = model_type(node);
       if (id == core::kNoPhaseType || !model_.execution.type(id).repeated) {
         continue;
       }
-      groups[{inst.path.parent().to_string(), type}].push_back(&inst);
+      members.push_back(node);
     }
-    for (auto& [group, members] : groups) {
-      std::sort(members.begin(), members.end(),
-                [](const Instance* a, const Instance* b) {
-                  return a->begin < b->begin;
-                });
-      for (std::size_t i = 1; i < members.size(); ++i) {
-        const Instance& prev = *members[i - 1];
-        const Instance& next = *members[i];
-        if (next.begin < prev.end) {
-          report_.add(
-              "trace-overlapping-siblings", Severity::kError,
-              at(next.path.to_string()),
-              "repeated instance overlaps sibling '" +
-                  prev.path.to_string() + "' (begins at " +
-                  std::to_string(next.begin) + "ns, before its end at " +
-                  std::to_string(prev.end) + "ns)");
-        }
+    std::sort(members.begin(), members.end(), [&](NodeId a, NodeId b) {
+      const NodeId pa = index_.parent(a);
+      const NodeId pb = index_.parent(b);
+      if (pa != pb) return pa < pb;
+      const auto ta = index_.type_id(a);
+      const auto tb = index_.type_id(b);
+      if (ta != tb) return ta < tb;
+      return renders_before(index_.index(a), index_.index(b));
+    });
+    const auto begin_of = [&](NodeId node) {
+      return instances_[static_cast<std::size_t>(node)].begin;
+    };
+    std::vector<DeferredBatch> batches;
+    for (auto group = members.begin(); group != members.end();) {
+      const auto group_end = std::find_if(group, members.end(), [&](NodeId n) {
+        return index_.parent(n) != index_.parent(*group) ||
+               index_.type_id(n) != index_.type_id(*group);
+      });
+      std::sort(group, group_end, [&](NodeId a, NodeId b) {
+        return begin_of(a) < begin_of(b);
+      });
+      DeferredBatch batch;
+      for (auto it = group + 1; it < group_end; ++it) {
+        const Instance& prev = instances_[static_cast<std::size_t>(it[-1])];
+        const Instance& next = instances_[static_cast<std::size_t>(*it)];
+        if (next.begin >= prev.end) continue;
+        batch.findings.push_back(
+            {"trace-overlapping-siblings", Severity::kError,
+             index_.path(*it),
+             "repeated instance overlaps sibling '" + index_.path(it[-1]) +
+                 "' (begins at " + std::to_string(next.begin) +
+                 "ns, before its end at " + std::to_string(prev.end) + "ns)"});
       }
+      if (!batch.findings.empty()) {
+        batch.order = {index_.path(index_.parent(*group)),
+                       index_.type_name(index_.type_id(*group))};
+        batches.push_back(std::move(batch));
+      }
+      group = group_end;
     }
+    emit(std::move(batches));
   }
 
   void check_machine(MachineId machine, const std::string& context) {
@@ -211,7 +312,6 @@ class TraceLinter {
 
   void check_blocking_events() {
     for (const trace::BlockingEventRecord& event : log_.blocking_events) {
-      const std::string key = event.path.to_string();
       const core::ResourceId resource = model_.resources.find(event.resource);
       if (resource == core::kNoResource) {
         add_once("trace-blocking-unknown-resource", Severity::kError,
@@ -227,22 +327,23 @@ class TraceLinter {
                      "blocking resources");
       }
       check_machine(event.machine, "a blocking event");
-      const auto it = instances_.find(key);
-      if (it == instances_.end()) {
+      const Instance* inst = instance_of(index_.find(event.path));
+      if (inst == nullptr) {
+        const std::string key = event.path.to_string();
         add_once("trace-blocking-unknown-phase", Severity::kError, key,
                  "blocking event names phase instance '" + key +
                      "', which never appears in the log");
         continue;
       }
-      const Instance& inst = it->second;
-      if (inst.complete() &&
-          (event.begin < inst.begin || event.end > inst.end)) {
-        report_.add("trace-blocking-outside-phase", Severity::kError, at(key),
+      if (inst->complete() &&
+          (event.begin < inst->begin || event.end > inst->end)) {
+        report_.add("trace-blocking-outside-phase", Severity::kError,
+                    at(event.path.to_string()),
                     "blocking interval [" + std::to_string(event.begin) +
                         ", " + std::to_string(event.end) +
                         ")ns escapes the phase's [" +
-                        std::to_string(inst.begin) + ", " +
-                        std::to_string(inst.end) + ")ns");
+                        std::to_string(inst->begin) + ", " +
+                        std::to_string(inst->end) + ")ns");
       }
     }
   }
@@ -346,7 +447,9 @@ class TraceLinter {
   TraceLintOptions options_;
   std::string file_;
   LintReport report_;
-  std::map<std::string, Instance> instances_;
+  core::PathIndex index_;
+  std::vector<Instance> instances_;  ///< by index node
+  std::vector<core::PhaseTypeId> model_types_;  ///< by index type id
   std::set<MachineId> machines_;
   std::set<std::string> reported_;
 };

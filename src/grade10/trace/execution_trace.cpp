@@ -1,8 +1,10 @@
 #include "grade10/trace/execution_trace.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.hpp"
+#include "grade10/trace/path_index.hpp"
 
 namespace g10::core {
 
@@ -58,27 +60,42 @@ ExecutionTrace ExecutionTrace::build(
     }
   };
 
-  struct Pending {
-    InstanceId id = kNoInstance;
-    bool ended = false;
+  // A well-formed log holds one BEGIN and one END per instance.
+  trace.instances_.reserve(phase_events.size() / 2);
+  PathIndex index;
+  std::vector<InstanceId> instance_of;  // by node; kNoInstance if none began
+  std::vector<PathIndex::NodeId> node_of;  // by instance
+  std::vector<char> ended;                 // by instance
+  std::vector<PhaseTypeId> model_types;    // by index type id, filled lazily
+  const auto model_type = [&](PathIndex::NodeId node) {
+    const PathIndex::TypeId type = index.type_id(node);
+    while (model_types.size() <= type) {
+      model_types.push_back(model.find(index.type_name(
+          static_cast<PathIndex::TypeId>(model_types.size()))));
+    }
+    return model_types[type];
   };
-  std::unordered_map<std::string, Pending, PathHash, std::equal_to<>> pending;
+  const auto instance_at = [&](PathIndex::NodeId node) {
+    return node >= 0 && static_cast<std::size_t>(node) < instance_of.size()
+               ? instance_of[static_cast<std::size_t>(node)]
+               : kNoInstance;
+  };
 
-  // One render buffer reused across all events: END events (half the log)
-  // only probe the maps and never need an owned key.
-  std::string key;
+  // Paths are rendered only for messages and once per instance.
   for (const auto& event : phase_events) {
-    key.clear();
-    event.path.append_to(key);
     if (event.kind == trace::PhaseEventRecord::Kind::Begin) {
-      const PhaseTypeId type = model.find(event.path.leaf().type);
+      G10_CHECK_MSG(!event.path.empty(), "phase begin with an empty path");
+      const PathIndex::NodeId node = index.insert(event.path);
+      instance_of.resize(index.size(), kNoInstance);
+      const PhaseTypeId type = model_type(node);
       if (type == kNoPhaseType) {
         if (options.ignore_unknown_phases) continue;
         require_lenient("unknown phase type in log: " + event.path.leaf().type);
-        warn("skipped phase of unknown type: " + key);
+        warn("skipped phase of unknown type: " + event.path.to_string());
         continue;
       }
-      if (pending.contains(key)) {
+      if (instance_of[static_cast<std::size_t>(node)] != kNoInstance) {
+        const std::string key = event.path.to_string();
         require_lenient("duplicate phase begin: " + key);
         warn("skipped duplicate begin: " + key);
         continue;
@@ -90,31 +107,33 @@ ExecutionTrace ExecutionTrace::build(
       instance.begin = event.time;
       instance.end = -1;
       instance.machine = event.machine;
-      instance.path = key;
-      pending.emplace(key, Pending{instance.id, false});
-      trace.by_path_.emplace(key, instance.id);
+      instance.path = index.path(node);
+      instance_of[static_cast<std::size_t>(node)] = instance.id;
+      node_of.push_back(node);
+      ended.push_back(0);
       trace.instances_.push_back(std::move(instance));
     } else {
-      const auto it = pending.find(key);
-      if (it == pending.end()) {
+      const InstanceId id = instance_at(index.find(event.path));
+      if (id == kNoInstance) {
         if (options.ignore_unknown_phases) continue;
+        const std::string key = event.path.to_string();
         require_lenient("phase end without begin: " + key);
         warn("skipped end without begin: " + key);
         continue;
       }
-      if (it->second.ended) {
-        require_lenient("duplicate phase end: " + key);
-        warn("skipped duplicate end: " + key);
+      auto& instance = trace.instances_[static_cast<std::size_t>(id)];
+      if (ended[static_cast<std::size_t>(id)]) {
+        require_lenient("duplicate phase end: " + instance.path);
+        warn("skipped duplicate end: " + instance.path);
         continue;
       }
-      auto& instance = trace.instances_[static_cast<std::size_t>(it->second.id)];
       if (event.time < instance.begin) {
         // Leave the instance open; the synthesis pass below repairs it.
-        require_lenient("phase " + key + " ends before it begins");
-        warn("skipped end before begin: " + key);
+        require_lenient("phase " + instance.path + " ends before it begins");
+        warn("skipped end before begin: " + instance.path);
         continue;
       }
-      it->second.ended = true;
+      ended[static_cast<std::size_t>(id)] = 1;
       instance.end = event.time;
       trace.end_time_ = std::max(trace.end_time_, event.time);
     }
@@ -122,8 +141,7 @@ ExecutionTrace ExecutionTrace::build(
 
   // Every instance must have ended — a BEGIN without an END is the signature
   // of a crashed worker's log. Lenient mode repairs it below. Walk the
-  // instances in begin order (not `pending`, whose hash order would make the
-  // strict-mode error message pick an arbitrary victim).
+  // instances in begin order so the strict-mode error names the first.
   std::vector<InstanceId> unended;
   for (const auto& instance : trace.instances_) {
     if (instance.end >= 0) continue;
@@ -136,20 +154,19 @@ ExecutionTrace ExecutionTrace::build(
   // log. Temporal containment is checked after end synthesis.
   for (auto& instance : trace.instances_) {
     const PhaseType& type = model.type(instance.type);
-    const auto slash = instance.path.rfind('/');
-    if (slash == std::string::npos) {
+    const PathIndex::NodeId parent_node =
+        index.parent(node_of[static_cast<std::size_t>(instance.id)]);
+    if (parent_node == PathIndex::kRoot) {
       G10_CHECK_MSG(instance.type == model.root(),
                     "non-root type at top level: " << instance.path);
       instance.parent = kNoInstance;
       continue;
     }
-    const std::string_view parent_path =
-        std::string_view(instance.path).substr(0, slash);
-    const auto it = trace.by_path_.find(parent_path);
-    G10_CHECK_MSG(it != trace.by_path_.end(),
+    const InstanceId parent_id = instance_at(parent_node);
+    G10_CHECK_MSG(parent_id != kNoInstance,
                   "parent instance missing for " << instance.path);
-    instance.parent = it->second;
-    auto& parent = trace.instances_[static_cast<std::size_t>(it->second)];
+    instance.parent = parent_id;
+    auto& parent = trace.instances_[static_cast<std::size_t>(parent_id)];
     G10_CHECK_MSG(type.parent == parent.type,
                   "instance " << instance.path
                               << " violates the model hierarchy");
@@ -164,37 +181,32 @@ ExecutionTrace ExecutionTrace::build(
     // (the crash time). Top-down afterwards: a truncated child of a
     // truncated parent is stretched to the parent's synthesized end, so a
     // whole abandoned subtree closes at one consistent instant.
-    std::unordered_map<std::string, TimeNs, PathHash, std::equal_to<>>
-        block_max;
+    std::vector<TimeNs> block_max(trace.instances_.size(),
+                                  std::numeric_limits<TimeNs>::min());
     for (const auto& event : blocking_events) {
-      key.clear();
-      event.path.append_to(key);
-      const auto bit = block_max.find(key);
-      if (bit == block_max.end()) {
-        block_max.emplace(key, event.end);
-      } else {
-        bit->second = std::max(bit->second, event.end);
-      }
+      const InstanceId id = instance_at(index.find(event.path));
+      if (id == kNoInstance) continue;
+      auto& latest = block_max[static_cast<std::size_t>(id)];
+      latest = std::max(latest, event.end);
     }
-    const auto depth_of = [](const PhaseInstance& instance) {
-      return std::count(instance.path.begin(), instance.path.end(), '/');
+    const auto depth_of = [&](InstanceId id) {
+      return index.depth(node_of[static_cast<std::size_t>(id)]);
     };
     std::vector<InstanceId> by_depth = unended;
     std::sort(by_depth.begin(), by_depth.end(),
               [&](InstanceId a, InstanceId b) {
-                const auto da = depth_of(trace.instances_[a]);
-                const auto db = depth_of(trace.instances_[b]);
+                const auto da = depth_of(a);
+                const auto db = depth_of(b);
                 return da != db ? da > db : a < b;
               });
     for (const InstanceId id : by_depth) {
       auto& instance = trace.instances_[static_cast<std::size_t>(id)];
-      TimeNs end = instance.begin;
+      TimeNs end = std::max(instance.begin,
+                            block_max[static_cast<std::size_t>(id)]);
       for (const InstanceId child : instance.children) {
         const auto& c = trace.instances_[static_cast<std::size_t>(child)];
         if (c.end >= 0) end = std::max(end, c.end);
       }
-      const auto bit = block_max.find(instance.path);
-      if (bit != block_max.end()) end = std::max(end, bit->second);
       instance.end = end;
       instance.degraded = true;
     }
@@ -236,19 +248,18 @@ ExecutionTrace ExecutionTrace::build(
 
   for (const auto& instance : trace.instances_) {
     if (instance.is_leaf()) trace.leaves_.push_back(instance.id);
-    if (instance.machine != trace::kGlobalMachine &&
-        std::find(trace.machines_.begin(), trace.machines_.end(),
-                  instance.machine) == trace.machines_.end()) {
+    if (instance.machine != trace::kGlobalMachine) {
       trace.machines_.push_back(instance.machine);
     }
   }
   std::sort(trace.machines_.begin(), trace.machines_.end());
+  trace.machines_.erase(
+      std::unique(trace.machines_.begin(), trace.machines_.end()),
+      trace.machines_.end());
 
   // Attach blocking events.
   for (const auto& event : blocking_events) {
     const ResourceId resource = resources.find(event.resource);
-    key.clear();
-    event.path.append_to(key);
     if (resource == kNoResource) {
       if (options.ignore_unknown_blocking) continue;
       require_lenient("unknown blocking resource: " + event.resource);
@@ -262,16 +273,18 @@ ExecutionTrace ExecutionTrace::build(
            event.resource);
       continue;
     }
-    const auto it = trace.by_path_.find(key);
-    if (it == trace.by_path_.end()) {
+    const InstanceId id = instance_at(index.find(event.path));
+    if (id == kNoInstance) {
       if (options.ignore_unknown_phases) continue;
+      const std::string key = event.path.to_string();
       require_lenient("blocking event for unknown phase: " + key);
       warn("skipped blocking event for unknown phase: " + key);
       continue;
     }
-    auto& instance = trace.instances_[static_cast<std::size_t>(it->second)];
+    auto& instance = trace.instances_[static_cast<std::size_t>(id)];
     Interval interval{event.begin, event.end};
     if (interval.begin < instance.begin || interval.end > instance.end) {
+      const std::string& key = instance.path;
       require_lenient("blocking event escapes phase interval: " + key);
       interval.begin = std::max(interval.begin, instance.begin);
       interval.end = std::min(interval.end, instance.end);
@@ -282,7 +295,7 @@ ExecutionTrace ExecutionTrace::build(
       warn("clamped blocking event into phase interval: " + key);
     }
     instance.blocked.push_back(interval);
-    trace.blocking_.push_back(BlockingSpan{resource, it->second, interval});
+    trace.blocking_.push_back(BlockingSpan{resource, id, interval});
   }
   if (warning_overflow > 0) {
     trace.warnings_.push_back("(+" + std::to_string(warning_overflow) +
@@ -314,8 +327,10 @@ const PhaseInstance& ExecutionTrace::instance(InstanceId id) const {
 }
 
 InstanceId ExecutionTrace::find(std::string_view path) const {
-  const auto it = by_path_.find(path);
-  return it == by_path_.end() ? kNoInstance : it->second;
+  const auto it = std::find_if(
+      instances_.begin(), instances_.end(),
+      [path](const PhaseInstance& instance) { return instance.path == path; });
+  return it == instances_.end() ? kNoInstance : it->id;
 }
 
 std::size_t ExecutionTrace::degraded_count() const {

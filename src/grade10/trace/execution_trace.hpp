@@ -7,7 +7,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/time.hpp"
@@ -92,8 +91,8 @@ class ExecutionTrace {
 
   InstanceId root() const { return instances_.empty() ? kNoInstance : 0; }
 
-  /// Heterogeneous lookup: accepts string literals, std::string, and
-  /// string_view slices without materializing a temporary key.
+  /// The instance whose canonical path is `path`, or kNoInstance. A linear
+  /// scan: meant for tests and worked examples, not per-record lookups.
   InstanceId find(std::string_view path) const;
 
   /// Latest phase end in the trace.
@@ -110,20 +109,9 @@ class ExecutionTrace {
   std::size_t degraded_count() const;
 
  private:
-  /// Transparent hash so path lookups take string_view keys (substrings of
-  /// instance paths, reused render buffers) without allocating.
-  struct PathHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
   std::vector<PhaseInstance> instances_;
   std::vector<InstanceId> leaves_;
   std::vector<BlockingSpan> blocking_;
-  std::unordered_map<std::string, InstanceId, PathHash, std::equal_to<>>
-      by_path_;
   std::vector<trace::MachineId> machines_;
   std::vector<std::string> warnings_;
   TimeNs end_time_ = 0;

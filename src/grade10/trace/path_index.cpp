@@ -1,0 +1,116 @@
+#include "grade10/trace/path_index.hpp"
+
+#include <charconv>
+#include <optional>
+
+namespace g10::core {
+
+PathIndex::PathIndex() : slots_(1024) { nodes_.push_back(Node{}); }
+
+std::uint64_t PathIndex::hash(NodeId parent, TypeId type,
+                              std::int64_t index) {
+  std::uint64_t h = static_cast<std::uint32_t>(parent);
+  h = h * 0x9E3779B97F4A7C15ULL ^ type;
+  h = h * 0x9E3779B97F4A7C15ULL ^ static_cast<std::uint64_t>(index);
+  return h ^ (h >> 29);
+}
+
+PathIndex::NodeId PathIndex::child(NodeId parent, TypeId type,
+                                   std::int64_t index, bool create) {
+  const std::uint64_t h = hash(parent, type, index);
+  const auto tag = static_cast<std::uint32_t>(h >> 32);
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = h & mask;
+  for (; slots_[i].node != kNoNode; i = (i + 1) & mask) {
+    if (slots_[i].tag != tag) continue;
+    const Node& node = at(slots_[i].node);
+    if (node.parent == parent && node.type == type && node.index == index) {
+      return slots_[i].node;
+    }
+  }
+  if (!create) return kNoNode;
+  const auto id = static_cast<NodeId>(nodes_.size());
+  nodes_.push_back(Node{parent, type, at(parent).depth + 1, index});
+  slots_[i] = Slot{id, tag};
+  if (nodes_.size() * 2 > slots_.size()) {
+    // Keep the load at most 1/2: rehash into twice the slots.
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    const std::size_t new_mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.node == kNoNode) continue;
+      const Node& node = at(slot.node);
+      std::size_t j = hash(node.parent, node.type, node.index) & new_mask;
+      while (slots_[j].node != kNoNode) j = (j + 1) & new_mask;
+      slots_[j] = slot;
+    }
+  }
+  return id;
+}
+
+PathIndex::NodeId PathIndex::resolve(const trace::PhasePath& path,
+                                     bool create) {
+  NodeId node = kRoot;
+  for (std::size_t d = 0; d < path.elements.size(); ++d) {
+    const trace::PathElement& element = path.elements[d];
+    std::optional<TypeId> type;
+    if (d < last_.size()) {
+      const Node& cached = at(last_[d]);
+      if (type_names_[cached.type] == element.type) {
+        if (cached.parent == node && cached.index == element.index) {
+          node = last_[d];
+          continue;
+        }
+        type = cached.type;  // a sibling of the same type: skip the lookup
+      }
+      last_.resize(d);
+    }
+    if (!type) {
+      const auto it = type_ids_.find(std::string_view(element.type));
+      if (it != type_ids_.end()) {
+        type = it->second;
+      } else {
+        if (!create) return kNoNode;
+        type = static_cast<TypeId>(type_names_.size());
+        type_ids_.emplace(element.type, *type);
+        type_names_.push_back(element.type);
+      }
+    }
+    node = child(node, *type, element.index, create);
+    if (node == kNoNode) return kNoNode;
+    last_.push_back(node);
+  }
+  return node;
+}
+
+std::string PathIndex::path(NodeId node) const {
+  // Sized in one walk up the tree, then filled from the back in a second:
+  // one allocation per path.
+  char digits[24];
+  const auto render_index = [&digits](std::int64_t index) {
+    return std::string_view(
+        digits, static_cast<std::size_t>(
+                    std::to_chars(digits, digits + sizeof digits, index).ptr -
+                    digits));
+  };
+  std::size_t length = 0;
+  for (NodeId n = node; n != kRoot; n = at(n).parent) {
+    length += type_names_[at(n).type].size() + render_index(at(n).index).size() +
+              (at(n).parent == kRoot ? 1 : 2);
+  }
+  std::string out(length, '\0');
+  std::size_t pos = length;
+  for (NodeId n = node; n != kRoot; n = at(n).parent) {
+    const std::string_view index = render_index(at(n).index);
+    const std::string& type = type_names_[at(n).type];
+    pos -= index.size();
+    index.copy(out.data() + pos, index.size());
+    out[--pos] = '.';
+    pos -= type.size();
+    type.copy(out.data() + pos, type.size());
+    if (pos > 0) out[--pos] = '/';
+  }
+  return out;
+}
+
+}  // namespace g10::core

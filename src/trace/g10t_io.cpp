@@ -244,6 +244,9 @@ std::optional<std::string> decode_path_dict(
       }
       path.elements.push_back(PathElement{symbols[symbol], index});
     }
+    if (auto defect = phase_path_defect(path)) {
+      return "path dictionary entry " + std::to_string(i) + ": " + *defect;
+    }
     dict.push_back(std::move(path));
   }
   return std::nullopt;

@@ -34,20 +34,31 @@ void PhasePath::append_to(std::string& out) const {
 }
 
 std::optional<PhasePath> parse_phase_path(std::string_view text) {
-  if (text.empty()) return std::nullopt;
   PhasePath path;
   for (std::string_view part : split(text, '/')) {
     const std::size_t dot = part.rfind('.');
-    if (dot == std::string_view::npos || dot == 0) return std::nullopt;
+    if (dot == std::string_view::npos) return std::nullopt;
     const auto index = parse_int(part.substr(dot + 1));
-    if (!index || *index < 0) return std::nullopt;
-    PathElement element;
-    element.type = std::string(part.substr(0, dot));
-    element.index = *index;
-    if (element.type.empty()) return std::nullopt;
-    path.elements.push_back(std::move(element));
+    if (!index) return std::nullopt;
+    path.elements.push_back(
+        PathElement{std::string(part.substr(0, dot)), *index});
   }
+  if (phase_path_defect(path)) return std::nullopt;
   return path;
+}
+
+std::optional<std::string> phase_path_defect(const PhasePath& path) {
+  if (path.empty()) return "empty phase path";
+  for (const PathElement& element : path.elements) {
+    if (element.type.empty()) return "phase path element with an empty type";
+    if (element.type.find('/') != std::string::npos) {
+      return "phase type '" + element.type + "' contains '/'";
+    }
+    if (element.index < 0) {
+      return "negative phase index " + std::to_string(element.index);
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace g10::trace

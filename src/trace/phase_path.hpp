@@ -47,4 +47,11 @@ struct PhasePath {
 /// Parses "Type.idx/Type.idx/..."; nullopt on malformed input.
 std::optional<PhasePath> parse_phase_path(std::string_view text);
 
+/// Why `path` is not one that parse_phase_path can return, or nullopt when
+/// it is: a path has at least one element, and every element has a
+/// non-empty type without '/' and a non-negative index. Every trace decoder
+/// applies this one check, so two paths are equal element-wise exactly when
+/// their rendered strings are equal.
+std::optional<std::string> phase_path_defect(const PhasePath& path);
+
 }  // namespace g10::trace

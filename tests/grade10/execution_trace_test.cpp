@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/check.hpp"
 #include "test_util.hpp"
 
@@ -243,6 +246,164 @@ TEST(ExecutionTraceLenientTest, StrictModeStillThrowsOnTruncation) {
                     testing::make_path("Job.0/Step.0"), 10, -1});
   EXPECT_THROW(ExecutionTrace::build(m.execution, m.resources, events, {}),
                CheckError);
+}
+
+// ---------------------------------------------------------------------------
+// Instance assembly edge cases: instances pair up by path element, not by
+// event order, and resolve to the same tree a path-string map would give.
+
+TEST(ExecutionTraceAssemblyTest, ChildBeginBeforeParentBegin) {
+  const Models m = simple_models();
+  std::vector<trace::PhaseEventRecord> events;
+  events.push_back({trace::PhaseEventRecord::Kind::Begin,
+                    testing::make_path("Job.0/Step.0"), 10, -1});
+  events.push_back({trace::PhaseEventRecord::Kind::Begin,
+                    testing::make_path("Job.0"), 0, -1});
+  events.push_back({trace::PhaseEventRecord::Kind::End,
+                    testing::make_path("Job.0/Step.0"), 20, -1});
+  events.push_back({trace::PhaseEventRecord::Kind::End,
+                    testing::make_path("Job.0"), 100, -1});
+  const auto trace =
+      ExecutionTrace::build(m.execution, m.resources, events, {});
+  // Ids follow BEGIN order; the parent link does not.
+  ASSERT_EQ(trace.instances().size(), 2u);
+  EXPECT_EQ(trace.find("Job.0/Step.0"), 0);
+  EXPECT_EQ(trace.find("Job.0"), 1);
+  EXPECT_EQ(trace.instance(0).parent, 1);
+  EXPECT_EQ(trace.instance(1).parent, kNoInstance);
+  EXPECT_EQ(trace.instance(1).children, std::vector<InstanceId>{0});
+}
+
+TEST(ExecutionTraceAssemblyTest, SameTypeAndIndexUnderTwoParents) {
+  const Models m = simple_models();
+  std::vector<trace::PhaseEventRecord> events;
+  add_phase(events, "Job.0", 0, 100);
+  add_phase(events, "Job.0/Step.0", 0, 50);
+  add_phase(events, "Job.0/Step.0/Work.0", 0, 40, 1);
+  add_phase(events, "Job.0/Step.1", 50, 100);
+  add_phase(events, "Job.0/Step.1/Work.0", 50, 90, 2);
+  const auto trace =
+      ExecutionTrace::build(m.execution, m.resources, events, {});
+  ASSERT_EQ(trace.instances().size(), 5u);
+  const InstanceId a = trace.find("Job.0/Step.0/Work.0");
+  const InstanceId b = trace.find("Job.0/Step.1/Work.0");
+  ASSERT_NE(a, kNoInstance);
+  ASSERT_NE(b, kNoInstance);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(trace.instance(a).parent, trace.find("Job.0/Step.0"));
+  EXPECT_EQ(trace.instance(b).parent, trace.find("Job.0/Step.1"));
+  EXPECT_EQ(trace.instance(a).end, 40);
+  EXPECT_EQ(trace.instance(b).end, 90);
+}
+
+TEST(ExecutionTraceAssemblyTest, TypeNamesContainingDots) {
+  Models m;
+  const PhaseTypeId job = m.execution.add_root("Job.v2");
+  m.execution.add_child(job, "Step.x", true);
+  std::vector<trace::PhaseEventRecord> events;
+  add_phase(events, "Job.v2.0", 0, 100);
+  add_phase(events, "Job.v2.0/Step.x.3", 10, 20);
+  add_phase(events, "Job.v2.0/Step.x.12", 20, 30);
+  const auto trace =
+      ExecutionTrace::build(m.execution, m.resources, events, {});
+  ASSERT_EQ(trace.instances().size(), 3u);
+  const PhaseInstance& step = trace.instance(trace.find("Job.v2.0/Step.x.12"));
+  EXPECT_EQ(step.path, "Job.v2.0/Step.x.12");
+  EXPECT_EQ(step.index, 12);
+  EXPECT_EQ(step.type, m.execution.find("Step.x"));
+  EXPECT_EQ(step.parent, trace.find("Job.v2.0"));
+}
+
+TEST(ExecutionTraceAssemblyTest, UnknownIntermediateTypeLeavesChildOrphaned) {
+  // Skipping Bogus.0 (an untuned model) leaves Work.0 without a parent
+  // instance, which is a model mismatch in every mode.
+  const Models m = simple_models();
+  std::vector<trace::PhaseEventRecord> events;
+  add_phase(events, "Job.0", 0, 100);
+  add_phase(events, "Job.0/Bogus.0", 0, 50);
+  add_phase(events, "Job.0/Bogus.0/Work.0", 0, 40);
+  for (const bool lenient : {false, true}) {
+    ExecutionTrace::Options options;
+    options.ignore_unknown_phases = !lenient;
+    options.lenient = lenient;
+    try {
+      ExecutionTrace::build(m.execution, m.resources, events, {}, options);
+      ADD_FAILURE() << "expected a CheckError";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "parent instance missing for Job.0/Bogus.0/Work.0"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// Builds `events` strictly (expecting `error`) and leniently (expecting
+/// `warning` as the only warning), returning the lenient trace.
+ExecutionTrace expect_repaired(const std::vector<trace::PhaseEventRecord>& events,
+                               const std::string& error,
+                               const std::string& warning) {
+  const Models m = simple_models();
+  try {
+    ExecutionTrace::build(m.execution, m.resources, events, {});
+    ADD_FAILURE() << "expected a CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(error), std::string::npos)
+        << e.what();
+  }
+  ExecutionTrace::Options options;
+  options.lenient = true;
+  ExecutionTrace trace =
+      ExecutionTrace::build(m.execution, m.resources, events, {}, options);
+  EXPECT_EQ(trace.warnings(), std::vector<std::string>{warning});
+  return trace;
+}
+
+TEST(ExecutionTraceAssemblyTest, DuplicateBegin) {
+  std::vector<trace::PhaseEventRecord> events;
+  add_phase(events, "Job.0", 0, 100);
+  events.push_back({trace::PhaseEventRecord::Kind::Begin,
+                    testing::make_path("Job.0"), 5, -1});
+  const auto trace = expect_repaired(events, "duplicate phase begin: Job.0",
+                                     "skipped duplicate begin: Job.0");
+  ASSERT_EQ(trace.instances().size(), 1u);
+  EXPECT_EQ(trace.instance(0).begin, 0);
+}
+
+TEST(ExecutionTraceAssemblyTest, DuplicateEnd) {
+  std::vector<trace::PhaseEventRecord> events;
+  add_phase(events, "Job.0", 0, 100);
+  events.push_back({trace::PhaseEventRecord::Kind::End,
+                    testing::make_path("Job.0"), 120, -1});
+  const auto trace = expect_repaired(events, "duplicate phase end: Job.0",
+                                     "skipped duplicate end: Job.0");
+  EXPECT_EQ(trace.instance(0).end, 100);
+}
+
+TEST(ExecutionTraceAssemblyTest, EndWithoutBegin) {
+  std::vector<trace::PhaseEventRecord> events;
+  add_phase(events, "Job.0", 0, 100);
+  events.push_back({trace::PhaseEventRecord::Kind::End,
+                    testing::make_path("Job.0/Step.4"), 50, -1});
+  const auto trace =
+      expect_repaired(events, "phase end without begin: Job.0/Step.4",
+                      "skipped end without begin: Job.0/Step.4");
+  EXPECT_EQ(trace.instances().size(), 1u);
+}
+
+TEST(ExecutionTraceAssemblyTest, FindRejectsAbsentAndMalformedPaths) {
+  const Models m = simple_models();
+  std::vector<trace::PhaseEventRecord> events;
+  add_phase(events, "Job.0", 0, 100);
+  add_phase(events, "Job.0/Step.0", 0, 50);
+  const auto trace =
+      ExecutionTrace::build(m.execution, m.resources, events, {});
+  EXPECT_EQ(trace.find("Job.0/Step.0"), 1);
+  for (const char* absent :
+       {"Job.0/Step.1", "Job.1", "Job.0/Step.0/Work.0", "", "Job", "Job.0/",
+        "/Job.0", "Job.0//Step.0", "Job.00", "Step.0", "Job.0/Step.0 "}) {
+    EXPECT_EQ(trace.find(absent), kNoInstance) << absent;
+  }
 }
 
 TEST(ActiveIntervalsTest, SubtractsAndMerges) {

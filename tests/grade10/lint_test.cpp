@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "algorithms/programs.hpp"
 #include "engine/pregel/pregel_engine.hpp"
@@ -262,6 +263,94 @@ TEST(TraceLintTest, FaultBlockingWithSpecIsClean) {
   const LintReport report = lint_trace(model.model, parsed.log, {}, "<mem>");
   EXPECT_FALSE(report.has_rule("trace-fault-blocking-without-spec"));
   EXPECT_TRUE(report.clean());
+}
+
+// ---------------------------------------------------------------------------
+// Instance assembly edge cases, each linted against the fixture model. The
+// expected lines (rule [context]) are in report order.
+
+std::vector<std::string> lint_lines(const std::string& log_text) {
+  std::istringstream is(slurp(fixture_path("trace-model.g10")));
+  core::ModelParseResult model = core::parse_model(is);
+  EXPECT_TRUE(model.ok());
+  const trace::ParseResult parsed = trace::parse_log_text(log_text);
+  EXPECT_TRUE(parsed.ok());
+  const LintReport report = lint_trace(model.model, parsed.log, {}, "<mem>");
+  std::vector<std::string> lines;
+  for (const LintFinding& finding : report.findings()) {
+    lines.push_back(finding.rule_id + " [" + finding.location.context + "]");
+  }
+  return lines;
+}
+
+TEST(TraceLintAssemblyTest, ChildBeginBeforeParentBeginIsClean) {
+  EXPECT_EQ(lint_lines("PHASE\tB\tJob.0/Step.0\t10\t-1\n"
+                       "PHASE\tB\tJob.0\t0\t-1\n"
+                       "PHASE\tE\tJob.0/Step.0\t20\t-1\n"
+                       "PHASE\tE\tJob.0\t100\t-1\n"),
+            std::vector<std::string>{});
+}
+
+TEST(TraceLintAssemblyTest, SameTypeAndIndexUnderTwoParents) {
+  // Work.0 under Step.0 escapes its parent; the Work.0 under Step.1 does
+  // not, so only one finding names a Work.0.
+  EXPECT_EQ(lint_lines("PHASE\tB\tJob.0\t0\t-1\n"
+                       "PHASE\tB\tJob.0/Step.0\t0\t-1\n"
+                       "PHASE\tB\tJob.0/Step.0/Work.0\t0\t-1\n"
+                       "PHASE\tE\tJob.0/Step.0/Work.0\t60\t-1\n"
+                       "PHASE\tE\tJob.0/Step.0\t50\t-1\n"
+                       "PHASE\tB\tJob.0/Step.1\t50\t-1\n"
+                       "PHASE\tB\tJob.0/Step.1/Work.0\t50\t-1\n"
+                       "PHASE\tE\tJob.0/Step.1/Work.0\t60\t-1\n"
+                       "PHASE\tE\tJob.0/Step.1\t90\t-1\n"
+                       "PHASE\tE\tJob.0\t100\t-1\n"),
+            std::vector<std::string>{
+                "trace-child-escapes-parent [Job.0/Step.0/Work.0]"});
+}
+
+TEST(TraceLintAssemblyTest, TypeNamesContainingDots) {
+  EXPECT_EQ(lint_lines("PHASE\tB\tJob.0\t0\t-1\n"
+                       "PHASE\tB\tJob.0/Step.0\t0\t-1\n"
+                       "PHASE\tB\tJob.0/Step.0/My.Work.2\t0\t-1\n"
+                       "PHASE\tE\tJob.0/Step.0/My.Work.2\t10\t-1\n"
+                       "PHASE\tB\tJob.0/Step.0/My.Work.10\t0\t-1\n"
+                       "PHASE\tE\tJob.0/Step.0/My.Work.10\t10\t-1\n"
+                       "PHASE\tE\tJob.0/Step.0\t50\t-1\n"
+                       "PHASE\tE\tJob.0\t100\t-1\n"),
+            std::vector<std::string>{"trace-unknown-phase-type [My.Work]"});
+}
+
+TEST(TraceLintAssemblyTest, UnknownIntermediateType) {
+  // Bogus is reported once; the Work under it is not a hierarchy mismatch
+  // (its parent's type is unknown) and has its parent instance.
+  EXPECT_EQ(lint_lines("PHASE\tB\tJob.0\t0\t-1\n"
+                       "PHASE\tB\tJob.0/Bogus.0\t0\t-1\n"
+                       "PHASE\tB\tJob.0/Bogus.0/Work.0\t0\t-1\n"
+                       "PHASE\tE\tJob.0/Bogus.0/Work.0\t10\t-1\n"
+                       "PHASE\tE\tJob.0/Bogus.0\t50\t-1\n"
+                       "PHASE\tE\tJob.0\t100\t-1\n"),
+            std::vector<std::string>{"trace-unknown-phase-type [Bogus]"});
+}
+
+TEST(TraceLintAssemblyTest, DuplicateBegin) {
+  EXPECT_EQ(lint_lines("PHASE\tB\tJob.0\t0\t-1\n"
+                       "PHASE\tB\tJob.0\t5\t-1\n"
+                       "PHASE\tE\tJob.0\t100\t-1\n"),
+            std::vector<std::string>{"trace-duplicate-begin [Job.0]"});
+}
+
+TEST(TraceLintAssemblyTest, DuplicateEnd) {
+  EXPECT_EQ(lint_lines("PHASE\tB\tJob.0\t0\t-1\n"
+                       "PHASE\tE\tJob.0\t100\t-1\n"
+                       "PHASE\tE\tJob.0\t120\t-1\n"),
+            std::vector<std::string>{"trace-duplicate-end [Job.0]"});
+}
+
+TEST(TraceLintAssemblyTest, EndWithoutBegin) {
+  EXPECT_EQ(lint_lines("PHASE\tB\tJob.0\t0\t-1\n"
+                       "PHASE\tE\tJob.0/Step.4\t50\t-1\n"
+                       "PHASE\tE\tJob.0\t100\t-1\n"),
+            std::vector<std::string>{"trace-unbalanced-end [Job.0/Step.4]"});
 }
 
 // ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ ParsedLog edge_case_log() {
   // A path deeper than anything the engines emit.
   PhasePath deep;
   for (int depth = 0; depth < 12; ++depth) {
-    deep = deep.child("L" + std::to_string(depth), depth * 7 - 3);
+    deep = deep.child("L" + std::to_string(depth), depth * 7);
   }
   log.phase_events.push_back(
       {PhaseEventRecord::Kind::Begin, deep, -500, kGlobalMachine});
@@ -310,6 +310,33 @@ TEST(G10tIoTest, CorruptPayloadFailsDecodeCleanly) {
                    entry, parsed.structure.symbols, block);
   ASSERT_TRUE(error.has_value());
   EXPECT_NE(error->find("hash"), std::string::npos);
+}
+
+// A checksum-valid block whose path dictionary holds a path the text
+// parser would reject (depth 0, an empty type, a '/' inside a type, a
+// negative index) is a corrupt block, not a record: the analysis assumes
+// every path has a leaf and renders to a unique string.
+TEST(G10tIoTest, InvalidDictionaryPathsFailDecode) {
+  PhasePath slash;
+  slash.elements.push_back({"Job/Step", 0});
+  PhasePath empty_type;
+  empty_type.elements.push_back({"", 1});
+  const PhasePath negative = PhasePath{}.child("Job", -1);
+  for (const PhasePath& bad : {PhasePath{}, slash, empty_type, negative}) {
+    ParsedLog log;
+    log.phase_events.push_back({PhaseEventRecord::Kind::Begin, bad, 0, 0});
+    const std::string bytes = encode(log);
+    const G10tStructureParse parsed = parse_g10t_structure(bytes);
+    ASSERT_TRUE(parsed.ok());
+    ASSERT_EQ(parsed.structure.index.size(), 1u);
+    const IndexEntry& entry = parsed.structure.index[0];
+    DecodedBlock block;
+    const auto error = decode_block(
+        std::string_view(bytes).substr(entry.offset, entry.encoded_size),
+        entry, parsed.structure.symbols, block);
+    ASSERT_TRUE(error.has_value()) << bad.to_string();
+    EXPECT_NE(error->find("path dictionary"), std::string::npos) << *error;
+  }
 }
 
 TEST(G10tIoTest, TruncatedSectionsAreErrors) {

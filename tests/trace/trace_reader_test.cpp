@@ -282,5 +282,30 @@ TEST(TraceReaderTest, CorruptBlockIsSkippedWhenRecovering) {
   EXPECT_GT(damaged.log.phase_events.size(), 0u);
 }
 
+// A checksum-valid file whose path dictionary holds the empty path (which
+// the analysis used to dereference as if it had a leaf): a strict read
+// fails on the block, a recovering read skips it.
+TEST(TraceReaderTest, EmptyDictionaryPathIsACorruptBlock) {
+  ParsedLog log;
+  log.phase_events.push_back({PhaseEventRecord::Kind::Begin, PhasePath{}, 0,
+                              kGlobalMachine});
+  const std::string path = (test_root() / "empty_path.g10t").string();
+  std::string error;
+  ASSERT_TRUE(write_g10t_file(path, log, {}, &error)) << error;
+
+  const ParseResult strict = read_trace_file(path, {});
+  ASSERT_FALSE(strict.ok());
+  ASSERT_TRUE(strict.error.has_value());
+  EXPECT_EQ(strict.error->line_number, 1u);  // the first block
+  EXPECT_NE(strict.error->message.find("empty phase path"), std::string::npos)
+      << strict.error->message;
+
+  TraceReadOptions recover;
+  recover.recover = true;
+  const ParseResult skipped = read_trace_file(path, recover);
+  EXPECT_EQ(skipped.error_count, 1u);
+  EXPECT_TRUE(skipped.log.phase_events.empty());
+}
+
 }  // namespace
 }  // namespace g10::trace
