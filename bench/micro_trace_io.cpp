@@ -1,9 +1,5 @@
-// Trace-ingestion micro-benchmarks: text parse vs `.g10t` binary ingest
-// (cold and warm block cache), index-seek filtered reads vs full scans, and
-// the forced-eviction regime under a tiny cache budget. The acceptance
-// numbers for the binary format live here: a warm binary re-read must beat
-// re-parsing the text log by >= 5x, and the cache's resident bytes must stay
-// bounded by its budget (reported as counters). Results are bit-identical
+// Trace-ingestion micro-benchmarks: text parse vs `.g10t` binary ingest,
+// and index-seek filtered reads vs full scans. Results are bit-identical
 // across every path — trace_reader_test and trace_format_pipeline_test pin
 // that; this file only measures the time.
 #include <benchmark/benchmark.h>
@@ -70,8 +66,8 @@ const Workload& workload() {
     log.phase_events = artifacts.phase_events;
     log.blocking_events = artifacts.blocking_events;
     log.samples = samples;
-    // Small blocks so the seek and eviction benchmarks operate on dozens
-    // of blocks instead of a handful of huge ones.
+    // Small blocks so the seek benchmarks operate on dozens of blocks
+    // instead of a handful of huge ones.
     G10tWriteOptions g10t;
     g10t.block_records = 256;
     std::string error;
@@ -99,8 +95,8 @@ void BM_TextParse(benchmark::State& state) {
   set_throughput(state);
 }
 
-/// Cold binary ingest: a fresh reader per iteration, so every block is
-/// decoded from the mapped file (the convert-then-analyze-once cost).
+/// Binary ingest: every block is decoded from the mapped file (the
+/// convert-then-analyze-once cost).
 void BM_BinaryColdIngest(benchmark::State& state) {
   const Workload& w = workload();
   TraceReadOptions options;
@@ -110,28 +106,6 @@ void BM_BinaryColdIngest(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
   set_throughput(state);
-}
-
-/// Warm binary ingest: one reader, repeated reads — every block comes out
-/// of the LRU cache. This is the repeated-analysis loop (det-check sweeps,
-/// filter exploration) and must be >= 5x faster than BM_TextParse.
-void BM_BinaryWarmIngest(benchmark::State& state) {
-  const Workload& w = workload();
-  TraceReadOptions options;
-  options.threads = static_cast<int>(state.range(0));
-  TraceReader::OpenResult opened = TraceReader::open(w.binary_path, options);
-  ParseResult first = opened.reader->read();  // populate the cache
-  benchmark::DoNotOptimize(first);
-  for (auto _ : state) {
-    ParseResult result = opened.reader->read();
-    benchmark::DoNotOptimize(result);
-  }
-  set_throughput(state);
-  const TraceReadStats stats = opened.reader->stats();
-  state.counters["cache_hit_blocks"] =
-      static_cast<double>(stats.cache.hits);
-  state.counters["decoded_blocks"] =
-      static_cast<double>(stats.blocks_decoded);
 }
 
 /// Index-seek: a narrow time window admits only a few blocks; the rest are
@@ -167,37 +141,10 @@ void BM_TextFilteredScan(benchmark::State& state) {
   }
 }
 
-/// Forced eviction: a budget far below the decoded size. Time sits between
-/// cold and warm; the resident-bytes counter documents that memory stays
-/// bounded by the budget (the RSS claim in BENCH_trace_io.json).
-void BM_BinaryTinyCacheBudget(benchmark::State& state) {
-  const Workload& w = workload();
-  TraceReadOptions options;
-  options.cache_budget_bytes = static_cast<std::size_t>(state.range(0));
-  TraceReader::OpenResult opened = TraceReader::open(w.binary_path, options);
-  for (auto _ : state) {
-    ParseResult result = opened.reader->read();
-    benchmark::DoNotOptimize(result);
-  }
-  set_throughput(state);
-  const TraceReadStats stats = opened.reader->stats();
-  state.counters["cache_budget_bytes"] =
-      static_cast<double>(options.cache_budget_bytes);
-  state.counters["cache_resident_bytes"] =
-      static_cast<double>(stats.cache.resident_bytes);
-  state.counters["cache_evictions"] =
-      static_cast<double>(stats.cache.evictions);
-}
-
 BENCHMARK(BM_TextParse)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BinaryColdIngest)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BinaryWarmIngest)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BinaryFilteredSeek)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TextFilteredScan)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BinaryTinyCacheBudget)
-    ->Arg(64 << 10)
-    ->Arg(1 << 20)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace g10::trace

@@ -521,27 +521,6 @@ G10tStructureParse parse_g10t_structure(std::string_view bytes) {
   return out;
 }
 
-std::size_t DecodedBlock::approx_bytes() const {
-  std::size_t bytes = sizeof(DecodedBlock);
-  for (const PhaseEventRecord& rec : phase_events) {
-    bytes += sizeof(rec) + rec.path.elements.size() * sizeof(PathElement);
-    for (const PathElement& element : rec.path.elements) {
-      bytes += element.type.size();
-    }
-  }
-  for (const BlockingEventRecord& rec : blocking_events) {
-    bytes += sizeof(rec) + rec.resource.size() +
-             rec.path.elements.size() * sizeof(PathElement);
-    for (const PathElement& element : rec.path.elements) {
-      bytes += element.type.size();
-    }
-  }
-  for (const MonitoringSampleRecord& rec : samples) {
-    bytes += sizeof(rec) + rec.resource.size();
-  }
-  return bytes;
-}
-
 std::optional<std::string> decode_block(
     std::string_view payload, const IndexEntry& entry,
     const std::vector<std::string>& symbols, DecodedBlock& out) {

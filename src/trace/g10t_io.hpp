@@ -71,12 +71,6 @@ struct DecodedBlock {
   std::vector<PhaseEventRecord> phase_events;
   std::vector<BlockingEventRecord> blocking_events;
   std::vector<MonitoringSampleRecord> samples;
-
-  std::size_t record_count() const {
-    return phase_events.size() + blocking_events.size() + samples.size();
-  }
-  /// Approximate decoded footprint, the block cache's cost metric.
-  std::size_t approx_bytes() const;
 };
 
 /// Decodes the payload of `entry` (sliced from the file by the caller).

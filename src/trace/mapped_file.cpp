@@ -108,16 +108,4 @@ std::optional<std::string> MappedFile::open(const std::string& path,
   return std::nullopt;
 }
 
-void MappedFile::advise_will_need(std::size_t offset,
-                                  std::size_t length) const {
-  if (!mapped_ || data_ == nullptr || offset >= size_) return;
-  length = std::min(length, size_ - offset);
-  // Align down to the page containing `offset`; madvise wants page-aligned
-  // starts.
-  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-  const std::size_t start = offset & ~(page - 1);
-  ::madvise(const_cast<char*>(data_) + start, length + (offset - start),
-            MADV_WILLNEED);
-}
-
 }  // namespace g10::trace

@@ -49,10 +49,6 @@ class MappedFile {
   std::string_view bytes() const { return {data_, size_}; }
   std::size_t size() const { return size_; }
 
-  /// Advises the kernel that `[offset, offset+length)` will be read soon
-  /// (madvise WILLNEED). No-op in buffered mode or out of range.
-  void advise_will_need(std::size_t offset, std::size_t length) const;
-
  private:
   void reset();
 

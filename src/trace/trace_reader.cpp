@@ -1,10 +1,7 @@
 #include "trace/trace_reader.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <deque>
 #include <fstream>
-#include <future>
 #include <utility>
 
 #include "common/thread_pool.hpp"
@@ -129,7 +126,7 @@ class TextTraceReader final : public TraceReader {
 // --- binary -------------------------------------------------------------
 
 struct DecodeOutcome {
-  std::shared_ptr<const DecodedBlock> block;
+  DecodedBlock block;
   std::string error;  ///< empty = success
 };
 
@@ -140,8 +137,7 @@ class BinaryTraceReader final : public TraceReader {
       : path_(std::move(path)),
         file_(std::move(file)),
         structure_(std::move(structure)),
-        options_(std::move(options)),
-        cache_(BlockCache::Options{options_.cache_budget_bytes, 8}) {}
+        options_(std::move(options)) {}
 
   ParseResult read(const TraceFilter& filter) override;
 
@@ -149,11 +145,10 @@ class BinaryTraceReader final : public TraceReader {
     TraceReadStats out;
     out.binary = true;
     out.blocks_total = structure_.index.size();
-    out.blocks_read = blocks_read_.load(std::memory_order_relaxed);
-    out.blocks_skipped = blocks_skipped_.load(std::memory_order_relaxed);
-    out.blocks_decoded = blocks_decoded_.load(std::memory_order_relaxed);
+    out.blocks_read = blocks_read_;
+    out.blocks_skipped = blocks_skipped_;
+    out.blocks_decoded = blocks_decoded_;
     out.bytes_mapped = file_.size();
-    out.cache = cache_.stats();
     return out;
   }
 
@@ -193,27 +188,21 @@ class BinaryTraceReader final : public TraceReader {
     return true;
   }
 
-  DecodeOutcome decode_one(std::size_t ordinal) {
+  DecodeOutcome decode_one(std::size_t ordinal) const {
     const IndexEntry& entry = structure_.index[ordinal];
     DecodeOutcome outcome;
     const std::string_view payload =
         file_.bytes().substr(entry.offset, entry.encoded_size);
-    auto block = std::make_shared<DecodedBlock>();
     try {
       if (auto error = decode_block(payload, entry, structure_.symbols,
-                                    *block)) {
-        outcome.error =
-            "block " + std::to_string(ordinal) + ": " + *error;
-        return outcome;
+                                    outcome.block)) {
+        outcome.error = "block " + std::to_string(ordinal) + ": " + *error;
       }
     } catch (const std::exception& e) {
       outcome.error =
           "block " + std::to_string(ordinal) + ": decode failed: " + e.what();
-      return outcome;
     }
-    blocks_decoded_.fetch_add(1, std::memory_order_relaxed);
-    outcome.block = std::move(block);
-    cache_.put(ordinal, outcome.block);
+    if (!outcome.error.empty()) outcome.block = {};  // drop a partial decode
     return outcome;
   }
 
@@ -221,11 +210,9 @@ class BinaryTraceReader final : public TraceReader {
   MappedFile file_;
   G10tStructure structure_;
   TraceReadOptions options_;
-  BlockCache cache_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::atomic<std::uint64_t> blocks_read_{0};
-  std::atomic<std::uint64_t> blocks_skipped_{0};
-  std::atomic<std::uint64_t> blocks_decoded_{0};
+  std::uint64_t blocks_read_ = 0;
+  std::uint64_t blocks_skipped_ = 0;
+  std::uint64_t blocks_decoded_ = 0;
 };
 
 ParseResult BinaryTraceReader::read(const TraceFilter& filter) {
@@ -249,116 +236,70 @@ ParseResult BinaryTraceReader::read(const TraceFilter& filter) {
   for (std::size_t i = 0; i < structure_.index.size(); ++i) {
     if (block_matches(filter, filter_blooms, structure_.index[i])) {
       selected.push_back(i);
-    } else {
-      blocks_skipped_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  blocks_read_.fetch_add(selected.size(), std::memory_order_relaxed);
+  blocks_read_ += selected.size();
+  blocks_skipped_ += structure_.index.size() - selected.size();
 
-  // Async prefetch: keep the next few blocks decoding on the pool while
-  // the consumer appends the current one downstream.
-  const std::size_t pool_threads =
-      ThreadPool::resolve_threads(options_.threads > 0
-                                      ? static_cast<std::size_t>(
-                                            options_.threads)
-                                      : 0);
-  const std::size_t prefetch_depth =
-      pool_threads > 1 ? options_.prefetch_blocks : 0;
-  if (prefetch_depth > 0 && pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(
-        ThreadPool::Options{pool_threads, 4096});
+  // Decode every selected block, each result placed by its position, the
+  // way parse_log_text fans out text chunks.
+  const std::size_t threads = ThreadPool::resolve_threads(
+      options_.threads > 0 ? static_cast<std::size_t>(options_.threads) : 0);
+  std::vector<DecodeOutcome> decoded(selected.size());
+  {
+    ThreadPool pool(std::clamp<std::size_t>(selected.size(), 1, threads));
+    pool.parallel_for(selected.size(), 1, [&](std::size_t k) {
+      decoded[k] = decode_one(selected[k]);
+    });
   }
 
-  struct InFlight {
-    std::size_t ordinal = 0;
-    std::future<DecodeOutcome> future;
-  };
-  std::deque<InFlight> in_flight;
-  std::size_t next_prefetch = 0;  // index into `selected`
-
-  const auto drain = [&] {
-    for (InFlight& flight : in_flight) flight.future.wait();
-    in_flight.clear();
-  };
-
+  std::size_t phase_total = 0;
+  std::size_t blocking_total = 0;
+  std::size_t sample_total = 0;
+  for (const DecodeOutcome& outcome : decoded) {
+    if (outcome.error.empty()) ++blocks_decoded_;
+    phase_total += outcome.block.phase_events.size();
+    blocking_total += outcome.block.blocking_events.size();
+    sample_total += outcome.block.samples.size();
+  }
   const bool record_filter_active = !filter.machines.empty() ||
                                     !filter.phase_types.empty() ||
                                     time_window_active(filter);
+  if (!record_filter_active) {
+    result.log.phase_events.reserve(phase_total);
+    result.log.blocking_events.reserve(blocking_total);
+    result.log.samples.reserve(sample_total);
+  }
 
-  for (std::size_t k = 0; k < selected.size(); ++k) {
-    if (prefetch_depth > 0) {
-      if (next_prefetch <= k) next_prefetch = k + 1;
-      while (next_prefetch < selected.size() &&
-             in_flight.size() < prefetch_depth) {
-        const std::size_t ordinal = selected[next_prefetch++];
-        const IndexEntry& entry = structure_.index[ordinal];
-        file_.advise_will_need(entry.offset, entry.encoded_size);
-        auto promise = std::make_shared<std::promise<DecodeOutcome>>();
-        InFlight flight;
-        flight.ordinal = ordinal;
-        flight.future = promise->get_future();
-        in_flight.push_back(std::move(flight));
-        pool_->submit([this, ordinal, promise] {
-          if (auto cached = cache_.get(ordinal)) {
-            promise->set_value(DecodeOutcome{std::move(cached), {}});
-            return;
-          }
-          promise->set_value(decode_one(ordinal));
-        });
+  const auto append = [&](auto& from, auto& to) {
+    for (auto& rec : from) {
+      if (!record_filter_active || filter.matches(rec)) {
+        to.push_back(std::move(rec));
       }
     }
-
-    const std::size_t ordinal = selected[k];
-    DecodeOutcome outcome;
-    if (!in_flight.empty() && in_flight.front().ordinal == ordinal) {
-      outcome = in_flight.front().future.get();
-      in_flight.pop_front();
-    } else if (auto cached = cache_.get(ordinal)) {
-      outcome.block = std::move(cached);
-    } else {
-      outcome = decode_one(ordinal);
-    }
-
+  };
+  // Move the records out in index order, freeing each block once appended;
+  // a strict read stops at the first corrupt block.
+  for (std::size_t k = 0; k < decoded.size(); ++k) {
+    DecodeOutcome& outcome = decoded[k];
     if (!outcome.error.empty()) {
       // Corrupt block: 1-based block ordinal in the "line" slot so strict
       // and lenient consumers treat it like a damaged line, while
       // file-level failures keep line 0.
       ++result.error_count;
-      ParseError diagnostic{ordinal + 1, outcome.error, ""};
+      ParseError diagnostic{selected[k] + 1, std::move(outcome.error), ""};
       if (!result.error) result.error = diagnostic;
       if (result.errors.size() < options_.max_errors) {
         result.errors.push_back(std::move(diagnostic));
       }
-      if (!options_.recover) {
-        drain();
-        return result;
-      }
+      if (!options_.recover) break;
       continue;
     }
-
-    const DecodedBlock& block = *outcome.block;
-    if (!record_filter_active) {
-      result.log.phase_events.insert(result.log.phase_events.end(),
-                                     block.phase_events.begin(),
-                                     block.phase_events.end());
-      result.log.blocking_events.insert(result.log.blocking_events.end(),
-                                        block.blocking_events.begin(),
-                                        block.blocking_events.end());
-      result.log.samples.insert(result.log.samples.end(),
-                                block.samples.begin(), block.samples.end());
-      continue;
-    }
-    for (const PhaseEventRecord& rec : block.phase_events) {
-      if (filter.matches(rec)) result.log.phase_events.push_back(rec);
-    }
-    for (const BlockingEventRecord& rec : block.blocking_events) {
-      if (filter.matches(rec)) result.log.blocking_events.push_back(rec);
-    }
-    for (const MonitoringSampleRecord& rec : block.samples) {
-      if (filter.matches(rec)) result.log.samples.push_back(rec);
-    }
+    append(outcome.block.phase_events, result.log.phase_events);
+    append(outcome.block.blocking_events, result.log.blocking_events);
+    append(outcome.block.samples, result.log.samples);
+    outcome.block = {};
   }
-  drain();
   return result;
 }
 

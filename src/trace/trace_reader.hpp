@@ -1,6 +1,5 @@
 // Format-independent trace ingestion: text logs and `.g10t` binary traces
-// behind one reader interface, with seek-by-block filtering, an LRU block
-// cache, and asynchronous decode prefetch (DESIGN.md §16).
+// behind one reader interface, with seek-by-block filtering (DESIGN.md §16).
 //
 // TraceReader::open() sniffs the file (the .g10t magic wins over any
 // extension) and returns the matching implementation:
@@ -11,11 +10,9 @@
 //  - Binary: the file is mapped; only the header, symbol table, META
 //    section, and block index are touched up front. read() walks the index,
 //    skips blocks whose (machine range, time range, path-type bloom) cannot
-//    match the filter, and decodes the rest through a byte-budgeted sharded
-//    LRU cache — so a warm re-read decodes nothing, and a filtered read
-//    touches only relevant blocks. With prefetch enabled, upcoming block
-//    decodes run on a ThreadPool and overlap with the consumer appending
-//    records downstream.
+//    match the filter, decodes the rest in parallel (each result placed by
+//    its block's position), and moves their records out in index order.
+//    Nothing decoded outlives the read, so every read() decodes afresh.
 //
 // Both implementations return the same ParseResult shape the text parser
 // produces: corrupt binary blocks surface as ParseError entries (with the
@@ -47,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "trace/block_cache.hpp"
 #include "trace/g10t_io.hpp"
 #include "trace/log_io.hpp"
 
@@ -97,12 +93,8 @@ struct TraceReadOptions {
   /// Text-parser semantics, reused for corrupt binary blocks: recover=true
   /// skips damage and keeps going, false stops at the first problem.
   bool recover = false;
-  /// Parse / prefetch concurrency (0 = auto via G10_THREADS).
+  /// Parse / decode concurrency (0 = auto via G10_THREADS).
   int threads = 0;
-  /// Decoded-byte budget of the binary block cache.
-  std::size_t cache_budget_bytes = std::size_t{256} << 20;
-  /// Blocks to decode ahead of the consumer (0 = synchronous decode).
-  std::size_t prefetch_blocks = 4;
   /// false = buffered read instead of mmap (identity-test knob).
   bool use_mmap = true;
   /// Forwarded to the text parser.
@@ -110,14 +102,14 @@ struct TraceReadOptions {
   std::size_t min_chunk_bytes = 1 << 20;
 };
 
+/// Block counts are summed over every read() of the reader.
 struct TraceReadStats {
   bool binary = false;
   std::uint64_t blocks_total = 0;
   std::uint64_t blocks_read = 0;     ///< matched the filter
   std::uint64_t blocks_skipped = 0;  ///< rejected via the index alone
-  std::uint64_t blocks_decoded = 0;  ///< actual payload decodes (cache misses)
+  std::uint64_t blocks_decoded = 0;  ///< payloads that decoded cleanly
   std::size_t bytes_mapped = 0;
-  BlockCache::Stats cache;
 };
 
 class TraceReader {
@@ -125,7 +117,7 @@ class TraceReader {
   virtual ~TraceReader() = default;
 
   /// Reads every record matching `filter`, in stream order. Repeated calls
-  /// are byte-identical; on a binary reader the second call is warm.
+  /// are byte-identical.
   virtual ParseResult read(const TraceFilter& filter = {}) = 0;
 
   virtual TraceReadStats stats() const = 0;

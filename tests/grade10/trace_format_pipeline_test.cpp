@@ -2,7 +2,7 @@
 // golden trace characterized from its text log and from its `.g10t`
 // conversion must produce bit-identical CharacterizationResults — compared
 // through the same per-phase-path FNV digests `--det-check` uses, at
-// several thread counts, cold and warm. This is the acceptance gate for
+// several thread counts. This is the acceptance gate for
 // the binary format: not "close", the same bits.
 #include <gtest/gtest.h>
 
@@ -67,7 +67,7 @@ std::string binary_path(const Fixture& fixture) {
         trace::read_log_file(text_path(fixture), {});
     EXPECT_TRUE(parsed.ok()) << fixture.log;
     trace::G10tWriteOptions options;
-    options.block_records = 128;  // several blocks, so caching matters
+    options.block_records = 128;  // several blocks per kind
     std::string error;
     EXPECT_TRUE(trace::write_g10t_file(out, parsed.log, options, &error))
         << error;
@@ -108,40 +108,6 @@ TEST(TraceFormatPipelineTest, CharacterizationIsBitIdenticalAcrossFormats) {
           << divergence->path << "': " << divergence->detail;
     }
   }
-}
-
-TEST(TraceFormatPipelineTest, WarmCachedReadCharacterizesIdentically) {
-  const Fixture& fixture = fixtures()[0];
-  const ModelDescription model = load_model(fixture.model);
-  trace::TraceReader::OpenResult opened =
-      trace::TraceReader::open(binary_path(fixture), {});
-  ASSERT_TRUE(opened.ok()) << *opened.error;
-  const trace::ParseResult cold = opened.reader->read();
-  const trace::ParseResult warm = opened.reader->read();
-  ASSERT_TRUE(cold.ok());
-  ASSERT_TRUE(warm.ok());
-  const auto divergence = first_divergence(digest(model, cold.log, 2),
-                                           digest(model, warm.log, 2));
-  EXPECT_FALSE(divergence.has_value())
-      << "warm re-read diverged at '" << divergence->path << "'";
-}
-
-TEST(TraceFormatPipelineTest, TinyCacheBudgetStillBitIdentical) {
-  // Forced-eviction regime: a budget far below the trace's decoded size
-  // must change performance only, never results.
-  const Fixture& fixture = fixtures()[1];
-  const ModelDescription model = load_model(fixture.model);
-  trace::TraceReadOptions tiny;
-  tiny.cache_budget_bytes = 4 << 10;
-  const trace::ParseResult squeezed =
-      trace::read_trace_file(binary_path(fixture), tiny);
-  const trace::ParseResult roomy =
-      trace::read_trace_file(binary_path(fixture));
-  ASSERT_TRUE(squeezed.ok());
-  ASSERT_TRUE(roomy.ok());
-  const auto divergence = first_divergence(digest(model, squeezed.log, 2),
-                                           digest(model, roomy.log, 2));
-  EXPECT_FALSE(divergence.has_value());
 }
 
 }  // namespace

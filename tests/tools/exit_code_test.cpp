@@ -234,6 +234,21 @@ TEST(AnalyzeExitCodeTest, BadFilterSyntaxIsBadArgs) {
   EXPECT_EQ(exit_code(base + " --machines 1,x"), kExitBadArgs);
 }
 
+TEST(AnalyzeExitCodeTest, BadNumericFlagsAreBadArgs) {
+  // Out-of-range or unparseable values used to fail late (exit 1 on a zero
+  // timeslice) or silently fall back to the defaults (exit 0).
+  const std::string base = std::string(G10_ANALYZE_BIN) + " --model " +
+                           ok_artifacts() + "/model.g10 --log " +
+                           ok_binary_trace();
+  for (const char* flags :
+       {" --timeslice-ms 0", " --timeslice-ms -5", " --timeslice-ms abc",
+        " --timeslice-ms 99999999999999", " --min-impact abc",
+        " --min-impact nan", " --threads abc", " --threads -1",
+        " --threads 4294967296", " --det-check abc"}) {
+    EXPECT_EQ(exit_code(base + flags), kExitBadArgs) << flags;
+  }
+}
+
 TEST(DetCheckExitCodeTest, IdenticalExecutionsAreZero) {
   EXPECT_EQ(exit_code(std::string(G10_RUN_BIN) +
                       " --engine pregel --algorithm pagerank --dataset rmat:5"

@@ -1,7 +1,7 @@
 // The format-independent TraceReader: text-vs-binary identity over the
-// golden engine traces, mmap-vs-buffered identity, warm-cache re-reads,
-// filter equivalence across formats, corrupt-block strict/lenient
-// semantics, and prefetch-on/off determinism.
+// golden engine traces, mmap-vs-buffered identity, identity across decode
+// thread counts and re-reads, filter equivalence across formats, and
+// corrupt-block strict/lenient semantics.
 #include "trace/trace_reader.hpp"
 
 #include <gtest/gtest.h>
@@ -46,6 +46,13 @@ std::string render(const ParsedLog& log) {
   std::ostringstream os;
   write_log(os, log.phase_events, log.blocking_events, log.samples, log.meta);
   return os.str();
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return std::move(buffer).str();
 }
 
 /// Converts a text golden to .g10t once; cached across tests.
@@ -96,40 +103,40 @@ TEST(TraceReaderTest, BufferedReadMatchesMmapForBothFormats) {
   }
 }
 
-TEST(TraceReaderTest, WarmReadDecodesNothingAndStaysIdentical) {
-  TraceReader::OpenResult opened =
-      TraceReader::open(binary_of(golden_logs()[1]), {});
-  ASSERT_TRUE(opened.ok()) << *opened.error;
-  const ParseResult cold = opened.reader->read();
-  ASSERT_TRUE(cold.ok());
-  const auto cold_stats = opened.reader->stats();
-  EXPECT_GT(cold_stats.blocks_decoded, 0u);
-  EXPECT_EQ(cold_stats.blocks_total,
-            cold_stats.blocks_read + cold_stats.blocks_skipped);
-
-  const ParseResult warm = opened.reader->read();
-  const auto warm_stats = opened.reader->stats();
-  EXPECT_EQ(warm_stats.blocks_decoded, cold_stats.blocks_decoded)
-      << "warm read re-decoded blocks despite the cache";
-  EXPECT_GT(warm_stats.cache.hits, 0u);
-  EXPECT_EQ(render(warm.log), render(cold.log));
-}
-
-TEST(TraceReaderTest, PrefetchOnAndOffProduceIdenticalResults) {
-  TraceReadOptions serial;
-  serial.threads = 1;
-  serial.prefetch_blocks = 0;
-  TraceReadOptions prefetching;
-  prefetching.threads = 4;
-  prefetching.prefetch_blocks = 3;
+TEST(TraceReaderTest, BinaryReadIsIdenticalAtEveryThreadCount) {
   for (const std::string& name : golden_logs()) {
     const std::string path = binary_of(name, 16);  // many small blocks
-    const ParseResult a = read_trace_file(path, serial);
-    const ParseResult b = read_trace_file(path, prefetching);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(render(a.log), render(b.log)) << name;
+    TraceReadOptions serial;
+    serial.threads = 1;
+    const ParseResult baseline = read_trace_file(path, serial);
+    ASSERT_TRUE(baseline.ok()) << name;
+    for (const int threads : {2, 4}) {
+      TraceReadOptions options;
+      options.threads = threads;
+      const ParseResult parallel = read_trace_file(path, options);
+      ASSERT_TRUE(parallel.ok()) << name;
+      EXPECT_EQ(render(parallel.log), render(baseline.log))
+          << name << " at " << threads << " threads";
+    }
   }
+}
+
+TEST(TraceReaderTest, UnfilteredReadDecodesEveryBlockAndRereadsIdentically) {
+  TraceReadOptions options;
+  options.threads = 4;
+  TraceReader::OpenResult opened =
+      TraceReader::open(binary_of(golden_logs()[1], 16), options);
+  ASSERT_TRUE(opened.ok()) << *opened.error;
+  const ParseResult first = opened.reader->read();
+  ASSERT_TRUE(first.ok());
+  const TraceReadStats stats = opened.reader->stats();
+  EXPECT_GT(stats.blocks_read, 1u);
+  EXPECT_EQ(stats.blocks_decoded, stats.blocks_read);
+  EXPECT_EQ(stats.blocks_total, stats.blocks_read + stats.blocks_skipped);
+
+  const ParseResult second = opened.reader->read();
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(render(second.log), render(first.log));
 }
 
 TEST(TraceReaderTest, FiltersMatchAcrossFormats) {
@@ -220,13 +227,7 @@ TEST(TraceReaderTest, MissingFileReportsErrnoText) {
 
 TEST(TraceReaderTest, CorruptHeaderIsAnOpenError) {
   const std::string path = (test_root() / "corrupt_header.g10t").string();
-  std::string bytes;
-  {
-    std::ifstream in(binary_of(golden_logs()[0]), std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    bytes = std::move(buffer).str();
-  }
+  std::string bytes = file_bytes(binary_of(golden_logs()[0]));
   bytes[30] ^= 0x7f;
   std::ofstream(path, std::ios::binary) << bytes;
   TraceReader::OpenResult opened = TraceReader::open(path, {});
@@ -234,42 +235,75 @@ TEST(TraceReaderTest, CorruptHeaderIsAnOpenError) {
   EXPECT_NE(opened.error->find(path), std::string::npos);
 }
 
+struct CorruptTrace {
+  std::string path;
+  std::size_t victim = 0;  ///< ordinal of the damaged block
+};
+
 /// Corrupts the payload of one middle block; the header and index stay
 /// intact so only that block fails to decode.
-std::string corrupt_one_block(const std::string& name) {
+CorruptTrace corrupt_one_block(const std::string& name) {
   const std::string path = (test_root() / (name + ".corrupt.g10t")).string();
-  std::string bytes;
-  {
-    std::ifstream in(binary_of(name, 16), std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    bytes = std::move(buffer).str();
-  }
+  std::string bytes = file_bytes(binary_of(name, 16));
   const G10tStructureParse parsed = parse_g10t_structure(bytes);
   EXPECT_TRUE(parsed.ok());
   EXPECT_GT(parsed.structure.index.size(), 2u);
-  const IndexEntry& victim =
-      parsed.structure.index[parsed.structure.index.size() / 2];
-  bytes[victim.offset + victim.encoded_size / 2] ^= 0x33;
+  const std::size_t victim = parsed.structure.index.size() / 2;
+  const IndexEntry& entry = parsed.structure.index[victim];
+  bytes[entry.offset + entry.encoded_size / 2] ^= 0x33;
   std::ofstream(path, std::ios::binary) << bytes;
-  return path;
+  return {path, victim};
+}
+
+/// The records of blocks [0, end) of the intact conversion of `name`.
+ParsedLog blocks_before(const std::string& name, std::size_t end) {
+  const std::string bytes = file_bytes(binary_of(name, 16));
+  const G10tStructureParse parsed = parse_g10t_structure(bytes);
+  EXPECT_TRUE(parsed.ok());
+  ParsedLog log;
+  log.meta = parsed.structure.meta;
+  for (std::size_t i = 0; i < end; ++i) {
+    const IndexEntry& entry = parsed.structure.index[i];
+    DecodedBlock block;
+    EXPECT_FALSE(decode_block(bytes.substr(entry.offset, entry.encoded_size),
+                              entry, parsed.structure.symbols, block)
+                     .has_value());
+    log.phase_events.insert(log.phase_events.end(), block.phase_events.begin(),
+                            block.phase_events.end());
+    log.blocking_events.insert(log.blocking_events.end(),
+                               block.blocking_events.begin(),
+                               block.blocking_events.end());
+    log.samples.insert(log.samples.end(), block.samples.begin(),
+                       block.samples.end());
+  }
+  return log;
 }
 
 TEST(TraceReaderTest, CorruptBlockStopsAStrictRead) {
-  const std::string path = corrupt_one_block(golden_logs()[0]);
-  TraceReadOptions strict;
-  strict.recover = false;
-  const ParseResult result = read_trace_file(path, strict);
-  ASSERT_FALSE(result.ok());
-  ASSERT_TRUE(result.error.has_value());
-  EXPECT_GT(result.error->line_number, 0u)  // 1-based block ordinal
-      << "block errors must not masquerade as file-level errors";
-  EXPECT_NE(result.error->message.find("block"), std::string::npos);
+  const std::string name = golden_logs()[0];
+  const CorruptTrace corrupt = corrupt_one_block(name);
+  const std::string expected = render(blocks_before(name, corrupt.victim));
+  for (const int threads : {1, 4}) {
+    TraceReadOptions strict;
+    strict.recover = false;
+    strict.threads = threads;
+    const ParseResult result = read_trace_file(corrupt.path, strict);
+    ASSERT_FALSE(result.ok());
+    ASSERT_TRUE(result.error.has_value());
+    // The 1-based block ordinal: block errors must not masquerade as
+    // file-level (line 0) errors.
+    EXPECT_EQ(result.error->line_number, corrupt.victim + 1) << threads;
+    EXPECT_NE(result.error->message.find("block"), std::string::npos);
+    EXPECT_EQ(result.error_count, 1u) << threads;
+    // Exactly the blocks before the victim: a block decoded in parallel
+    // after it never leaks into the result.
+    EXPECT_EQ(render(result.log), expected) << threads;
+  }
 }
 
 TEST(TraceReaderTest, CorruptBlockIsSkippedWhenRecovering) {
   const std::string name = golden_logs()[0];
-  const std::string path = corrupt_one_block(name);
+  const std::string path = corrupt_one_block(name).path;
   TraceReadOptions recover;
   recover.recover = true;
   const ParseResult damaged = read_trace_file(path, recover);

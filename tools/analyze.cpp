@@ -5,15 +5,14 @@
 //               [--threads N] [--lenient | --strict] [--no-preflight]
 //               [--det-check N] [--trace-format auto|text|binary]
 //               [--machines M,M,...] [--phases TYPE,TYPE,...]
-//               [--time-range LO:HI] [--cache-budget-mb MB]
+//               [--time-range LO:HI]
 //
 // Parses the declarative model file and the run's trace — the text log or
 // its binary `.g10t` form (g10_convert), sniffed from the file's bytes —
 // executes the full characterization pipeline, and prints the profile,
 // bottleneck, and issue reports. Both formats produce byte-identical
-// reports; binary ingestion decodes through an LRU block cache
-// (--cache-budget-mb) with async prefetch, touching only the blocks the
-// filters below admit.
+// reports; binary ingestion decodes only the blocks the filters below
+// admit, in parallel across --threads.
 //
 // --machines / --phases / --time-range restrict the analysis to a slice of
 // the trace: listed machines (global records always kept), phase subtrees
@@ -50,8 +49,10 @@
 // preflight rejection), 5 analysis error (inputs parsed but the pipeline
 // produced no result), 1 internal.
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -88,7 +89,6 @@ struct Args {
   std::vector<trace::MachineId> machines;
   std::vector<std::string> phases;
   std::optional<std::pair<TimeNs, TimeNs>> time_range;
-  std::size_t cache_budget_mb = 256;
 };
 
 int usage() {
@@ -101,9 +101,17 @@ int usage() {
                "[--trace-format auto|text|binary]\n"
                "                   [--machines M,M,...] "
                "[--phases TYPE,TYPE,...]\n"
-               "                   [--time-range LO:HI] "
-               "[--cache-budget-mb MB]\n";
+               "                   [--time-range LO:HI]\n";
   return kExitBadArgs;
+}
+
+/// An int in [lo, INT_MAX], or nullopt for anything else.
+std::optional<int> parse_int_at_least(std::string_view value, int lo) {
+  const auto n = parse_int(value);
+  if (!n || *n < lo || *n > std::numeric_limits<int>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<int>(*n);
 }
 
 std::optional<Args> parse_args(int argc, char** argv) {
@@ -129,18 +137,26 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else if (arg == "--log") {
       args.log_path = value;
     } else if (arg == "--timeslice-ms") {
-      args.timeslice = parse_int(value).value_or(50) * kMillisecond;
+      const auto ms = parse_int(value);
+      if (!ms || *ms < 1 ||
+          *ms > std::numeric_limits<DurationNs>::max() / kMillisecond) {
+        return std::nullopt;
+      }
+      args.timeslice = *ms * kMillisecond;
     } else if (arg == "--min-impact") {
-      args.min_impact = parse_double(value).value_or(0.01);
+      const auto impact = parse_double(value);
+      if (!impact || !std::isfinite(*impact)) return std::nullopt;
+      args.min_impact = *impact;
     } else if (arg == "--threads") {
-      args.threads = static_cast<int>(parse_int(value).value_or(0));
-      if (args.threads < 0) return std::nullopt;
+      const auto n = parse_int_at_least(value, 0);
+      if (!n) return std::nullopt;
+      args.threads = *n;
     } else if (arg == "--chrome-trace") {
       args.chrome_trace_path = value;
     } else if (arg == "--det-check") {
-      const auto n = parse_int(value);
-      if (!n || *n < 1) return std::nullopt;
-      args.det_check = static_cast<int>(*n);
+      const auto n = parse_int_at_least(value, 1);
+      if (!n) return std::nullopt;
+      args.det_check = *n;
     } else if (arg == "--trace-format") {
       if (value == "auto") {
         args.trace_format = trace::TraceFormat::kAuto;
@@ -170,10 +186,6 @@ std::optional<Args> parse_args(int argc, char** argv) {
       const auto hi = parse_int(std::string_view(value).substr(colon + 1));
       if (!lo || !hi || *lo < 0 || *hi < *lo) return std::nullopt;
       args.time_range = {*lo, *hi};
-    } else if (arg == "--cache-budget-mb") {
-      const auto n = parse_int(value);
-      if (!n || *n < 0) return std::nullopt;
-      args.cache_budget_mb = static_cast<std::size_t>(*n);
     } else {
       return std::nullopt;
     }
@@ -216,7 +228,6 @@ trace::TraceReadOptions reader_options(const Args& args, int threads) {
   options.format = args.trace_format;
   options.recover = true;  // always collect the full error list
   options.threads = threads;
-  options.cache_budget_bytes = args.cache_budget_mb << 20;
   return options;
 }
 
