@@ -4,11 +4,6 @@
 
 namespace g10::lint {
 
-LintReport preflight_model(std::string_view model_text,
-                           std::string_view model_filename) {
-  return lint_model_text(model_text, model_filename);
-}
-
 LintReport preflight(std::string_view model_text,
                      std::string_view model_filename,
                      const core::ModelDescription& model,

@@ -1,5 +1,4 @@
-// The bundled lint pass g10_analyze runs before characterizing, and the
-// core of the standalone g10_lint tool: model-file lint, log-parser
+// The core of the standalone g10_lint tool: model-file lint, log-parser
 // diagnostics, and record-level trace lint merged into one report.
 #pragma once
 
@@ -8,10 +7,6 @@
 #include "grade10/lint/trace_lint.hpp"
 
 namespace g10::lint {
-
-/// Lints a model file's text alone (no trace).
-LintReport preflight_model(std::string_view model_text,
-                           std::string_view model_filename);
 
 /// Lints model text plus a parsed log: model rules, every log-parser
 /// diagnostic as trace-syntax (or trace-binary-corrupt-block when the log

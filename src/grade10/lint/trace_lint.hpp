@@ -1,19 +1,19 @@
 // Lint rules over parsed trace records, cross-checked against a model.
 //
-// The trace builders (ExecutionTrace/ResourceTrace) enforce a few of these
-// invariants by throwing on first violation; the linter instead walks the
-// raw parsed records and reports *all* problems — unbalanced or duplicated
-// phase events, intervals that escape their parent, repeated siblings that
-// overlap, blocking events outside their phase or naming phantom resources,
-// and monitoring series that tick backwards, go negative, exceed capacity
-// or skip samples. Findings carry the phase path or resource@machine in
-// Location::context; record streams have no line numbers.
+// The structural rules (unbalanced, duplicated or overlapping phases,
+// blocking events outside their phase or on phantom resources) come from
+// the TraceDefects of ExecutionTrace's build, the list strict rejection and
+// lenient repair read too. This linter checks only what the build does not
+// assemble: fault provenance, and monitoring series that tick backwards, go
+// negative, exceed capacity or skip samples. Findings carry the phase path
+// or resource@machine in Location::context; records have no line numbers.
 #pragma once
 
 #include <string_view>
 
 #include "grade10/lint/lint.hpp"
 #include "grade10/model/model_io.hpp"
+#include "grade10/trace/execution_trace.hpp"
 #include "trace/log_io.hpp"
 
 namespace g10::lint {
@@ -29,11 +29,14 @@ struct TraceLintOptions {
   double capacity_slack = 1.05;
 };
 
-/// Lints parsed records against `model`. `filename` seeds finding locations.
+/// Lints parsed records against `model`. `filename` seeds finding
+/// locations. The structural findings come from `built`, a build of `log`'s
+/// events against `model`, or from a build made here when it is null.
 LintReport lint_trace(const core::ModelDescription& model,
                       const trace::ParsedLog& log,
                       const TraceLintOptions& options = {},
-                      std::string_view filename = "<log>");
+                      std::string_view filename = "<log>",
+                      const core::TraceBuild* built = nullptr);
 
 /// Maps log-parser diagnostics to trace-syntax findings (with line
 /// numbers). With binary_trace=true the diagnostics came from a `.g10t`

@@ -9,25 +9,33 @@ namespace g10::core {
 
 CheckedCharacterization characterize_checked(
     const CharacterizationInput& input) {
+  TraceBuild built;
+  if (input.model != nullptr && input.resources != nullptr) {
+    built = ExecutionTrace::build_checked(*input.model, *input.resources,
+                                          input.phase_events,
+                                          input.blocking_events,
+                                          input.trace_options);
+  }
+  return characterize_trace(input, std::move(built));
+}
+
+CheckedCharacterization characterize_trace(const CharacterizationInput& input,
+                                           TraceBuild built) {
   CheckedCharacterization out;
   auto& errors = out.status.errors;
   if (input.model == nullptr) errors.push_back("missing execution model");
   if (input.resources == nullptr) errors.push_back("missing resource model");
   if (input.rules == nullptr) errors.push_back("missing attribution rules");
   if (!errors.empty()) return out;
+  if (built.error) {
+    errors.push_back("trace ingestion failed: " + *built.error);
+    return out;
+  }
 
   const TimesliceGrid grid(input.config.timeslice);
   CharacterizationResult result;
   result.grid = grid;
-  try {
-    result.trace = ExecutionTrace::build(*input.model, *input.resources,
-                                         input.phase_events,
-                                         input.blocking_events,
-                                         input.trace_options);
-  } catch (const CheckError& e) {
-    errors.push_back(std::string("trace ingestion failed: ") + e.what());
-    return out;
-  }
+  result.trace = std::move(built.trace);
   out.status.warnings = result.trace.warnings();
   try {
     // One executor shared by every downstream stage; a 1-thread pool spawns

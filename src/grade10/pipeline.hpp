@@ -64,10 +64,17 @@ struct CheckedCharacterization {
 CharacterizationResult characterize(const CharacterizationInput& input);
 
 /// Like characterize(), but never throws for data-dependent failures:
-/// missing inputs and per-stage CheckErrors become status.errors, and the
-/// stages that did complete are returned. Use with trace_options.lenient
-/// for graceful degradation on damaged logs.
+/// missing inputs, a rejected trace build and per-stage CheckErrors become
+/// status.errors, and the stages that did complete are returned. Use with
+/// trace_options.lenient for graceful degradation on damaged logs. Equal to
+/// characterize_trace on ExecutionTrace::build_checked's result.
 CheckedCharacterization characterize_checked(
     const CharacterizationInput& input);
+
+/// The stages after the trace build, on `built`: a build of the input's
+/// phase and blocking events with its trace_options, whose events this
+/// does not read again. A rejected build becomes a status error.
+CheckedCharacterization characterize_trace(const CharacterizationInput& input,
+                                           TraceBuild built);
 
 }  // namespace g10::core

@@ -1,9 +1,12 @@
 // Execution trace (paper §III-C): the tree of phase *instances* of one
 // workload run, assembled from the SUT's phase-event log and validated
-// against the execution model, with blocking events attached.
+// against the execution model, with blocking events attached. The build's
+// one pass is also the only structural check of a trace: g10_lint's trace
+// rules, strict rejection and lenient repair all read its TraceDefects.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -47,29 +50,53 @@ struct BlockingSpan {
   Interval interval;
 };
 
+/// One structural defect of a trace's phase or blocking events.
+struct TraceDefect {
+  enum class Response {
+    kReport,  ///< the build is unaffected; only lint reports it
+    kRepair,  ///< a strict build rejects the trace, a lenient one repairs it
+    kReject,  ///< the events contradict the model; every build rejects
+  };
+  /// The lint::rule_catalog id (at the catalog's severity), context and
+  /// message g10_lint reports; no id when only the build acts on it.
+  std::string rule_id;
+  std::string context;
+  std::string message;
+  Response response = Response::kReport;
+  std::string error;   ///< the build's error when it rejects on this defect
+  std::string repair;  ///< the lenient build's note on what it repaired
+};
+
+struct TraceBuild;
+
 class ExecutionTrace {
  public:
   struct Options {
     /// Drop blocking events whose resource is not in the resource model
     /// (used to analyze a run against an untuned model, Table II).
     bool ignore_unknown_blocking = false;
-    /// Drop phase instances whose type is not in the execution model
-    /// (an untuned model may not describe e.g. GcPause phases).
-    bool ignore_unknown_phases = false;
     /// Graceful degradation for damaged logs (crashed workers): instead of
-    /// throwing, repair what can be repaired and record a warning. A phase
+    /// rejecting, repair what can be repaired and record a warning. A phase
     /// with a BEGIN but no END (a crashed worker's log just stops) gets a
     /// synthesized end — the latest recorded time in its subtree, i.e. the
     /// crash time — and is flagged `degraded`; duplicate/orphaned events
     /// and escaping intervals are skipped or clamped. Violations of the
-    /// model itself (unknown hierarchy linkage) remain hard errors: those
+    /// model itself (unknown hierarchy linkage) are still rejected: those
     /// mean the wrong model was supplied, not a damaged log.
     bool lenient = false;
   };
 
-  /// Builds and validates the instance tree. Throws CheckError on
-  /// structural problems (unbalanced events, unknown types, child escaping
-  /// its parent's interval) unless Options::lenient repairs them.
+  /// Builds the instance tree, recording every structural defect. Never
+  /// throws: the first defect whose Response `options` do not accept
+  /// rejects the build (TraceBuild::error).
+  static TraceBuild build_checked(
+      const ExecutionModel& model, const ResourceModel& resources,
+      std::span<const trace::PhaseEventRecord> phase_events,
+      std::span<const trace::BlockingEventRecord> blocking_events,
+      const Options& options);
+
+  /// build_checked, throwing CheckError with TraceBuild::error when the
+  /// build is rejected.
   static ExecutionTrace build(
       const ExecutionModel& model, const ResourceModel& resources,
       std::span<const trace::PhaseEventRecord> phase_events,
@@ -109,12 +136,25 @@ class ExecutionTrace {
   std::size_t degraded_count() const;
 
  private:
+  friend class TraceBuilder;
+
   std::vector<PhaseInstance> instances_;
   std::vector<InstanceId> leaves_;
   std::vector<BlockingSpan> blocking_;
   std::vector<trace::MachineId> machines_;
   std::vector<std::string> warnings_;
   TimeNs end_time_ = 0;
+};
+
+/// ExecutionTrace::build_checked's outcome.
+struct TraceBuild {
+  ExecutionTrace trace;  ///< empty when the build was rejected
+  /// In the build's pass order; those with a rule_id in g10_lint's order.
+  std::vector<TraceDefect> defects;
+  /// Machines of each path's first BEGIN and END, sorted: the machines
+  /// trace-orphan-machine accepts in other records.
+  std::vector<trace::MachineId> phase_machines;
+  std::optional<std::string> error;  ///< the rejecting defect's error
 };
 
 /// Subtracts `blocked` intervals from [begin, end), returning the active

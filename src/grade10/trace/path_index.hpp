@@ -1,6 +1,6 @@
 // Instance-assembly index (paper §III-C): gives every distinct phase path
-// of one log a dense integer node id, so the trace build and preflight lint
-// pair BEGIN/END events and resolve parents without rendering paths.
+// of one log a dense integer node id, so the trace build pairs BEGIN/END
+// events and resolves parents without rendering paths.
 //
 // A node is reached from its parent node by the exact key (parent node,
 // type id, index); type ids come from an intern table local to the index,
@@ -41,7 +41,6 @@ class PathIndex {
   std::size_t depth(NodeId node) const { return at(node).depth; }
   std::int64_t index(NodeId node) const { return at(node).index; }
   TypeId type_id(NodeId node) const { return at(node).type; }
-  std::size_t type_count() const { return type_names_.size(); }
   const std::string& type_name(TypeId type) const { return type_names_[type]; }
 
   /// The node's path rendered as PhasePath::to_string would.

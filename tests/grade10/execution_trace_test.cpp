@@ -61,12 +61,6 @@ TEST(ExecutionTraceTest, RejectsUnknownType) {
   add_phase(events, "Job.0/Bogus.0", 0, 5);
   EXPECT_THROW(ExecutionTrace::build(m.execution, m.resources, events, {}),
                CheckError);
-  // ...unless unknown phases are explicitly ignored (untuned models).
-  ExecutionTrace::Options options;
-  options.ignore_unknown_phases = true;
-  const auto trace =
-      ExecutionTrace::build(m.execution, m.resources, events, {}, options);
-  EXPECT_EQ(trace.instances().size(), 1u);
 }
 
 TEST(ExecutionTraceTest, RejectsUnbalancedEvents) {
@@ -315,26 +309,23 @@ TEST(ExecutionTraceAssemblyTest, TypeNamesContainingDots) {
 }
 
 TEST(ExecutionTraceAssemblyTest, UnknownIntermediateTypeLeavesChildOrphaned) {
-  // Skipping Bogus.0 (an untuned model) leaves Work.0 without a parent
-  // instance, which is a model mismatch in every mode.
+  // Lenient repair skips Bogus.0 (an untuned model), which leaves Work.0
+  // without a parent instance: a model mismatch no repair fixes.
   const Models m = simple_models();
   std::vector<trace::PhaseEventRecord> events;
   add_phase(events, "Job.0", 0, 100);
   add_phase(events, "Job.0/Bogus.0", 0, 50);
   add_phase(events, "Job.0/Bogus.0/Work.0", 0, 40);
-  for (const bool lenient : {false, true}) {
-    ExecutionTrace::Options options;
-    options.ignore_unknown_phases = !lenient;
-    options.lenient = lenient;
-    try {
-      ExecutionTrace::build(m.execution, m.resources, events, {}, options);
-      ADD_FAILURE() << "expected a CheckError";
-    } catch (const CheckError& e) {
-      EXPECT_NE(std::string(e.what()).find(
-                    "parent instance missing for Job.0/Bogus.0/Work.0"),
-                std::string::npos)
-          << e.what();
-    }
+  ExecutionTrace::Options options;
+  options.lenient = true;
+  try {
+    ExecutionTrace::build(m.execution, m.resources, events, {}, options);
+    ADD_FAILURE() << "expected a CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "parent instance missing for Job.0/Bogus.0/Work.0"),
+              std::string::npos)
+        << e.what();
   }
 }
 

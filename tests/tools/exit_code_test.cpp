@@ -249,6 +249,19 @@ TEST(AnalyzeExitCodeTest, BadNumericFlagsAreBadArgs) {
   }
 }
 
+TEST(LintExitCodeTest, BadThreadsIsBadArgs) {
+  // Garbage used to run as 0 (auto), and 2^32+1 wrapped around to 1.
+  const std::string base = std::string(G10_LINT_BIN) + " --model " +
+                           ok_artifacts() + "/model.g10 --log " +
+                           ok_artifacts() + "/run.log";
+  EXPECT_EQ(exit_code(base + " --threads 2"), kExitOk);
+  for (const char* flags :
+       {" --threads abc", " --threads 2x", " --threads -1",
+        " --threads 4294967297"}) {
+    EXPECT_EQ(exit_code(base + flags), kExitBadArgs) << flags;
+  }
+}
+
 TEST(DetCheckExitCodeTest, IdenticalExecutionsAreZero) {
   EXPECT_EQ(exit_code(std::string(G10_RUN_BIN) +
                       " --engine pregel --algorithm pagerank --dataset rmat:5"

@@ -23,9 +23,10 @@
 // analyze those with --lenient.
 //
 // Before characterizing, the inputs are linted (the same checks g10_lint
-// runs): in strict mode lint errors abort the analysis; with --lenient
-// they are printed and the analysis continues; --no-preflight skips the
-// lint pass entirely.
+// runs; the structural trace findings are the defects of the one trace
+// build that is then characterized): in strict mode lint errors abort the
+// analysis; with --lenient they are printed and the analysis continues;
+// --no-preflight skips the lint report.
 //
 // --strict (the default) refuses damaged input: malformed log lines and
 // structural trace defects (e.g. a crashed worker's BEGIN-without-END) are
@@ -231,6 +232,24 @@ trace::TraceReadOptions reader_options(const Args& args, int threads) {
   return options;
 }
 
+/// The characterization input over `log`'s records at `threads`.
+core::CharacterizationInput characterization_input(
+    const Args& args, const core::ModelParseResult& model,
+    const trace::ParseResult& log, int threads) {
+  core::CharacterizationInput input;
+  input.model = &model.model.execution;
+  input.resources = &model.model.resources;
+  input.rules = &model.model.rules;
+  input.phase_events = log.log.phase_events;
+  input.blocking_events = log.log.blocking_events;
+  input.samples = log.log.samples;
+  input.config.timeslice = args.timeslice;
+  input.config.min_issue_impact = args.min_impact;
+  input.config.threads = threads;
+  input.trace_options.lenient = args.lenient;
+  return input;
+}
+
 /// The determinism oracle: parse + characterize the same input at thread
 /// counts 1, 2, and N, fold each characterization into per-phase-path
 /// hashes, and compare against the serial baseline.
@@ -255,19 +274,8 @@ int det_check(const Args& args, const core::ModelParseResult& model) {
       return kExitParseFailure;
     }
 
-    core::CharacterizationInput input;
-    input.model = &model.model.execution;
-    input.resources = &model.model.resources;
-    input.rules = &model.model.rules;
-    input.phase_events = log.log.phase_events;
-    input.blocking_events = log.log.blocking_events;
-    input.samples = log.log.samples;
-    input.config.timeslice = args.timeslice;
-    input.config.min_issue_impact = args.min_impact;
-    input.config.threads = threads;
-    input.trace_options.lenient = args.lenient;
-
-    core::CheckedCharacterization checked = core::characterize_checked(input);
+    core::CheckedCharacterization checked = core::characterize_checked(
+        characterization_input(args, model, log, threads));
     if (!checked.status.ok() || !checked.result.has_value()) {
       std::cerr << "characterization failed at " << threads
                 << " thread(s):\n";
@@ -353,14 +361,21 @@ int run(const Args& args) {
             << log.log.blocking_events.size() << " blocking events, "
             << log.log.samples.size() << " monitoring samples\n\n";
 
-  // Pre-flight lint: the same static checks g10_lint runs. Malformed log
-  // lines are already reported above, so only the model and record-level
-  // trace rules run here.
+  const core::CharacterizationInput input =
+      characterization_input(args, model, log, args.threads);
+  core::TraceBuild built = core::ExecutionTrace::build_checked(
+      *input.model, *input.resources, input.phase_events,
+      input.blocking_events, input.trace_options);
+
+  // Pre-flight lint: the same static checks g10_lint runs, with the
+  // structural findings taken from `built`. Malformed log lines are
+  // already reported above, so only the model and record-level trace rules
+  // run here.
   if (args.preflight) {
     lint::LintReport preflight =
         lint::lint_model_text(model_text, args.model_path);
     preflight.merge(
-        lint::lint_trace(model.model, log.log, {}, args.log_path));
+        lint::lint_trace(model.model, log.log, {}, args.log_path, &built));
     if (!preflight.clean()) {
       std::cerr << "preflight lint:\n";
       lint::render_text(std::cerr, preflight);
@@ -377,19 +392,8 @@ int run(const Args& args) {
     }
   }
 
-  core::CharacterizationInput input;
-  input.model = &model.model.execution;
-  input.resources = &model.model.resources;
-  input.rules = &model.model.rules;
-  input.phase_events = log.log.phase_events;
-  input.blocking_events = log.log.blocking_events;
-  input.samples = log.log.samples;
-  input.config.timeslice = args.timeslice;
-  input.config.min_issue_impact = args.min_impact;
-  input.config.threads = args.threads;
-  input.trace_options.lenient = args.lenient;
-
-  core::CheckedCharacterization checked = core::characterize_checked(input);
+  core::CheckedCharacterization checked =
+      core::characterize_trace(input, std::move(built));
   if (!checked.status.ok() || !checked.result.has_value()) {
     std::cerr << "characterization failed:\n";
     for (const auto& error : checked.status.errors) {

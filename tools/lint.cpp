@@ -1,5 +1,5 @@
-// g10_lint — static validation of Grade10 inputs, without running the
-// characterization pipeline:
+// g10_lint — static validation of Grade10 inputs, without characterizing
+// the run:
 //
 //   g10_lint --model <model.g10> [--log <run.log | run.g10t>]
 //            [--json] [--werror] [--threads N]
@@ -18,6 +18,7 @@
 // --werror), 2 = usage or I/O failure.
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -70,8 +71,11 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else if (arg == "--log") {
       args.log_path = value;
     } else if (arg == "--threads") {
-      args.threads = static_cast<int>(parse_int(value).value_or(0));
-      if (args.threads < 0) return std::nullopt;
+      const auto n = parse_int(value);
+      if (!n || *n < 0 || *n > std::numeric_limits<int>::max()) {
+        return std::nullopt;
+      }
+      args.threads = static_cast<int>(*n);
     } else {
       return std::nullopt;
     }
@@ -105,14 +109,14 @@ int run(const Args& args) {
 
   lint::LintReport report;
   if (args.log_path.empty()) {
-    report = lint::preflight_model(*model_text, args.model_path);
+    report = lint::lint_model_text(*model_text, args.model_path);
   } else {
     // Trace rules cross-check against the parsed model, so the model must
     // at least parse; its lint findings explain why when it does not.
     std::istringstream model_stream(*model_text);
     core::ModelParseResult model = core::parse_model(model_stream);
     if (!model.ok()) {
-      report = lint::preflight_model(*model_text, args.model_path);
+      report = lint::lint_model_text(*model_text, args.model_path);
       std::cerr << "model does not parse; skipping trace lint\n";
     } else {
       trace::TraceReadOptions options;
