@@ -448,11 +448,4 @@ LintReport lint_model_text(std::string_view text, std::string_view filename) {
   return ModelLinter(text, filename).run();
 }
 
-LintReport lint_model(const core::ModelDescription& model,
-                      std::string_view filename) {
-  std::ostringstream os;
-  core::write_model(os, model.execution, model.resources, model.rules);
-  return lint_model_text(os.str(), filename);
-}
-
 }  // namespace g10::lint

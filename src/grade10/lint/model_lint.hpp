@@ -19,10 +19,4 @@ namespace g10::lint {
 /// Lints the text of a model file. `filename` seeds finding locations.
 LintReport lint_model_text(std::string_view text, std::string_view filename);
 
-/// Lints an already-built model by serializing it through write_model() and
-/// linting the round-tripped text; line numbers refer to that serialized
-/// form, so findings lean on Location::context (phase/resource names).
-LintReport lint_model(const core::ModelDescription& model,
-                      std::string_view filename = "<model>");
-
 }  // namespace g10::lint

@@ -38,7 +38,6 @@ class TraceLinter {
 
   LintReport run() {
     for (const core::TraceDefect& defect : built_.defects) {
-      if (defect.rule_id.empty()) continue;
       const Severity severity = find_rule(defect.rule_id)->severity;
       if (per_event(defect.rule_id)) {
         report_.add(defect.rule_id, severity, at(defect.context),

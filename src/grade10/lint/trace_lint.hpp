@@ -1,12 +1,15 @@
 // Lint rules over parsed trace records, cross-checked against a model.
 //
-// The structural rules (unbalanced, duplicated or overlapping phases,
-// blocking events outside their phase or on phantom resources) come from
-// the TraceDefects of ExecutionTrace's build, the list strict rejection and
-// lenient repair read too. This linter checks only what the build does not
-// assemble: fault provenance, and monitoring series that tick backwards, go
-// negative, exceed capacity or skip samples. Findings carry the phase path
-// or resource@machine in Location::context; records have no line numbers.
+// The structural findings (unbalanced, duplicated or overlapping phases,
+// blocking events outside their phase or on phantom resources) are the
+// TraceDefects of ExecutionTrace's build: each repair or rejection the
+// build makes names its rule, so lint reports what strict rejection and
+// lenient repair act on, in the build's pass order. This linter only
+// filters and deduplicates them, and checks what the build does not
+// assemble: fault provenance, and monitoring series that tick backwards,
+// go negative, exceed capacity or skip samples. Findings carry the phase
+// path or resource@machine in Location::context; records have no line
+// numbers.
 #pragma once
 
 #include <string_view>

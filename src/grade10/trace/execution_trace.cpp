@@ -1,9 +1,9 @@
 #include "grade10/trace/execution_trace.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <limits>
-#include <string_view>
+#include <optional>
+#include <tuple>
 #include <utility>
 
 #include "common/check.hpp"
@@ -42,66 +42,39 @@ namespace {
 using NodeId = PathIndex::NodeId;
 using Response = TraceDefect::Response;
 
-/// A path's first BEGIN or first END as the log records it.
-struct Stamp {
-  TimeNs time = 0;
-  trace::MachineId machine = trace::kGlobalMachine;
-  bool seen = false;
-};
-
-/// One path's raw events, before any repair, and the instance its BEGIN
-/// opened.
+/// One path's events: the instance its BEGIN opened, and what its ENDs did.
 struct RawNode {
-  Stamp begin;
-  Stamp end;
   InstanceId instance = kNoInstance;
+  bool begun = false;   ///< a BEGIN was read, even one of an unknown type
   bool closed = false;  ///< the instance took an END
-
-  bool seen() const { return begin.seen || end.seen; }
-  bool complete() const { return begin.seen && end.seen; }
+  /// The first END skipped for lying before the instance's begin.
+  std::optional<TimeNs> early_end;
 };
-
-/// True when `a` renders before `b` as decimal text ("10" < "2"): sibling
-/// paths differ only in their last index, so this is their path order.
-bool renders_before(std::int64_t a, std::int64_t b) {
-  char da[24];
-  char db[24];
-  const auto ea = std::to_chars(da, da + sizeof da, a).ptr;
-  const auto eb = std::to_chars(db, db + sizeof db, b).ptr;
-  return std::string_view(da, static_cast<std::size_t>(ea - da)) <
-         std::string_view(db, static_cast<std::size_t>(eb - db));
-}
 
 std::string span_text(TimeNs begin, TimeNs end) {
   return "[" + std::to_string(begin) + ", " + std::to_string(end) + ")ns";
 }
 
-TraceDefect finding(const char* rule, std::string context,
-                    std::string message) {
-  TraceDefect defect;
-  defect.rule_id = rule;
-  defect.context = std::move(context);
-  defect.message = std::move(message);
-  return defect;
+std::string ends_before_text(TimeNs end, TimeNs begin) {
+  return "phase instance ends at " + std::to_string(end) +
+         "ns, before its begin at " + std::to_string(begin) + "ns";
 }
 
-/// `defect`, which the build acts on by `response`.
-TraceDefect respond(TraceDefect defect, Response response, std::string error,
-                    std::string repair = {}) {
-  defect.response = response;
-  defect.error = std::move(error);
-  defect.repair = std::move(repair);
-  return defect;
+/// A defect under lint rule `rule`, which the build acts on by `response`.
+TraceDefect defect(const char* rule, std::string context, std::string message,
+                   Response response = Response::kReport,
+                   std::string error = {}, std::string repair = {}) {
+  return TraceDefect{rule,     std::move(context), std::move(message),
+                     response, std::move(error),   std::move(repair)};
 }
 
 }  // namespace
 
 /// The single pass behind ExecutionTrace::build_checked: pairs phase events
 /// into instances, links and repairs them, attaches blocking events, and
-/// records each defect it meets. Lint's findings on the raw events join the
-/// same list in lint's order: duplicate events as met, per-path rules by
-/// rendered path, REPEATED-sibling overlaps by (parent path, type), then
-/// blocking events as met.
+/// records each defect it meets, in that order. Every check is the build's
+/// own: a defect's lint rule is the build's reading of the events, and the
+/// report-only rules look at the instances as built.
 class TraceBuilder {
  public:
   TraceBuilder(const ExecutionModel& model, const ResourceModel& resources,
@@ -120,19 +93,18 @@ class TraceBuilder {
     instances().reserve(phase_events.size() / 2);
     for (const auto& event : phase_events) phase_event(event);
     sort_unique(out_.phase_machines);
-    check_paths();
     // A BEGIN without an END is the signature of a crashed worker's log.
     std::vector<InstanceId> unended;
     const std::size_t first_unended = out_.defects.size();
     for (const PhaseInstance& instance : instances()) {
       if (instance.end >= 0) continue;
       unended.push_back(instance.id);
-      add(respond({}, Response::kRepair,
-                  "phase never ended: " + instance.path));
+      add(never_ended(instance));
     }
     link();
     close_unended(unended, first_unended, blocking_events);
     contain();
+    check_siblings();
     ExecutionTrace& trace = out_.trace;
     for (const auto& instance : instances()) {
       if (instance.is_leaf()) trace.leaves_.push_back(instance.id);
@@ -163,12 +135,11 @@ class TraceBuilder {
     const NodeId node = index_.find(path);
     return node == PathIndex::kNoNode ? nullptr : &raw(node);
   }
-
-  /// Records `defect` unless neither lint nor the build has a part in it.
-  void add(TraceDefect&& defect) {
-    if (defect.rule_id.empty() && defect.response == Response::kReport) return;
-    out_.defects.push_back(std::move(defect));
+  const std::string& type_name(PhaseTypeId type) const {
+    return model_.type(type).name;
   }
+
+  void add(TraceDefect&& defect) { out_.defects.push_back(std::move(defect)); }
 
   PhaseTypeId model_type(NodeId node) {
     const PathIndex::TypeId type = index_.type_id(node);
@@ -182,53 +153,43 @@ class TraceBuilder {
   void phase_event(const trace::PhaseEventRecord& event) {
     const bool is_begin = event.kind == trace::PhaseEventRecord::Kind::Begin;
     if (is_begin && event.path.empty()) {
-      add(respond({}, Response::kReject, "phase begin with an empty path"));
+      add(defect("trace-syntax", "", "phase begin with an empty path",
+                 Response::kReject, "phase begin with an empty path"));
       return;
+    }
+    // Consecutive events mostly share a machine; phase_machines is sorted
+    // and deduplicated once the events are read.
+    std::vector<trace::MachineId>& machines = out_.phase_machines;
+    if (machines.empty() || machines.back() != event.machine) {
+      machines.push_back(event.machine);
     }
     const NodeId node = index_.insert(event.path);
     nodes_.resize(index_.size());
-    RawNode& r = raw(node);
-    TraceDefect defect;
-    Stamp& stamp = is_begin ? r.begin : r.end;
-    if (stamp.seen) {
-      defect = finding(
-          is_begin ? "trace-duplicate-begin" : "trace-duplicate-end",
-          event.path.to_string(),
-          is_begin ? "phase instance begins more than once"
-                   : "phase instance ends more than once");
-    } else {
-      stamp = {event.time, event.machine, true};
-      // Consecutive events mostly share a machine; phase_machines is sorted
-      // and deduplicated once the events are read.
-      std::vector<trace::MachineId>& machines = out_.phase_machines;
-      if (machines.empty() || machines.back() != event.machine) {
-        machines.push_back(event.machine);
-      }
-    }
     if (is_begin) {
-      begin(event, node, defect);
+      begin(event, node);
     } else {
-      end(event, r, defect);
+      end(event, raw(node));
     }
   }
 
-  /// `duplicate` holds the finding on a repeated BEGIN, else nothing.
-  void begin(const trace::PhaseEventRecord& event, NodeId node,
-             TraceDefect& duplicate) {
+  void begin(const trace::PhaseEventRecord& event, NodeId node) {
+    RawNode& r = raw(node);
+    r.begun = true;
     const PhaseTypeId type = model_type(node);
     if (type == kNoPhaseType) {
-      add(std::move(duplicate));
-      add(respond({}, Response::kRepair,
-                  "unknown phase type in log: " + event.path.leaf().type,
-                  "skipped phase of unknown type: " + event.path.to_string()));
+      const std::string& name = event.path.leaf().type;
+      add(defect("trace-unknown-phase-type", name,
+                 "phase type '" + name + "' is not in the model",
+                 Response::kRepair, "unknown phase type in log: " + name,
+                 "skipped phase of unknown type: " + event.path.to_string()));
       return;
     }
-    RawNode& r = raw(node);
     if (r.instance != kNoInstance) {
-      const std::string key = duplicate.context;
-      add(respond(std::move(duplicate), Response::kRepair,
-                  "duplicate phase begin: " + key,
-                  "skipped duplicate begin: " + key));
+      const std::string& key = instance(r.instance).path;
+      add(defect("trace-duplicate-begin", key,
+                 "phase instance begins more than once", Response::kRepair,
+                 "duplicate phase begin: " + key,
+                 "skipped duplicate begin: " + key));
       return;
     }
     PhaseInstance instance;
@@ -244,172 +205,55 @@ class TraceBuilder {
     instances().push_back(std::move(instance));
   }
 
-  /// `defect` holds the finding on a repeated END, else nothing.
-  void end(const trace::PhaseEventRecord& event, RawNode& r,
-           TraceDefect& defect) {
+  void end(const trace::PhaseEventRecord& event, RawNode& r) {
     if (r.instance == kNoInstance) {
+      if (r.begun) return;  // an unknown type, which begin() skipped
       const std::string key = event.path.to_string();
-      defect = respond(std::move(defect), Response::kRepair,
-                       "phase end without begin: " + key,
-                       "skipped end without begin: " + key);
-    } else if (PhaseInstance& inst = instance(r.instance); r.closed) {
-      defect = respond(std::move(defect), Response::kRepair,
-                       "duplicate phase end: " + inst.path,
-                       "skipped duplicate end: " + inst.path);
+      add(defect("trace-unbalanced-end", key,
+                 "phase instance ends without ever beginning",
+                 Response::kRepair, "phase end without begin: " + key,
+                 "skipped end without begin: " + key));
+      return;
+    }
+    PhaseInstance& inst = instance(r.instance);
+    if (r.closed) {
+      add(defect("trace-duplicate-end", inst.path,
+                 "phase instance ends more than once", Response::kRepair,
+                 "duplicate phase end: " + inst.path,
+                 "skipped duplicate end: " + inst.path));
     } else if (event.time < inst.begin) {
       // Leave the instance open; close_unended repairs it.
-      defect = respond(std::move(defect), Response::kRepair,
-                       "phase " + inst.path + " ends before it begins",
-                       "skipped end before begin: " + inst.path);
+      if (!r.early_end) r.early_end = event.time;
+      add(defect("trace-nonmonotonic-time", inst.path,
+                 ends_before_text(event.time, inst.begin), Response::kRepair,
+                 "phase " + inst.path + " ends before it begins",
+                 "skipped end before begin: " + inst.path));
     } else {
       r.closed = true;
       inst.end = event.time;
       out_.trace.end_time_ = std::max(out_.trace.end_time_, event.time);
-    }
-    add(std::move(defect));
-  }
-
-  /// Lint's rules on each path's raw events, then on REPEATED siblings.
-  void check_paths() {
-    std::vector<NodeId> repeated;
-    for (NodeId node = 0; node < static_cast<NodeId>(nodes_.size()); ++node) {
-      const RawNode& r = raw(node);
-      if (!r.seen()) continue;
-      const std::size_t first = pending_.size();
-      if (!r.end.seen) {
-        flag("trace-unbalanced-begin",
-             "phase instance begins but never ends (truncated log?)");
-      } else if (!r.begin.seen) {
-        flag("trace-unbalanced-end",
-             "phase instance ends without ever beginning");
+      if (event.machine != inst.machine) {
+        add(defect("trace-machine-mismatch", inst.path,
+                   "BEGIN reports machine " + std::to_string(inst.machine) +
+                       " but END reports machine " +
+                       std::to_string(event.machine)));
       }
-      if (r.complete() && r.end.time < r.begin.time) {
-        flag("trace-nonmonotonic-time",
-             "phase instance ends at " + std::to_string(r.end.time) +
-                 "ns, before its begin at " + std::to_string(r.begin.time) +
-                 "ns");
-      }
-      if (r.complete() && r.begin.machine != r.end.machine) {
-        flag("trace-machine-mismatch",
-             "BEGIN reports machine " + std::to_string(r.begin.machine) +
-                 " but END reports machine " +
-                 std::to_string(r.end.machine));
-      }
-      if (node != PathIndex::kRoot) check_model(node, r, repeated);
-      if (pending_.size() == first) continue;
-      const std::string path = index_.path(node);
-      for (std::size_t i = first; i < pending_.size(); ++i) {
-        pending_[i].first = path;
-        if (pending_[i].second.context.empty()) {
-          pending_[i].second.context = path;
-        }
-      }
-    }
-    add_pending();
-    check_overlaps(repeated);
-  }
-
-  /// The path's rules against the model; collects complete instances of
-  /// REPEATED types into `repeated`.
-  void check_model(NodeId node, const RawNode& r,
-                   std::vector<NodeId>& repeated) {
-    const std::string& leaf_type = index_.type_name(index_.type_id(node));
-    const PhaseTypeId type = model_type(node);
-    if (type == kNoPhaseType) {
-      flag("trace-unknown-phase-type",
-           "phase type '" + leaf_type + "' is not in the model", leaf_type);
-      return;
-    }
-    if (r.complete() && model_.type(type).repeated) repeated.push_back(node);
-    const NodeId parent_node = index_.parent(node);
-    if (parent_node == PathIndex::kRoot) {
-      if (type != model_.root()) {
-        flag("trace-hierarchy-mismatch",
-             "phase type '" + leaf_type +
-                 "' appears at the top of a path but is not the model's root",
-             leaf_type);
-      }
-      return;
-    }
-    const std::string& parent_type =
-        index_.type_name(index_.type_id(parent_node));
-    const PhaseTypeId parent_id = model_type(parent_node);
-    if (parent_id != kNoPhaseType && model_.type(type).parent != parent_id) {
-      flag("trace-hierarchy-mismatch",
-           "the model does not declare '" + parent_type +
-               "' as the parent of '" + leaf_type + "'",
-           parent_type + "/" + leaf_type);
-    }
-    const RawNode& parent = raw(parent_node);
-    if (!parent.seen()) {
-      flag("trace-missing-parent", "parent instance '" +
-                                       index_.path(parent_node) +
-                                       "' never appears in the log");
-    } else if (r.complete() && parent.complete() &&
-               (r.begin.time < parent.begin.time ||
-                r.end.time > parent.end.time)) {
-      flag("trace-child-escapes-parent",
-           "instance runs " + span_text(r.begin.time, r.end.time) +
-               ", outside its parent's " +
-               span_text(parent.begin.time, parent.end.time));
     }
   }
 
-  /// Instances of a REPEATED type under one parent must run one after
-  /// another (paper: supersteps); concurrent instances of non-repeated
-  /// types (one worker per machine) are expected. Members of a group enter
-  /// the begin-time sort in path order, which fixes how ties fall.
-  void check_overlaps(std::vector<NodeId>& members) {
-    const auto group_of = [this](NodeId n) {
-      return std::pair(index_.parent(n), index_.type_id(n));
-    };
-    std::sort(members.begin(), members.end(), [&](NodeId a, NodeId b) {
-      if (group_of(a) != group_of(b)) return group_of(a) < group_of(b);
-      return renders_before(index_.index(a), index_.index(b));
-    });
-    for (auto group = members.begin(); group != members.end();) {
-      const auto group_end = std::find_if(group, members.end(), [&](NodeId n) {
-        return group_of(n) != group_of(*group);
-      });
-      std::sort(group, group_end, [&](NodeId a, NodeId b) {
-        return raw(a).begin.time < raw(b).begin.time;
-      });
-      std::string key;
-      for (auto it = group + 1; it < group_end; ++it) {
-        const RawNode& prev = raw(it[-1]);
-        const RawNode& next = raw(*it);
-        if (next.begin.time >= prev.end.time) continue;
-        // '\0' sorts first: the key orders as the (parent path, type) pair.
-        if (key.empty()) {
-          key = index_.path(index_.parent(*group)) + '\0' +
-                index_.type_name(index_.type_id(*group));
-        }
-        pending_.emplace_back(
-            key, finding("trace-overlapping-siblings", index_.path(*it),
-                         "repeated instance overlaps sibling '" +
-                             index_.path(it[-1]) + "' (begins at " +
-                             std::to_string(next.begin.time) +
-                             "ns, before its end at " +
-                             std::to_string(prev.end.time) + "ns)"));
-      }
-      group = group_end;
+  /// The defect of an instance no END closed: a truncated log, or an END
+  /// that came before the begin (whose finding this one repeats).
+  TraceDefect never_ended(const PhaseInstance& inst) {
+    const RawNode& r = raw(node_of_[static_cast<std::size_t>(inst.id)]);
+    const std::string error = "phase never ended: " + inst.path;
+    if (r.early_end) {
+      return defect("trace-nonmonotonic-time", inst.path,
+                    ends_before_text(*r.early_end, inst.begin),
+                    Response::kRepair, error);
     }
-    add_pending();
-  }
-
-  /// Holds back a lint finding on the path being checked.
-  void flag(const char* rule, std::string message, std::string context = {}) {
-    pending_.emplace_back(
-        std::string(), finding(rule, std::move(context), std::move(message)));
-  }
-
-  /// Adds the held-back findings in the order of their keys.
-  void add_pending() {
-    std::stable_sort(
-        pending_.begin(), pending_.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& entry : pending_) add(std::move(entry.second));
-    pending_.clear();
+    return defect("trace-unbalanced-begin", inst.path,
+                  "phase instance begins but never ends (truncated log?)",
+                  Response::kRepair, error);
   }
 
   /// Resolves parents and verifies model linkage. Violations are rejected
@@ -418,27 +262,39 @@ class TraceBuilder {
     for (PhaseInstance& inst : instances()) {
       const NodeId parent_node =
           index_.parent(node_of_[static_cast<std::size_t>(inst.id)]);
+      const std::string& name = type_name(inst.type);
       if (parent_node == PathIndex::kRoot) {
         if (inst.type != model_.root()) {
-          add(respond({}, Response::kReject,
-                      "non-root type at top level: " + inst.path));
+          add(defect("trace-hierarchy-mismatch", name,
+                     "phase type '" + name +
+                         "' appears at the top of a path but is not the "
+                         "model's root",
+                     Response::kReject,
+                     "non-root type at top level: " + inst.path));
         }
         continue;
       }
       const InstanceId parent_id = raw(parent_node).instance;
       if (parent_id == kNoInstance) {
-        add(respond({}, Response::kReject,
-                    "parent instance missing for " + inst.path));
-      } else if (model_.type(inst.type).parent != instance(parent_id).type) {
-        add(respond({}, Response::kReject,
-                    "instance " + inst.path + " violates the model hierarchy"));
+        add(defect("trace-missing-parent", inst.path,
+                   "parent instance '" + index_.path(parent_node) +
+                       "' never appears in the log",
+                   Response::kReject,
+                   "parent instance missing for " + inst.path));
+      } else if (const PhaseTypeId parent_type = instance(parent_id).type;
+                 model_.type(inst.type).parent != parent_type) {
+        const std::string& parent_name = type_name(parent_type);
+        add(defect("trace-hierarchy-mismatch", parent_name + "/" + name,
+                   "the model does not declare '" + parent_name +
+                       "' as the parent of '" + name + "'",
+                   Response::kReject,
+                   "instance " + inst.path + " violates the model hierarchy"));
       } else {
         inst.parent = parent_id;
         instance(parent_id).children.push_back(inst.id);
       }
     }
   }
-
   /// Synthesizes closure for truncated phases, whose "phase never ended"
   /// defects start at defects[first_defect]. Bottom-up (deepest first):
   /// an unended phase ends no earlier than anything recorded inside it —
@@ -506,13 +362,49 @@ class TraceBuilder {
       if (inst.parent == kNoInstance) continue;
       const PhaseInstance& parent = instance(inst.parent);
       if (inst.begin >= parent.begin && inst.end <= parent.end) continue;
-      add(respond({}, Response::kRepair,
-                  "instance " + inst.path + " escapes its parent's interval",
-                  "clamped " + inst.path + " into its parent's interval"));
+      add(defect("trace-child-escapes-parent", inst.path,
+                 "instance runs " + span_text(inst.begin, inst.end) +
+                     ", outside its parent's " +
+                     span_text(parent.begin, parent.end),
+                 Response::kRepair,
+                 "instance " + inst.path + " escapes its parent's interval",
+                 "clamped " + inst.path + " into its parent's interval"));
       inst.begin = std::max(inst.begin, parent.begin);
       inst.end = std::min(inst.end, parent.end);
       if (inst.end < inst.begin) inst.end = inst.begin;
       inst.degraded = true;
+    }
+  }
+
+  /// Instances of a REPEATED type under one parent must run one after
+  /// another (paper: supersteps); concurrent instances of non-repeated types
+  /// (one worker per machine) are expected. Only lint reports an overlap.
+  void check_siblings() {
+    std::vector<InstanceId> repeated;
+    for (const PhaseInstance& parent : instances()) {
+      repeated.clear();
+      for (const InstanceId child : parent.children) {
+        if (model_.type(instance(child).type).repeated) {
+          repeated.push_back(child);
+        }
+      }
+      std::stable_sort(repeated.begin(), repeated.end(),
+                       [this](InstanceId a, InstanceId b) {
+                         const PhaseInstance& x = instance(a);
+                         const PhaseInstance& y = instance(b);
+                         return std::tie(x.type, x.begin) <
+                                std::tie(y.type, y.begin);
+                       });
+      for (std::size_t i = 1; i < repeated.size(); ++i) {
+        const PhaseInstance& prev = instance(repeated[i - 1]);
+        const PhaseInstance& next = instance(repeated[i]);
+        if (next.type != prev.type || next.begin >= prev.end) continue;
+        add(defect("trace-overlapping-siblings", next.path,
+                   "repeated instance overlaps sibling '" + prev.path +
+                       "' (begins at " + std::to_string(next.begin) +
+                       "ns, before its end at " + std::to_string(prev.end) +
+                       "ns)"));
+      }
     }
   }
 
@@ -523,72 +415,63 @@ class TraceBuilder {
         resource != kNoResource &&
         resources_.resource(resource).kind == ResourceKind::kBlocking;
     if (resource == kNoResource) {
-      TraceDefect defect =
-          finding("trace-blocking-unknown-resource", name,
-                  "blocking resource '" + name + "' is not in the model");
-      add(options_.ignore_unknown_blocking
-              ? std::move(defect)
-              : respond(std::move(defect), Response::kRepair,
-                        "unknown blocking resource: " + name,
-                        "skipped blocking event on unknown resource: " + name));
+      add(defect("trace-blocking-unknown-resource", name,
+                 "blocking resource '" + name + "' is not in the model",
+                 options_.ignore_unknown_blocking ? Response::kReport
+                                                  : Response::kRepair,
+                 "unknown blocking resource: " + name,
+                 "skipped blocking event on unknown resource: " + name));
     } else if (!blocking) {
-      add(respond(finding("trace-blocking-consumable-resource", name,
-                          "resource '" + name +
-                              "' is CONSUMABLE; blocked time is only "
-                              "accounted for blocking resources"),
-                  Response::kRepair,
-                  "blocking event on consumable resource: " + name,
-                  "skipped blocking event on consumable resource: " + name));
+      add(defect("trace-blocking-consumable-resource", name,
+                 "resource '" + name +
+                     "' is CONSUMABLE; blocked time is only accounted for "
+                     "blocking resources",
+                 Response::kRepair,
+                 "blocking event on consumable resource: " + name,
+                 "skipped blocking event on consumable resource: " + name));
     }
     const std::vector<trace::MachineId>& machines = out_.phase_machines;
     if (event.machine != trace::kGlobalMachine &&
         !std::binary_search(machines.begin(), machines.end(), event.machine)) {
       const std::string machine = "machine " + std::to_string(event.machine);
-      add(finding("trace-orphan-machine", machine,
-                  machine + " appears in a blocking event but in no phase "
-                            "event"));
+      add(defect("trace-orphan-machine", machine,
+                 machine + " appears in a blocking event but in no phase "
+                           "event"));
     }
 
+    // The build acts only on events of blocking resources.
+    const Response response = blocking ? Response::kRepair : Response::kReport;
     const RawNode* r = find(event.path);
-    const std::string key = event.path.to_string();
-    TraceDefect defect;
-    if (r == nullptr || !r->seen()) {
-      defect = finding("trace-blocking-unknown-phase", key,
-                       "blocking event names phase instance '" + key +
-                           "', which never appears in the log");
-    } else if (r->complete() &&
-               (event.begin < r->begin.time || event.end > r->end.time)) {
-      defect = finding("trace-blocking-outside-phase", key,
-                       "blocking interval " +
-                           span_text(event.begin, event.end) +
-                           " escapes the phase's " +
-                           span_text(r->begin.time, r->end.time));
-    }
     const InstanceId id = r == nullptr ? kNoInstance : r->instance;
-    if (blocking && id == kNoInstance) {
-      defect = respond(std::move(defect), Response::kRepair,
-                       "blocking event for unknown phase: " + key,
-                       "skipped blocking event for unknown phase: " + key);
-    } else if (blocking) {
-      PhaseInstance& inst = instance(id);
-      Interval interval{event.begin, event.end};
-      if (interval.begin < inst.begin || interval.end > inst.end) {
-        interval.begin = std::max(interval.begin, inst.begin);
-        interval.end = std::min(interval.end, inst.end);
-        defect = respond(
-            std::move(defect), Response::kRepair,
-            "blocking event escapes phase interval: " + inst.path,
-            (interval.empty()
-                 ? "dropped blocking event outside phase interval: "
-                 : "clamped blocking event into phase interval: ") +
-                inst.path);
-      }
-      if (!interval.empty()) {
-        inst.blocked.push_back(interval);
-        out_.trace.blocking_.push_back(BlockingSpan{resource, id, interval});
-      }
+    if (id == kNoInstance) {
+      const std::string key = event.path.to_string();
+      add(defect("trace-blocking-unknown-phase", key,
+                 "blocking event names phase instance '" + key +
+                     "', which never appears in the log",
+                 response, "blocking event for unknown phase: " + key,
+                 "skipped blocking event for unknown phase: " + key));
+      return;
     }
-    add(std::move(defect));
+    PhaseInstance& inst = instance(id);
+    Interval interval{event.begin, event.end};
+    if (interval.begin < inst.begin || interval.end > inst.end) {
+      interval.begin = std::max(interval.begin, inst.begin);
+      interval.end = std::min(interval.end, inst.end);
+      add(defect("trace-blocking-outside-phase", inst.path,
+                 "blocking interval " + span_text(event.begin, event.end) +
+                     " escapes the phase's " +
+                     span_text(inst.begin, inst.end),
+                 response,
+                 "blocking event escapes phase interval: " + inst.path,
+                 (interval.empty()
+                      ? "dropped blocking event outside phase interval: "
+                      : "clamped blocking event into phase interval: ") +
+                     inst.path));
+    }
+    if (blocking && !interval.empty()) {
+      inst.blocked.push_back(interval);
+      out_.trace.blocking_.push_back(BlockingSpan{resource, id, interval});
+    }
   }
 
   /// Sorts and merges each instance's blocked intervals.
@@ -643,8 +526,6 @@ class TraceBuilder {
   std::vector<RawNode> nodes_;            ///< by index node
   std::vector<NodeId> node_of_;           ///< by instance
   std::vector<PhaseTypeId> model_types_;  ///< by index type, filled lazily
-  /// Lint findings held back under the key lint orders them by.
-  std::vector<std::pair<std::string, TraceDefect>> pending_;
 };
 
 TraceBuild ExecutionTrace::build_checked(

@@ -50,7 +50,8 @@ struct BlockingSpan {
   Interval interval;
 };
 
-/// One structural defect of a trace's phase or blocking events.
+/// One structural defect of a trace's phase or blocking events, as the
+/// build reads them: each of the build's responses names its lint rule.
 struct TraceDefect {
   enum class Response {
     kReport,  ///< the build is unaffected; only lint reports it
@@ -58,7 +59,7 @@ struct TraceDefect {
     kReject,  ///< the events contradict the model; every build rejects
   };
   /// The lint::rule_catalog id (at the catalog's severity), context and
-  /// message g10_lint reports; no id when only the build acts on it.
+  /// message g10_lint reports.
   std::string rule_id;
   std::string context;
   std::string message;
@@ -149,10 +150,11 @@ class ExecutionTrace {
 /// ExecutionTrace::build_checked's outcome.
 struct TraceBuild {
   ExecutionTrace trace;  ///< empty when the build was rejected
-  /// In the build's pass order; those with a rule_id in g10_lint's order.
+  /// In the build's pass order: phase events as met, unended instances,
+  /// linkage, containment, REPEATED siblings, then blocking events as met.
   std::vector<TraceDefect> defects;
-  /// Machines of each path's first BEGIN and END, sorted: the machines
-  /// trace-orphan-machine accepts in other records.
+  /// Machines of the phase events, sorted: the machines trace-orphan-machine
+  /// accepts in other records.
   std::vector<trace::MachineId> phase_machines;
   std::optional<std::string> error;  ///< the rejecting defect's error
 };

@@ -382,6 +382,18 @@ TEST(ExecutionTraceAssemblyTest, EndWithoutBegin) {
   EXPECT_EQ(trace.instances().size(), 1u);
 }
 
+TEST(ExecutionTraceAssemblyTest, UnknownTypeEndIsPartOfTheSkip) {
+  // The END of a skipped unknown-type phase is not also an END without a
+  // BEGIN: the one repair covers the whole path.
+  std::vector<trace::PhaseEventRecord> events;
+  add_phase(events, "Job.0", 0, 100);
+  add_phase(events, "Job.0/Bogus.0", 10, 90);
+  const auto trace =
+      expect_repaired(events, "unknown phase type in log: Bogus",
+                      "skipped phase of unknown type: Job.0/Bogus.0");
+  EXPECT_EQ(trace.instances().size(), 1u);
+}
+
 TEST(ExecutionTraceAssemblyTest, FindRejectsAbsentAndMalformedPaths) {
   const Models m = simple_models();
   std::vector<trace::PhaseEventRecord> events;

@@ -321,15 +321,17 @@ TEST(TraceLintAssemblyTest, TypeNamesContainingDots) {
 }
 
 TEST(TraceLintAssemblyTest, UnknownIntermediateType) {
-  // Bogus is reported once; the Work under it is not a hierarchy mismatch
-  // (its parent's type is unknown) and has its parent instance.
+  // Bogus is reported once. The build skips Bogus.0, so the Work under it
+  // has no parent instance: the build rejects that, and lint reports it.
   EXPECT_EQ(lint_lines("PHASE\tB\tJob.0\t0\t-1\n"
                        "PHASE\tB\tJob.0/Bogus.0\t0\t-1\n"
                        "PHASE\tB\tJob.0/Bogus.0/Work.0\t0\t-1\n"
                        "PHASE\tE\tJob.0/Bogus.0/Work.0\t10\t-1\n"
                        "PHASE\tE\tJob.0/Bogus.0\t50\t-1\n"
                        "PHASE\tE\tJob.0\t100\t-1\n"),
-            std::vector<std::string>{"trace-unknown-phase-type [Bogus]"});
+            (std::vector<std::string>{
+                "trace-unknown-phase-type [Bogus]",
+                "trace-missing-parent [Job.0/Bogus.0/Work.0]"}));
 }
 
 TEST(TraceLintAssemblyTest, DuplicateBegin) {
@@ -484,15 +486,14 @@ TEST(BinaryTraceLintTest, CorruptBlockYieldsItsOwnFinding) {
 }
 
 // ---------------------------------------------------------------------------
-// lint_model over an in-memory description (the serialize-then-lint path).
+// An in-memory model, written out and linted as text.
 
 TEST(ModelLintTest, InMemoryModelRoundTrips) {
   const core::FrameworkModel framework = core::make_pregel_model({});
-  core::ModelDescription model;
-  model.execution = framework.execution;
-  model.resources = framework.resources;
-  model.rules = framework.tuned_rules;
-  const LintReport report = lint_model(model);
+  std::ostringstream text;
+  core::write_model(text, framework.execution, framework.resources,
+                    framework.tuned_rules);
+  const LintReport report = lint_model_text(text.str(), "<model>");
   std::ostringstream os;
   render_text(os, report);
   EXPECT_TRUE(report.clean()) << os.str();

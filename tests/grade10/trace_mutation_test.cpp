@@ -1,0 +1,200 @@
+// Deterministic mutation test of the trace checks. Damaged copies of the
+// trace lint fixtures (lines deleted, duplicated, swapped or cut off, BEGIN
+// and END flipped, times, machines, indices and resources edited) go
+// through the recovering log parser, a strict and a lenient trace build,
+// and trace lint. Whatever the damage, the build and lint must agree on one
+// definition of a malformed trace:
+//  - nothing throws (crashes fail the test run itself);
+//  - every defect names a rule of the lint catalog, so each repair or
+//    rejection is something lint reports;
+//  - a trace lint calls clean builds strictly;
+//  - a lenient build holds no more instances than the input has BEGINs.
+// The mutants come from a fixed seed, so a failure reproduces exactly; the
+// failing mutant's text is printed with it.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "common/strings.hpp"
+#include "grade10/lint/trace_lint.hpp"
+#include "grade10/model/model_io.hpp"
+#include "grade10/trace/execution_trace.hpp"
+#include "trace/log_io.hpp"
+
+namespace g10::lint {
+namespace {
+
+constexpr std::uint64_t kSeed = 20201016;
+constexpr int kMutantsPerFixture = 120;
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream file(path, std::ios::binary);
+  EXPECT_TRUE(file.is_open()) << "missing fixture: " << path;
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  return std::move(buffer).str();
+}
+
+/// The trace fixtures, by name so the mutants do not depend on the order
+/// the directory lists them in.
+std::vector<std::filesystem::path> corpus() {
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(G10_LINT_FIXTURE_DIR)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("trace-") && name.ends_with(".log")) {
+      paths.push_back(entry.path());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+std::vector<std::string> records_of(const std::string& text) {
+  std::vector<std::string> lines;
+  for (const std::string_view line : split(text, '\n')) {
+    if (!line.empty() && !line.starts_with('#')) lines.emplace_back(line);
+  }
+  return lines;
+}
+
+/// Applies one random edit to `lines`.
+void mutate(std::vector<std::string>& lines, Rng& rng) {
+  if (lines.empty()) return;
+  const std::size_t at = rng.next_below(lines.size());
+  std::vector<std::string> fields;
+  for (const std::string_view field : split(lines[at], '\t')) {
+    fields.emplace_back(field);
+  }
+  const std::string& kind = fields[0];
+  // Field positions of a record's time, machine and resource; 0 when the
+  // record has none.
+  const std::size_t time = kind == "BLOCK" ? 3 + rng.next_below(2) : 3;
+  const std::size_t machine =
+      kind == "PHASE" ? 4 : kind == "BLOCK" ? 5 : kind == "SAMPLE" ? 2 : 0;
+  const std::size_t resource = kind == "BLOCK" || kind == "SAMPLE" ? 1 : 0;
+  const std::size_t path = kind == "PHASE" || kind == "BLOCK" ? 2 : 0;
+  switch (rng.next_below(9)) {
+    case 0:
+      lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at));
+      return;
+    case 1:
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(
+                                       rng.next_below(lines.size() + 1)),
+                   lines[at]);
+      return;
+    case 2:
+      std::swap(lines[at], lines[rng.next_below(lines.size())]);
+      return;
+    case 3:
+      lines.resize(at);
+      return;
+    case 4:
+      if (kind == "PHASE") fields[1] = fields[1] == "B" ? "E" : "B";
+      break;
+    case 5:
+      if (fields.size() > time) {
+        fields[time] = std::to_string(rng.next_int(0, 250));
+      }
+      break;
+    case 6:
+      if (machine != 0 && fields.size() > machine) {
+        fields[machine] = std::to_string(rng.next_int(-1, 4));
+      }
+      break;
+    case 7:
+      if (resource != 0 && fields.size() > resource) {
+        static const std::vector<std::string> kResources = {
+            "GC", "Retry", "Recovery", "cpu", "net", "Phantom"};
+        fields[resource] = kResources[rng.next_below(kResources.size())];
+      }
+      break;
+    default:
+      if (path != 0 && fields.size() > path) {
+        // Renumber the last element: a new sibling, or an existing one.
+        std::string& p = fields[path];
+        p = p.substr(0, p.rfind('.') + 1) +
+            std::to_string(rng.next_int(0, 11));
+      }
+      break;
+  }
+  std::string line;
+  for (const std::string& field : fields) {
+    line += (line.empty() ? "" : "\t") + field;
+  }
+  lines[at] = line;
+}
+
+/// Runs one mutant through the parser, both builds and lint, checking the
+/// invariants of the header comment.
+void check(const core::ModelDescription& model, const std::string& text) {
+  trace::ParseOptions options;
+  options.recover = true;
+  const trace::ParseResult parsed = trace::parse_log_text(text, options);
+  const auto begins = std::count_if(
+      parsed.log.phase_events.begin(), parsed.log.phase_events.end(),
+      [](const trace::PhaseEventRecord& event) {
+        return event.kind == trace::PhaseEventRecord::Kind::Begin;
+      });
+  core::TraceBuild builds[2];
+  for (const bool lenient : {false, true}) {
+    core::ExecutionTrace::Options build_options;
+    build_options.lenient = lenient;
+    core::TraceBuild& built = builds[lenient ? 1 : 0];
+    EXPECT_NO_THROW(built = core::ExecutionTrace::build_checked(
+                        model.execution, model.resources,
+                        parsed.log.phase_events, parsed.log.blocking_events,
+                        build_options));
+    for (const core::TraceDefect& defect : built.defects) {
+      EXPECT_NE(find_rule(defect.rule_id), nullptr)
+          << "defect without a lint rule: " << defect.error;
+    }
+    if (lenient && !built.error) {
+      EXPECT_LE(built.trace.instances().size(),
+                static_cast<std::size_t>(begins));
+    }
+  }
+  LintReport report;
+  EXPECT_NO_THROW(report = lint_trace(model, parsed.log, {}, "<mutant>",
+                                      &builds[0]));
+  if (report.clean()) {
+    EXPECT_FALSE(builds[0].error.has_value())
+        << "lint-clean trace rejected: " << *builds[0].error;
+  }
+}
+
+TEST(TraceMutationTest, BuildAndLintAgreeOnDamagedTraces) {
+  std::istringstream is(slurp(std::filesystem::path(G10_LINT_FIXTURE_DIR) /
+                              "trace-model.g10"));
+  const core::ModelParseResult model = core::parse_model(is);
+  ASSERT_TRUE(model.ok());
+  const std::vector<std::filesystem::path> fixtures = corpus();
+  ASSERT_GE(fixtures.size(), 20u);
+  Rng rng(kSeed);
+  for (const std::filesystem::path& fixture : fixtures) {
+    const std::vector<std::string> records = records_of(slurp(fixture));
+    for (int i = 0; i < kMutantsPerFixture; ++i) {
+      std::vector<std::string> lines = records;
+      for (auto edits = 1 + rng.next_below(3); edits > 0; --edits) {
+        mutate(lines, rng);
+      }
+      std::string text;
+      for (const std::string& line : lines) text += line + '\n';
+      check(model.model, text);
+      if (HasFailure()) {
+        FAIL() << fixture.filename() << " mutant " << i << ":\n" << text;
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace g10::lint

@@ -68,6 +68,27 @@ TEST(RunExitCodeTest, UnknownFlagIsBadArgs) {
             kExitBadArgs);
 }
 
+TEST(RunExitCodeTest, BadNumericFlagsAreBadArgs) {
+  // Garbage used to run with the default (seed 2020, 400 ms), 2^32+1
+  // workers wrapped around to 1, a zero or negative --monitor-ms failed a
+  // CHECK after the whole run, and a huge one overflowed.
+  const std::string base =
+      std::string(G10_RUN_BIN) +
+      " --engine pregel --algorithm pagerank --dataset rmat:5"
+      " --workers 2 --cores 2 --iterations 2 --out " +
+      (test_root() / "bad_numeric").string();
+  for (const char* flags :
+       {" --seed abc", " --seed -1", " --monitor-ms abc", " --monitor-ms 0",
+        " --monitor-ms -5", " --monitor-ms 99999999999999",
+        " --workers 4294967297", " --cores 2x", " --iterations -3",
+        " --retry-max-attempts 0", " --retry-timeout-ms nan",
+        " --heartbeat-ms inf", " --heartbeat-timeout-ms 0",
+        " --batch-bytes -1", " --batch-flush-us 1e300",
+        " --det-check 4294967298"}) {
+    EXPECT_EQ(exit_code(base + flags), kExitBadArgs) << flags;
+  }
+}
+
 TEST(RunExitCodeTest, UnparseableFaultSpecIsParseFailure) {
   EXPECT_EQ(exit_code(std::string(G10_RUN_BIN) +
                       " --faults gremlins-everywhere --out " +

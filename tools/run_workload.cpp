@@ -53,10 +53,12 @@
 #include <signal.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -146,6 +148,26 @@ int usage() {
   return kExitBadArgs;
 }
 
+/// An int >= lo, or nullopt for anything else.
+std::optional<int> parse_count(std::string_view value, int lo = 1) {
+  const auto n = parse_int(value);
+  if (!n || *n < lo || *n > std::numeric_limits<int>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<int>(*n);
+}
+
+/// A duration > 0 in units of `unit` ns that fits a DurationNs, or nullopt.
+std::optional<double> parse_duration(std::string_view value, double unit) {
+  const auto x = parse_double(value);
+  constexpr auto kMax =
+      static_cast<double>(std::numeric_limits<DurationNs>::max());
+  if (!x || !(*x > 0.0) || !(*x * unit < kMax)) return std::nullopt;
+  return x;
+}
+
+/// Every numeric flag must parse whole and lie in range, else the command
+/// line is rejected (exit 2).
 std::optional<Args> parse_args(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
@@ -169,45 +191,53 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else if (arg == "--out") {
       args.out = *v;
     } else if (arg == "--workers") {
-      args.workers = static_cast<int>(parse_int(*v).value_or(0));
+      const auto n = parse_count(*v);
+      if (!n) return std::nullopt;
+      args.workers = *n;
     } else if (arg == "--cores") {
-      args.cores = static_cast<int>(parse_int(*v).value_or(0));
+      const auto n = parse_count(*v);
+      if (!n) return std::nullopt;
+      args.cores = *n;
     } else if (arg == "--iterations") {
-      args.iterations = static_cast<int>(parse_int(*v).value_or(0));
+      const auto n = parse_count(*v);
+      if (!n) return std::nullopt;
+      args.iterations = *n;
     } else if (arg == "--seed") {
-      args.seed = static_cast<std::uint64_t>(parse_int(*v).value_or(2020));
+      const auto seed = parse_int(*v);
+      if (!seed || *seed < 0) return std::nullopt;
+      args.seed = static_cast<std::uint64_t>(*seed);
     } else if (arg == "--monitor-ms") {
-      args.monitor_interval = parse_int(*v).value_or(400) * kMillisecond;
+      const auto ms = parse_int(*v);
+      if (!ms || *ms < 1 ||
+          *ms > std::numeric_limits<DurationNs>::max() / kMillisecond) {
+        return std::nullopt;
+      }
+      args.monitor_interval = *ms * kMillisecond;
     } else if (arg == "--faults") {
       args.faults = *v;
     } else if (arg == "--retry-timeout-ms") {
-      const auto ms = parse_double(*v);
-      if (!ms || *ms <= 0.0) return std::nullopt;
-      args.retry_timeout_ms = *ms;
+      args.retry_timeout_ms = parse_duration(*v, kMillisecond);
+      if (!args.retry_timeout_ms) return std::nullopt;
     } else if (arg == "--retry-max-attempts") {
-      const auto n = parse_int(*v);
-      if (!n || *n < 1) return std::nullopt;
-      args.retry_max_attempts = static_cast<int>(*n);
+      args.retry_max_attempts = parse_count(*v);
+      if (!args.retry_max_attempts) return std::nullopt;
     } else if (arg == "--heartbeat-ms") {
-      const auto ms = parse_double(*v);
-      if (!ms || *ms <= 0.0) return std::nullopt;
-      args.heartbeat_ms = *ms;
+      args.heartbeat_ms = parse_duration(*v, kMillisecond);
+      if (!args.heartbeat_ms) return std::nullopt;
     } else if (arg == "--heartbeat-timeout-ms") {
-      const auto ms = parse_double(*v);
-      if (!ms || *ms <= 0.0) return std::nullopt;
-      args.heartbeat_timeout_ms = *ms;
+      args.heartbeat_timeout_ms = parse_duration(*v, kMillisecond);
+      if (!args.heartbeat_timeout_ms) return std::nullopt;
     } else if (arg == "--batch-bytes") {
       const auto b = parse_double(*v);
-      if (!b || *b < 0.0) return std::nullopt;
+      if (!b || !std::isfinite(*b) || *b < 0.0) return std::nullopt;
       args.batch_bytes = *b;  // 0 disables batching
     } else if (arg == "--batch-flush-us") {
-      const auto us = parse_double(*v);
-      if (!us || *us <= 0.0) return std::nullopt;
-      args.batch_flush_us = *us;
+      args.batch_flush_us = parse_duration(*v, 1e3);
+      if (!args.batch_flush_us) return std::nullopt;
     } else if (arg == "--det-check") {
-      const auto n = parse_int(*v);
-      if (!n || *n < 2) return std::nullopt;
-      args.det_check = static_cast<int>(*n);
+      const auto n = parse_count(*v, 2);
+      if (!n) return std::nullopt;
+      args.det_check = *n;
     } else if (arg == "--crash-log") {
       if (*v == "reconciled") {
         args.crash_log = engine::CrashLogStyle::kReconciled;
@@ -222,9 +252,6 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else {
       return std::nullopt;
     }
-  }
-  if (args.workers <= 0 || args.cores <= 0 || args.iterations <= 0) {
-    return std::nullopt;
   }
   return args;
 }
