@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdio>
+#include <limits>
 
 namespace g10 {
 
@@ -56,6 +57,14 @@ std::optional<std::int64_t> parse_int(std::string_view s) {
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
   if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
   return value;
+}
+
+std::optional<int> parse_int_at_least(std::string_view s, int lo) {
+  const auto value = parse_int(s);
+  if (!value || *value < lo || *value > std::numeric_limits<int>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<int>(*value);
 }
 
 std::optional<double> parse_double(std::string_view s) {

@@ -30,6 +30,9 @@ bool starts_with(std::string_view s, std::string_view prefix);
 std::optional<std::int64_t> parse_int(std::string_view s);
 std::optional<double> parse_double(std::string_view s);
 
+/// parse_int() of a value that must lie in [lo, INT_MAX], so it fits an int.
+std::optional<int> parse_int_at_least(std::string_view s, int lo);
+
 /// Formats a double with fixed precision (reporting helper).
 std::string format_fixed(double value, int decimals);
 

@@ -134,7 +134,7 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
   if (pid == 0) {
     // Child: async-signal-safe territory until exec.
     if (options.new_process_group) ::setpgid(0, 0);
-    if (options.limits.address_space_bytes > 0) {
+    if (options.limits.address_space_bytes > 0 && !kAddressSanitizer) {
       struct rlimit lim;
       lim.rlim_cur = options.limits.address_space_bytes;
       lim.rlim_max = options.limits.address_space_bytes;

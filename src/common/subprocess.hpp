@@ -34,8 +34,23 @@
 
 namespace g10 {
 
+/// True in AddressSanitizer builds, whose shadow memory reserves terabytes
+/// of address space at startup: no RLIMIT_AS sandbox can hold them.
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr bool kAddressSanitizer = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+inline constexpr bool kAddressSanitizer = true;
+#else
+inline constexpr bool kAddressSanitizer = false;
+#endif
+#else
+inline constexpr bool kAddressSanitizer = false;
+#endif
+
 /// Kernel-enforced sandboxes installed in the child before exec. Zero means
-/// "inherit the parent's limit" (no sandbox on that dimension).
+/// "inherit the parent's limit" (no sandbox on that dimension); so does an
+/// address-space limit under kAddressSanitizer.
 struct SpawnLimits {
   std::uint64_t address_space_bytes = 0;  ///< RLIMIT_AS (hard+soft)
   double cpu_seconds = 0.0;               ///< RLIMIT_CPU (SIGXCPU past soft)

@@ -32,25 +32,10 @@ std::shared_ptr<const graph::Graph> cached_dataset(const std::string& spec) {
   MutexLock lock(mutex);
   auto& slot = cache[spec];
   if (slot == nullptr) {
-    const auto parts = split(spec, ':');
-    if (parts.size() == 2 && parts[0] == "rmat") {
-      graph::RmatParams params;
-      const auto scale = parse_int(parts[1]);
-      G10_CHECK_MSG(scale.has_value() && *scale > 0,
-                    "bad rmat dataset spec: " + spec);
-      params.scale = static_cast<int>(*scale);
-      slot = std::make_shared<const graph::Graph>(generate_rmat(params));
-    } else if (parts.size() == 2 && parts[0] == "datagen") {
-      graph::DatagenParams params;
-      const auto vertices = parse_int(parts[1]);
-      G10_CHECK_MSG(vertices.has_value() && *vertices > 0,
-                    "bad datagen dataset spec: " + spec);
-      params.vertices = static_cast<graph::VertexId>(*vertices);
-      slot = std::make_shared<const graph::Graph>(
-          generate_datagen_like(params));
-    } else {
-      G10_CHECK_MSG(false, "unknown dataset spec: " + spec);
-    }
+    const graph::DatasetSpec parsed = graph::parse_dataset(spec);
+    G10_CHECK_MSG(parsed.ok(), "bad dataset spec: " + spec);
+    slot =
+        std::make_shared<const graph::Graph>(graph::generate_dataset(parsed));
     // Concurrent runs read the shared graph, and GAS gathers over in-edges:
     // build the lazily derived reverse index here, before publication.
     slot->ensure_in_index();

@@ -13,8 +13,9 @@
 //  - this header: finding/report types, severity, text & JSON emitters, and
 //    the rule catalog (one entry per rule id, used by `g10_lint --rules` and
 //    the docs);
-//  - model_lint.hpp: rules over a declarative model file (loose parse: all
-//    findings are collected, not just the first);
+//  - model_lint.hpp: rules over a declarative model file (the defects the
+//    one model reader, core::parse_model, records: all of them, not just
+//    the first);
 //  - trace_lint.hpp: rules over parsed trace records, cross-checked against
 //    the model;
 //  - preflight.hpp: the bundled pass g10_analyze runs before characterizing.

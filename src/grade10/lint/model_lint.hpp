@@ -1,12 +1,12 @@
-// Lint rules over the declarative model file (model_io.hpp format).
+// Lint over the declarative model file (model_io.hpp format).
 //
-// parse_model() is strict and stops at the first malformed statement; the
-// linter re-reads the same text with a *loose* parser that records every
-// declaration it can make sense of and keeps going, so a single run reports
-// every problem in the file. On top of the per-statement syntax checks it
-// validates the cross-statement invariants the pipeline relies on: one root,
-// an ancestor chain that reaches it, acyclic sibling order, and attribution
-// rules that name real phases/resources and actually take effect.
+// A malformed model has one definition: the defects core::parse_model()
+// records in its single pass. Each is a finding here at its catalog
+// severity, so g10_lint reports every problem the parser rejects
+// (syntax, duplicate, multiple-root and unreachable phases, unknown names,
+// non-sibling or cyclic ORDER edges) and those it only tolerates (shadowed
+// or conflicting rules, rules that attribution ignores, EXACT demand above
+// capacity).
 #pragma once
 
 #include <string_view>
@@ -16,7 +16,12 @@
 
 namespace g10::lint {
 
-/// Lints the text of a model file. `filename` seeds finding locations.
+/// The defects of one model parse as findings; `filename` seeds their
+/// locations.
+LintReport lint_model(const core::ModelParseResult& model,
+                      std::string_view filename);
+
+/// Parses the text of a model file and lints it.
 LintReport lint_model_text(std::string_view text, std::string_view filename);
 
 }  // namespace g10::lint

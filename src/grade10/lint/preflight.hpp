@@ -8,13 +8,12 @@
 
 namespace g10::lint {
 
-/// Lints model text plus a parsed log: model rules, every log-parser
-/// diagnostic as trace-syntax (or trace-binary-corrupt-block when the log
-/// came from a `.g10t` reader), and the trace rules cross-checked against
-/// `model` (the successfully parsed counterpart of `model_text`).
-LintReport preflight(std::string_view model_text,
+/// Lints a parsed model plus a parsed log: the model's defects, every
+/// log-parser diagnostic as trace-syntax (or trace-binary-corrupt-block when
+/// the log came from a `.g10t` reader), and the trace rules cross-checked
+/// against the model, which must have parsed (`model.ok()`).
+LintReport preflight(const core::ModelParseResult& model,
                      std::string_view model_filename,
-                     const core::ModelDescription& model,
                      const trace::ParseResult& log,
                      std::string_view log_filename,
                      const TraceLintOptions& options = {},

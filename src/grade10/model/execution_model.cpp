@@ -63,6 +63,43 @@ PhaseTypeId ExecutionModel::find(std::string_view name) const {
   return kNoPhaseType;
 }
 
+std::vector<ExecutionModel::OrderCycle> ExecutionModel::order_cycles()
+    const {
+  std::vector<OrderCycle> cycles;
+  for (std::size_t p = 0; p < types_.size(); ++p) {
+    const auto& group = types_[p].children;
+    if (group.size() < 2) continue;
+    std::vector<int> indegree(group.size(), 0);
+    const auto local = [&](PhaseTypeId id) {
+      const auto it = std::find(group.begin(), group.end(), id);
+      G10_CHECK(it != group.end());
+      return static_cast<std::size_t>(it - group.begin());
+    };
+    for (const PhaseTypeId member : group) {
+      for (const PhaseTypeId succ : type(member).successors) {
+        ++indegree[local(succ)];
+      }
+    }
+    std::vector<std::size_t> ready;
+    for (std::size_t gi = 0; gi < group.size(); ++gi) {
+      if (indegree[gi] == 0) ready.push_back(gi);
+    }
+    while (!ready.empty()) {
+      const std::size_t gi = ready.back();
+      ready.pop_back();
+      for (const PhaseTypeId succ : type(group[gi]).successors) {
+        if (--indegree[local(succ)] == 0) ready.push_back(local(succ));
+      }
+    }
+    OrderCycle cycle{static_cast<PhaseTypeId>(p), {}};
+    for (std::size_t gi = 0; gi < group.size(); ++gi) {
+      if (indegree[gi] > 0) cycle.types.push_back(group[gi]);
+    }
+    if (!cycle.types.empty()) cycles.push_back(std::move(cycle));
+  }
+  return cycles;
+}
+
 void ExecutionModel::validate() const {
   G10_CHECK_MSG(!types_.empty(), "execution model is empty");
   G10_CHECK(types_.front().parent == kNoPhaseType);
@@ -70,41 +107,9 @@ void ExecutionModel::validate() const {
     G10_CHECK_MSG(types_[i].parent != kNoPhaseType,
                   "multiple roots in execution model");
   }
-  // Sibling order must be acyclic: Kahn's algorithm per sibling group.
-  for (const auto& parent : types_) {
-    const auto& group = parent.children;
-    if (group.size() < 2) continue;
-    std::vector<int> indegree(group.size(), 0);
-    const auto local = [&](PhaseTypeId id) {
-      const auto it = std::find(group.begin(), group.end(), id);
-      return it == group.end()
-                 ? static_cast<std::size_t>(-1)
-                 : static_cast<std::size_t>(it - group.begin());
-    };
-    for (std::size_t gi = 0; gi < group.size(); ++gi) {
-      for (PhaseTypeId succ : type(group[gi]).successors) {
-        const std::size_t li = local(succ);
-        G10_CHECK(li != static_cast<std::size_t>(-1));
-        ++indegree[li];
-      }
-    }
-    std::vector<std::size_t> ready;
-    for (std::size_t gi = 0; gi < group.size(); ++gi) {
-      if (indegree[gi] == 0) ready.push_back(gi);
-    }
-    std::size_t seen = 0;
-    while (!ready.empty()) {
-      const std::size_t gi = ready.back();
-      ready.pop_back();
-      ++seen;
-      for (PhaseTypeId succ : type(group[gi]).successors) {
-        const std::size_t li = local(succ);
-        if (--indegree[li] == 0) ready.push_back(li);
-      }
-    }
-    G10_CHECK_MSG(seen == group.size(),
-                  "cycle in sibling order under type " << parent.name);
-  }
+  const std::vector<OrderCycle> cycles = order_cycles();
+  G10_CHECK_MSG(cycles.empty(), "cycle in sibling order under type "
+                                    << type(cycles.front().parent).name);
 }
 
 }  // namespace g10::core

@@ -58,6 +58,16 @@ class ExecutionModel {
   /// Looks a type up by name; kNoPhaseType if absent.
   PhaseTypeId find(std::string_view name) const;
 
+  /// One sibling group whose ORDER edges form a cycle.
+  struct OrderCycle {
+    PhaseTypeId parent = kNoPhaseType;
+    std::vector<PhaseTypeId> types;  ///< on or after the cycle, in id order
+  };
+
+  /// The sibling-order cycle search (Kahn's algorithm per sibling group):
+  /// every group whose ORDER edges no instance order can satisfy.
+  std::vector<OrderCycle> order_cycles() const;
+
   /// Checks structural invariants: exactly one root, acyclic sibling order,
   /// parent linkage consistent. Throws CheckError on violation.
   void validate() const;

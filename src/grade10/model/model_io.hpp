@@ -14,12 +14,20 @@
 //   RULE <phase> <resource> NONE
 //   RULE <phase> <resource> EXACT <units>
 //   RULE <phase> <resource> VARIABLE <weight>
+//
+// parse_model() is the only reader of this format. Its single pass over the
+// statements builds the ModelDescription and records every problem of the
+// file as a ModelDefect named after its lint rule, so g10_lint reports
+// exactly what the parser rejects (or merely tolerates), and one run reports
+// every problem, not just the first.
 #pragma once
 
+#include <cstddef>
 #include <istream>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "grade10/model/attribution_rules.hpp"
 #include "grade10/model/execution_model.hpp"
@@ -41,18 +49,39 @@ void write_model(std::ostream& os, const ExecutionModel& execution,
                  const ResourceModel& resources,
                  const AttributionRuleSet& rules);
 
+/// One problem of a model file, as parse_model() reads it.
+struct ModelDefect {
+  enum class Response {
+    kReport,  ///< the model still parses; only lint reports it
+    kReject,  ///< parse_model() fails
+  };
+  /// The lint::rule_catalog id (at the catalog's severity), 1-based line,
+  /// context and message g10_lint reports.
+  std::string rule_id;
+  std::size_t line = 0;
+  std::string context;
+  std::string message;
+  Response response = Response::kReject;
+};
+
 struct ModelParseError {
   std::size_t line_number = 0;
   std::string message;
 };
 
 struct ModelParseResult {
-  ModelDescription model;
+  ModelDescription model;  ///< complete only when ok()
+  /// Every defect, statement defects in file order first, then those of
+  /// the checks across statements (roots, reachability, sibling order,
+  /// rules).
+  std::vector<ModelDefect> defects;
+  /// The first rejecting defect in file order.
   std::optional<ModelParseError> error;
 
   bool ok() const { return !error.has_value(); }
 };
 
+/// Reads a model file, recording every defect. Never throws on bad input.
 ModelParseResult parse_model(std::istream& is);
 
 }  // namespace g10::core

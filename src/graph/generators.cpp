@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "graph/builder.hpp"
 
 namespace g10::graph {
@@ -161,6 +163,41 @@ Graph generate_datagen_like(const DatagenParams& params) {
   options.symmetrize = params.undirected;
   options.name = "datagen-n" + std::to_string(params.vertices);
   return builder.build(options);
+}
+
+DatasetSpec parse_dataset(std::string_view spec) {
+  DatasetSpec parsed;
+  const std::size_t colon = spec.find(':');
+  const std::string_view kind = spec.substr(0, colon);
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  if (kind == "rmat") {
+    parsed.kind = DatasetSpec::Kind::kRmat;
+    lo = 1;
+    hi = 30;  // 2^scale vertex ids must fit a VertexId
+  } else if (kind == "datagen") {
+    parsed.kind = DatasetSpec::Kind::kDatagen;
+    lo = 2;
+    hi = std::numeric_limits<VertexId>::max();
+  } else {
+    return parsed;
+  }
+  if (colon == std::string_view::npos) return parsed;
+  const auto size = parse_int(spec.substr(colon + 1));
+  if (size && *size >= lo && *size <= hi) parsed.size = size;
+  return parsed;
+}
+
+Graph generate_dataset(const DatasetSpec& spec) {
+  G10_CHECK(spec.ok());
+  if (spec.kind == DatasetSpec::Kind::kRmat) {
+    RmatParams params;
+    params.scale = static_cast<int>(*spec.size);
+    return generate_rmat(params);
+  }
+  DatagenParams params;
+  params.vertices = static_cast<VertexId>(*spec.size);
+  return generate_datagen_like(params);
 }
 
 }  // namespace g10::graph

@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "graph/graph.hpp"
 
@@ -54,5 +56,21 @@ struct DatagenParams {
   std::uint64_t seed = 1;
 };
 Graph generate_datagen_like(const DatagenParams& params);
+
+/// A dataset as the tools name it: "rmat:<scale>" (2^scale vertices) or
+/// "datagen:<vertices>", generated with otherwise default parameters.
+struct DatasetSpec {
+  enum class Kind { kUnknown, kRmat, kDatagen };
+  Kind kind = Kind::kUnknown;
+  /// The scale or vertex count; nullopt unless a whole number in the
+  /// generator's range.
+  std::optional<std::int64_t> size;
+
+  bool ok() const { return kind != Kind::kUnknown && size.has_value(); }
+};
+DatasetSpec parse_dataset(std::string_view spec);
+
+/// Generates a dataset whose spec is ok().
+Graph generate_dataset(const DatasetSpec& spec);
 
 }  // namespace g10::graph

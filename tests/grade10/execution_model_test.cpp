@@ -57,6 +57,27 @@ TEST(ExecutionModelTest, DetectsSiblingCycle) {
   EXPECT_THROW(m.validate(), CheckError);
 }
 
+TEST(ExecutionModelTest, OrderCyclesNameTheGroupAndWhatFollowsTheCycle) {
+  ExecutionModel m;
+  const PhaseTypeId job = m.add_root("Job");
+  const PhaseTypeId a = m.add_child(job, "A");
+  const PhaseTypeId b = m.add_child(job, "B");
+  const PhaseTypeId c = m.add_child(job, "C");
+  const PhaseTypeId d = m.add_child(job, "D");
+  const PhaseTypeId x = m.add_child(a, "X");
+  const PhaseTypeId y = m.add_child(a, "Y");
+  m.add_order(x, y);  // acyclic group under A
+  m.add_order(d, a);
+  m.add_order(a, b);
+  m.add_order(b, a);
+  m.add_order(b, c);
+  const std::vector<ExecutionModel::OrderCycle> cycles = m.order_cycles();
+  ASSERT_EQ(cycles.size(), 1u);
+  EXPECT_EQ(cycles[0].parent, job);
+  // D precedes the cycle and drops out; C follows it and cannot.
+  EXPECT_EQ(cycles[0].types, (std::vector<PhaseTypeId>{a, b, c}));
+}
+
 TEST(ExecutionModelTest, SelfOrderRejected) {
   ExecutionModel m;
   const PhaseTypeId job = m.add_root("Job");

@@ -1,22 +1,28 @@
-# Runs g10_analyze over every trace-*.log fixture in this directory in four
-# modes (strict, --lenient, --no-preflight, --no-preflight --lenient) and
-# compares the exit codes with the pinned expected/analyze-verdicts.txt, one
-# line per fixture: "<fixture> <strict> <lenient> <no-preflight>
-# <no-preflight lenient>".
+# Runs g10_analyze in four modes (strict, --lenient, --no-preflight,
+# --no-preflight --lenient) over every trace-*.log fixture in this directory
+# against trace-model.g10, and over trace-sample-gap.log against every
+# model-*.g10 fixture. Compares the exit codes with the pinned
+# expected/analyze-verdicts.txt, one line per fixture: "<fixture> <strict>
+# <lenient> <no-preflight> <no-preflight lenient>".
 #
 #   cmake -DG10_ANALYZE=<path to g10_analyze> -P compare_analyze_verdicts.cmake
 set(dir ${CMAKE_CURRENT_LIST_DIR})
-file(GLOB fixtures RELATIVE ${dir} ${dir}/trace-*.log)
+file(GLOB fixtures RELATIVE ${dir} ${dir}/trace-*.log ${dir}/model-*.g10)
 set(actual "")
-foreach(log IN LISTS fixtures)
-  string(REGEX REPLACE "\\.log$" "" name ${log})
+foreach(fixture IN LISTS fixtures)
+  string(REGEX REPLACE "\\.(log|g10)$" "" name ${fixture})
+  if(fixture MATCHES "\\.log$")
+    set(inputs --model trace-model.g10 --log ${fixture})
+  else()
+    set(inputs --model ${fixture} --log trace-sample-gap.log)
+  endif()
   set(line ${name})
   # Flags per mode, comma-separated; "-" is the strict default.
   foreach(mode - --lenient --no-preflight --no-preflight,--lenient)
     string(REPLACE "," ";" flags ${mode})
     list(REMOVE_ITEM flags -)
     execute_process(
-      COMMAND ${G10_ANALYZE} --model trace-model.g10 --log ${log} ${flags}
+      COMMAND ${G10_ANALYZE} ${inputs} ${flags}
       WORKING_DIRECTORY ${dir}
       OUTPUT_QUIET ERROR_QUIET
       RESULT_VARIABLE status)

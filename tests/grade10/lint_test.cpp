@@ -404,10 +404,6 @@ TEST(CleanCorpusTest, EngineRunLintsClean) {
   model_params.threads = cfg.effective_threads();
   model_params.network_capacity = cfg.cluster.machine.nic_bytes_per_sec();
   const core::FrameworkModel framework = core::make_pregel_model(model_params);
-  core::ModelDescription model;
-  model.execution = framework.execution;
-  model.resources = framework.resources;
-  model.rules = framework.tuned_rules;
 
   std::ostringstream log_stream;
   trace::write_log(log_stream, artifacts.phase_events,
@@ -416,11 +412,12 @@ TEST(CleanCorpusTest, EngineRunLintsClean) {
   ASSERT_TRUE(parsed.ok()) << parsed.error->message;
 
   // Full preflight path: model lint + trace lint, as g10_analyze runs it.
-  std::ostringstream model_stream;
-  core::write_model(model_stream, model.execution, model.resources,
-                    model.rules);
-  const LintReport report = preflight(model_stream.str(), "<model>", model,
-                                      parsed, "<run>");
+  std::stringstream model_stream;
+  core::write_model(model_stream, framework.execution, framework.resources,
+                    framework.tuned_rules);
+  const core::ModelParseResult model = core::parse_model(model_stream);
+  ASSERT_TRUE(model.ok()) << model.error->message;
+  const LintReport report = preflight(model, "<model>", parsed, "<run>");
   std::ostringstream os;
   render_text(os, report);
   EXPECT_TRUE(report.clean()) << os.str();
@@ -470,8 +467,8 @@ TEST(BinaryTraceLintTest, CorruptBlockYieldsItsOwnFinding) {
   EXPECT_EQ(damaged.error_count, 1u);
 
   const LintReport report =
-      preflight(model_text, "trace-model.g10", model.model, damaged, path,
-                {}, /*binary_trace=*/true);
+      preflight(model, "trace-model.g10", damaged, path, {},
+                /*binary_trace=*/true);
   EXPECT_TRUE(report.has_rule("trace-binary-corrupt-block"));
   EXPECT_FALSE(report.ok());
   // The finding's location is the 1-based block ordinal, not a text line.

@@ -28,6 +28,12 @@ int exit_code(const std::string& command) {
   return WEXITSTATUS(status);
 }
 
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
 std::filesystem::path test_root() {
   static const std::filesystem::path root = [] {
     auto path = std::filesystem::temp_directory_path() /
@@ -86,6 +92,22 @@ TEST(RunExitCodeTest, BadNumericFlagsAreBadArgs) {
         " --batch-bytes -1", " --batch-flush-us 1e300",
         " --det-check 4294967298"}) {
     EXPECT_EQ(exit_code(base + flags), kExitBadArgs) << flags;
+  }
+}
+
+TEST(RunExitCodeTest, BadDatasetSizeIsBadArgs) {
+  // A non-numeric size used to run scale 14 (or 16384 vertices), and 2^32+5
+  // wrapped around to scale 5.
+  const std::string base =
+      std::string(G10_RUN_BIN) +
+      " --engine pregel --algorithm pagerank --workers 2 --cores 2"
+      " --iterations 2 --out " +
+      (test_root() / "bad_dataset").string();
+  for (const char* dataset :
+       {"rmat:abc", "rmat:", "rmat", "rmat:0", "rmat:-1", "rmat:31",
+        "rmat:4294967301", "rmat:5:6", "datagen:x", "datagen:1"}) {
+    EXPECT_EQ(exit_code(base + " --dataset " + dataset), kExitBadArgs)
+        << dataset;
   }
 }
 
@@ -283,6 +305,41 @@ TEST(LintExitCodeTest, BadThreadsIsBadArgs) {
   }
 }
 
+/// A model whose phase A is ordered before itself, on line 3.
+std::string self_ordered_model() {
+  const std::string path = (test_root() / "self_ordered.g10").string();
+  std::ofstream(path) << "PHASE Job\nPHASE A PARENT=Job\nORDER A A\n";
+  return path;
+}
+
+TEST(AnalyzeExitCodeTest, SelfOrderedPhaseIsParseFailure) {
+  // Used to escape parse_model as an internal check failure (exit 1).
+  const std::string model = self_ordered_model();
+  const std::string err = (test_root() / "self_ordered.err").string();
+  EXPECT_EQ(exit_code("(" + std::string(G10_ANALYZE_BIN) + " --model " +
+                      model + " --log " + ok_artifacts() + "/run.log 2>" +
+                      err + ")"),
+            kExitParseFailure);
+  const std::string message = slurp(err);
+  EXPECT_NE(message.find(model + ":3: ORDER edges among siblings of 'Job' "
+                                 "form a cycle"),
+            std::string::npos)
+      << message;
+  EXPECT_EQ(message.find("check failed"), std::string::npos) << message;
+}
+
+TEST(LintExitCodeTest, SelfOrderedPhaseIsAFinding) {
+  // Reported as a model finding; the trace lint is skipped, not crashed.
+  const std::string out = (test_root() / "self_ordered.out").string();
+  EXPECT_EQ(exit_code("(" + std::string(G10_LINT_BIN) + " --model " +
+                      self_ordered_model() + " --log " + ok_artifacts() +
+                      "/run.log >" + out + ")"),
+            1);
+  EXPECT_NE(slurp(out).find(":3: error: [model-order-cycle]"),
+            std::string::npos)
+      << slurp(out);
+}
+
 TEST(DetCheckExitCodeTest, IdenticalExecutionsAreZero) {
   EXPECT_EQ(exit_code(std::string(G10_RUN_BIN) +
                       " --engine pregel --algorithm pagerank --dataset rmat:5"
@@ -354,6 +411,30 @@ TEST(EnsembleExitCodeTest, UnparseableFaultSpecIsParseFailure) {
             kExitParseFailure);
 }
 
+TEST(EnsembleExitCodeTest, BadNumericFlagsAreBadArgs) {
+  // These used to run: garbage as 0 (or the default), 2^32+1 wrapped around
+  // to 1, a negative seed base to 2^64-1, and rmat:abc as scale 14.
+  const std::string base = std::string(G10_ENSEMBLE_BIN) + " --out " +
+                           (test_root() / "bad_numeric_fleet").string() +
+                           " --engines gas --dataset rmat:5 --workers 2"
+                           " --cores 2 --iterations 2 --seeds 1 --quiet";
+  for (const char* flags :
+       {" --workers 4294967297", " --cores abc", " --iterations 0",
+        " --seeds 4294967297", " --seed-base -1",
+        " --sampled-faults 4294967296", " --max-attempts 4294967297",
+        " --crash-budget 2x", " --dataset rmat:abc", " --dataset rmat:0",
+        " --dataset datagen:1"}) {
+    EXPECT_EQ(exit_code(base + flags), kExitBadArgs) << flags;
+  }
+}
+
+TEST(EnsembleExitCodeTest, UnknownDatasetIsParseFailure) {
+  EXPECT_EQ(exit_code(std::string(G10_ENSEMBLE_BIN) + " --out " +
+                      (test_root() / "unused").string() +
+                      " --dataset mystery:9"),
+            kExitParseFailure);
+}
+
 TEST(EnsembleExitCodeTest, FreshStartOverAJournalIsRefused) {
   const std::string out = (test_root() / "fleet").string();
   const std::string base = std::string(G10_ENSEMBLE_BIN) + " --out " + out +
@@ -369,12 +450,6 @@ std::string tiny_fleet(const std::string& out) {
   return std::string(G10_ENSEMBLE_BIN) + " --out " + out +
          " --engines pregel --dataset rmat:5 --workers 2 --cores 2"
          " --iterations 2 --seeds 3 --quiet";
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
 }
 
 TEST(EnsembleExitCodeTest, BadJobsIsolateCombosAreBadArgs) {

@@ -55,7 +55,6 @@
 #include <iostream>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -104,15 +103,6 @@ int usage() {
                "[--phases TYPE,TYPE,...]\n"
                "                   [--time-range LO:HI]\n";
   return kExitBadArgs;
-}
-
-/// An int in [lo, INT_MAX], or nullopt for anything else.
-std::optional<int> parse_int_at_least(std::string_view value, int lo) {
-  const auto n = parse_int(value);
-  if (!n || *n < lo || *n > std::numeric_limits<int>::max()) {
-    return std::nullopt;
-  }
-  return static_cast<int>(*n);
 }
 
 std::optional<Args> parse_args(int argc, char** argv) {
@@ -313,11 +303,7 @@ int run(const Args& args) {
     std::cerr << "cannot open model file: " << args.model_path << '\n';
     return kExitParseFailure;
   }
-  std::ostringstream model_buffer;
-  model_buffer << model_file.rdbuf();
-  const std::string model_text = std::move(model_buffer).str();
-  std::istringstream model_stream(model_text);
-  core::ModelParseResult model = core::parse_model(model_stream);
+  const core::ModelParseResult model = core::parse_model(model_file);
   if (!model.ok()) {
     std::cerr << args.model_path << ':' << model.error->line_number << ": "
               << model.error->message << '\n';
@@ -372,8 +358,7 @@ int run(const Args& args) {
   // already reported above, so only the model and record-level trace rules
   // run here.
   if (args.preflight) {
-    lint::LintReport preflight =
-        lint::lint_model_text(model_text, args.model_path);
+    lint::LintReport preflight = lint::lint_model(model, args.model_path);
     preflight.merge(
         lint::lint_trace(model.model, log.log, {}, args.log_path, &built));
     if (!preflight.clean()) {

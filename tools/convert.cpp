@@ -90,9 +90,9 @@ std::optional<Args> parse_args(int argc, char** argv) {
       if (!n || *n < 1) return std::nullopt;
       args.block_records = static_cast<std::size_t>(*n);
     } else if (arg == "--threads") {
-      const auto n = parse_int(value);
-      if (!n || *n < 0) return std::nullopt;
-      args.threads = static_cast<int>(*n);
+      const auto n = parse_int_at_least(value, 0);
+      if (!n) return std::nullopt;
+      args.threads = *n;
     } else {
       return std::nullopt;
     }

@@ -61,6 +61,7 @@
 #include "ensemble/run_grade10.hpp"
 #include "ensemble/supervisor.hpp"
 #include "ensemble/worker.hpp"
+#include "graph/generators.hpp"
 
 namespace g10 {
 namespace {
@@ -182,7 +183,12 @@ void maybe_crash_for_test(const ensemble::Scenario& scenario) {
       scenario.key().find(needle) == std::string::npos) {
     return;
   }
-  if (action == "segv") ::raise(SIGSEGV);
+  if (action == "segv") {
+    // The default disposition, so the worker dies by the signal even where
+    // a sanitizer's handler would turn it into an exit code.
+    ::signal(SIGSEGV, SIG_DFL);
+    ::raise(SIGSEGV);
+  }
   if (action == "kill") ::raise(SIGKILL);
   if (action == "spin") {
     for (;;) ::usleep(50000);
@@ -417,6 +423,12 @@ int main(int argc, char** argv) {
     }
     if (i + 1 >= argc) return usage();
     const std::string v = argv[++i];
+    // Sets `out` to the value when it is an int >= lo.
+    const auto count = [&](int& out, int lo) {
+      const auto n = parse_int_at_least(v, lo);
+      if (n) out = *n;
+      return n.has_value();
+    };
     if (arg == "--out") {
       args.out = v;
     } else if (arg == "--engines") {
@@ -429,25 +441,31 @@ int main(int argc, char** argv) {
     } else if (arg == "--algorithm") {
       args.matrix.algorithm = v;
     } else if (arg == "--dataset") {
+      // As g10_run: a bad size is a bad argument, an unknown kind a bad
+      // spec.
+      const graph::DatasetSpec spec = graph::parse_dataset(v);
+      if (spec.kind == graph::DatasetSpec::Kind::kUnknown) {
+        std::cerr << "unknown dataset spec: " << v << '\n';
+        return kExitParseFailure;
+      }
+      if (!spec.size) return usage();
       args.matrix.dataset = v;
     } else if (arg == "--workers") {
-      args.matrix.workers = static_cast<int>(parse_int(v).value_or(0));
+      if (!count(args.matrix.workers, 1)) return usage();
     } else if (arg == "--cores") {
-      args.matrix.cores = static_cast<int>(parse_int(v).value_or(0));
+      if (!count(args.matrix.cores, 1)) return usage();
     } else if (arg == "--iterations") {
-      args.matrix.iterations = static_cast<int>(parse_int(v).value_or(0));
+      if (!count(args.matrix.iterations, 1)) return usage();
     } else if (arg == "--seeds") {
-      args.seeds = static_cast<int>(parse_int(v).value_or(0));
+      if (!count(args.seeds, 1)) return usage();
     } else if (arg == "--seed-base") {
       const auto base = parse_int(v);
-      if (!base) return usage();
+      if (!base || *base < 0) return usage();
       args.seed_base = static_cast<std::uint64_t>(*base);
     } else if (arg == "--faults") {
       if (const auto code = parse_faults_axis(v, args)) return *code;
     } else if (arg == "--sampled-faults") {
-      args.matrix.sampled_fault_specs =
-          static_cast<int>(parse_int(v).value_or(-1));
-      if (args.matrix.sampled_fault_specs < 0) return usage();
+      if (!count(args.matrix.sampled_fault_specs, 0)) return usage();
     } else if (arg == "--jitter") {
       const auto f = parse_double(v);
       if (!f || *f < 0.0 || *f >= 1.0) return usage();
@@ -462,9 +480,7 @@ int main(int argc, char** argv) {
       if (!s || *s <= 0.0) return usage();
       args.retry.deadline_seconds = *s;
     } else if (arg == "--max-attempts") {
-      const auto n = parse_int(v);
-      if (!n || *n < 1) return usage();
-      args.retry.max_attempts = static_cast<int>(*n);
+      if (!count(args.retry.max_attempts, 1)) return usage();
     } else if (arg == "--limit") {
       const auto n = parse_int(v);
       if (!n || *n < 1) return usage();
@@ -490,9 +506,7 @@ int main(int argc, char** argv) {
       if (!s || *s < 0.0) return usage();
       args.wedge_timeout_s = *s;
     } else if (arg == "--crash-budget") {
-      const auto n = parse_int(v);
-      if (!n || *n < 1) return usage();
-      args.crash_budget = static_cast<int>(*n);
+      if (!count(args.crash_budget, 1)) return usage();
     } else if (arg == "--worker-shard") {
       const std::size_t colon = v.find(':');
       if (colon == std::string::npos) return usage();
@@ -505,9 +519,7 @@ int main(int argc, char** argv) {
       args.shard_index = static_cast<std::size_t>(*index);
       args.shard_count = static_cast<std::size_t>(*count);
     } else if (arg == "--status-fd") {
-      const auto fd = parse_int(v);
-      if (!fd || *fd < 0) return usage();
-      args.status_fd = static_cast<int>(*fd);
+      if (!count(args.status_fd, 0)) return usage();
     } else if (arg == "--defer-key") {
       const auto key = ensemble::parse_key(v);
       if (!key) return usage();
@@ -516,10 +528,7 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if (args.out.empty() || args.seeds <= 0 || args.matrix.workers <= 0 ||
-      args.matrix.cores <= 0 || args.matrix.iterations <= 0) {
-    return usage();
-  }
+  if (args.out.empty()) return usage();
   // Mode exclusions (exit 2): --isolate only sandboxes worker processes;
   // --threads and --limit configure the in-process pool, which --jobs
   // replaces; a worker cannot itself be a supervisor.

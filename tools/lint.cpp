@@ -18,9 +18,7 @@
 // --werror), 2 = usage or I/O failure.
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "common/strings.hpp"
@@ -71,11 +69,9 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else if (arg == "--log") {
       args.log_path = value;
     } else if (arg == "--threads") {
-      const auto n = parse_int(value);
-      if (!n || *n < 0 || *n > std::numeric_limits<int>::max()) {
-        return std::nullopt;
-      }
-      args.threads = static_cast<int>(*n);
+      const auto n = parse_int_at_least(value, 0);
+      if (!n) return std::nullopt;
+      args.threads = *n;
     } else {
       return std::nullopt;
     }
@@ -92,51 +88,38 @@ int list_rules() {
   return 0;
 }
 
-std::optional<std::string> slurp(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return std::move(buffer).str();
-}
-
 int run(const Args& args) {
-  const auto model_text = slurp(args.model_path);
-  if (!model_text) {
+  std::ifstream model_file(args.model_path, std::ios::binary);
+  if (!model_file) {
     std::cerr << "cannot open model file: " << args.model_path << '\n';
     return 2;
   }
-
+  const core::ModelParseResult model = core::parse_model(model_file);
   lint::LintReport report;
   if (args.log_path.empty()) {
-    report = lint::lint_model_text(*model_text, args.model_path);
-  } else {
+    report = lint::lint_model(model, args.model_path);
+  } else if (!model.ok()) {
     // Trace rules cross-check against the parsed model, so the model must
-    // at least parse; its lint findings explain why when it does not.
-    std::istringstream model_stream(*model_text);
-    core::ModelParseResult model = core::parse_model(model_stream);
-    if (!model.ok()) {
-      report = lint::lint_model_text(*model_text, args.model_path);
-      std::cerr << "model does not parse; skipping trace lint\n";
-    } else {
-      trace::TraceReadOptions options;
-      options.recover = true;
-      options.threads = args.threads;
-      trace::TraceReader::OpenResult opened =
-          trace::TraceReader::open(args.log_path, options);
-      if (!opened.ok()) {
-        std::cerr << *opened.error << '\n';
-        return 2;
-      }
-      const trace::ParseResult log = opened.reader->read();
-      if (log.error && log.error->line_number == 0) {
-        std::cerr << log.error->message << '\n';
-        return 2;
-      }
-      report = lint::preflight(*model_text, args.model_path, model.model, log,
-                               args.log_path, {},
-                               opened.reader->is_binary());
+    // parse; its findings explain why it does not.
+    report = lint::lint_model(model, args.model_path);
+    std::cerr << "model does not parse; skipping trace lint\n";
+  } else {
+    trace::TraceReadOptions options;
+    options.recover = true;
+    options.threads = args.threads;
+    trace::TraceReader::OpenResult opened =
+        trace::TraceReader::open(args.log_path, options);
+    if (!opened.ok()) {
+      std::cerr << *opened.error << '\n';
+      return 2;
     }
+    const trace::ParseResult log = opened.reader->read();
+    if (log.error && log.error->line_number == 0) {
+      std::cerr << log.error->message << '\n';
+      return 2;
+    }
+    report = lint::preflight(model, args.model_path, log, args.log_path, {},
+                             opened.reader->is_binary());
   }
 
   if (args.json) {

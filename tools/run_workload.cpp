@@ -148,15 +148,6 @@ int usage() {
   return kExitBadArgs;
 }
 
-/// An int >= lo, or nullopt for anything else.
-std::optional<int> parse_count(std::string_view value, int lo = 1) {
-  const auto n = parse_int(value);
-  if (!n || *n < lo || *n > std::numeric_limits<int>::max()) {
-    return std::nullopt;
-  }
-  return static_cast<int>(*n);
-}
-
 /// A duration > 0 in units of `unit` ns that fits a DurationNs, or nullopt.
 std::optional<double> parse_duration(std::string_view value, double unit) {
   const auto x = parse_double(value);
@@ -187,19 +178,25 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else if (arg == "--algorithm") {
       args.algorithm = *v;
     } else if (arg == "--dataset") {
+      // A bad size is a bad argument; an unknown kind is a bad spec (exit 3
+      // when the dataset is made).
+      const graph::DatasetSpec spec = graph::parse_dataset(*v);
+      if (spec.kind != graph::DatasetSpec::Kind::kUnknown && !spec.size) {
+        return std::nullopt;
+      }
       args.dataset = *v;
     } else if (arg == "--out") {
       args.out = *v;
     } else if (arg == "--workers") {
-      const auto n = parse_count(*v);
+      const auto n = parse_int_at_least(*v, 1);
       if (!n) return std::nullopt;
       args.workers = *n;
     } else if (arg == "--cores") {
-      const auto n = parse_count(*v);
+      const auto n = parse_int_at_least(*v, 1);
       if (!n) return std::nullopt;
       args.cores = *n;
     } else if (arg == "--iterations") {
-      const auto n = parse_count(*v);
+      const auto n = parse_int_at_least(*v, 1);
       if (!n) return std::nullopt;
       args.iterations = *n;
     } else if (arg == "--seed") {
@@ -219,7 +216,7 @@ std::optional<Args> parse_args(int argc, char** argv) {
       args.retry_timeout_ms = parse_duration(*v, kMillisecond);
       if (!args.retry_timeout_ms) return std::nullopt;
     } else if (arg == "--retry-max-attempts") {
-      args.retry_max_attempts = parse_count(*v);
+      args.retry_max_attempts = parse_int_at_least(*v, 1);
       if (!args.retry_max_attempts) return std::nullopt;
     } else if (arg == "--heartbeat-ms") {
       args.heartbeat_ms = parse_duration(*v, kMillisecond);
@@ -235,7 +232,7 @@ std::optional<Args> parse_args(int argc, char** argv) {
       args.batch_flush_us = parse_duration(*v, 1e3);
       if (!args.batch_flush_us) return std::nullopt;
     } else if (arg == "--det-check") {
-      const auto n = parse_count(*v, 2);
+      const auto n = parse_int_at_least(*v, 2);
       if (!n) return std::nullopt;
       args.det_check = *n;
     } else if (arg == "--crash-log") {
@@ -276,22 +273,6 @@ void apply_fault_knobs(const Args& args, Config& cfg) {
         static_cast<DurationNs>(*args.batch_flush_us * 1e3);
   }
   cfg.crash_log = args.crash_log;
-}
-
-graph::Graph make_dataset(const std::string& spec) {
-  const auto parts = split(spec, ':');
-  if (parts.size() == 2 && parts[0] == "rmat") {
-    graph::RmatParams params;
-    params.scale = static_cast<int>(parse_int(parts[1]).value_or(14));
-    return generate_rmat(params);
-  }
-  if (parts.size() == 2 && parts[0] == "datagen") {
-    graph::DatagenParams params;
-    params.vertices = static_cast<graph::VertexId>(
-        parse_int(parts[1]).value_or(16384));
-    return generate_datagen_like(params);
-  }
-  throw std::runtime_error("unknown dataset spec: " + spec);
 }
 
 /// One engine execution's outputs, shared by the normal dump path and the
@@ -475,13 +456,12 @@ int run(const Args& args) {
     }
   }
 
-  graph::Graph graph;
-  try {
-    graph = make_dataset(args.dataset);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << '\n';
+  const graph::DatasetSpec dataset = graph::parse_dataset(args.dataset);
+  if (!dataset.ok()) {
+    std::cerr << "unknown dataset spec: " << args.dataset << '\n';
     return kExitParseFailure;
   }
+  graph::Graph graph = graph::generate_dataset(dataset);
   if (args.algorithm == "sssp") {
     graph::assign_random_weights(graph, 1.0, 10.0, args.seed);
   }
