@@ -69,16 +69,13 @@ void BM_PregelCdlp(benchmark::State& state) {
 BENCHMARK(BM_PregelCdlp)->Arg(2)->Arg(8);
 
 void BM_DeliveryPath(benchmark::State& state) {
-  // Pregel message-delivery hot path: combiner=0 runs PageRank (kSum, the
-  // combined-value fast lane), combiner=1 runs CDLP (kNone, the message
-  // arena); batch=0 disables communication coalescing, batch=1 is the
-  // default batched schedule. The 0-vs-1 batch pairs are the before/after
-  // table in bench/results/BENCH_engines.json.
+  // Pregel message-delivery hot path (coalesced sends): combiner=0 runs
+  // PageRank (kSum, the combined-value fast lane), combiner=1 runs CDLP
+  // (kNone, the message arena).
   const auto graph = bench_graph(12);
   PregelConfig cfg;
   cfg.cluster.machine_count = 4;
   cfg.cluster.machine.cores = 8;
-  if (state.range(1) == 0) cfg.batch.max_batch_bytes = 0.0;
   const PregelEngine engine(cfg);
   const algorithms::PageRank pagerank(3);
   const algorithms::Cdlp cdlp(3);
@@ -90,17 +87,14 @@ void BM_DeliveryPath(benchmark::State& state) {
                             static_cast<int64_t>(graph.edge_count()) * 3);
   }
 }
-BENCHMARK(BM_DeliveryPath)
-    ->ArgsProduct({{0, 1}, {0, 1}})
-    ->ArgNames({"combiner", "batch"});
+BENCHMARK(BM_DeliveryPath)->Arg(0)->Arg(1)->ArgName("combiner");
 
 void BM_GasDeliveryPath(benchmark::State& state) {
-  // GAS exchange path, batching off (0) vs on (1).
+  // GAS exchange path: one transfer per destination at the barrier.
   const auto graph = bench_graph(12);
   GasConfig cfg;
   cfg.cluster.machine_count = 4;
   cfg.cluster.machine.cores = 8;
-  if (state.range(0) == 0) cfg.batch.max_batch_bytes = 0.0;
   const GasEngine engine(cfg);
   const algorithms::PageRank pagerank(3);
   for (auto _ : state) {
@@ -110,7 +104,7 @@ void BM_GasDeliveryPath(benchmark::State& state) {
                             static_cast<int64_t>(graph.edge_count()) * 3);
   }
 }
-BENCHMARK(BM_GasDeliveryPath)->Arg(0)->Arg(1)->ArgName("batch");
+BENCHMARK(BM_GasDeliveryPath);
 
 void BM_GasSsspWeighted(benchmark::State& state) {
   auto graph = bench_graph(12);

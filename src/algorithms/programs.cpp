@@ -34,6 +34,11 @@ double min_over(std::span<const double> values, double init) {
 }
 }  // namespace
 
+bool is_algorithm_name(std::string_view name) {
+  return std::find(kAlgorithmNames.begin(), kAlgorithmNames.end(), name) !=
+         kAlgorithmNames.end();
+}
+
 double mode_smallest_label(std::span<const double> values) {
   G10_CHECK(!values.empty());
   thread_local std::vector<double> scratch;

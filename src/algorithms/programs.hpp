@@ -5,7 +5,10 @@
 // PowerGraph comparison).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "algorithms/gas_program.hpp"
@@ -153,6 +156,41 @@ class Sssp : public PregelProgram, public GasProgram {
 
  private:
   graph::VertexId source_;
+};
+
+/// The algorithm names the tools accept on the command line, in the order
+/// their usage texts list them. ProgramSet resolves exactly these names.
+inline constexpr std::array<std::string_view, 5> kAlgorithmNames = {
+    "pagerank", "bfs", "wcc", "cdlp", "sssp"};
+
+/// True when `name` is one of kAlgorithmNames.
+bool is_algorithm_name(std::string_view name);
+
+/// One instance of every algorithm, configured the way the tools run them:
+/// PageRank and CDLP for `iterations` iterations, BFS and SSSP from vertex 1.
+class ProgramSet {
+ public:
+  explicit ProgramSet(int iterations)
+      : pagerank_(iterations), cdlp_(iterations) {}
+
+  /// The program called `name` (one of kAlgorithmNames) in the Program
+  /// paradigm (PregelProgram or GasProgram), or nullptr for any other name.
+  template <typename Program>
+  const Program* find(std::string_view name) const {
+    const std::array<const Program*, kAlgorithmNames.size()> programs = {
+        &pagerank_, &bfs_, &wcc_, &cdlp_, &sssp_};
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+      if (kAlgorithmNames[i] == name) return programs[i];
+    }
+    return nullptr;
+  }
+
+ private:
+  PageRank pagerank_;
+  Bfs bfs_{1};
+  Wcc wcc_;
+  Cdlp cdlp_;
+  Sssp sssp_{1};
 };
 
 /// Most frequent value in `values`, ties to the smallest. Shared by CDLP's

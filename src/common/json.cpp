@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -383,6 +384,11 @@ std::int64_t JsonValue::as_int() const {
   if (ec == std::errc() && ptr == raw_number_.data() + raw_number_.size()) {
     return v;
   }
+  // Saturate: converting an out-of-range double is undefined behavior. The
+  // parser admits finite numbers only.
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (number_ >= kTwoTo63) return std::numeric_limits<std::int64_t>::max();
+  if (number_ < -kTwoTo63) return std::numeric_limits<std::int64_t>::min();
   return static_cast<std::int64_t>(number_);
 }
 
@@ -394,6 +400,10 @@ std::uint64_t JsonValue::as_uint() const {
   if (ec == std::errc() && ptr == raw_number_.data() + raw_number_.size()) {
     return v;
   }
+  // Saturate, as as_int does.
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  if (number_ >= kTwoTo64) return std::numeric_limits<std::uint64_t>::max();
+  if (number_ <= -1.0) return 0;
   return static_cast<std::uint64_t>(number_);
 }
 

@@ -4,10 +4,10 @@
 
 namespace g10::engine {
 
-CommBatcher::CommBatcher(const CommBatcherConfig& config, int workers)
-    : config_(config), workers_(workers) {
+CommBatcher::CommBatcher(int workers, double frame_bytes)
+    : frame_bytes_(frame_bytes), workers_(workers) {
   G10_CHECK(workers >= 0);
-  G10_CHECK(config.max_batch_bytes >= 0.0);
+  G10_CHECK(frame_bytes > 0.0);
   const auto n = static_cast<std::size_t>(workers);
   buffers_.assign(n * n, 0.0);
   pending_.assign(n, 0.0);
@@ -21,13 +21,11 @@ CommBatcher::Deposit CommBatcher::deposit(int src, int dst, double bytes) {
   double& buf = buffer(src, dst);
   buf += bytes;
   pending_[static_cast<std::size_t>(src)] += bytes;
-  ++stats_.deposits;
-  stats_.bytes_deposited += bytes;
-  result.crossed = buf >= config_.max_batch_bytes;
+  result.crossed = buf >= frame_bytes_;
   return result;
 }
 
-double CommBatcher::take(int src, int dst, FlushCause cause) {
+double CommBatcher::take(int src, int dst) {
   double& buf = buffer(src, dst);
   const double bytes = buf;
   if (bytes == 0.0) return 0.0;
@@ -38,45 +36,25 @@ double CommBatcher::take(int src, int dst, FlushCause cause) {
   double total = 0.0;
   for (int d = 0; d < workers_; ++d) total += buffer(src, d);
   pending_[static_cast<std::size_t>(src)] = total;
-  count_flush(cause, bytes);
+  ++flushes_;
   return bytes;
 }
 
-void CommBatcher::take_all(int src, FlushCause cause,
-                           std::vector<Flush>& out) {
+void CommBatcher::take_all(int src, std::vector<Flush>& out) {
   out.clear();
   for (int dst = 0; dst < workers_; ++dst) {
     double& buf = buffer(src, dst);
     if (buf == 0.0) continue;
     out.push_back(Flush{dst, buf});
-    count_flush(cause, buf);
+    ++flushes_;
     buf = 0.0;
   }
   pending_[static_cast<std::size_t>(src)] = 0.0;
 }
 
 void CommBatcher::clear(int src) {
-  for (int dst = 0; dst < workers_; ++dst) {
-    double& buf = buffer(src, dst);
-    if (buf != 0.0) ++stats_.dropped_buffers;
-    buf = 0.0;
-  }
+  for (int dst = 0; dst < workers_; ++dst) buffer(src, dst) = 0.0;
   pending_[static_cast<std::size_t>(src)] = 0.0;
-}
-
-void CommBatcher::count_flush(FlushCause cause, double bytes) {
-  switch (cause) {
-    case FlushCause::kSize:
-      ++stats_.size_flushes;
-      break;
-    case FlushCause::kTimer:
-      ++stats_.timer_flushes;
-      break;
-    case FlushCause::kBarrier:
-      ++stats_.barrier_flushes;
-      break;
-  }
-  stats_.bytes_flushed += bytes;
 }
 
 }  // namespace g10::engine

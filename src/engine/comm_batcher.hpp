@@ -1,19 +1,20 @@
-// Per-worker, per-destination communication coalescing (DESIGN.md §13).
+// Per-worker, per-destination send coalescing of the Pregel engine
+// (DESIGN.md §13).
 //
-// Both engines used to hand every compute chunk's remote traffic to the
-// substrate as one transfer per (chunk, destination): with a live
-// sim::ReliableChannel that means one ack'd plan — timeout draws, backoff,
-// retransmit bookkeeping — per chunk per destination, so retransmit cost
-// scales with chunk count. Real systems (Dorylus' CommManager framing,
-// GraphLab's buffered remote updates) instead coalesce small sends into
-// bounded per-destination buffers and flush a buffer when it reaches a
-// frame-size limit or a flush deadline expires. CommBatcher is that layer:
-// a dense workers x workers byte matrix the engines deposit into, with the
-// engines deciding *when* a returned threshold crossing or a deadline turns
-// into an actual NIC handoff / channel plan.
+// A Pregel compute thread produces remote traffic chunk by chunk. Handing
+// each chunk's traffic to the substrate as one transfer per destination
+// would, with a live sim::ReliableChannel, cost one ack'd plan — timeout
+// draws, backoff, retransmit bookkeeping — per chunk per destination. Real
+// systems (Dorylus' CommManager framing, GraphLab's buffered remote updates)
+// instead coalesce small sends into bounded per-destination buffers and
+// flush a buffer when it reaches a frame-size limit or a flush deadline
+// expires. CommBatcher is that layer: a dense workers x workers byte matrix
+// the engine deposits into, with the engine deciding *when* a returned
+// threshold crossing or a deadline turns into an actual NIC handoff /
+// channel plan.
 //
-// The batcher itself is simulation-agnostic: it tracks bytes and flush
-// statistics only. Time never enters this class — the engines own the
+// The batcher itself is simulation-agnostic: it tracks bytes and counts
+// flushes only. Time never enters this class — the engine owns the
 // simulated-time flush timers so crash epochs can cancel them.
 #pragma once
 
@@ -24,48 +25,19 @@
 
 namespace g10::engine {
 
-/// Tuning knobs for communication batching. Batching is on by default;
-/// `max_batch_bytes = 0` disables it entirely (the `--batch-bytes 0` escape
-/// hatch), restoring the one-transfer-per-chunk-per-destination behavior
-/// byte-for-byte.
-struct CommBatcherConfig {
-  /// Frame size: a (worker, destination) buffer that reaches this many
-  /// bytes is flushed immediately. 0 disables batching.
-  double max_batch_bytes = 262144.0;
-  /// Simulated-time flush deadline: traffic must not sit in a buffer longer
-  /// than this even if the size threshold is never reached.
-  DurationNs flush_after = kMillisecond;
-
-  bool enabled() const { return max_batch_bytes > 0.0; }
-};
-
-/// Why a buffer was drained; recorded per flush in CommBatcherStats.
-enum class FlushCause {
-  kSize,     ///< buffer crossed max_batch_bytes
-  kTimer,    ///< flush_after deadline expired
-  kBarrier,  ///< end of the compute phase / exchange step drains everything
-};
-
-struct CommBatcherStats {
-  std::int64_t deposits = 0;
-  std::int64_t size_flushes = 0;
-  std::int64_t timer_flushes = 0;
-  std::int64_t barrier_flushes = 0;
-  std::int64_t dropped_buffers = 0;  ///< non-empty buffers lost to a crash
-  double bytes_deposited = 0.0;
-  double bytes_flushed = 0.0;
-
-  std::int64_t total_flushes() const {
-    return size_flushes + timer_flushes + barrier_flushes;
-  }
-};
-
 class CommBatcher {
  public:
+  /// Frame size: a (worker, destination) buffer that reaches this many
+  /// bytes is flushed immediately.
+  static constexpr double kFrameBytes = 262144.0;
+  /// Simulated-time flush deadline: traffic must not sit in a buffer longer
+  /// than this even if the frame size is never reached.
+  static constexpr DurationNs kFlushAfter = kMillisecond;
+
   /// What a deposit did to the (src, dst) buffer; the engine turns these
   /// into flushes and timer arms.
   struct Deposit {
-    bool crossed = false;        ///< buffer reached max_batch_bytes
+    bool crossed = false;        ///< buffer reached the frame size
     bool first_pending = false;  ///< src went from idle to holding bytes
   };
 
@@ -75,11 +47,7 @@ class CommBatcher {
     double bytes = 0.0;
   };
 
-  CommBatcher() = default;
-  CommBatcher(const CommBatcherConfig& config, int workers);
-
-  bool enabled() const { return workers_ > 0 && config_.enabled(); }
-  DurationNs flush_after() const { return config_.flush_after; }
+  explicit CommBatcher(int workers, double frame_bytes = kFrameBytes);
 
   Deposit deposit(int src, int dst, double bytes);
 
@@ -89,18 +57,18 @@ class CommBatcher {
   }
 
   /// Drains the (src, dst) buffer; returns its bytes (0 if already empty).
-  double take(int src, int dst, FlushCause cause);
+  double take(int src, int dst);
 
   /// Drains every non-empty buffer of `src` into `out` (cleared first),
-  /// ascending by destination — the same deterministic order the unbatched
-  /// per-destination planning loops use.
-  void take_all(int src, FlushCause cause, std::vector<Flush>& out);
+  /// ascending by destination.
+  void take_all(int src, std::vector<Flush>& out);
 
   /// Crash teardown: the worker's buffered traffic is simply lost, exactly
-  /// like its in-flight NIC queue. No flush is recorded.
+  /// like its in-flight NIC queue. No flush is counted.
   void clear(int src);
 
-  const CommBatcherStats& stats() const { return stats_; }
+  /// Non-empty buffers drained so far (by take or take_all).
+  std::int64_t flushes() const { return flushes_; }
 
  private:
   double& buffer(int src, int dst) {
@@ -108,13 +76,12 @@ class CommBatcher {
                         static_cast<std::size_t>(workers_) +
                     static_cast<std::size_t>(dst)];
   }
-  void count_flush(FlushCause cause, double bytes);
 
-  CommBatcherConfig config_;
-  int workers_ = 0;
+  double frame_bytes_;
+  int workers_;
   std::vector<double> buffers_;  ///< workers x workers, row-major by src
   std::vector<double> pending_;  ///< per-src totals
-  CommBatcherStats stats_;
+  std::int64_t flushes_ = 0;
 };
 
 }  // namespace g10::engine

@@ -45,9 +45,7 @@ FaultHarness::FaultHarness(const sim::ClusterSpec& cluster, std::uint64_t seed,
                            const CheckpointConfig& checkpoint,
                            const RetryConfig& retry,
                            sim::FailureDetectorConfig heartbeat,
-                           CrashLogStyle crash_log,
-                           const CommBatcherConfig& batch,
-                           TimeNs nominal_horizon)
+                           CrashLogStyle crash_log, TimeNs nominal_horizon)
     : rng_(seed),
       faults_(cluster.faults, seed ^ kFaultSeedSalt),
       machine_(cluster.machine),
@@ -55,7 +53,6 @@ FaultHarness::FaultHarness(const sim::ClusterSpec& cluster, std::uint64_t seed,
       job_path_(PathRef{}.child(fault_symbols().job, 0)),
       exec_path_(job_path_.child(fault_symbols().execute, 0)),
       dead_(static_cast<std::size_t>(cluster.machine_count), 0),
-      batcher_(batch, cluster.machine_count),
       machines_(static_cast<std::size_t>(cluster.machine_count)),
       noise_(noise),
       checkpoint_(checkpoint),
@@ -254,11 +251,9 @@ void FaultHarness::close_or_abandon(const PathRef& path, bool truncate,
 
 void FaultHarness::stop_worker(int w, TimeNs now, bool truncate) {
   teardown_worker(w, now, truncate);
-  // In-flight traffic of the aborted step is gone — both the NIC queue and
-  // anything still sitting in the coalescing buffers; the re-execution
+  // In-flight traffic of the aborted step is gone; the re-execution
   // regenerates it.
   nic(w).clear(now);
-  if (batcher_.enabled()) batcher_.clear(w);
 }
 
 void FaultHarness::fire_crash() {
@@ -344,8 +339,6 @@ trace::RunArtifacts FaultHarness::simulate(std::vector<double>& vertex_values) {
   trace::RunArtifacts artifacts;
   artifacts.makespan = makespan_;
   artifacts.vertex_values = std::move(vertex_values);
-  comm_.batch_flushes =
-      static_cast<std::int64_t>(batcher_.stats().total_flushes());
   artifacts.comm = std::move(comm_);
   artifacts.phase_events = log_.take_phase_events();
   artifacts.blocking_events = log_.take_blocking_events();

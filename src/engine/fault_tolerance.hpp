@@ -24,7 +24,6 @@
 #include "common/rng.hpp"
 #include "common/step_function.hpp"
 #include "common/time.hpp"
-#include "engine/comm_batcher.hpp"
 #include "engine/phase_logger.hpp"
 #include "sim/cluster.hpp"
 #include "sim/failure_detector.hpp"
@@ -75,7 +74,7 @@ struct NoiseConfig {
 
 /// Base of one engine run: owns the simulated cluster and its fault
 /// handling. Engine configs supply `cluster`, `seed`, `noise`, `checkpoint`,
-/// `retry`, `heartbeat`, `crash_log` and `batch`.
+/// `retry`, `heartbeat` and `crash_log`.
 class FaultHarness {
  public:
   FaultHarness(const FaultHarness&) = delete;
@@ -87,7 +86,7 @@ class FaultHarness {
   template <typename Config>
   FaultHarness(const Config& cfg, TimeNs nominal_horizon)
       : FaultHarness(cfg.cluster, cfg.seed, cfg.noise, cfg.checkpoint,
-                     cfg.retry, cfg.heartbeat, cfg.crash_log, cfg.batch,
+                     cfg.retry, cfg.heartbeat, cfg.crash_log,
                      nominal_horizon) {}
   virtual ~FaultHarness() = default;
 
@@ -183,10 +182,7 @@ class FaultHarness {
   const trace::PathRef exec_path_;
   std::vector<char> dead_;  ///< per worker: crashed, not yet recovered
   sim::ReliableChannel channel_;
-  // Per-destination send coalescing (DESIGN.md §13) plus the run's logical
-  // communication counters reported through RunArtifacts::comm.
-  CommBatcher batcher_;
-  std::vector<CommBatcher::Flush> flush_scratch_;
+  // The run's communication counters reported through RunArtifacts::comm.
   trace::CommStats comm_;
 
  private:
@@ -201,15 +197,14 @@ class FaultHarness {
   FaultHarness(const sim::ClusterSpec& cluster, std::uint64_t seed,
                const NoiseConfig& noise, const CheckpointConfig& checkpoint,
                const RetryConfig& retry, sim::FailureDetectorConfig heartbeat,
-               CrashLogStyle crash_log, const CommBatcherConfig& batch,
-               TimeNs nominal_horizon);
+               CrashLogStyle crash_log, TimeNs nominal_horizon);
 
   // ---- engine hooks: called only on checkpoint, crash and recovery ----------
   virtual void save_snapshot() = 0;
   virtual void restore_snapshot() = 0;
   /// Stops worker w at `now`: releases its in-flight CPU and closes (or,
   /// truncating, abandons) its open phases. The harness then drops the
-  /// worker's queued and buffered traffic.
+  /// worker's queued NIC traffic.
   virtual void teardown_worker(int w, TimeNs now, bool truncate) = 0;
   /// Closes the aborted step's still-open global phases at `close` (or
   /// abandons them) and retires its path index.

@@ -208,10 +208,10 @@ class GasRun final : public FaultHarness {
   TimeNs exchange_latest_ = 0;
   std::vector<char> exchange_open_;
   std::function<void(TimeNs)> exchange_on_done_;
-  /// Per-(src,dst) exchange bytes, row-major workers x workers; filled when
-  /// sends travel through the reliable channel or feed the batcher
-  /// (otherwise the aggregate per-src totals suffice). Flat and reused
-  /// across iterations instead of a per-iteration vector-of-vectors.
+  /// Per-(src,dst) exchange bytes, row-major workers x workers; filled only
+  /// when sends travel through the reliable channel (otherwise the aggregate
+  /// per-src totals suffice). Flat and reused across iterations instead of a
+  /// per-iteration vector-of-vectors.
   std::vector<double> exchange_by_dst_;
 
   double& exchange_to(int src, int dst) {
@@ -421,9 +421,9 @@ void GasRun::compute_iteration_effects() {
   scatter_work_.assign(static_cast<std::size_t>(workers_), 0.0);
   exchange_bytes_.assign(static_cast<std::size_t>(workers_), 0.0);
   exchange_values_.assign(static_cast<std::size_t>(workers_), 0.0);
-  // Per-destination breakdown is needed when exchange traffic travels
-  // through the reliable channel or feeds the coalescing buffers.
-  const bool split_dst = !channel_.trivial() || batcher_.enabled();
+  // Per-destination breakdown is needed only when exchange traffic travels
+  // through the reliable channel, one ack'd transfer per destination.
+  const bool split_dst = !channel_.trivial();
   if (split_dst) {
     exchange_by_dst_.assign(static_cast<std::size_t>(workers_) *
                                 static_cast<std::size_t>(workers_),
@@ -486,18 +486,6 @@ void GasRun::compute_iteration_effects() {
                         static_cast<int>(r)) += cfg_.costs.bytes_per_value;
           }
         }
-      }
-    }
-  }
-
-  // Exchange traffic enters the coalescing buffers now; the exchange step
-  // drains them as one barriered flush per destination. The exchange is
-  // already a bulk transfer, so size crossings never flush early here.
-  if (batcher_.enabled()) {
-    for (int w = 0; w < workers_; ++w) {
-      for (int dst = 0; dst < workers_; ++dst) {
-        const double bytes = exchange_to(w, dst);
-        if (bytes > 0.0 && dst != w) batcher_.deposit(w, dst, bytes);
       }
     }
   }
@@ -662,14 +650,7 @@ void GasRun::run_exchange(TimeNs t, std::function<void(TimeNs)> on_done) {
     // existed.
     TimeNs latest = t;
     for (int w = 0; w < workers_; ++w) {
-      double bytes = exchange_bytes_[static_cast<std::size_t>(w)];
-      if (batcher_.enabled()) {
-        // Drain the coalescing buffers instead; with the default exact
-        // byte costs the drained total regroups to the same value.
-        batcher_.take_all(w, FlushCause::kBarrier, flush_scratch_);
-        bytes = 0.0;
-        for (const auto& f : flush_scratch_) bytes += f.bytes;
-      }
+      const double bytes = exchange_bytes_[static_cast<std::size_t>(w)];
       const auto values = exchange_values_[static_cast<std::size_t>(w)];
       const DurationNs serialize = ns_for_work(
           values * cfg_.costs.work_per_exchange_value * jitter(0.05));
@@ -709,20 +690,10 @@ void GasRun::run_exchange(TimeNs t, std::function<void(TimeNs)> on_done) {
     cpu(w).add(t + serialize, -1.0);
     log_.begin(step.child(gas_symbols().worker_exchange, w), t, w);
     TimeNs send_done = t;
-    const auto plan_one = [&](int dst, double bytes) {
+    for (int dst = 0; dst < workers_; ++dst) {
+      const double bytes = exchange_to(w, dst);
+      if (bytes <= 0.0) continue;
       send_done = std::max(send_done, send_reliable(w, dst, bytes, t));
-    };
-    if (batcher_.enabled()) {
-      // Drained ascending by destination — the same deterministic order as
-      // the unbatched loop below, so the plan sequence is identical.
-      batcher_.take_all(w, FlushCause::kBarrier, flush_scratch_);
-      for (const auto& f : flush_scratch_) plan_one(f.dst, f.bytes);
-    } else {
-      for (int dst = 0; dst < workers_; ++dst) {
-        const double bytes = exchange_to(w, dst);
-        if (bytes <= 0.0) continue;
-        plan_one(dst, bytes);
-      }
     }
     const TimeNs finalize_at = std::max(send_done, t + serialize);
     schedule_epoch(finalize_at, [this, w, t, send_done] {

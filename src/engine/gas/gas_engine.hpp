@@ -42,7 +42,6 @@
 #include <cstdint>
 
 #include "algorithms/gas_program.hpp"
-#include "engine/comm_batcher.hpp"
 #include "engine/fault_tolerance.hpp"
 #include "engine/phase_logger.hpp"
 #include "graph/graph.hpp"
@@ -96,10 +95,6 @@ struct GasConfig {
   int threads_per_worker = 0;  ///< 0 = one per core
   int chunk_edges = 2048;      ///< gather/scatter work per scheduling chunk
   GasCostModel costs;
-  /// Per-destination exchange coalescing (on by default; max_batch_bytes = 0
-  /// disables it). The exchange step is already one bulk barrier, so here
-  /// batching only changes how the drained buffers reach the channel.
-  CommBatcherConfig batch;
   /// Unmodeled background CPU (OS daemons); smaller than the JVM engine's.
   NoiseConfig noise{.max_cores = 0.4, .sigma = 0.1};
   SyncBugConfig sync_bug;

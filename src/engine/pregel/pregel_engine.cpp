@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "engine/comm_batcher.hpp"
 #include "graph/partition.hpp"
 
 namespace g10::engine {
@@ -85,7 +86,8 @@ class PregelRun final : public FaultHarness {
         g_(g),
         prog_(prog),
         threads_(cfg.effective_threads()),
-        combiner_(prog.combiner()) {
+        combiner_(prog.combiner()),
+        batcher_(cfg.cluster.machine_count) {
     G10_CHECK(g_.vertex_count() > 0);
     G10_CHECK_MSG(threads_ <= cfg_.cluster.machine.cores,
                   "threads per worker must not exceed cores");
@@ -93,7 +95,9 @@ class PregelRun final : public FaultHarness {
 
   trace::RunArtifacts execute() {
     load_graph();
-    return simulate(value_);
+    trace::RunArtifacts artifacts = simulate(value_);
+    artifacts.comm.batch_flushes = batcher_.flushes();
+    return artifacts;
   }
 
  private:
@@ -278,6 +282,10 @@ class PregelRun final : public FaultHarness {
   std::vector<std::uint64_t> remote_off_;  ///< size n+1
   std::vector<std::uint32_t> remote_dst_;
   std::vector<std::uint32_t> remote_cnt_;
+
+  // Per-destination send coalescing (DESIGN.md §13).
+  CommBatcher batcher_;
+  std::vector<CommBatcher::Flush> flush_scratch_;
 
   std::uint64_t step_messages_ = 0;
 
@@ -464,11 +472,11 @@ void PregelRun::thread_continue(int w, int th) {
   //    when the stall resolves, for the same reason as the GC wait. The
   //    coalescing buffers count against the same capacity — they are the
   //    front half of the outgoing buffer — so pressure first converts them
-  //    into NIC traffic, then stalls on the queue like the unbatched path.
-  if (batcher_.enabled() && batcher_.pending(w) > 0.0 &&
+  //    into NIC traffic, then stalls on the queue.
+  if (batcher_.pending(w) > 0.0 &&
       nic(w).level(now) + batcher_.pending(w) >
           cfg_.queue.capacity_bytes) {
-    batcher_.take_all(w, FlushCause::kSize, flush_scratch_);
+    batcher_.take_all(w, flush_scratch_);
     for (const auto& f : flush_scratch_) flush_batch(w, f.dst, f.bytes, now);
   }
   if (nic(w).level(now) > cfg_.queue.capacity_bytes) {
@@ -495,9 +503,9 @@ void PregelRun::thread_continue(int w, int th) {
       // out drains this worker's coalescing buffers before the compute phase
       // can close, preserving the invariant that every channel attempt is
       // enqueued before worker_compute_done computes the drain time.
-      if (batcher_.enabled() && !channel_.trivial() &&
-          state.threads_done == threads_ - 1 && batcher_.pending(w) > 0.0) {
-        batcher_.take_all(w, FlushCause::kBarrier, flush_scratch_);
+      if (!channel_.trivial() && state.threads_done == threads_ - 1 &&
+          batcher_.pending(w) > 0.0) {
+        batcher_.take_all(w, flush_scratch_);
         TimeNs resume = now;
         for (const auto& f : flush_scratch_) {
           resume = std::max(resume, flush_batch(w, f.dst, f.bytes, now));
@@ -525,14 +533,12 @@ void PregelRun::thread_continue(int w, int th) {
 
   double work = 0.0;
   double remote_bytes = 0.0;
-  // Per-destination split of the remote traffic, needed when the reliable
-  // channel is live (each destination is a separate ack'd transfer) or when
-  // the batcher frames traffic per destination. The split lives in
-  // per-thread scratch: one chunk per thread is in flight, and send_chunk
-  // consumes it before the next dispatch.
-  const bool split_dst = !channel_.trivial() || batcher_.enabled();
+  // Per-destination split of the remote traffic, which the coalescing
+  // buffers frame per destination. The split lives in per-thread scratch:
+  // one chunk per thread is in flight, and send_chunk consumes it before the
+  // next dispatch.
   auto& remote_by_dst = thread.remote_by_dst;
-  if (split_dst) remote_by_dst.assign(static_cast<std::size_t>(workers_), 0.0);
+  remote_by_dst.assign(static_cast<std::size_t>(workers_), 0.0);
   double alloc = 0.0;
   PregelOutbox out;
   std::span<const double> empty;
@@ -565,7 +571,7 @@ void PregelRun::thread_continue(int w, int th) {
         const double bytes = cfg_.costs.bytes_per_message *
                              static_cast<double>(remote_cnt_[k]);
         remote_bytes += bytes;
-        if (split_dst) remote_by_dst[remote_dst_[k]] += bytes;
+        remote_by_dst[remote_dst_[k]] += bytes;
       }
     } else {
       // Giraph still scans the edge list of a computed vertex.
@@ -627,10 +633,10 @@ TimeNs PregelRun::flush_batch(int w, int dst, double bytes, TimeNs now) {
 /// every idle->pending transition; a stale timer finds pending() == 0 and
 /// does nothing. Epoch-guarded so crash recovery cancels it.
 void PregelRun::arm_flush_timer(int w) {
-  schedule_epoch(sim_.now() + batcher_.flush_after(), [this, w] {
+  schedule_epoch(sim_.now() + CommBatcher::kFlushAfter, [this, w] {
     if (dead_[static_cast<std::size_t>(w)] != 0) return;
     if (batcher_.pending(w) <= 0.0) return;
-    batcher_.take_all(w, FlushCause::kTimer, flush_scratch_);
+    batcher_.take_all(w, flush_scratch_);
     double total = 0.0;
     for (const auto& f : flush_scratch_) total += f.bytes;
     nic(w).enqueue(sim_.now(), total);
@@ -656,41 +662,21 @@ void PregelRun::resume_after_send(int w, int th, TimeNs now, TimeNs resume) {
 }
 
 void PregelRun::send_chunk(int w, int th, double remote_bytes) {
-  auto& state = ws_[static_cast<std::size_t>(w)];
   const TimeNs now = sim_.now();
   comm_.remote_bytes_total += remote_bytes;
-  if (channel_.trivial() && !batcher_.enabled()) {
-    // Fast path (batching disabled): without fault events every send is a
-    // single immediate attempt, so the flush bypasses the channel and the
-    // trace stays byte-identical to the pre-batching engine.
-    nic(w).enqueue(now, remote_bytes);
-    thread_continue(w, th);
-    return;
-  }
   if (remote_bytes <= 0.0) {
-    // Chunks with no remote traffic behave identically in every mode.
+    // Nothing to send; the empty enqueue only advances the NIC's fluid
+    // state to now.
     nic(w).enqueue(now, remote_bytes);
     thread_continue(w, th);
     return;
   }
-  const auto& remote_by_dst =
-      state.threads[static_cast<std::size_t>(th)].remote_by_dst;
-  if (!batcher_.enabled()) {
-    // Unbatched reliable path: the chunk's remote messages go out as one
-    // ack'd transfer per destination, and the thread blocks until the last
-    // transfer completes.
-    TimeNs resume = now;
-    for (int dst = 0; dst < workers_; ++dst) {
-      const double bytes = remote_by_dst[static_cast<std::size_t>(dst)];
-      if (bytes <= 0.0 || dst == w) continue;
-      resume = std::max(resume, flush_batch(w, dst, bytes, now));
-    }
-    resume_after_send(w, th, now, resume);
-    return;
-  }
-  // Batched path: the chunk's traffic joins the per-destination coalescing
-  // buffers. Only buffers crossing the frame size flush here; the rest wait
-  // for the flush timer (trivial channel) or the compute barrier.
+  // The chunk's traffic joins the per-destination coalescing buffers. Only
+  // buffers crossing the frame size flush here; the rest wait for the flush
+  // timer (trivial channel) or the compute barrier.
+  const auto& remote_by_dst = ws_[static_cast<std::size_t>(w)]
+                                  .threads[static_cast<std::size_t>(th)]
+                                  .remote_by_dst;
   bool arm_timer = false;
   TimeNs resume = now;
   for (int dst = 0; dst < workers_; ++dst) {
@@ -699,7 +685,7 @@ void PregelRun::send_chunk(int w, int th, double remote_bytes) {
     const auto dep = batcher_.deposit(w, dst, bytes);
     arm_timer = arm_timer || dep.first_pending;
     if (!dep.crossed) continue;
-    const double batch = batcher_.take(w, dst, FlushCause::kSize);
+    const double batch = batcher_.take(w, dst);
     resume = std::max(resume, flush_batch(w, dst, batch, now));
   }
   if (arm_timer && channel_.trivial()) arm_flush_timer(w);
@@ -761,22 +747,16 @@ void PregelRun::worker_compute_done(int w) {
   const TimeNs now = sim_.now();
   state.compute_end = now;
   log_.end(state.compute_phase, now, w);
-  if (batcher_.enabled()) {
-    if (channel_.trivial()) {
-      // Barrier flush: whatever is still buffered goes out now, before the
-      // communicate drain time is computed.
-      if (batcher_.pending(w) > 0.0) {
-        batcher_.take_all(w, FlushCause::kBarrier, flush_scratch_);
-        double total = 0.0;
-        for (const auto& f : flush_scratch_) total += f.bytes;
-        nic(w).enqueue(now, total);
-      }
-    } else {
-      // With a live channel the last compute thread already flushed.
-      G10_CHECK_MSG(batcher_.pending(w) <= 0.0,
-                    "unflushed batch at compute end");
-    }
+  // Barrier flush: whatever is still buffered goes out now, before the
+  // communicate drain time is computed. With a live channel the last
+  // compute thread already flushed.
+  if (channel_.trivial() && batcher_.pending(w) > 0.0) {
+    batcher_.take_all(w, flush_scratch_);
+    double total = 0.0;
+    for (const auto& f : flush_scratch_) total += f.bytes;
+    nic(w).enqueue(now, total);
   }
+  G10_CHECK_MSG(batcher_.pending(w) <= 0.0, "unflushed batch at compute end");
   const TimeNs drained = nic(w).time_empty(now);
   log_.end(state.communicate_phase, drained, w);
   // The END above is logged ahead of simulated time; remember it so a crash
@@ -919,6 +899,8 @@ void PregelRun::teardown_worker(int w, TimeNs now, bool truncate) {
   close_or_abandon(state.compute_phase, truncate, now, w);
   close_or_abandon(state.communicate_phase, truncate, now, w);
   close_or_abandon(state.barrier_phase, truncate, now, w);
+  // Whatever still sits in the coalescing buffers is lost with the worker.
+  batcher_.clear(w);
 }
 
 void PregelRun::abort_step(TimeNs close, bool truncate) {

@@ -44,7 +44,6 @@
 #include <cstdint>
 
 #include "algorithms/pregel_program.hpp"
-#include "engine/comm_batcher.hpp"
 #include "engine/fault_tolerance.hpp"
 #include "engine/phase_logger.hpp"
 #include "graph/graph.hpp"
@@ -104,9 +103,6 @@ struct PregelConfig {
   PregelCostModel costs;
   GcConfig gc;
   QueueConfig queue;
-  /// Per-destination send coalescing (on by default; max_batch_bytes = 0
-  /// disables it and restores one transfer per chunk per destination).
-  CommBatcherConfig batch;
   NoiseConfig noise;
   CheckpointConfig checkpoint;
   RetryConfig retry;

@@ -1,6 +1,5 @@
 #include "ensemble/run_grade10.hpp"
 
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
@@ -43,26 +42,6 @@ std::shared_ptr<const graph::Graph> cached_dataset(const std::string& spec) {
   return slot;
 }
 
-struct Programs {
-  algorithms::PageRank pagerank;
-  algorithms::Bfs bfs{1};
-  algorithms::Wcc wcc;
-  algorithms::Cdlp cdlp;
-  algorithms::Sssp sssp{1};
-
-  explicit Programs(int iterations) : pagerank(iterations), cdlp(iterations) {}
-
-  template <typename Program>
-  const Program* find(const std::string& algorithm) const {
-    const std::map<std::string, const Program*> by_name{
-        {"pagerank", &pagerank}, {"bfs", &bfs}, {"wcc", &wcc},
-        {"cdlp", &cdlp},         {"sssp", &sssp}};
-    const auto it = by_name.find(algorithm);
-    G10_CHECK_MSG(it != by_name.end(), "unknown algorithm: " + algorithm);
-    return it->second;
-  }
-};
-
 RunAttempt cancelled_attempt() {
   RunAttempt attempt;
   attempt.outcome = RunOutcome::kTimeout;
@@ -83,7 +62,10 @@ RunAttempt run_scenario(const Scenario& scenario, const CancelToken& token,
   }
   if (token.cancelled()) return cancelled_attempt();
 
-  const Programs programs(scenario.iterations);
+  // g10_ensemble admits only known algorithm names.
+  G10_CHECK_MSG(algorithms::is_algorithm_name(scenario.algorithm),
+                "unknown algorithm: " + scenario.algorithm);
+  const algorithms::ProgramSet programs(scenario.iterations);
 
   // Stage 2: engine run under the scenario's faults + cost jitter.
   trace::RunArtifacts artifacts;
@@ -98,10 +80,10 @@ RunAttempt run_scenario(const Scenario& scenario, const CancelToken& token,
     cfg.cluster.faults = scenario.faults;
     cfg.seed = scenario.seed;
     const engine::PregelEngine engine(cfg);
-    const auto* program =
-        programs.find<algorithms::PregelProgram>(scenario.algorithm);
-    fault_horizon = engine.estimate_horizon(*graph, *program);
-    artifacts = engine.run(*graph, *program);
+    const auto& program =
+        *programs.find<algorithms::PregelProgram>(scenario.algorithm);
+    fault_horizon = engine.estimate_horizon(*graph, program);
+    artifacts = engine.run(*graph, program);
     core::PregelModelParams params;
     params.cores = scenario.cores;
     params.threads = cfg.effective_threads();
@@ -118,10 +100,10 @@ RunAttempt run_scenario(const Scenario& scenario, const CancelToken& token,
     cfg.sync_bug.enabled = scenario.sync_bug;
     cfg.sync_bug.probability = options.sync_bug_probability;
     const engine::GasEngine engine(cfg);
-    const auto* program =
-        programs.find<algorithms::GasProgram>(scenario.algorithm);
-    fault_horizon = engine.estimate_horizon(*graph, *program);
-    artifacts = engine.run(*graph, *program);
+    const auto& program =
+        *programs.find<algorithms::GasProgram>(scenario.algorithm);
+    fault_horizon = engine.estimate_horizon(*graph, program);
+    artifacts = engine.run(*graph, program);
     core::GasModelParams params;
     params.cores = scenario.cores;
     params.threads = cfg.effective_threads();

@@ -503,6 +503,12 @@ G10tStructureParse parse_g10t_structure(std::string_view bytes) {
   {
     ByteCursor cursor(bytes.data() + structure.header.index_offset,
                       structure.header.index_size);
+    // Every entry takes at least one byte: a larger count is corruption,
+    // caught before reserve() tries to allocate it.
+    if (structure.header.block_count > structure.header.index_size) {
+      out.error = "block count overruns the block index";
+      return out;
+    }
     structure.index.reserve(structure.header.block_count);
     for (std::uint64_t i = 0; i < structure.header.block_count; ++i) {
       IndexEntry entry;

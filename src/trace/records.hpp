@@ -59,16 +59,18 @@ struct GroundTruthSeries {
 /// Aggregate communication behavior of a run. The counts and byte totals
 /// are *logical* workload invariants — tallied where messages are produced,
 /// before any coalescing, retransmission, or loss — so they must come out
-/// identical whether communication batching is on or off and regardless of
-/// injected message loss. The plan/flush counters, by contrast, describe
-/// the transport and are exactly what batching is meant to shrink.
+/// identical regardless of injected message loss. The plan/flush counters,
+/// by contrast, describe the transport.
 struct CommStats {
   /// Messages produced per executed superstep/iteration *instance* (an
   /// attempt aborted by a crash records nothing; its re-execution does).
   std::vector<std::uint64_t> messages_per_step;
   double remote_bytes_total = 0.0;  ///< logical remote wire bytes
   std::int64_t channel_plans = 0;   ///< ReliableChannel::plan_send calls
-  std::int64_t batch_flushes = 0;   ///< coalesced NIC handoffs (0 when off)
+  /// Coalesced per-destination frames handed to the NIC or channel. Always
+  /// 0 for GAS: its exchange is already one transfer per destination at a
+  /// barrier and has no coalescing stage (DESIGN.md §13).
+  std::int64_t batch_flushes = 0;
 };
 
 /// Everything one engine run produces.

@@ -163,7 +163,11 @@ class BinaryTraceReader final : public TraceReader {
                      const std::vector<std::uint64_t>& filter_blooms,
                      const IndexEntry& entry) const {
     if (entry.record_count == 0) return false;
-    if (entry.time_max < filter.time_min || entry.time_min > filter.time_max) {
+    // Without a window every record passes, whatever its time (a decoded
+    // time may be negative).
+    if (time_window_active(filter) &&
+        (entry.time_max < filter.time_min ||
+         entry.time_min > filter.time_max)) {
       return false;
     }
     if (!filter.machines.empty()) {

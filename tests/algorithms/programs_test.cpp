@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <string_view>
+
 #include "graph/builder.hpp"
 
 namespace g10::algorithms {
@@ -129,6 +133,33 @@ TEST(CdlpProgramTest, GasApplyTakesModeOrKeepsOwn) {
   EXPECT_DOUBLE_EQ(cdlp.apply(1, 1.0, nbrs, values, {}, 0, g), 7.0);
   EXPECT_DOUBLE_EQ(cdlp.apply(1, 1.0, {}, {}, {}, 0, g), 1.0);
   EXPECT_EQ(cdlp.combiner(), Combiner::kNone);
+}
+
+TEST(ProgramSetTest, ResolvesEveryListedNameInBothParadigms) {
+  const ProgramSet programs(7);
+  const std::string expected[] = {"PageRank", "BFS", "WCC", "CDLP", "SSSP"};
+  ASSERT_EQ(std::size(expected), kAlgorithmNames.size());
+  for (std::size_t i = 0; i < kAlgorithmNames.size(); ++i) {
+    const std::string_view name = kAlgorithmNames[i];
+    EXPECT_TRUE(is_algorithm_name(name));
+    const auto* pregel = programs.find<PregelProgram>(name);
+    const auto* gas = programs.find<GasProgram>(name);
+    ASSERT_NE(pregel, nullptr) << name;
+    ASSERT_NE(gas, nullptr) << name;
+    EXPECT_EQ(pregel->name(), expected[i]);
+    EXPECT_EQ(gas->name(), expected[i]);
+  }
+  EXPECT_EQ(programs.find<PregelProgram>("pagerank")->max_supersteps(), 8);
+  EXPECT_EQ(programs.find<GasProgram>("cdlp")->max_iterations(), 7);
+}
+
+TEST(ProgramSetTest, UnknownNamesResolveToNothing) {
+  const ProgramSet programs(3);
+  for (const std::string_view name : {"", "foo", "PageRank", "pagerank "}) {
+    EXPECT_FALSE(is_algorithm_name(name)) << name;
+    EXPECT_EQ(programs.find<PregelProgram>(name), nullptr) << name;
+    EXPECT_EQ(programs.find<GasProgram>(name), nullptr) << name;
+  }
 }
 
 }  // namespace

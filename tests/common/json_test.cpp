@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 
@@ -119,6 +120,26 @@ TEST(JsonValueTest, UnicodeEscapes) {
   const auto v = JsonValue::parse("\"\\u0041\\u00e9\\u4e2d\"");
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->as_string(), "A\xC3\xA9\xE4\xB8\xAD");
+}
+
+TEST(JsonValueTest, OutOfRangeIntegersSaturate) {
+  // Minimized from the journal mutation test: "attempts":9223372036854775808
+  // converted an out-of-range double to an integer (undefined behavior).
+  const auto v = JsonValue::parse(
+      "{\"big\":9223372036854775808,\"huge\":1e300,\"tiny\":-1e300,"
+      "\"neg\":-5,\"frac\":-0.5,\"min\":-9223372036854775808}");
+  ASSERT_TRUE(v.has_value());
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(v->get_int("big"), kMax);
+  EXPECT_EQ(v->get_int("huge"), kMax);
+  EXPECT_EQ(v->get_int("tiny"), kMin);
+  EXPECT_EQ(v->get_int("min"), kMin);
+  EXPECT_EQ(v->get_uint("big"), std::uint64_t{1} << 63);
+  EXPECT_EQ(v->get_uint("huge"), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(v->get_uint("tiny"), 0u);
+  EXPECT_EQ(v->get_uint("neg"), 0u);
+  EXPECT_EQ(v->get_uint("frac"), 0u);
 }
 
 TEST(JsonValueTest, TypedAccessorsCheckKind) {

@@ -1,6 +1,6 @@
-// Unit tests for the per-destination communication coalescing buffers
-// (DESIGN.md §13): deposit/threshold semantics, drain order, crash clears,
-// and the statistics the engines surface through trace::CommStats.
+// Unit tests for Pregel's per-destination send coalescing buffers
+// (DESIGN.md §13): deposit/frame-size semantics, drain order, crash clears,
+// and the flush count the engine surfaces through trace::CommStats.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -10,20 +10,8 @@
 namespace g10::engine {
 namespace {
 
-CommBatcher make_batcher(double max_bytes, int workers) {
-  CommBatcherConfig config;
-  config.max_batch_bytes = max_bytes;
-  return CommBatcher(config, workers);
-}
-
-TEST(CommBatcherTest, DisabledWhenThresholdIsZero) {
-  EXPECT_FALSE(CommBatcher().enabled());  // default-constructed: no workers
-  EXPECT_FALSE(make_batcher(0.0, 4).enabled());
-  EXPECT_TRUE(make_batcher(1024.0, 4).enabled());
-}
-
 TEST(CommBatcherTest, DepositAccumulatesAndReportsCrossing) {
-  auto batcher = make_batcher(100.0, 3);
+  CommBatcher batcher(3, 100.0);
 
   auto dep = batcher.deposit(0, 1, 40.0);
   EXPECT_TRUE(dep.first_pending);
@@ -39,35 +27,43 @@ TEST(CommBatcherTest, DepositAccumulatesAndReportsCrossing) {
   EXPECT_TRUE(dep.crossed);  // 110 >= 100
   EXPECT_DOUBLE_EQ(batcher.pending(0), 110.0);
 
-  EXPECT_DOUBLE_EQ(batcher.take(0, 1, FlushCause::kSize), 110.0);
+  EXPECT_DOUBLE_EQ(batcher.take(0, 1), 110.0);
   EXPECT_DOUBLE_EQ(batcher.pending(0), 0.0);
-  EXPECT_DOUBLE_EQ(batcher.take(0, 1, FlushCause::kSize), 0.0);  // empty
+  EXPECT_DOUBLE_EQ(batcher.take(0, 1), 0.0);  // empty
+  EXPECT_EQ(batcher.flushes(), 1);            // the empty take is not one
+}
+
+TEST(CommBatcherTest, DefaultFrameIsTheEngineFrameSize) {
+  CommBatcher batcher(2);
+  EXPECT_FALSE(
+      batcher.deposit(0, 1, CommBatcher::kFrameBytes - 1.0).crossed);
+  EXPECT_TRUE(batcher.deposit(0, 1, 1.0).crossed);
 }
 
 TEST(CommBatcherTest, ZeroByteDepositIsIgnored) {
-  auto batcher = make_batcher(100.0, 2);
+  CommBatcher batcher(2, 100.0);
   const auto dep = batcher.deposit(0, 1, 0.0);
   EXPECT_FALSE(dep.first_pending);
   EXPECT_FALSE(dep.crossed);
-  EXPECT_EQ(batcher.stats().deposits, 0);
+  EXPECT_DOUBLE_EQ(batcher.pending(0), 0.0);
 }
 
 TEST(CommBatcherTest, FirstPendingIsPerSource) {
-  auto batcher = make_batcher(1000.0, 3);
+  CommBatcher batcher(3, 1000.0);
   EXPECT_TRUE(batcher.deposit(0, 1, 8.0).first_pending);
   EXPECT_FALSE(batcher.deposit(0, 2, 8.0).first_pending);  // src 0 not idle
   EXPECT_TRUE(batcher.deposit(1, 0, 8.0).first_pending);   // src 1 was idle
 }
 
 TEST(CommBatcherTest, TakeAllDrainsAscendingByDestination) {
-  auto batcher = make_batcher(1000.0, 4);
+  CommBatcher batcher(4, 1000.0);
   batcher.deposit(1, 3, 24.0);
   batcher.deposit(1, 0, 16.0);
   batcher.deposit(1, 2, 8.0);
   batcher.deposit(1, 2, 8.0);
 
   std::vector<CommBatcher::Flush> flushes;
-  batcher.take_all(1, FlushCause::kBarrier, flushes);
+  batcher.take_all(1, flushes);
   ASSERT_EQ(flushes.size(), 3u);
   EXPECT_EQ(flushes[0].dst, 0);
   EXPECT_DOUBLE_EQ(flushes[0].bytes, 16.0);
@@ -76,41 +72,24 @@ TEST(CommBatcherTest, TakeAllDrainsAscendingByDestination) {
   EXPECT_EQ(flushes[2].dst, 3);
   EXPECT_DOUBLE_EQ(flushes[2].bytes, 24.0);
   EXPECT_DOUBLE_EQ(batcher.pending(1), 0.0);
+  EXPECT_EQ(batcher.flushes(), 3);  // one per drained buffer
 
-  batcher.take_all(1, FlushCause::kBarrier, flushes);
+  batcher.take_all(1, flushes);
   EXPECT_TRUE(flushes.empty());  // out is cleared even when nothing drains
+  EXPECT_EQ(batcher.flushes(), 3);
 }
 
 TEST(CommBatcherTest, ClearDropsBuffersWithoutCountingFlushes) {
-  auto batcher = make_batcher(1000.0, 3);
+  CommBatcher batcher(3, 1000.0);
   batcher.deposit(2, 0, 24.0);
   batcher.deposit(2, 1, 24.0);
   batcher.clear(2);
   EXPECT_DOUBLE_EQ(batcher.pending(2), 0.0);
-  EXPECT_EQ(batcher.stats().dropped_buffers, 2);
-  EXPECT_EQ(batcher.stats().total_flushes(), 0);
-  EXPECT_DOUBLE_EQ(batcher.stats().bytes_flushed, 0.0);
-}
+  EXPECT_EQ(batcher.flushes(), 0);
 
-TEST(CommBatcherTest, StatsTallyDepositsAndFlushCauses) {
-  auto batcher = make_batcher(100.0, 2);
-  batcher.deposit(0, 1, 60.0);
-  batcher.deposit(1, 0, 60.0);
-  batcher.deposit(1, 0, 60.0);
-  EXPECT_EQ(batcher.stats().deposits, 3);
-  EXPECT_DOUBLE_EQ(batcher.stats().bytes_deposited, 180.0);
-
-  batcher.take(1, 0, FlushCause::kSize);
   std::vector<CommBatcher::Flush> flushes;
-  batcher.take_all(0, FlushCause::kTimer, flushes);
-  batcher.deposit(0, 1, 8.0);
-  batcher.take_all(0, FlushCause::kBarrier, flushes);
-
-  EXPECT_EQ(batcher.stats().size_flushes, 1);
-  EXPECT_EQ(batcher.stats().timer_flushes, 1);
-  EXPECT_EQ(batcher.stats().barrier_flushes, 1);
-  EXPECT_EQ(batcher.stats().total_flushes(), 3);
-  EXPECT_DOUBLE_EQ(batcher.stats().bytes_flushed, 188.0);
+  batcher.take_all(2, flushes);
+  EXPECT_TRUE(flushes.empty());  // nothing survives the clear
 }
 
 }  // namespace

@@ -86,42 +86,9 @@ TEST(FaultFreeIdentityTest, GasTraceIsByteIdentical) {
   }
 }
 
-// The same no-op guarantee must hold on the --batch-bytes 0 escape hatch:
-// disabling communication batching restores the pre-batcher delivery path,
-// and idle fault machinery must still not perturb it.
-TEST(FaultFreeIdentityTest, PregelUnbatchedTraceIsByteIdentical) {
-  const graph::Graph graph = make_graph();
-  for (const int threads : {1, 2, 8}) {
-    PregelConfig cfg;
-    cfg.cluster.machine_count = 3;
-    cfg.cluster.machine.cores = 8;
-    cfg.threads_per_worker = threads;
-    cfg.seed = 99;
-    cfg.batch.max_batch_bytes = 0.0;
-    const std::string reference = pregel_log(cfg, graph);
-    EXPECT_EQ(pregel_log(with_idle_fault_machinery(cfg), graph), reference)
-        << "threads_per_worker=" << threads;
-  }
-}
-
-TEST(FaultFreeIdentityTest, GasUnbatchedTraceIsByteIdentical) {
-  const graph::Graph graph = make_graph();
-  for (const int threads : {1, 2, 8}) {
-    GasConfig cfg;
-    cfg.cluster.machine_count = 3;
-    cfg.cluster.machine.cores = 8;
-    cfg.threads_per_worker = threads;
-    cfg.seed = 99;
-    cfg.batch.max_batch_bytes = 0.0;
-    const std::string reference = gas_log(cfg, graph);
-    EXPECT_EQ(gas_log(with_idle_fault_machinery(cfg), graph), reference)
-        << "threads_per_worker=" << threads;
-  }
-}
-
-// Determinism sweep for the default batched schedule: running the same
-// batched configuration twice must reproduce the trace byte-for-byte at
-// every thread count (the batcher introduces no hidden run-to-run state).
+// Determinism sweep for the delivery schedule: running the same
+// configuration twice must reproduce the trace byte-for-byte at every thread
+// count (Pregel's coalescing buffers introduce no hidden run-to-run state).
 TEST(FaultFreeIdentityTest, PregelBatchedTraceIsReproducible) {
   const graph::Graph graph = make_graph();
   for (const int threads : {1, 2, 8}) {

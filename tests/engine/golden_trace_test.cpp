@@ -1,8 +1,8 @@
 // Golden-trace regression: the engines' logs must stay byte-identical to
 // committed fixtures across refactors of the trace-generation path. The
-// original fixtures were produced by the pre-batching delivery path, so the
-// batch-off runs pin that path byte-for-byte; the `_batched` fixtures pin
-// the default coalesced delivery schedule (DESIGN.md §13). The `_faulted`
+// `_batched` fixtures pin each engine's fault-free delivery schedule
+// (DESIGN.md §13): Pregel's coalesced frames, GAS's per-destination
+// exchange. The `_faulted`
 // fixtures pin the shared crash/checkpoint/recovery path (DESIGN.md §10)
 // in both crash-log styles; they also carry the monitoring samples, so CPU
 // accounting through checkpoint writes and crash teardown is pinned too.
@@ -107,26 +107,10 @@ engine::GasConfig gas_config() {
   return cfg;
 }
 
-TEST(GoldenTraceTest, PregelPageRankUnbatchedMatchesFixture) {
-  auto cfg = pregel_config();
-  cfg.batch.max_batch_bytes = 0.0;  // pre-batching delivery path
-  const auto artifacts =
-      engine::PregelEngine(cfg).run(make_graph(), algorithms::PageRank(5));
-  check_or_regen("pregel_pagerank_d512_s99.log", render(artifacts));
-}
-
 TEST(GoldenTraceTest, PregelPageRankBatchedMatchesFixture) {
   const auto artifacts = engine::PregelEngine(pregel_config())
                              .run(make_graph(), algorithms::PageRank(5));
   check_or_regen("pregel_pagerank_d512_s99_batched.log", render(artifacts));
-}
-
-TEST(GoldenTraceTest, GasPageRankUnbatchedMatchesFixture) {
-  auto cfg = gas_config();
-  cfg.batch.max_batch_bytes = 0.0;
-  const auto artifacts =
-      engine::GasEngine(cfg).run(make_graph(), algorithms::PageRank(5));
-  check_or_regen("gas_pagerank_d512_s99.log", render(artifacts));
 }
 
 TEST(GoldenTraceTest, GasPageRankBatchedMatchesFixture) {

@@ -28,8 +28,8 @@ struct Fixture {
 
 const std::vector<Fixture>& fixtures() {
   static const std::vector<Fixture> all = {
-      {"pregel", "pregel_pagerank_d512_s99.log"},
-      {"gas", "gas_pagerank_d512_s99.log"},
+      {"pregel", "pregel_pagerank_d512_s99_batched.log"},
+      {"gas", "gas_pagerank_d512_s99_batched.log"},
       {"dataflow", "dataflow_3stage_s99.log"},
   };
   return all;

@@ -72,6 +72,21 @@ TEST(RunExitCodeTest, UnknownFlagIsBadArgs) {
   EXPECT_EQ(exit_code(std::string(G10_RUN_BIN) + " --bogus 1"), kExitBadArgs);
   EXPECT_EQ(exit_code(std::string(G10_RUN_BIN) + " --workers 0"),
             kExitBadArgs);
+  // The batching knobs are gone: each engine has one delivery path.
+  EXPECT_EQ(exit_code(std::string(G10_RUN_BIN) + " --batch-bytes 0"),
+            kExitBadArgs);
+  EXPECT_EQ(exit_code(std::string(G10_RUN_BIN) + " --batch-flush-us 1000"),
+            kExitBadArgs);
+}
+
+TEST(RunExitCodeTest, UnknownEngineOrAlgorithmIsBadArgs) {
+  // Rejected while parsing the arguments, before a dataset of this size
+  // would be generated.
+  const std::string base = std::string(G10_RUN_BIN) +
+                           " --dataset rmat:16 --out " +
+                           (test_root() / "unknown_name").string();
+  EXPECT_EQ(exit_code(base + " --algorithm foo"), kExitBadArgs);
+  EXPECT_EQ(exit_code(base + " --engine spark"), kExitBadArgs);
 }
 
 TEST(RunExitCodeTest, BadNumericFlagsAreBadArgs) {
@@ -89,7 +104,6 @@ TEST(RunExitCodeTest, BadNumericFlagsAreBadArgs) {
         " --workers 4294967297", " --cores 2x", " --iterations -3",
         " --retry-max-attempts 0", " --retry-timeout-ms nan",
         " --heartbeat-ms inf", " --heartbeat-timeout-ms 0",
-        " --batch-bytes -1", " --batch-flush-us 1e300",
         " --det-check 4294967298"}) {
     EXPECT_EQ(exit_code(base + flags), kExitBadArgs) << flags;
   }
@@ -426,6 +440,16 @@ TEST(EnsembleExitCodeTest, BadNumericFlagsAreBadArgs) {
         " --dataset datagen:1"}) {
     EXPECT_EQ(exit_code(base + flags), kExitBadArgs) << flags;
   }
+}
+
+TEST(EnsembleExitCodeTest, UnknownAlgorithmIsBadArgs) {
+  // Used to exit 0 with every run failed and coverage 0.0%.
+  EXPECT_EQ(exit_code(std::string(G10_ENSEMBLE_BIN) + " --out " +
+                      (test_root() / "unknown_algorithm_fleet").string() +
+                      " --engines pregel --algorithm foo --dataset rmat:5"
+                      " --workers 2 --cores 2 --iterations 2 --seeds 2"
+                      " --quiet"),
+            kExitBadArgs);
 }
 
 TEST(EnsembleExitCodeTest, UnknownDatasetIsParseFailure) {

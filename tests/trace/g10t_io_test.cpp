@@ -352,6 +352,22 @@ TEST(G10tIoTest, TruncatedSectionsAreErrors) {
   }
 }
 
+TEST(G10tIoTest, HugeBlockCountIsAnErrorNotAnAllocation) {
+  // Minimized from the seeded mutation test: a checksum-valid header whose
+  // block count exceeds the index size used to throw std::length_error from
+  // the index reserve().
+  std::string bytes = encode(edge_case_log());
+  HeaderParse header = decode_header(bytes, bytes.size());
+  ASSERT_TRUE(header.ok());
+  header.header.block_count = std::uint64_t{1} << 62;
+  bytes.replace(0, kG10tHeaderSize, encode_header(header.header));
+  G10tStructureParse parsed;
+  ASSERT_NO_THROW(parsed = parse_g10t_structure(bytes));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.error->find("block count"), std::string::npos)
+      << *parsed.error;
+}
+
 TEST(G10tIoTest, LooksLikeG10tSniffsMagicOnly) {
   EXPECT_TRUE(looks_like_g10t(encode(ParsedLog{})));
   EXPECT_FALSE(looks_like_g10t("# grade10 trace log v1\n"));

@@ -24,8 +24,8 @@ std::string golden_path(const std::string& name) {
 
 const std::vector<std::string>& golden_logs() {
   static const std::vector<std::string> logs = {
-      "pregel_pagerank_d512_s99.log",
-      "gas_pagerank_d512_s99.log",
+      "pregel_pagerank_d512_s99_batched.log",
+      "gas_pagerank_d512_s99_batched.log",
       "dataflow_3stage_s99.log",
   };
   return logs;
@@ -165,7 +165,7 @@ TEST(TraceReaderTest, PhaseFilterKeepsSubtreePlusAncestorChainOnly) {
   filter.phase_types = {"Superstep"};
   filter.ancestor_types = {"Execute", "Job"};
   const ParseResult sliced = read_trace_file(
-      golden_path("pregel_pagerank_d512_s99.log"), {}, filter);
+      golden_path("pregel_pagerank_d512_s99_batched.log"), {}, filter);
   ASSERT_TRUE(sliced.ok());
   ASSERT_FALSE(sliced.log.phase_events.empty());
   bool saw_superstep = false;
@@ -193,6 +193,23 @@ TEST(TraceReaderTest, FilteredBinaryReadSkipsBlocks) {
   EXPECT_GT(stats.blocks_total, 1u);
   EXPECT_GT(stats.blocks_skipped, 0u)
       << "index-based seek never rejected a block";
+}
+
+TEST(TraceReaderTest, UnfilteredReadKeepsNegativeTimeBlocks) {
+  // Minimized from the seeded mutation test: a block holding only
+  // negative-time records was skipped by an unfiltered read, so a decoded
+  // trace did not survive re-encoding.
+  ParsedLog log;
+  log.samples = {MonitoringSampleRecord{"cpu", 0, 5, 1.0},
+                 MonitoringSampleRecord{"cpu", 0, -12, 2.0}};
+  const std::string path = (test_root() / "negative_time.g10t").string();
+  G10tWriteOptions options;
+  options.block_records = 1;
+  std::string error;
+  ASSERT_TRUE(write_g10t_file(path, log, options, &error)) << error;
+  const ParseResult read = read_trace_file(path);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(render(read.log), render(log));
 }
 
 TEST(TraceReaderTest, BufferedTinyFileSurvivesMove) {

@@ -54,6 +54,7 @@
 #include <string>
 #include <vector>
 
+#include "algorithms/programs.hpp"
 #include "common/check.hpp"
 #include "common/exit_codes.hpp"
 #include "common/strings.hpp"
@@ -439,6 +440,7 @@ int main(int argc, char** argv) {
       }
       if (args.matrix.engines.empty()) return usage();
     } else if (arg == "--algorithm") {
+      if (!algorithms::is_algorithm_name(v)) return usage();
       args.matrix.algorithm = v;
     } else if (arg == "--dataset") {
       // As g10_run: a bad size is a bad argument, an unknown kind a bad

@@ -9,13 +9,12 @@
 //           [--retry-timeout-ms MS] [--retry-max-attempts N]
 //           [--heartbeat-ms MS] [--heartbeat-timeout-ms MS]
 //           [--crash-log reconciled|truncated]
-//           [--batch-bytes B] [--batch-flush-us US]
-//           [--det-check N]
+//           [--det-check N] [--trace-format text|binary|both]
 //
-// --batch-bytes sets the per-destination coalescing threshold for remote
-// message delivery (0 disables batching entirely and restores per-chunk
-// sends); --batch-flush-us bounds how long a partial batch may sit before
-// the time-based flush pushes it out.
+// Each engine delivers remote traffic one way (DESIGN.md §13): Pregel
+// coalesces each worker's sends into per-destination frames, GAS sends one
+// transfer per destination at its exchange barrier. The `comm:` summary line
+// counts the reliable-channel plans and Pregel's frame flushes.
 //
 // --faults injects failures from a deterministic schedule, e.g.
 //   crash:w2@40%              worker 2 crashes 40% into the nominal run
@@ -53,13 +52,11 @@
 #include <signal.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <string>
 
 #include "algorithms/programs.hpp"
@@ -122,8 +119,6 @@ struct Args {
   std::optional<int> retry_max_attempts;
   std::optional<double> heartbeat_ms;
   std::optional<double> heartbeat_timeout_ms;
-  std::optional<double> batch_bytes;
-  std::optional<double> batch_flush_us;
   engine::CrashLogStyle crash_log = engine::CrashLogStyle::kReconciled;
   int det_check = 0;  ///< 0 = off; otherwise number of executions (>= 2)
   std::string trace_format = "text";  ///< text | binary | both
@@ -142,7 +137,6 @@ int usage() {
                "               [--heartbeat-ms MS] "
                "[--heartbeat-timeout-ms MS]\n"
                "               [--crash-log reconciled|truncated]\n"
-               "               [--batch-bytes B] [--batch-flush-us US]\n"
                "               [--det-check N] "
                "[--trace-format text|binary|both]\n";
   return kExitBadArgs;
@@ -174,8 +168,10 @@ std::optional<Args> parse_args(int argc, char** argv) {
     const auto v = value();
     if (!v) return std::nullopt;
     if (arg == "--engine") {
+      if (*v != "pregel" && *v != "gas") return std::nullopt;
       args.engine = *v;
     } else if (arg == "--algorithm") {
+      if (!algorithms::is_algorithm_name(*v)) return std::nullopt;
       args.algorithm = *v;
     } else if (arg == "--dataset") {
       // A bad size is a bad argument; an unknown kind is a bad spec (exit 3
@@ -224,13 +220,6 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else if (arg == "--heartbeat-timeout-ms") {
       args.heartbeat_timeout_ms = parse_duration(*v, kMillisecond);
       if (!args.heartbeat_timeout_ms) return std::nullopt;
-    } else if (arg == "--batch-bytes") {
-      const auto b = parse_double(*v);
-      if (!b || !std::isfinite(*b) || *b < 0.0) return std::nullopt;
-      args.batch_bytes = *b;  // 0 disables batching
-    } else if (arg == "--batch-flush-us") {
-      args.batch_flush_us = parse_duration(*v, 1e3);
-      if (!args.batch_flush_us) return std::nullopt;
     } else if (arg == "--det-check") {
       const auto n = parse_int_at_least(*v, 2);
       if (!n) return std::nullopt;
@@ -267,11 +256,6 @@ void apply_fault_knobs(const Args& args, Config& cfg) {
   if (args.heartbeat_timeout_ms) {
     cfg.heartbeat.timeout_seconds = *args.heartbeat_timeout_ms / 1e3;
   }
-  if (args.batch_bytes) cfg.batch.max_batch_bytes = *args.batch_bytes;
-  if (args.batch_flush_us) {
-    cfg.batch.flush_after =
-        static_cast<DurationNs>(*args.batch_flush_us * 1e3);
-  }
   cfg.crash_log = args.crash_log;
 }
 
@@ -287,12 +271,8 @@ struct EngineRun {
 /// exit code to terminate with.
 int execute_engine(const Args& args, const sim::FaultSpec& fault_spec,
                    const graph::Graph& graph, EngineRun& out) {
-  const algorithms::PageRank pagerank(args.iterations);
-  const algorithms::Bfs bfs(1);
-  const algorithms::Wcc wcc;
-  const algorithms::Cdlp cdlp(args.iterations);
-  const algorithms::Sssp sssp(1);
-
+  // parse_args admits only known engine and algorithm names.
+  const algorithms::ProgramSet programs(args.iterations);
   if (args.engine == "pregel") {
     engine::PregelConfig cfg;
     cfg.cluster.machine_count = args.workers;
@@ -301,14 +281,11 @@ int execute_engine(const Args& args, const sim::FaultSpec& fault_spec,
     cfg.seed = args.seed;
     apply_fault_knobs(args, cfg);
     const engine::PregelEngine engine(cfg);
-    const std::map<std::string, const algorithms::PregelProgram*> programs{
-        {"pagerank", &pagerank}, {"bfs", &bfs}, {"wcc", &wcc},
-        {"cdlp", &cdlp}, {"sssp", &sssp}};
-    const auto it = programs.find(args.algorithm);
-    if (it == programs.end()) return usage();
-    out.fault_horizon = engine.estimate_horizon(graph, *it->second);
+    const auto& program =
+        *programs.find<algorithms::PregelProgram>(args.algorithm);
+    out.fault_horizon = engine.estimate_horizon(graph, program);
     try {
-      out.artifacts = engine.run(graph, *it->second);
+      out.artifacts = engine.run(graph, program);
     } catch (const std::exception& e) {
       if (!fault_spec.empty()) {
         std::cerr << "engine aborted under injected faults: " << e.what()
@@ -322,7 +299,7 @@ int execute_engine(const Args& args, const sim::FaultSpec& fault_spec,
     params.threads = cfg.effective_threads();
     params.network_capacity = cfg.cluster.machine.nic_bytes_per_sec();
     out.framework = core::make_pregel_model(params);
-  } else if (args.engine == "gas") {
+  } else {  // gas
     engine::GasConfig cfg;
     cfg.cluster.machine_count = args.workers;
     cfg.cluster.machine.cores = args.cores;
@@ -331,14 +308,11 @@ int execute_engine(const Args& args, const sim::FaultSpec& fault_spec,
     cfg.sync_bug.enabled = args.sync_bug;
     apply_fault_knobs(args, cfg);
     const engine::GasEngine engine(cfg);
-    const std::map<std::string, const algorithms::GasProgram*> programs{
-        {"pagerank", &pagerank}, {"bfs", &bfs}, {"wcc", &wcc},
-        {"cdlp", &cdlp}, {"sssp", &sssp}};
-    const auto it = programs.find(args.algorithm);
-    if (it == programs.end()) return usage();
-    out.fault_horizon = engine.estimate_horizon(graph, *it->second);
+    const auto& program =
+        *programs.find<algorithms::GasProgram>(args.algorithm);
+    out.fault_horizon = engine.estimate_horizon(graph, program);
     try {
-      out.artifacts = engine.run(graph, *it->second);
+      out.artifacts = engine.run(graph, program);
     } catch (const std::exception& e) {
       if (!fault_spec.empty()) {
         std::cerr << "engine aborted under injected faults: " << e.what()
@@ -352,8 +326,6 @@ int execute_engine(const Args& args, const sim::FaultSpec& fault_spec,
     params.threads = cfg.effective_threads();
     params.network_capacity = cfg.cluster.machine.nic_bytes_per_sec();
     out.framework = core::make_gas_model(params);
-  } else {
-    return usage();
   }
   return kExitOk;
 }
