@@ -19,8 +19,9 @@ constexpr const char* kNetwork = "network";
 constexpr const char* kRecovery = "Recovery";
 
 struct FaultSymbols {
-  trace::Symbol job, execute, checkpoint, checkpoint_worker, recovery,
-      recovery_worker;
+  trace::Symbol job, load_graph, load_worker, execute, checkpoint,
+      checkpoint_worker, recovery, recovery_worker, store_results,
+      store_worker;
 };
 
 const FaultSymbols& fault_symbols() {
@@ -28,11 +29,15 @@ const FaultSymbols& fault_symbols() {
     auto& table = trace::SymbolTable::global();
     FaultSymbols s;
     s.job = table.intern("Job");
+    s.load_graph = table.intern("LoadGraph");
+    s.load_worker = table.intern("LoadWorker");
     s.execute = table.intern("Execute");
     s.checkpoint = table.intern("Checkpoint");
     s.checkpoint_worker = table.intern("CheckpointWorker");
     s.recovery = table.intern("Recovery");
     s.recovery_worker = table.intern("RecoveryWorker");
+    s.store_results = table.intern("StoreResults");
+    s.store_worker = table.intern("StoreWorker");
     return s;
   }();
   return symbols;
@@ -45,7 +50,8 @@ FaultHarness::FaultHarness(const sim::ClusterSpec& cluster, std::uint64_t seed,
                            const CheckpointConfig& checkpoint,
                            const RetryConfig& retry,
                            sim::FailureDetectorConfig heartbeat,
-                           CrashLogStyle crash_log, TimeNs nominal_horizon)
+                           CrashLogStyle crash_log, const IoCosts& io,
+                           TimeNs nominal_horizon, trace::Symbol step_type)
     : rng_(seed),
       faults_(cluster.faults, seed ^ kFaultSeedSalt),
       machine_(cluster.machine),
@@ -56,7 +62,9 @@ FaultHarness::FaultHarness(const sim::ClusterSpec& cluster, std::uint64_t seed,
       machines_(static_cast<std::size_t>(cluster.machine_count)),
       noise_(noise),
       checkpoint_(checkpoint),
-      crash_log_(crash_log) {
+      crash_log_(crash_log),
+      io_(io),
+      step_type_(step_type) {
   cluster.validate();
   G10_CHECK(checkpoint_.interval_steps > 0);
   G10_CHECK(retry.max_attempts >= 0);
@@ -81,20 +89,69 @@ FaultHarness::FaultHarness(const sim::ClusterSpec& cluster, std::uint64_t seed,
   }
 }
 
-void FaultHarness::start_execution(TimeNs load_end,
-                                   std::vector<double> owned_vertices,
-                                   std::vector<double> reingest_work) {
+void FaultHarness::start_job(const std::vector<double>& edges,
+                             std::vector<double> owned_vertices,
+                             std::vector<double> reingest_work) {
+  G10_CHECK(edges.size() == static_cast<std::size_t>(workers_));
   owned_vertices_ = std::move(owned_vertices);
   reingest_work_ = std::move(reingest_work);
+  const FaultSymbols& sym = fault_symbols();
+  const PathRef load = job_path_.child(sym.load_graph, 0);
+  log_.begin(job_path_, 0, trace::kGlobalMachine);
+  log_.begin(load, 0, trace::kGlobalMachine);
+  const double cores = static_cast<double>(machine_.cores);
+  TimeNs load_end = 0;
+  for (int w = 0; w < workers_; ++w) {
+    const double worker_edges = edges[static_cast<std::size_t>(w)];
+    const DurationNs duration = ns_for_work(
+        worker_edges * io_.work_per_load_edge / cores * jitter(0.05) /
+        faults_.speed_factor(w, 0));
+    nic(w).enqueue(0, worker_edges * io_.bytes_per_load_edge);
+    cpu(w).add(0, cores);
+    cpu(w).add(duration, -cores);
+    const PathRef worker_load = load.child(sym.load_worker, w);
+    log_.begin(worker_load, 0, w);
+    const TimeNs done = std::max(duration, nic(w).time_empty(duration));
+    log_.end(worker_load, done, w);
+    load_end = std::max(load_end, done);
+  }
+  log_.end(load, load_end, trace::kGlobalMachine);
+  log_.begin(exec_path_, load_end, trace::kGlobalMachine);
+
   if (noise_.enabled) {
     for (int w = 0; w < workers_; ++w) {
       sim_.schedule_at(0, [this, w] { noise_tick(w); });
     }
   }
-  schedule_epoch(load_end, [this] { start_step(sim_.now()); });
+  schedule_transition(load_end, [this] { start_step(sim_.now()); });
   if (checkpointing_) save_snapshot();
   schedule_next_crash(load_end);
   schedule_nic_changes();
+}
+
+void FaultHarness::finish_job(TimeNs t) {
+  const FaultSymbols& sym = fault_symbols();
+  log_.end(exec_path_, t, trace::kGlobalMachine);
+  const PathRef store = job_path_.child(sym.store_results, 0);
+  log_.begin(store, t, trace::kGlobalMachine);
+  const double cores = static_cast<double>(machine_.cores);
+  TimeNs store_end = t;
+  for (int w = 0; w < workers_; ++w) {
+    const DurationNs duration = ns_for_work(
+        owned_vertices_[static_cast<std::size_t>(w)] *
+        io_.work_per_store_vertex / cores * jitter(0.05) /
+        faults_.speed_factor(w, t));
+    cpu(w).add(t, cores);
+    cpu(w).add(t + duration, -cores);
+    const PathRef worker_store = store.child(sym.store_worker, w);
+    log_.begin(worker_store, t, w);
+    log_.end(worker_store, t + duration, w);
+    store_end = std::max(store_end, t + duration);
+  }
+  log_.end(store, store_end, trace::kGlobalMachine);
+  log_.end(job_path_, store_end, trace::kGlobalMachine);
+  makespan_ = store_end;
+  execute_finished_ = true;
 }
 
 void FaultHarness::noise_tick(int w) {
@@ -152,19 +209,19 @@ TimeNs FaultHarness::send_reliable(int w, int dst, double bytes,
   return plan.complete;
 }
 
-bool FaultHarness::checkpoint_if_due(int completed, TimeNs t) {
-  if (!checkpointing_ || completed % checkpoint_.interval_steps != 0) {
-    return false;
+void FaultHarness::retire_step(TimeNs t) {
+  ++logical_step_;
+  ++step_instance_;
+  if (!checkpointing_ || logical_step_ % checkpoint_.interval_steps != 0) {
+    start_step(t);
+    return;
   }
-  const TimeNs cp_end = write_checkpoint(t);
-  schedule_epoch(cp_end, [this] {
-    // A crash inside the write window leaves the checkpoint to be aborted
-    // by the recovery path instead of completed here.
-    if (any_dead_) return;
+  // A crash inside the write window leaves the checkpoint to be aborted by
+  // the recovery path instead of completed here.
+  schedule_transition(write_checkpoint(t), [this] {
     complete_checkpoint();
     start_step(sim_.now());
   });
-  return true;
 }
 
 TimeNs FaultHarness::write_checkpoint(TimeNs t) {
@@ -206,6 +263,7 @@ void FaultHarness::complete_checkpoint() {
   log_.end(checkpoint_path_, cp_end, trace::kGlobalMachine);
   checkpoint_active_ = false;
   save_snapshot();
+  snapshot_step_ = logical_step_;
 }
 
 void FaultHarness::abort_checkpoint(int victim, TimeNs now) {
@@ -295,6 +353,8 @@ void FaultHarness::detect_and_recover() {
   // at or after every one of them.
   const TimeNs step_close = std::max(now, logged_end_floor_);
   abort_step(step_close, truncated);
+  close_or_abandon(step_path(), truncated, step_close, trace::kGlobalMachine);
+  ++step_instance_;
   if (checkpoint_active_) abort_checkpoint(victim, now);
 
   // Checkpoint-restart recovery: the master restarts the victim and every
@@ -321,6 +381,7 @@ void FaultHarness::detect_and_recover() {
   }
   log_.end(rec, rec_end, trace::kGlobalMachine);
   restore_snapshot();
+  logical_step_ = snapshot_step_;
   dead_[static_cast<std::size_t>(victim)] = 0;
   channel_.set_dead(victim, false);
   any_dead_ = false;
@@ -328,7 +389,7 @@ void FaultHarness::detect_and_recover() {
   // Resume after both the recovery window and the last logged END of the
   // aborted step, so repeated step instances never overlap.
   const TimeNs resume_at = std::max(rec_end, step_close);
-  schedule_epoch(resume_at, [this] { start_step(sim_.now()); });
+  schedule_transition(resume_at, [this] { start_step(sim_.now()); });
   schedule_next_crash(resume_at);
 }
 

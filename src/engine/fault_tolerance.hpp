@@ -4,15 +4,17 @@
 // same way — periodic snapshots, heartbeat failure detection, restart from
 // the last complete checkpoint — and both carry remote traffic over a
 // sim::ReliableChannel. FaultHarness is that machinery, written once: the
-// simulated cluster (per-machine CPU, NIC and background noise), crash and
-// NIC-rate scheduling, the checkpoint write/complete/abort lifecycle, the
-// crash -> detect -> recover state machine with its epoch-guarded event
-// scheduling, and the assembly of the run's artifacts. An engine run derives
-// from it and supplies only the hooks below — snapshot, restore, tear down a
-// worker, close the aborted step, start the next step — plus per-worker
-// sizes as data.
-// The hooks run only on checkpoint, crash and recovery; the hot path never
-// goes through a virtual call.
+// simulated cluster (per-machine CPU, NIC and background noise), the run
+// skeleton around the engine's steps (Job, LoadGraph, Execute,
+// StoreResults), the logical step count and step path index, every step
+// transition with its failure guard, crash and NIC-rate scheduling, the
+// checkpoint write/complete/abort lifecycle, the crash -> detect -> recover
+// state machine with its epoch-guarded event scheduling, and the assembly of
+// the run's artifacts. An engine run derives from it and supplies only the
+// hooks below — snapshot, restore, tear down a worker, close the aborted
+// step's own phases, start the next step — plus per-worker sizes as data.
+// The hooks run once per step at most; the per-chunk hot path never goes
+// through a virtual call.
 #pragma once
 
 #include <algorithm>
@@ -72,9 +74,17 @@ struct NoiseConfig {
   double sigma = 0.3;  ///< random-walk step (cores)
 };
 
-/// Base of one engine run: owns the simulated cluster and its fault
-/// handling. Engine configs supply `cluster`, `seed`, `noise`, `checkpoint`,
-/// `retry`, `heartbeat` and `crash_log`.
+/// Per-worker costs of the load and store phases, in the engine's work units.
+struct IoCosts {
+  double work_per_load_edge = 0.0;
+  double bytes_per_load_edge = 0.0;
+  double work_per_store_vertex = 0.0;
+};
+
+/// Base of one engine run: owns the simulated cluster, the run skeleton and
+/// its fault handling. Engine configs supply `cluster`, `seed`, `noise`,
+/// `checkpoint`, `retry`, `heartbeat`, `crash_log` and the load/store costs
+/// in `costs`.
 class FaultHarness {
  public:
   FaultHarness(const FaultHarness&) = delete;
@@ -82,12 +92,17 @@ class FaultHarness {
 
  protected:
   /// `nominal_horizon` anchors percent-based fault times (the engine's
-  /// closed-form makespan estimate).
+  /// closed-form makespan estimate); `step_type` names the engine's repeated
+  /// step phase (Superstep, Iteration).
   template <typename Config>
-  FaultHarness(const Config& cfg, TimeNs nominal_horizon)
+  FaultHarness(const Config& cfg, TimeNs nominal_horizon,
+               trace::Symbol step_type)
       : FaultHarness(cfg.cluster, cfg.seed, cfg.noise, cfg.checkpoint,
                      cfg.retry, cfg.heartbeat, cfg.crash_log,
-                     nominal_horizon) {}
+                     IoCosts{cfg.costs.work_per_load_edge,
+                             cfg.costs.bytes_per_load_edge,
+                             cfg.costs.work_per_store_vertex},
+                     nominal_horizon, step_type) {}
   virtual ~FaultHarness() = default;
 
   /// Machine w's NIC transmit queue and CPU usage recorder.
@@ -121,15 +136,22 @@ class FaultHarness {
     });
   }
 
+  /// Schedules a step transition — a barrier that starts the next step or
+  /// the next stage of this one — at `t`. Like schedule_epoch, and also
+  /// dropped while a failure is pending: from a crash until its recovery,
+  /// recovery owns the timeline, so no step may start or retire and no stage
+  /// may open phases on the dead worker.
+  template <typename Fn>
+  void schedule_transition(TimeNs t, Fn fn) {
+    sim_.schedule_at(t, [this, e = epoch_, fn = std::move(fn)]() mutable {
+      if (e == epoch_ && !any_dead_) fn();
+    });
+  }
+
   /// Sends `bytes` from worker w to `dst` through the reliable channel.
   /// Every planned attempt, retransmits included, costs the payload on w's
   /// NIC at its own time. Returns when the sender holds the ack.
   TimeNs send_reliable(int w, int dst, double bytes, TimeNs now);
-
-  /// True from a crash until its recovery completes. Recovery then owns the
-  /// timeline: a step must neither start nor retire its barrier, or the
-  /// retired step would open a checkpoint the recovery has to abort.
-  bool failure_pending() const { return any_dead_; }
 
   /// Records an END logged ahead of simulated time (a drained communication
   /// phase, a step barrier); an aborted step closes no earlier than this.
@@ -137,35 +159,41 @@ class FaultHarness {
     logged_end_floor_ = std::max(logged_end_floor_, t);
   }
 
-  /// Called once the graph is loaded. `owned_vertices[w]` sizes worker w's
-  /// checkpoint write and state reload; `reingest_work[w]` is the extra
-  /// recovery work when w itself is the restarted victim. Starts the noise
-  /// walk, schedules the first start_step() at `load_end`, and arms crashes and
-  /// NIC-rate changes.
-  void start_execution(TimeNs load_end, std::vector<double> owned_vertices,
-                       std::vector<double> reingest_work);
+  /// Called once the graph is partitioned. Logs Job, LoadGraph and one
+  /// LoadWorker per worker ingesting `edges[w]` edges, opens Execute and
+  /// schedules the first start_step(). `owned_vertices[w]` sizes worker w's
+  /// checkpoint write, state reload and result store; `reingest_work[w]` is
+  /// the extra recovery work when w itself is the restarted victim. Also
+  /// starts the noise walk and arms crashes and NIC-rate changes.
+  void start_job(const std::vector<double>& edges,
+                 std::vector<double> owned_vertices,
+                 std::vector<double> reingest_work);
 
-  /// Vertices owned by worker w, as passed to start_execution().
-  double owned_vertices(int w) const {
-    return owned_vertices_[static_cast<std::size_t>(w)];
+  /// Steps retired so far: the logical step the program runs next. Restored
+  /// from the snapshot on recovery.
+  int logical_step() const { return logical_step_; }
+
+  /// Path of the current step instance. The index counts instances, not
+  /// logical steps: a step re-executed after a crash gets a fresh index, so
+  /// every path in the log stays unique. The two coincide fault-free.
+  trace::PathRef step_path() const {
+    return exec_path_.child(step_type_, step_instance_);
   }
 
-  /// Step barrier after `completed` steps: when a checkpoint is due, writes
-  /// it and returns true; start_step() follows once the write completes.
-  /// Returns false when the caller should start the next step itself.
-  bool checkpoint_if_due(int completed, TimeNs t);
+  /// Retires the current step at its barrier `t`: advances both counters,
+  /// then writes a checkpoint when one is due (start_step() follows once the
+  /// write completes) or starts the next step at once.
+  void retire_step(TimeNs t);
+
+  /// Closes Execute at `t`, logs StoreResults with one StoreWorker per
+  /// worker and marks the job complete: the noise walk and NIC-rate changes
+  /// stop, and simulate() may return.
+  void finish_job(TimeNs t);
 
   /// Closes `path` at max(now, its begin) or, truncating, abandons it; a
   /// no-op when the path is not open.
   void close_or_abandon(const trace::PathRef& path, bool truncate,
                         TimeNs now, trace::MachineId machine);
-
-  /// Marks the job complete at `makespan`: the noise walk and NIC-rate
-  /// changes stop, and simulate() may return.
-  void finish(TimeNs makespan) {
-    makespan_ = makespan;
-    execute_finished_ = true;
-  }
 
   /// Runs the simulation to completion and assembles the artifacts: logs,
   /// communication counters, per-machine CPU/network ground truth, and the
@@ -197,19 +225,23 @@ class FaultHarness {
   FaultHarness(const sim::ClusterSpec& cluster, std::uint64_t seed,
                const NoiseConfig& noise, const CheckpointConfig& checkpoint,
                const RetryConfig& retry, sim::FailureDetectorConfig heartbeat,
-               CrashLogStyle crash_log, TimeNs nominal_horizon);
+               CrashLogStyle crash_log, const IoCosts& io,
+               TimeNs nominal_horizon, trace::Symbol step_type);
 
-  // ---- engine hooks: called only on checkpoint, crash and recovery ----------
+  // ---- engine hooks ---------------------------------------------------------
+  /// Snapshot and restore the engine's program state; the harness keeps the
+  /// logical step beside it.
   virtual void save_snapshot() = 0;
   virtual void restore_snapshot() = 0;
   /// Stops worker w at `now`: releases its in-flight CPU and closes (or,
   /// truncating, abandons) its open phases. The harness then drops the
   /// worker's queued NIC traffic.
   virtual void teardown_worker(int w, TimeNs now, bool truncate) = 0;
-  /// Closes the aborted step's still-open global phases at `close` (or
-  /// abandons them) and retires its path index.
-  virtual void abort_step(TimeNs close, bool truncate) = 0;
-  /// Starts the next step at `t`.
+  /// Closes the aborted step's still-open global phases below the step path
+  /// at `close` (or abandons them); the harness then closes the step itself
+  /// and retires its path index.
+  virtual void abort_step(TimeNs /*close*/, bool /*truncate*/) {}
+  /// Starts the next step at `t`, or calls finish_job(t) when none is left.
   virtual void start_step(TimeNs t) = 0;
 
   void noise_tick(int w);
@@ -226,12 +258,17 @@ class FaultHarness {
   const NoiseConfig noise_;
   const CheckpointConfig checkpoint_;
   const CrashLogStyle crash_log_;
+  const IoCosts io_;
+  const trace::Symbol step_type_;
   sim::FailureDetector detector_;
   bool checkpointing_ = false;  ///< armed iff the spec contains a crash
   bool execute_finished_ = false;
   TimeNs makespan_ = 0;
   std::vector<double> owned_vertices_;
   std::vector<double> reingest_work_;
+  int logical_step_ = 0;
+  int snapshot_step_ = 0;   ///< logical_step_ at the last saved snapshot
+  int step_instance_ = 0;   ///< step path index, never reused
 
   std::uint64_t epoch_ = 0;  ///< bumped when recovery aborts an attempt
   bool any_dead_ = false;

@@ -1,7 +1,6 @@
 #include "engine/gas/gas_engine.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -46,18 +45,15 @@ using trace::PathRef;
 /// Phase-type names interned once per process; the engine then builds paths
 /// from symbols without touching the symbol table's mutex.
 struct GasSymbols {
-  trace::Symbol load_graph, load_worker, iteration, gather_step,
-      worker_gather, gather_thread, apply_step, worker_apply, apply_thread,
-      scatter_step, worker_scatter, scatter_thread, exchange_step,
-      worker_exchange, store_results, store_worker;
+  trace::Symbol iteration, gather_step, worker_gather, gather_thread,
+      apply_step, worker_apply, apply_thread, scatter_step, worker_scatter,
+      scatter_thread, exchange_step, worker_exchange;
 };
 
 const GasSymbols& gas_symbols() {
   static const GasSymbols symbols = [] {
     auto& table = trace::SymbolTable::global();
     GasSymbols s;
-    s.load_graph = table.intern("LoadGraph");
-    s.load_worker = table.intern("LoadWorker");
     s.iteration = table.intern("Iteration");
     s.gather_step = table.intern("GatherStep");
     s.worker_gather = table.intern("WorkerGather");
@@ -70,19 +66,20 @@ const GasSymbols& gas_symbols() {
     s.scatter_thread = table.intern("ScatterThread");
     s.exchange_step = table.intern("ExchangeStep");
     s.worker_exchange = table.intern("WorkerExchange");
-    s.store_results = table.intern("StoreResults");
-    s.store_worker = table.intern("StoreWorker");
     return s;
   }();
   return symbols;
 }
 
-/// Whole-run mutable state; crash handling, checkpoints and the simulated
-/// machines live in FaultHarness (DESIGN.md §10).
+/// Whole-run mutable state; the run skeleton, crash handling, checkpoints
+/// and the simulated machines live in FaultHarness (DESIGN.md §10). Each
+/// iteration runs the program once, in compute_iteration_effects(), before
+/// its four steps are simulated from per-worker work counts.
 class GasRun final : public FaultHarness {
  public:
   GasRun(const GasConfig& cfg, const Graph& g, const GasProgram& prog)
-      : FaultHarness(cfg, gas_nominal_horizon(cfg, g, prog)),
+      : FaultHarness(cfg, gas_nominal_horizon(cfg, g, prog),
+                     gas_symbols().iteration),
         cfg_(cfg),
         g_(g),
         prog_(prog),
@@ -111,7 +108,7 @@ class GasRun final : public FaultHarness {
     std::vector<double> bug_extra;  ///< 0 = this worker has no injected bug
     std::vector<TimeNs> worker_end;
     int workers_left = 0;
-    std::function<void(TimeNs)> on_done;
+    int stage = 0;  ///< this step's Stage
     // Crash-teardown bookkeeping: what is still open / charged to the CPU.
     bool active = false;
     std::vector<double> running;  ///< in-flight CPU intensity per thread slot
@@ -126,16 +123,18 @@ class GasRun final : public FaultHarness {
   void load_graph();
   void start_iteration(TimeNs t);
   void compute_iteration_effects();  ///< correctness: apply + activation
-  void run_compute_step(TimeNs t, trace::Symbol step_type,
+  /// The iteration's steps in order; the exchange's barrier retires it.
+  enum Stage { kGather, kApply, kScatter, kExchange };
+  void start_stage(int stage, TimeNs t);
+  void run_compute_step(TimeNs t, int stage, trace::Symbol step_type,
                         trace::Symbol worker_type, trace::Symbol thread_type,
-                        std::vector<double> per_worker_work, bool allow_bug,
-                        std::function<void(TimeNs)> on_done);
+                        const std::vector<double>& per_worker_work,
+                        bool allow_bug);
   void step_thread_continue(int w, int th);
   void step_worker_finished(int w, TimeNs t);
-  void run_exchange(TimeNs t, std::function<void(TimeNs)> on_done);
+  void run_exchange(TimeNs t);
   void finalize_exchange_worker(int w, TimeNs begin, TimeNs send_done);
   void finish_iteration(TimeNs t);
-  void finish_execute(TimeNs t);
 
   // ---- FaultHarness hooks -------------------------------------------------
   void save_snapshot() override;
@@ -143,13 +142,6 @@ class GasRun final : public FaultHarness {
   void teardown_worker(int w, TimeNs now, bool truncate) override;
   void abort_step(TimeNs close, bool truncate) override;
   void start_step(TimeNs t) override { start_iteration(t); }
-
-  PathRef iteration_path() const {
-    // Paths use the monotonic instance counter, not the logical iteration:
-    // after a crash the re-executed iteration gets a fresh index, keeping
-    // every path in the log unique. The two counters coincide fault-free.
-    return exec_path_.child(gas_symbols().iteration, iteration_instance_);
-  }
 
   GasConfig cfg_;
   const Graph& g_;
@@ -191,11 +183,8 @@ class GasRun final : public FaultHarness {
   std::vector<double> nbr_wt_buf_;
 
   StepRuntime step_;
-  int iteration_ = 0;
-  int iteration_instance_ = 0;  ///< monotonic Iteration path index
 
   struct Snapshot {
-    int iteration = 0;
     std::vector<double> value;
     std::vector<char> active;
   };
@@ -207,7 +196,6 @@ class GasRun final : public FaultHarness {
   int exchange_left_ = 0;
   TimeNs exchange_latest_ = 0;
   std::vector<char> exchange_open_;
-  std::function<void(TimeNs)> exchange_on_done_;
   /// Per-(src,dst) exchange bytes, row-major workers x workers; filled only
   /// when sends travel through the reliable channel (otherwise the aggregate
   /// per-src totals suffice). Flat and reused across iterations instead of a
@@ -309,34 +297,14 @@ void GasRun::load_graph() {
     active_[v] = prog_.initially_active(v, g_) ? 1 : 0;
   }
 
-  const PathRef load = job_path_.child(gas_symbols().load_graph, 0);
-  log_.begin(job_path_, 0, trace::kGlobalMachine);
-  log_.begin(load, 0, trace::kGlobalMachine);
-  const auto per_worker_edges = cut_.edge_counts();
-  std::vector<double> reingest(static_cast<std::size_t>(workers_));
-  TimeNs load_end = 0;
-  for (int w = 0; w < workers_; ++w) {
-    const auto edges =
-        static_cast<double>(per_worker_edges[static_cast<std::size_t>(w)]);
+  std::vector<double> edges;
+  std::vector<double> reingest;
+  for (const auto count : cut_.edge_counts()) {
+    edges.push_back(static_cast<double>(count));
     // A restarted victim re-ingests its edge partition from storage.
-    reingest[static_cast<std::size_t>(w)] =
-        edges * cfg_.costs.work_per_load_edge;
-    const double cores = static_cast<double>(cfg_.cluster.machine.cores);
-    const DurationNs duration = ns_for_work(
-        edges * cfg_.costs.work_per_load_edge / cores * jitter(0.05) /
-        faults_.speed_factor(w, 0));
-    nic(w).enqueue(0, edges * cfg_.costs.bytes_per_load_edge);
-    cpu(w).add(0, cores);
-    cpu(w).add(duration, -cores);
-    const PathRef worker_load = load.child(gas_symbols().load_worker, w);
-    log_.begin(worker_load, 0, w);
-    const TimeNs done = std::max(duration, nic(w).time_empty(duration));
-    log_.end(worker_load, done, w);
-    load_end = std::max(load_end, done);
+    reingest.push_back(edges.back() * cfg_.costs.work_per_load_edge);
   }
-  log_.end(load, load_end, trace::kGlobalMachine);
-  log_.begin(exec_path_, load_end, trace::kGlobalMachine);
-  start_execution(load_end, std::move(masters), std::move(reingest));
+  start_job(edges, std::move(masters), std::move(reingest));
 }
 
 void GasRun::compute_iteration_effects() {
@@ -345,6 +313,7 @@ void GasRun::compute_iteration_effects() {
   std::fill(next_active_.begin(), next_active_.end(), 0);
   const GatherEdges mode = prog_.gather_edges();
   const bool weighted = g_.weighted();
+  const int iteration = logical_step();
   for (VertexId v = 0; v < n; ++v) {
     if (!active_[v]) {
       new_value_[v] = value_[v];
@@ -405,8 +374,8 @@ void GasRun::compute_iteration_effects() {
       }
     }
     new_value_[v] =
-        prog_.apply(v, value_[v], ids, values, weights, iteration_, g_);
-    if (prog_.scatter_activates(v, value_[v], new_value_[v], iteration_)) {
+        prog_.apply(v, value_[v], ids, values, weights, iteration, g_);
+    if (prog_.scatter_activates(v, value_[v], new_value_[v], iteration)) {
       changed_[v] = 1;
       for (const VertexId u : g_.out_neighbors(v)) next_active_[u] = 1;
     }
@@ -492,7 +461,6 @@ void GasRun::compute_iteration_effects() {
 }
 
 void GasRun::start_iteration(TimeNs t) {
-  if (failure_pending()) return;  // recovery owns the timeline
   bool any_active = false;
   for (char a : active_) {
     if (a) {
@@ -500,43 +468,46 @@ void GasRun::start_iteration(TimeNs t) {
       break;
     }
   }
-  if (!any_active || iteration_ >= prog_.max_iterations()) {
-    finish_execute(t);
+  if (!any_active || logical_step() >= prog_.max_iterations()) {
+    finish_job(t);
     return;
   }
   compute_iteration_effects();
-  log_.begin(iteration_path(), t, trace::kGlobalMachine);
-  const GasSymbols& sym = gas_symbols();
-  run_compute_step(
-      t, sym.gather_step, sym.worker_gather, sym.gather_thread, gather_work_,
-      cfg_.sync_bug.enabled, [this](TimeNs t1) {
-        const GasSymbols& s = gas_symbols();
-        run_compute_step(
-            t1, s.apply_step, s.worker_apply, s.apply_thread, apply_work_,
-            false, [this](TimeNs t2) {
-              const GasSymbols& s2 = gas_symbols();
-              run_compute_step(t2, s2.scatter_step, s2.worker_scatter,
-                               s2.scatter_thread, scatter_work_, false,
-                               [this](TimeNs t3) {
-                                 run_exchange(t3, [this](TimeNs t4) {
-                                   finish_iteration(t4);
-                                 });
-                               });
-            });
-      });
+  log_.begin(step_path(), t, trace::kGlobalMachine);
+  start_stage(kGather, t);
 }
 
-void GasRun::run_compute_step(TimeNs t, trace::Symbol step_type,
+void GasRun::start_stage(int stage, TimeNs t) {
+  const GasSymbols& s = gas_symbols();
+  switch (stage) {
+    case kGather:
+      run_compute_step(t, stage, s.gather_step, s.worker_gather,
+                       s.gather_thread, gather_work_, cfg_.sync_bug.enabled);
+      break;
+    case kApply:
+      run_compute_step(t, stage, s.apply_step, s.worker_apply, s.apply_thread,
+                       apply_work_, false);
+      break;
+    case kScatter:
+      run_compute_step(t, stage, s.scatter_step, s.worker_scatter,
+                       s.scatter_thread, scatter_work_, false);
+      break;
+    case kExchange:
+      run_exchange(t);
+      break;
+  }
+}
+
+void GasRun::run_compute_step(TimeNs t, int stage, trace::Symbol step_type,
                               trace::Symbol worker_type,
                               trace::Symbol thread_type,
-                              std::vector<double> per_worker_work,
-                              bool allow_bug,
-                              std::function<void(TimeNs)> on_done) {
+                              const std::vector<double>& per_worker_work,
+                              bool allow_bug) {
   step_ = StepRuntime{};
-  step_.step_path = iteration_path().child(step_type, 0);
+  step_.step_path = step_path().child(step_type, 0);
   step_.worker_type = worker_type;
   step_.thread_type = thread_type;
-  step_.on_done = std::move(on_done);
+  step_.stage = stage;
   step_.workers_left = workers_;
   step_.chunks.resize(static_cast<std::size_t>(workers_));
   step_.next_chunk.assign(static_cast<std::size_t>(workers_), 0);
@@ -635,14 +606,14 @@ void GasRun::step_worker_finished(int w, TimeNs t) {
     log_.end(step_.step_path, barrier, trace::kGlobalMachine);
     step_.active = false;
     note_logged_end(barrier);
-    schedule_epoch(barrier, [this, cb = std::move(step_.on_done)]() mutable {
-      cb(sim_.now());
+    schedule_transition(barrier, [this, next = step_.stage + 1] {
+      start_stage(next, sim_.now());
     });
   }
 }
 
-void GasRun::run_exchange(TimeNs t, std::function<void(TimeNs)> on_done) {
-  const PathRef step = iteration_path().child(gas_symbols().exchange_step, 0);
+void GasRun::run_exchange(TimeNs t) {
+  const PathRef step = step_path().child(gas_symbols().exchange_step, 0);
   log_.begin(step, t, trace::kGlobalMachine);
   if (channel_.trivial()) {
     // Fault-free fast path: the whole exchange resolves synchronously and
@@ -666,8 +637,7 @@ void GasRun::run_exchange(TimeNs t, std::function<void(TimeNs)> on_done) {
     }
     latest += ns_from_seconds(cfg_.costs.step_barrier_seconds);
     log_.end(step, latest, trace::kGlobalMachine);
-    sim_.schedule_at(
-        latest, [cb = std::move(on_done), this]() mutable { cb(sim_.now()); });
+    schedule_transition(latest, [this] { finish_iteration(sim_.now()); });
     return;
   }
 
@@ -681,7 +651,6 @@ void GasRun::run_exchange(TimeNs t, std::function<void(TimeNs)> on_done) {
   exchange_left_ = workers_;
   exchange_latest_ = t;
   exchange_open_.assign(static_cast<std::size_t>(workers_), 1);
-  exchange_on_done_ = std::move(on_done);
   for (int w = 0; w < workers_; ++w) {
     const auto values = exchange_values_[static_cast<std::size_t>(w)];
     const DurationNs serialize = ns_for_work(
@@ -720,16 +689,12 @@ void GasRun::finalize_exchange_worker(int w, TimeNs begin, TimeNs send_done) {
         exchange_latest_ + ns_from_seconds(cfg_.costs.step_barrier_seconds);
     log_.end(exchange_path_, latest, trace::kGlobalMachine);
     note_logged_end(latest);
-    schedule_epoch(latest,
-                   [this, cb = std::move(exchange_on_done_)]() mutable {
-                     cb(sim_.now());
-                   });
+    schedule_transition(latest, [this] { finish_iteration(sim_.now()); });
   }
 }
 
 void GasRun::finish_iteration(TimeNs t) {
-  if (failure_pending()) return;
-  log_.end(iteration_path(), t, trace::kGlobalMachine);
+  log_.end(step_path(), t, trace::kGlobalMachine);
   double step_values = 0.0;
   double step_bytes = 0.0;
   for (int w = 0; w < workers_; ++w) {
@@ -743,43 +708,15 @@ void GasRun::finish_iteration(TimeNs t) {
   // full O(n) copy.
   value_.swap(new_value_);
   active_.swap(next_active_);
-  ++iteration_;
-  ++iteration_instance_;
-  if (checkpoint_if_due(iteration_, t)) return;
-  start_iteration(t);
-}
-
-void GasRun::finish_execute(TimeNs t) {
-  log_.end(exec_path_, t, trace::kGlobalMachine);
-  const PathRef store = job_path_.child(gas_symbols().store_results, 0);
-  log_.begin(store, t, trace::kGlobalMachine);
-  TimeNs store_end = t;
-  for (int w = 0; w < workers_; ++w) {
-    const double vertices = owned_vertices(w);
-    const double cores = static_cast<double>(cfg_.cluster.machine.cores);
-    const DurationNs duration = ns_for_work(
-        vertices * cfg_.costs.work_per_store_vertex / cores * jitter(0.05) /
-        faults_.speed_factor(w, t));
-    cpu(w).add(t, cores);
-    cpu(w).add(t + duration, -cores);
-    const PathRef worker_store = store.child(gas_symbols().store_worker, w);
-    log_.begin(worker_store, t, w);
-    log_.end(worker_store, t + duration, w);
-    store_end = std::max(store_end, t + duration);
-  }
-  log_.end(store, store_end, trace::kGlobalMachine);
-  log_.end(job_path_, store_end, trace::kGlobalMachine);
-  finish(store_end);
+  retire_step(t);
 }
 
 void GasRun::save_snapshot() {
-  snapshot_.iteration = iteration_;
   snapshot_.value = value_;
   snapshot_.active = active_;
 }
 
 void GasRun::restore_snapshot() {
-  iteration_ = snapshot_.iteration;
   value_ = snapshot_.value;
   active_ = snapshot_.active;
   // new_value_ / next_active_ / changed_ are recomputed wholesale by
@@ -821,10 +758,7 @@ void GasRun::abort_step(TimeNs close, bool truncate) {
   if (exchange_active_) {
     close_or_abandon(exchange_path_, truncate, close, trace::kGlobalMachine);
     exchange_active_ = false;
-    exchange_on_done_ = nullptr;
   }
-  close_or_abandon(iteration_path(), truncate, close, trace::kGlobalMachine);
-  ++iteration_instance_;
 }
 
 }  // namespace

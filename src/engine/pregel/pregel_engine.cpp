@@ -23,17 +23,14 @@ using trace::PathRef;
 /// Phase-type names interned once per process; engines then build paths
 /// from symbols without touching the symbol table's mutex.
 struct PregelSymbols {
-  trace::Symbol load_graph, load_worker, superstep, worker_prepare,
-      worker_compute, compute_thread, worker_communicate, worker_barrier,
-      gc_pause, store_results, store_worker;
+  trace::Symbol superstep, worker_prepare, worker_compute, compute_thread,
+      worker_communicate, worker_barrier, gc_pause;
 };
 
 const PregelSymbols& pregel_symbols() {
   static const PregelSymbols symbols = [] {
     auto& table = trace::SymbolTable::global();
     PregelSymbols s;
-    s.load_graph = table.intern("LoadGraph");
-    s.load_worker = table.intern("LoadWorker");
     s.superstep = table.intern("Superstep");
     s.worker_prepare = table.intern("WorkerPrepare");
     s.worker_compute = table.intern("WorkerCompute");
@@ -41,8 +38,6 @@ const PregelSymbols& pregel_symbols() {
     s.worker_communicate = table.intern("WorkerCommunicate");
     s.worker_barrier = table.intern("WorkerBarrier");
     s.gc_pause = table.intern("GcPause");
-    s.store_results = table.intern("StoreResults");
-    s.store_worker = table.intern("StoreWorker");
     return s;
   }();
   return symbols;
@@ -76,12 +71,20 @@ TimeNs pregel_nominal_horizon(const PregelConfig& cfg, const Graph& g,
 }
 
 /// Whole-run mutable state. One instance per PregelEngine::run call; the
-/// event callbacks all close over `this`. Crash handling, checkpoints and
-/// the simulated machines live in FaultHarness (DESIGN.md §10).
+/// event callbacks all close over `this`. The run skeleton, crash handling,
+/// checkpoints and the simulated machines live in FaultHarness (DESIGN.md
+/// §10).
+///
+/// Each superstep runs the vertex program once, in compute_superstep(), in
+/// ascending vertex id before the discrete-event simulation starts; the
+/// simulated compute threads then time the superstep from counts alone —
+/// messages received, degree, send flag and remote fan-out. Values are
+/// therefore independent of the seed, the thread count and the worker count.
 class PregelRun final : public FaultHarness {
  public:
   PregelRun(const PregelConfig& cfg, const Graph& g, const PregelProgram& prog)
-      : FaultHarness(cfg, pregel_nominal_horizon(cfg, g, prog)),
+      : FaultHarness(cfg, pregel_nominal_horizon(cfg, g, prog),
+                     pregel_symbols().superstep),
         cfg_(cfg),
         g_(g),
         prog_(prog),
@@ -153,8 +156,6 @@ class PregelRun final : public FaultHarness {
   };
 
   // ---- helpers ------------------------------------------------------------
-  std::uint32_t message_count(VertexId v) const { return msg_count_cur_[v]; }
-
   /// Delivers v's outbox message to every out-neighbor. The combiner switch
   /// is hoisted out of the per-edge loop: each case is a tight loop over the
   /// neighbor span, with a separate weighted variant for add_edge_weight
@@ -220,6 +221,7 @@ class PregelRun final : public FaultHarness {
   // ---- phases of the run ----------------------------------------------------
   void load_graph();
   void start_superstep(TimeNs t);
+  void compute_superstep();
   void thread_continue(int w, int th);
   void finish_chunk(int w, int th, double remote_bytes, double alloc_bytes,
                     double intensity);
@@ -232,21 +234,12 @@ class PregelRun final : public FaultHarness {
   void end_gc(int w);
   void worker_compute_done(int w);
   void finish_superstep(TimeNs barrier_time);
-  void finish_execute(TimeNs t);
 
   // ---- FaultHarness hooks ---------------------------------------------------
   void save_snapshot() override;
   void restore_snapshot() override;
   void teardown_worker(int w, TimeNs now, bool truncate) override;
-  void abort_step(TimeNs close, bool truncate) override;
   void start_step(TimeNs t) override { start_superstep(t); }
-
-  PathRef superstep_path() const {
-    // Paths use the monotonic instance counter, not the logical superstep:
-    // after a crash the re-executed superstep gets a fresh index, keeping
-    // every path in the log unique.
-    return exec_path_.child(pregel_symbols().superstep, superstep_instance_);
-  }
 
   // ---- members --------------------------------------------------------------
   PregelConfig cfg_;
@@ -260,9 +253,10 @@ class PregelRun final : public FaultHarness {
 
   std::vector<double> value_;
   std::vector<char> halted_;
+  std::vector<char> sends_;  ///< per vertex: sent to all out-neighbors
   std::vector<double> msg_combined_cur_, msg_combined_next_;
-  // Receive counts are kept for every combiner mode; message_count() reads
-  // them uniformly instead of branching per vertex.
+  // Receive counts are kept for every combiner mode: the active-set test
+  // and the chunk cost read them without branching on the combiner.
   std::vector<std::uint32_t> msg_count_cur_, msg_count_next_;
   // Combiner::kNone storage (SoA message arena): the current superstep's
   // messages live in CSR layout over one flat payload array; deliveries
@@ -289,13 +283,10 @@ class PregelRun final : public FaultHarness {
 
   std::uint64_t step_messages_ = 0;
 
-  int superstep_ = 0;           ///< logical superstep (algorithm semantics)
-  int superstep_instance_ = 0;  ///< Superstep path index (never reused)
   int workers_done_ = 0;
   int gc_seq_ = 0;  ///< GcPause instance index within the current superstep
 
   struct Snapshot {
-    int superstep = 0;
     std::vector<double> value;
     std::vector<char> halted;
     std::vector<double> msg_combined;
@@ -330,6 +321,7 @@ void PregelRun::load_graph() {
   value_.resize(n);
   for (VertexId v = 0; v < n; ++v) value_[v] = prog_.initial_value(v, g_);
   halted_.assign(n, 0);
+  sends_.assign(n, 0);
   msg_count_cur_.assign(n, 0);
   msg_count_next_.assign(n, 0);
   if (combiner_ == Combiner::kNone) {
@@ -364,42 +356,23 @@ void PregelRun::load_graph() {
     remote_off_[static_cast<std::size_t>(v) + 1] = remote_dst_.size();
   }
 
-  // --- emit the load phase ---------------------------------------------------
-  const PathRef& job = job_path_;
-  const PathRef load = job.child(pregel_symbols().load_graph, 0);
-  log_.begin(job, 0, trace::kGlobalMachine);
-  log_.begin(load, 0, trace::kGlobalMachine);
-  TimeNs load_end = 0;
+  std::vector<double> edges(static_cast<std::size_t>(workers_), 0.0);
   std::vector<double> owned(static_cast<std::size_t>(workers_), 0.0);
   for (int w = 0; w < workers_; ++w) {
-    auto& state = ws_[static_cast<std::size_t>(w)];
-    double edges = 0.0;
-    for (const auto& part : state.partitions) {
+    for (const auto& part : ws_[static_cast<std::size_t>(w)].partitions) {
       owned[static_cast<std::size_t>(w)] += static_cast<double>(part.size());
-      for (VertexId v : part) edges += static_cast<double>(g_.out_degree(v));
+      for (VertexId v : part) {
+        edges[static_cast<std::size_t>(w)] +=
+            static_cast<double>(g_.out_degree(v));
+      }
     }
-    const double cores = static_cast<double>(cfg_.cluster.machine.cores);
-    const DurationNs duration = ns_for_work(
-        edges * cfg_.costs.work_per_load_edge / cores * jitter(0.05) /
-        faults_.speed_factor(w, 0));
-    nic(w).enqueue(0, edges * cfg_.costs.bytes_per_load_edge);
-    cpu(w).add(0, cores);
-    cpu(w).add(duration, -cores);
-    const PathRef worker_load = load.child(pregel_symbols().load_worker, w);
-    log_.begin(worker_load, 0, w);
-    const TimeNs done = std::max(duration, nic(w).time_empty(duration));
-    log_.end(worker_load, done, w);
-    load_end = std::max(load_end, done);
   }
-  log_.end(load, load_end, trace::kGlobalMachine);
-  log_.begin(exec_path_, load_end, trace::kGlobalMachine);
   // Checkpoint/restart recovery reloads state only: no re-ingest work.
-  start_execution(load_end, std::move(owned),
-                  std::vector<double>(static_cast<std::size_t>(workers_), 0.0));
+  start_job(edges, std::move(owned),
+            std::vector<double>(static_cast<std::size_t>(workers_), 0.0));
 }
 
 void PregelRun::start_superstep(TimeNs t) {
-  if (failure_pending()) return;  // recovery restarts execution itself
   // Determine the active set; stop when nothing is runnable.
   std::size_t total_active = 0;
   for (int w = 0; w < workers_; ++w) {
@@ -410,19 +383,20 @@ void PregelRun::start_superstep(TimeNs t) {
       auto& active = state.active_lists[p];
       active.clear();
       for (VertexId v : state.partitions[p]) {
-        if (!halted_[v] || message_count(v) > 0) active.push_back(v);
+        if (!halted_[v] || msg_count_cur_[v] > 0) active.push_back(v);
       }
       total_active += active.size();
     }
   }
-  if (total_active == 0 || superstep_ >= prog_.max_supersteps()) {
-    finish_execute(t);
+  if (total_active == 0 || logical_step() >= prog_.max_supersteps()) {
+    finish_job(t);
     return;
   }
+  compute_superstep();
 
   gc_seq_ = 0;
   workers_done_ = 0;
-  const PathRef step = superstep_path();
+  const PathRef step = step_path();
   log_.begin(step, t, trace::kGlobalMachine);
   const DurationNs prep = ns_from_seconds(cfg_.costs.prepare_seconds);
   for (int w = 0; w < workers_; ++w) {
@@ -444,6 +418,42 @@ void PregelRun::start_superstep(TimeNs t) {
       thread.phase =
           state.compute_phase.child(pregel_symbols().compute_thread, th);
       schedule_epoch(t + prep, [this, w, th] { thread_continue(w, th); });
+    }
+  }
+}
+
+void PregelRun::compute_superstep() {
+  // This superstep's deliveries replace whatever the last one left behind,
+  // an aborted attempt's included.
+  std::fill(msg_count_next_.begin(), msg_count_next_.end(), 0u);
+  if (combiner_ == Combiner::kNone) {
+    msg_log_targets_.clear();
+    msg_log_payloads_.clear();
+  } else {
+    std::fill(msg_combined_next_.begin(), msg_combined_next_.end(), 0.0);
+  }
+  step_messages_ = 0;
+  // Ascending sender order: a kSum combiner adds each vertex's messages in
+  // in-neighbor order, as pagerank_reference and the GAS gather do.
+  const int superstep = logical_step();
+  for (VertexId v = 0; v < g_.vertex_count(); ++v) {
+    const std::uint32_t msgs = msg_count_cur_[v];
+    if (halted_[v] && msgs == 0) continue;
+    std::span<const double> messages;
+    if (msgs > 0) {
+      messages = combiner_ == Combiner::kNone
+                     ? std::span<const double>(
+                           msg_data_cur_.data() + msg_offsets_cur_[v], msgs)
+                     : std::span<const double>(&msg_combined_cur_[v], 1);
+    }
+    PregelOutbox out;
+    prog_.compute(v, value_[v], messages, superstep, g_, out);
+    halted_[v] = out.vote_to_halt ? 1 : 0;
+    sends_[v] = out.send_to_all_neighbors ? 1 : 0;
+    if (out.send_to_all_neighbors) {
+      const auto nbrs = g_.out_neighbors(v);
+      step_messages_ += nbrs.size();
+      deliver_all(v, nbrs, out);
     }
   }
 }
@@ -540,31 +550,17 @@ void PregelRun::thread_continue(int w, int th) {
   auto& remote_by_dst = thread.remote_by_dst;
   remote_by_dst.assign(static_cast<std::size_t>(workers_), 0.0);
   double alloc = 0.0;
-  PregelOutbox out;
-  std::span<const double> empty;
+  // The program already ran (compute_superstep); the chunk's cost follows
+  // from counts alone.
   for (std::size_t i = begin; i < end; ++i) {
     const VertexId v = active[i];
-    const std::uint32_t msgs = msg_count_cur_[v];
-    std::span<const double> messages = empty;
-    if (msgs > 0) {
-      messages = combiner_ == Combiner::kNone
-                     ? std::span<const double>(
-                           msg_data_cur_.data() + msg_offsets_cur_[v], msgs)
-                     : std::span<const double>(&msg_combined_cur_[v], 1);
-    }
-    out = PregelOutbox{};
-    prog_.compute(v, value_[v], messages, superstep_, g_, out);
-    halted_[v] = out.vote_to_halt ? 1 : 0;
     work += cfg_.costs.work_per_vertex +
-            cfg_.costs.work_per_message * static_cast<double>(msgs);
+            cfg_.costs.work_per_message * static_cast<double>(msg_count_cur_[v]);
     alloc += cfg_.gc.bytes_per_vertex_update;
-    if (out.send_to_all_neighbors) {
-      const auto nbrs = g_.out_neighbors(v);
-      const double degree = static_cast<double>(nbrs.size());
+    const double degree = static_cast<double>(g_.out_degree(v));
+    if (sends_[v]) {
       work += cfg_.costs.work_per_edge * degree;
       alloc += cfg_.gc.bytes_per_message * degree;
-      step_messages_ += nbrs.size();
-      deliver_all(v, nbrs, out);
       // Remote accounting from the precomputed fan-out: one entry per
       // (vertex, destination) instead of an owner lookup per edge.
       for (std::uint64_t k = remote_off_[v]; k < remote_off_[v + 1]; ++k) {
@@ -575,8 +571,7 @@ void PregelRun::thread_continue(int w, int th) {
       }
     } else {
       // Giraph still scans the edge list of a computed vertex.
-      work += 0.25 * cfg_.costs.work_per_edge *
-              static_cast<double>(g_.out_degree(v));
+      work += 0.25 * cfg_.costs.work_per_edge * degree;
     }
   }
   // A JVM thread's effective CPU intensity fluctuates below one core;
@@ -701,7 +696,7 @@ void PregelRun::start_gc(int w) {
   state.alloc_bytes = 0.0;
   state.gc_active = true;
   state.gc_end = now + ns_from_seconds(pause_seconds);
-  state.gc_phase = superstep_path().child(pregel_symbols().gc_pause, gc_seq_++);
+  state.gc_phase = step_path().child(pregel_symbols().gc_pause, gc_seq_++);
   log_.begin(state.gc_phase, now, w);
   // The collector takes every core not currently finishing a compute chunk;
   // the remaining cores are absorbed one by one as chunks complete.
@@ -768,19 +763,18 @@ void PregelRun::worker_compute_done(int w) {
     TimeNs barrier = 0;
     for (const auto& other : ws_) barrier = std::max(barrier, other.ready);
     barrier += ns_from_seconds(cfg_.costs.barrier_sync_seconds);
-    schedule_epoch(barrier, [this] { finish_superstep(sim_.now()); });
+    schedule_transition(barrier, [this] { finish_superstep(sim_.now()); });
   }
 }
 
 void PregelRun::finish_superstep(TimeNs barrier_time) {
-  if (failure_pending()) return;
-  const PathRef step = superstep_path();
+  const PathRef step = step_path();
   for (int w = 0; w < workers_; ++w) {
     log_.end(ws_[static_cast<std::size_t>(w)].barrier_phase, barrier_time, w);
   }
   log_.end(step, barrier_time, trace::kGlobalMachine);
 
-  // Retire this superstep's messages and promote the next batch.
+  // Promote the next superstep's messages.
   if (combiner_ == Combiner::kNone) {
     // Two-pass CSR rebuild of the message arena: prefix-sum the delivery
     // counts, then stable-scatter the append log so each vertex sees its
@@ -796,48 +790,15 @@ void PregelRun::finish_superstep(TimeNs barrier_time) {
       msg_data_cur_[arena_cursor_[msg_log_targets_[i]]++] =
           msg_log_payloads_[i];
     }
-    msg_log_targets_.clear();
-    msg_log_payloads_.clear();
   } else {
-    std::fill(msg_combined_cur_.begin(), msg_combined_cur_.end(), 0.0);
     msg_combined_cur_.swap(msg_combined_next_);
   }
-  std::fill(msg_count_cur_.begin(), msg_count_cur_.end(), 0u);
   msg_count_cur_.swap(msg_count_next_);
   comm_.messages_per_step.push_back(step_messages_);
-  step_messages_ = 0;
-  ++superstep_;
-  ++superstep_instance_;
-  if (checkpoint_if_due(superstep_, barrier_time)) return;
-  start_superstep(barrier_time);
-}
-
-void PregelRun::finish_execute(TimeNs t) {
-  const PathRef& job = job_path_;
-  log_.end(exec_path_, t, trace::kGlobalMachine);
-  const PathRef store = job.child(pregel_symbols().store_results, 0);
-  log_.begin(store, t, trace::kGlobalMachine);
-  TimeNs store_end = t;
-  for (int w = 0; w < workers_; ++w) {
-    const double vertices = owned_vertices(w);
-    const double cores = static_cast<double>(cfg_.cluster.machine.cores);
-    const DurationNs duration = ns_for_work(
-        vertices * cfg_.costs.work_per_store_vertex / cores * jitter(0.05) /
-        faults_.speed_factor(w, t));
-    cpu(w).add(t, cores);
-    cpu(w).add(t + duration, -cores);
-    const PathRef worker_store = store.child(pregel_symbols().store_worker, w);
-    log_.begin(worker_store, t, w);
-    log_.end(worker_store, t + duration, w);
-    store_end = std::max(store_end, t + duration);
-  }
-  log_.end(store, store_end, trace::kGlobalMachine);
-  log_.end(job, store_end, trace::kGlobalMachine);
-  finish(store_end);
+  retire_step(barrier_time);
 }
 
 void PregelRun::save_snapshot() {
-  snapshot_.superstep = superstep_;
   snapshot_.value = value_;
   snapshot_.halted = halted_;
   snapshot_.msg_combined = msg_combined_cur_;
@@ -847,20 +808,12 @@ void PregelRun::save_snapshot() {
 }
 
 void PregelRun::restore_snapshot() {
-  superstep_ = snapshot_.superstep;
   value_ = snapshot_.value;
   halted_ = snapshot_.halted;
   msg_combined_cur_ = snapshot_.msg_combined;
   msg_count_cur_ = snapshot_.msg_count;
   msg_data_cur_ = snapshot_.msg_data;
   msg_offsets_cur_ = snapshot_.msg_offsets;
-  // Partially-delivered messages from the aborted attempt are discarded;
-  // re-executing the superstep regenerates them (and its message tally).
-  std::fill(msg_combined_next_.begin(), msg_combined_next_.end(), 0.0);
-  std::fill(msg_count_next_.begin(), msg_count_next_.end(), 0u);
-  msg_log_targets_.clear();
-  msg_log_payloads_.clear();
-  step_messages_ = 0;
 }
 
 void PregelRun::teardown_worker(int w, TimeNs now, bool truncate) {
@@ -901,11 +854,6 @@ void PregelRun::teardown_worker(int w, TimeNs now, bool truncate) {
   close_or_abandon(state.barrier_phase, truncate, now, w);
   // Whatever still sits in the coalescing buffers is lost with the worker.
   batcher_.clear(w);
-}
-
-void PregelRun::abort_step(TimeNs close, bool truncate) {
-  close_or_abandon(superstep_path(), truncate, close, trace::kGlobalMachine);
-  ++superstep_instance_;
 }
 
 }  // namespace

@@ -11,31 +11,11 @@ ReplaySimulator::ReplaySimulator(const ExecutionModel& model,
                                  const ExecutionTrace& trace)
     : model_(model), trace_(trace) {
   model_.validate();
-  // Topological order of child types per parent (Kahn per sibling group).
+  // Topological order of child types per parent; validate() rules out
+  // cycles, so every child is placed.
   child_type_order_.resize(model_.type_count());
   for (std::size_t p = 0; p < model_.type_count(); ++p) {
-    const auto& group = model_.type(static_cast<PhaseTypeId>(p)).children;
-    std::map<PhaseTypeId, int> indegree;
-    for (PhaseTypeId t : group) indegree[t] = 0;
-    for (PhaseTypeId t : group) {
-      for (PhaseTypeId succ : model_.type(t).successors) ++indegree[succ];
-    }
-    std::vector<PhaseTypeId> ready;
-    for (PhaseTypeId t : group) {
-      if (indegree[t] == 0) ready.push_back(t);
-    }
-    auto& order = child_type_order_[p];
-    while (!ready.empty()) {
-      // Deterministic: take the smallest id first.
-      std::sort(ready.begin(), ready.end(), std::greater<>());
-      const PhaseTypeId t = ready.back();
-      ready.pop_back();
-      order.push_back(t);
-      for (PhaseTypeId succ : model_.type(t).successors) {
-        if (--indegree[succ] == 0) ready.push_back(succ);
-      }
-    }
-    G10_CHECK(order.size() == group.size());
+    child_type_order_[p] = model_.sibling_order(static_cast<PhaseTypeId>(p));
   }
 }
 

@@ -63,39 +63,53 @@ PhaseTypeId ExecutionModel::find(std::string_view name) const {
   return kNoPhaseType;
 }
 
+std::vector<PhaseTypeId> ExecutionModel::sibling_order(
+    PhaseTypeId parent) const {
+  const auto& group = type(parent).children;
+  const auto local = [&](PhaseTypeId id) {
+    const auto it = std::find(group.begin(), group.end(), id);
+    G10_CHECK(it != group.end());
+    return static_cast<std::size_t>(it - group.begin());
+  };
+  std::vector<int> indegree(group.size(), 0);
+  for (const PhaseTypeId member : group) {
+    for (const PhaseTypeId succ : type(member).successors) {
+      ++indegree[local(succ)];
+    }
+  }
+  std::vector<PhaseTypeId> ready;
+  for (std::size_t gi = 0; gi < group.size(); ++gi) {
+    if (indegree[gi] == 0) ready.push_back(group[gi]);
+  }
+  std::vector<PhaseTypeId> order;
+  while (!ready.empty()) {
+    // The smallest ready id first: ties decide the replay's schedule order.
+    const auto next = std::min_element(ready.begin(), ready.end());
+    const PhaseTypeId t = *next;
+    ready.erase(next);
+    order.push_back(t);
+    for (const PhaseTypeId succ : type(t).successors) {
+      if (--indegree[local(succ)] == 0) ready.push_back(succ);
+    }
+  }
+  return order;
+}
+
 std::vector<ExecutionModel::OrderCycle> ExecutionModel::order_cycles()
     const {
   std::vector<OrderCycle> cycles;
   for (std::size_t p = 0; p < types_.size(); ++p) {
+    const auto parent = static_cast<PhaseTypeId>(p);
     const auto& group = types_[p].children;
-    if (group.size() < 2) continue;
-    std::vector<int> indegree(group.size(), 0);
-    const auto local = [&](PhaseTypeId id) {
-      const auto it = std::find(group.begin(), group.end(), id);
-      G10_CHECK(it != group.end());
-      return static_cast<std::size_t>(it - group.begin());
-    };
+    const std::vector<PhaseTypeId> order = sibling_order(parent);
+    if (order.size() == group.size()) continue;
+    OrderCycle cycle{parent, {}};
     for (const PhaseTypeId member : group) {
-      for (const PhaseTypeId succ : type(member).successors) {
-        ++indegree[local(succ)];
+      if (std::find(order.begin(), order.end(), member) == order.end()) {
+        cycle.types.push_back(member);
       }
     }
-    std::vector<std::size_t> ready;
-    for (std::size_t gi = 0; gi < group.size(); ++gi) {
-      if (indegree[gi] == 0) ready.push_back(gi);
-    }
-    while (!ready.empty()) {
-      const std::size_t gi = ready.back();
-      ready.pop_back();
-      for (const PhaseTypeId succ : type(group[gi]).successors) {
-        if (--indegree[local(succ)] == 0) ready.push_back(local(succ));
-      }
-    }
-    OrderCycle cycle{static_cast<PhaseTypeId>(p), {}};
-    for (std::size_t gi = 0; gi < group.size(); ++gi) {
-      if (indegree[gi] > 0) cycle.types.push_back(group[gi]);
-    }
-    if (!cycle.types.empty()) cycles.push_back(std::move(cycle));
+    cycles.push_back(std::move(cycle));
   }
   return cycles;
 }

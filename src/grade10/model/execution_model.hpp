@@ -64,8 +64,13 @@ class ExecutionModel {
     std::vector<PhaseTypeId> types;  ///< on or after the cycle, in id order
   };
 
-  /// The sibling-order cycle search (Kahn's algorithm per sibling group):
-  /// every group whose ORDER edges no instance order can satisfy.
+  /// The children of `parent` in sibling order: Kahn's algorithm over the
+  /// ORDER edges, taking the smallest ready id first. Children on or after
+  /// an order cycle are left out.
+  std::vector<PhaseTypeId> sibling_order(PhaseTypeId parent) const;
+
+  /// Every sibling group whose ORDER edges no instance order can satisfy:
+  /// the members sibling_order() leaves out.
   std::vector<OrderCycle> order_cycles() const;
 
   /// Checks structural invariants: exactly one root, acyclic sibling order,

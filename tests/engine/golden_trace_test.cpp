@@ -6,6 +6,9 @@
 // fixtures pin the shared crash/checkpoint/recovery path (DESIGN.md §10)
 // in both crash-log styles; they also carry the monitoring samples, so CPU
 // accounting through checkpoint writes and crash teardown is pinned too.
+// The crash sweep at the end moves one crash across the whole run of both
+// engines: every crash point must recover into a trace the strict build
+// accepts.
 //
 // Set G10_REGEN_GOLDEN=1 (or use the `regen-golden` CMake target /
 // tools/regen_golden.sh) to rewrite every fixture from the current build
@@ -21,6 +24,9 @@
 #include "engine/dataflow/dataflow_engine.hpp"
 #include "engine/gas/gas_engine.hpp"
 #include "engine/pregel/pregel_engine.hpp"
+#include "grade10/models/gas_model.hpp"
+#include "grade10/models/pregel_model.hpp"
+#include "grade10/trace/execution_trace.hpp"
 #include "graph/generators.hpp"
 #include "monitor/sampler.hpp"
 #include "sim/fault_injector.hpp"
@@ -119,6 +125,15 @@ TEST(GoldenTraceTest, GasPageRankBatchedMatchesFixture) {
   check_or_regen("gas_pagerank_d512_s99_batched.log", render(artifacts));
 }
 
+TEST(GoldenTraceTest, PregelSsspMatchesFixture) {
+  // SSSP sends and halts on value comparisons, so this trace pins that the
+  // engine's timing depends on the program only through who sends and who
+  // halts, not on the order vertex values are computed in.
+  const auto artifacts = engine::PregelEngine(pregel_config())
+                             .run(make_graph(), algorithms::Sssp(1));
+  check_or_regen("pregel_sssp_d512_s99.log", render(artifacts));
+}
+
 TEST(GoldenTraceTest, PregelCrashPartitionReconciledMatchesFixture) {
   auto cfg = pregel_config();
   cfg.cluster.faults = fault_spec(kCrashPartition);
@@ -166,6 +181,18 @@ TEST(GoldenTraceTest, GasCrashPartitionTruncatedMatchesFixture) {
                  render_with_samples(artifacts));
 }
 
+TEST(GoldenTraceTest, GasCrashBetweenStepsMatchesFixture) {
+  // The crash lands while a GAS step's barrier is pending: the hand-off to
+  // the next step must wait for recovery instead of opening phases on the
+  // dead worker.
+  auto cfg = gas_config();
+  cfg.cluster.faults = fault_spec("crash:w1@4%");
+  const auto artifacts =
+      engine::GasEngine(cfg).run(make_graph(), algorithms::PageRank(5));
+  check_or_regen("gas_pagerank_d512_s99_crash_between_steps.log",
+                 render_with_samples(artifacts));
+}
+
 TEST(GoldenTraceTest, DataflowMatchesFixture) {
   engine::DataflowConfig cfg;
   cfg.cluster.machine_count = 3;
@@ -178,6 +205,58 @@ TEST(GoldenTraceTest, DataflowMatchesFixture) {
   job.stages = {stage, stage, stage};
   const auto artifacts = engine::DataflowEngine(cfg).run(job);
   check_or_regen("dataflow_3stage_s99.log", render(artifacts));
+}
+
+/// Runs `run(cfg)` with `crash:w1@p%` for p = 1..99 in both crash-log
+/// styles. Every run must complete; a reconciled trace must also build
+/// strictly against `model`.
+template <typename Config, typename Run>
+void sweep_crash_points(Config cfg, const core::FrameworkModel& model,
+                        Run run) {
+  for (const auto style : {engine::CrashLogStyle::kReconciled,
+                           engine::CrashLogStyle::kTruncated}) {
+    cfg.crash_log = style;
+    for (int p = 1; p <= 99; ++p) {
+      const std::string spec = "crash:w1@" + std::to_string(p) + "%";
+      SCOPED_TRACE(spec);
+      cfg.cluster.faults = fault_spec(spec);
+      trace::RunArtifacts artifacts;
+      ASSERT_NO_THROW(artifacts = run(cfg));
+      if (style == engine::CrashLogStyle::kTruncated) continue;
+      const core::TraceBuild build = core::ExecutionTrace::build_checked(
+          model.execution, model.resources, artifacts.phase_events,
+          artifacts.blocking_events, {});
+      EXPECT_FALSE(build.error.has_value()) << build.error.value_or("");
+    }
+  }
+}
+
+TEST(CrashSweepTest, PregelRecoversFromEveryCrashPoint) {
+  const auto cfg = pregel_config();
+  core::PregelModelParams params;
+  params.cores = cfg.cluster.machine.cores;
+  params.threads = cfg.effective_threads();
+  params.network_capacity = cfg.cluster.machine.nic_bytes_per_sec();
+  const graph::Graph g = make_graph();
+  sweep_crash_points(cfg, core::make_pregel_model(params),
+                     [&](const engine::PregelConfig& c) {
+                       return engine::PregelEngine(c).run(
+                           g, algorithms::PageRank(5));
+                     });
+}
+
+TEST(CrashSweepTest, GasRecoversFromEveryCrashPoint) {
+  const auto cfg = gas_config();
+  core::GasModelParams params;
+  params.cores = cfg.cluster.machine.cores;
+  params.threads = cfg.effective_threads();
+  params.network_capacity = cfg.cluster.machine.nic_bytes_per_sec();
+  const graph::Graph g = make_graph();
+  sweep_crash_points(cfg, core::make_gas_model(params),
+                     [&](const engine::GasConfig& c) {
+                       return engine::GasEngine(c).run(
+                           g, algorithms::PageRank(5));
+                     });
 }
 
 }  // namespace
