@@ -30,7 +30,7 @@ int run() {
       engine::PregelEngine(cfg).run(dataset.graph, pagerank);
   const auto truth_samples = monitor::sample_ground_truth(
       artifacts.ground_truth, kTruthInterval, artifacts.makespan);
-  const auto model = pregel_framework_model(cfg);
+  const auto model = workload::framework_model(cfg);
 
   TextTable table({"timeslice", "slices", "upsample err vs 10ms truth",
                    "GC impact", "imbalance(ComputeThread)"});

@@ -71,7 +71,7 @@ int run() {
 
   // The paper scans many jobs (the bug is sporadic); we run 8 and pool the
   // gather steps, printing the first job's first step in detail.
-  const auto model = gas_framework_model(cfg);
+  const auto model = workload::framework_model(cfg);
   std::vector<GatherGroup> groups;           // first job only (Fig. 6 proper)
   std::vector<GatherGroup> pooled;           // all jobs, for the outlier scan
   for (int job = 0; job < 8; ++job) {

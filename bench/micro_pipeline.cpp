@@ -9,12 +9,11 @@
 #include <sstream>
 
 #include "algorithms/programs.hpp"
-#include "engine/pregel/pregel_engine.hpp"
-#include "grade10/models/pregel_model.hpp"
 #include "grade10/pipeline.hpp"
 #include "graph/generators.hpp"
 #include "monitor/sampler.hpp"
 #include "trace/log_io.hpp"
+#include "workload/workload.hpp"
 
 namespace g10::core {
 namespace {
@@ -46,11 +45,7 @@ const Workload& workload() {
     out.samples = monitor::sample_ground_truth(out.artifacts.ground_truth,
                                                20 * kMillisecond,
                                                out.artifacts.makespan);
-    PregelModelParams model_params;
-    model_params.cores = cfg.cluster.machine.cores;
-    model_params.threads = cfg.effective_threads();
-    model_params.network_capacity = cfg.cluster.machine.nic_bytes_per_sec();
-    out.model = make_pregel_model(model_params);
+    out.model = workload::framework_model(cfg);
 
     std::ostringstream os;
     trace::write_log(os, out.artifacts.phase_events,

@@ -9,11 +9,10 @@
 #include <functional>
 
 #include "algorithms/programs.hpp"
-#include "engine/pregel/pregel_engine.hpp"
 #include "grade10/issues/replay_simulator.hpp"
-#include "grade10/models/pregel_model.hpp"
 #include "graph/generators.hpp"
 #include "sim/simulation.hpp"
+#include "workload/workload.hpp"
 
 namespace g10::sim {
 namespace {
@@ -118,10 +117,7 @@ struct Fixture {
     cfg.cluster.machine.cores = 8;
     artifacts =
         engine::PregelEngine(cfg).run(graph, algorithms::PageRank(10));
-    PregelModelParams model_params;
-    model_params.cores = 8;
-    model_params.threads = 8;
-    model = make_pregel_model(model_params);
+    model = workload::framework_model(cfg);
     trace = std::make_unique<ExecutionTrace>(ExecutionTrace::build(
         model.execution, model.resources, artifacts.phase_events,
         artifacts.blocking_events));

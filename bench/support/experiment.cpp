@@ -38,22 +38,6 @@ engine::GasConfig default_gas_config() {
   return cfg;
 }
 
-core::FrameworkModel pregel_framework_model(const engine::PregelConfig& cfg) {
-  core::PregelModelParams params;
-  params.cores = cfg.cluster.machine.cores;
-  params.threads = cfg.effective_threads();
-  params.network_capacity = cfg.cluster.machine.nic_bytes_per_sec();
-  return core::make_pregel_model(params);
-}
-
-core::FrameworkModel gas_framework_model(const engine::GasConfig& cfg) {
-  core::GasModelParams params;
-  params.cores = cfg.cluster.machine.cores;
-  params.threads = cfg.effective_threads();
-  params.network_capacity = cfg.cluster.machine.nic_bytes_per_sec();
-  return core::make_gas_model(params);
-}
-
 namespace {
 
 core::CharacterizationResult run_pipeline(const CharacterizedRun& run,
@@ -97,7 +81,7 @@ CharacterizedRun characterize_pregel(const engine::PregelConfig& cfg,
   run.samples = monitor::sample_ground_truth(run.artifacts.ground_truth,
                                              options.monitoring_interval,
                                              run.artifacts.makespan);
-  run.model = pregel_framework_model(cfg);
+  run.model = workload::framework_model(cfg);
   run.result = run_pipeline(run, options, /*drop_gc_records=*/!options.tuned_rules);
   return run;
 }
@@ -111,7 +95,7 @@ CharacterizedRun characterize_gas(const engine::GasConfig& cfg,
   run.samples = monitor::sample_ground_truth(run.artifacts.ground_truth,
                                              options.monitoring_interval,
                                              run.artifacts.makespan);
-  run.model = gas_framework_model(cfg);
+  run.model = workload::framework_model(cfg);
   run.result = run_pipeline(run, options, /*drop_gc_records=*/false);
   return run;
 }

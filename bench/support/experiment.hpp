@@ -5,12 +5,9 @@
 
 #include <string>
 
-#include "engine/gas/gas_engine.hpp"
-#include "engine/pregel/pregel_engine.hpp"
-#include "grade10/models/gas_model.hpp"
-#include "grade10/models/pregel_model.hpp"
 #include "grade10/pipeline.hpp"
 #include "monitor/sampler.hpp"
+#include "workload/workload.hpp"
 
 namespace g10::bench {
 
@@ -22,9 +19,6 @@ sim::ClusterSpec testbed_cluster();
 
 engine::PregelConfig default_pregel_config();
 engine::GasConfig default_gas_config();
-
-core::FrameworkModel pregel_framework_model(const engine::PregelConfig& cfg);
-core::FrameworkModel gas_framework_model(const engine::GasConfig& cfg);
 
 /// One engine run pushed through the full Grade10 pipeline.
 struct CharacterizedRun {

@@ -118,7 +118,7 @@ int run() {
     giraph.fine_samples = monitor::sample_ground_truth(
         giraph.artifacts.ground_truth, kGroundTruthInterval,
         giraph.artifacts.makespan);
-    giraph.model = pregel_framework_model(cfg);
+    giraph.model = workload::framework_model(cfg);
   }
   EngineRun powergraph;
   {
@@ -128,7 +128,7 @@ int run() {
     powergraph.fine_samples = monitor::sample_ground_truth(
         powergraph.artifacts.ground_truth, kGroundTruthInterval,
         powergraph.artifacts.makespan);
-    powergraph.model = gas_framework_model(cfg);
+    powergraph.model = workload::framework_model(cfg);
   }
   const int machines = testbed_cluster().machine_count;
   std::cout << "dataset: " << dataset.name << " ("

@@ -4,12 +4,11 @@
 #include <iostream>
 
 #include "algorithms/programs.hpp"
-#include "engine/pregel/pregel_engine.hpp"
-#include "grade10/models/pregel_model.hpp"
 #include "grade10/pipeline.hpp"
 #include "grade10/report/report.hpp"
 #include "graph/generators.hpp"
 #include "monitor/sampler.hpp"
+#include "workload/workload.hpp"
 
 using namespace g10;
 
@@ -43,11 +42,7 @@ int main() {
       artifacts.ground_truth, 400 * kMillisecond, artifacts.makespan);
 
   // --- Grade10: the expert model shipped for this engine ------------------
-  core::PregelModelParams params;
-  params.cores = cfg.cluster.machine.cores;
-  params.threads = cfg.effective_threads();
-  params.network_capacity = cfg.cluster.machine.nic_bytes_per_sec();
-  const core::FrameworkModel model = core::make_pregel_model(params);
+  const core::FrameworkModel model = workload::framework_model(cfg);
 
   core::CharacterizationInput input;
   input.model = &model.execution;

@@ -7,13 +7,10 @@
 #include "algorithms/programs.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "engine/gas/gas_engine.hpp"
-#include "engine/pregel/pregel_engine.hpp"
-#include "grade10/models/gas_model.hpp"
-#include "grade10/models/pregel_model.hpp"
 #include "grade10/pipeline.hpp"
 #include "graph/generators.hpp"
 #include "monitor/sampler.hpp"
+#include "workload/workload.hpp"
 
 using namespace g10;
 
@@ -70,24 +67,16 @@ int main() {
   pregel_cfg.queue.capacity_bytes = 2e6;
   const auto pregel_artifacts =
       engine::PregelEngine(pregel_cfg).run(graph, cdlp);
-  core::PregelModelParams pregel_params;
-  pregel_params.cores = cluster.machine.cores;
-  pregel_params.threads = pregel_cfg.effective_threads();
-  pregel_params.network_capacity = cluster.machine.nic_bytes_per_sec();
-  const Summary giraph = summarize(
-      pregel_artifacts, core::make_pregel_model(pregel_params));
+  const Summary giraph =
+      summarize(pregel_artifacts, workload::framework_model(pregel_cfg));
 
   engine::GasConfig gas_cfg;
   gas_cfg.cluster = cluster;
   gas_cfg.threads_per_worker = 7;
   gas_cfg.partitioning = engine::VertexCutStrategy::kRangeSource;
   const auto gas_artifacts = engine::GasEngine(gas_cfg).run(graph, cdlp);
-  core::GasModelParams gas_params;
-  gas_params.cores = cluster.machine.cores;
-  gas_params.threads = gas_cfg.effective_threads();
-  gas_params.network_capacity = cluster.machine.nic_bytes_per_sec();
   const Summary powergraph =
-      summarize(gas_artifacts, core::make_gas_model(gas_params));
+      summarize(gas_artifacts, workload::framework_model(gas_cfg));
 
   std::cout << "Giraph-like engine:     "
             << format_fixed(giraph.makespan_s, 2) << " s\n";

@@ -10,12 +10,11 @@
 #include "algorithms/programs.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
-#include "engine/gas/gas_engine.hpp"
-#include "grade10/models/gas_model.hpp"
 #include "grade10/pipeline.hpp"
 #include "grade10/report/report.hpp"
 #include "graph/generators.hpp"
 #include "monitor/sampler.hpp"
+#include "workload/workload.hpp"
 
 using namespace g10;
 
@@ -41,11 +40,7 @@ int main() {
   const auto samples = monitor::sample_ground_truth(
       artifacts.ground_truth, 160 * kMillisecond, artifacts.makespan);
 
-  core::GasModelParams params;
-  params.cores = cfg.cluster.machine.cores;
-  params.threads = cfg.effective_threads();
-  params.network_capacity = cfg.cluster.machine.nic_bytes_per_sec();
-  const core::FrameworkModel model = core::make_gas_model(params);
+  const core::FrameworkModel model = workload::framework_model(cfg);
 
   core::CharacterizationInput input;
   input.model = &model.execution;

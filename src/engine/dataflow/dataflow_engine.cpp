@@ -7,6 +7,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "engine/phase_logger.hpp"
+#include "engine/resource_names.hpp"
 #include "sim/fluid_queue.hpp"
 #include "sim/simulation.hpp"
 #include "sim/usage_recorder.hpp"
@@ -161,7 +162,7 @@ trace::RunArtifacts DataflowRun::execute() {
   machines_.resize(static_cast<std::size_t>(cfg_.cluster.machine_count));
   for (auto& m : machines_) {
     m.cpu = std::make_unique<sim::UsageRecorder>(
-        dataflow_names::kCpu,
+        resource_names::kCpu,
         static_cast<double>(cfg_.cluster.machine.cores));
     m.nic = std::make_unique<sim::FluidQueue>(
         cfg_.cluster.machine.nic_bytes_per_sec());
@@ -178,13 +179,13 @@ trace::RunArtifacts DataflowRun::execute() {
   for (int machine = 0; machine < cfg_.cluster.machine_count; ++machine) {
     auto& m = machines_[static_cast<std::size_t>(machine)];
     trace::GroundTruthSeries cpu;
-    cpu.resource = dataflow_names::kCpu;
+    cpu.resource = resource_names::kCpu;
     cpu.machine = machine;
     cpu.capacity = static_cast<double>(cfg_.cluster.machine.cores);
     cpu.series = m.cpu->series();
     artifacts.ground_truth.push_back(std::move(cpu));
     trace::GroundTruthSeries net;
-    net.resource = dataflow_names::kNetwork;
+    net.resource = resource_names::kNetwork;
     net.machine = machine;
     net.capacity = cfg_.cluster.machine.nic_bytes_per_sec();
     net.series = m.nic->finalize_rate_series(makespan_);

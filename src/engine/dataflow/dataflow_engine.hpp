@@ -49,11 +49,6 @@ struct DataflowConfig {
   }
 };
 
-namespace dataflow_names {
-inline constexpr const char* kCpu = "cpu";
-inline constexpr const char* kNetwork = "network";
-}  // namespace dataflow_names
-
 class DataflowEngine {
  public:
   explicit DataflowEngine(DataflowConfig config);

@@ -1,6 +1,7 @@
 #include "engine/fault_tolerance.hpp"
 
 #include "common/check.hpp"
+#include "engine/resource_names.hpp"
 
 namespace g10::engine {
 
@@ -12,11 +13,9 @@ using trace::PathRef;
 // must not perturb the engine's own draw sequence.
 constexpr std::uint64_t kFaultSeedSalt = 0x9e3779b97f4a7c15ULL;
 
-// Resource names; both engines' name tables (pregel_names, gas_names) use
-// the same strings.
-constexpr const char* kCpu = "cpu";
-constexpr const char* kNetwork = "network";
-constexpr const char* kRecovery = "Recovery";
+using resource_names::kCpu;
+using resource_names::kNetwork;
+using resource_names::kRecovery;
 
 struct FaultSymbols {
   trace::Symbol job, load_graph, load_worker, execute, checkpoint,
@@ -45,42 +44,35 @@ const FaultSymbols& fault_symbols() {
 
 }  // namespace
 
-FaultHarness::FaultHarness(const sim::ClusterSpec& cluster, std::uint64_t seed,
-                           const NoiseConfig& noise,
-                           const CheckpointConfig& checkpoint,
-                           const RetryConfig& retry,
-                           sim::FailureDetectorConfig heartbeat,
-                           CrashLogStyle crash_log, const IoCosts& io,
+FaultHarness::FaultHarness(const RunConfig& cfg, const IoCosts& io,
                            TimeNs nominal_horizon, trace::Symbol step_type)
-    : rng_(seed),
-      faults_(cluster.faults, seed ^ kFaultSeedSalt),
-      machine_(cluster.machine),
-      workers_(cluster.machine_count),
+    : rng_(cfg.seed),
+      faults_(cfg.cluster.faults, cfg.seed ^ kFaultSeedSalt),
+      machine_(cfg.cluster.machine),
+      workers_(cfg.cluster.machine_count),
       job_path_(PathRef{}.child(fault_symbols().job, 0)),
       exec_path_(job_path_.child(fault_symbols().execute, 0)),
-      dead_(static_cast<std::size_t>(cluster.machine_count), 0),
-      machines_(static_cast<std::size_t>(cluster.machine_count)),
-      noise_(noise),
-      checkpoint_(checkpoint),
-      crash_log_(crash_log),
+      dead_(static_cast<std::size_t>(cfg.cluster.machine_count), 0),
+      machines_(static_cast<std::size_t>(cfg.cluster.machine_count)),
+      noise_(cfg.noise),
+      checkpoint_(cfg.checkpoint),
+      crash_log_(cfg.crash_log),
       io_(io),
       step_type_(step_type) {
-  cluster.validate();
+  cfg.cluster.validate();
   G10_CHECK(checkpoint_.interval_steps > 0);
-  G10_CHECK(retry.max_attempts >= 0);
+  G10_CHECK(cfg.retry.max_attempts >= 0);
   if (!faults_.empty()) {
     faults_.resolve(nominal_horizon);
     checkpointing_ = faults_.has_kind(sim::FaultKind::kCrash);
   }
   // The detector's seed is folded with the run seed so two runs differing
   // only in the engine seed also shift their detection latency.
-  heartbeat.seed ^= seed;
+  sim::FailureDetectorConfig heartbeat = cfg.heartbeat;
+  heartbeat.seed ^= cfg.seed;
   detector_ = sim::FailureDetector(heartbeat, &faults_);
-  sim::ReliableChannelConfig channel;
-  channel.timeout_seconds = retry.timeout_seconds;
-  channel.backoff = retry.backoff;
-  channel.jitter = retry.jitter;
-  channel.max_attempts = std::max(1, retry.max_attempts);
+  sim::ReliableChannelConfig channel = cfg.retry;
+  channel.max_attempts = std::max(1, channel.max_attempts);
   channel_ = sim::ReliableChannel(channel, &faults_, workers_);
   for (Machine& m : machines_) {
     m.nic = std::make_unique<sim::FluidQueue>(machine_.nic_bytes_per_sec());

@@ -50,23 +50,11 @@ struct CheckpointConfig {
   double reload_work_per_vertex = 60.0; ///< deserialize state during recovery
 };
 
-/// Retransmission policy of the reliable channel carrying remote sends: a
-/// lost message blocks the sender ("Retry" blocking event) for an
-/// exponentially growing, deterministically jittered timeout before the
-/// attempt is repeated. Partitioned links are ridden out past the budget;
-/// plain loss is forced through once the budget ends.
-struct RetryConfig {
-  double timeout_seconds = 0.02;  ///< first retransmit timeout
-  double backoff = 2.0;           ///< timeout multiplier per failed attempt
-  double jitter = 0.25;           ///< deterministic timeout jitter fraction
-  int max_attempts = 4;           ///< transmissions before the budget ends
-};
-
 /// Unmodeled background CPU activity per machine (OS daemons, JIT compiler
 /// threads): a clamped random walk added to the ground-truth CPU signal.
 /// Grade10's models do not describe it, which contributes realistic
 /// attribution error (paper §IV-B). The defaults are the JVM engine's; the
-/// GAS engine overrides them with a quieter native process.
+/// GAS engine's config lowers them for a quieter native process.
 struct NoiseConfig {
   bool enabled = true;
   DurationNs interval = 25 * kMillisecond;
@@ -81,28 +69,45 @@ struct IoCosts {
   double work_per_store_vertex = 0.0;
 };
 
+/// The fields both engine configs share: the simulated cluster and the
+/// fault-tolerance substrates FaultHarness runs.
+struct RunConfig {
+  sim::ClusterSpec cluster;
+  int threads_per_worker = 0;  ///< 0 = one per core
+  NoiseConfig noise;
+  CheckpointConfig checkpoint;
+  /// Retransmission policy of the reliable channel carrying remote sends:
+  /// a lost message blocks the sender ("Retry" blocking event) for an
+  /// exponentially growing, deterministically jittered timeout before the
+  /// attempt is repeated. Partitioned links are ridden out past the budget;
+  /// plain loss is forced through once the budget ends.
+  sim::ReliableChannelConfig retry;
+  /// Heartbeat failure detection; its seed is folded with `seed` so two runs
+  /// differing only in the engine seed also shift their detection latency.
+  sim::FailureDetectorConfig heartbeat;
+  CrashLogStyle crash_log = CrashLogStyle::kReconciled;
+  std::uint64_t seed = 42;
+
+  int effective_threads() const {
+    return threads_per_worker > 0 ? threads_per_worker
+                                  : cluster.machine.cores;
+  }
+};
+
 /// Base of one engine run: owns the simulated cluster, the run skeleton and
-/// its fault handling. Engine configs supply `cluster`, `seed`, `noise`,
-/// `checkpoint`, `retry`, `heartbeat`, `crash_log` and the load/store costs
-/// in `costs`.
+/// its fault handling, as the engine config's RunConfig base describes.
 class FaultHarness {
  public:
   FaultHarness(const FaultHarness&) = delete;
   FaultHarness& operator=(const FaultHarness&) = delete;
 
  protected:
-  /// `nominal_horizon` anchors percent-based fault times (the engine's
-  /// closed-form makespan estimate); `step_type` names the engine's repeated
-  /// step phase (Superstep, Iteration).
-  template <typename Config>
-  FaultHarness(const Config& cfg, TimeNs nominal_horizon,
-               trace::Symbol step_type)
-      : FaultHarness(cfg.cluster, cfg.seed, cfg.noise, cfg.checkpoint,
-                     cfg.retry, cfg.heartbeat, cfg.crash_log,
-                     IoCosts{cfg.costs.work_per_load_edge,
-                             cfg.costs.bytes_per_load_edge,
-                             cfg.costs.work_per_store_vertex},
-                     nominal_horizon, step_type) {}
+  /// `io` prices the load and store phases; `nominal_horizon` anchors
+  /// percent-based fault times (the engine's closed-form makespan estimate);
+  /// `step_type` names the engine's repeated step phase (Superstep,
+  /// Iteration).
+  FaultHarness(const RunConfig& cfg, const IoCosts& io,
+               TimeNs nominal_horizon, trace::Symbol step_type);
   virtual ~FaultHarness() = default;
 
   /// Machine w's NIC transmit queue and CPU usage recorder.
@@ -221,12 +226,6 @@ class FaultHarness {
     StepFunction noise;  ///< unmodeled background CPU
     double noise_level = 0.0;
   };
-
-  FaultHarness(const sim::ClusterSpec& cluster, std::uint64_t seed,
-               const NoiseConfig& noise, const CheckpointConfig& checkpoint,
-               const RetryConfig& retry, sim::FailureDetectorConfig heartbeat,
-               CrashLogStyle crash_log, const IoCosts& io,
-               TimeNs nominal_horizon, trace::Symbol step_type);
 
   // ---- engine hooks ---------------------------------------------------------
   /// Snapshot and restore the engine's program state; the harness keeps the

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "engine/resource_names.hpp"
 #include "graph/partition.hpp"
 
 namespace g10::engine {
@@ -78,7 +79,11 @@ const GasSymbols& gas_symbols() {
 class GasRun final : public FaultHarness {
  public:
   GasRun(const GasConfig& cfg, const Graph& g, const GasProgram& prog)
-      : FaultHarness(cfg, gas_nominal_horizon(cfg, g, prog),
+      : FaultHarness(cfg,
+                     IoCosts{cfg.costs.work_per_load_edge,
+                             cfg.costs.bytes_per_load_edge,
+                             cfg.costs.work_per_store_vertex},
+                     gas_nominal_horizon(cfg, g, prog),
                      gas_symbols().iteration),
         cfg_(cfg),
         g_(g),
@@ -677,7 +682,7 @@ void GasRun::finalize_exchange_worker(int w, TimeNs begin, TimeNs send_done) {
   const TimeNs end = std::max(now, nic(w).time_empty(now));
   const PathRef worker = exchange_path_.child(gas_symbols().worker_exchange, w);
   if (send_done > begin) {
-    log_.block(gas_names::kRetry, worker, begin, send_done, w);
+    log_.block(resource_names::kRetry, worker, begin, send_done, w);
   }
   log_.end(worker, end, w);
   exchange_open_[static_cast<std::size_t>(w)] = 0;

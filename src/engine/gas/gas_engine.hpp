@@ -39,14 +39,10 @@
 // re-executions, exactly like the Pregel engine's Superstep indices.
 #pragma once
 
-#include <cstdint>
-
 #include "algorithms/gas_program.hpp"
 #include "engine/fault_tolerance.hpp"
 #include "engine/phase_logger.hpp"
 #include "graph/graph.hpp"
-#include "sim/cluster.hpp"
-#include "sim/failure_detector.hpp"
 #include "trace/records.hpp"
 
 namespace g10::engine {
@@ -90,35 +86,19 @@ enum class VertexCutStrategy {
   kRandom,       ///< uniform random edge placement
 };
 
-struct GasConfig {
-  sim::ClusterSpec cluster;
-  int threads_per_worker = 0;  ///< 0 = one per core
-  int chunk_edges = 2048;      ///< gather/scatter work per scheduling chunk
+struct GasConfig : RunConfig {
+  /// Unmodeled background CPU (OS daemons) is quieter than the JVM
+  /// engine's: the constructor lowers the inherited noise defaults.
+  GasConfig() {
+    noise.max_cores = 0.4;
+    noise.sigma = 0.1;
+  }
+
+  int chunk_edges = 2048;  ///< gather/scatter work per scheduling chunk
   GasCostModel costs;
-  /// Unmodeled background CPU (OS daemons); smaller than the JVM engine's.
-  NoiseConfig noise{.max_cores = 0.4, .sigma = 0.1};
   SyncBugConfig sync_bug;
   VertexCutStrategy partitioning = VertexCutStrategy::kHashSource;
-  CheckpointConfig checkpoint;
-  RetryConfig retry;
-  /// Heartbeat failure detection; its seed is folded with `seed` so two runs
-  /// differing only in the engine seed also shift their detection latency.
-  sim::FailureDetectorConfig heartbeat;
-  CrashLogStyle crash_log = CrashLogStyle::kReconciled;
-  std::uint64_t seed = 42;
-
-  int effective_threads() const {
-    return threads_per_worker > 0 ? threads_per_worker
-                                  : cluster.machine.cores;
-  }
 };
-
-namespace gas_names {
-inline constexpr const char* kCpu = "cpu";
-inline constexpr const char* kNetwork = "network";
-inline constexpr const char* kRetry = "Retry";
-inline constexpr const char* kRecovery = "Recovery";
-}  // namespace gas_names
 
 class GasEngine {
  public:

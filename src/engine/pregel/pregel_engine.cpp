@@ -7,6 +7,7 @@
 
 #include "common/check.hpp"
 #include "engine/comm_batcher.hpp"
+#include "engine/resource_names.hpp"
 #include "graph/partition.hpp"
 
 namespace g10::engine {
@@ -83,7 +84,11 @@ TimeNs pregel_nominal_horizon(const PregelConfig& cfg, const Graph& g,
 class PregelRun final : public FaultHarness {
  public:
   PregelRun(const PregelConfig& cfg, const Graph& g, const PregelProgram& prog)
-      : FaultHarness(cfg, pregel_nominal_horizon(cfg, g, prog),
+      : FaultHarness(cfg,
+                     IoCosts{cfg.costs.work_per_load_edge,
+                             cfg.costs.bytes_per_load_edge,
+                             cfg.costs.work_per_store_vertex},
+                     pregel_nominal_horizon(cfg, g, prog),
                      pregel_symbols().superstep),
         cfg_(cfg),
         g_(g),
@@ -648,7 +653,7 @@ void PregelRun::resume_after_send(int w, int th, TimeNs now, TimeNs resume) {
                               .phase;
     schedule_epoch(resume, [this, w, th, phase, now, resume] {
       if (dead_[static_cast<std::size_t>(w)] != 0) return;
-      log_.block(pregel_names::kRetry, phase, now, resume, w);
+      log_.block(resource_names::kRetry, phase, now, resume, w);
       thread_continue(w, th);
     });
     return;

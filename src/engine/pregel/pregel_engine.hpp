@@ -41,14 +41,10 @@
 // unique.
 #pragma once
 
-#include <cstdint>
-
 #include "algorithms/pregel_program.hpp"
 #include "engine/fault_tolerance.hpp"
 #include "engine/phase_logger.hpp"
 #include "graph/graph.hpp"
-#include "sim/cluster.hpp"
-#include "sim/failure_detector.hpp"
 #include "trace/records.hpp"
 
 namespace g10::engine {
@@ -95,37 +91,18 @@ struct QueueConfig {
   double resume_fraction = 0.5;  ///< unblock when level <= fraction*capacity
 };
 
-struct PregelConfig {
-  sim::ClusterSpec cluster;
-  int threads_per_worker = 0;     ///< 0 = one per core
+struct PregelConfig : RunConfig {
   int partitions_per_thread = 4;  ///< dynamic load-balancing granularity
   int chunk_vertices = 192;       ///< vertices processed per scheduling chunk
   PregelCostModel costs;
   GcConfig gc;
   QueueConfig queue;
-  NoiseConfig noise;
-  CheckpointConfig checkpoint;
-  RetryConfig retry;
-  /// Heartbeat failure detection; its seed is folded with `seed` so two runs
-  /// differing only in the engine seed also shift their detection latency.
-  sim::FailureDetectorConfig heartbeat;
-  CrashLogStyle crash_log = CrashLogStyle::kReconciled;
-  std::uint64_t seed = 42;
-
-  int effective_threads() const {
-    return threads_per_worker > 0 ? threads_per_worker
-                                  : cluster.machine.cores;
-  }
 };
 
-/// Names used in logs and in the matching Grade10 resource model.
+/// Blocking-resource names only Pregel logs, beside resource_names'.
 namespace pregel_names {
-inline constexpr const char* kCpu = "cpu";
-inline constexpr const char* kNetwork = "network";
 inline constexpr const char* kGc = "GC";
 inline constexpr const char* kMessageQueue = "MessageQueue";
-inline constexpr const char* kRetry = "Retry";
-inline constexpr const char* kRecovery = "Recovery";
 }  // namespace pregel_names
 
 class PregelEngine {

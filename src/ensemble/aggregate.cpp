@@ -105,6 +105,8 @@ AggregateReport aggregate(const std::vector<Scenario>& scenarios,
   std::map<std::string, IssueAccumulator> issues;
   // phase -> resource -> runs where that resource dominated the phase
   std::map<std::string, std::map<std::string, std::size_t>> phases;
+  // Rediscovery trials: ok GAS runs that injected the sync bug.
+  std::size_t sync_bug_trials = 0;
   std::size_t sync_bug_hits = 0;
 
   for (const Scenario& scenario : scenarios) {
@@ -133,7 +135,10 @@ AggregateReport aggregate(const std::vector<Scenario>& scenarios,
     }
 
     makespans.push_back(entry.report.makespan_seconds);
-    if (entry.report.sync_bug_rediscovered) ++sync_bug_hits;
+    if (scenario.engine == "gas" && scenario.sync_bug) {
+      ++sync_bug_trials;
+      if (entry.report.sync_bug_rediscovered) ++sync_bug_hits;
+    }
 
     std::unordered_set<std::string_view> seen_labels;
     for (const RunReport::Issue& issue : entry.report.issues) {
@@ -152,7 +157,7 @@ AggregateReport aggregate(const std::vector<Scenario>& scenarios,
           ? 0.0
           : static_cast<double>(report.ok) /
                 static_cast<double>(report.scenario_count);
-  report.sync_bug = rate_of(sync_bug_hits, report.ok);
+  report.sync_bug = rate_of(sync_bug_hits, sync_bug_trials);
   report.makespan_seconds = summarize(std::move(makespans));
 
   for (auto& [label, acc] : issues) {

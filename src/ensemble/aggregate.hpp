@@ -88,7 +88,8 @@ struct AggregateReport {
   /// numbers below actually describe.
   double coverage = 0.0;
 
-  /// Headline: injected sync bug rediscovered, over ok runs.
+  /// Headline: injected sync bug rediscovered, over the ok runs of GAS
+  /// scenarios that inject it.
   RateEstimate sync_bug;
 
   ValueSummary makespan_seconds;

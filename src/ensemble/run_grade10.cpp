@@ -1,25 +1,30 @@
 #include "ensemble/run_grade10.hpp"
 
 #include <memory>
-#include <stdexcept>
 #include <unordered_map>
 
-#include "algorithms/programs.hpp"
 #include "common/check.hpp"
 #include "common/mutex.hpp"
 #include "common/strings.hpp"
-#include "engine/gas/gas_engine.hpp"
-#include "engine/pregel/pregel_engine.hpp"
-#include "grade10/models/gas_model.hpp"
-#include "grade10/models/pregel_model.hpp"
 #include "grade10/pipeline.hpp"
 #include "grade10/report/phase_profile.hpp"
 #include "graph/generators.hpp"
-#include "monitor/sampler.hpp"
-#include "sim/fault_injector.hpp"
+#include "workload/workload.hpp"
 
 namespace g10::ensemble {
 namespace {
+
+/// Monitoring-sample cadence fed to the analysis.
+constexpr DurationNs kMonitorInterval = 100 * kMillisecond;
+/// Analysis timeslice (paper §III-C).
+constexpr DurationNs kTimeslice = 20 * kMillisecond;
+/// Issues below this impact fraction are dropped from the report.
+constexpr double kMinIssueImpact = 0.02;
+/// GAS sync-bug reproduction probability when Scenario::sync_bug is set.
+constexpr double kSyncBugProbability = 0.25;
+/// An injected sync bug counts as rediscovered when a Gather-phase imbalance
+/// issue clears this impact fraction.
+constexpr double kRediscoveryMinImpact = 0.02;
 
 /// Graphs are deterministic functions of the dataset spec and expensive to
 /// build, so the whole ensemble shares one immutable instance per spec.
@@ -49,79 +54,29 @@ RunAttempt cancelled_attempt() {
   return attempt;
 }
 
-RunAttempt run_scenario(const Scenario& scenario, const CancelToken& token,
-                        const Grade10RunnerOptions& options) {
+RunAttempt run_scenario(const Scenario& scenario, const CancelToken& token) {
   // Stage 1: dataset (cached after the first run per spec).
-  const auto base_graph = cached_dataset(scenario.dataset);
-  const graph::Graph* graph = base_graph.get();
-  graph::Graph weighted;
-  if (scenario.algorithm == "sssp") {
-    weighted = *base_graph;
-    graph::assign_random_weights(weighted, 1.0, 10.0, scenario.seed);
-    graph = &weighted;
-  }
+  const auto graph = cached_dataset(scenario.dataset);
   if (token.cancelled()) return cancelled_attempt();
 
-  // g10_ensemble admits only known algorithm names.
-  G10_CHECK_MSG(algorithms::is_algorithm_name(scenario.algorithm),
-                "unknown algorithm: " + scenario.algorithm);
-  const algorithms::ProgramSet programs(scenario.iterations);
-
-  // Stage 2: engine run under the scenario's faults + cost jitter.
-  trace::RunArtifacts artifacts;
-  core::FrameworkModel framework;
-  TimeNs fault_horizon = 0;
-  if (scenario.engine == "pregel") {
-    engine::PregelConfig cfg;
-    cfg.cluster.machine_count = scenario.workers;
-    cfg.cluster.machine.cores = scenario.cores;
-    cfg.cluster.machine.core_work_per_sec *= scenario.jitter.core_speed;
-    cfg.cluster.machine.nic_bandwidth_bps *= scenario.jitter.nic_bandwidth;
-    cfg.cluster.faults = scenario.faults;
-    cfg.seed = scenario.seed;
-    const engine::PregelEngine engine(cfg);
-    const auto& program =
-        *programs.find<algorithms::PregelProgram>(scenario.algorithm);
-    fault_horizon = engine.estimate_horizon(*graph, program);
-    artifacts = engine.run(*graph, program);
-    core::PregelModelParams params;
-    params.cores = scenario.cores;
-    params.threads = cfg.effective_threads();
-    params.network_capacity = cfg.cluster.machine.nic_bytes_per_sec();
-    framework = core::make_pregel_model(params);
-  } else if (scenario.engine == "gas") {
-    engine::GasConfig cfg;
-    cfg.cluster.machine_count = scenario.workers;
-    cfg.cluster.machine.cores = scenario.cores;
-    cfg.cluster.machine.core_work_per_sec *= scenario.jitter.core_speed;
-    cfg.cluster.machine.nic_bandwidth_bps *= scenario.jitter.nic_bandwidth;
-    cfg.cluster.faults = scenario.faults;
-    cfg.seed = scenario.seed;
-    cfg.sync_bug.enabled = scenario.sync_bug;
-    cfg.sync_bug.probability = options.sync_bug_probability;
-    const engine::GasEngine engine(cfg);
-    const auto& program =
-        *programs.find<algorithms::GasProgram>(scenario.algorithm);
-    fault_horizon = engine.estimate_horizon(*graph, program);
-    artifacts = engine.run(*graph, program);
-    core::GasModelParams params;
-    params.cores = scenario.cores;
-    params.threads = cfg.effective_threads();
-    params.network_capacity = cfg.cluster.machine.nic_bytes_per_sec();
-    framework = core::make_gas_model(params);
-  } else {
-    throw std::runtime_error("unknown engine: " + scenario.engine);
-  }
-  if (token.cancelled()) return cancelled_attempt();
-
-  // Stage 3: monitoring samples (with fault-driven dropout, like g10_run).
-  auto samples = monitor::sample_ground_truth(
-      artifacts.ground_truth, options.monitor_interval, artifacts.makespan);
-  if (scenario.faults.has_kind(sim::FaultKind::kSampleDrop)) {
-    sim::FaultInjector dropout(scenario.faults, scenario.seed);
-    dropout.resolve(fault_horizon);
-    samples = monitor::apply_sampler_dropout(samples, dropout);
-  }
+  // Stages 2-3: engine run under the scenario's faults and cost jitter,
+  // expert model, monitoring samples with fault-driven dropout.
+  workload::Spec spec;
+  spec.engine = scenario.engine;
+  spec.algorithm = scenario.algorithm;
+  spec.workers = scenario.workers;
+  spec.cores = scenario.cores;
+  spec.iterations = scenario.iterations;
+  spec.seed = scenario.seed;
+  spec.faults = scenario.faults;
+  spec.sync_bug = scenario.sync_bug;
+  spec.sync_bug_probability = kSyncBugProbability;
+  spec.core_speed = scenario.jitter.core_speed;
+  spec.nic_bandwidth = scenario.jitter.nic_bandwidth;
+  spec.monitor_interval = kMonitorInterval;
+  const workload::Result run = workload::run(spec, *graph);
+  const trace::RunArtifacts& artifacts = run.artifacts;
+  const core::FrameworkModel& framework = run.model;
   if (token.cancelled()) return cancelled_attempt();
 
   // Stage 4: characterization.
@@ -131,9 +86,9 @@ RunAttempt run_scenario(const Scenario& scenario, const CancelToken& token,
   input.rules = &framework.tuned_rules;
   input.phase_events = artifacts.phase_events;
   input.blocking_events = artifacts.blocking_events;
-  input.samples = samples;
-  input.config.timeslice = options.timeslice;
-  input.config.min_issue_impact = options.min_issue_impact;
+  input.samples = run.samples;
+  input.config.timeslice = kTimeslice;
+  input.config.min_issue_impact = kMinIssueImpact;
   // Serial analysis: the ensemble's parallelism is across scenarios, and
   // nested pools would oversubscribe the machine.
   input.config.threads = 1;
@@ -167,8 +122,8 @@ RunAttempt run_scenario(const Scenario& scenario, const CancelToken& token,
         const std::string& phase =
             framework.execution.type(issue.phase_type).name;
         out.label = "imbalance:" + phase;
-        if (starts_with(phase, "Gather") &&
-            issue.impact >= options.rediscovery_min_impact) {
+        if (scenario.sync_bug && starts_with(phase, "Gather") &&
+            issue.impact >= kRediscoveryMinImpact) {
           report.sync_bug_rediscovered = true;
         }
         break;
@@ -203,10 +158,6 @@ RunAttempt run_scenario(const Scenario& scenario, const CancelToken& token,
 
 }  // namespace
 
-RunFn make_grade10_runner(const Grade10RunnerOptions& options) {
-  return [options](const Scenario& scenario, const CancelToken& token) {
-    return run_scenario(scenario, token, options);
-  };
-}
+RunFn make_grade10_runner() { return run_scenario; }
 
 }  // namespace g10::ensemble

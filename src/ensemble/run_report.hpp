@@ -34,8 +34,9 @@ struct RunReport {
   };
   std::vector<Issue> issues;
 
-  /// §IV-D headline: the analysis surfaced a Gather-phase imbalance issue
-  /// above the rediscovery threshold — the injected sync bug was found.
+  /// §IV-D headline: the scenario injected the sync bug and the analysis
+  /// surfaced a Gather-phase imbalance issue above the rediscovery
+  /// threshold — the injected bug was found.
   bool sync_bug_rediscovered = false;
 };
 

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "common/check.hpp"
+#include "engine/resource_names.hpp"
 
 namespace g10::engine {
 namespace {
@@ -69,7 +70,7 @@ TEST(DataflowEngineTest, CpuWithinCapacity) {
   const DataflowEngine engine(small_config());
   const auto result = engine.run(three_stage_job());
   for (const auto& gt : result.ground_truth) {
-    if (gt.resource != dataflow_names::kCpu) continue;
+    if (gt.resource != resource_names::kCpu) continue;
     EXPECT_LE(gt.series.max_over(0, result.makespan), gt.capacity + 1e-9);
   }
 }

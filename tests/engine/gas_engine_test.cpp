@@ -9,6 +9,7 @@
 #include "algorithms/programs.hpp"
 #include "algorithms/reference.hpp"
 #include "common/check.hpp"
+#include "engine/resource_names.hpp"
 #include "graph/generators.hpp"
 
 namespace g10::engine {
@@ -138,7 +139,7 @@ TEST(GasEngineTest, CpuWithinCapacity) {
   const GasEngine engine(small_config());
   const auto result = engine.run(g, PageRank(5));
   for (const auto& gt : result.ground_truth) {
-    if (gt.resource != gas_names::kCpu) continue;
+    if (gt.resource != resource_names::kCpu) continue;
     EXPECT_LE(gt.series.max_over(0, result.makespan), gt.capacity + 1e-9);
   }
 }
@@ -267,7 +268,7 @@ TEST(GasFaultTest, CrashRecoveryConvergesToReference) {
   EXPECT_TRUE(saw_recovery_phase);
   bool saw_recovery_block = false;
   for (const auto& block : result.blocking_events) {
-    if (block.resource == gas_names::kRecovery) saw_recovery_block = true;
+    if (block.resource == resource_names::kRecovery) saw_recovery_block = true;
   }
   EXPECT_TRUE(saw_recovery_block);
 }
@@ -284,7 +285,7 @@ TEST(GasFaultTest, PartitionIsRiddenOutWithRetries) {
   const auto result = engine.run(g, PageRank(6));
   bool saw_retry = false;
   for (const auto& block : result.blocking_events) {
-    if (block.resource == gas_names::kRetry) saw_retry = true;
+    if (block.resource == resource_names::kRetry) saw_retry = true;
   }
   EXPECT_TRUE(saw_retry);
   EXPECT_GT(result.makespan, baseline.makespan);
@@ -303,7 +304,7 @@ TEST(GasFaultTest, LossyNicCausesRetryBlocksWithoutChangingOutput) {
   const auto result = engine.run(g, PageRank(6));
   bool saw_retry = false;
   for (const auto& block : result.blocking_events) {
-    if (block.resource == gas_names::kRetry) saw_retry = true;
+    if (block.resource == resource_names::kRetry) saw_retry = true;
   }
   EXPECT_TRUE(saw_retry);
   expect_values_near(result.vertex_values, baseline.vertex_values, 0.0);

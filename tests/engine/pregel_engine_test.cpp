@@ -9,6 +9,7 @@
 
 #include "algorithms/programs.hpp"
 #include "algorithms/reference.hpp"
+#include "engine/resource_names.hpp"
 #include "graph/generators.hpp"
 
 namespace g10::engine {
@@ -136,7 +137,7 @@ TEST(PregelEngineTest, GroundTruthCpuWithinCapacity) {
   const PregelEngine engine(cfg);
   const auto result = engine.run(g, PageRank(5));
   for (const auto& gt : result.ground_truth) {
-    if (gt.resource != pregel_names::kCpu) continue;
+    if (gt.resource != resource_names::kCpu) continue;
     EXPECT_LE(gt.series.max_over(0, result.makespan), gt.capacity + 1e-9);
     // Usage never negative.
     for (const double v : gt.series.values()) EXPECT_GE(v, -1e-9);
@@ -264,7 +265,7 @@ TEST(PregelFaultTest, CrashEmitsRecoveryBlocksAndTruncatedPhases) {
   // The recovery window shows up as blocked time.
   bool has_recovery = false;
   for (const auto& block : result.blocking_events) {
-    if (block.resource == pregel_names::kRecovery) has_recovery = true;
+    if (block.resource == resource_names::kRecovery) has_recovery = true;
   }
   EXPECT_TRUE(has_recovery);
   // The crashed worker's log stops mid-phase: at least one BEGIN has no END.
@@ -295,7 +296,7 @@ TEST(PregelFaultTest, ReconciledCrashLogStaysBalanced) {
   for (const auto& [key, count] : open) EXPECT_EQ(count, 0) << key;
   bool has_recovery = false;
   for (const auto& block : result.blocking_events) {
-    if (block.resource == pregel_names::kRecovery) has_recovery = true;
+    if (block.resource == resource_names::kRecovery) has_recovery = true;
   }
   EXPECT_TRUE(has_recovery);
   expect_values_near(result.vertex_values,
@@ -313,7 +314,7 @@ TEST(PregelFaultTest, PartitionIsRiddenOutWithRetries) {
   const auto result = engine.run(g, PageRank(6));
   bool has_retry = false;
   for (const auto& block : result.blocking_events) {
-    if (block.resource == pregel_names::kRetry) has_retry = true;
+    if (block.resource == resource_names::kRetry) has_retry = true;
   }
   EXPECT_TRUE(has_retry);
   EXPECT_GT(result.makespan, baseline.makespan);
@@ -364,7 +365,7 @@ TEST(PregelFaultTest, LossyNicCausesRetryBlocks) {
   const auto result = engine.run(g, PageRank(6));
   bool has_retry = false;
   for (const auto& block : result.blocking_events) {
-    if (block.resource == pregel_names::kRetry) has_retry = true;
+    if (block.resource == resource_names::kRetry) has_retry = true;
   }
   EXPECT_TRUE(has_retry);
   expect_values_near(result.vertex_values,

@@ -9,10 +9,14 @@
 namespace g10::ensemble {
 namespace {
 
+/// GAS scenarios that inject the sync bug: every ok run is a rediscovery
+/// trial.
 std::vector<Scenario> make_scenarios(int count) {
   std::vector<Scenario> out;
   for (int i = 0; i < count; ++i) {
     Scenario s;
+    s.engine = "gas";
+    s.sync_bug = true;
     s.seed = static_cast<std::uint64_t>(i + 1);
     out.push_back(s);
   }
@@ -60,6 +64,26 @@ TEST(AggregateTest, FullCoverageCountsAndHeadline) {
   EXPECT_EQ(report.makespan_seconds.count, 10u);
   EXPECT_DOUBLE_EQ(report.makespan_seconds.min, 1.0);
   EXPECT_DOUBLE_EQ(report.makespan_seconds.max, 10.0);
+}
+
+TEST(AggregateTest, RediscoveryCountsOnlyGasRunsThatInjectTheBug) {
+  std::vector<Scenario> scenarios = make_scenarios(3);
+  scenarios[1].sync_bug = false;  // GAS without the bug
+  scenarios[2].engine = "pregel";  // Pregel cannot carry the GAS bug
+  JournalReplay replay;
+  for (const Scenario& s : scenarios) {
+    replay.entries.push_back(ok_entry(s, 1.0, true));
+  }
+  const AggregateReport report = aggregate(scenarios, replay);
+  EXPECT_EQ(report.ok, 3u);
+  EXPECT_EQ(report.sync_bug.trials, 1u);
+  EXPECT_EQ(report.sync_bug.hits, 1u);
+
+  scenarios.erase(scenarios.begin());
+  const AggregateReport none = aggregate(scenarios, replay);
+  EXPECT_EQ(none.ok, 2u);
+  EXPECT_EQ(none.sync_bug.trials, 0u);
+  EXPECT_EQ(none.sync_bug.hits, 0u);
 }
 
 TEST(AggregateTest, PartialFleetIsDegradedNotFatal) {

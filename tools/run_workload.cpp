@@ -6,8 +6,6 @@
 //           --dataset rmat:<scale>|datagen:<vertices> --out <dir>
 //           [--workers N] [--cores N] [--iterations K] [--seed S]
 //           [--monitor-ms MS] [--sync-bug] [--faults <spec>]
-//           [--retry-timeout-ms MS] [--retry-max-attempts N]
-//           [--heartbeat-ms MS] [--heartbeat-timeout-ms MS]
 //           [--crash-log reconciled|truncated]
 //           [--det-check N] [--trace-format text|binary|both]
 //
@@ -24,11 +22,13 @@
 //   drop:w3@30%+20%           worker 3's monitoring samples dropped
 // Multiple events are comma- or semicolon-separated. Both engines ride out
 // every kind via the reliable channel (backoff retransmit), the heartbeat
-// failure detector, and checkpoint/restart recovery; the --retry-* and
-// --heartbeat-* knobs tune those substrates. The injected spec is recorded
-// in the log as a META record so offline tools can cross-check the trace.
+// failure detector, and checkpoint/restart recovery. The injected spec is
+// recorded in the log as a META record so offline tools can cross-check the
+// trace.
 //
-// The dumped directory can be analyzed offline with g10_analyze.
+// The run itself — engine config, engine, expert model, samples, sampler
+// dropout — is workload::run, the recipe the ensemble runner shares. The
+// dumped directory can be analyzed offline with g10_analyze.
 //
 // --det-check N is the runtime determinism oracle (DESIGN.md §14): instead
 // of dumping logs, it executes the workload N times in one process, folds
@@ -64,17 +64,12 @@
 #include "common/det_hash.hpp"
 #include "common/exit_codes.hpp"
 #include "common/strings.hpp"
-#include "engine/gas/gas_engine.hpp"
-#include "engine/pregel/pregel_engine.hpp"
 #include "grade10/model/model_io.hpp"
-#include "grade10/models/gas_model.hpp"
-#include "grade10/models/pregel_model.hpp"
 #include "graph/generators.hpp"
-#include "monitor/sampler.hpp"
-#include "sim/fault_injector.hpp"
 #include "trace/det_fold.hpp"
 #include "trace/g10t_io.hpp"
 #include "trace/log_io.hpp"
+#include "workload/workload.hpp"
 
 namespace g10 {
 namespace {
@@ -104,22 +99,10 @@ bool interrupted_at(const char* boundary) {
 }
 
 struct Args {
-  std::string engine = "pregel";
-  std::string algorithm = "pagerank";
+  workload::Spec spec;  ///< every field but the fault spec, parsed in run()
   std::string dataset = "rmat:14";
   std::string out = "g10_run_out";
-  int workers = 4;
-  int cores = 8;
-  int iterations = 20;
-  std::uint64_t seed = 2020;
-  DurationNs monitor_interval = 400 * kMillisecond;
-  bool sync_bug = false;
   std::string faults;
-  std::optional<double> retry_timeout_ms;
-  std::optional<int> retry_max_attempts;
-  std::optional<double> heartbeat_ms;
-  std::optional<double> heartbeat_timeout_ms;
-  engine::CrashLogStyle crash_log = engine::CrashLogStyle::kReconciled;
   int det_check = 0;  ///< 0 = off; otherwise number of executions (>= 2)
   std::string trace_format = "text";  ///< text | binary | both
 };
@@ -132,29 +115,17 @@ int usage() {
                "               [--workers N] [--cores N] [--iterations K]\n"
                "               [--seed S] [--monitor-ms MS] [--sync-bug]\n"
                "               [--faults <spec>]  e.g. crash:w2@40%\n"
-               "               [--retry-timeout-ms MS] "
-               "[--retry-max-attempts N]\n"
-               "               [--heartbeat-ms MS] "
-               "[--heartbeat-timeout-ms MS]\n"
                "               [--crash-log reconciled|truncated]\n"
                "               [--det-check N] "
                "[--trace-format text|binary|both]\n";
   return kExitBadArgs;
 }
 
-/// A duration > 0 in units of `unit` ns that fits a DurationNs, or nullopt.
-std::optional<double> parse_duration(std::string_view value, double unit) {
-  const auto x = parse_double(value);
-  constexpr auto kMax =
-      static_cast<double>(std::numeric_limits<DurationNs>::max());
-  if (!x || !(*x > 0.0) || !(*x * unit < kMax)) return std::nullopt;
-  return x;
-}
-
 /// Every numeric flag must parse whole and lie in range, else the command
 /// line is rejected (exit 2).
 std::optional<Args> parse_args(int argc, char** argv) {
   Args args;
+  workload::Spec& spec = args.spec;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     const auto value = [&]() -> std::optional<std::string> {
@@ -162,22 +133,22 @@ std::optional<Args> parse_args(int argc, char** argv) {
       return std::string(argv[++i]);
     };
     if (arg == "--sync-bug") {
-      args.sync_bug = true;
+      spec.sync_bug = true;
       continue;
     }
     const auto v = value();
     if (!v) return std::nullopt;
     if (arg == "--engine") {
       if (*v != "pregel" && *v != "gas") return std::nullopt;
-      args.engine = *v;
+      spec.engine = *v;
     } else if (arg == "--algorithm") {
       if (!algorithms::is_algorithm_name(*v)) return std::nullopt;
-      args.algorithm = *v;
+      spec.algorithm = *v;
     } else if (arg == "--dataset") {
       // A bad size is a bad argument; an unknown kind is a bad spec (exit 3
       // when the dataset is made).
-      const graph::DatasetSpec spec = graph::parse_dataset(*v);
-      if (spec.kind != graph::DatasetSpec::Kind::kUnknown && !spec.size) {
+      const graph::DatasetSpec parsed = graph::parse_dataset(*v);
+      if (parsed.kind != graph::DatasetSpec::Kind::kUnknown && !parsed.size) {
         return std::nullopt;
       }
       args.dataset = *v;
@@ -186,49 +157,37 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else if (arg == "--workers") {
       const auto n = parse_int_at_least(*v, 1);
       if (!n) return std::nullopt;
-      args.workers = *n;
+      spec.workers = *n;
     } else if (arg == "--cores") {
       const auto n = parse_int_at_least(*v, 1);
       if (!n) return std::nullopt;
-      args.cores = *n;
+      spec.cores = *n;
     } else if (arg == "--iterations") {
       const auto n = parse_int_at_least(*v, 1);
       if (!n) return std::nullopt;
-      args.iterations = *n;
+      spec.iterations = *n;
     } else if (arg == "--seed") {
       const auto seed = parse_int(*v);
       if (!seed || *seed < 0) return std::nullopt;
-      args.seed = static_cast<std::uint64_t>(*seed);
+      spec.seed = static_cast<std::uint64_t>(*seed);
     } else if (arg == "--monitor-ms") {
       const auto ms = parse_int(*v);
       if (!ms || *ms < 1 ||
           *ms > std::numeric_limits<DurationNs>::max() / kMillisecond) {
         return std::nullopt;
       }
-      args.monitor_interval = *ms * kMillisecond;
+      spec.monitor_interval = *ms * kMillisecond;
     } else if (arg == "--faults") {
       args.faults = *v;
-    } else if (arg == "--retry-timeout-ms") {
-      args.retry_timeout_ms = parse_duration(*v, kMillisecond);
-      if (!args.retry_timeout_ms) return std::nullopt;
-    } else if (arg == "--retry-max-attempts") {
-      args.retry_max_attempts = parse_int_at_least(*v, 1);
-      if (!args.retry_max_attempts) return std::nullopt;
-    } else if (arg == "--heartbeat-ms") {
-      args.heartbeat_ms = parse_duration(*v, kMillisecond);
-      if (!args.heartbeat_ms) return std::nullopt;
-    } else if (arg == "--heartbeat-timeout-ms") {
-      args.heartbeat_timeout_ms = parse_duration(*v, kMillisecond);
-      if (!args.heartbeat_timeout_ms) return std::nullopt;
     } else if (arg == "--det-check") {
       const auto n = parse_int_at_least(*v, 2);
       if (!n) return std::nullopt;
       args.det_check = *n;
     } else if (arg == "--crash-log") {
       if (*v == "reconciled") {
-        args.crash_log = engine::CrashLogStyle::kReconciled;
+        spec.crash_log = engine::CrashLogStyle::kReconciled;
       } else if (*v == "truncated") {
-        args.crash_log = engine::CrashLogStyle::kTruncated;
+        spec.crash_log = engine::CrashLogStyle::kTruncated;
       } else {
         return std::nullopt;
       }
@@ -242,113 +201,19 @@ std::optional<Args> parse_args(int argc, char** argv) {
   return args;
 }
 
-/// Folds the retry/heartbeat command-line knobs into an engine config (both
-/// engine configs expose the same `retry`/`heartbeat`/`crash_log` members).
-template <typename Config>
-void apply_fault_knobs(const Args& args, Config& cfg) {
-  if (args.retry_timeout_ms) {
-    cfg.retry.timeout_seconds = *args.retry_timeout_ms / 1e3;
-  }
-  if (args.retry_max_attempts) cfg.retry.max_attempts = *args.retry_max_attempts;
-  if (args.heartbeat_ms) {
-    cfg.heartbeat.interval_seconds = *args.heartbeat_ms / 1e3;
-  }
-  if (args.heartbeat_timeout_ms) {
-    cfg.heartbeat.timeout_seconds = *args.heartbeat_timeout_ms / 1e3;
-  }
-  cfg.crash_log = args.crash_log;
-}
-
-/// One engine execution's outputs, shared by the normal dump path and the
-/// --det-check repetition loop.
-struct EngineRun {
-  trace::RunArtifacts artifacts;
-  core::FrameworkModel framework;
-  TimeNs fault_horizon = 0;
-};
-
-/// Runs the configured engine once. Returns kExitOk and fills `out`, or the
-/// exit code to terminate with.
-int execute_engine(const Args& args, const sim::FaultSpec& fault_spec,
-                   const graph::Graph& graph, EngineRun& out) {
-  // parse_args admits only known engine and algorithm names.
-  const algorithms::ProgramSet programs(args.iterations);
-  if (args.engine == "pregel") {
-    engine::PregelConfig cfg;
-    cfg.cluster.machine_count = args.workers;
-    cfg.cluster.machine.cores = args.cores;
-    cfg.cluster.faults = fault_spec;
-    cfg.seed = args.seed;
-    apply_fault_knobs(args, cfg);
-    const engine::PregelEngine engine(cfg);
-    const auto& program =
-        *programs.find<algorithms::PregelProgram>(args.algorithm);
-    out.fault_horizon = engine.estimate_horizon(graph, program);
-    try {
-      out.artifacts = engine.run(graph, program);
-    } catch (const std::exception& e) {
-      if (!fault_spec.empty()) {
-        std::cerr << "engine aborted under injected faults: " << e.what()
-                  << '\n';
-        return kExitFaultAbort;
-      }
-      throw;
-    }
-    core::PregelModelParams params;
-    params.cores = args.cores;
-    params.threads = cfg.effective_threads();
-    params.network_capacity = cfg.cluster.machine.nic_bytes_per_sec();
-    out.framework = core::make_pregel_model(params);
-  } else {  // gas
-    engine::GasConfig cfg;
-    cfg.cluster.machine_count = args.workers;
-    cfg.cluster.machine.cores = args.cores;
-    cfg.cluster.faults = fault_spec;
-    cfg.seed = args.seed;
-    cfg.sync_bug.enabled = args.sync_bug;
-    apply_fault_knobs(args, cfg);
-    const engine::GasEngine engine(cfg);
-    const auto& program =
-        *programs.find<algorithms::GasProgram>(args.algorithm);
-    out.fault_horizon = engine.estimate_horizon(graph, program);
-    try {
-      out.artifacts = engine.run(graph, program);
-    } catch (const std::exception& e) {
-      if (!fault_spec.empty()) {
-        std::cerr << "engine aborted under injected faults: " << e.what()
-                  << '\n';
-        return kExitFaultAbort;
-      }
-      throw;
-    }
-    core::GasModelParams params;
-    params.cores = args.cores;
-    params.threads = cfg.effective_threads();
-    params.network_capacity = cfg.cluster.machine.nic_bytes_per_sec();
-    out.framework = core::make_gas_model(params);
+/// Runs the workload once. Returns kExitOk and fills `out`, or the exit code
+/// to terminate with: an engine that throws under injected faults is a
+/// fault abort.
+int execute(const workload::Spec& spec, const graph::Graph& graph,
+            workload::Result& out) {
+  try {
+    out = workload::run(spec, graph);
+  } catch (const std::exception& e) {
+    if (spec.faults.empty()) throw;
+    std::cerr << "engine aborted under injected faults: " << e.what() << '\n';
+    return kExitFaultAbort;
   }
   return kExitOk;
-}
-
-/// Derives the monitoring samples the normal dump path would write,
-/// including the seeded sampler dropout when the spec injects it.
-std::vector<trace::MonitoringSampleRecord> derive_samples(
-    const Args& args, const sim::FaultSpec& fault_spec, const EngineRun& run,
-    bool verbose) {
-  auto samples = monitor::sample_ground_truth(run.artifacts.ground_truth,
-                                              args.monitor_interval,
-                                              run.artifacts.makespan);
-  if (fault_spec.has_kind(sim::FaultKind::kSampleDrop)) {
-    sim::FaultInjector dropout(fault_spec, args.seed);
-    dropout.resolve(run.fault_horizon);
-    const std::size_t before = samples.size();
-    samples = monitor::apply_sampler_dropout(samples, dropout);
-    if (verbose) {
-      std::cout << "sampler dropout: " << (before - samples.size()) << " of "
-                << before << " samples lost\n";
-    }
-  }
-  return samples;
 }
 
 /// Test hook for the determinism oracle: when G10_DET_INJECT=<substring> is
@@ -368,21 +233,19 @@ void maybe_inject_divergence(DetSummary& summary, int execution) {
   }
 }
 
-int det_check(const Args& args, const sim::FaultSpec& fault_spec,
+int det_check(const Args& args, const workload::Spec& spec,
               const graph::Graph& graph) {
   std::vector<DetSummary> summaries;
   for (int execution = 0; execution < args.det_check; ++execution) {
     if (interrupted_at("the next det-check execution")) {
       return kExitInterrupted;
     }
-    EngineRun run;
-    const int rc = execute_engine(args, fault_spec, graph, run);
+    workload::Result run;
+    const int rc = execute(spec, graph, run);
     if (rc != kExitOk) return rc;
     DetHasher hasher;
     trace::fold_run(hasher, run.artifacts);
-    const auto samples =
-        derive_samples(args, fault_spec, run, /*verbose=*/false);
-    trace::fold_samples(hasher, samples);
+    trace::fold_samples(hasher, run.samples);
     DetSummary summary = hasher.summary();
     maybe_inject_divergence(summary, execution);
     summaries.push_back(std::move(summary));
@@ -390,7 +253,7 @@ int det_check(const Args& args, const sim::FaultSpec& fault_spec,
 
   const DetSummary& baseline = summaries.front();
   std::cout << "det-check: " << args.det_check << " executions of "
-            << args.engine << '/' << args.algorithm << ", "
+            << spec.engine << '/' << spec.algorithm << ", "
             << baseline.phases.size() << " phase paths, "
             << baseline.total_folds << " folds per execution\n";
   for (std::size_t i = 1; i < summaries.size(); ++i) {
@@ -408,7 +271,8 @@ int det_check(const Args& args, const sim::FaultSpec& fault_spec,
 }
 
 int run(const Args& args) {
-  sim::FaultSpec fault_spec;
+  workload::Spec spec = args.spec;
+  sim::FaultSpec& fault_spec = spec.faults;
   if (!args.faults.empty()) {
     std::string error;
     const auto parsed = sim::FaultSpec::parse(args.faults, &error);
@@ -418,7 +282,7 @@ int run(const Args& args) {
     }
     fault_spec = *parsed;
     try {
-      fault_spec.validate(args.workers);
+      fault_spec.validate(spec.workers);
     } catch (const CheckError& e) {
       // The spec parses but names faults the cluster cannot host (e.g. a
       // crash on a machine the cluster doesn't have): a fault abort, not a
@@ -433,25 +297,23 @@ int run(const Args& args) {
     std::cerr << "unknown dataset spec: " << args.dataset << '\n';
     return kExitParseFailure;
   }
-  graph::Graph graph = graph::generate_dataset(dataset);
-  if (args.algorithm == "sssp") {
-    graph::assign_random_weights(graph, 1.0, 10.0, args.seed);
-  }
+  const graph::Graph graph = graph::generate_dataset(dataset);
   std::cout << "dataset: " << graph.vertex_count() << " vertices, "
             << graph.edge_count() << " edges\n";
 
-  if (args.det_check > 0) return det_check(args, fault_spec, graph);
+  if (args.det_check > 0) return det_check(args, spec, graph);
 
   if (interrupted_at("the engine run")) return kExitInterrupted;
-  EngineRun engine_run;
-  const int rc = execute_engine(args, fault_spec, graph, engine_run);
+  workload::Result run;
+  const int rc = execute(spec, graph, run);
   if (rc != kExitOk) return rc;
   if (interrupted_at("the artifact dump")) return kExitInterrupted;
-  trace::RunArtifacts& artifacts = engine_run.artifacts;
-  const core::FrameworkModel& framework = engine_run.framework;
-
-  const auto samples =
-      derive_samples(args, fault_spec, engine_run, /*verbose=*/true);
+  const trace::RunArtifacts& artifacts = run.artifacts;
+  const auto& samples = run.samples;
+  if (fault_spec.has_kind(sim::FaultKind::kSampleDrop)) {
+    std::cout << "sampler dropout: " << run.dropped_samples << " of "
+              << (samples.size() + run.dropped_samples) << " samples lost\n";
+  }
 
   std::filesystem::create_directories(args.out);
   std::vector<trace::LogMeta> meta;
@@ -485,8 +347,8 @@ int run(const Args& args) {
   }
   {
     std::ofstream model(args.out + "/model.g10");
-    core::write_model(model, framework.execution, framework.resources,
-                      framework.tuned_rules);
+    core::write_model(model, run.model.execution, run.model.resources,
+                      run.model.tuned_rules);
   }
   std::cout << "makespan: " << to_seconds(artifacts.makespan) << " s\n";
   std::cout << "comm: " << artifacts.comm.remote_bytes_total
@@ -503,7 +365,7 @@ int run(const Args& args) {
             << "/model.g10\n";
   std::cout << "analyze with: g10_analyze --model " << args.out
             << "/model.g10 --log " << args.out << trace_name;
-  if (args.crash_log == engine::CrashLogStyle::kTruncated) {
+  if (spec.crash_log == engine::CrashLogStyle::kTruncated) {
     // A truncated crash log has BEGIN-without-END records by design; only
     // the lenient parser repairs those.
     std::cout << " --lenient";
