@@ -39,6 +39,7 @@ void BM_VertexCutGreedy(benchmark::State& state) {
   params.scale = static_cast<int>(state.range(0));
   params.edge_factor = 16;
   const auto g = generate_rmat(params);
+  g.ensure_in_index();
   for (auto _ : state) {
     auto cut = partition_vertex_cut_greedy(g, 8);
     benchmark::DoNotOptimize(cut);
@@ -48,19 +49,26 @@ void BM_VertexCutGreedy(benchmark::State& state) {
 }
 BENCHMARK(BM_VertexCutGreedy)->Arg(12)->Arg(14);
 
+// Args: scale, partitions. 16 x 64 is the GAS engine's load at the
+// 64-worker scale.
 void BM_VertexCutHashSource(benchmark::State& state) {
   RmatParams params;
   params.scale = static_cast<int>(state.range(0));
   params.edge_factor = 16;
   const auto g = generate_rmat(params);
+  g.ensure_in_index();  // the cut walks in-edges; time the cut alone
+  const auto parts = static_cast<PartitionId>(state.range(1));
   for (auto _ : state) {
-    auto cut = partition_vertex_cut_hash_source(g, 8);
+    auto cut = partition_vertex_cut_hash_source(g, parts);
     benchmark::DoNotOptimize(cut);
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<int64_t>(g.edge_count()));
   }
 }
-BENCHMARK(BM_VertexCutHashSource)->Arg(12)->Arg(14);
+BENCHMARK(BM_VertexCutHashSource)
+    ->Args({12, 8})
+    ->Args({14, 8})
+    ->Args({16, 64});
 
 void BM_EdgeCutHash(benchmark::State& state) {
   RmatParams params;

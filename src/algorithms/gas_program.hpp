@@ -1,10 +1,10 @@
 // Vertex-program interface for the GAS-style (PowerGraph stand-in) engine.
 //
 // Synchronous gather/apply/scatter semantics: in every iteration the engine
-// gathers the values of each active vertex's neighbors (over the declared
-// edge direction), calls apply() to produce the new value, and activates
-// neighbors for the next iteration when scatter_activates() says the change
-// is significant. Iteration 0 applies on the initially_active set.
+// gathers the values of each active vertex's in-neighbors, calls apply() to
+// produce the new value, and activates the out-neighbors for the next
+// iteration when scatter_activates() says the change is significant.
+// Iteration 0 applies on the initially_active set.
 #pragma once
 
 #include <span>
@@ -14,14 +14,11 @@
 
 namespace g10::algorithms {
 
-enum class GatherEdges { kIn, kOut, kBoth };
-
 class GasProgram {
  public:
   virtual ~GasProgram() = default;
 
   virtual std::string name() const = 0;
-  virtual GatherEdges gather_edges() const = 0;
   virtual int max_iterations() const = 0;
 
   virtual double initial_value(graph::VertexId v,

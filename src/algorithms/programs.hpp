@@ -30,7 +30,6 @@ class PageRank : public PregelProgram, public GasProgram {
                std::span<const double> messages, int superstep,
                const graph::Graph& g, PregelOutbox& out) const override;
   // GasProgram
-  GatherEdges gather_edges() const override { return GatherEdges::kIn; }
   int max_iterations() const override { return iterations_; }
   bool initially_active(graph::VertexId v,
                         const graph::Graph& g) const override;
@@ -59,7 +58,6 @@ class Bfs : public PregelProgram, public GasProgram {
   void compute(graph::VertexId v, double& value,
                std::span<const double> messages, int superstep,
                const graph::Graph& g, PregelOutbox& out) const override;
-  GatherEdges gather_edges() const override { return GatherEdges::kIn; }
   int max_iterations() const override;
   bool initially_active(graph::VertexId v,
                         const graph::Graph& g) const override;
@@ -88,7 +86,6 @@ class Wcc : public PregelProgram, public GasProgram {
   void compute(graph::VertexId v, double& value,
                std::span<const double> messages, int superstep,
                const graph::Graph& g, PregelOutbox& out) const override;
-  GatherEdges gather_edges() const override { return GatherEdges::kIn; }
   int max_iterations() const override;
   bool initially_active(graph::VertexId v,
                         const graph::Graph& g) const override;
@@ -113,7 +110,6 @@ class Cdlp : public PregelProgram, public GasProgram {
   void compute(graph::VertexId v, double& value,
                std::span<const double> messages, int superstep,
                const graph::Graph& g, PregelOutbox& out) const override;
-  GatherEdges gather_edges() const override { return GatherEdges::kIn; }
   int max_iterations() const override { return iterations_; }
   bool initially_active(graph::VertexId v,
                         const graph::Graph& g) const override;
@@ -142,7 +138,6 @@ class Sssp : public PregelProgram, public GasProgram {
   void compute(graph::VertexId v, double& value,
                std::span<const double> messages, int superstep,
                const graph::Graph& g, PregelOutbox& out) const override;
-  GatherEdges gather_edges() const override { return GatherEdges::kIn; }
   int max_iterations() const override;
   bool initially_active(graph::VertexId v,
                         const graph::Graph& g) const override;

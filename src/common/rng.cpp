@@ -5,13 +5,6 @@
 #include "common/check.hpp"
 
 namespace g10 {
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 std::uint64_t splitmix64_next(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
@@ -23,18 +16,6 @@ std::uint64_t splitmix64_next(std::uint64_t& state) {
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64_next(sm);
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::next_below(std::uint64_t bound) {
@@ -60,11 +41,6 @@ std::int64_t Rng::next_int(std::int64_t lo, std::int64_t hi) {
   // span == 0 means the full 64-bit range [lo, hi]; any draw is in range.
   if (span == 0) return static_cast<std::int64_t>(next());
   return lo + static_cast<std::int64_t>(next_below(span));
-}
-
-double Rng::next_double() {
-  // 53 random mantissa bits → uniform in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::next_double(double lo, double hi) {

@@ -26,7 +26,20 @@ class Rng {
   static constexpr result_type max() { return ~result_type{0}; }
 
   result_type operator()() { return next(); }
-  std::uint64_t next();
+
+  /// Defined in the header so hot callers inline it: the R-MAT generator
+  /// draws three doubles per bit of every edge.
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). bound must be > 0. Uses Lemire's
   /// nearly-divisionless method; unbiased.
@@ -35,8 +48,10 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t next_int(std::int64_t lo, std::int64_t hi);
 
-  /// Uniform double in [0, 1).
-  double next_double();
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double next_double() {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double next_double(double lo, double hi);
@@ -59,6 +74,10 @@ class Rng {
   Rng fork();
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> s_;
 };
 

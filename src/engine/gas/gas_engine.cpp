@@ -13,7 +13,6 @@ namespace g10::engine {
 namespace {
 
 using algorithms::GasProgram;
-using algorithms::GatherEdges;
 using graph::EdgeIndex;
 using graph::Graph;
 
@@ -179,11 +178,10 @@ class GasRun final : public FaultHarness {
     std::vector<std::uint32_t> cnt;
   };
   OwnerCsr out_owner_;
-  OwnerCsr in_owner_;  ///< built only when the program gathers over in-edges
+  OwnerCsr in_owner_;
 
-  // Reused gather scratch for compute_iteration_effects (values always,
-  // ids/weights only when a span over graph storage cannot be used).
-  std::vector<VertexId> nbr_id_buf_;
+  // Reused gather scratch for compute_iteration_effects: neighbor values
+  // and, on weighted graphs, in-edge weights.
   std::vector<double> nbr_val_buf_;
   std::vector<double> nbr_wt_buf_;
 
@@ -263,8 +261,7 @@ void GasRun::load_graph() {
   out_owner_.off.assign(static_cast<std::size_t>(n) + 1, 0);
   out_owner_.part.clear();
   out_owner_.cnt.clear();
-  const bool need_in = prog_.gather_edges() != GatherEdges::kOut;
-  in_owner_.off.assign(need_in ? static_cast<std::size_t>(n) + 1 : 0, 0);
+  in_owner_.off.assign(static_cast<std::size_t>(n) + 1, 0);
   in_owner_.part.clear();
   in_owner_.cnt.clear();
   std::vector<std::uint32_t> owner_count(static_cast<std::size_t>(workers_),
@@ -284,12 +281,10 @@ void GasRun::load_graph() {
       ++owner_count[cut_.edge_owner[g_.edge_id(v, i)]];
     }
     emit_owner_row(out_owner_, v);
-    if (need_in) {
-      for (const EdgeIndex id : g_.in_edge_ids(v)) {
-        ++owner_count[cut_.edge_owner[id]];
-      }
-      emit_owner_row(in_owner_, v);
+    for (const EdgeIndex id : g_.in_edge_ids(v)) {
+      ++owner_count[cut_.edge_owner[id]];
     }
+    emit_owner_row(in_owner_, v);
   }
 
   value_.resize(n);
@@ -316,7 +311,6 @@ void GasRun::compute_iteration_effects() {
   const VertexId n = g_.vertex_count();
   std::fill(changed_.begin(), changed_.end(), 0);
   std::fill(next_active_.begin(), next_active_.end(), 0);
-  const GatherEdges mode = prog_.gather_edges();
   const bool weighted = g_.weighted();
   const int iteration = logical_step();
   for (VertexId v = 0; v < n; ++v) {
@@ -324,62 +318,23 @@ void GasRun::compute_iteration_effects() {
       new_value_[v] = value_[v];
       continue;
     }
-    // Gather directly over graph storage: neighbor ids and (out-)weights are
-    // spans into the CSR arrays; only values — and, on weighted graphs,
+    // Gather over the in-edges, directly from graph storage: neighbor ids
+    // are a span into the reverse index; values — and, on weighted graphs,
     // in-edge weights — are copied into reused scratch. An empty weight span
     // means every edge weighs 1 (see GasProgram::apply).
-    std::span<const VertexId> ids;
-    std::span<const double> values;
+    const std::span<const VertexId> ids = g_.in_neighbors(v);
+    nbr_val_buf_.clear();
+    for (const VertexId u : ids) nbr_val_buf_.push_back(value_[u]);
     std::span<const double> weights;
-    switch (mode) {
-      case GatherEdges::kIn: {
-        ids = g_.in_neighbors(v);
-        nbr_val_buf_.clear();
-        for (const VertexId u : ids) nbr_val_buf_.push_back(value_[u]);
-        values = nbr_val_buf_;
-        if (weighted) {
-          nbr_wt_buf_.clear();
-          for (const EdgeIndex id : g_.in_edge_ids(v)) {
-            nbr_wt_buf_.push_back(g_.edge_weight(id));
-          }
-          weights = nbr_wt_buf_;
-        }
-        break;
+    if (weighted) {
+      nbr_wt_buf_.clear();
+      for (const EdgeIndex id : g_.in_edge_ids(v)) {
+        nbr_wt_buf_.push_back(g_.edge_weight(id));
       }
-      case GatherEdges::kOut: {
-        ids = g_.out_neighbors(v);
-        nbr_val_buf_.clear();
-        for (const VertexId u : ids) nbr_val_buf_.push_back(value_[u]);
-        values = nbr_val_buf_;
-        weights = g_.out_weights(v);
-        break;
-      }
-      case GatherEdges::kBoth: {
-        const auto in = g_.in_neighbors(v);
-        const auto out = g_.out_neighbors(v);
-        nbr_id_buf_.clear();
-        nbr_id_buf_.insert(nbr_id_buf_.end(), in.begin(), in.end());
-        nbr_id_buf_.insert(nbr_id_buf_.end(), out.begin(), out.end());
-        nbr_val_buf_.clear();
-        for (const VertexId u : nbr_id_buf_) {
-          nbr_val_buf_.push_back(value_[u]);
-        }
-        if (weighted) {
-          nbr_wt_buf_.clear();
-          for (const EdgeIndex id : g_.in_edge_ids(v)) {
-            nbr_wt_buf_.push_back(g_.edge_weight(id));
-          }
-          const auto wts = g_.out_weights(v);
-          nbr_wt_buf_.insert(nbr_wt_buf_.end(), wts.begin(), wts.end());
-          weights = nbr_wt_buf_;
-        }
-        ids = nbr_id_buf_;
-        values = nbr_val_buf_;
-        break;
-      }
+      weights = nbr_wt_buf_;
     }
-    new_value_[v] =
-        prog_.apply(v, value_[v], ids, values, weights, iteration, g_);
+    new_value_[v] = prog_.apply(v, value_[v], ids, nbr_val_buf_, weights,
+                                iteration, g_);
     if (prog_.scatter_activates(v, value_[v], new_value_[v], iteration)) {
       changed_[v] = 1;
       for (const VertexId u : g_.out_neighbors(v)) next_active_[u] = 1;
@@ -404,10 +359,8 @@ void GasRun::compute_iteration_effects() {
                             0.0);
   }
 
-  const bool gather_in = mode != GatherEdges::kOut;
-  const bool gather_out = mode != GatherEdges::kIn;
   for (VertexId v = 0; v < n; ++v) {
-    if (gather_in && active_[v]) {
+    if (active_[v]) {
       for (std::uint64_t k = in_owner_.off[v]; k < in_owner_.off[v + 1];
            ++k) {
         gather_work_[in_owner_.part[k]] +=
@@ -415,19 +368,12 @@ void GasRun::compute_iteration_effects() {
             static_cast<double>(in_owner_.cnt[k]);
       }
     }
-    const bool out_gathers = gather_out && active_[v];
-    if (out_gathers || changed_[v]) {
+    if (changed_[v]) {
       for (std::uint64_t k = out_owner_.off[v]; k < out_owner_.off[v + 1];
            ++k) {
-        const double cnt = static_cast<double>(out_owner_.cnt[k]);
-        if (out_gathers) {
-          gather_work_[out_owner_.part[k]] +=
-              cfg_.costs.work_per_gather_edge * cnt;
-        }
-        if (changed_[v]) {
-          scatter_work_[out_owner_.part[k]] +=
-              cfg_.costs.work_per_scatter_edge * cnt;
-        }
+        scatter_work_[out_owner_.part[k]] +=
+            cfg_.costs.work_per_scatter_edge *
+            static_cast<double>(out_owner_.cnt[k]);
       }
     }
   }

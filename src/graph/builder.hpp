@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -14,7 +13,8 @@ namespace g10::graph {
 ///
 /// Finalization sorts rows, optionally removes self-loops and duplicate
 /// edges, and optionally symmetrizes (adds the reverse of every edge) for
-/// undirected datasets.
+/// undirected datasets. Edges are held as parallel source and target
+/// arrays; the weight array exists only once a weighted edge arrives.
 class GraphBuilder {
  public:
   explicit GraphBuilder(VertexId vertex_count);
@@ -27,7 +27,7 @@ class GraphBuilder {
 
   void reserve(std::size_t edges);
 
-  std::size_t pending_edges() const { return edges_.size(); }
+  std::size_t pending_edges() const { return src_.size(); }
   VertexId vertex_count() const { return n_; }
 
   struct Options {
@@ -37,19 +37,16 @@ class GraphBuilder {
     std::string name = "graph";
   };
 
-  /// Consumes the builder. The builder is empty afterwards.
+  /// Consumes the builder. The builder is empty afterwards. Rows come out
+  /// sorted by (target, weight); deduplication keeps the lightest of each
+  /// set of parallel edges.
   Graph build(const Options& options);
 
  private:
-  struct Edge {
-    VertexId src;
-    VertexId dst;
-    double weight;
-  };
-
   VertexId n_;
-  std::vector<Edge> edges_;
-  bool weighted_ = false;
+  std::vector<VertexId> src_;
+  std::vector<VertexId> dst_;
+  std::vector<double> weights_;  ///< empty until the first weighted edge
 };
 
 }  // namespace g10::graph

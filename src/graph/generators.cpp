@@ -20,6 +20,12 @@ Graph generate_rmat(const RmatParams& params) {
   const auto n = static_cast<VertexId>(1u << params.scale);
   const auto m = static_cast<EdgeIndex>(
       params.edge_factor * static_cast<double>(n));
+  // Per-bit quadrant choice: the top half (src bit 0) with probability
+  // (a + b) * noise, then the right half (dst bit 1) with probability
+  // 1 - a_frac on top, 1 - c_frac at the bottom.
+  const double ab_base = params.a + params.b;
+  const double a_frac = params.a / ab_base;
+  const double c_frac = (params.c + d) > 0 ? params.c / (params.c + d) : 0.0;
   Rng rng(params.seed);
   GraphBuilder builder(n);
   builder.reserve(m);
@@ -30,18 +36,12 @@ Graph generate_rmat(const RmatParams& params) {
       // Noise on the quadrant probabilities avoids exact self-similarity
       // artifacts (standard "smoothing" used by graph500 generators).
       const double noise = 0.9 + 0.2 * rng.next_double();
-      const double ab = (params.a + params.b) * noise;
-      const double a_frac = params.a / (params.a + params.b);
-      const double c_frac =
-          (params.c + d) > 0 ? params.c / (params.c + d) : 0.0;
+      const double ab = ab_base * noise;
       const double r1 = rng.next_double();
       const double r2 = rng.next_double();
-      if (r1 < ab) {
-        if (r2 >= a_frac) dst |= (1u << bit);
-      } else {
-        src |= (1u << bit);
-        if (r2 >= c_frac) dst |= (1u << bit);
-      }
+      const bool lower = r1 >= ab;
+      src |= static_cast<VertexId>(lower) << bit;
+      dst |= static_cast<VertexId>(r2 >= (lower ? c_frac : a_frac)) << bit;
     }
     builder.add_edge(src, dst);
   }

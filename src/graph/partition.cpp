@@ -115,40 +115,30 @@ VertexCutPartition finalize_vertex_cut(const Graph& graph, PartitionId parts,
   result.replicas.assign(n, {});
   result.master.assign(n, 0);
 
-  // Count per-vertex edges in each partition (sparse: small vectors).
-  std::vector<std::vector<std::pair<PartitionId, EdgeIndex>>> presence(n);
-  const auto touch = [&](VertexId v, PartitionId p) {
-    auto& vec = presence[v];
-    for (auto& [part, cnt] : vec) {
-      if (part == p) {
-        ++cnt;
-        return;
-      }
-    }
-    vec.emplace_back(p, 1);
+  // Per-vertex edge counts in one dense counter per partition; the touched
+  // list names the nonzero ones, so each vertex resets only what it used.
+  std::vector<EdgeIndex> count(parts, 0);
+  std::vector<PartitionId> touched;
+  const auto add = [&](EdgeIndex id) {
+    const PartitionId p = result.edge_owner[id];
+    if (count[p]++ == 0) touched.push_back(p);
   };
-  for (VertexId u = 0; u < n; ++u) {
-    const auto nbrs = graph.out_neighbors(u);
-    for (EdgeIndex i = 0; i < nbrs.size(); ++i) {
-      const PartitionId p = result.edge_owner[graph.edge_id(u, i)];
-      touch(u, p);
-      touch(nbrs[i], p);
-    }
-  }
+  const auto& offsets = graph.out_offsets();
   for (VertexId v = 0; v < n; ++v) {
-    auto& vec = presence[v];
-    if (vec.empty()) continue;  // isolated vertex: no replicas
-    std::sort(vec.begin(), vec.end());
+    for (EdgeIndex e = offsets[v]; e < offsets[v + 1]; ++e) add(e);
+    for (const EdgeIndex id : graph.in_edge_ids(v)) add(id);
+    if (touched.empty()) continue;  // isolated vertex: no replicas
+    std::sort(touched.begin(), touched.end());
     EdgeIndex best = 0;
-    PartitionId master = vec.front().first;
-    for (const auto& [part, cnt] : vec) {
-      result.replicas[v].push_back(part);
-      if (cnt > best) {
-        best = cnt;
-        master = part;
+    for (const PartitionId p : touched) {
+      if (count[p] > best) {
+        best = count[p];
+        result.master[v] = p;
       }
+      count[p] = 0;
     }
-    result.master[v] = master;
+    result.replicas[v].assign(touched.begin(), touched.end());
+    touched.clear();
   }
   return result;
 }

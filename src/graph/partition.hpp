@@ -43,6 +43,9 @@ EdgeCutPartition partition_by_edge_balance(const Graph& graph,
                                            PartitionId parts);
 
 /// Edge → partition assignment with vertex replication (vertex-cut).
+/// Every vertex-cut function below walks each vertex's in-edges, so it
+/// builds the graph's in-edge index if that is not built yet (see
+/// Graph::ensure_in_index for sharing a graph across threads).
 struct VertexCutPartition {
   PartitionId partition_count = 0;
   /// Owning partition of each edge, indexed by global edge id (CSR order).

@@ -31,7 +31,6 @@ TEST(PageRankProgramTest, ConfiguresEngineContract) {
   EXPECT_EQ(pr.combiner(), Combiner::kSum);
   EXPECT_EQ(pr.max_supersteps(), 11);
   EXPECT_EQ(pr.max_iterations(), 10);
-  EXPECT_EQ(pr.gather_edges(), GatherEdges::kIn);
   EXPECT_EQ(pr.name(), "PageRank");
 }
 

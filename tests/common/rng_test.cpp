@@ -19,6 +19,50 @@ TEST(SplitMix64Test, KnownSequenceIsStable) {
   EXPECT_EQ(splitmix64_next(check), a);
 }
 
+// The first outputs of xoshiro256** seeded through SplitMix64. Every
+// generated graph, fault schedule and noise walk depends on this stream.
+TEST(RngTest, KnownSequenceIsStable) {
+  struct Pin {
+    std::uint64_t seed;
+    std::uint64_t next[8];
+    double next_double[8];
+  };
+  const Pin pins[] = {
+      {0,
+       {0x99ec5f36cb75f2b4ull, 0xbf6e1f784956452aull, 0x1a5f849d4933e6e0ull,
+        0x6aa594f1262d2d2cull, 0xbba5ad4a1f842e59ull, 0xffef8375d9ebcacaull,
+        0x6c160deed2f54c98ull, 0x8920ad648fc30a3full},
+       {0x1.33d8be6d96ebep-1, 0x1.7edc3ef092ac8p-1, 0x1.a5f849d4933ep-4,
+        0x1.aa9653c498b4ap-2, 0x1.774b5a943f085p-1, 0x1.ffdf06ebb3d79p-1,
+        0x1.b05837bb4bd52p-2, 0x1.12415ac91f861p-1}},
+      {1,
+       {0xb3f2af6d0fc710c5ull, 0x853b559647364ceaull, 0x92f89756082a4514ull,
+        0x642e1c7bc266a3a7ull, 0xb27a48e29a233673ull, 0x24c123126ffda722ull,
+        0x123004ef8df510e6ull, 0x61954dcc47b1e89dull},
+       {0x1.67e55eda1f8e2p-1, 0x1.0a76ab2c8e6c9p-1, 0x1.25f12eac10548p-1,
+        0x1.90b871ef099a8p-2, 0x1.64f491c534466p-1, 0x1.260918937fedp-3,
+        0x1.23004ef8df51p-4, 0x1.865537311ec7ap-2}},
+      {2020,
+       {0x2334c896b4cf8e03ull, 0x47fe724559250b1eull, 0xd307788674632026ull,
+        0x0a4ae4326790208bull, 0x8dbefb73ee7fe711ull, 0x7567582265f7c78cull,
+        0x18798915c6b651c2ull, 0x753179afdd073745ull},
+       {0x1.19a644b5a67c4p-3, 0x1.1ff9c91564942p-2, 0x1.a60ef10ce8c64p-1,
+        0x1.495c864cf204p-5, 0x1.1b7df6e7dcffcp-1, 0x1.d59d608997dfp-2,
+        0x1.8798915c6b65p-4, 0x1.d4c5e6bf741ccp-2}},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.seed);
+    Rng words(pin.seed);
+    for (const std::uint64_t expected : pin.next) {
+      EXPECT_EQ(words.next(), expected);
+    }
+    Rng doubles(pin.seed);
+    for (const double expected : pin.next_double) {
+      EXPECT_EQ(doubles.next_double(), expected);
+    }
+  }
+}
+
 TEST(RngTest, DeterministicForSameSeed) {
   Rng a(1234);
   Rng b(1234);
