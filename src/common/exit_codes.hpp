@@ -4,7 +4,8 @@
 //
 //   0  success
 //   1  internal error (unexpected exception; a bug, not an input problem)
-//   2  bad arguments (unknown flag, missing value, invalid combination)
+//   2  bad arguments (unknown flag, missing value, a value that does not
+//      parse or lies outside its range, invalid combination; common/cli)
 //   3  parse failure (unparseable --faults/--dataset spec, malformed model
 //      or log file, strict-mode lint/preflight rejection)
 //   4  fault abort (the fault schedule is inconsistent with the cluster —

@@ -42,6 +42,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/g10t_io.hpp"
@@ -54,6 +55,12 @@ enum class TraceFormat {
   kText,
   kBinary,
 };
+
+/// The formats' names on the command line, in usage order.
+inline const std::vector<std::pair<std::string, TraceFormat>>
+    kTraceFormatNames = {{"auto", TraceFormat::kAuto},
+                         {"text", TraceFormat::kText},
+                         {"binary", TraceFormat::kBinary}};
 
 /// Returns the format the sniff resolves `path` to, or an error message
 /// (file unreadable).

@@ -1,7 +1,10 @@
 #include "workload/workload.hpp"
 
+#include <iostream>
+
 #include "algorithms/programs.hpp"
 #include "common/check.hpp"
+#include "common/exit_codes.hpp"
 #include "grade10/models/gas_model.hpp"
 #include "graph/generators.hpp"
 #include "monitor/sampler.hpp"
@@ -86,6 +89,32 @@ Result run(const Spec& spec, const graph::Graph& graph) {
     return run_on(spec, weighted);
   }
   return run_on(spec, graph);
+}
+
+std::vector<cli::Flag> run_flags(std::string& algorithm, std::string& dataset,
+                                 int& workers, int& cores, int& iterations,
+                                 bool& sync_bug) {
+  const auto set_dataset = [&dataset](const std::string& value) {
+    const graph::DatasetSpec spec = graph::parse_dataset(value);
+    if (spec.kind == graph::DatasetSpec::Kind::kUnknown) {
+      std::cerr << "unknown dataset spec: " << value << '\n';
+      return kExitParseFailure;
+    }
+    if (!spec.size) return kExitBadArgs;
+    dataset = value;
+    return kExitOk;
+  };
+  return {
+      {"--algorithm", cli::one_of(&algorithm, algorithms::kAlgorithmNames),
+       "vertex program"},
+      {"--dataset rmat:<scale>|datagen:<vertices>", cli::Setter(set_dataset),
+       "R-MAT scale 1-30, or Datagen-like vertex count"},
+      {"--workers N", &workers, "worker machines", 1},
+      {"--cores N", &cores, "cores per machine", 1},
+      {"--iterations K", &iterations, "iterations of PageRank and CDLP", 1},
+      {"--sync-bug", cli::Switch{&sync_bug},
+       "inject the GAS engine's synchronization bug"},
+  };
 }
 
 }  // namespace g10::workload

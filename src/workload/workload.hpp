@@ -2,13 +2,17 @@
 // log, the monitoring samples and the framework's expert model (paper
 // Fig. 1, §III-B/C). run() produces all three from one run description;
 // g10_run, the ensemble runner and the examples make their runs with it.
+// run_flags() is the part of that description both tools take as flags.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/time.hpp"
 #include "engine/gas/gas_engine.hpp"
 #include "engine/pregel/pregel_engine.hpp"
@@ -23,6 +27,10 @@ namespace g10::workload {
 /// compute threads per worker and NIC bytes/s.
 core::FrameworkModel framework_model(const engine::PregelConfig& cfg);
 core::FrameworkModel framework_model(const engine::GasConfig& cfg);
+
+/// The engines Spec::engine names, in the order usage texts list them.
+inline constexpr std::array<std::string_view, 2> kEngineNames = {
+    "pregel", "gas"};
 
 /// One run: what g10_run's flags and an ensemble Scenario both name.
 struct Spec {
@@ -55,5 +63,13 @@ struct Result {
 /// weights in [1, 10] seeded by the run seed. Throws on an unknown engine or
 /// algorithm, and whatever the engine throws.
 Result run(const Spec& spec, const graph::Graph& graph);
+
+/// The flags g10_run and g10_ensemble share: --algorithm, --dataset,
+/// --workers, --cores, --iterations and --sync-bug, bound to the caller's
+/// storage, whose values are the defaults. A --dataset of unknown kind is
+/// a parse failure (exit 3), one with a bad size a bad argument (exit 2).
+std::vector<cli::Flag> run_flags(std::string& algorithm, std::string& dataset,
+                                 int& workers, int& cores, int& iterations,
+                                 bool& sync_bug);
 
 }  // namespace g10::workload

@@ -8,7 +8,11 @@
 //  - every defect names a rule of the lint catalog, so each repair or
 //    rejection is something lint reports;
 //  - a trace lint calls clean builds strictly;
-//  - a lenient build holds no more instances than the input has BEGINs.
+//  - a lenient build holds no more instances than the input has BEGINs;
+//  - the recovering parser yields no more records than the mutant has
+//    lines;
+//  - a strict parse either fails, or its write_log rendering parses
+//    strictly to the same canonical bytes.
 // The mutants come from a fixed seed, so a failure reproduces exactly; the
 // failing mutant's text is printed with it.
 #include <gtest/gtest.h>
@@ -133,12 +137,33 @@ void mutate(std::vector<std::string>& lines, Rng& rng) {
   lines[at] = line;
 }
 
+/// write_log's rendering of a parsed log.
+std::string canonical(const trace::ParsedLog& log) {
+  std::ostringstream out;
+  trace::write_log(out, log.phase_events, log.blocking_events, log.samples,
+                   log.meta);
+  return std::move(out).str();
+}
+
 /// Runs one mutant through the parser, both builds and lint, checking the
-/// invariants of the header comment.
-void check(const core::ModelDescription& model, const std::string& text) {
+/// invariants of the header comment. `lines` is the mutant's line count.
+void check(const core::ModelDescription& model, const std::string& text,
+           std::size_t lines) {
+  const trace::ParseResult strict = trace::parse_log_text(text);
+  if (strict.ok()) {
+    const std::string rendered = canonical(strict.log);
+    const trace::ParseResult reparsed = trace::parse_log_text(rendered);
+    EXPECT_TRUE(reparsed.ok()) << "canonical log does not parse:\n"
+                               << rendered;
+    EXPECT_EQ(canonical(reparsed.log), rendered);
+  }
+
   trace::ParseOptions options;
   options.recover = true;
   const trace::ParseResult parsed = trace::parse_log_text(text, options);
+  EXPECT_LE(parsed.log.meta.size() + parsed.log.phase_events.size() +
+                parsed.log.blocking_events.size() + parsed.log.samples.size(),
+            lines);
   const auto begins = std::count_if(
       parsed.log.phase_events.begin(), parsed.log.phase_events.end(),
       [](const trace::PhaseEventRecord& event) {
@@ -188,7 +213,7 @@ TEST(TraceMutationTest, BuildAndLintAgreeOnDamagedTraces) {
       }
       std::string text;
       for (const std::string& line : lines) text += line + '\n';
-      check(model.model, text);
+      check(model.model, text, lines.size());
       if (HasFailure()) {
         FAIL() << fixture.filename() << " mutant " << i << ":\n" << text;
       }

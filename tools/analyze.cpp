@@ -1,11 +1,7 @@
 // g10_analyze — offline Grade10 analysis of a dumped run:
 //
-//   g10_analyze --model <model.g10> --log <run.log | run.g10t>
-//               [--timeslice-ms MS] [--min-impact PCT]
-//               [--threads N] [--lenient | --strict] [--no-preflight]
-//               [--det-check N] [--trace-format auto|text|binary]
-//               [--machines M,M,...] [--phases TYPE,TYPE,...]
-//               [--time-range LO:HI]
+//   g10_analyze --model <model.g10> --log <run.log | run.g10t> [flags]
+//                                      (--help lists them and exits 2)
 //
 // Parses the declarative model file and the run's trace — the text log or
 // its binary `.g10t` form (g10_convert), sniffed from the file's bytes —
@@ -50,7 +46,6 @@
 // preflight rejection), 5 analysis error (inputs parsed but the pipeline
 // produced no result), 1 internal.
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -58,6 +53,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/exit_codes.hpp"
 #include "common/strings.hpp"
 #include "grade10/det_fold.hpp"
@@ -79,7 +75,7 @@ struct Args {
   std::string model_path;
   std::string log_path;
   std::string chrome_trace_path;  ///< optional chrome://tracing export
-  DurationNs timeslice = 50 * kMillisecond;
+  std::int64_t timeslice_ms = 50;
   double min_impact = 0.01;
   int threads = 0;  ///< 0 = auto (G10_THREADS, else hardware)
   bool lenient = false;
@@ -91,98 +87,61 @@ struct Args {
   std::optional<std::pair<TimeNs, TimeNs>> time_range;
 };
 
-int usage() {
-  std::cerr << "usage: g10_analyze --model <model.g10> "
-               "--log <run.log | run.g10t>\n"
-               "                   [--timeslice-ms MS] [--min-impact FRAC]\n"
-               "                   [--chrome-trace <out.json>] [--threads N]\n"
-               "                   [--lenient | --strict] [--no-preflight]\n"
-               "                   [--det-check N] "
-               "[--trace-format auto|text|binary]\n"
-               "                   [--machines M,M,...] "
-               "[--phases TYPE,TYPE,...]\n"
-               "                   [--time-range LO:HI]\n";
-  return kExitBadArgs;
-}
-
-std::optional<Args> parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--lenient") {
-      args.lenient = true;
-      continue;
-    }
-    if (arg == "--strict") {
-      args.lenient = false;
-      continue;
-    }
-    if (arg == "--no-preflight") {
-      args.preflight = false;
-      continue;
-    }
-    if (i + 1 >= argc) return std::nullopt;
-    const std::string value = argv[++i];
-    if (arg == "--model") {
-      args.model_path = value;
-    } else if (arg == "--log") {
-      args.log_path = value;
-    } else if (arg == "--timeslice-ms") {
-      const auto ms = parse_int(value);
-      if (!ms || *ms < 1 ||
-          *ms > std::numeric_limits<DurationNs>::max() / kMillisecond) {
-        return std::nullopt;
+cli::Table flag_table(Args& args) {
+  const auto add_machines = [&args](const std::string& value) {
+    for (const std::string_view field : split(value, ',')) {
+      const auto machine = parse_int(field);
+      if (!machine || *machine < trace::kGlobalMachine ||
+          *machine > std::numeric_limits<trace::MachineId>::max()) {
+        return kExitBadArgs;
       }
-      args.timeslice = *ms * kMillisecond;
-    } else if (arg == "--min-impact") {
-      const auto impact = parse_double(value);
-      if (!impact || !std::isfinite(*impact)) return std::nullopt;
-      args.min_impact = *impact;
-    } else if (arg == "--threads") {
-      const auto n = parse_int_at_least(value, 0);
-      if (!n) return std::nullopt;
-      args.threads = *n;
-    } else if (arg == "--chrome-trace") {
-      args.chrome_trace_path = value;
-    } else if (arg == "--det-check") {
-      const auto n = parse_int_at_least(value, 1);
-      if (!n) return std::nullopt;
-      args.det_check = *n;
-    } else if (arg == "--trace-format") {
-      if (value == "auto") {
-        args.trace_format = trace::TraceFormat::kAuto;
-      } else if (value == "text") {
-        args.trace_format = trace::TraceFormat::kText;
-      } else if (value == "binary") {
-        args.trace_format = trace::TraceFormat::kBinary;
-      } else {
-        return std::nullopt;
-      }
-    } else if (arg == "--machines") {
-      for (const std::string_view field : split(value, ',')) {
-        const auto machine = parse_int(trim(field));
-        if (!machine) return std::nullopt;
-        args.machines.push_back(static_cast<trace::MachineId>(*machine));
-      }
-    } else if (arg == "--phases") {
-      for (const std::string_view field : split(value, ',')) {
-        const std::string_view type = trim(field);
-        if (type.empty()) return std::nullopt;
-        args.phases.emplace_back(type);
-      }
-    } else if (arg == "--time-range") {
-      const auto colon = value.find(':');
-      if (colon == std::string::npos) return std::nullopt;
-      const auto lo = parse_int(std::string_view(value).substr(0, colon));
-      const auto hi = parse_int(std::string_view(value).substr(colon + 1));
-      if (!lo || !hi || *lo < 0 || *hi < *lo) return std::nullopt;
-      args.time_range = {*lo, *hi};
-    } else {
-      return std::nullopt;
+      args.machines.push_back(static_cast<trace::MachineId>(*machine));
     }
-  }
-  if (args.model_path.empty() || args.log_path.empty()) return std::nullopt;
-  return args;
+    return kExitOk;
+  };
+  const auto add_phases = [&args](const std::string& value) {
+    for (const std::string_view field : split(value, ',')) {
+      if (trim(field).empty()) return kExitBadArgs;
+      args.phases.emplace_back(trim(field));
+    }
+    return kExitOk;
+  };
+  const auto set_time_range = [&args](const std::string& value) {
+    const std::size_t colon = value.find(':');
+    if (colon == std::string::npos) return kExitBadArgs;
+    const auto lo = parse_int(value.substr(0, colon));
+    const auto hi = parse_int(value.substr(colon + 1));
+    if (!lo || !hi || *lo < 0 || *hi < *lo) return kExitBadArgs;
+    args.time_range = {*lo, *hi};
+    return kExitOk;
+  };
+  return {
+      "g10_analyze --model <model.g10> --log <run.log | run.g10t> [flags]",
+      {{"--model <model.g10>", &args.model_path, "the expert model"},
+       {"--log <trace>", &args.log_path, "the run's text or .g10t trace"},
+       {"--timeslice-ms MS", &args.timeslice_ms, "attribution timeslice", 1,
+        std::numeric_limits<DurationNs>::max() / kMillisecond},
+       {"--min-impact FRAC", &args.min_impact, "least issue impact reported"},
+       {"--chrome-trace <out.json>", &args.chrome_trace_path,
+        "also write a chrome://tracing timeline"},
+       {"--threads N", &args.threads, "parse and analysis threads, 0 = auto",
+        0, cli::kMaxConcurrency},
+       {"--lenient", cli::Switch{&args.lenient}, "repair damaged input"},
+       {"--strict", cli::Switch{&args.lenient, false},
+        "refuse damaged input (the default)"},
+       {"--no-preflight", cli::Switch{&args.preflight, false},
+        "skip the lint report"},
+       {"--det-check N", &args.det_check,
+        "compare analyses at 1, 2 and N threads", 1, cli::kMaxConcurrency},
+       {"--trace-format",
+        cli::one_of(&args.trace_format, trace::kTraceFormatNames),
+        "trace encoding; auto sniffs the bytes"},
+       {"--machines M,M,...", cli::Setter(add_machines),
+        "keep only these machines' records"},
+       {"--phases TYPE,TYPE,...", cli::Setter(add_phases),
+        "keep only these phase types' subtrees"},
+       {"--time-range LO:HI", cli::Setter(set_time_range),
+        "keep only this nanosecond window"}}};
 }
 
 /// The record filter for --machines/--phases/--time-range. Requested phase
@@ -233,7 +192,7 @@ core::CharacterizationInput characterization_input(
   input.phase_events = log.log.phase_events;
   input.blocking_events = log.log.blocking_events;
   input.samples = log.log.samples;
-  input.config.timeslice = args.timeslice;
+  input.config.timeslice = args.timeslice_ms * kMillisecond;
   input.config.min_issue_impact = args.min_impact;
   input.config.threads = threads;
   input.trace_options.lenient = args.lenient;
@@ -439,10 +398,14 @@ int run(const Args& args) {
 }  // namespace g10
 
 int main(int argc, char** argv) {
-  const auto args = g10::parse_args(argc, argv);
-  if (!args) return g10::usage();
+  g10::Args args;
+  const g10::cli::Table table = g10::flag_table(args);
+  if (const int rc = g10::cli::parse(table, argc, argv)) return rc;
+  if (args.model_path.empty() || args.log_path.empty()) {
+    return g10::cli::usage_error(table);
+  }
   try {
-    return g10::run(*args);
+    return g10::run(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return g10::kExitInternalError;

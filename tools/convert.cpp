@@ -1,9 +1,8 @@
 // g10_convert — converts run traces between the text log format and the
 // binary columnar `.g10t` format (DESIGN.md §16):
 //
-//   g10_convert --in <trace> --out <trace>
-//               [--to auto|text|binary] [--block-records N]
-//               [--verify] [--lenient] [--threads N]
+//   g10_convert --in <trace> --out <trace> [flags]
+//                                      (--help lists them and exits 2)
 //
 // The input format is sniffed from the file's bytes (the .g10t magic, not
 // the extension); --to auto converts to the opposite format. Converting
@@ -26,12 +25,11 @@
 // a truncated or corrupt .g10t header).
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
 
+#include "common/cli.hpp"
 #include "common/exit_codes.hpp"
-#include "common/strings.hpp"
 #include "trace/g10t_io.hpp"
 #include "trace/log_io.hpp"
 #include "trace/trace_reader.hpp"
@@ -43,62 +41,26 @@ struct Args {
   std::string in_path;
   std::string out_path;
   trace::TraceFormat to = trace::TraceFormat::kAuto;
-  std::size_t block_records = trace::kG10tDefaultBlockRecords;
+  std::uint64_t block_records = trace::kG10tDefaultBlockRecords;
   bool verify = false;
   bool lenient = false;
   int threads = 0;
 };
 
-int usage() {
-  std::cerr << "usage: g10_convert --in <trace> --out <trace>\n"
-               "                   [--to auto|text|binary] "
-               "[--block-records N]\n"
-               "                   [--verify] [--lenient] [--threads N]\n";
-  return kExitBadArgs;
-}
-
-std::optional<Args> parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--verify") {
-      args.verify = true;
-      continue;
-    }
-    if (arg == "--lenient") {
-      args.lenient = true;
-      continue;
-    }
-    if (i + 1 >= argc) return std::nullopt;
-    const std::string value = argv[++i];
-    if (arg == "--in") {
-      args.in_path = value;
-    } else if (arg == "--out") {
-      args.out_path = value;
-    } else if (arg == "--to") {
-      if (value == "auto") {
-        args.to = trace::TraceFormat::kAuto;
-      } else if (value == "text") {
-        args.to = trace::TraceFormat::kText;
-      } else if (value == "binary") {
-        args.to = trace::TraceFormat::kBinary;
-      } else {
-        return std::nullopt;
-      }
-    } else if (arg == "--block-records") {
-      const auto n = parse_int(value);
-      if (!n || *n < 1) return std::nullopt;
-      args.block_records = static_cast<std::size_t>(*n);
-    } else if (arg == "--threads") {
-      const auto n = parse_int_at_least(value, 0);
-      if (!n) return std::nullopt;
-      args.threads = *n;
-    } else {
-      return std::nullopt;
-    }
-  }
-  if (args.in_path.empty() || args.out_path.empty()) return std::nullopt;
-  return args;
+cli::Table flag_table(Args& args) {
+  return {"g10_convert --in <trace> --out <trace> [flags]",
+          {{"--in <trace>", &args.in_path, "text or .g10t trace to read"},
+           {"--out <trace>", &args.out_path, "trace to write"},
+           {"--to", cli::one_of(&args.to, trace::kTraceFormatNames),
+            "output format; auto = the other one"},
+           {"--block-records N", &args.block_records,
+            "records per .g10t block", 1},
+           {"--verify", cli::Switch{&args.verify},
+            "re-read the output, compare canonical bytes"},
+           {"--lenient", cli::Switch{&args.lenient},
+            "skip damaged lines or blocks"},
+           {"--threads N", &args.threads, "decode threads, 0 = auto", 0,
+            cli::kMaxConcurrency}}};
 }
 
 /// Renders the canonical text form (what write_log emits) of a parsed log.
@@ -220,10 +182,14 @@ int run(const Args& args) {
 }  // namespace g10
 
 int main(int argc, char** argv) {
-  const auto args = g10::parse_args(argc, argv);
-  if (!args) return g10::usage();
+  g10::Args args;
+  const g10::cli::Table table = g10::flag_table(args);
+  if (const int rc = g10::cli::parse(table, argc, argv)) return rc;
+  if (args.in_path.empty() || args.out_path.empty()) {
+    return g10::cli::usage_error(table);
+  }
   try {
-    return g10::run(*args);
+    return g10::run(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return g10::kExitInternalError;

@@ -1,17 +1,6 @@
 // g10_ensemble — crash-safe Monte-Carlo scenario driver.
 //
-//   g10_ensemble --out <dir>
-//       [--engines pregel,gas] [--algorithm pagerank|bfs|wcc|cdlp|sssp]
-//       [--dataset rmat:<scale>|datagen:<vertices>]
-//       [--workers N] [--cores N] [--iterations K]
-//       [--seeds N] [--seed-base B]
-//       [--faults <spec>]...       explicit fault axis ("none" = clean run)
-//       [--sampled-faults N]       per-seed random-but-valid fault specs
-//       [--jitter F] [--sync-bug]
-//       [--threads N] [--deadline-s F] [--max-attempts N]
-//       [--jobs N] [--isolate] [--rlimit-as-mb N] [--rlimit-cpu-s F]
-//       [--hb-timeout-s F] [--wedge-timeout-s F] [--crash-budget N]
-//       [--limit N] [--resume] [--quiet]
+//   g10_ensemble --out <dir> [flags]   (--help lists them and exits 2)
 //
 // Expands (engines × seeds × fault axis) into concrete scenarios and
 // journals every completed run to <out>/journal.jsonl (fsync'd, one JSON
@@ -46,7 +35,9 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -54,54 +45,36 @@
 #include <string>
 #include <vector>
 
-#include "algorithms/programs.hpp"
 #include "common/check.hpp"
+#include "common/cli.hpp"
 #include "common/exit_codes.hpp"
 #include "common/strings.hpp"
 #include "ensemble/driver.hpp"
 #include "ensemble/run_grade10.hpp"
 #include "ensemble/supervisor.hpp"
 #include "ensemble/worker.hpp"
-#include "graph/generators.hpp"
+#include "workload/workload.hpp"
 
 namespace g10 {
 namespace {
-
-// Raised by the SIGTERM/SIGINT handler (and by the orphan detector in
-// worker mode). std::atomic<bool> is lock-free here, so the store is safe
-// in a signal handler.
-std::atomic<bool> g_stop{false};
-
-void handle_stop_signal(int) { g_stop.store(true, std::memory_order_release); }
-
-void install_stop_handlers() {
-  struct sigaction action {};
-  action.sa_handler = handle_stop_signal;
-  ::sigemptyset(&action.sa_mask);
-  ::sigaction(SIGTERM, &action, nullptr);
-  ::sigaction(SIGINT, &action, nullptr);
-}
 
 struct Args {
   ensemble::ScenarioMatrix matrix;
   std::string out;
   int seeds = 16;
   std::uint64_t seed_base = 1;
-  std::size_t threads = 0;
-  bool threads_given = false;
+  int threads = -1;  ///< -1 = not given: auto
   ensemble::RetryPolicy retry;
-  std::size_t limit = 0;
+  std::int64_t limit = 0;
   bool resume = false;
   bool quiet = false;
 
   // Supervisor mode (--jobs N).
-  std::size_t jobs = 0;  ///< 0 = in-process mode
+  int jobs = 0;  ///< 0 = in-process mode
   bool isolate = false;
   std::uint64_t rlimit_as_mb = 8192;
-  double rlimit_cpu_s = 0.0;
-  double hb_timeout_s = 5.0;
   double wedge_timeout_s = -1.0;  ///< <0 = derive from --deadline-s
-  int crash_budget = 3;
+  ensemble::SupervisorOptions supervisor;  ///< the rest of the --jobs flags
 
   // Worker mode (hidden; the supervisor spawns us with these).
   bool worker = false;
@@ -111,40 +84,104 @@ struct Args {
   std::vector<std::uint64_t> defer_keys;
 };
 
-int usage() {
-  std::cerr
-      << "usage: g10_ensemble --out <dir>\n"
-         "           [--engines pregel,gas] "
-         "[--algorithm pagerank|bfs|wcc|cdlp|sssp]\n"
-         "           [--dataset rmat:<scale>|datagen:<vertices>]\n"
-         "           [--workers N] [--cores N] [--iterations K]\n"
-         "           [--seeds N] [--seed-base B]\n"
-         "           [--faults <spec>]... [--sampled-faults N]\n"
-         "           [--jitter F] [--sync-bug]\n"
-         "           [--threads N] [--deadline-s F] [--max-attempts N]\n"
-         "           [--jobs N] [--isolate] [--rlimit-as-mb N] "
-         "[--rlimit-cpu-s F]\n"
-         "           [--hb-timeout-s F] [--wedge-timeout-s F] "
-         "[--crash-budget N]\n"
-         "           [--limit N] [--resume] [--quiet]\n"
-         "notes: --isolate requires --jobs; --jobs excludes --threads and "
-         "--limit\n";
-  return kExitBadArgs;
+/// The flags that say what the fleet is. A worker process gets exactly
+/// these from its supervisor's command line.
+std::vector<cli::Flag> fleet_flags(Args& args) {
+  ensemble::ScenarioMatrix& m = args.matrix;
+  std::vector<cli::Flag> flags = workload::run_flags(
+      m.algorithm, m.dataset, m.workers, m.cores, m.iterations, m.sync_bug);
+  const auto set_engines = [&m](const std::string& value) {
+    m.engines.clear();
+    for (const std::string_view name : split(value, ',')) {
+      if (std::ranges::count(workload::kEngineNames, name) == 0) {
+        return kExitBadArgs;
+      }
+      m.engines.emplace_back(name);
+    }
+    return kExitOk;
+  };
+  const auto add_faults = [&m](const std::string& value) {
+    std::string error;
+    const auto spec = value == "none" ? sim::FaultSpec{}
+                                      : sim::FaultSpec::parse(value, &error);
+    if (!spec) {
+      std::cerr << "bad --faults spec '" << value << "': " << error << '\n';
+      return kExitParseFailure;
+    }
+    m.fault_specs.push_back(*spec);
+    return kExitOk;
+  };
+  flags.insert(
+      flags.end(),
+      {{"--out <dir>", &args.out, "fleet directory: journal and reports"},
+       {"--engines pregel,gas", cli::Setter(set_engines), "engine axis"},
+       {"--seeds N", &args.seeds, "seed axis: N seeds", 1},
+       {"--seed-base B", &args.seed_base, "first seed", 0},
+       {"--faults <spec>", cli::Setter(add_faults),
+        "add a fault-axis entry, none = clean; repeatable"},
+       {"--sampled-faults N", &m.sampled_fault_specs,
+        "random valid fault specs per seed", 0},
+       {"--jitter F", &m.jitter, "cost-model perturbation in [0, 1)", 0.0,
+        std::nextafter(1.0, 0.0)},
+       {"--deadline-s F", &args.retry.deadline_seconds, "per-run deadline",
+        cli::kPositive, cli::kMaxSeconds},
+       {"--max-attempts N", &args.retry.max_attempts, "attempts per run",
+        1}});
+  return flags;
 }
 
-std::optional<int> parse_faults_axis(const std::string& text, Args& args) {
-  if (text == "none") {
-    args.matrix.fault_specs.emplace_back();
-    return std::nullopt;
-  }
-  std::string error;
-  const auto spec = sim::FaultSpec::parse(text, &error);
-  if (!spec) {
-    std::cerr << "bad --faults spec '" << text << "': " << error << '\n';
-    return kExitParseFailure;
-  }
-  args.matrix.fault_specs.push_back(*spec);
-  return std::nullopt;
+cli::Table flag_table(Args& args) {
+  const auto set_shard = [&args](const std::string& value) {
+    const std::size_t colon = value.find(':');
+    if (colon == std::string::npos) return kExitBadArgs;
+    const auto index = parse_int(value.substr(0, colon));
+    const auto count = parse_int(value.substr(colon + 1));
+    if (!index || !count || *index < 0 || *count < 1 || *index >= *count) {
+      return kExitBadArgs;
+    }
+    args.worker = true;
+    args.shard_index = static_cast<std::size_t>(*index);
+    args.shard_count = static_cast<std::size_t>(*count);
+    return kExitOk;
+  };
+  const auto defer_key = [&args](const std::string& value) {
+    const auto key = ensemble::parse_key(value);
+    if (!key) return kExitBadArgs;
+    args.defer_keys.push_back(*key);
+    return kExitOk;
+  };
+  cli::Table table{"g10_ensemble --out <dir> [flags]\n"
+                   "  (--isolate requires --jobs; --jobs excludes --threads "
+                   "and --limit)",
+                   fleet_flags(args)};
+  table.flags.insert(
+      table.flags.end(),
+      {{"--threads N", &args.threads, "in-process pool size, 0 = auto", 0,
+        cli::kMaxConcurrency},
+       {"--limit N", &args.limit, "run at most N scenarios", 1},
+       {"--resume", cli::Switch{&args.resume},
+        "replay the journal, run only what is missing"},
+       {"--quiet", cli::Switch{&args.quiet}, "no progress lines"},
+       {"--jobs N", &args.jobs, "worker processes", 1, cli::kMaxConcurrency},
+       {"--isolate", cli::Switch{&args.isolate}, "rlimit-sandbox each worker"},
+       {"--rlimit-as-mb N", &args.rlimit_as_mb, "worker address space, MiB", 1,
+        (1ull << 44) - 1},
+       {"--rlimit-cpu-s F", &args.supervisor.limits.cpu_seconds,
+        "worker CPU, 0 = unlimited", 0.0, cli::kMaxSeconds},
+       {"--hb-timeout-s F", &args.supervisor.heartbeat_timeout_s,
+        "kill a worker silent this long", cli::kPositive, cli::kMaxSeconds},
+       {"--wedge-timeout-s F", &args.wedge_timeout_s,
+        "kill a worker stuck on one run this long", 0.0, cli::kMaxSeconds},
+       {"--crash-budget N", &args.supervisor.crash_budget,
+        "worker deaths before a run is skipped", 1},
+       {.name = "--worker-shard I:N", .target = cli::Setter(set_shard),
+        .help = "run shard I of N as a worker", .hidden = true},
+       {.name = "--status-fd FD", .target = &args.status_fd,
+        .help = "worker status pipe", .lo = 0, .hidden = true},
+       {.name = "--defer-key KEY", .target = cli::Setter(defer_key),
+        .help = "run this scenario after the shard's others",
+        .hidden = true}});
+  return table;
 }
 
 void write_reports(const std::string& out_dir,
@@ -207,7 +244,7 @@ int run_worker(const Args& args) {
   ::signal(SIGPIPE, SIG_IGN);
 
   ensemble::StatusChannel channel(args.status_fd);
-  ensemble::Heartbeat heartbeat(&channel, 0.25, &g_stop);
+  ensemble::Heartbeat heartbeat(&channel, 0.25, &cli::stop_requested());
 
   ensemble::EnsembleOptions options;
   options.journal_path = args.out + "/journal.jsonl";
@@ -217,7 +254,7 @@ int run_worker(const Args& args) {
   options.shard_count = args.shard_count;
   options.shard_index = args.shard_index;
   options.defer_keys = args.defer_keys;
-  options.stop = &g_stop;
+  options.stop = &cli::stop_requested();
   options.on_start = [&channel](const ensemble::Scenario& scenario) {
     channel.start(scenario.hash());
     maybe_crash_for_test(scenario);
@@ -228,47 +265,27 @@ int run_worker(const Args& args) {
 
   ensemble::run_ensemble(args.matrix, ensemble::make_grade10_runner(),
                          options);
-  return g_stop.load(std::memory_order_acquire) ? kExitInterrupted : kExitOk;
+  return cli::stop_requested().load(std::memory_order_acquire)
+             ? kExitInterrupted
+             : kExitOk;
 }
 
-// The worker re-runs this same binary; its argv is the supervisor's argv
-// minus the supervisor-only flags, plus the hidden worker flags. argv[0]
-// is resolved through /proc/self/exe so the fleet works regardless of how
-// the supervisor was invoked.
-std::vector<std::string> worker_base_argv(
-    const std::vector<std::string>& original) {
-  std::vector<std::string> base;
+// Workers re-run this binary with the supervisor's fleet flags and the
+// hidden worker flags. argv[0] is resolved through /proc/self/exe so the
+// fleet works regardless of how the supervisor was invoked.
+int run_supervisor(const Args& args, const char* argv0,
+                   std::vector<std::string> base) {
   std::error_code ec;
   const std::filesystem::path exe =
       std::filesystem::read_symlink("/proc/self/exe", ec);
-  base.push_back(ec ? original[0] : exe.string());
-  for (std::size_t i = 1; i < original.size(); ++i) {
-    const std::string& arg = original[i];
-    if (arg == "--isolate" || arg == "--resume" || arg == "--quiet") {
-      continue;
-    }
-    if (arg == "--jobs" || arg == "--rlimit-as-mb" ||
-        arg == "--rlimit-cpu-s" || arg == "--hb-timeout-s" ||
-        arg == "--wedge-timeout-s" || arg == "--crash-budget") {
-      ++i;  // skip the flag's value too
-      continue;
-    }
-    base.push_back(arg);
-  }
-  base.push_back("--resume");
-  base.push_back("--quiet");
-  return base;
-}
-
-int run_supervisor(const Args& args,
-                   const std::vector<std::string>& original_argv) {
+  base.insert(base.begin(), ec ? std::string(argv0) : exe.string());
+  base.insert(base.end(), {"--resume", "--quiet"});
   std::filesystem::create_directories(args.out);
 
-  ensemble::SupervisorOptions options;
+  ensemble::SupervisorOptions options = args.supervisor;
   options.journal_path = args.out + "/journal.jsonl";
   options.jobs = args.jobs;
   options.resume = args.resume;
-  options.heartbeat_timeout_s = args.hb_timeout_s;
   // Default wedge ceiling: give the worker's own watchdog + retries room
   // to classify a timeout cooperatively first; the supervisor's kill is
   // the backstop for runs that ignore their CancelToken.
@@ -280,29 +297,22 @@ int run_supervisor(const Args& args,
                        10.0
                  : 0.0);
   options.max_attempts = args.retry.max_attempts;
-  options.crash_budget = args.crash_budget;
-  if (args.isolate) {
-    options.limits.address_space_bytes =
-        args.rlimit_as_mb * 1024ull * 1024ull;
-    options.limits.cpu_seconds = args.rlimit_cpu_s;
-  }
-  options.stop = &g_stop;
+  options.limits.address_space_bytes = args.rlimit_as_mb * 1024ull * 1024ull;
+  if (!args.isolate) options.limits = {};
+  options.stop = &cli::stop_requested();
   if (!args.quiet) {
     options.on_event = [](const std::string& message) {
       std::cerr << "supervisor: " << message << '\n';
     };
   }
 
-  const std::vector<std::string> base = worker_base_argv(original_argv);
-  const std::size_t jobs = args.jobs;
-  options.command = [base, jobs](
+  options.command = [base, jobs = std::to_string(args.jobs)](
                         std::size_t shard, int /*status_fd is always 3*/,
                         const std::vector<std::uint64_t>& defer) {
     std::vector<std::string> argv = base;
-    argv.push_back("--worker-shard");
-    argv.push_back(std::to_string(shard) + ":" + std::to_string(jobs));
-    argv.push_back("--status-fd");
-    argv.push_back("3");
+    argv.insert(argv.end(), {"--worker-shard",
+                             std::to_string(shard) + ":" + jobs,
+                             "--status-fd", "3"});
     for (const std::uint64_t key : defer) {
       argv.push_back("--defer-key");
       argv.push_back(ensemble::format_key(key));
@@ -328,30 +338,16 @@ int run_supervisor(const Args& args,
 
   // Identical aggregation path to in-process mode: reduce a fresh read of
   // the journal. Byte-identical reports at any --jobs level follow.
-  const ensemble::AggregateReport report =
-      ensemble::aggregate(scenarios,
-                          ensemble::read_journal(options.journal_path));
+  const ensemble::AggregateReport report = ensemble::aggregate(
+      scenarios, ensemble::read_journal(options.journal_path));
   write_reports(args.out, report);
-
-  const ensemble::JournalReplay replay =
-      ensemble::read_journal(options.journal_path);
-  std::size_t journaled = 0;
-  for (const ensemble::Scenario& s : scenarios) {
-    for (const ensemble::JournalEntry& entry : replay.entries) {
-      if (entry.key == s.hash()) {
-        ++journaled;
-        break;
-      }
-    }
-  }
-  const std::size_t remaining = scenarios.size() - journaled;
   std::cout << "workers=" << stats.spawned << " crashes=" << stats.crashes
             << " wedges=" << stats.wedges << " finalized=" << stats.finalized
             << " poisoned=" << stats.poisoned
             << " abandoned_shards=" << stats.abandoned_shards << "\n";
-  if (remaining > 0) {
-    std::cout << "rerun with --resume to finish the remaining " << remaining
-              << " runs\n";
+  if (report.missing > 0) {
+    std::cout << "rerun with --resume to finish the remaining "
+              << report.missing << " runs\n";
   }
   return kExitOk;
 }
@@ -360,10 +356,10 @@ int run(const Args& args) {
   ensemble::EnsembleOptions options;
   options.journal_path = args.out + "/journal.jsonl";
   options.resume = args.resume;
-  options.threads = args.threads;
+  options.threads = static_cast<std::size_t>(std::max(args.threads, 0));
   options.retry = args.retry;
-  options.limit = args.limit;
-  options.stop = &g_stop;
+  options.limit = static_cast<std::size_t>(args.limit);
+  options.stop = &cli::stop_requested();
 
   std::filesystem::create_directories(args.out);
 
@@ -384,7 +380,7 @@ int run(const Args& args) {
   const ensemble::EnsembleOutcome outcome = ensemble::run_ensemble(
       args.matrix, ensemble::make_grade10_runner(), options);
 
-  if (g_stop.load(std::memory_order_acquire)) {
+  if (cli::stop_requested().load(std::memory_order_acquire)) {
     // Every completed run was fsync'd into the journal by its append;
     // nothing in flight was journaled, so the fleet resumes cleanly.
     std::cerr << "interrupted: journal is flushed; rerun with --resume\n";
@@ -403,147 +399,26 @@ int run(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args;
-  std::vector<std::string> original_argv(argv, argv + argc);
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--sync-bug") {
-      args.matrix.sync_bug = true;
-      continue;
-    }
-    if (arg == "--resume") {
-      args.resume = true;
-      continue;
-    }
-    if (arg == "--quiet") {
-      args.quiet = true;
-      continue;
-    }
-    if (arg == "--isolate") {
-      args.isolate = true;
-      continue;
-    }
-    if (i + 1 >= argc) return usage();
-    const std::string v = argv[++i];
-    // Sets `out` to the value when it is an int >= lo.
-    const auto count = [&](int& out, int lo) {
-      const auto n = parse_int_at_least(v, lo);
-      if (n) out = *n;
-      return n.has_value();
-    };
-    if (arg == "--out") {
-      args.out = v;
-    } else if (arg == "--engines") {
-      args.matrix.engines.clear();
-      for (const auto part : split(v, ',')) {
-        if (part != "pregel" && part != "gas") return usage();
-        args.matrix.engines.emplace_back(part);
-      }
-      if (args.matrix.engines.empty()) return usage();
-    } else if (arg == "--algorithm") {
-      if (!algorithms::is_algorithm_name(v)) return usage();
-      args.matrix.algorithm = v;
-    } else if (arg == "--dataset") {
-      // As g10_run: a bad size is a bad argument, an unknown kind a bad
-      // spec.
-      const graph::DatasetSpec spec = graph::parse_dataset(v);
-      if (spec.kind == graph::DatasetSpec::Kind::kUnknown) {
-        std::cerr << "unknown dataset spec: " << v << '\n';
-        return kExitParseFailure;
-      }
-      if (!spec.size) return usage();
-      args.matrix.dataset = v;
-    } else if (arg == "--workers") {
-      if (!count(args.matrix.workers, 1)) return usage();
-    } else if (arg == "--cores") {
-      if (!count(args.matrix.cores, 1)) return usage();
-    } else if (arg == "--iterations") {
-      if (!count(args.matrix.iterations, 1)) return usage();
-    } else if (arg == "--seeds") {
-      if (!count(args.seeds, 1)) return usage();
-    } else if (arg == "--seed-base") {
-      const auto base = parse_int(v);
-      if (!base || *base < 0) return usage();
-      args.seed_base = static_cast<std::uint64_t>(*base);
-    } else if (arg == "--faults") {
-      if (const auto code = parse_faults_axis(v, args)) return *code;
-    } else if (arg == "--sampled-faults") {
-      if (!count(args.matrix.sampled_fault_specs, 0)) return usage();
-    } else if (arg == "--jitter") {
-      const auto f = parse_double(v);
-      if (!f || *f < 0.0 || *f >= 1.0) return usage();
-      args.matrix.jitter = *f;
-    } else if (arg == "--threads") {
-      const auto n = parse_int(v);
-      if (!n || *n < 0) return usage();
-      args.threads = static_cast<std::size_t>(*n);
-      args.threads_given = true;
-    } else if (arg == "--deadline-s") {
-      const auto s = parse_double(v);
-      if (!s || *s <= 0.0) return usage();
-      args.retry.deadline_seconds = *s;
-    } else if (arg == "--max-attempts") {
-      if (!count(args.retry.max_attempts, 1)) return usage();
-    } else if (arg == "--limit") {
-      const auto n = parse_int(v);
-      if (!n || *n < 1) return usage();
-      args.limit = static_cast<std::size_t>(*n);
-    } else if (arg == "--jobs") {
-      const auto n = parse_int(v);
-      if (!n || *n < 1) return usage();
-      args.jobs = static_cast<std::size_t>(*n);
-    } else if (arg == "--rlimit-as-mb") {
-      const auto n = parse_int(v);
-      if (!n || *n < 1) return usage();
-      args.rlimit_as_mb = static_cast<std::uint64_t>(*n);
-    } else if (arg == "--rlimit-cpu-s") {
-      const auto s = parse_double(v);
-      if (!s || *s < 0.0) return usage();
-      args.rlimit_cpu_s = *s;
-    } else if (arg == "--hb-timeout-s") {
-      const auto s = parse_double(v);
-      if (!s || *s <= 0.0) return usage();
-      args.hb_timeout_s = *s;
-    } else if (arg == "--wedge-timeout-s") {
-      const auto s = parse_double(v);
-      if (!s || *s < 0.0) return usage();
-      args.wedge_timeout_s = *s;
-    } else if (arg == "--crash-budget") {
-      if (!count(args.crash_budget, 1)) return usage();
-    } else if (arg == "--worker-shard") {
-      const std::size_t colon = v.find(':');
-      if (colon == std::string::npos) return usage();
-      const auto index = parse_int(v.substr(0, colon));
-      const auto count = parse_int(v.substr(colon + 1));
-      if (!index || !count || *index < 0 || *count < 1 || *index >= *count) {
-        return usage();
-      }
-      args.worker = true;
-      args.shard_index = static_cast<std::size_t>(*index);
-      args.shard_count = static_cast<std::size_t>(*count);
-    } else if (arg == "--status-fd") {
-      if (!count(args.status_fd, 0)) return usage();
-    } else if (arg == "--defer-key") {
-      const auto key = ensemble::parse_key(v);
-      if (!key) return usage();
-      args.defer_keys.push_back(*key);
-    } else {
-      return usage();
-    }
-  }
-  if (args.out.empty()) return usage();
+  const cli::Table table = flag_table(args);
+  if (const int rc = cli::parse(table, argc, argv)) return rc;
   // Mode exclusions (exit 2): --isolate only sandboxes worker processes;
   // --threads and --limit configure the in-process pool, which --jobs
   // replaces; a worker cannot itself be a supervisor.
-  if (args.isolate && args.jobs == 0) return usage();
-  if (args.jobs > 0 && (args.threads_given || args.limit > 0)) return usage();
-  if (args.worker && args.jobs > 0) return usage();
+  if (args.out.empty() || (args.isolate && args.jobs == 0) ||
+      (args.jobs > 0 && (args.threads >= 0 || args.limit > 0)) ||
+      (args.worker && args.jobs > 0)) {
+    return cli::usage_error(table);
+  }
   args.matrix.seed_range(args.seed_base, args.seeds);
 
-  install_stop_handlers();
+  cli::install_stop_handlers();
 
   try {
     if (args.worker) return run_worker(args);
-    if (args.jobs > 0) return run_supervisor(args, original_argv);
+    if (args.jobs > 0) {
+      return run_supervisor(
+          args, argv[0], cli::pick(table, fleet_flags(args), argc, argv));
+    }
     return run(args);
   } catch (const CheckError& e) {
     // Matrix/journal preconditions (e.g. a fresh start over a non-empty

@@ -1,9 +1,8 @@
 // g10_lint — static validation of Grade10 inputs, without characterizing
 // the run:
 //
-//   g10_lint --model <model.g10> [--log <run.log | run.g10t>]
-//            [--json] [--werror] [--threads N]
-//   g10_lint --rules
+//   g10_lint --model <model.g10> [--log <run.log | run.g10t>] [flags]
+//   g10_lint --rules                   (--help lists the flags, exit 2)
 //
 // Checks the declarative model file (phase tree shape, sibling order
 // cycles, attribution rules) and, when --log is given, the dumped run
@@ -18,10 +17,9 @@
 // --werror), 2 = usage or I/O failure.
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 
-#include "common/strings.hpp"
+#include "common/cli.hpp"
 #include "grade10/lint/model_lint.hpp"
 #include "grade10/lint/preflight.hpp"
 #include "grade10/model/model_io.hpp"
@@ -39,45 +37,16 @@ struct Args {
   int threads = 0;
 };
 
-int usage() {
-  std::cerr << "usage: g10_lint --model <model.g10> [--log <run.log>]\n"
-               "                [--json] [--werror] [--threads N]\n"
-               "       g10_lint --rules\n";
-  return 2;
-}
-
-std::optional<Args> parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--json") {
-      args.json = true;
-      continue;
-    }
-    if (arg == "--werror") {
-      args.werror = true;
-      continue;
-    }
-    if (arg == "--rules") {
-      args.list_rules = true;
-      continue;
-    }
-    if (i + 1 >= argc) return std::nullopt;
-    const std::string value = argv[++i];
-    if (arg == "--model") {
-      args.model_path = value;
-    } else if (arg == "--log") {
-      args.log_path = value;
-    } else if (arg == "--threads") {
-      const auto n = parse_int_at_least(value, 0);
-      if (!n) return std::nullopt;
-      args.threads = *n;
-    } else {
-      return std::nullopt;
-    }
-  }
-  if (!args.list_rules && args.model_path.empty()) return std::nullopt;
-  return args;
+cli::Table flag_table(Args& args) {
+  return {"g10_lint --model <model.g10> [--log <trace>] [flags]\n"
+          "       g10_lint --rules",
+          {{"--model <model.g10>", &args.model_path, "the expert model"},
+           {"--log <trace>", &args.log_path, "also lint this trace"},
+           {"--json", cli::Switch{&args.json}, "findings as JSON"},
+           {"--werror", cli::Switch{&args.werror}, "exit 1 on warnings too"},
+           {"--rules", cli::Switch{&args.list_rules}, "list every rule id"},
+           {"--threads N", &args.threads, "decode threads, 0 = auto", 0,
+            cli::kMaxConcurrency}}};
 }
 
 int list_rules() {
@@ -136,11 +105,13 @@ int run(const Args& args) {
 }  // namespace g10
 
 int main(int argc, char** argv) {
-  const auto args = g10::parse_args(argc, argv);
-  if (!args) return g10::usage();
-  if (args->list_rules) return g10::list_rules();
+  g10::Args args;
+  const g10::cli::Table table = g10::flag_table(args);
+  if (const int rc = g10::cli::parse(table, argc, argv)) return rc;
+  if (args.list_rules) return g10::list_rules();
+  if (args.model_path.empty()) return g10::cli::usage_error(table);
   try {
-    return g10::run(*args);
+    return g10::run(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 2;

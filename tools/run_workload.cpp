@@ -2,12 +2,7 @@
 // artifacts a real deployment would collect: the execution/blocking log,
 // the monitoring samples, and the matching expert model file.
 //
-//   g10_run --engine pregel|gas --algorithm pagerank|bfs|wcc|cdlp|sssp
-//           --dataset rmat:<scale>|datagen:<vertices> --out <dir>
-//           [--workers N] [--cores N] [--iterations K] [--seed S]
-//           [--monitor-ms MS] [--sync-bug] [--faults <spec>]
-//           [--crash-log reconciled|truncated]
-//           [--det-check N] [--trace-format text|binary|both]
+//   g10_run [flags]          (g10_run --help lists them and exits 2)
 //
 // Each engine delivers remote traffic one way (DESIGN.md §13): Pregel
 // coalesces each worker's sends into per-destination frames, GAS sends one
@@ -49,9 +44,6 @@
 // 3 unparseable --faults/--dataset spec, 4 fault abort (spec inconsistent
 // with the cluster, or the engine aborted under active faults),
 // 6 when interrupted by SIGTERM/SIGINT, 1 internal.
-#include <signal.h>
-
-#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -59,11 +51,10 @@
 #include <limits>
 #include <string>
 
-#include "algorithms/programs.hpp"
 #include "common/check.hpp"
+#include "common/cli.hpp"
 #include "common/det_hash.hpp"
 #include "common/exit_codes.hpp"
-#include "common/strings.hpp"
 #include "grade10/model/model_io.hpp"
 #include "graph/generators.hpp"
 #include "trace/det_fold.hpp"
@@ -74,131 +65,53 @@
 namespace g10 {
 namespace {
 
-// Raised by the SIGTERM/SIGINT handler; polled at stage boundaries. The
-// engines are serial discrete-event simulators, so a boundary check is the
-// cancellation granularity — there is no partial engine state to unwind.
-std::atomic<bool> g_stop{false};
-
-void handle_stop_signal(int) { g_stop.store(true, std::memory_order_release); }
-
-void install_stop_handlers() {
-  struct sigaction action {};
-  action.sa_handler = handle_stop_signal;
-  ::sigemptyset(&action.sa_mask);
-  ::sigaction(SIGTERM, &action, nullptr);
-  ::sigaction(SIGINT, &action, nullptr);
-}
-
-/// True (after printing the diagnostic) when the run should wind down.
-/// Completed artifact files are already flushed by their stream destructors.
+/// True (after printing the diagnostic) when SIGTERM/SIGINT asked the run
+/// to wind down: the serial engines cancel at stage boundaries. Completed
+/// artifact files are already flushed by their stream destructors.
 bool interrupted_at(const char* boundary) {
-  if (!g_stop.load(std::memory_order_acquire)) return false;
+  if (!cli::stop_requested().load(std::memory_order_acquire)) return false;
   std::cerr << "interrupted before " << boundary
             << "; completed artifacts are flushed\n";
   return true;
 }
+
+constexpr std::string_view kTraceFormats[] = {"text", "binary", "both"};
 
 struct Args {
   workload::Spec spec;  ///< every field but the fault spec, parsed in run()
   std::string dataset = "rmat:14";
   std::string out = "g10_run_out";
   std::string faults;
+  std::int64_t monitor_ms = workload::Spec{}.monitor_interval / kMillisecond;
   int det_check = 0;  ///< 0 = off; otherwise number of executions (>= 2)
   std::string trace_format = "text";  ///< text | binary | both
 };
 
-int usage() {
-  std::cerr << "usage: g10_run --engine pregel|gas "
-               "--algorithm pagerank|bfs|wcc|cdlp|sssp\n"
-               "               --dataset rmat:<scale>|datagen:<vertices> "
-               "--out <dir>\n"
-               "               [--workers N] [--cores N] [--iterations K]\n"
-               "               [--seed S] [--monitor-ms MS] [--sync-bug]\n"
-               "               [--faults <spec>]  e.g. crash:w2@40%\n"
-               "               [--crash-log reconciled|truncated]\n"
-               "               [--det-check N] "
-               "[--trace-format text|binary|both]\n";
-  return kExitBadArgs;
-}
-
-/// Every numeric flag must parse whole and lie in range, else the command
-/// line is rejected (exit 2).
-std::optional<Args> parse_args(int argc, char** argv) {
-  Args args;
+cli::Table flag_table(Args& args) {
   workload::Spec& spec = args.spec;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    const auto value = [&]() -> std::optional<std::string> {
-      if (i + 1 >= argc) return std::nullopt;
-      return std::string(argv[++i]);
-    };
-    if (arg == "--sync-bug") {
-      spec.sync_bug = true;
-      continue;
-    }
-    const auto v = value();
-    if (!v) return std::nullopt;
-    if (arg == "--engine") {
-      if (*v != "pregel" && *v != "gas") return std::nullopt;
-      spec.engine = *v;
-    } else if (arg == "--algorithm") {
-      if (!algorithms::is_algorithm_name(*v)) return std::nullopt;
-      spec.algorithm = *v;
-    } else if (arg == "--dataset") {
-      // A bad size is a bad argument; an unknown kind is a bad spec (exit 3
-      // when the dataset is made).
-      const graph::DatasetSpec parsed = graph::parse_dataset(*v);
-      if (parsed.kind != graph::DatasetSpec::Kind::kUnknown && !parsed.size) {
-        return std::nullopt;
-      }
-      args.dataset = *v;
-    } else if (arg == "--out") {
-      args.out = *v;
-    } else if (arg == "--workers") {
-      const auto n = parse_int_at_least(*v, 1);
-      if (!n) return std::nullopt;
-      spec.workers = *n;
-    } else if (arg == "--cores") {
-      const auto n = parse_int_at_least(*v, 1);
-      if (!n) return std::nullopt;
-      spec.cores = *n;
-    } else if (arg == "--iterations") {
-      const auto n = parse_int_at_least(*v, 1);
-      if (!n) return std::nullopt;
-      spec.iterations = *n;
-    } else if (arg == "--seed") {
-      const auto seed = parse_int(*v);
-      if (!seed || *seed < 0) return std::nullopt;
-      spec.seed = static_cast<std::uint64_t>(*seed);
-    } else if (arg == "--monitor-ms") {
-      const auto ms = parse_int(*v);
-      if (!ms || *ms < 1 ||
-          *ms > std::numeric_limits<DurationNs>::max() / kMillisecond) {
-        return std::nullopt;
-      }
-      spec.monitor_interval = *ms * kMillisecond;
-    } else if (arg == "--faults") {
-      args.faults = *v;
-    } else if (arg == "--det-check") {
-      const auto n = parse_int_at_least(*v, 2);
-      if (!n) return std::nullopt;
-      args.det_check = *n;
-    } else if (arg == "--crash-log") {
-      if (*v == "reconciled") {
-        spec.crash_log = engine::CrashLogStyle::kReconciled;
-      } else if (*v == "truncated") {
-        spec.crash_log = engine::CrashLogStyle::kTruncated;
-      } else {
-        return std::nullopt;
-      }
-    } else if (arg == "--trace-format") {
-      if (*v != "text" && *v != "binary" && *v != "both") return std::nullopt;
-      args.trace_format = *v;
-    } else {
-      return std::nullopt;
-    }
-  }
-  return args;
+  cli::Table table{"g10_run [flags]",
+                   workload::run_flags(spec.algorithm, args.dataset,
+                                       spec.workers, spec.cores,
+                                       spec.iterations, spec.sync_bug)};
+  table.flags.insert(
+      table.flags.end(),
+      {{"--engine", cli::one_of(&spec.engine, workload::kEngineNames),
+        "engine to simulate"},
+       {"--out <dir>", &args.out, "directory for the dumped artifacts"},
+       {"--seed S", &spec.seed, "seed of the jitter and fault schedule", 0},
+       {"--monitor-ms MS", &args.monitor_ms, "monitoring sample interval", 1,
+        std::numeric_limits<DurationNs>::max() / kMillisecond},
+       {"--faults <spec>", &args.faults, "fault schedule, e.g. crash:w2@40%"},
+       {"--crash-log",
+        cli::one_of(&spec.crash_log,
+                    {{"reconciled", engine::CrashLogStyle::kReconciled},
+                     {"truncated", engine::CrashLogStyle::kTruncated}}),
+        "how a crashed worker's log ends"},
+       {"--det-check N", &args.det_check,
+        "run N times and compare per-phase hashes", 2},
+       {"--trace-format", cli::one_of(&args.trace_format, kTraceFormats),
+        "trace file(s) to write"}});
+  return table;
 }
 
 /// Runs the workload once. Returns kExitOk and fills `out`, or the exit code
@@ -272,6 +185,7 @@ int det_check(const Args& args, const workload::Spec& spec,
 
 int run(const Args& args) {
   workload::Spec spec = args.spec;
+  spec.monitor_interval = args.monitor_ms * kMillisecond;
   sim::FaultSpec& fault_spec = spec.faults;
   if (!args.faults.empty()) {
     std::string error;
@@ -292,12 +206,8 @@ int run(const Args& args) {
     }
   }
 
-  const graph::DatasetSpec dataset = graph::parse_dataset(args.dataset);
-  if (!dataset.ok()) {
-    std::cerr << "unknown dataset spec: " << args.dataset << '\n';
-    return kExitParseFailure;
-  }
-  const graph::Graph graph = graph::generate_dataset(dataset);
+  const graph::Graph graph =
+      graph::generate_dataset(graph::parse_dataset(args.dataset));
   std::cout << "dataset: " << graph.vertex_count() << " vertices, "
             << graph.edge_count() << " edges\n";
 
@@ -381,11 +291,13 @@ int run(const Args& args) {
 }  // namespace g10
 
 int main(int argc, char** argv) {
-  const auto args = g10::parse_args(argc, argv);
-  if (!args) return g10::usage();
-  g10::install_stop_handlers();
+  g10::Args args;
+  if (const int rc = g10::cli::parse(g10::flag_table(args), argc, argv)) {
+    return rc;
+  }
+  g10::cli::install_stop_handlers();
   try {
-    return g10::run(*args);
+    return g10::run(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return g10::kExitInternalError;

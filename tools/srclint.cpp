@@ -2,7 +2,7 @@
 // C++ sources (DESIGN.md §14):
 //
 //   g10_srclint [--json] [--werror] <file-or-dir>...
-//   g10_srclint --rules
+//   g10_srclint --rules                (--help lists the flags, exit 2)
 //
 // Directories are walked recursively for *.cpp / *.hpp / *.h, skipping
 // build trees and hidden directories; files are scanned in sorted path
@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/exit_codes.hpp"
 #include "srclint/srclint.hpp"
 
@@ -39,30 +40,11 @@ struct Args {
   bool list_rules = false;
 };
 
-int usage() {
-  std::cerr << "usage: g10_srclint [--json] [--werror] <file-or-dir>...\n"
-               "       g10_srclint --rules\n";
-  return kExitBadArgs;
-}
-
-std::optional<Args> parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--json") {
-      args.json = true;
-    } else if (arg == "--werror") {
-      args.werror = true;
-    } else if (arg == "--rules") {
-      args.list_rules = true;
-    } else if (!arg.empty() && arg.front() == '-') {
-      return std::nullopt;
-    } else {
-      args.paths.emplace_back(arg);
-    }
-  }
-  if (!args.list_rules && args.paths.empty()) return std::nullopt;
-  return args;
+cli::Table flag_table(Args& args) {
+  return {"g10_srclint [flags] <file-or-dir>...\n       g10_srclint --rules",
+          {{"--json", cli::Switch{&args.json}, "findings as JSON"},
+           {"--werror", cli::Switch{&args.werror}, "exit 1 on warnings too"},
+           {"--rules", cli::Switch{&args.list_rules}, "list every rule id"}}};
 }
 
 int list_rules() {
@@ -160,11 +142,15 @@ int run(const Args& args) {
 }  // namespace g10
 
 int main(int argc, char** argv) {
-  const auto args = g10::parse_args(argc, argv);
-  if (!args) return g10::usage();
-  if (args->list_rules) return g10::list_rules();
+  g10::Args args;
+  const g10::cli::Table table = g10::flag_table(args);
+  if (const int rc = g10::cli::parse(table, argc, argv, &args.paths)) {
+    return rc;
+  }
+  if (args.list_rules) return g10::list_rules();
+  if (args.paths.empty()) return g10::cli::usage_error(table);
   try {
-    return g10::run(*args);
+    return g10::run(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return g10::kExitInternalError;
