@@ -7,8 +7,10 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <thread>
 
 #include "common/check.hpp"
 
@@ -203,6 +205,21 @@ ExitStatus Subprocess::wait() {
                 "waitpid failed: " + std::string(std::strerror(errno)));
   status_ = decode_status(raw);
   return *status_;
+}
+
+void Subprocess::wait_exit(double timeout_s) {
+  if (status_) return;
+  G10_CHECK_MSG(pid_ > 0, "wait_exit on an empty Subprocess");
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(timeout_s);
+  while (std::chrono::steady_clock::now() < deadline) {
+    siginfo_t info{};
+    const int rc = ::waitid(P_PID, static_cast<id_t>(pid_), &info,
+                            WEXITED | WNOHANG | WNOWAIT);
+    if (rc == 0 && info.si_pid == pid_) return;  // exited, still a zombie
+    if (rc < 0 && errno != EINTR) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 void Subprocess::kill(int sig) const {

@@ -132,6 +132,10 @@ class Subprocess {
   std::optional<ExitStatus> poll();
   /// Blocking reap.
   ExitStatus wait();
+  /// Waits up to `timeout_s` for the child to exit, without reaping it:
+  /// the exited leader stays a zombie, so its pid and process group id
+  /// cannot be reused and kill() still reaches what it left behind.
+  void wait_exit(double timeout_s);
 
   /// Sends `sig` to the child — to its whole process group when it was
   /// spawned with new_process_group (the default). No-op once reaped.

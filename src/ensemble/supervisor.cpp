@@ -192,10 +192,13 @@ SupervisorStats run_supervised(const ScenarioMatrix& matrix,
   const auto handle_death = [&](Slot& slot) {
     ::close(slot.status_fd);
     slot.status_fd = -1;
-    // EOF means the worker's last handle on the pipe is gone, i.e. the
-    // process is exiting — but SIGKILL the group anyway so grandchildren a
+    // EOF means the worker's last handle on the pipe is gone: it is
+    // usually exiting. Give it kill_grace_s to finish, so a clean exit is
+    // not mistaken for a kill; then SIGKILL the group, so grandchildren a
     // wedged run may have leaked cannot outlive their slot (orphan
-    // reaping). A zombie leader keeps its real exit status.
+    // reaping). The leader is only reaped after that: an exited leader
+    // stays a zombie, holding its process group id and its exit status.
+    slot.child.wait_exit(options.kill_grace_s);
     slot.child.kill(SIGKILL);
     const ExitStatus status = slot.child.wait();
 

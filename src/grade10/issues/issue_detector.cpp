@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <limits>
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
@@ -25,15 +25,16 @@ IssueDetector::IssueDetector(const ExecutionModel& model,
 
 namespace {
 
-void collect_leaves(const ExecutionTrace& trace, InstanceId root,
-                    std::vector<InstanceId>& out) {
-  const PhaseInstance& instance = trace.instance(root);
+/// Scales the durations of the leaves below `id` by `factor`.
+void scale_leaves(const ExecutionTrace& trace, InstanceId id, double factor,
+                  std::vector<DurationNs>& durations) {
+  const PhaseInstance& instance = trace.instance(id);
   if (instance.is_leaf()) {
-    out.push_back(root);
-    return;
+    auto& duration = durations[static_cast<std::size_t>(id)];
+    duration = static_cast<DurationNs>(static_cast<double>(duration) * factor);
   }
   for (const InstanceId child : instance.children) {
-    collect_leaves(trace, child, out);
+    scale_leaves(trace, child, factor, durations);
   }
 }
 
@@ -42,42 +43,46 @@ void collect_leaves(const ExecutionTrace& trace, InstanceId root,
 std::vector<DurationNs> IssueDetector::balanced_durations(
     PhaseTypeId type) const {
   std::vector<DurationNs> adjusted = recorded_;
-
-  // Group same-type instances by parent.
-  std::map<InstanceId, std::vector<InstanceId>> groups;
-  for (const PhaseInstance& instance : trace_.instances()) {
-    if (instance.type == type && instance.parent != kNoInstance) {
-      groups[instance.parent].push_back(instance.id);
-    }
-  }
-  for (const auto& [parent, members] : groups) {
-    if (members.size() < 2) continue;
+  for (std::size_t g = 0; g < simulator_.group_count(); ++g) {
+    const auto members = simulator_.group_members(g);
+    if (simulator_.group_type(g) != type || members.size() < 2) continue;
+    // Integer durations sum exactly in a double (below 2^53 ns), so the
+    // member order does not change the mean.
     double total = 0.0;
     for (const InstanceId id : members) {
       total += static_cast<double>(trace_.instance(id).duration());
     }
     const double mean = total / static_cast<double>(members.size());
     for (const InstanceId id : members) {
-      const auto duration =
-          static_cast<double>(trace_.instance(id).duration());
       const PhaseInstance& instance = trace_.instance(id);
+      const auto duration = static_cast<double>(instance.duration());
       if (instance.is_leaf()) {
         adjusted[static_cast<std::size_t>(id)] =
             static_cast<DurationNs>(mean);
         continue;
       }
-      if (duration <= 0.0) continue;
-      const double factor = mean / duration;
-      std::vector<InstanceId> leaves;
-      collect_leaves(trace_, id, leaves);
-      for (const InstanceId leaf : leaves) {
-        adjusted[static_cast<std::size_t>(leaf)] = static_cast<DurationNs>(
-            static_cast<double>(adjusted[static_cast<std::size_t>(leaf)]) *
-            factor);
-      }
+      if (duration > 0.0) scale_leaves(trace_, id, mean / duration, adjusted);
     }
   }
   return adjusted;
+}
+
+bool IssueDetector::is_fault_resource(ResourceId resource) const {
+  const std::vector<std::string>& faults = config_.fault_resources;
+  return std::find(faults.begin(), faults.end(),
+                   resources_.resource(resource).name) != faults.end();
+}
+
+PerformanceIssue IssueDetector::replayed(
+    PerformanceIssue issue, const std::vector<DurationNs>& durations) const {
+  issue.baseline_makespan = baseline_;
+  issue.optimistic_makespan = simulator_.simulate(durations).makespan;
+  issue.impact =
+      baseline_ > 0
+          ? static_cast<double>(baseline_ - issue.optimistic_makespan) /
+                static_cast<double>(baseline_)
+          : 0.0;
+  return issue;
 }
 
 PerformanceIssue IssueDetector::imbalance_issue(PhaseTypeId type) const {
@@ -86,15 +91,7 @@ PerformanceIssue IssueDetector::imbalance_issue(PhaseTypeId type) const {
   issue.phase_type = type;
   issue.description =
       "imbalance across concurrent '" + model_.type(type).name + "' phases";
-  issue.baseline_makespan = baseline_;
-  issue.optimistic_makespan =
-      simulator_.simulate(balanced_durations(type)).makespan;
-  issue.impact =
-      baseline_ > 0
-          ? static_cast<double>(baseline_ - issue.optimistic_makespan) /
-                static_cast<double>(baseline_)
-          : 0.0;
-  return issue;
+  return replayed(std::move(issue), balanced_durations(type));
 }
 
 PerformanceIssue IssueDetector::bottleneck_issue(
@@ -105,14 +102,18 @@ PerformanceIssue IssueDetector::bottleneck_issue(
   issue.resource = resource;
   issue.description =
       "bottleneck on resource '" + resources_.resource(resource).name + "'";
-  issue.baseline_makespan = baseline_;
+  return replayed(std::move(issue),
+                  bottleneck_durations(resource, usage, bottlenecks));
+}
 
+std::vector<DurationNs> IssueDetector::bottleneck_durations(
+    ResourceId resource, const AttributedUsage& usage,
+    const BottleneckReport& bottlenecks) const {
   std::vector<DurationNs> adjusted = recorded_;
   // Per-slice shrinks are accumulated in floating point and applied once
   // per instance, so slice-granularity rounding does not bias the result.
   std::vector<double> shrink_by_instance(recorded_.size(), 0.0);
-  const Resource& spec = resources_.resource(resource);
-  if (spec.kind == ResourceKind::kBlocking) {
+  if (resources_.resource(resource).kind == ResourceKind::kBlocking) {
     for (const auto& [key, blocked_time] : bottlenecks.blocked) {
       if (key.second != resource) continue;
       auto& duration = adjusted[static_cast<std::size_t>(key.first)];
@@ -133,16 +134,14 @@ PerformanceIssue IssueDetector::bottleneck_issue(
         }
       }
       for (TimesliceIndex s = 0; s < ar.slice_count(); ++s) {
+        const auto slice = static_cast<std::size_t>(s);
         const bool slice_saturated =
-            saturation != nullptr &&
-            saturation->saturated[static_cast<std::size_t>(s)] != 0;
+            saturation != nullptr && saturation->saturated[slice] != 0;
         double next_binding = config_.min_shrink_fraction;
         for (const AttributedResource* other : others) {
-          if (static_cast<std::size_t>(s) < other->upsampled.usage.size()) {
+          if (slice < other->upsampled.usage.size()) {
             next_binding = std::max(
-                next_binding,
-                other->upsampled.usage[static_cast<std::size_t>(s)] /
-                    other->capacity);
+                next_binding, other->upsampled.usage[slice] / other->capacity);
           }
         }
         next_binding = std::min(next_binding, 1.0);
@@ -151,29 +150,25 @@ PerformanceIssue IssueDetector::bottleneck_issue(
         // resource has headroom) can at best absorb the slice's idle
         // capacity, shared among them — unlike a saturated resource,
         // nothing else frees up when the configuration limit is lifted.
+        const auto self_limited = [&](const AttributionEntry& entry) {
+          return entry.exact && entry.demand > 0.0 &&
+                 entry.usage >= config_.exact_cap_threshold * entry.demand;
+        };
         double self_limited_usage = 0.0;
         for (const AttributionEntry& entry : entries) {
-          if (entry.exact && entry.demand > 0.0 &&
-              entry.usage >= config_.exact_cap_threshold * entry.demand) {
-            self_limited_usage += entry.usage;
-          }
+          if (self_limited(entry)) self_limited_usage += entry.usage;
         }
-        const double headroom = std::max(
-            0.0,
-            ar.capacity - ar.upsampled.usage[static_cast<std::size_t>(s)]);
+        const double headroom =
+            std::max(0.0, ar.capacity - ar.upsampled.usage[slice]);
         const double self_limit_factor =
             self_limited_usage > 0.0
                 ? self_limited_usage / (self_limited_usage + headroom)
                 : 1.0;
         for (const AttributionEntry& entry : entries) {
-          const bool self_limited =
-              entry.exact && entry.demand > 0.0 &&
-              entry.usage >= config_.exact_cap_threshold * entry.demand;
-          if (!slice_saturated && !self_limited) continue;
+          if (!slice_saturated && !self_limited(entry)) continue;
           const double factor =
-              slice_saturated
-                  ? next_binding
-                  : std::max(next_binding, self_limit_factor);
+              slice_saturated ? next_binding
+                              : std::max(next_binding, self_limit_factor);
           shrink_by_instance[static_cast<std::size_t>(entry.instance)] +=
               slice_len * entry.fraction * (1.0 - factor);
         }
@@ -187,13 +182,7 @@ PerformanceIssue IssueDetector::bottleneck_issue(
       }
     }
   }
-  issue.optimistic_makespan = simulator_.simulate(adjusted).makespan;
-  issue.impact =
-      baseline_ > 0
-          ? static_cast<double>(baseline_ - issue.optimistic_makespan) /
-                static_cast<double>(baseline_)
-          : 0.0;
-  return issue;
+  return adjusted;
 }
 
 PerformanceIssue IssueDetector::fault_recovery_issue() const {
@@ -202,29 +191,18 @@ PerformanceIssue IssueDetector::fault_recovery_issue() const {
   issue.description = "time lost to fault handling (crash recovery, retries)";
   std::vector<Interval> spans;
   for (const BlockingSpan& span : trace_.blocking()) {
-    const std::string& name = resources_.resource(span.resource).name;
-    if (std::find(config_.fault_resources.begin(),
-                  config_.fault_resources.end(),
-                  name) == config_.fault_resources.end()) {
-      continue;
-    }
-    spans.push_back(span.interval);
+    if (is_fault_resource(span.resource)) spans.push_back(span.interval);
   }
   const TimeNs end_time = trace_.end_time();
   issue.baseline_makespan = end_time;
+  std::ranges::sort(spans, {}, &Interval::begin);
   DurationNs blocked = 0;
-  if (!spans.empty()) {
-    std::sort(spans.begin(), spans.end(),
-              [](const Interval& a, const Interval& b) {
-                return a.begin < b.begin;
-              });
-    TimeNs cursor = spans.front().begin;
-    for (const Interval& span : spans) {
-      const TimeNs begin = std::max(span.begin, cursor);
-      if (span.end > begin) {
-        blocked += span.end - begin;
-        cursor = span.end;
-      }
+  TimeNs cursor = std::numeric_limits<TimeNs>::min();
+  for (const Interval& span : spans) {
+    const TimeNs begin = std::max(span.begin, cursor);
+    if (span.end > begin) {
+      blocked += span.end - begin;
+      cursor = span.end;
     }
   }
   issue.optimistic_makespan = end_time - blocked;
@@ -241,45 +219,36 @@ std::vector<PerformanceIssue> IssueDetector::detect(
   // Candidate enumeration is cheap and stays serial; evaluating a candidate
   // replays the whole trace, so that fans out — one task per candidate.
   struct Candidate {
-    bool is_imbalance = false;
     ResourceId resource = kNoResource;
-    PhaseTypeId type = kNoPhaseType;
+    PhaseTypeId type = kNoPhaseType;  ///< set for imbalance candidates
   };
   std::vector<Candidate> candidates;
   for (ResourceId r = 0;
        r < static_cast<ResourceId>(resources_.resource_count()); ++r) {
     // Fault-class resources are covered by the dedicated fault-recovery
     // issue below; a bottleneck replay would zero their wait-type phases.
-    const std::string& name = resources_.resource(r).name;
-    if (std::find(config_.fault_resources.begin(),
-                  config_.fault_resources.end(),
-                  name) != config_.fault_resources.end()) {
-      continue;
-    }
-    candidates.push_back({false, r, kNoPhaseType});
+    if (!is_fault_resource(r)) candidates.push_back({r, kNoPhaseType});
   }
   const std::size_t bottleneck_count = candidates.size();
+  // Only types that actually form concurrent sibling groups.
+  std::vector<bool> grouped(model_.type_count(), false);
+  for (std::size_t g = 0; g < simulator_.group_count(); ++g) {
+    if (simulator_.group_members(g).size() >= 2) {
+      grouped[static_cast<std::size_t>(simulator_.group_type(g))] = true;
+    }
+  }
   for (PhaseTypeId t = 0; t < static_cast<PhaseTypeId>(model_.type_count());
        ++t) {
-    if (t == model_.root() || model_.type(t).wait) continue;
-    // Only types that actually form concurrent sibling groups.
-    std::map<InstanceId, int> counts;
-    bool has_group = false;
-    for (const PhaseInstance& instance : trace_.instances()) {
-      if (instance.type == t && instance.parent != kNoInstance &&
-          ++counts[instance.parent] >= 2) {
-        has_group = true;
-        break;
-      }
+    if (grouped[static_cast<std::size_t>(t)] && !model_.type(t).wait) {
+      candidates.push_back({kNoResource, t});
     }
-    if (has_group) candidates.push_back({true, kNoResource, t});
   }
 
   const std::vector<PerformanceIssue> evaluated =
       parallel_map(pool, candidates, [&](const Candidate& c) {
-        return c.is_imbalance ? imbalance_issue(c.type)
-                              : bottleneck_issue(c.resource, usage,
-                                                 bottlenecks);
+        return c.type != kNoPhaseType
+                   ? imbalance_issue(c.type)
+                   : bottleneck_issue(c.resource, usage, bottlenecks);
       });
 
   // Reassemble in the serial order (bottlenecks, fault recovery,

@@ -59,8 +59,7 @@ class IssueDetector {
                                        const BottleneckReport& bottlenecks,
                                        ThreadPool* pool = nullptr);
 
-  /// The imbalance issue for one phase type (used by the Fig. 5/6 benches
-  /// regardless of the reporting threshold). Thread-safe.
+  /// The imbalance issue for one phase type. Thread-safe.
   PerformanceIssue imbalance_issue(PhaseTypeId type) const;
 
   /// The bottleneck-removal issue for one resource. Thread-safe.
@@ -74,10 +73,19 @@ class IssueDetector {
   PerformanceIssue fault_recovery_issue() const;
 
   TimeNs baseline_makespan() const { return baseline_; }
-  const ReplaySimulator& simulator() const { return simulator_; }
+
+  /// The leaf durations imbalance_issue(type) replays.
+  std::vector<DurationNs> balanced_durations(PhaseTypeId type) const;
+  /// The leaf durations bottleneck_issue(resource, ...) replays.
+  std::vector<DurationNs> bottleneck_durations(
+      ResourceId resource, const AttributedUsage& usage,
+      const BottleneckReport& bottlenecks) const;
 
  private:
-  std::vector<DurationNs> balanced_durations(PhaseTypeId type) const;
+  bool is_fault_resource(ResourceId resource) const;
+  /// `issue` with the makespans of the baseline and of `durations`.
+  PerformanceIssue replayed(PerformanceIssue issue,
+                            const std::vector<DurationNs>& durations) const;
 
   const ExecutionModel& model_;
   const ResourceModel& resources_;

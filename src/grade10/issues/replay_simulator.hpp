@@ -11,9 +11,12 @@
 //
 // Issue detectors call simulate() with adjusted leaf durations to obtain
 // optimistic makespans ("how much faster would the run be if X were
-// fixed?").
+// fixed?"). The constructor compiles what does not depend on the durations
+// into an immutable replay plan (DESIGN.md §19) that concurrent simulate()
+// calls share.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/time.hpp"
@@ -46,29 +49,46 @@ class ReplaySimulator {
   /// The recorded leaf durations (the identity replay input).
   std::vector<DurationNs> recorded_durations() const;
 
-  /// Makespan of the identity replay; cached on first use is not needed —
-  /// callers typically hold on to it.
-  TimeNs baseline_makespan() const;
-
   /// The chain of leaf instances whose durations determine the makespan,
   /// in execution order. Gaps covered by parent tails (e.g. barrier sync
   /// costs) are not represented by a leaf.
   std::vector<InstanceId> critical_leaves(const ReplaySchedule& schedule) const;
 
+  /// Sibling groups (one parent's children of one type, by ascending
+  /// index), numbered by parent id, then in the parent's sibling order.
+  std::size_t group_count() const { return group_type_.size(); }
+  PhaseTypeId group_type(std::size_t group) const { return group_type_[group]; }
+  std::span<const InstanceId> group_members(std::size_t group) const {
+    return {members_.data() + first_member_[group],
+            members_.data() + first_member_[group + 1]};
+  }
+
  private:
-  struct SiblingGroup {
-    PhaseTypeId type = kNoPhaseType;
-    std::vector<InstanceId> instances;  ///< sorted by index
+  struct Slot {
+    TimeNs free_at = 0;
+    InstanceId owner = kNoInstance;
   };
 
-  TimeNs schedule_instance(InstanceId id, TimeNs start,
+  TimeNs schedule_instance(InstanceId id, bool wait, TimeNs start,
                            const std::vector<DurationNs>& durations,
+                           std::vector<Slot>& slots,
                            ReplaySchedule& out) const;
 
   const ExecutionModel& model_;
   const ExecutionTrace& trace_;
-  /// Topological order of child types per parent type.
-  std::vector<std::vector<PhaseTypeId>> child_type_order_;
+  // The plan, as CSR arrays. Instance i's groups are
+  // [first_group_[i], first_group_[i + 1]); group g's members are
+  // members_[first_member_[g] .. first_member_[g + 1]); the member at
+  // position k of members_ waits on preds_[first_pred_[k] ..
+  // first_pred_[k + 1]). tail_[i] is non-leaf i's recorded own work after
+  // its last child ends (e.g. a barrier's sync cost).
+  std::vector<InstanceId> first_group_;
+  std::vector<InstanceId> first_member_;
+  std::vector<InstanceId> members_;
+  std::vector<PhaseTypeId> group_type_;
+  std::vector<InstanceId> first_pred_;
+  std::vector<InstanceId> preds_;
+  std::vector<DurationNs> tail_;
 };
 
 }  // namespace g10::core

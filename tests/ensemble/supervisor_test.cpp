@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -237,6 +238,38 @@ TEST(SupervisorTest, NoProgressCrashLoopAbandonsTheShard) {
   EXPECT_GE(stats.crashes, 2u);
   EXPECT_EQ(stats.finalized, 0u);
   EXPECT_FALSE(stats.interrupted);
+}
+
+// A worker closes its status pipe a moment before it exits. EOF must not
+// be taken for a death: the clean exit counts as a finished shard.
+TEST(SupervisorTest, PipeClosedBeforeCleanExitIsNotACrash) {
+  const TempDir dir("eof_clean");
+  SupervisorOptions options = fast_options(dir.file("journal.jsonl"));
+  options.kill_grace_s = 5.0;  // far longer than the worker's last breath
+  options.command = sh_worker("exec 3>&-; sleep 0.2; exit 0");
+  const SupervisorStats stats = run_supervised(test_matrix(), options);
+
+  EXPECT_EQ(stats.spawned, 1u);
+  EXPECT_EQ(stats.crashes, 0u);
+  EXPECT_EQ(stats.abandoned_shards, 0u);
+}
+
+// A worker that closes its status pipe and hangs is still killed once the
+// grace runs out, and its death counts as a crash.
+TEST(SupervisorTest, PipeClosedThenHangIsKilledAfterTheGrace) {
+  const TempDir dir("eof_hang");
+  SupervisorOptions options = fast_options(dir.file("journal.jsonl"));
+  options.respawn_cap = 1;
+  options.command = sh_worker("exec 3>&-; sleep 30");
+  const auto start = std::chrono::steady_clock::now();
+  const SupervisorStats stats = run_supervised(test_matrix(), options);
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+
+  EXPECT_EQ(stats.crashes, 1u);
+  EXPECT_EQ(stats.abandoned_shards, 1u);
+  EXPECT_GE(elapsed.count(), options.kill_grace_s);
+  EXPECT_LT(elapsed.count(), 10.0);
 }
 
 TEST(SupervisorTest, PreconditionsThrow) {

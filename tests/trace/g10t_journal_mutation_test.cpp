@@ -11,7 +11,11 @@
 //  - a block that decodes holds no more records than its index entry's
 //    record_count;
 //  - a strict read either fails, or its records re-encode and read back
-//    unchanged.
+//    unchanged;
+//  - a recovering read (g10_analyze's) and a recovering read filtered by a
+//    machine and a time window never throw; the recovering read reports
+//    an error whenever the strict read failed; every filtered record
+//    matches the filter and appears, in order, in the unfiltered read.
 //
 // Journal: lines built with journal_line are damaged (bytes, truncation,
 // number tokens replaced). Then
@@ -33,6 +37,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/det_hash.hpp"
@@ -194,6 +199,37 @@ std::string mutate_g10t(const std::string& file, Rng& rng) {
   }
 }
 
+/// One record as its text log line.
+template <typename Record>
+std::string line(const Record& record) {
+  std::ostringstream os;
+  if constexpr (std::is_same_v<Record, trace::PhaseEventRecord>) {
+    trace::write_log(os, {record}, {}, {}, {});
+  } else if constexpr (std::is_same_v<Record, trace::BlockingEventRecord>) {
+    trace::write_log(os, {}, {record}, {}, {});
+  } else {
+    trace::write_log(os, {}, {}, {record}, {});
+  }
+  return std::move(os).str();
+}
+
+/// Every record of `filtered` matches `filter` and appears in `all`, in
+/// the same order.
+template <typename Record>
+void expect_filtered(const std::vector<Record>& filtered,
+                     const std::vector<Record>& all,
+                     const trace::TraceFilter& filter) {
+  std::size_t next = 0;
+  for (const Record& record : filtered) {
+    EXPECT_TRUE(filter.matches(record)) << line(record);
+    const std::string text = line(record);
+    while (next < all.size() && line(all[next]) != text) ++next;
+    EXPECT_LT(next, all.size()) << "not in the unfiltered read: " << text;
+    if (next == all.size()) return;
+    ++next;
+  }
+}
+
 /// Checks the `.g10t` invariants of the header comment on one mutant.
 void check_g10t(const std::string& bytes) {
   trace::G10tStructureParse parsed;
@@ -222,6 +258,28 @@ void check_g10t(const std::string& bytes) {
   write_file(path, bytes);
   trace::ParseResult read;
   EXPECT_NO_THROW(read = trace::read_trace_file(path.string(), strict));
+
+  // The recovering reads g10_analyze makes: unfiltered, and filtered by a
+  // machine and a time window.
+  trace::TraceReadOptions recover = strict;
+  recover.recover = true;
+  trace::ParseResult recovered;
+  EXPECT_NO_THROW(recovered = trace::read_trace_file(path.string(), recover));
+  if (!read.ok()) {
+    EXPECT_GE(recovered.error_count, 1u);
+  }
+  trace::TraceFilter filter;
+  filter.machines = {1};
+  filter.time_min = 1'000'000;
+  filter.time_max = 200'000'000;
+  trace::ParseResult filtered;
+  EXPECT_NO_THROW(filtered = trace::read_trace_file(path.string(), recover,
+                                                    filter));
+  expect_filtered(filtered.log.phase_events, recovered.log.phase_events,
+                  filter);
+  expect_filtered(filtered.log.blocking_events,
+                  recovered.log.blocking_events, filter);
+  expect_filtered(filtered.log.samples, recovered.log.samples, filter);
   if (!read.ok()) return;
   const std::filesystem::path again_path = test_root() / "reencoded.g10t";
   write_file(again_path, encode(read.log));
