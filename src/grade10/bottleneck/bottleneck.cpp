@@ -49,12 +49,11 @@ struct ResourceBottlenecks {
 };
 
 ResourceBottlenecks detect_one(const AttributedResource& res,
-                               const TimesliceGrid& grid,
-                               const AnalysisConfig& config) {
+                               const TimesliceGrid& grid) {
   ResourceBottlenecks out;
   const DurationNs slice = grid.slice_duration();
 
-  // Saturation timeline with run-length filtering.
+  // Saturation timeline.
   ResourceSaturation& sat = out.sat;
   sat.resource = res.resource;
   sat.machine = res.machine;
@@ -63,30 +62,13 @@ ResourceBottlenecks detect_one(const AttributedResource& res,
                  "attributed resource and upsampled series disagree on "
                  "slice count");
   sat.saturated.assign(slices, 0);
-  const double threshold = config.saturation_threshold * res.capacity;
-  std::size_t run_start = 0;
-  bool in_run = false;
-  const auto close_run = [&](std::size_t end) {
-    if (!in_run) return;
-    if (end - run_start >=
-        static_cast<std::size_t>(config.min_saturation_slices)) {
-      for (std::size_t s = run_start; s < end; ++s) sat.saturated[s] = 1;
-      sat.total_saturated +=
-          static_cast<DurationNs>(end - run_start) * slice;
-    }
-    in_run = false;
-  };
+  const double threshold = kSaturationThreshold * res.capacity;
   for (std::size_t s = 0; s < slices; ++s) {
     if (res.upsampled.usage[s] >= threshold) {
-      if (!in_run) {
-        in_run = true;
-        run_start = s;
-      }
-    } else {
-      close_run(s);
+      sat.saturated[s] = 1;
+      sat.total_saturated += slice;
     }
   }
-  close_run(slices);
 
   // Per-phase consumable bottlenecks.
   for (std::size_t s = 0; s < slices; ++s) {
@@ -98,7 +80,7 @@ ResourceBottlenecks detect_one(const AttributedResource& res,
       if (sat.saturated[s]) {
         out.saturated[{entry.instance, res.resource}] += affected;
       } else if (entry.exact &&
-                 entry.usage >= config.exact_cap_threshold * entry.demand) {
+                 entry.usage >= kExactCapThreshold * entry.demand) {
         out.self_limited[{entry.instance, res.resource}] += affected;
       }
     }
@@ -111,7 +93,7 @@ ResourceBottlenecks detect_one(const AttributedResource& res,
 BottleneckReport detect_bottlenecks(const AttributedUsage& usage,
                                     const ExecutionTrace& trace,
                                     const TimesliceGrid& grid,
-                                    const AnalysisConfig& config,
+                                    const AnalysisConfig& /*config*/,
                                     ThreadPool* pool) {
   BottleneckReport report;
 
@@ -125,7 +107,7 @@ BottleneckReport detect_bottlenecks(const AttributedUsage& usage,
   // integers, so merged sums are exact regardless of grouping.
   std::vector<ResourceBottlenecks> partial(usage.resources.size());
   parallel_for(pool, usage.resources.size(), 1, [&](std::size_t r) {
-    partial[r] = detect_one(usage.resources[r], grid, config);
+    partial[r] = detect_one(usage.resources[r], grid);
   });
   for (ResourceBottlenecks& p : partial) {
     for (const auto& [key, value] : p.saturated) report.saturated[key] += value;

@@ -4,7 +4,8 @@
 //  - blocking bottlenecks: time a phase spent blocked on a blocking resource
 //    (GC, message queues) — read directly from the blocking events;
 //  - saturation bottlenecks: a consumable resource at (~)full utilization
-//    for an extended period bottlenecks every phase using it then;
+//    (kSaturationThreshold of capacity) in a timeslice bottlenecks every
+//    phase using it in that slice;
 //  - self-limit bottlenecks: a phase with an Exact rule pinned at its own
 //    demand even though the resource is not saturated (e.g. a phase confined
 //    to 2 of 4 cores using exactly those 2).
@@ -20,10 +21,17 @@
 
 namespace g10::core {
 
+/// A consumable resource counts as saturated in a slice when its upsampled
+/// utilization reaches this fraction of capacity.
+inline constexpr double kSaturationThreshold = 0.97;
+/// A phase with an Exact rule counts as self-limited in a slice when its
+/// attributed usage reaches this fraction of its own demand.
+inline constexpr double kExactCapThreshold = 0.85;
+
 struct ResourceSaturation {
   ResourceId resource = kNoResource;
   trace::MachineId machine = trace::kGlobalMachine;
-  /// Per slice: saturated after run-length filtering.
+  /// Per slice: 1 when the resource is saturated.
   std::vector<char> saturated;
   DurationNs total_saturated = 0;
 };
@@ -52,7 +60,8 @@ struct BottleneckReport {
 };
 
 /// With a pool, resource instances are classified in parallel and merged
-/// in resource order (bit-identical to the serial path).
+/// in resource order (bit-identical to the serial path). `config` is not
+/// read: the thresholds above are constants.
 BottleneckReport detect_bottlenecks(const AttributedUsage& usage,
                                     const ExecutionTrace& trace,
                                     const TimesliceGrid& grid,

@@ -21,9 +21,13 @@ IssueDetector::IssueDetector(const ExecutionModel& model,
       config_(config),
       simulator_(model, trace),
       recorded_(simulator_.recorded_durations()),
-      baseline_(simulator_.simulate(recorded_).makespan) {}
+      baseline_(simulator_.critical_path(simulator_.simulate(recorded_))) {}
 
 namespace {
+
+/// A consumable bottleneck's slice shrinks to the utilization of the
+/// next-binding resource, but never below this fraction.
+constexpr double kMinShrinkFraction = 0.02;
 
 /// Scales the durations of the leaves below `id` by `factor`.
 void scale_leaves(const ExecutionTrace& trace, InstanceId id, double factor,
@@ -68,19 +72,19 @@ std::vector<DurationNs> IssueDetector::balanced_durations(
 }
 
 bool IssueDetector::is_fault_resource(ResourceId resource) const {
-  const std::vector<std::string>& faults = config_.fault_resources;
-  return std::find(faults.begin(), faults.end(),
-                   resources_.resource(resource).name) != faults.end();
+  const std::string& name = resources_.resource(resource).name;
+  return name == "Recovery" || name == "Retry";
 }
 
 PerformanceIssue IssueDetector::replayed(
     PerformanceIssue issue, const std::vector<DurationNs>& durations) const {
-  issue.baseline_makespan = baseline_;
+  const TimeNs baseline = baseline_.makespan;
+  issue.baseline_makespan = baseline;
   issue.optimistic_makespan = simulator_.simulate(durations).makespan;
   issue.impact =
-      baseline_ > 0
-          ? static_cast<double>(baseline_ - issue.optimistic_makespan) /
-                static_cast<double>(baseline_)
+      baseline > 0
+          ? static_cast<double>(baseline - issue.optimistic_makespan) /
+                static_cast<double>(baseline)
           : 0.0;
   return issue;
 }
@@ -137,7 +141,7 @@ std::vector<DurationNs> IssueDetector::bottleneck_durations(
         const auto slice = static_cast<std::size_t>(s);
         const bool slice_saturated =
             saturation != nullptr && saturation->saturated[slice] != 0;
-        double next_binding = config_.min_shrink_fraction;
+        double next_binding = kMinShrinkFraction;
         for (const AttributedResource* other : others) {
           if (slice < other->upsampled.usage.size()) {
             next_binding = std::max(
@@ -152,7 +156,7 @@ std::vector<DurationNs> IssueDetector::bottleneck_durations(
         // nothing else frees up when the configuration limit is lifted.
         const auto self_limited = [&](const AttributionEntry& entry) {
           return entry.exact && entry.demand > 0.0 &&
-                 entry.usage >= config_.exact_cap_threshold * entry.demand;
+                 entry.usage >= kExactCapThreshold * entry.demand;
         };
         double self_limited_usage = 0.0;
         for (const AttributionEntry& entry : entries) {

@@ -9,7 +9,7 @@
 //    blocking resource, phases lose their blocked time. For a consumable
 //    resource, each bottlenecked slice shrinks to the utilization of the
 //    next-most-utilized resource on that machine (the next binding
-//    constraint), with a configurable floor.
+//    constraint), with a fixed floor.
 //
 //  - Imbalanced execution: concurrent same-type sibling phases are set to
 //    their mean duration (total work preserved; work is interchangeable
@@ -17,7 +17,8 @@
 //    groups scale their leaf descendants proportionally.
 //
 //  - Fault recovery: total wall-clock time covered by fault-class blocking
-//    events (config.fault_resources — crash recovery and send retries).
+//    events (the Recovery and Retry resources — crash recovery and send
+//    retries).
 //    Measured directly as the union of those blocked intervals over the
 //    trace; the replay simulator is bypassed because recovery phases are
 //    wait-type and would replay with zero duration.
@@ -68,11 +69,13 @@ class IssueDetector {
                                     const BottleneckReport& bottlenecks) const;
 
   /// The fault-recovery issue: union of blocked intervals on the
-  /// config.fault_resources over the whole trace. Impact is relative to
+  /// Recovery and Retry resources over the whole trace. Impact is relative to
   /// the recorded end time, not the replay baseline.
   PerformanceIssue fault_recovery_issue() const;
 
-  TimeNs baseline_makespan() const { return baseline_; }
+  TimeNs baseline_makespan() const { return baseline_.makespan; }
+  /// The critical path of the baseline replay (the recorded durations).
+  const CriticalPath& critical_path() const { return baseline_; }
 
   /// The leaf durations imbalance_issue(type) replays.
   std::vector<DurationNs> balanced_durations(PhaseTypeId type) const;
@@ -94,7 +97,7 @@ class IssueDetector {
   AnalysisConfig config_;
   ReplaySimulator simulator_;
   std::vector<DurationNs> recorded_;
-  TimeNs baseline_ = 0;
+  CriticalPath baseline_;
 };
 
 }  // namespace g10::core

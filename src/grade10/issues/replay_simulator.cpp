@@ -192,4 +192,17 @@ std::vector<InstanceId> ReplaySimulator::critical_leaves(
   return path;
 }
 
+CriticalPath ReplaySimulator::critical_path(
+    const ReplaySchedule& schedule) const {
+  CriticalPath path;
+  path.leaves = critical_leaves(schedule);
+  path.lengths.reserve(path.leaves.size());
+  for (const InstanceId leaf : path.leaves) {
+    const auto i = static_cast<std::size_t>(leaf);
+    path.lengths.push_back(schedule.end[i] - schedule.start[i]);
+  }
+  path.makespan = schedule.makespan;
+  return path;
+}
+
 }  // namespace g10::core

@@ -38,6 +38,14 @@ struct ReplaySchedule {
   std::vector<InstanceId> binding_pred;
 };
 
+/// The critical path of one replay: critical_leaves() with each leaf's
+/// replayed length, and the replay's makespan.
+struct CriticalPath {
+  std::vector<InstanceId> leaves;
+  std::vector<DurationNs> lengths;  ///< parallel to `leaves`
+  TimeNs makespan = 0;
+};
+
 class ReplaySimulator {
  public:
   ReplaySimulator(const ExecutionModel& model, const ExecutionTrace& trace);
@@ -53,6 +61,7 @@ class ReplaySimulator {
   /// in execution order. Gaps covered by parent tails (e.g. barrier sync
   /// costs) are not represented by a leaf.
   std::vector<InstanceId> critical_leaves(const ReplaySchedule& schedule) const;
+  CriticalPath critical_path(const ReplaySchedule& schedule) const;
 
   /// Sibling groups (one parent's children of one type, by ascending
   /// index), numbered by parent id, then in the parent's sibling order.

@@ -204,11 +204,6 @@ LintReport lint_parse_errors(const trace::ParseResult& result,
     report.add(rule, Severity::kError,
                Location{file, error.line_number, error.line}, error.message);
   }
-  if (result.errors.empty() && result.error) {
-    report.add(rule, Severity::kError,
-               Location{file, result.error->line_number, result.error->line},
-               result.error->message);
-  }
   if (result.error_count > result.errors.size()) {
     report.add(rule, Severity::kError, Location{file, 0, ""},
                std::to_string(result.error_count - result.errors.size()) +

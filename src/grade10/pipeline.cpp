@@ -62,6 +62,7 @@ CheckedCharacterization characterize_trace(const CharacterizationInput& input,
     result.issues =
         detector.detect(result.usage, result.bottlenecks, executor);
     result.baseline_makespan = detector.baseline_makespan();
+    result.critical_path = detector.critical_path();
   } catch (const CheckError& e) {
     // The trace itself is intact; return it so callers can still inspect
     // the run's structure even though the characterization is partial.

@@ -38,6 +38,8 @@ struct CharacterizationResult {
   BottleneckReport bottlenecks;
   std::vector<PerformanceIssue> issues;
   TimeNs baseline_makespan = 0;
+  /// The critical path of the issue detector's baseline replay.
+  CriticalPath critical_path;
 
   TimesliceGrid grid{1};
 };

@@ -75,35 +75,36 @@ void render_bottlenecks(std::ostream& os, const ResourceModel& resources,
 
 void render_critical_path(std::ostream& os, const ExecutionModel& model,
                           const ExecutionTrace& trace,
-                          const ReplaySimulator& simulator,
-                          const ReplaySchedule& schedule) {
+                          const CriticalPath& path) {
   os << "== Critical path (replayed) ==\n";
-  const auto leaves = simulator.critical_leaves(schedule);
-  if (leaves.empty() || schedule.makespan <= 0) {
+  if (path.leaves.empty() || path.makespan <= 0) {
     os << "(empty schedule)\n";
     return;
   }
   std::map<PhaseTypeId, DurationNs> by_type;
   DurationNs covered = 0;
-  for (const InstanceId leaf : leaves) {
-    const DurationNs length =
-        schedule.end[static_cast<std::size_t>(leaf)] -
-        schedule.start[static_cast<std::size_t>(leaf)];
-    by_type[trace.instance(leaf).type] += length;
-    covered += length;
+  for (std::size_t i = 0; i < path.leaves.size(); ++i) {
+    by_type[trace.instance(path.leaves[i]).type] += path.lengths[i];
+    covered += path.lengths[i];
   }
   TextTable table({"phase type", "time on path [s]", "share of makespan"});
   for (const auto& [type, time] : by_type) {
     table.add_row({model.type(type).name, format_fixed(to_seconds(time), 3),
                    format_percent(static_cast<double>(time) /
-                                  static_cast<double>(schedule.makespan))});
+                                  static_cast<double>(path.makespan))});
   }
   table.add_row({"(scheduler gaps / parent tails)",
-                 format_fixed(to_seconds(schedule.makespan - covered), 3),
-                 format_percent(static_cast<double>(schedule.makespan -
-                                                    covered) /
-                                static_cast<double>(schedule.makespan))});
+                 format_fixed(to_seconds(path.makespan - covered), 3),
+                 format_percent(static_cast<double>(path.makespan - covered) /
+                                static_cast<double>(path.makespan))});
   table.render(os);
+}
+
+void render_critical_path(std::ostream& os, const ExecutionModel& model,
+                          const ExecutionTrace& trace,
+                          const ReplaySimulator& simulator,
+                          const ReplaySchedule& schedule) {
+  render_critical_path(os, model, trace, simulator.critical_path(schedule));
 }
 
 void render_issues(std::ostream& os,

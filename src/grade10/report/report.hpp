@@ -27,6 +27,10 @@ void render_issues(std::ostream& os,
 /// spent on along the binding chain of leaves.
 void render_critical_path(std::ostream& os, const ExecutionModel& model,
                           const ExecutionTrace& trace,
+                          const CriticalPath& path);
+/// The same, for `schedule`'s path.
+void render_critical_path(std::ostream& os, const ExecutionModel& model,
+                          const ExecutionTrace& trace,
                           const ReplaySimulator& simulator,
                           const ReplaySchedule& schedule);
 

@@ -1,11 +1,7 @@
 #include "trace/log_io.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <charconv>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
@@ -152,7 +148,6 @@ std::optional<std::string> parse_sample_line(
 struct ChunkResult {
   ParsedLog log;
   std::vector<ParseError> errors;
-  std::optional<ParseError> first_error;  ///< kept even when max_errors == 0
   std::size_t error_count = 0;
   std::size_t lines = 0;  ///< lines scanned in this chunk
   bool stopped = false;   ///< strict mode: stopped at the first bad line
@@ -187,10 +182,8 @@ ChunkResult parse_chunk(std::string_view text, const ParseOptions& options) {
     }
     if (error) {
       ++out.error_count;
-      ParseError diagnostic{line_number, *error, std::string(trimmed)};
-      if (!out.first_error) out.first_error = diagnostic;
-      if (out.errors.size() < options.max_errors) {
-        out.errors.push_back(std::move(diagnostic));
+      if (out.errors.size() < kMaxStoredParseErrors) {
+        out.errors.push_back({line_number, *error, std::string(trimmed)});
       }
       if (!options.recover) {
         out.stopped = true;
@@ -278,53 +271,15 @@ ParseResult parse_log_text(std::string_view text,
               std::back_inserter(result.log.samples));
     for (ParseError& err : chunk.errors) {
       err.line_number += line_offset;
-      if (result.errors.size() < options.max_errors) {
+      if (result.errors.size() < kMaxStoredParseErrors) {
         result.errors.push_back(std::move(err));
       }
     }
     result.error_count += chunk.error_count;
-    if (chunk.first_error && !result.error) {
-      result.error = std::move(chunk.first_error);
-      result.error->line_number += line_offset;
-    }
     line_offset += chunk.lines;
     if (chunk.stopped) break;
   }
   return result;
-}
-
-ParseResult read_log_file(const std::string& path,
-                          const ParseOptions& options) {
-  errno = 0;
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    // Name the file and the OS reason: a bare "parse failure" on a typo'd
-    // path or a permission problem sends people debugging the wrong layer.
-    ParseResult result;
-    ParseError error{0,
-                     "cannot open log file: " + path + ": " +
-                         (errno != 0 ? std::strerror(errno) : "open failed"),
-                     ""};
-    result.error = error;
-    result.error_count = 1;
-    if (options.max_errors > 0) result.errors.push_back(std::move(error));
-    return result;
-  }
-  file.seekg(0, std::ios::end);
-  const auto size = static_cast<std::size_t>(file.tellg());
-  file.seekg(0, std::ios::beg);
-  std::string text(size, '\0');
-  file.read(text.data(), static_cast<std::streamsize>(size));
-  return parse_log_text(text, options);
-}
-
-ParseResult parse_log(std::istream& is) { return parse_log(is, {}); }
-
-ParseResult parse_log(std::istream& is, const ParseOptions& options) {
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  const std::string text = buffer.str();
-  return parse_log_text(text, options);
 }
 
 }  // namespace g10::trace

@@ -9,19 +9,20 @@
 // with, key "faults"); tools like the trace linter cross-check trace content
 // against them. Lines starting with '#' and blank lines are ignored. The parser reports
 // malformed lines with their line number and the offending text; in
-// recovery mode it skips bad lines and keeps going (collecting up to
-// ParseOptions::max_errors diagnostics) instead of stopping at the first —
+// recovery mode it skips bad lines and keeps going (storing up to
+// kMaxStoredParseErrors diagnostics) instead of stopping at the first —
 // real logs from crashed workers are routinely truncated or corrupted.
 //
-// Ingestion is chunked and zero-copy: the input is bulk-read once, split
-// into newline-aligned chunks parsed concurrently (string_view fields +
+// parse_log_text is the in-memory core: the input is split into
+// newline-aligned chunks parsed concurrently (string_view fields +
 // from_chars, no per-line string or stream allocation), and merged in
 // chunk order. The merged result — records, error list, and every line
 // number — is bit-identical to a line-by-line serial parse at any thread
 // count; strict (non-recover) parses stop at the same first bad line.
+// Files reach it through TraceReader::open (trace/trace_reader.hpp), the
+// one way a trace file becomes records.
 #pragma once
 
-#include <istream>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -73,9 +74,6 @@ struct ParseOptions {
   /// When true, malformed lines are skipped (and collected as errors) and
   /// parsing continues; when false, parsing stops at the first bad line.
   bool recover = false;
-  /// Cap on stored ParseError entries, so a corrupt multi-GB log cannot
-  /// balloon the error list; error_count still counts every bad line.
-  std::size_t max_errors = 64;
   /// Parse concurrency. 0 = auto (G10_THREADS env, else hardware threads);
   /// 1 = serial. Results are identical at every setting.
   int threads = 0;
@@ -85,31 +83,25 @@ struct ParseOptions {
   std::size_t min_chunk_bytes = 1 << 20;
 };
 
-/// Parses a log stream; returns the records or the error(s).
+/// Cap on stored ParseError entries, so a corrupt multi-GB log cannot
+/// balloon the error list; error_count still counts every bad line.
+inline constexpr std::size_t kMaxStoredParseErrors = 64;
+
+/// The records of a parse or a trace read, and its errors in input order.
 /// (A tiny expected<>-style result to stay dependency-free.)
 struct ParseResult {
   ParsedLog log;
-  /// First error encountered, if any (kept for existing call sites).
-  std::optional<ParseError> error;
-  /// All collected errors, capped at ParseOptions::max_errors.
+  /// The first kMaxStoredParseErrors errors.
   std::vector<ParseError> errors;
   /// Total number of malformed lines seen, including those beyond the cap.
   std::size_t error_count = 0;
 
-  bool ok() const { return !error.has_value(); }
+  bool ok() const { return error_count == 0; }
 };
-
-ParseResult parse_log(std::istream& is);
-ParseResult parse_log(std::istream& is, const ParseOptions& options);
 
 /// Parses an in-memory log (the zero-copy core: record fields are sliced
 /// out of `text` with string_views, chunks parse concurrently).
 ParseResult parse_log_text(std::string_view text,
                            const ParseOptions& options = {});
-
-/// Bulk-reads `path` in one I/O pass and parses it chunked-concurrently.
-/// An unreadable file reports one error with line_number 0.
-ParseResult read_log_file(const std::string& path,
-                          const ParseOptions& options = {});
 
 }  // namespace g10::trace

@@ -54,7 +54,6 @@ void MappedFile::reset() {
 }
 
 std::optional<std::string> MappedFile::open(const std::string& path,
-                                            const Options& options,
                                             MappedFile& out) {
   out.reset();
   const int fd = ::open(path.c_str(), O_RDONLY);
@@ -65,14 +64,9 @@ std::optional<std::string> MappedFile::open(const std::string& path,
     ::close(fd);
     return error;
   }
-  const auto size = static_cast<std::size_t>(st.st_size);
-  if (size == 0) {
-    ::close(fd);
-    out.opened_ = true;
-    return std::nullopt;
-  }
-
-  if (options.use_mmap) {
+  const bool mappable = S_ISREG(st.st_mode) && st.st_size > 0;
+  if (mappable) {
+    const auto size = static_cast<std::size_t>(st.st_size);
     void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
     if (map != MAP_FAILED) {
       ::close(fd);
@@ -82,14 +76,18 @@ std::optional<std::string> MappedFile::open(const std::string& path,
       out.mapped_ = true;
       return std::nullopt;
     }
-    // Fall through to the buffered path (e.g. filesystems without mmap).
   }
 
-  out.buffer_.resize(size);
+  // Read to EOF: the size a pipe, a FIFO or a procfs file reports says
+  // nothing about how many bytes it delivers.
+  constexpr std::size_t kReadChunk = 1 << 16;
   std::size_t total = 0;
-  while (total < size) {
-    const ssize_t n =
-        ::read(fd, out.buffer_.data() + total, size - total);
+  out.buffer_.resize(mappable ? static_cast<std::size_t>(st.st_size) + 1
+                             : kReadChunk);
+  for (;;) {
+    if (total == out.buffer_.size()) out.buffer_.resize(2 * total);
+    const ssize_t n = ::read(fd, out.buffer_.data() + total,
+                             out.buffer_.size() - total);
     if (n < 0) {
       if (errno == EINTR) continue;
       const std::string error = errno_message(path, "cannot read");
@@ -97,7 +95,7 @@ std::optional<std::string> MappedFile::open(const std::string& path,
       out.reset();
       return error;
     }
-    if (n == 0) break;  // file shrank underneath us; size check catches it
+    if (n == 0) break;
     total += static_cast<std::size_t>(n);
   }
   ::close(fd);

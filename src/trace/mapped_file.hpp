@@ -1,13 +1,13 @@
-// Read-only file views: mmap-backed demand paging with a buffered-read
-// fallback.
+// Read-only file views: mmap for regular files, read-to-EOF for the rest.
 //
 // The binary trace reader wants the whole file addressable without reading
 // it: the OS pages in only the blocks actually decoded, so a cold filtered
 // analysis of a huge `.g10t` touches kilobytes, not gigabytes. mmap gives
-// exactly that. The fallback mode (Options::use_mmap = false) reads the
-// file into an owned buffer instead — used on platforms or filesystems
-// where mmap is unavailable, and by the identity tests that pin both paths
-// to byte-equal views.
+// exactly that for a regular, non-empty file. Everything else — pipes,
+// FIFOs, process substitution (`<(zcat run.log.gz)`), files that report
+// size 0, and a regular file whose mmap fails — is read to EOF into an
+// owned buffer, with no assumption about its size. There is no switch
+// between the two: the kind of file decides.
 //
 // A mapped view of a file that another process truncates underneath us
 // would fault on access; trace files are written once and never rewritten
@@ -25,11 +25,6 @@ namespace g10::trace {
 
 class MappedFile {
  public:
-  struct Options {
-    /// false = slurp into an owned buffer instead of mapping.
-    bool use_mmap = true;
-  };
-
   MappedFile() = default;
   ~MappedFile() { reset(); }
 
@@ -38,10 +33,10 @@ class MappedFile {
   MappedFile(const MappedFile&) = delete;
   MappedFile& operator=(const MappedFile&) = delete;
 
-  /// Opens and maps (or reads) `path`. On failure returns an error message
-  /// including the filename and the errno string.
+  /// Maps `path` when it is a regular, non-empty file, else reads it to
+  /// EOF. On failure returns an error message including the filename and
+  /// the errno string.
   static std::optional<std::string> open(const std::string& path,
-                                         const Options& options,
                                          MappedFile& out);
 
   bool is_open() const { return opened_; }
@@ -56,7 +51,7 @@ class MappedFile {
   std::size_t size_ = 0;
   bool opened_ = false;
   bool mapped_ = false;
-  std::string buffer_;  ///< owns the bytes in buffered mode
+  std::string buffer_;  ///< owns the bytes of a file that was read
 };
 
 }  // namespace g10::trace

@@ -1,7 +1,6 @@
 #include "trace/trace_reader.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <utility>
 
 #include "common/thread_pool.hpp"
@@ -56,22 +55,6 @@ bool TraceFilter::matches(const MonitoringSampleRecord& rec) const {
          matches_machine(rec.machine);
 }
 
-SniffResult sniff_trace_format(const std::string& path) {
-  SniffResult out;
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    out.error = "cannot open " + path;
-    return out;
-  }
-  char prefix[sizeof(kG10tMagic)] = {};
-  file.read(prefix, sizeof(prefix));
-  const auto got = static_cast<std::size_t>(file.gcount());
-  out.format = looks_like_g10t(std::string_view(prefix, got))
-                   ? TraceFormat::kBinary
-                   : TraceFormat::kText;
-  return out;
-}
-
 namespace {
 
 void filter_log(const TraceFilter& filter, ParsedLog& log) {
@@ -91,18 +74,11 @@ void filter_log(const TraceFilter& filter, ParsedLog& log) {
 
 class TextTraceReader final : public TraceReader {
  public:
-  TextTraceReader(std::string path, MappedFile file, TraceReadOptions options)
-      : path_(std::move(path)),
-        file_(std::move(file)),
-        options_(std::move(options)) {}
+  TextTraceReader(MappedFile file, TraceReadOptions options)
+      : file_(std::move(file)), options_(std::move(options)) {}
 
   ParseResult read(const TraceFilter& filter) override {
-    ParseOptions parse_options;
-    parse_options.recover = options_.recover;
-    parse_options.max_errors = options_.max_errors;
-    parse_options.threads = options_.threads;
-    parse_options.min_chunk_bytes = options_.min_chunk_bytes;
-    ParseResult result = parse_log_text(file_.bytes(), parse_options);
+    ParseResult result = parse_log_text(file_.bytes(), options_);
     filter_log(filter, result.log);
     return result;
   }
@@ -115,10 +91,8 @@ class TextTraceReader final : public TraceReader {
   }
 
   bool is_binary() const override { return false; }
-  const std::string& path() const override { return path_; }
 
  private:
-  std::string path_;
   MappedFile file_;
   TraceReadOptions options_;
 };
@@ -132,10 +106,9 @@ struct DecodeOutcome {
 
 class BinaryTraceReader final : public TraceReader {
  public:
-  BinaryTraceReader(std::string path, MappedFile file, G10tStructure structure,
+  BinaryTraceReader(MappedFile file, G10tStructure structure,
                     TraceReadOptions options)
-      : path_(std::move(path)),
-        file_(std::move(file)),
+      : file_(std::move(file)),
         structure_(std::move(structure)),
         options_(std::move(options)) {}
 
@@ -153,7 +126,6 @@ class BinaryTraceReader final : public TraceReader {
   }
 
   bool is_binary() const override { return true; }
-  const std::string& path() const override { return path_; }
   const G10tStructure* structure() const override { return &structure_; }
 
  private:
@@ -210,7 +182,6 @@ class BinaryTraceReader final : public TraceReader {
     return outcome;
   }
 
-  std::string path_;
   MappedFile file_;
   G10tStructure structure_;
   TraceReadOptions options_;
@@ -291,10 +262,9 @@ ParseResult BinaryTraceReader::read(const TraceFilter& filter) {
       // and lenient consumers treat it like a damaged line, while
       // file-level failures keep line 0.
       ++result.error_count;
-      ParseError diagnostic{selected[k] + 1, std::move(outcome.error), ""};
-      if (!result.error) result.error = diagnostic;
-      if (result.errors.size() < options_.max_errors) {
-        result.errors.push_back(std::move(diagnostic));
+      if (result.errors.size() < kMaxStoredParseErrors) {
+        result.errors.push_back(
+            {selected[k] + 1, std::move(outcome.error), ""});
       }
       if (!options_.recover) break;
       continue;
@@ -313,9 +283,7 @@ TraceReader::OpenResult TraceReader::open(const std::string& path,
                                           const TraceReadOptions& options) {
   OpenResult out;
   MappedFile file;
-  if (auto error =
-          MappedFile::open(path, MappedFile::Options{options.use_mmap},
-                           file)) {
+  if (auto error = MappedFile::open(path, file)) {
     out.error = std::move(*error);
     return out;
   }
@@ -326,8 +294,7 @@ TraceReader::OpenResult TraceReader::open(const std::string& path,
                                            : TraceFormat::kText;
   }
   if (format == TraceFormat::kText) {
-    out.reader = std::make_unique<TextTraceReader>(path, std::move(file),
-                                                   options);
+    out.reader = std::make_unique<TextTraceReader>(std::move(file), options);
     return out;
   }
 
@@ -337,7 +304,7 @@ TraceReader::OpenResult TraceReader::open(const std::string& path,
     return out;
   }
   out.reader = std::make_unique<BinaryTraceReader>(
-      path, std::move(file), std::move(structure.structure), options);
+      std::move(file), std::move(structure.structure), options);
   return out;
 }
 
@@ -347,10 +314,8 @@ ParseResult read_trace_file(const std::string& path,
   TraceReader::OpenResult opened = TraceReader::open(path, options);
   if (!opened.ok()) {
     ParseResult result;
-    ParseError error{0, *opened.error, ""};
-    result.error = error;
+    result.errors.push_back({0, std::move(*opened.error), ""});
     result.error_count = 1;
-    if (options.max_errors > 0) result.errors.push_back(std::move(error));
     return result;
   }
   return opened.reader->read(filter);

@@ -1,13 +1,15 @@
 // Format-independent trace ingestion: text logs and `.g10t` binary traces
 // behind one reader interface, with seek-by-block filtering (DESIGN.md §16).
 //
-// TraceReader::open() sniffs the file (the .g10t magic wins over any
-// extension) and returns the matching implementation:
+// TraceReader::open() is the one way a trace file becomes records. It takes
+// the file's bytes through MappedFile (mapped when it is a regular file,
+// read to EOF when it is a pipe, a FIFO or a process substitution), sniffs
+// them (the .g10t magic wins over any extension) and returns the matching
+// implementation:
 //
-//  - Text: the file is mapped (or buffered) and handed to the existing
-//    chunked zero-copy parser; filters are applied per record after the
-//    parse. Byte-for-byte the same results as read_log_file.
-//  - Binary: the file is mapped; only the header, symbol table, META
+//  - Text: the bytes are handed to the chunked zero-copy parser
+//    (parse_log_text); filters are applied per record after the parse.
+//  - Binary: only the header, symbol table, META
 //    section, and block index are touched up front. read() walks the index,
 //    skips blocks whose (machine range, time range, path-type bloom) cannot
 //    match the filter, decodes the rest in parallel (each result placed by
@@ -62,14 +64,6 @@ inline const std::vector<std::pair<std::string, TraceFormat>>
                          {"text", TraceFormat::kText},
                          {"binary", TraceFormat::kBinary}};
 
-/// Returns the format the sniff resolves `path` to, or an error message
-/// (file unreadable).
-struct SniffResult {
-  TraceFormat format = TraceFormat::kText;
-  std::optional<std::string> error;
-};
-SniffResult sniff_trace_format(const std::string& path);
-
 struct TraceFilter {
   /// Machines to keep; empty = all. kGlobalMachine records always pass.
   std::vector<MachineId> machines;
@@ -95,18 +89,11 @@ struct TraceFilter {
   bool matches(const MonitoringSampleRecord& rec) const;
 };
 
-struct TraceReadOptions {
+/// The text parser's options, whose recover semantics also govern corrupt
+/// binary blocks (recover=true skips damage and keeps going, false stops at
+/// the first problem) and whose thread count also caps block decoding.
+struct TraceReadOptions : ParseOptions {
   TraceFormat format = TraceFormat::kAuto;
-  /// Text-parser semantics, reused for corrupt binary blocks: recover=true
-  /// skips damage and keeps going, false stops at the first problem.
-  bool recover = false;
-  /// Parse / decode concurrency (0 = auto via G10_THREADS).
-  int threads = 0;
-  /// false = buffered read instead of mmap (identity-test knob).
-  bool use_mmap = true;
-  /// Forwarded to the text parser.
-  std::size_t max_errors = 64;
-  std::size_t min_chunk_bytes = 1 << 20;
 };
 
 /// Block counts are summed over every read() of the reader.
@@ -129,7 +116,6 @@ class TraceReader {
 
   virtual TraceReadStats stats() const = 0;
   virtual bool is_binary() const = 0;
-  virtual const std::string& path() const = 0;
 
   /// Binary only: the parsed file structure (header, symbols, index);
   /// nullptr for text readers.
@@ -148,8 +134,8 @@ class TraceReader {
                          const TraceReadOptions& options = {});
 };
 
-/// One-call convenience: open + read. File-level open errors are reported
-/// the way read_log_file does (one ParseError with line_number 0).
+/// One-call convenience: open + read. A failed open is reported as one
+/// ParseError with line_number 0.
 ParseResult read_trace_file(const std::string& path,
                             const TraceReadOptions& options = {},
                             const TraceFilter& filter = {});

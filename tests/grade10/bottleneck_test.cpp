@@ -72,7 +72,6 @@ TEST(BottleneckTest, SaturationRequiresThreshold) {
   add_phase(events, "Job.0/A.0", 0, 30, 0);
   AnalysisConfig config;
   config.timeslice = 10;
-  config.saturation_threshold = 0.97;
   // Slice utilizations: 100%, 50%, 100%.
   const auto built = f.build(events, {},
                              {make_sample("cpu", 0, 10, 4.0),
@@ -87,28 +86,6 @@ TEST(BottleneckTest, SaturationRequiresThreshold) {
   EXPECT_EQ(sat->total_saturated, 20);
   const InstanceId a = built.trace.find("Job.0/A.0");
   EXPECT_EQ(built.report.saturated.at({a, f.cpu}), 20);
-}
-
-TEST(BottleneckTest, MinSaturationRunLengthFiltersBlips) {
-  Fixture f;
-  f.rules.set(f.a, f.cpu, AttributionRule::variable(1.0));
-  std::vector<trace::PhaseEventRecord> events;
-  add_phase(events, "Job.0", 0, 40);
-  add_phase(events, "Job.0/A.0", 0, 40, 0);
-  AnalysisConfig config;
-  config.timeslice = 10;
-  config.min_saturation_slices = 2;  // "extended periods" only
-  const auto built = f.build(events, {},
-                             {make_sample("cpu", 0, 10, 4.0),
-                              make_sample("cpu", 0, 20, 1.0),
-                              make_sample("cpu", 0, 30, 4.0),
-                              make_sample("cpu", 0, 40, 4.0)},
-                             config);
-  const ResourceSaturation* sat = built.report.find_saturation(f.cpu, 0);
-  ASSERT_NE(sat, nullptr);
-  EXPECT_FALSE(sat->saturated[0]);  // single-slice blip dropped
-  EXPECT_TRUE(sat->saturated[2]);
-  EXPECT_TRUE(sat->saturated[3]);
 }
 
 TEST(BottleneckTest, SelfLimitDetectedWithoutSaturation) {

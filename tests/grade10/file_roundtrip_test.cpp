@@ -55,8 +55,9 @@ TEST(FileRoundTripTest, CharacterizationSurvivesSerialization) {
   std::stringstream log_stream;
   trace::write_log(log_stream, artifacts.phase_events,
                    artifacts.blocking_events, samples);
-  const trace::ParseResult parsed_log = trace::parse_log(log_stream);
-  ASSERT_TRUE(parsed_log.ok()) << parsed_log.error->message;
+  const trace::ParseResult parsed_log =
+      trace::parse_log_text(log_stream.str());
+  ASSERT_TRUE(parsed_log.ok()) << parsed_log.errors.front().message;
 
   std::stringstream model_stream;
   write_model(model_stream, framework.execution, framework.resources,

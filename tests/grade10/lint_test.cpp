@@ -183,10 +183,10 @@ class TraceFixtureTest : public ::testing::TestWithParam<FixtureCase> {
 TEST_P(TraceFixtureTest, TriggersItsRule) {
   const FixtureCase& c = GetParam();
   const core::ModelDescription model = load_model();
-  trace::ParseOptions options;
+  trace::TraceReadOptions options;
   options.recover = true;
   const trace::ParseResult parsed =
-      trace::read_log_file(fixture_path(c.file), options);
+      trace::read_trace_file(fixture_path(c.file), options);
   LintReport report = lint_parse_errors(parsed, c.file);
   report.merge(lint_trace(model, parsed.log, {}, c.file));
   EXPECT_TRUE(report.has_rule(c.rule_id))
@@ -409,7 +409,7 @@ TEST(CleanCorpusTest, EngineRunLintsClean) {
   trace::write_log(log_stream, artifacts.phase_events,
                    artifacts.blocking_events, samples);
   const trace::ParseResult parsed = trace::parse_log_text(log_stream.str());
-  ASSERT_TRUE(parsed.ok()) << parsed.error->message;
+  ASSERT_TRUE(parsed.ok()) << parsed.errors.front().message;
 
   // Full preflight path: model lint + trace lint, as g10_analyze runs it.
   std::stringstream model_stream;

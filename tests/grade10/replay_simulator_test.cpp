@@ -14,7 +14,7 @@
 #include "grade10/model/model_io.hpp"
 #include "grade10/pipeline.hpp"
 #include "test_util.hpp"
-#include "trace/log_io.hpp"
+#include "trace/trace_reader.hpp"
 
 namespace g10::core {
 namespace {
@@ -589,7 +589,7 @@ ModelDescription example_model(const std::string& log_name) {
 
 trace::ParsedLog golden_log(const std::string& name) {
   trace::ParseResult parsed =
-      trace::read_log_file(std::string(G10_GOLDEN_TRACE_DIR) + "/" + name);
+      trace::read_trace_file(std::string(G10_GOLDEN_TRACE_DIR) + "/" + name);
   EXPECT_TRUE(parsed.ok()) << name;
   return std::move(parsed.log);
 }
@@ -622,6 +622,47 @@ TEST(ReplayPlanOracleTest, GoldenTracesMatchTheReference) {
                               perturbed(sim, built.trace, rng),
                               name + " round " + std::to_string(round));
     }
+  }
+}
+
+// The critical path the pipeline carries (its detector's baseline replay)
+// is the one a fresh simulator finds on the recorded durations.
+TEST(ReplayPlanOracleTest, PipelineCriticalPathMatchesAFreshSimulator) {
+  std::vector<std::string> names;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(G10_GOLDEN_TRACE_DIR)) {
+    if (entry.path().extension() == ".log") {
+      names.push_back(entry.path().filename().string());
+    }
+  }
+  std::sort(names.begin(), names.end());
+  ASSERT_GE(names.size(), 8u);
+  for (const std::string& name : names) {
+    const ModelDescription model = example_model(name);
+    const trace::ParsedLog log = golden_log(name);
+    CharacterizationInput input;
+    input.model = &model.execution;
+    input.resources = &model.resources;
+    input.rules = &model.rules;
+    input.phase_events = log.phase_events;
+    input.blocking_events = log.blocking_events;
+    input.samples = log.samples;
+    input.trace_options.lenient = true;  // the truncated goldens
+    const CharacterizationResult result = characterize(input);
+    const CriticalPath& path = result.critical_path;
+
+    const ReplaySimulator sim(model.execution, result.trace);
+    const ReplaySchedule schedule = sim.simulate(sim.recorded_durations());
+    EXPECT_EQ(path.leaves, sim.critical_leaves(schedule)) << name;
+    EXPECT_FALSE(path.leaves.empty()) << name;
+    ASSERT_EQ(path.lengths.size(), path.leaves.size()) << name;
+    for (std::size_t i = 0; i < path.leaves.size(); ++i) {
+      const auto leaf = static_cast<std::size_t>(path.leaves[i]);
+      EXPECT_EQ(path.lengths[i], schedule.end[leaf] - schedule.start[leaf])
+          << name << " leaf " << i;
+    }
+    EXPECT_EQ(path.makespan, schedule.makespan) << name;
+    EXPECT_EQ(path.makespan, result.baseline_makespan) << name;
   }
 }
 

@@ -64,7 +64,7 @@ std::string binary_path(const Fixture& fixture) {
       (test_root() / (fixture.log + ".g10t")).string();
   if (!std::filesystem::exists(out)) {
     const trace::ParseResult parsed =
-        trace::read_log_file(text_path(fixture), {});
+        trace::read_trace_file(text_path(fixture));
     EXPECT_TRUE(parsed.ok()) << fixture.log;
     trace::G10tWriteOptions options;
     options.block_records = 128;  // several blocks per kind

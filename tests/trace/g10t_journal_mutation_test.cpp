@@ -103,7 +103,7 @@ std::vector<std::string> g10t_corpus() {
   std::sort(paths.begin(), paths.end());
   std::vector<std::string> files;
   for (const auto& path : paths) {
-    const trace::ParseResult parsed = trace::read_log_file(path.string());
+    const trace::ParseResult parsed = trace::read_trace_file(path.string());
     EXPECT_TRUE(parsed.ok()) << path;
     files.push_back(encode(parsed.log));
   }
@@ -285,7 +285,7 @@ void check_g10t(const std::string& bytes) {
   write_file(again_path, encode(read.log));
   const trace::ParseResult again =
       trace::read_trace_file(again_path.string(), strict);
-  ASSERT_TRUE(again.ok()) << again.error->message;
+  ASSERT_TRUE(again.ok()) << again.errors.front().message;
   EXPECT_EQ(render(again.log), render(read.log));
 }
 

@@ -7,6 +7,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "trace/trace_reader.hpp"
+
 namespace g10::trace {
 namespace {
 
@@ -32,9 +34,8 @@ TEST(LogIoTest, WriteParseRoundTrip) {
 
   std::ostringstream os;
   write_log(os, phases, blocks, samples);
-  std::istringstream is(os.str());
-  const ParseResult result = parse_log(is);
-  ASSERT_TRUE(result.ok()) << result.error->message;
+  const ParseResult result = parse_log_text(os.str());
+  ASSERT_TRUE(result.ok()) << result.errors.front().message;
 
   ASSERT_EQ(result.log.phase_events.size(), 2u);
   EXPECT_EQ(result.log.phase_events[0].kind, PhaseEventRecord::Kind::Begin);
@@ -63,7 +64,7 @@ TEST(LogIoTest, MetaRecordsRoundTripAndLookUp) {
   EXPECT_EQ(os.str().find("META\tfaults\tcrash:w1@40%"),
             os.str().find('\n') + 1);
   const ParseResult result = parse_log_text(os.str());
-  ASSERT_TRUE(result.ok()) << result.error->message;
+  ASSERT_TRUE(result.ok()) << result.errors.front().message;
   ASSERT_EQ(result.log.meta.size(), 2u);
   EXPECT_EQ(result.log.meta_value("faults"), "crash:w1@40%");
   EXPECT_EQ(result.log.meta_value("engine"), "pregel");
@@ -79,24 +80,23 @@ TEST(LogIoTest, MetaValueKeepsEmbeddedTabsAndRejectsMissingFields) {
 }
 
 TEST(LogIoTest, IgnoresCommentsAndBlankLines) {
-  std::istringstream is("# comment\n\nPHASE\tB\tJob.0\t0\t-1\n");
-  const ParseResult result = parse_log(is);
+  const ParseResult result =
+      parse_log_text("# comment\n\nPHASE\tB\tJob.0\t0\t-1\n");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.log.phase_events.size(), 1u);
 }
 
 TEST(LogIoTest, ReportsLineNumberOnError) {
-  std::istringstream is("# ok\nPHASE\tB\tJob.0\t0\t-1\nPHASE\tX\tJob.0\t1\t-1\n");
-  const ParseResult result = parse_log(is);
+  const ParseResult result = parse_log_text(
+      "# ok\nPHASE\tB\tJob.0\t0\t-1\nPHASE\tX\tJob.0\t1\t-1\n");
   ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error->line_number, 3u);
-  EXPECT_NE(result.error->message.find("B or E"), std::string::npos);
+  EXPECT_EQ(result.errors.front().line_number, 3u);
+  EXPECT_NE(result.errors.front().message.find("B or E"), std::string::npos);
 }
 
 TEST(LogIoTest, RejectsBadRecords) {
   const auto fails = [](const std::string& line) {
-    std::istringstream is(line);
-    return !parse_log(is).ok();
+    return !parse_log_text(line).ok();
   };
   EXPECT_TRUE(fails("WHAT\tis\tthis\n"));
   EXPECT_TRUE(fails("PHASE\tB\tJob.0\t-5\t-1\n"));        // negative time
@@ -108,8 +108,7 @@ TEST(LogIoTest, RejectsBadRecords) {
 }
 
 TEST(LogIoTest, EmptyLogIsValid) {
-  std::istringstream is("");
-  EXPECT_TRUE(parse_log(is).ok());
+  EXPECT_TRUE(parse_log_text("").ok());
 }
 
 // Robustness: arbitrary mutations of a valid log either parse (when the
@@ -128,11 +127,10 @@ TEST(LogIoTest, MutatedLogsFailCleanly) {
     for (const char replacement : {'\t', 'x', '-', '0'}) {
       std::string mutated = original;
       mutated[pos] = replacement;
-      std::istringstream is(mutated);
-      const ParseResult result = parse_log(is);  // must not crash
+      const ParseResult result = parse_log_text(mutated);  // must not crash
       if (!result.ok()) {
-        EXPECT_GT(result.error->line_number, 0u);
-        EXPECT_FALSE(result.error->message.empty());
+        EXPECT_GT(result.errors.front().line_number, 0u);
+        EXPECT_FALSE(result.errors.front().message.empty());
       } else {
         for (const auto& rec : result.log.phase_events) {
           EXPECT_GE(rec.time, 0);
@@ -143,64 +141,59 @@ TEST(LogIoTest, MutatedLogsFailCleanly) {
 }
 
 TEST(LogIoTest, ErrorCarriesOffendingLineText) {
-  std::istringstream is("PHASE\tX\tJob.0\t1\t-1\n");
-  const ParseResult result = parse_log(is);
+  const ParseResult result = parse_log_text("PHASE\tX\tJob.0\t1\t-1\n");
   ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error->line, "PHASE\tX\tJob.0\t1\t-1");
+  EXPECT_EQ(result.errors.front().line, "PHASE\tX\tJob.0\t1\t-1");
 }
 
 TEST(LogIoTest, RecoveryModeSkipsBadLinesAndKeepsGoing) {
-  std::istringstream is(
+  const std::string text(
       "PHASE\tB\tJob.0\t0\t-1\n"
       "garbage line\n"
       "PHASE\tX\tJob.0\t1\t-1\n"
       "PHASE\tE\tJob.0\t5\t-1\n");
   ParseOptions options;
   options.recover = true;
-  const ParseResult result = parse_log(is, options);
+  const ParseResult result = parse_log_text(text, options);
   // Good records around the damage are all kept.
   EXPECT_EQ(result.log.phase_events.size(), 2u);
   EXPECT_EQ(result.error_count, 2u);
   ASSERT_EQ(result.errors.size(), 2u);
   EXPECT_EQ(result.errors[0].line_number, 2u);
   EXPECT_EQ(result.errors[1].line_number, 3u);
-  // The first error is also surfaced the legacy way.
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error->line_number, 2u);
+  EXPECT_FALSE(result.ok());
 }
 
 TEST(LogIoTest, RecoveryModeCapsStoredErrors) {
   std::ostringstream os;
-  for (int i = 0; i < 50; ++i) os << "junk\t" << i << '\n';
-  std::istringstream is(os.str());
+  for (int i = 0; i < 100; ++i) os << "junk\t" << i << '\n';
   ParseOptions options;
   options.recover = true;
-  options.max_errors = 8;
-  const ParseResult result = parse_log(is, options);
-  EXPECT_EQ(result.errors.size(), 8u);
-  EXPECT_EQ(result.error_count, 50u);
+  const ParseResult result = parse_log_text(os.str(), options);
+  EXPECT_EQ(result.errors.size(), kMaxStoredParseErrors);
+  EXPECT_EQ(result.error_count, 100u);
 }
 
 TEST(LogIoTest, TruncatedLastLineFailsCleanlyInStrictMode) {
   // A crashed writer typically leaves a half-written last line.
-  std::istringstream is("PHASE\tB\tJob.0\t0\t-1\nPHASE\tE\tJo");
-  const ParseResult result = parse_log(is);
+  const ParseResult result =
+      parse_log_text("PHASE\tB\tJob.0\t0\t-1\nPHASE\tE\tJo");
   ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error->line_number, 2u);
+  EXPECT_EQ(result.errors.front().line_number, 2u);
   EXPECT_EQ(result.log.phase_events.size(), 1u);
 }
 
 TEST(LogIoTest, HandlesWindowsLineEndings) {
-  std::istringstream is("PHASE\tB\tJob.0\t0\t-1\r\nPHASE\tE\tJob.0\t5\t-1\r\n");
-  const ParseResult result = parse_log(is);
-  ASSERT_TRUE(result.ok()) << result.error->message;
+  const ParseResult result = parse_log_text(
+      "PHASE\tB\tJob.0\t0\t-1\r\nPHASE\tE\tJob.0\t5\t-1\r\n");
+  ASSERT_TRUE(result.ok()) << result.errors.front().message;
   EXPECT_EQ(result.log.phase_events.size(), 2u);
 }
 
 TEST(LogIoTest, FinalLineWithoutNewlineIsParsed) {
   const std::string text = "PHASE\tB\tJob.0\t0\t-1\nPHASE\tE\tJob.0\t5\t-1";
   const ParseResult result = parse_log_text(text);
-  ASSERT_TRUE(result.ok()) << result.error->message;
+  ASSERT_TRUE(result.ok()) << result.errors.front().message;
   ASSERT_EQ(result.log.phase_events.size(), 2u);
   EXPECT_EQ(result.log.phase_events[1].time, 5);
 }
@@ -248,8 +241,8 @@ TEST(LogIoTest, ChunkedLenientParseMatchesSerialExactly) {
     EXPECT_EQ(chunked.errors[i].message, serial.errors[i].message);
     EXPECT_EQ(chunked.errors[i].line, serial.errors[i].line);
   }
-  ASSERT_TRUE(chunked.error.has_value());
-  EXPECT_EQ(chunked.error->line_number, 40u);
+  ASSERT_FALSE(chunked.errors.empty());
+  EXPECT_EQ(chunked.errors.front().line_number, 40u);
 }
 
 TEST(LogIoTest, ChunkedLenientParseKeepsExactLineNumbersPerChunk) {
@@ -282,9 +275,10 @@ TEST(LogIoTest, ChunkedStrictParseStopsAtTheSameFirstError) {
 
   ASSERT_FALSE(serial.ok());
   ASSERT_FALSE(chunked.ok());
-  EXPECT_EQ(chunked.error->line_number, 142u);
-  EXPECT_EQ(chunked.error->line_number, serial.error->line_number);
-  EXPECT_EQ(chunked.error->message, serial.error->message);
+  EXPECT_EQ(chunked.errors.front().line_number, 142u);
+  EXPECT_EQ(chunked.errors.front().line_number,
+            serial.errors.front().line_number);
+  EXPECT_EQ(chunked.errors.front().message, serial.errors.front().message);
   // Records kept before the stop are the same prefix at any thread count.
   EXPECT_EQ(serialize(chunked.log), serialize(serial.log));
   EXPECT_EQ(chunked.error_count, serial.error_count);
@@ -334,8 +328,8 @@ TEST(LogIoTest, MissingFinalNewlineChunkedParseMatchesSerial) {
   const ParseResult serial = parse_log_text(text, {.threads = 1});
   const ParseResult chunked = parse_log_text(
       text, {.threads = 8, .min_chunk_bytes = 64});
-  ASSERT_TRUE(serial.ok()) << serial.error->message;
-  ASSERT_TRUE(chunked.ok()) << chunked.error->message;
+  ASSERT_TRUE(serial.ok()) << serial.errors.front().message;
+  ASSERT_TRUE(chunked.ok()) << chunked.errors.front().message;
   EXPECT_EQ(serialize(chunked.log), serialize(serial.log));
 
   // The unterminated record is present, not dropped.
@@ -376,21 +370,22 @@ TEST(LogIoTest, ChunkedParseOfCleanLogMatchesSerial) {
   EXPECT_EQ(serialize(chunked.log), serialize(serial.log));
 }
 
-TEST(LogIoTest, ReadLogFileRoundTripsAndReportsMissingFiles) {
+TEST(LogIoTest, ReadTraceFileRoundTripsAndReportsMissingFiles) {
   const std::string path = ::testing::TempDir() + "log_io_test_run.log";
   {
     std::ofstream out(path);
     out << make_log(50, {});
   }
-  const ParseResult result = read_log_file(path);
+  const ParseResult result = read_trace_file(path);
   EXPECT_TRUE(result.ok());
   EXPECT_FALSE(result.log.phase_events.empty());
   std::remove(path.c_str());
 
-  const ParseResult missing = read_log_file(path + ".does-not-exist");
+  const ParseResult missing = read_trace_file(path + ".does-not-exist");
   ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.error->line_number, 0u);
-  EXPECT_NE(missing.error->message.find("cannot open"), std::string::npos);
+  EXPECT_EQ(missing.errors.front().line_number, 0u);
+  EXPECT_NE(missing.errors.front().message.find("cannot open"),
+            std::string::npos);
   EXPECT_EQ(missing.error_count, 1u);
 }
 

@@ -1,15 +1,21 @@
 // The format-independent TraceReader: text-vs-binary identity over the
-// golden engine traces, mmap-vs-buffered identity, identity across decode
+// golden engine traces, pipe-vs-file identity, identity across decode
 // thread counts and re-reads, filter equivalence across formats, and
 // corrupt-block strict/lenient semantics.
 #include "trace/trace_reader.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "trace/g10t_io.hpp"
@@ -62,7 +68,7 @@ std::string binary_of(const std::string& name,
       (test_root() / (name + "." + std::to_string(block_records) + ".g10t"))
           .string();
   if (!std::filesystem::exists(out)) {
-    const ParseResult parsed = read_log_file(golden_path(name), {});
+    const ParseResult parsed = read_trace_file(golden_path(name));
     EXPECT_TRUE(parsed.ok());
     G10tWriteOptions options;
     options.block_records = block_records;  // several blocks per kind
@@ -72,12 +78,54 @@ std::string binary_of(const std::string& name,
   return out;
 }
 
+/// Writes `payload` to `fd` and closes it. A reader that goes away early
+/// ends the write (EPIPE) instead of blocking it forever.
+void write_all_and_close(int fd, const std::string& payload) {
+  std::size_t done = 0;
+  while (done < payload.size()) {
+    const ssize_t n =
+        ::write(fd, payload.data() + done, payload.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    done += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+}
+
+/// A pipe that a thread fills with `payload`; path() names its read end
+/// (/dev/fd/N), the way a shell's process substitution hands a pipe to a
+/// tool.
+class PipedCopy {
+ public:
+  explicit PipedCopy(std::string payload) {
+    std::signal(SIGPIPE, SIG_IGN);
+    int fds[2] = {-1, -1};
+    EXPECT_EQ(::pipe(fds), 0);
+    read_fd_ = fds[0];
+    writer_ = std::thread([fd = fds[1], payload = std::move(payload)] {
+      write_all_and_close(fd, payload);
+    });
+  }
+  ~PipedCopy() {
+    ::close(read_fd_);
+    writer_.join();
+  }
+  std::string path() const { return "/dev/fd/" + std::to_string(read_fd_); }
+
+ private:
+  int read_fd_ = -1;
+  std::thread writer_;
+};
+
 TEST(TraceReaderTest, SniffsFormatsFromBytes) {
-  const SniffResult text = sniff_trace_format(golden_path(golden_logs()[0]));
-  EXPECT_EQ(text.format, TraceFormat::kText);
-  const SniffResult binary =
-      sniff_trace_format(binary_of(golden_logs()[0]));
-  EXPECT_EQ(binary.format, TraceFormat::kBinary);
+  const TraceReader::OpenResult text =
+      TraceReader::open(golden_path(golden_logs()[0]));
+  ASSERT_TRUE(text.ok());
+  EXPECT_FALSE(text.reader->is_binary());
+  const TraceReader::OpenResult binary =
+      TraceReader::open(binary_of(golden_logs()[0]));
+  ASSERT_TRUE(binary.ok());
+  EXPECT_TRUE(binary.reader->is_binary());
 }
 
 TEST(TraceReaderTest, BinaryReadIsByteIdenticalToTextForEveryGolden) {
@@ -90,17 +138,47 @@ TEST(TraceReaderTest, BinaryReadIsByteIdenticalToTextForEveryGolden) {
   }
 }
 
-TEST(TraceReaderTest, BufferedReadMatchesMmapForBothFormats) {
-  TraceReadOptions buffered;
-  buffered.use_mmap = false;
-  for (const std::string& path :
-       {golden_path(golden_logs()[0]), binary_of(golden_logs()[0])}) {
-    const ParseResult mapped = read_trace_file(path);
-    const ParseResult plain = read_trace_file(path, buffered);
-    ASSERT_TRUE(mapped.ok()) << path;
-    ASSERT_TRUE(plain.ok()) << path;
-    EXPECT_EQ(render(mapped.log), render(plain.log)) << path;
+TEST(TraceReaderTest, PipedReadMatchesFileReadForEveryGolden) {
+  for (const std::string& name : golden_logs()) {
+    for (const std::string& path : {golden_path(name), binary_of(name)}) {
+      const ParseResult mapped = read_trace_file(path);
+      ASSERT_TRUE(mapped.ok()) << path;
+      const PipedCopy pipe(file_bytes(path));
+      const ParseResult piped = read_trace_file(pipe.path());
+      ASSERT_TRUE(piped.ok()) << path;
+      EXPECT_FALSE(piped.log.phase_events.empty()) << path;
+      EXPECT_EQ(render(piped.log), render(mapped.log)) << path;
+    }
   }
+}
+
+TEST(TraceReaderTest, FifoReadMatchesFileRead) {
+  std::signal(SIGPIPE, SIG_IGN);
+  const std::string path = binary_of(golden_logs()[1]);
+  const std::string fifo = (test_root() / "trace.fifo").string();
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::thread writer([&] {
+    // Blocks until the reader opens the FIFO.
+    write_all_and_close(::open(fifo.c_str(), O_WRONLY), file_bytes(path));
+  });
+  const ParseResult piped = read_trace_file(fifo);
+  writer.join();
+  ASSERT_TRUE(piped.ok());
+  EXPECT_EQ(render(piped.log), render(read_trace_file(path).log));
+}
+
+TEST(TraceReaderTest, PipeLargerThanThePipeBufferIsReadWhole) {
+  std::string payload;
+  for (int i = 0; payload.size() < (1u << 20); ++i) {
+    payload += "line " + std::to_string(i) + "\n";
+  }
+  const PipedCopy pipe(payload);
+  MappedFile file;
+  ASSERT_FALSE(MappedFile::open(pipe.path(), file).has_value());
+  EXPECT_TRUE(file.is_open());
+  EXPECT_FALSE(file.is_mapped());
+  EXPECT_EQ(file.size(), payload.size());
+  EXPECT_EQ(file.bytes(), payload);
 }
 
 TEST(TraceReaderTest, BinaryReadIsIdenticalAtEveryThreadCount) {
@@ -213,16 +291,13 @@ TEST(TraceReaderTest, UnfilteredReadKeepsNegativeTimeBlocks) {
 }
 
 TEST(TraceReaderTest, BufferedTinyFileSurvivesMove) {
-  // Files below std::string's SSO capacity live in the buffer's inline
+  // Inputs below std::string's SSO capacity live in the buffer's inline
   // storage; regression for a move that left the view pointing at the
-  // moved-from object's inline bytes.
-  const std::string path = (test_root() / "tiny.txt").string();
+  // moved-from object's inline bytes. A pipe is read, never mapped.
   const std::string payload = "ab\tc\n";  // well under SSO capacity
-  std::ofstream(path, std::ios::binary) << payload;
+  const PipedCopy pipe(payload);
   MappedFile source;
-  ASSERT_FALSE(
-      MappedFile::open(path, MappedFile::Options{/*use_mmap=*/false}, source)
-          .has_value());
+  ASSERT_FALSE(MappedFile::open(pipe.path(), source).has_value());
   MappedFile moved(std::move(source));
   MappedFile assigned;
   assigned = std::move(moved);
@@ -236,10 +311,10 @@ TEST(TraceReaderTest, MissingFileReportsErrnoText) {
   const ParseResult result =
       read_trace_file((test_root() / "nope.g10t").string());
   ASSERT_FALSE(result.ok());
-  ASSERT_TRUE(result.error.has_value());
-  EXPECT_EQ(result.error->line_number, 0u);
-  EXPECT_NE(result.error->message.find("nope.g10t"), std::string::npos);
-  EXPECT_NE(result.error->message.find("No such file"), std::string::npos);
+  ASSERT_EQ(result.errors.size(), 1u);
+  EXPECT_EQ(result.errors[0].line_number, 0u);
+  EXPECT_NE(result.errors[0].message.find("nope.g10t"), std::string::npos);
+  EXPECT_NE(result.errors[0].message.find("No such file"), std::string::npos);
 }
 
 TEST(TraceReaderTest, CorruptHeaderIsAnOpenError) {
@@ -306,11 +381,11 @@ TEST(TraceReaderTest, CorruptBlockStopsAStrictRead) {
     strict.threads = threads;
     const ParseResult result = read_trace_file(corrupt.path, strict);
     ASSERT_FALSE(result.ok());
-    ASSERT_TRUE(result.error.has_value());
+    ASSERT_FALSE(result.errors.empty());
     // The 1-based block ordinal: block errors must not masquerade as
     // file-level (line 0) errors.
-    EXPECT_EQ(result.error->line_number, corrupt.victim + 1) << threads;
-    EXPECT_NE(result.error->message.find("block"), std::string::npos);
+    EXPECT_EQ(result.errors[0].line_number, corrupt.victim + 1) << threads;
+    EXPECT_NE(result.errors[0].message.find("block"), std::string::npos);
     EXPECT_EQ(result.error_count, 1u) << threads;
     // Exactly the blocks before the victim: a block decoded in parallel
     // after it never leaks into the result.
@@ -346,10 +421,11 @@ TEST(TraceReaderTest, EmptyDictionaryPathIsACorruptBlock) {
 
   const ParseResult strict = read_trace_file(path, {});
   ASSERT_FALSE(strict.ok());
-  ASSERT_TRUE(strict.error.has_value());
-  EXPECT_EQ(strict.error->line_number, 1u);  // the first block
-  EXPECT_NE(strict.error->message.find("empty phase path"), std::string::npos)
-      << strict.error->message;
+  ASSERT_FALSE(strict.errors.empty());
+  EXPECT_EQ(strict.errors[0].line_number, 1u);  // the first block
+  EXPECT_NE(strict.errors[0].message.find("empty phase path"),
+            std::string::npos)
+      << strict.errors[0].message;
 
   TraceReadOptions recover;
   recover.recover = true;

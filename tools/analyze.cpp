@@ -39,12 +39,15 @@
 // the same input at thread counts 1, 2, and N, folds every characterization
 // output (instance tree, attribution, bottlenecks, issues) into
 // per-phase-path FNV hashes, and compares. On divergence it names the first
-// divergent phase path and exits 5 (analysis error).
+// divergent phase path and exits 5 (analysis error). It re-reads the trace
+// at each thread count, so it takes a regular file, not a pipe (exit 2).
 //
 // Exit codes (src/common/exit_codes.hpp): 0 success, 2 bad arguments,
 // 3 parse failure (unreadable/malformed model or log, strict-mode lint or
 // preflight rejection), 5 analysis error (inputs parsed but the pipeline
 // produced no result), 1 internal.
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -203,6 +206,13 @@ core::CharacterizationInput characterization_input(
 /// counts 1, 2, and N, fold each characterization into per-phase-path
 /// hashes, and compare against the serial baseline.
 int det_check(const Args& args, const core::ModelParseResult& model) {
+  // Each thread count re-reads the trace, which a pipe delivers only once.
+  struct stat st{};
+  if (::stat(args.log_path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+    std::cerr << "--det-check re-reads " << args.log_path
+              << " at every thread count; give it a regular file\n";
+    return kExitBadArgs;
+  }
   std::vector<int> counts{1, 2, args.det_check};
   std::sort(counts.begin(), counts.end());
   counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
@@ -213,8 +223,8 @@ int det_check(const Args& args, const core::ModelParseResult& model) {
   for (const int threads : counts) {
     const trace::ParseResult log = trace::read_trace_file(
         args.log_path, reader_options(args, threads), filter);
-    if (log.error && log.error->line_number == 0) {
-      std::cerr << log.error->message << '\n';
+    if (!log.ok() && log.errors.front().line_number == 0) {
+      std::cerr << log.errors.front().message << '\n';
       return kExitParseFailure;
     }
     if (!log.ok() && !args.lenient) {
@@ -274,10 +284,10 @@ int run(const Args& args) {
   const trace::ParseResult log = trace::read_trace_file(
       args.log_path, reader_options(args, args.threads),
       build_filter(args, model.model.execution));
-  if (log.error && log.error->line_number == 0) {
+  if (!log.ok() && log.errors.front().line_number == 0) {
     // File-level failure: unreadable file, or a truncated / corrupt .g10t
     // header or section table.
-    std::cerr << log.error->message << '\n';
+    std::cerr << log.errors.front().message << '\n';
     return kExitParseFailure;
   }
   if (!log.ok()) {
@@ -371,11 +381,8 @@ int run(const Args& args) {
   core::render_phase_profile(std::cout, model.model.execution,
                              model.model.resources, profile);
   std::cout << '\n';
-  const core::ReplaySimulator simulator(model.model.execution, result.trace);
-  const core::ReplaySchedule schedule =
-      simulator.simulate(simulator.recorded_durations());
   core::render_critical_path(std::cout, model.model.execution, result.trace,
-                             simulator, schedule);
+                             result.critical_path);
   std::cout << '\n';
   core::render_diagnostics(
       std::cout, model.model.resources,

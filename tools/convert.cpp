@@ -84,10 +84,6 @@ int run(const Args& args) {
   trace::TraceReader& reader = *opened.reader;
 
   trace::ParseResult parsed = reader.read();
-  if (parsed.error && parsed.error->line_number == 0) {
-    std::cerr << parsed.error->message << '\n';
-    return kExitParseFailure;
-  }
   if (!parsed.ok() && !args.lenient) {
     std::cerr << args.in_path << ": " << parsed.error_count << " damaged "
               << (reader.is_binary() ? "block(s)" : "line(s)")
@@ -162,7 +158,7 @@ int run(const Args& args) {
       trace::read_trace_file(args.out_path, verify_options);
   if (!reread.ok()) {
     std::cerr << "verify: cannot re-read " << args.out_path << ": "
-              << reread.error->message << '\n';
+              << reread.errors.front().message << '\n';
     return kExitInternalError;
   }
   const std::string original = render_canonical(parsed.log);

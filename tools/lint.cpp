@@ -83,10 +83,6 @@ int run(const Args& args) {
       return 2;
     }
     const trace::ParseResult log = opened.reader->read();
-    if (log.error && log.error->line_number == 0) {
-      std::cerr << log.error->message << '\n';
-      return 2;
-    }
     report = lint::preflight(model, args.model_path, log, args.log_path, {},
                              opened.reader->is_binary());
   }

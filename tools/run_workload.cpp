@@ -50,6 +50,7 @@
 #include <iostream>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
@@ -218,8 +219,8 @@ int run(const Args& args) {
   const int rc = execute(spec, graph, run);
   if (rc != kExitOk) return rc;
   if (interrupted_at("the artifact dump")) return kExitInterrupted;
-  const trace::RunArtifacts& artifacts = run.artifacts;
-  const auto& samples = run.samples;
+  trace::RunArtifacts& artifacts = run.artifacts;
+  auto& samples = run.samples;
   if (fault_spec.has_kind(sim::FaultKind::kSampleDrop)) {
     std::cout << "sampler dropout: " << run.dropped_samples << " of "
               << (samples.size() + run.dropped_samples) << " samples lost\n";
@@ -243,12 +244,16 @@ int run(const Args& args) {
     trace::write_log(log, artifacts.phase_events, artifacts.blocking_events,
                      samples, meta);
   }
+  // The counts are printed after the records move into the .g10t writer.
+  const std::size_t phase_count = artifacts.phase_events.size();
+  const std::size_t blocking_count = artifacts.blocking_events.size();
+  const std::size_t sample_count = samples.size();
   if (want_binary) {
     trace::ParsedLog log;
     log.meta = meta;
-    log.phase_events = artifacts.phase_events;
-    log.blocking_events = artifacts.blocking_events;
-    log.samples = samples;
+    log.phase_events = std::move(artifacts.phase_events);
+    log.blocking_events = std::move(artifacts.blocking_events);
+    log.samples = std::move(samples);
     std::string error;
     if (!trace::write_g10t_file(args.out + "/run.g10t", log, {}, &error)) {
       std::cerr << error << '\n';
@@ -269,9 +274,9 @@ int run(const Args& args) {
       want_text ? "/run.log" : "/run.g10t";
   std::cout << "wrote " << args.out << trace_name
             << (want_text && want_binary ? " + /run.g10t (" : " (")
-            << artifacts.phase_events.size() << " phase events, "
-            << artifacts.blocking_events.size() << " blocking events, "
-            << samples.size() << " samples) and " << args.out
+            << phase_count << " phase events, " << blocking_count
+            << " blocking events, " << sample_count << " samples) and "
+            << args.out
             << "/model.g10\n";
   std::cout << "analyze with: g10_analyze --model " << args.out
             << "/model.g10 --log " << args.out << trace_name;
