@@ -59,12 +59,12 @@ EnsembleOutcome run_ensemble(const ScenarioMatrix& matrix, const RunFn& fn,
     JournalWriter writer(options.journal_path);
     Watchdog watchdog;
     const RunExecutor executor(fn, options.retry, &watchdog);
-    ThreadPool pool(options.threads);
+    const ThreadPool pool(options.threads);
     std::atomic<std::size_t> journaled{0};
     std::atomic<std::size_t> cancelled{0};
     // Grain 1: scenarios vary wildly in cost (fault recovery can multiply a
-    // run's length), so work stealing needs single-run granularity.
-    parallel_for(&pool, pending.size(), 1, [&](std::size_t i) {
+    // run's length), so threads claim one run at a time.
+    pool.parallel_for(pending.size(), 1, [&](std::size_t i) {
       const Scenario& scenario = *pending[i];
       const bool stopping_before =
           options.stop != nullptr &&

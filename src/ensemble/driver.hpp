@@ -1,5 +1,5 @@
 // The ensemble driver: expands a ScenarioMatrix, fans the pending runs
-// across a work-stealing ThreadPool through the robust RunExecutor, journals
+// out through ThreadPool::parallel_for and the robust RunExecutor, journals
 // every completed run, and aggregates the (re-read) journal into the
 // distributional report.
 //

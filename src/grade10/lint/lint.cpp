@@ -1,6 +1,9 @@
 #include "grade10/lint/lint.hpp"
 
 #include <algorithm>
+#include <string>
+
+#include "common/json.hpp"
 
 namespace g10::lint {
 
@@ -61,51 +64,26 @@ void render_text(std::ostream& os, const LintReport& report) {
      << " warning(s)\n";
 }
 
-namespace {
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 void render_json(std::ostream& os, const LintReport& report) {
-  os << "{\"findings\":[";
+  std::string out = "{\"findings\":[";
   bool first = true;
   for (const LintFinding& f : report.findings()) {
-    if (!first) os << ',';
+    if (!first) out += ',';
     first = false;
-    os << "{\"rule_id\":";
-    write_json_string(os, f.rule_id);
-    os << ",\"severity\":";
-    write_json_string(os, to_string(f.severity));
-    os << ",\"file\":";
-    write_json_string(os, f.location.file);
-    os << ",\"line\":" << f.location.line;
-    os << ",\"context\":";
-    write_json_string(os, f.location.context);
-    os << ",\"message\":";
-    write_json_string(os, f.message);
-    os << '}';
+    out += "{\"rule_id\":";
+    json_escape(out, f.rule_id);
+    out += ",\"severity\":";
+    json_escape(out, to_string(f.severity));
+    out += ",\"file\":";
+    json_escape(out, f.location.file);
+    out += ",\"line\":" + std::to_string(f.location.line);
+    out += ",\"context\":";
+    json_escape(out, f.location.context);
+    out += ",\"message\":";
+    json_escape(out, f.message);
+    out += '}';
   }
-  os << "],\"errors\":" << report.error_count()
+  os << out << "],\"errors\":" << report.error_count()
      << ",\"warnings\":" << report.warning_count() << "}\n";
 }
 

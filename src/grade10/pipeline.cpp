@@ -1,5 +1,6 @@
 #include "grade10/pipeline.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.hpp"
@@ -38,29 +39,25 @@ CheckedCharacterization characterize_trace(const CharacterizationInput& input,
   result.trace = std::move(built.trace);
   out.status.warnings = result.trace.warnings();
   try {
-    // One executor shared by every downstream stage; a 1-thread pool spawns
-    // no workers and every fan-out runs inline on this thread.
-    ThreadPool pool(ThreadPool::Options{
-        input.config.threads > 0
-            ? static_cast<std::size_t>(input.config.threads)
-            : 0,
-        4096});
-    ThreadPool* executor = pool.thread_count() > 1 ? &pool : nullptr;
+    // One pool for every downstream stage; at one thread every fan-out runs
+    // inline on this thread.
+    ThreadPool pool(
+        static_cast<std::size_t>(std::max(input.config.threads, 0)));
     ResourceTrace::Options monitor_options;
     monitor_options.ignore_unknown_resources =
         input.trace_options.ignore_unknown_blocking;
     result.monitored =
         ResourceTrace::build(*input.resources, input.samples, monitor_options);
     result.demand = estimate_demand(*input.resources, *input.rules,
-                                    result.trace, grid, executor);
+                                    result.trace, grid, &pool);
     result.usage = attribute_usage(result.demand, result.monitored, grid,
-                                   /*constant_strawman=*/false, executor);
+                                   /*constant_strawman=*/false, &pool);
     result.bottlenecks = detect_bottlenecks(result.usage, result.trace, grid,
-                                            input.config, executor);
+                                            input.config, &pool);
     IssueDetector detector(*input.model, *input.resources, result.trace, grid,
                            input.config);
     result.issues =
-        detector.detect(result.usage, result.bottlenecks, executor);
+        detector.detect(result.usage, result.bottlenecks, &pool);
     result.baseline_makespan = detector.baseline_makespan();
     result.critical_path = detector.critical_path();
   } catch (const CheckError& e) {

@@ -4,6 +4,8 @@
 #include <map>
 #include <vector>
 
+#include "common/json.hpp"
+
 namespace g10::core {
 
 namespace {
@@ -30,11 +32,14 @@ void write_event(std::ostream& os, bool& first, const std::string& name,
                  int pid, int tid) {
   if (!first) os << ",\n";
   first = false;
+  std::string quoted;
+  json_escape(quoted, name);
   // Chrome tracing uses microsecond timestamps.
-  os << R"(  {"name": ")" << name << R"(", "cat": ")" << category
-     << R"(", "ph": "X", "ts": )" << static_cast<double>(begin) / 1e3
-     << R"(, "dur": )" << static_cast<double>(duration) / 1e3
-     << R"(, "pid": )" << pid << R"(, "tid": )" << tid << "}";
+  os << R"(  {"name": )" << quoted << R"(, "cat": ")" << category
+     << R"(", "ph": "X", "ts": )"
+     << json_double(static_cast<double>(begin) / 1e3) << R"(, "dur": )"
+     << json_double(static_cast<double>(duration) / 1e3) << R"(, "pid": )"
+     << pid << R"(, "tid": )" << tid << "}";
 }
 
 }  // namespace

@@ -229,16 +229,9 @@ ParseResult parse_log_text(std::string_view text,
       split_chunks(text, threads, options.min_chunk_bytes);
 
   std::vector<ChunkResult> parsed(chunks.size());
-  if (chunks.size() <= 1 || threads <= 1) {
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-      parsed[i] = parse_chunk(chunks[i], options);
-    }
-  } else {
-    ThreadPool pool(ThreadPool::Options{threads, 4096});
-    pool.parallel_for(chunks.size(), 1, [&](std::size_t i) {
-      parsed[i] = parse_chunk(chunks[i], options);
-    });
-  }
+  ThreadPool(threads).parallel_for(chunks.size(), 1, [&](std::size_t i) {
+    parsed[i] = parse_chunk(chunks[i], options);
+  });
 
   // Merge in chunk order: record order, error order, and line numbers all
   // match the serial parse. In strict mode the first failing chunk ends the

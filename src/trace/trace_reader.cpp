@@ -218,15 +218,11 @@ ParseResult BinaryTraceReader::read(const TraceFilter& filter) {
 
   // Decode every selected block, each result placed by its position, the
   // way parse_log_text fans out text chunks.
-  const std::size_t threads = ThreadPool::resolve_threads(
-      options_.threads > 0 ? static_cast<std::size_t>(options_.threads) : 0);
   std::vector<DecodeOutcome> decoded(selected.size());
-  {
-    ThreadPool pool(std::clamp<std::size_t>(selected.size(), 1, threads));
-    pool.parallel_for(selected.size(), 1, [&](std::size_t k) {
-      decoded[k] = decode_one(selected[k]);
-    });
-  }
+  ThreadPool(static_cast<std::size_t>(std::max(options_.threads, 0)))
+      .parallel_for(selected.size(), 1, [&](std::size_t k) {
+        decoded[k] = decode_one(selected[k]);
+      });
 
   std::size_t phase_total = 0;
   std::size_t blocking_total = 0;

@@ -1,12 +1,19 @@
 #include "common/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace g10 {
@@ -29,16 +36,50 @@ TEST(ThreadPoolTest, ResolveThreadsReadsEnvironment) {
   EXPECT_GE(ThreadPool::resolve_threads(0), 1u);
   ::unsetenv("G10_THREADS");
   EXPECT_GE(ThreadPool::resolve_threads(0), 1u);
+  // Above the 1024 cap --threads enforces, and on strtol overflow, the
+  // value is invalid too: the hardware count wins.
+  const std::size_t hardware = ThreadPool::resolve_threads(0);
+  ::setenv("G10_THREADS", "1024", 1);
+  EXPECT_EQ(ThreadPool::resolve_threads(0), 1024u);
+  ::setenv("G10_THREADS", "1025", 1);
+  EXPECT_EQ(ThreadPool::resolve_threads(0), hardware);
+  ::setenv("G10_THREADS", "99999999999999999999", 1);
+  EXPECT_EQ(ThreadPool::resolve_threads(0), hardware);
+  ::unsetenv("G10_THREADS");
 }
 
 TEST(ThreadPoolTest, SingleThreadPoolSpawnsNoWorkers) {
-  ThreadPool pool(1);
+  const ThreadPool pool(1);
   EXPECT_EQ(pool.thread_count(), 1u);
-  int calls = 0;
-  pool.submit([&] { ++calls; });  // runs inline with no workers
-  EXPECT_EQ(calls, 1);
-  EXPECT_FALSE(pool.try_submit([&] { ++calls; }));
-  EXPECT_EQ(calls, 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(100);
+  pool.parallel_for(ran_on.size(), 1, [&](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
+}
+
+TEST(ThreadPoolTest, ParallelForUsesAtMostOneThreadPerChunk) {
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4},
+                                    std::size_t{8}}) {
+    const ThreadPool pool(threads);
+    for (const std::size_t n : {std::size_t{2}, std::size_t{3},
+                                std::size_t{200}}) {
+      std::vector<std::atomic<int>> hits(n);
+      std::vector<std::thread::id> ran_on(n);
+      pool.parallel_for(n, 1, [&](std::size_t i) {
+        ++hits[i];
+        ran_on[i] = std::this_thread::get_id();
+      });
+      const std::set<std::thread::id> distinct(ran_on.begin(), ran_on.end());
+      EXPECT_LE(distinct.size(), std::min(threads, n))
+          << "threads=" << threads << " n=" << n;
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "threads=" << threads << " n=" << n << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
@@ -110,25 +151,68 @@ TEST(ThreadPoolTest, NestedParallelForMakesProgress) {
   EXPECT_EQ(sum.load(), expected);
 }
 
-TEST(ThreadPoolTest, SubmitAndWaitIdleRunsEverything) {
-  ThreadPool pool(4);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&] { ++done; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 200);
+TEST(ThreadPoolTest, NestedParallelForRunsOnItsCallersThread) {
+  const ThreadPool outer_pool(4);
+  const ThreadPool inner_pool(4);
+  std::atomic<int> off_thread{0};
+  std::atomic<int> inner_calls{0};
+  outer_pool.parallel_for(8, 1, [&](std::size_t) {
+    const std::thread::id caller = std::this_thread::get_id();
+    // Another pool too: nesting is a property of the thread, not the pool.
+    inner_pool.parallel_for(32, 4, [&](std::size_t) {
+      ++inner_calls;
+      if (std::this_thread::get_id() != caller) ++off_thread;
+      // Long enough that a helper, if one were started, would claim chunks.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+  });
+  EXPECT_EQ(inner_calls.load(), 8 * 32);
+  EXPECT_EQ(off_thread.load(), 0);
 }
 
-TEST(ThreadPoolTest, TinyQueueCapacityStillCompletesAllWork) {
-  // submit() must block (not drop) at the bound, so nothing is lost.
-  ThreadPool pool(ThreadPool::Options{4, 2});
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] { ++done; });
+// Sanitizer runtimes reserve terabytes of address space up front, so an
+// address-space cap cannot single out thread stacks there.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/// Caps the address space 1 MiB above what the process maps now, so no
+/// thread stack fits and every helper start fails, then runs a fan-out.
+/// Returns 0 when every index ran once on the calling thread.
+int fan_out_without_helpers() {
+  std::ifstream statm("/proc/self/statm");
+  rlim_t pages = 0;
+  statm >> pages;
+  const rlim_t cap =
+      pages * static_cast<rlim_t>(::sysconf(_SC_PAGESIZE)) + (1 << 20);
+  const rlimit limit{cap, cap};
+  if (pages == 0 || ::setrlimit(RLIMIT_AS, &limit) != 0) return 2;
+  const ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> hits(64);
+  std::atomic<int> off_thread{0};
+  pool.parallel_for(hits.size(), 1, [&](std::size_t i) {
+    ++hits[i];
+    if (std::this_thread::get_id() != caller) ++off_thread;
+  });
+  for (const std::atomic<int>& hit : hits) {
+    if (hit.load() != 1) return 1;
   }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 100);
+  return off_thread.load() == 0 ? 0 : 1;
+}
+
+TEST(ThreadPoolDeathTest, HelperStartFailureLeavesChunksToTheCaller) {
+  if (kSanitized) GTEST_SKIP() << "needs an unsanitized build";
+  EXPECT_EXIT(std::_Exit(fan_out_without_helpers()),
+              ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ThreadPoolTest, ParallelForResultsMatchSerialBitForBit) {

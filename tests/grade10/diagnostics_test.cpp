@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/json.hpp"
 #include "grade10/report/timeline_export.hpp"
 #include "test_util.hpp"
 
@@ -113,6 +117,49 @@ TEST(ChromeTraceTest, EmitsValidStructuredEvents) {
             std::count(out.begin(), out.end(), '}'));
   EXPECT_EQ(std::count(out.begin(), out.end(), '['),
             std::count(out.begin(), out.end(), ']'));
+}
+
+TEST(ChromeTraceTest, LongTraceKeepsExactMicrosecondsAndEscapesNames) {
+  // Past 1 s the default stream precision (6 significant digits) would
+  // round timestamps to 10 us, and a quote in a phase name would end the
+  // JSON string early.
+  ExecutionModel model;
+  const PhaseTypeId job = model.add_root("Job");
+  model.add_child(job, "Wo\"rk");
+  ResourceModel resources;
+  resources.add_blocking("GC");
+  std::vector<trace::PhaseEventRecord> events;
+  add_phase(events, "Job.0", 0, 3'000'000'007);
+  add_phase(events, "Job.0/Wo\"rk.0", 1'234'567'891, 2'635'600'123, 0);
+  std::vector<trace::BlockingEventRecord> blocks{testing::make_block(
+      "GC", "Job.0/Wo\"rk.0", 1'500'000'001, 1'700'000'003, 0)};
+  const auto trace = ExecutionTrace::build(model, resources, events, blocks);
+  std::ostringstream os;
+  write_chrome_trace(os, model, trace);
+
+  std::string error;
+  const std::optional<JsonValue> doc = JsonValue::parse(os.str(), &error);
+  ASSERT_TRUE(doc.has_value()) << error << "\n" << os.str();
+  const JsonValue* events_json = doc->find("traceEvents");
+  ASSERT_NE(events_json, nullptr);
+  struct Expected {
+    std::string name;
+    std::string category;
+    double ts;
+    double dur;
+  };
+  const std::vector<Expected> expected{
+      {"Wo\"rk", "phase", 1234567.891, 1401032.232},
+      {"Wo\"rk (blocked)", "blocked", 1500000.001, 200000.002},
+      {"Job", "structure", 0.0, 3000000.007}};
+  ASSERT_EQ(events_json->items().size(), expected.size()) << os.str();
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const JsonValue& event = events_json->items()[i];
+    EXPECT_EQ(event.get_string("name"), expected[i].name) << i;
+    EXPECT_EQ(event.get_string("cat"), expected[i].category) << i;
+    EXPECT_EQ(event.get_double("ts"), expected[i].ts) << i;
+    EXPECT_EQ(event.get_double("dur"), expected[i].dur) << i;
+  }
 }
 
 }  // namespace
