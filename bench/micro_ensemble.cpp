@@ -1,10 +1,10 @@
 // Throughput micro-benchmarks of the ensemble machinery, split by layer:
 //   - BM_JournalAppend: fsync'd JSONL appends (the crash-safety cost).
-//   - BM_SyntheticFleet/T: the driver's own overhead — expand, executor,
-//     journal, re-read, aggregate — with a near-free run function, at
-//     1/2/4/8 pool threads. items_per_second counts scenarios.
-//   - BM_Grade10Fleet/T: the real engine+characterize runner on a small
-//     graph, i.e. what `g10_ensemble` actually sustains per scenario.
+//   - BM_SyntheticFleet: the worker's serial shard loop's own overhead —
+//     expand, run, journal, re-read, aggregate — with a near-free run
+//     function. items_per_second counts scenarios.
+//   - BM_Grade10Fleet: the real engine+characterize runner on a small
+//     graph, i.e. what one `g10_ensemble` worker sustains per scenario.
 // Results land in bench/results/BENCH_ensemble.json.
 #include <benchmark/benchmark.h>
 
@@ -63,7 +63,7 @@ void BM_SyntheticFleet(benchmark::State& state) {
   matrix.seed_range(1, 128);
   matrix.fault_specs.emplace_back();
   matrix.fault_specs.push_back(*sim::FaultSpec::parse("crash:w1@40%"));
-  const RunFn fn = [](const Scenario& scenario, const CancelToken&) {
+  const RunFn fn = [](const Scenario& scenario) {
     RunAttempt attempt;
     attempt.outcome = RunOutcome::kOk;
     attempt.report.makespan_seconds =
@@ -75,7 +75,6 @@ void BM_SyntheticFleet(benchmark::State& state) {
   for (auto _ : state) {
     EnsembleOptions options;
     options.journal_path = fresh_journal_path();
-    options.threads = static_cast<std::size_t>(state.range(0));
     const EnsembleOutcome outcome = run_ensemble(matrix, fn, options);
     benchmark::DoNotOptimize(outcome.report.coverage);
     std::remove(options.journal_path.c_str());
@@ -84,10 +83,6 @@ void BM_SyntheticFleet(benchmark::State& state) {
                           static_cast<std::int64_t>(scenario_count));
 }
 BENCHMARK(BM_SyntheticFleet)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -105,7 +100,6 @@ void BM_Grade10Fleet(benchmark::State& state) {
   for (auto _ : state) {
     EnsembleOptions options;
     options.journal_path = fresh_journal_path();
-    options.threads = static_cast<std::size_t>(state.range(0));
     const EnsembleOutcome outcome = run_ensemble(matrix, fn, options);
     benchmark::DoNotOptimize(outcome.report.coverage);
     std::remove(options.journal_path.c_str());
@@ -114,9 +108,6 @@ void BM_Grade10Fleet(benchmark::State& state) {
                           static_cast<std::int64_t>(scenario_count));
 }
 BENCHMARK(BM_Grade10Fleet)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

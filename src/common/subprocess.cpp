@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -130,11 +131,16 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
   }
   child_argv.push_back(nullptr);
 
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   G10_CHECK_MSG(pid >= 0, "fork failed: " + std::string(std::strerror(errno)));
 
   if (pid == 0) {
     // Child: async-signal-safe territory until exec.
+    // Die with the spawning thread. A parent that died before the prctl
+    // took effect has already handed the child to a reaper: leave now.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent) _exit(127);
     if (options.new_process_group) ::setpgid(0, 0);
     if (options.limits.address_space_bytes > 0 && !kAddressSanitizer) {
       struct rlimit lim;

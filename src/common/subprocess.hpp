@@ -1,20 +1,25 @@
 // Child-process spawning for the ensemble supervisor (DESIGN.md §15).
 //
-// A thin fork/exec wrapper that provides the three things the supervisor
+// A thin fork/exec wrapper that provides the four things the supervisor
 // needs and std::system cannot give: (1) the child runs in its own process
 // group, so a SIGKILL reaches every grandchild a wedged worker may have
 // leaked (orphan reaping); (2) resource sandboxes — RLIMIT_AS and
 // RLIMIT_CPU are installed between fork and exec, so a memory-exploding or
 // CPU-spinning child is contained by the kernel, not by cooperative checks;
 // (3) fd plumbing — selected parent descriptors are dup2'd to fixed child
-// fds (the status/heartbeat pipe), with everything else O_CLOEXEC.
+// fds (the status/heartbeat pipe), with everything else O_CLOEXEC;
+// (4) no orphans — the child sets PR_SET_PDEATHSIG to SIGKILL, so it dies
+// when the thread that spawned it does (a kill -9'd supervisor takes its
+// workers along), and exits at once if that thread died before the prctl.
 //
 // fork+exec is used rather than posix_spawn because rlimit installation
 // needs a pre-exec hook posix_spawn does not portably offer; the child-side
 // code between fork and exec is restricted to async-signal-safe calls
-// (setpgid/setrlimit/dup2/execvp/_exit), so spawning from a process with
-// running threads is safe as long as the caller's own state is (the
-// supervisor is single-threaded by design).
+// (prctl/getppid/setpgid/setrlimit/dup2/execvp/_exit), so spawning from a
+// process with running threads is safe as long as the caller's own state
+// is (the supervisor is single-threaded by design). Spawn from a thread
+// that outlives the child: the death signal follows the spawning thread,
+// not the process.
 //
 // Exit classification: ExitStatus splits the waitpid status into
 // exited/code vs signaled/signal and renders a stable human-readable

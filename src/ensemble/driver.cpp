@@ -1,11 +1,11 @@
 #include "ensemble/driver.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <exception>
 #include <unordered_set>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
-#include "ensemble/run_report.hpp"
 
 namespace g10::ensemble {
 
@@ -40,10 +40,6 @@ EnsembleOutcome run_ensemble(const ScenarioMatrix& matrix, const RunFn& fn,
       pending.push_back(&s);
     }
   }
-  if (options.limit > 0 && pending.size() > options.limit) {
-    outcome.remaining += pending.size() - options.limit;
-    pending.resize(options.limit);
-  }
   if (!options.defer_keys.empty()) {
     // Suspect scenarios (they crashed a worker) run after the healthy rest
     // of the queue; relative order within each group is preserved.
@@ -57,45 +53,33 @@ EnsembleOutcome run_ensemble(const ScenarioMatrix& matrix, const RunFn& fn,
 
   if (!pending.empty()) {
     JournalWriter writer(options.journal_path);
-    Watchdog watchdog;
-    const RunExecutor executor(fn, options.retry, &watchdog);
-    const ThreadPool pool(options.threads);
-    std::atomic<std::size_t> journaled{0};
-    std::atomic<std::size_t> cancelled{0};
-    // Grain 1: scenarios vary wildly in cost (fault recovery can multiply a
-    // run's length), so threads claim one run at a time.
-    pool.parallel_for(pending.size(), 1, [&](std::size_t i) {
-      const Scenario& scenario = *pending[i];
-      const bool stopping_before =
-          options.stop != nullptr &&
-          options.stop->load(std::memory_order_acquire);
-      if (!stopping_before && options.on_start) options.on_start(scenario);
-      const RunResult result = executor.execute(scenario, options.stop);
-      // A shutdown must leave the journal resumable: a scenario the stop
-      // flag skipped outright (attempts == 0) or cancelled mid-run (any
-      // non-ok outcome once stop is raised) stays missing rather than
-      // being journaled with a shutdown-tainted outcome.
-      const bool stopping = options.stop != nullptr &&
-                            options.stop->load(std::memory_order_acquire);
-      if ((result.outcome == RunOutcome::kSkipped && result.attempts == 0) ||
-          (stopping && result.outcome != RunOutcome::kOk)) {
-        cancelled.fetch_add(1, std::memory_order_relaxed);
-        return;
+    for (const Scenario* scenario : pending) {
+      if (options.on_start) options.on_start(*scenario);
+      const auto started = std::chrono::steady_clock::now();
+      RunAttempt attempt;
+      try {
+        attempt = fn(*scenario);
+      } catch (const std::exception& e) {
+        attempt.outcome = RunOutcome::kRunFailed;
+        attempt.error = e.what();
+      } catch (...) {
+        attempt.outcome = RunOutcome::kRunFailed;
+        attempt.error = "unknown exception";
       }
       JournalEntry entry;
-      entry.key = scenario.hash();
-      entry.scenario = scenario.key();
-      entry.outcome = result.outcome;
-      entry.attempts = result.attempts;
-      entry.wall_ms = result.wall_ms;
-      entry.error = result.error;
-      entry.report = result.report;
+      entry.key = scenario->hash();
+      entry.scenario = scenario->key();
+      entry.outcome = attempt.outcome;
+      entry.attempts = 1;
+      entry.wall_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - started)
+                          .count();
+      entry.error = attempt.error;
+      if (attempt.outcome == RunOutcome::kOk) entry.report = attempt.report;
       writer.append(entry);
-      journaled.fetch_add(1, std::memory_order_relaxed);
+      ++outcome.executed;
       if (options.on_run) options.on_run(entry);
-    });
-    outcome.executed = journaled.load(std::memory_order_relaxed);
-    outcome.remaining += cancelled.load(std::memory_order_relaxed);
+    }
   }
 
   // The aggregate is always computed from a fresh read of the journal file,

@@ -1,7 +1,7 @@
 // Crash-safe run journal for the ensemble driver.
 //
 // Every completed run is appended as one JSON line keyed by its scenario
-// hash, written with a single write(2) and fsync'd before the executor
+// hash, written with a single write(2) and fsync'd before the worker
 // moves on. After a kill -9, `g10_ensemble --resume` replays the journal:
 // fully-written lines are reusable verbatim, a torn final line (the write
 // the crash interrupted) fails to parse and is dropped, and only the
@@ -30,7 +30,7 @@
 
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
-#include "ensemble/executor.hpp"
+#include "ensemble/run_report.hpp"
 
 namespace g10::ensemble {
 
@@ -56,8 +56,8 @@ std::string journal_line(const JournalEntry& entry);
 std::optional<JournalEntry> parse_journal_line(std::string_view line,
                                                std::string* error = nullptr);
 
-/// Append-only journal writer. Thread-safe: entries arrive from every pool
-/// worker as runs complete. Each append is one write(2) of the full line
+/// Append-only journal writer. Thread-safe, and several worker processes
+/// append to the same file. Each append is one write(2) of the full line
 /// followed by fsync(2), so a crash can tear at most the final line.
 class JournalWriter {
  public:

@@ -27,7 +27,8 @@ constexpr double kSyncBugProbability = 0.25;
 constexpr double kRediscoveryMinImpact = 0.02;
 
 /// Graphs are deterministic functions of the dataset spec and expensive to
-/// build, so the whole ensemble shares one immutable instance per spec.
+/// build, so every run in a worker process shares one immutable instance
+/// per spec.
 std::shared_ptr<const graph::Graph> cached_dataset(const std::string& spec) {
   static Mutex mutex;
   static std::unordered_map<std::string, std::shared_ptr<const graph::Graph>>
@@ -47,17 +48,9 @@ std::shared_ptr<const graph::Graph> cached_dataset(const std::string& spec) {
   return slot;
 }
 
-RunAttempt cancelled_attempt() {
-  RunAttempt attempt;
-  attempt.outcome = RunOutcome::kTimeout;
-  attempt.error = "cancelled at stage boundary";
-  return attempt;
-}
-
-RunAttempt run_scenario(const Scenario& scenario, const CancelToken& token) {
+RunAttempt run_scenario(const Scenario& scenario) {
   // Stage 1: dataset (cached after the first run per spec).
   const auto graph = cached_dataset(scenario.dataset);
-  if (token.cancelled()) return cancelled_attempt();
 
   // Stages 2-3: engine run under the scenario's faults and cost jitter,
   // expert model, monitoring samples with fault-driven dropout.
@@ -77,7 +70,6 @@ RunAttempt run_scenario(const Scenario& scenario, const CancelToken& token) {
   const workload::Result run = workload::run(spec, *graph);
   const trace::RunArtifacts& artifacts = run.artifacts;
   const core::FrameworkModel& framework = run.model;
-  if (token.cancelled()) return cancelled_attempt();
 
   // Stage 4: characterization.
   core::CharacterizationInput input;
@@ -89,12 +81,11 @@ RunAttempt run_scenario(const Scenario& scenario, const CancelToken& token) {
   input.samples = run.samples;
   input.config.timeslice = kTimeslice;
   input.config.min_issue_impact = kMinIssueImpact;
-  // Serial analysis: the ensemble's parallelism is across scenarios, and
-  // nested pools would oversubscribe the machine.
+  // Serial analysis: the ensemble's parallelism is across worker
+  // processes, and a pool in each would oversubscribe the machine.
   input.config.threads = 1;
   const core::CheckedCharacterization checked =
       core::characterize_checked(input);
-  if (token.cancelled()) return cancelled_attempt();
   if (!checked.status.ok() || !checked.result.has_value()) {
     RunAttempt attempt;
     attempt.outcome = RunOutcome::kAnalysisFailed;

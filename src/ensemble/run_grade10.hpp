@@ -1,13 +1,12 @@
 // The production RunFn: one Scenario → workload::run (engine run, expert
 // model, monitoring samples — g10_run's recipe) → Grade10 characterization
-// → RunReport digest, all in-process (no g10_run subprocess — the ensemble
-// runs hundreds of these across the ThreadPool).
+// → RunReport digest, all in the worker process (no g10_run subprocess per
+// scenario).
 //
-// The runner polls its CancelToken at stage boundaries (after graph
-// construction, the workload run and characterization), so a run whose
-// deadline fires releases its pool slot at the next boundary instead of
-// wedging the fleet. Graphs are cached per dataset spec and shared across
-// runs; SSSP runs weight a copy per seed.
+// A run is not interruptible: a worker that sits on one scenario past
+// `--deadline-s` is killed by its supervisor, which journals the scenario
+// `timeout` once its attempts are spent. Graphs are cached per dataset
+// spec and shared across a worker's runs; SSSP runs weight a copy per seed.
 //
 // The monitoring cadence, analysis timeslice, issue threshold and sync-bug
 // probability are constants. Only a scenario that injects the sync bug can
@@ -15,7 +14,7 @@
 // threshold).
 #pragma once
 
-#include "ensemble/executor.hpp"
+#include "ensemble/driver.hpp"
 
 namespace g10::ensemble {
 

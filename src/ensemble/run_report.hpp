@@ -1,15 +1,59 @@
-// Per-run analysis digest the ensemble aggregates over. Deliberately small
+// Per-run analysis digest the ensemble aggregates over, and the outcome
+// taxonomy every journaled run carries. The digest is deliberately small
 // and fully deterministic: only values that are bit-identical across
 // re-executions of the same scenario belong here, because the aggregate
 // report must be byte-identical whether a run was freshly computed or
 // replayed from the journal. Wall-clock timings live on the journal entry,
 // outside this struct, and never enter the aggregate.
+//
+// Outcomes (journaled, documented in DESIGN.md §12):
+//   ok              run + analysis completed
+//   timeout         the supervisor killed the worker running it as wedged
+//   run_failed      the engine run threw, or its worker crashed
+//   analysis_failed the run produced artifacts but characterization failed
+//   skipped         never completed: it kept killing workers (poisonous)
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace g10::ensemble {
+
+enum class RunOutcome {
+  kOk,
+  kTimeout,
+  kRunFailed,
+  kAnalysisFailed,
+  kSkipped,
+};
+
+/// Journal/report tag ("ok", "timeout", "run_failed", ...).
+constexpr std::string_view outcome_name(RunOutcome outcome) {
+  switch (outcome) {
+    case RunOutcome::kOk:
+      return "ok";
+    case RunOutcome::kTimeout:
+      return "timeout";
+    case RunOutcome::kRunFailed:
+      return "run_failed";
+    case RunOutcome::kAnalysisFailed:
+      return "analysis_failed";
+    case RunOutcome::kSkipped:
+      return "skipped";
+  }
+  return "?";
+}
+
+constexpr std::optional<RunOutcome> parse_outcome(std::string_view name) {
+  for (const RunOutcome outcome :
+       {RunOutcome::kOk, RunOutcome::kTimeout, RunOutcome::kRunFailed,
+        RunOutcome::kAnalysisFailed, RunOutcome::kSkipped}) {
+    if (outcome_name(outcome) == name) return outcome;
+  }
+  return std::nullopt;
+}
 
 struct RunReport {
   /// Simulated makespan of the run, in seconds.

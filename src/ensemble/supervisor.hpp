@@ -1,16 +1,16 @@
 // Process-isolated ensemble fan-out: the supervisor (DESIGN.md §15).
 //
-// `g10_ensemble --jobs N [--isolate]` runs the fleet under this loop
-// instead of the in-process ThreadPool. Pending scenarios are sharded
-// deterministically by canonical scenario hash (hash % jobs); each shard is
-// executed by a worker *process* (the same binary re-entered through the
-// hidden --worker-shard flag) that appends finished runs to the shared
-// O_APPEND journal and reports liveness over a status pipe. Because every
-// worker derives its own work list from (matrix, journal, shard), the
-// supervisor never ships scenarios over IPC — a respawned worker re-reads
-// the journal and continues exactly where its predecessor died.
+// `g10_ensemble` always runs the fleet under this loop. Pending scenarios
+// are sharded deterministically by canonical scenario hash (hash % jobs);
+// each shard is executed by a worker *process* (the same binary re-entered
+// through the hidden --worker-shard flag) that runs its scenarios one at a
+// time, appends finished runs to the shared O_APPEND journal and reports
+// liveness over a status pipe. Because every worker derives its own work
+// list from (matrix, journal, shard), the supervisor never ships scenarios
+// over IPC — a respawned worker re-reads the journal and continues exactly
+// where its predecessor died.
 //
-// What real process isolation buys over the in-process watchdog:
+// The supervisor owns every retry and deadline:
 //   - crash containment: a SIGSEGV/OOM-kill takes one worker, not the
 //     fleet; the supervisor charges the crash to the in-flight scenario
 //     (the last `start` without a `done`), re-queues it under capped
@@ -18,9 +18,8 @@
 //   - resource sandboxes: --isolate installs RLIMIT_AS / RLIMIT_CPU in the
 //     child, so runaway memory or CPU is stopped by the kernel;
 //   - hard liveness: a worker that stops heartbeating, or sits on one
-//     scenario past the wedge ceiling, is escalated SIGTERM → (grace) →
-//     SIGKILL of its whole process group — the kill the cooperative
-//     CancelToken can never deliver;
+//     scenario past the wedge timeout (--deadline-s), is escalated
+//     SIGTERM → (grace) → SIGKILL of its whole process group;
 //   - graceful degradation: a scenario that exhausts its attempts is
 //     journaled run_failed/timeout with the killing signal recorded; one
 //     that kills crash_budget workers is journaled skipped ("poisonous").
@@ -54,8 +53,8 @@ struct SupervisorOptions {
   /// A worker silent on its status pipe for this long is presumed wedged.
   double heartbeat_timeout_s = 5.0;
   /// A worker sitting on one scenario for this long is presumed wedged on
-  /// it even if heartbeats still flow (a spinning run that ignores its
-  /// CancelToken keeps the heartbeat thread alive). 0 disables.
+  /// it even if heartbeats still flow (a run spinning inside the engine
+  /// keeps the heartbeat thread alive). 0 disables.
   double wedge_timeout_s = 0.0;
   /// SIGTERM → this grace → SIGKILL of the worker's process group.
   double kill_grace_s = 2.0;
@@ -94,9 +93,9 @@ struct SupervisorOptions {
   /// disables.
   std::function<void(const std::string&)> on_event;
 
-  /// Cooperative shutdown: when raised, workers get SIGTERM, stragglers
-  /// SIGKILL after the grace, and the fleet returns with interrupted set.
-  /// In-flight scenarios stay missing (resumable), never journaled.
+  /// Shutdown: when raised, workers get SIGTERM, stragglers SIGKILL after
+  /// the grace, and the fleet returns with interrupted set. In-flight
+  /// scenarios stay missing (resumable), never journaled.
   const std::atomic<bool>* stop = nullptr;
 };
 

@@ -58,21 +58,20 @@ StatusChannel::~StatusChannel() {
 }
 
 void StatusChannel::send(const StatusEvent& event) {
-  if (fd_ < 0 || peer_gone()) return;
+  if (fd_ < 0) return;
   std::string line = format_status(event);
   line += '\n';
   // One short write(2): atomic below PIPE_BUF, so the heartbeat thread and
-  // the run thread can share the pipe without a lock.
+  // the run thread can share the pipe without a lock. Once the supervisor
+  // is gone, the write raises SIGPIPE and this worker dies with it.
   ssize_t n;
   do {
     n = ::write(fd_, line.data(), line.size());
   } while (n < 0 && errno == EINTR);
-  if (n < 0) peer_gone_.store(true, std::memory_order_release);
 }
 
-Heartbeat::Heartbeat(StatusChannel* channel, double interval_seconds,
-                     std::atomic<bool>* stop_on_orphan)
-    : channel_(channel), stop_on_orphan_(stop_on_orphan),
+Heartbeat::Heartbeat(StatusChannel* channel, double interval_seconds)
+    : channel_(channel),
       thread_([this, interval_seconds] { loop(interval_seconds); }) {}
 
 Heartbeat::~Heartbeat() {
@@ -86,12 +85,6 @@ void Heartbeat::loop(double interval_seconds) {
   while (!stop_.load(std::memory_order_acquire)) {
     if (clock::now() >= next) {
       channel_->heartbeat();
-      if (channel_->peer_gone() && stop_on_orphan_ != nullptr) {
-        // The supervisor is dead: raise the worker's stop flag so in-flight
-        // work cancels at its next poll, then stop beating.
-        stop_on_orphan_->store(true, std::memory_order_release);
-        return;
-      }
       next = clock::now() +
              std::chrono::duration_cast<clock::duration>(
                  std::chrono::duration<double>(interval_seconds));

@@ -13,12 +13,11 @@
 // dies between a `start` and its `done`, the supervisor knows exactly which
 // scenario was in flight and charges the crash to it.
 //
-// The pipe doubles as an orphan detector. If the supervisor dies, the read
-// end closes and the next write fails with EPIPE; the channel latches
-// peer_gone and the heartbeat thread raises the worker's stop flag, so an
-// orphaned worker cancels in-flight work and exits (kExitInterrupted)
-// instead of running on unsupervised. Workers must ignore SIGPIPE for the
-// EPIPE path to be reachable.
+// A worker keeps SIGTERM's default disposition, so the supervisor's
+// escalation and shutdown kill it outright; a worker whose supervisor dies
+// is killed by the kernel (PR_SET_PDEATHSIG, common/subprocess.hpp). The
+// journal is the only state either kill can leave behind, and a torn
+// final line is dropped on replay.
 #pragma once
 
 #include <atomic>
@@ -28,7 +27,7 @@
 #include <string_view>
 #include <thread>
 
-#include "ensemble/executor.hpp"
+#include "ensemble/run_report.hpp"
 
 namespace g10::ensemble {
 
@@ -46,8 +45,7 @@ std::string format_status(const StatusEvent& event);
 std::optional<StatusEvent> parse_status_line(std::string_view line);
 
 /// Worker-side writer for the status pipe. Thread-safe by construction:
-/// each send is a single write(2) of one short line. Never throws on a
-/// dead peer — it latches peer_gone instead.
+/// each send is a single write(2) of one short line. Never throws.
 class StatusChannel {
  public:
   /// fd < 0 disables the channel (a worker run by hand, not a supervisor).
@@ -68,23 +66,16 @@ class StatusChannel {
   }
 
   bool enabled() const { return fd_ >= 0; }
-  /// The supervisor's read end is gone (EPIPE/EBADF on a send).
-  bool peer_gone() const {
-    return peer_gone_.load(std::memory_order_acquire);
-  }
 
  private:
   int fd_ = -1;
-  std::atomic<bool> peer_gone_{false};
 };
 
 /// Background liveness beacon: sends `hb` on the channel every interval
-/// until destroyed. When the channel reports the peer gone, raises
-/// `stop_on_orphan` (once) so the worker winds down cooperatively.
+/// until destroyed.
 class Heartbeat {
  public:
-  Heartbeat(StatusChannel* channel, double interval_seconds,
-            std::atomic<bool>* stop_on_orphan);
+  Heartbeat(StatusChannel* channel, double interval_seconds);
   ~Heartbeat();
 
   Heartbeat(const Heartbeat&) = delete;
@@ -94,7 +85,6 @@ class Heartbeat {
   void loop(double interval_seconds);
 
   StatusChannel* channel_;
-  std::atomic<bool>* stop_on_orphan_;
   std::atomic<bool> stop_{false};
   std::thread thread_;
 };

@@ -1,11 +1,14 @@
 // Exercises the fork/exec spawn wrapper: exit/signal classification,
-// process-group kills that reach grandchildren, rlimit sandboxes, and the
-// dup_fds plumbing used for the supervisor's status pipe.
+// process-group kills that reach grandchildren, the death signal that
+// takes a child down with its spawner, rlimit sandboxes, and the dup_fds
+// plumbing used for the supervisor's status pipe.
 #include "common/subprocess.hpp"
 
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -97,6 +100,46 @@ TEST(SubprocessTest, GroupKillReachesGrandchildren) {
     n = ::read(pipe.read_fd(), &byte, 1);
   } while (n < 0 && errno == EINTR);
   EXPECT_EQ(n, 0);
+}
+
+TEST(SubprocessTest, ChildDiesWithItsSpawner) {
+  // A spawner that exits without reaping its child takes the child along.
+  // This process becomes the subreaper, so the orphan is reparented here
+  // and its death can be read; without the death signal it would sleep
+  // its 10 s and exit 0.
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  Pipe report;
+  const pid_t spawner = ::fork();
+  ASSERT_GE(spawner, 0);
+  if (spawner == 0) {
+    try {
+      // The child says it is up only after exec, so the spawner exits
+      // after the child's prctl.
+      Pipe ready;
+      SpawnOptions options;
+      options.dup_fds.push_back({ready.write_fd(), 3});
+      const pid_t pid =
+          Subprocess::spawn(sh("echo >&3; exec sleep 10"), options).pid();
+      ready.close_write();
+      char byte;
+      if (::read(ready.read_fd(), &byte, 1) == 1 &&
+          ::write(report.write_fd(), &pid, sizeof pid) == sizeof pid) {
+        ::_exit(0);
+      }
+    } catch (...) {
+    }
+    ::_exit(1);  // never unwind into gtest from the forked child
+  }
+  report.close_write();
+  pid_t orphan = -1;
+  ASSERT_EQ(::read(report.read_fd(), &orphan, sizeof orphan),
+            static_cast<ssize_t>(sizeof orphan));
+  int raw = 0;
+  ASSERT_EQ(::waitpid(spawner, &raw, 0), spawner);
+  EXPECT_TRUE(WIFEXITED(raw) && WEXITSTATUS(raw) == 0);
+  ASSERT_EQ(::waitpid(orphan, &raw, 0), orphan);
+  EXPECT_TRUE(WIFSIGNALED(raw) && WTERMSIG(raw) == SIGKILL) << raw;
+  ::prctl(PR_SET_CHILD_SUBREAPER, 0);
 }
 
 TEST(SubprocessTest, DupFdsWiresThePipe) {

@@ -45,6 +45,17 @@ class TempDir {
   std::filesystem::path path_;
 };
 
+TEST(OutcomeNameTest, RoundTripsEveryOutcome) {
+  for (const RunOutcome outcome :
+       {RunOutcome::kOk, RunOutcome::kTimeout, RunOutcome::kRunFailed,
+        RunOutcome::kAnalysisFailed, RunOutcome::kSkipped}) {
+    const auto parsed = parse_outcome(outcome_name(outcome));
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(*parsed, outcome);
+  }
+  EXPECT_FALSE(parse_outcome("exploded").has_value());
+}
+
 TEST(JournalLineTest, RoundTripsExactly) {
   const JournalEntry entry = sample_entry();
   const std::string line = journal_line(entry);

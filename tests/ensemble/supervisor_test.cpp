@@ -99,15 +99,15 @@ TEST(SupervisorTest, CleanWorkersFinishTheFleet) {
 TEST(SupervisorTest, AllReusedFleetSpawnsNothing) {
   const TempDir dir("reused");
   const ScenarioMatrix matrix = test_matrix();
-  // Complete the fleet in-process first; the supervisor then has no
+  // Complete the fleet with the driver first; the supervisor then has no
   // pending work and must not spawn a single process.
-  EnsembleOptions in_process;
-  in_process.journal_path = dir.file("journal.jsonl");
-  run_ensemble(matrix, [](const Scenario&, const CancelToken&) {
+  EnsembleOptions driver;
+  driver.journal_path = dir.file("journal.jsonl");
+  run_ensemble(matrix, [](const Scenario&) {
     RunAttempt attempt;
     attempt.outcome = RunOutcome::kOk;
     return attempt;
-  }, in_process);
+  }, driver);
 
   SupervisorOptions options = fast_options(dir.file("journal.jsonl"));
   options.resume = true;

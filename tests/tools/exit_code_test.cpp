@@ -482,7 +482,7 @@ TEST(EnsembleExitCodeTest, FreshStartOverAJournalIsRefused) {
   EXPECT_EQ(exit_code(base + " --resume"), kExitOk);
 }
 
-/// Shared prefix for a tiny real fleet in supervisor mode.
+/// Shared prefix for a tiny real fleet.
 std::string tiny_fleet(const std::string& out) {
   return std::string(G10_ENSEMBLE_BIN) + " --out " + out +
          " --engines pregel --dataset rmat:5 --workers 2 --cores 2"
@@ -492,14 +492,16 @@ std::string tiny_fleet(const std::string& out) {
 TEST(EnsembleExitCodeTest, BadJobsIsolateCombosAreBadArgs) {
   const std::string out = (test_root() / "combos").string();
   EXPECT_EQ(exit_code(tiny_fleet(out) + " --jobs 0"), kExitBadArgs);
-  // --isolate only sandboxes worker processes; without --jobs there are
-  // no workers to sandbox.
-  EXPECT_EQ(exit_code(tiny_fleet(out) + " --isolate"), kExitBadArgs);
-  // --threads and --limit configure the in-process pool --jobs replaces.
-  EXPECT_EQ(exit_code(tiny_fleet(out) + " --jobs 2 --threads 2"),
-            kExitBadArgs);
-  EXPECT_EQ(exit_code(tiny_fleet(out) + " --jobs 2 --limit 1"),
-            kExitBadArgs);
+}
+
+TEST(EnsembleExitCodeTest, DeletedInProcessFlagsAreUnknown) {
+  // Worker processes are the only execution path: the in-process pool's
+  // flags are gone, and --deadline-s is the wedge timeout.
+  const std::string out = (test_root() / "deleted_flags_fleet").string();
+  for (const char* flags :
+       {" --threads 2", " --limit 1", " --wedge-timeout-s 60"}) {
+    EXPECT_EQ(exit_code(tiny_fleet(out) + flags), kExitBadArgs) << flags;
+  }
 }
 
 TEST(EnsembleExitCodeTest, SegfaultingWorkerSurfacesRunFailedWithSignal) {
@@ -530,23 +532,42 @@ TEST(EnsembleExitCodeTest, SigkilledWorkerSurfacesRunFailedWithSignal) {
   EXPECT_NE(journal.find("SIGKILL"), std::string::npos);
 }
 
-TEST(EnsembleExitCodeTest, JobsAndInProcessReportsAreByteIdentical) {
-  const std::string in_process = (test_root() / "ip_fleet").string();
-  const std::string supervised = (test_root() / "sv_fleet").string();
-  ASSERT_EQ(exit_code(tiny_fleet(in_process)), kExitOk);
-  ASSERT_EQ(exit_code(tiny_fleet(supervised) + " --jobs 2 --isolate"),
+TEST(EnsembleExitCodeTest, SpinningRunIsJournaledTimeoutPastTheDeadline) {
+  const std::string out = (test_root() / "wedge_fleet").string();
+  // The hook parks any worker that starts a seed=2 scenario, heartbeats
+  // still flowing; past --deadline-s the supervisor kills it and, with a
+  // 1-attempt budget, journals timeout. The rest of the fleet completes.
+  ASSERT_EQ(exit_code("G10_ENSEMBLE_TEST_CRASH=spin:seed=2 " +
+                      tiny_fleet(out) + " --deadline-s 1 --max-attempts 1"),
             kExitOk);
-  EXPECT_EQ(slurp(in_process + "/report.json"),
-            slurp(supervised + "/report.json"));
-  EXPECT_EQ(slurp(in_process + "/report.txt"),
-            slurp(supervised + "/report.txt"));
+  std::ifstream journal(out + "/journal.jsonl");
+  int lines = 0;
+  for (std::string line; std::getline(journal, line); ++lines) {
+    if (line.find("seed=2 ") != std::string::npos) {
+      EXPECT_NE(line.find("\"outcome\":\"timeout\""), std::string::npos)
+          << line;
+      EXPECT_NE(line.find("worker wedged"), std::string::npos) << line;
+    } else {
+      EXPECT_NE(line.find("\"outcome\":\"ok\""), std::string::npos) << line;
+    }
+  }
+  EXPECT_EQ(lines, 3);
+}
+
+TEST(EnsembleExitCodeTest, ReportsAreByteIdenticalAcrossJobs) {
+  const std::string one = (test_root() / "j1_fleet").string();
+  const std::string three = (test_root() / "j3_fleet").string();
+  ASSERT_EQ(exit_code(tiny_fleet(one) + " --jobs 1"), kExitOk);
+  ASSERT_EQ(exit_code(tiny_fleet(three) + " --jobs 3 --isolate"), kExitOk);
+  EXPECT_EQ(slurp(one + "/report.json"), slurp(three + "/report.json"));
+  EXPECT_EQ(slurp(one + "/report.txt"), slurp(three + "/report.txt"));
 }
 
 TEST(InterruptExitCodeTest, SigtermedEnsembleExitsInterrupted) {
   const std::string out = (test_root() / "interrupted_fleet").string();
   // A fleet big enough to still be running when the SIGTERM lands; the
-  // handler cancels at the next stage boundary and exits 6 with the
-  // journal flushed and resumable.
+  // supervisor terminates its workers and exits 6 with the journal
+  // flushed and resumable.
   const std::string fleet =
       std::string(G10_ENSEMBLE_BIN) + " --out " + out +
       " --engines pregel,gas --dataset rmat:14 --workers 4 --cores 4"

@@ -106,8 +106,7 @@ TEST(WorkloadTest, GasSsspSyncBugCrashRunEqualsCli) {
 }
 
 ensemble::RunAttempt run_scenario(const ensemble::Scenario& scenario) {
-  const ensemble::CancelToken token;
-  return ensemble::make_grade10_runner()(scenario, token);
+  return ensemble::make_grade10_runner()(scenario);
 }
 
 ensemble::Scenario gas_scenario(std::uint64_t seed) {

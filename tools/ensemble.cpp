@@ -9,34 +9,33 @@
 // per-phase bottleneck frequencies — is written to <out>/report.txt and
 // <out>/report.json and printed.
 //
-// Execution modes (DESIGN.md §15):
-//   default      in-process thread pool (--threads N)
-//   --jobs N     supervisor/worker: N worker *processes*, each running its
-//                deterministic shard (scenario hash % N) and appending to
-//                the shared journal under O_APPEND. A worker crash
-//                (SIGSEGV, OOM kill, wedge) is contained: the supervisor
-//                charges it to the in-flight scenario, re-queues it with
-//                capped backoff, and respawns the worker. --isolate adds
-//                kernel sandboxes (RLIMIT_AS/RLIMIT_CPU) to each worker.
+// One execution path (DESIGN.md §15): a supervisor and --jobs N worker
+// processes (default: G10_THREADS or the hardware thread count). Each
+// worker runs its deterministic shard (scenario hash % N) one scenario at
+// a time and appends to the shared journal under O_APPEND. A worker crash
+// (SIGSEGV, OOM kill) or wedge (a run past --deadline-s) is contained: the
+// supervisor charges it to the in-flight scenario, re-queues it with
+// capped backoff, and respawns the worker. --isolate adds kernel
+// sandboxes (RLIMIT_AS/RLIMIT_CPU) to each worker.
 //
 // Crash safety: kill anything — a worker, the whole fleet, the supervisor
 // itself — and rerun with --resume; the journal is replayed, only missing
 // runs are recomputed, and the final report is byte-identical to an
-// uninterrupted execution's, at any --jobs level.
+// uninterrupted execution's, at any --jobs level. Workers die with their
+// supervisor, so a killed fleet leaves no process behind.
 //
-// SIGTERM/SIGINT cancel in-flight work at the next stage boundary; the
-// journal holds every completed run (each append is fsync'd) and the
-// process exits kExitInterrupted (6) with the fleet resumable.
+// SIGTERM/SIGINT terminate the workers; the journal holds every completed
+// run (each append is fsync'd) and the process exits kExitInterrupted (6)
+// with the fleet resumable.
 //
 // Exit codes (src/common/exit_codes.hpp): 0 even for a degraded fleet,
-// 2 for bad arguments, bad --jobs/--isolate combinations, or a fresh start
-// over a non-empty journal, 3 for an unparseable --faults spec,
-// 6 when interrupted by SIGTERM/SIGINT, 1 for internal errors.
+// 2 for bad arguments or a fresh start over a non-empty journal, 3 for an
+// unparseable --faults spec, 6 when interrupted by SIGTERM/SIGINT, 1 for
+// internal errors.
 #include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -49,6 +48,7 @@
 #include "common/cli.hpp"
 #include "common/exit_codes.hpp"
 #include "common/strings.hpp"
+#include "common/thread_pool.hpp"
 #include "ensemble/driver.hpp"
 #include "ensemble/run_grade10.hpp"
 #include "ensemble/supervisor.hpp"
@@ -63,18 +63,14 @@ struct Args {
   std::string out;
   int seeds = 16;
   std::uint64_t seed_base = 1;
-  int threads = -1;  ///< -1 = not given: auto
-  ensemble::RetryPolicy retry;
-  std::int64_t limit = 0;
   bool resume = false;
   bool quiet = false;
 
-  // Supervisor mode (--jobs N).
-  int jobs = 0;  ///< 0 = in-process mode
+  // Supervisor.
+  int jobs = 0;  ///< 0 = not given: ThreadPool::resolve_threads
   bool isolate = false;
   std::uint64_t rlimit_as_mb = 8192;
-  double wedge_timeout_s = -1.0;  ///< <0 = derive from --deadline-s
-  ensemble::SupervisorOptions supervisor;  ///< the rest of the --jobs flags
+  ensemble::SupervisorOptions supervisor;  ///< the rest of its flags
 
   // Worker mode (hidden; the supervisor spawns us with these).
   bool worker = false;
@@ -122,11 +118,7 @@ std::vector<cli::Flag> fleet_flags(Args& args) {
        {"--sampled-faults N", &m.sampled_fault_specs,
         "random valid fault specs per seed", 0},
        {"--jitter F", &m.jitter, "cost-model perturbation in [0, 1)", 0.0,
-        std::nextafter(1.0, 0.0)},
-       {"--deadline-s F", &args.retry.deadline_seconds, "per-run deadline",
-        cli::kPositive, cli::kMaxSeconds},
-       {"--max-attempts N", &args.retry.max_attempts, "attempts per run",
-        1}});
+        std::nextafter(1.0, 0.0)}});
   return flags;
 }
 
@@ -150,29 +142,28 @@ cli::Table flag_table(Args& args) {
     args.defer_keys.push_back(*key);
     return kExitOk;
   };
-  cli::Table table{"g10_ensemble --out <dir> [flags]\n"
-                   "  (--isolate requires --jobs; --jobs excludes --threads "
-                   "and --limit)",
-                   fleet_flags(args)};
+  ensemble::SupervisorOptions& sv = args.supervisor;
+  cli::Table table{"g10_ensemble --out <dir> [flags]", fleet_flags(args)};
   table.flags.insert(
       table.flags.end(),
-      {{"--threads N", &args.threads, "in-process pool size, 0 = auto", 0,
-        cli::kMaxConcurrency},
-       {"--limit N", &args.limit, "run at most N scenarios", 1},
+      {{"--deadline-s F", &sv.wedge_timeout_s,
+        "kill a worker stuck on one run this long", cli::kPositive,
+        cli::kMaxSeconds},
+       {"--max-attempts N", &sv.max_attempts,
+        "worker deaths a run may cost before it is journaled", 1},
        {"--resume", cli::Switch{&args.resume},
         "replay the journal, run only what is missing"},
        {"--quiet", cli::Switch{&args.quiet}, "no progress lines"},
-       {"--jobs N", &args.jobs, "worker processes", 1, cli::kMaxConcurrency},
+       {"--jobs N", &args.jobs, "worker processes, default = auto", 1,
+        cli::kMaxConcurrency},
        {"--isolate", cli::Switch{&args.isolate}, "rlimit-sandbox each worker"},
        {"--rlimit-as-mb N", &args.rlimit_as_mb, "worker address space, MiB", 1,
         (1ull << 44) - 1},
-       {"--rlimit-cpu-s F", &args.supervisor.limits.cpu_seconds,
+       {"--rlimit-cpu-s F", &sv.limits.cpu_seconds,
         "worker CPU, 0 = unlimited", 0.0, cli::kMaxSeconds},
-       {"--hb-timeout-s F", &args.supervisor.heartbeat_timeout_s,
+       {"--hb-timeout-s F", &sv.heartbeat_timeout_s,
         "kill a worker silent this long", cli::kPositive, cli::kMaxSeconds},
-       {"--wedge-timeout-s F", &args.wedge_timeout_s,
-        "kill a worker stuck on one run this long", 0.0, cli::kMaxSeconds},
-       {"--crash-budget N", &args.supervisor.crash_budget,
+       {"--crash-budget N", &sv.crash_budget,
         "worker deaths before a run is skipped", 1},
        {.name = "--worker-shard I:N", .target = cli::Setter(set_shard),
         .help = "run shard I of N as a worker", .hidden = true},
@@ -208,7 +199,7 @@ void write_reports(const std::string& out_dir,
 //   segv:<sub>   raise SIGSEGV (an attributable hard crash)
 //   kill:<sub>   raise SIGKILL (what the OOM killer delivers)
 //   spin:<sub>   wedge forever with heartbeats still flowing
-//                (only --wedge-timeout-s can reclaim the worker)
+//                (only --deadline-s can reclaim the worker)
 void maybe_crash_for_test(const ensemble::Scenario& scenario) {
   const char* spec = std::getenv("G10_ENSEMBLE_TEST_CRASH");
   if (spec == nullptr) return;
@@ -236,25 +227,19 @@ void maybe_crash_for_test(const ensemble::Scenario& scenario) {
 // Hidden worker entry point: run one shard of the fleet under a
 // supervisor, reporting liveness and progress over the inherited status
 // pipe. The work list is derived locally from (matrix, journal, shard), so
-// a respawned worker resumes exactly where its predecessor died.
+// a respawned worker resumes exactly where its predecessor died. SIGTERM
+// keeps its default disposition: the supervisor's kill ends the worker
+// wherever it is, and the journal holds everything it finished.
 int run_worker(const Args& args) {
-  // EPIPE (not SIGPIPE death) on a status write is the orphan detector: it
-  // means the supervisor is gone, and the heartbeat thread then raises the
-  // stop flag so in-flight work cancels instead of running unsupervised.
-  ::signal(SIGPIPE, SIG_IGN);
-
   ensemble::StatusChannel channel(args.status_fd);
-  ensemble::Heartbeat heartbeat(&channel, 0.25, &cli::stop_requested());
+  ensemble::Heartbeat heartbeat(&channel, 0.25);
 
   ensemble::EnsembleOptions options;
   options.journal_path = args.out + "/journal.jsonl";
   options.resume = true;  // the shared journal always has siblings' entries
-  options.threads = 1;    // process-level parallelism only
-  options.retry = args.retry;
   options.shard_count = args.shard_count;
   options.shard_index = args.shard_index;
   options.defer_keys = args.defer_keys;
-  options.stop = &cli::stop_requested();
   options.on_start = [&channel](const ensemble::Scenario& scenario) {
     channel.start(scenario.hash());
     maybe_crash_for_test(scenario);
@@ -265,9 +250,7 @@ int run_worker(const Args& args) {
 
   ensemble::run_ensemble(args.matrix, ensemble::make_grade10_runner(),
                          options);
-  return cli::stop_requested().load(std::memory_order_acquire)
-             ? kExitInterrupted
-             : kExitOk;
+  return kExitOk;
 }
 
 // Workers re-run this binary with the supervisor's fleet flags and the
@@ -284,19 +267,9 @@ int run_supervisor(const Args& args, const char* argv0,
 
   ensemble::SupervisorOptions options = args.supervisor;
   options.journal_path = args.out + "/journal.jsonl";
-  options.jobs = args.jobs;
+  options.jobs =
+      ThreadPool::resolve_threads(static_cast<std::size_t>(args.jobs));
   options.resume = args.resume;
-  // Default wedge ceiling: give the worker's own watchdog + retries room
-  // to classify a timeout cooperatively first; the supervisor's kill is
-  // the backstop for runs that ignore their CancelToken.
-  options.wedge_timeout_s =
-      args.wedge_timeout_s >= 0.0
-          ? args.wedge_timeout_s
-          : (args.retry.deadline_seconds > 0.0
-                 ? args.retry.deadline_seconds * args.retry.max_attempts +
-                       10.0
-                 : 0.0);
-  options.max_attempts = args.retry.max_attempts;
   options.limits.address_space_bytes = args.rlimit_as_mb * 1024ull * 1024ull;
   if (!args.isolate) options.limits = {};
   options.stop = &cli::stop_requested();
@@ -306,7 +279,7 @@ int run_supervisor(const Args& args, const char* argv0,
     };
   }
 
-  options.command = [base, jobs = std::to_string(args.jobs)](
+  options.command = [base, jobs = std::to_string(options.jobs)](
                         std::size_t shard, int /*status_fd is always 3*/,
                         const std::vector<std::uint64_t>& defer) {
     std::vector<std::string> argv = base;
@@ -323,7 +296,7 @@ int run_supervisor(const Args& args, const char* argv0,
   const std::vector<ensemble::Scenario> scenarios = args.matrix.expand();
   if (!args.quiet) {
     std::cerr << "ensemble: " << scenarios.size() << " scenarios -> "
-              << options.journal_path << " (" << args.jobs << " worker "
+              << options.journal_path << " (" << options.jobs << " worker "
               << "processes" << (args.isolate ? ", isolated" : "") << ")\n";
   }
 
@@ -336,8 +309,8 @@ int run_supervisor(const Args& args, const char* argv0,
     return kExitInterrupted;
   }
 
-  // Identical aggregation path to in-process mode: reduce a fresh read of
-  // the journal. Byte-identical reports at any --jobs level follow.
+  // Reduce a fresh read of the journal: byte-identical reports at any
+  // --jobs level and after any kill/--resume history follow.
   const ensemble::AggregateReport report = ensemble::aggregate(
       scenarios, ensemble::read_journal(options.journal_path));
   write_reports(args.out, report);
@@ -352,74 +325,18 @@ int run_supervisor(const Args& args, const char* argv0,
   return kExitOk;
 }
 
-int run(const Args& args) {
-  ensemble::EnsembleOptions options;
-  options.journal_path = args.out + "/journal.jsonl";
-  options.resume = args.resume;
-  options.threads = static_cast<std::size_t>(std::max(args.threads, 0));
-  options.retry = args.retry;
-  options.limit = static_cast<std::size_t>(args.limit);
-  options.stop = &cli::stop_requested();
-
-  std::filesystem::create_directories(args.out);
-
-  const std::vector<ensemble::Scenario> scenarios = args.matrix.expand();
-  std::atomic<std::size_t> done{0};
-  if (!args.quiet) {
-    std::cerr << "ensemble: " << scenarios.size() << " scenarios -> "
-              << options.journal_path << '\n';
-    options.on_run = [&](const ensemble::JournalEntry& entry) {
-      const std::size_t n = done.fetch_add(1, std::memory_order_relaxed) + 1;
-      std::string line = "[" + std::to_string(n) + "] " +
-                         std::string(ensemble::outcome_name(entry.outcome)) +
-                         " " + entry.scenario + "\n";
-      std::cerr << line;  // one write per line: safe to interleave
-    };
-  }
-
-  const ensemble::EnsembleOutcome outcome = ensemble::run_ensemble(
-      args.matrix, ensemble::make_grade10_runner(), options);
-
-  if (cli::stop_requested().load(std::memory_order_acquire)) {
-    // Every completed run was fsync'd into the journal by its append;
-    // nothing in flight was journaled, so the fleet resumes cleanly.
-    std::cerr << "interrupted: journal is flushed; rerun with --resume\n";
-    return kExitInterrupted;
-  }
-
-  write_reports(args.out, outcome.report);
-  std::cout << "executed=" << outcome.executed << " reused=" << outcome.reused
-            << " remaining=" << outcome.remaining << "\n";
-  if (outcome.remaining > 0) {
-    std::cout << "rerun with --resume to finish the remaining "
-              << outcome.remaining << " runs\n";
-  }
-  return kExitOk;
-}
-
 int main(int argc, char** argv) {
   Args args;
   const cli::Table table = flag_table(args);
   if (const int rc = cli::parse(table, argc, argv)) return rc;
-  // Mode exclusions (exit 2): --isolate only sandboxes worker processes;
-  // --threads and --limit configure the in-process pool, which --jobs
-  // replaces; a worker cannot itself be a supervisor.
-  if (args.out.empty() || (args.isolate && args.jobs == 0) ||
-      (args.jobs > 0 && (args.threads >= 0 || args.limit > 0)) ||
-      (args.worker && args.jobs > 0)) {
-    return cli::usage_error(table);
-  }
+  if (args.out.empty()) return cli::usage_error(table);
   args.matrix.seed_range(args.seed_base, args.seeds);
-
-  cli::install_stop_handlers();
 
   try {
     if (args.worker) return run_worker(args);
-    if (args.jobs > 0) {
-      return run_supervisor(
-          args, argv[0], cli::pick(table, fleet_flags(args), argc, argv));
-    }
-    return run(args);
+    cli::install_stop_handlers();
+    return run_supervisor(args, argv[0],
+                          cli::pick(table, fleet_flags(args), argc, argv));
   } catch (const CheckError& e) {
     // Matrix/journal preconditions (e.g. a fresh start over a non-empty
     // journal) are usage errors, not crashes.
