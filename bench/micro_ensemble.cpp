@@ -1,8 +1,8 @@
 // Throughput micro-benchmarks of the ensemble machinery, split by layer:
 //   - BM_JournalAppend: fsync'd JSONL appends (the crash-safety cost).
-//   - BM_SyntheticFleet: the worker's serial shard loop's own overhead —
-//     expand, run, journal, re-read, aggregate — with a near-free run
-//     function. items_per_second counts scenarios.
+//   - BM_SyntheticFleet: the serial shard loop's own overhead — expand,
+//     run, journal — plus the supervisor's final re-read and aggregate,
+//     with a near-free run function. items_per_second counts scenarios.
 //   - BM_Grade10Fleet: the real engine+characterize runner on a small
 //     graph, i.e. what one `g10_ensemble` worker sustains per scenario.
 // Results land in bench/results/BENCH_ensemble.json.
@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <string>
 
+#include "ensemble/aggregate.hpp"
 #include "ensemble/driver.hpp"
 #include "ensemble/run_grade10.hpp"
 
@@ -75,8 +76,10 @@ void BM_SyntheticFleet(benchmark::State& state) {
   for (auto _ : state) {
     EnsembleOptions options;
     options.journal_path = fresh_journal_path();
-    const EnsembleOutcome outcome = run_ensemble(matrix, fn, options);
-    benchmark::DoNotOptimize(outcome.report.coverage);
+    run_ensemble(matrix, fn, options);
+    benchmark::DoNotOptimize(
+        aggregate(matrix.expand(), read_journal(options.journal_path))
+            .coverage);
     std::remove(options.journal_path.c_str());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -100,8 +103,10 @@ void BM_Grade10Fleet(benchmark::State& state) {
   for (auto _ : state) {
     EnsembleOptions options;
     options.journal_path = fresh_journal_path();
-    const EnsembleOutcome outcome = run_ensemble(matrix, fn, options);
-    benchmark::DoNotOptimize(outcome.report.coverage);
+    run_ensemble(matrix, fn, options);
+    benchmark::DoNotOptimize(
+        aggregate(matrix.expand(), read_journal(options.journal_path))
+            .coverage);
     std::remove(options.journal_path.c_str());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -18,10 +18,6 @@ EnsembleOutcome run_ensemble(const ScenarioMatrix& matrix, const RunFn& fn,
   const std::vector<Scenario> scenarios = matrix.expand();
 
   const JournalReplay existing = read_journal(options.journal_path);
-  G10_CHECK_MSG(options.resume || (existing.entries.empty() &&
-                                   existing.dropped_lines == 0),
-                "journal '" + options.journal_path +
-                    "' already has entries; pass resume to continue it");
 
   std::unordered_set<std::uint64_t> done;
   done.reserve(existing.entries.size());
@@ -81,11 +77,6 @@ EnsembleOutcome run_ensemble(const ScenarioMatrix& matrix, const RunFn& fn,
       if (options.on_run) options.on_run(entry);
     }
   }
-
-  // The aggregate is always computed from a fresh read of the journal file,
-  // never from in-memory results: a resumed ensemble and an uninterrupted
-  // one reduce the exact same bytes, so their reports are byte-identical.
-  outcome.report = aggregate(scenarios, read_journal(options.journal_path));
   return outcome;
 }
 

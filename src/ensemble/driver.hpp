@@ -1,6 +1,6 @@
 // The worker's shard loop: expands a ScenarioMatrix, runs the pending
-// scenarios one at a time, journals every finished run, and aggregates the
-// (re-read) journal into the distributional report.
+// scenarios one at a time, and journals every finished run. The supervisor
+// aggregates the journal once the fleet is done (aggregate.hpp).
 //
 // A run that throws is journaled run_failed on its first attempt: engine
 // runs are deterministic, so a retry in the same process would throw again.
@@ -8,12 +8,12 @@
 // kill the process this loop runs in, and the replacement worker resumes
 // from the journal.
 //
-// Resume semantics: the journal is the single source of truth. A fresh
-// start requires an absent/empty journal (refusing to silently mix fleets);
-// with `resume` set the existing entries are reused and only scenarios
-// without an entry are executed. Because the aggregate is always computed
-// from a fresh read of the journal file — never from in-memory state — a
-// resumed ensemble renders a byte-identical report to an uninterrupted one.
+// Resume semantics: the journal is the single source of truth. Existing
+// entries are reused and only scenarios without an entry are executed (the
+// supervisor refuses a fresh start over a non-empty journal). Because the
+// aggregate is computed from a fresh read of the journal file — never from
+// in-memory state — a resumed ensemble renders a byte-identical report to
+// an uninterrupted one.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "ensemble/aggregate.hpp"
 #include "ensemble/journal.hpp"
 #include "ensemble/scenario.hpp"
 
@@ -42,9 +41,6 @@ using RunFn = std::function<RunAttempt(const Scenario&)>;
 
 struct EnsembleOptions {
   std::string journal_path;
-  /// Reuse existing journal entries and run only the missing scenarios.
-  /// Without it, a non-empty journal is an error (refuses to mix fleets).
-  bool resume = false;
   /// Deterministic sharding for multi-process fan-out: when shard_count is
   /// nonzero, only pending scenarios with hash() % shard_count ==
   /// shard_index are executed here; the rest are someone else's and count
@@ -68,12 +64,11 @@ struct EnsembleOutcome {
   std::size_t executed = 0;  ///< runs computed and journaled here
   std::size_t reused = 0;    ///< scenarios satisfied from the journal
   std::size_t remaining = 0; ///< pending runs of other shards
-  AggregateReport report;    ///< aggregate over the full scenario list
 };
 
-/// Runs (or resumes) the ensemble. Throws CheckError on an invalid matrix,
-/// an unwritable journal, or a fresh start over a non-empty journal;
-/// individual run failures never throw — they are journaled outcomes.
+/// Runs the scenarios the journal lacks. Throws CheckError on an invalid
+/// matrix or an unwritable journal; individual run failures never throw —
+/// they are journaled outcomes.
 EnsembleOutcome run_ensemble(const ScenarioMatrix& matrix, const RunFn& fn,
                              const EnsembleOptions& options);
 

@@ -15,8 +15,9 @@
 //     fleet; the supervisor charges the crash to the in-flight scenario
 //     (the last `start` without a `done`), re-queues it under capped
 //     exponential backoff, and respawns the shard's worker;
-//   - resource sandboxes: --isolate installs RLIMIT_AS / RLIMIT_CPU in the
-//     child, so runaway memory or CPU is stopped by the kernel;
+//   - resource sandboxes: --rlimit-as-mb / --rlimit-cpu-s install
+//     RLIMIT_AS / RLIMIT_CPU in the child, so runaway memory or CPU is
+//     stopped by the kernel;
 //   - hard liveness: a worker that stops heartbeating, or sits on one
 //     scenario past the wedge timeout (--deadline-s), is escalated
 //     SIGTERM → (grace) → SIGKILL of its whole process group;
@@ -46,7 +47,8 @@ struct SupervisorOptions {
   std::string journal_path;
   /// Worker process count (shard count). Must be >= 1.
   std::size_t jobs = 1;
-  /// Reuse existing journal entries (same contract as EnsembleOptions).
+  /// Reuse existing journal entries and run only the missing scenarios.
+  /// Without it, a non-empty journal is an error (refuses to mix fleets).
   bool resume = false;
 
   // Liveness and escalation.

@@ -17,8 +17,7 @@
 //    one model reader, core::parse_model, records: all of them, not just
 //    the first);
 //  - trace_lint.hpp: rules over parsed trace records, cross-checked against
-//    the model;
-//  - preflight.hpp: the bundled pass g10_analyze runs before characterizing.
+//    the model (the defects of the one trace build).
 #pragma once
 
 #include <cstddef>

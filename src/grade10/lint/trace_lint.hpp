@@ -1,15 +1,14 @@
 // Lint rules over parsed trace records, cross-checked against a model.
 //
-// The structural findings (unbalanced, duplicated or overlapping phases,
-// blocking events outside their phase or on phantom resources) are the
-// TraceDefects of ExecutionTrace's build: each repair or rejection the
-// build makes names its rule, so lint reports what strict rejection and
-// lenient repair act on, in the build's pass order. This linter only
-// filters and deduplicates them, and checks what the build does not
-// assemble: fault provenance, and monitoring series that tick backwards,
-// go negative, exceed capacity or skip samples. Findings carry the phase
-// path or resource@machine in Location::context; records have no line
-// numbers.
+// The record findings (unbalanced, duplicated or overlapping phases,
+// blocking events outside their phase or on phantom resources, monitoring
+// series that tick backwards, go negative, exceed capacity or skip
+// samples) are the TraceDefects of ExecutionTrace's build: each repair or
+// rejection the build makes names its rule, so lint reports what strict
+// rejection and lenient repair act on, in the build's pass order. This
+// linter only filters and deduplicates them, and checks what the build
+// does not read: fault provenance. Findings carry the phase path or
+// resource@machine in Location::context; records have no line numbers.
 #pragma once
 
 #include <string_view>
@@ -21,20 +20,13 @@
 
 namespace g10::lint {
 
-struct TraceLintOptions {
-  /// A sampling gap larger than `sample_gap_factor` times the series'
-  /// median period raises trace-sample-gap. Needs >= `min_gap_samples`
-  /// samples to estimate the period at all.
-  double sample_gap_factor = 2.5;
-  std::size_t min_gap_samples = 4;
-  /// Samples above capacity by more than this factor raise
-  /// trace-sample-over-capacity (small overshoot is measurement noise).
-  double capacity_slack = 1.05;
-};
+/// Empty: the sample rules' thresholds are constants of the build's sample
+/// pass. Kept only for the `{}` argument of existing lint_trace calls.
+struct TraceLintOptions {};
 
 /// Lints parsed records against `model`. `filename` seeds finding
-/// locations. The structural findings come from `built`, a build of `log`'s
-/// events against `model`, or from a build made here when it is null.
+/// locations. The record findings come from `built`, a build of `log`'s
+/// records against `model`, or from a build made here when it is null.
 LintReport lint_trace(const core::ModelDescription& model,
                       const trace::ParsedLog& log,
                       const TraceLintOptions& options = {},

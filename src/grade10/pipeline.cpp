@@ -12,10 +12,9 @@ CheckedCharacterization characterize_checked(
     const CharacterizationInput& input) {
   TraceBuild built;
   if (input.model != nullptr && input.resources != nullptr) {
-    built = ExecutionTrace::build_checked(*input.model, *input.resources,
-                                          input.phase_events,
-                                          input.blocking_events,
-                                          input.trace_options);
+    built = ExecutionTrace::build_checked(
+        *input.model, *input.resources, input.phase_events,
+        input.blocking_events, input.samples, input.trace_options);
   }
   return characterize_trace(input, std::move(built));
 }
@@ -37,17 +36,13 @@ CheckedCharacterization characterize_trace(const CharacterizationInput& input,
   CharacterizationResult result;
   result.grid = grid;
   result.trace = std::move(built.trace);
+  result.monitored = std::move(built.monitored);
   out.status.warnings = result.trace.warnings();
   try {
     // One pool for every downstream stage; at one thread every fan-out runs
     // inline on this thread.
     ThreadPool pool(
         static_cast<std::size_t>(std::max(input.config.threads, 0)));
-    ResourceTrace::Options monitor_options;
-    monitor_options.ignore_unknown_resources =
-        input.trace_options.ignore_unknown_blocking;
-    result.monitored =
-        ResourceTrace::build(*input.resources, input.samples, monitor_options);
     result.demand = estimate_demand(*input.resources, *input.rules,
                                     result.trace, grid, &pool);
     result.usage = attribute_usage(result.demand, result.monitored, grid,

@@ -74,8 +74,9 @@ CheckedCharacterization characterize_checked(
     const CharacterizationInput& input);
 
 /// The stages after the trace build, on `built`: a build of the input's
-/// phase and blocking events with its trace_options, whose events this
-/// does not read again. A rejected build becomes a status error.
+/// phase events, blocking events and samples with its trace_options, whose
+/// records this does not read again. A rejected build becomes a status
+/// error.
 CheckedCharacterization characterize_trace(const CharacterizationInput& input,
                                            TraceBuild built);
 

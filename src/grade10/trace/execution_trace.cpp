@@ -71,10 +71,11 @@ TraceDefect defect(const char* rule, std::string context, std::string message,
 }  // namespace
 
 /// The single pass behind ExecutionTrace::build_checked: pairs phase events
-/// into instances, links and repairs them, attaches blocking events, and
-/// records each defect it meets, in that order. Every check is the build's
-/// own: a defect's lint rule is the build's reading of the events, and the
-/// report-only rules look at the instances as built.
+/// into instances, links and repairs them, attaches blocking events, groups
+/// the samples (ResourceTrace::build_checked), and records each defect it
+/// meets, in that order. Every check is the build's own: a defect's lint
+/// rule is the build's reading of the records, and the report-only rules
+/// look at the instances and series as built.
 class TraceBuilder {
  public:
   TraceBuilder(const ExecutionModel& model, const ResourceModel& resources,
@@ -82,7 +83,8 @@ class TraceBuilder {
       : model_(model), resources_(resources), options_(options) {}
 
   TraceBuild run(std::span<const trace::PhaseEventRecord> phase_events,
-                 std::span<const trace::BlockingEventRecord> blocking_events) {
+                 std::span<const trace::BlockingEventRecord> blocking_events,
+                 std::span<const trace::MonitoringSampleRecord> samples) {
     try {
       model_.validate();
     } catch (const CheckError& e) {
@@ -115,6 +117,10 @@ class TraceBuilder {
     sort_unique(trace.machines_);
     for (const auto& event : blocking_events) attach(event);
     merge_blocked();
+    ResourceTrace::Options monitor;
+    monitor.ignore_unknown_resources = options_.ignore_unknown_blocking;
+    out_.monitored = ResourceTrace::build_checked(
+        resources_, samples, monitor, &out_.phase_machines, out_.defects);
     decide();
     return std::move(out_);
   }
@@ -510,6 +516,7 @@ class TraceBuilder {
                        : "damaged trace: " + defect.error +
                              " (lenient ingestion repairs this)";
       out_.trace = ExecutionTrace{};
+      out_.monitored = ResourceTrace{};
       return;
     }
     if (repairs > kMaxWarnings) {
@@ -532,9 +539,10 @@ TraceBuild ExecutionTrace::build_checked(
     const ExecutionModel& model, const ResourceModel& resources,
     std::span<const trace::PhaseEventRecord> phase_events,
     std::span<const trace::BlockingEventRecord> blocking_events,
+    std::span<const trace::MonitoringSampleRecord> samples,
     const Options& options) {
   return TraceBuilder(model, resources, options)
-      .run(phase_events, blocking_events);
+      .run(phase_events, blocking_events, samples);
 }
 
 ExecutionTrace ExecutionTrace::build(
@@ -542,8 +550,8 @@ ExecutionTrace ExecutionTrace::build(
     std::span<const trace::PhaseEventRecord> phase_events,
     std::span<const trace::BlockingEventRecord> blocking_events,
     const Options& options) {
-  TraceBuild built =
-      build_checked(model, resources, phase_events, blocking_events, options);
+  TraceBuild built = build_checked(model, resources, phase_events,
+                                   blocking_events, {}, options);
   if (built.error) throw CheckError(*built.error);
   return std::move(built.trace);
 }

@@ -1,8 +1,8 @@
 // Execution trace (paper §III-C): the tree of phase *instances* of one
 // workload run, assembled from the SUT's phase-event log and validated
 // against the execution model, with blocking events attached. The build's
-// one pass is also the only structural check of a trace: g10_lint's trace
-// rules, strict rejection and lenient repair all read its TraceDefects.
+// one pass, samples included, is also the only check of a trace's records:
+// g10_lint's trace rules, strict rejection and lenient repair all read it.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +15,7 @@
 #include "common/time.hpp"
 #include "grade10/model/execution_model.hpp"
 #include "grade10/model/resource_model.hpp"
+#include "grade10/trace/resource_trace.hpp"
 #include "trace/records.hpp"
 
 namespace g10::core {
@@ -50,8 +51,8 @@ struct BlockingSpan {
   Interval interval;
 };
 
-/// One structural defect of a trace's phase or blocking events, as the
-/// build reads them: each of the build's responses names its lint rule.
+/// One defect of a trace's records, as the build reads them: each of the
+/// build's responses names its lint rule.
 struct TraceDefect {
   enum class Response {
     kReport,  ///< the build is unaffected; only lint reports it
@@ -73,7 +74,7 @@ struct TraceBuild;
 class ExecutionTrace {
  public:
   struct Options {
-    /// Drop blocking events whose resource is not in the resource model
+    /// Drop blocking events and samples whose resource is not in the model
     /// (used to analyze a run against an untuned model, Table II).
     bool ignore_unknown_blocking = false;
     /// Graceful degradation for damaged logs (crashed workers): instead of
@@ -81,23 +82,25 @@ class ExecutionTrace {
     /// with a BEGIN but no END (a crashed worker's log just stops) gets a
     /// synthesized end — the latest recorded time in its subtree, i.e. the
     /// crash time — and is flagged `degraded`; duplicate/orphaned events
-    /// and escaping intervals are skipped or clamped. Violations of the
-    /// model itself (unknown hierarchy linkage) are still rejected: those
-    /// mean the wrong model was supplied, not a damaged log.
+    /// and escaping intervals are skipped or clamped, as are samples that
+    /// do not advance or go negative. Violations of the model itself
+    /// (unknown hierarchy linkage, sampled resources) are still rejected:
+    /// those mean the wrong model was supplied, not a damaged log.
     bool lenient = false;
   };
 
-  /// Builds the instance tree, recording every structural defect. Never
-  /// throws: the first defect whose Response `options` do not accept
-  /// rejects the build (TraceBuild::error).
+  /// Builds the instance tree and the resource trace, recording every
+  /// defect. Never throws: the first defect whose Response `options` do not
+  /// accept rejects the build (TraceBuild::error).
   static TraceBuild build_checked(
       const ExecutionModel& model, const ResourceModel& resources,
       std::span<const trace::PhaseEventRecord> phase_events,
       std::span<const trace::BlockingEventRecord> blocking_events,
+      std::span<const trace::MonitoringSampleRecord> samples,
       const Options& options);
 
-  /// build_checked, throwing CheckError with TraceBuild::error when the
-  /// build is rejected.
+  /// build_checked of the phase and blocking events alone, throwing
+  /// CheckError with TraceBuild::error when the build is rejected.
   static ExecutionTrace build(
       const ExecutionModel& model, const ResourceModel& resources,
       std::span<const trace::PhaseEventRecord> phase_events,
@@ -149,9 +152,11 @@ class ExecutionTrace {
 
 /// ExecutionTrace::build_checked's outcome.
 struct TraceBuild {
-  ExecutionTrace trace;  ///< empty when the build was rejected
+  ExecutionTrace trace;     ///< empty when the build was rejected
+  ResourceTrace monitored;  ///< the samples' series, likewise
   /// In the build's pass order: phase events as met, unended instances,
-  /// linkage, containment, REPEATED siblings, then blocking events as met.
+  /// linkage, containment, REPEATED siblings, blocking events as met, then
+  /// the samples (ResourceTrace::build_checked's order).
   std::vector<TraceDefect> defects;
   /// Machines of the phase events, sorted: the machines trace-orphan-machine
   /// accepts in other records.

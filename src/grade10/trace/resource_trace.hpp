@@ -24,15 +24,32 @@ struct ResourceSeries {
   std::vector<Measurement> measurements;  ///< sorted, non-overlapping
 };
 
+struct TraceDefect;
+
 class ResourceTrace {
  public:
   struct Options {
-    /// Drop samples whose resource is not in the model.
+    /// Samples of a resource the model lacks are reported, not rejected.
     bool ignore_unknown_resources = false;
   };
 
-  /// Groups samples by (resource, machine) and derives each measurement's
-  /// window start from the previous sample (the first starts at 0).
+  /// The trace build's sample pass (ExecutionTrace::build_checked). Groups
+  /// samples by (resource, machine) and derives each measurement's window
+  /// start from the previous sample (the first from 0), so a series must
+  /// advance in time, starting after 0. Appends one TraceDefect per (rule,
+  /// series) to `defects` and returns the series repaired as a lenient
+  /// build does (sorted, negative rates clamped to 0); samples of unknown
+  /// or blocking resources are dropped. `phase_machines` (sorted) are the
+  /// machines trace-orphan-machine accepts; null skips that check.
+  static ResourceTrace build_checked(
+      const ResourceModel& model,
+      std::span<const trace::MonitoringSampleRecord> samples,
+      const Options& options,
+      const std::vector<trace::MachineId>* phase_machines,
+      std::vector<TraceDefect>& defects);
+
+  /// build_checked, throwing CheckError on the first defect that is more
+  /// than a report (a strict build).
   static ResourceTrace build(
       const ResourceModel& model,
       std::span<const trace::MonitoringSampleRecord> samples,

@@ -225,7 +225,7 @@ void sweep_crash_points(Config cfg, const core::FrameworkModel& model,
       if (style == engine::CrashLogStyle::kTruncated) continue;
       const core::TraceBuild build = core::ExecutionTrace::build_checked(
           model.execution, model.resources, artifacts.phase_events,
-          artifacts.blocking_events, {});
+          artifacts.blocking_events, {}, {});
       EXPECT_FALSE(build.error.has_value()) << build.error.value_or("");
     }
   }

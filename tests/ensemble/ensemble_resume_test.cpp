@@ -1,6 +1,7 @@
 // End-to-end driver tests with a synthetic (fast, deterministic) run
-// function: crash-resume byte-identity, partial-fleet degradation, and the
-// fresh-start-over-existing-journal guard.
+// function: crash-resume byte-identity, partial-fleet degradation and
+// sharding. Each report is the aggregate of a fresh journal read, as the
+// supervisor renders it.
 #include "ensemble/driver.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "ensemble/aggregate.hpp"
 
 namespace g10::ensemble {
 namespace {
@@ -42,6 +44,12 @@ ScenarioMatrix test_matrix(int seeds = 12) {
   return m;
 }
 
+/// The fleet report over `journal`, as the supervisor renders it.
+AggregateReport report_of(const ScenarioMatrix& matrix,
+                          const std::string& journal) {
+  return aggregate(matrix.expand(), read_journal(journal));
+}
+
 /// Deterministic synthetic runner: the report is a pure function of the
 /// scenario, like the real engine+analysis under a fixed seed.
 RunAttempt synthetic_run(const Scenario& scenario) {
@@ -68,11 +76,13 @@ TEST(EnsembleDriverTest, RunsEverythingAndAggregates) {
   EXPECT_EQ(outcome.executed, 24u);
   EXPECT_EQ(outcome.reused, 0u);
   EXPECT_EQ(outcome.remaining, 0u);
-  EXPECT_EQ(outcome.report.ok, 24u);
-  EXPECT_DOUBLE_EQ(outcome.report.coverage, 1.0);
+  const AggregateReport report =
+      report_of(test_matrix(), options.journal_path);
+  EXPECT_EQ(report.ok, 24u);
+  EXPECT_DOUBLE_EQ(report.coverage, 1.0);
   // gas runs with seed % 3 != 0: seeds 1..12 -> 8 of the 12 gas runs.
-  EXPECT_EQ(outcome.report.sync_bug.hits, 8u);
-  EXPECT_EQ(outcome.report.sync_bug.trials, 12u);
+  EXPECT_EQ(report.sync_bug.hits, 8u);
+  EXPECT_EQ(report.sync_bug.trials, 12u);
 }
 
 TEST(EnsembleDriverTest, ResumeAfterKillIsByteIdentical) {
@@ -81,8 +91,9 @@ TEST(EnsembleDriverTest, ResumeAfterKillIsByteIdentical) {
   // The uninterrupted reference fleet.
   EnsembleOptions full;
   full.journal_path = dir.file("full.jsonl");
-  const EnsembleOutcome reference =
-      run_ensemble(test_matrix(), synthetic_run, full);
+  run_ensemble(test_matrix(), synthetic_run, full);
+  const AggregateReport reference =
+      report_of(test_matrix(), full.journal_path);
 
   // The "crashed" fleet: one shard of three ran, then a torn final line
   // simulates a kill -9 mid-append.
@@ -94,8 +105,9 @@ TEST(EnsembleDriverTest, ResumeAfterKillIsByteIdentical) {
   EXPECT_GT(first.executed, 0u);
   EXPECT_LT(first.executed, 24u);
   EXPECT_EQ(first.executed + first.remaining, 24u);
-  EXPECT_EQ(first.report.missing, first.remaining);
-  EXPECT_LT(first.report.coverage, 1.0);
+  const AggregateReport partial = report_of(test_matrix(), part.journal_path);
+  EXPECT_EQ(partial.missing, first.remaining);
+  EXPECT_LT(partial.coverage, 1.0);
   {
     std::ofstream torn(part.journal_path, std::ios::app | std::ios::binary);
     torn << "{\"key\":\"00";  // the write the crash interrupted
@@ -103,18 +115,18 @@ TEST(EnsembleDriverTest, ResumeAfterKillIsByteIdentical) {
 
   EnsembleOptions resume;
   resume.journal_path = part.journal_path;
-  resume.resume = true;
   const EnsembleOutcome second =
       run_ensemble(test_matrix(), synthetic_run, resume);
   EXPECT_EQ(second.reused, first.executed);
   EXPECT_EQ(second.executed, first.remaining);
-  EXPECT_EQ(second.report.ok, 24u);
-  EXPECT_EQ(second.report.dropped_lines, 1u);  // the torn line, skipped
+  const AggregateReport resumed = report_of(test_matrix(), part.journal_path);
+  EXPECT_EQ(resumed.ok, 24u);
+  EXPECT_EQ(resumed.dropped_lines, 1u);  // the torn line, skipped
 
   // The aggregate (minus the journal-hygiene counters, which legitimately
   // differ) is byte-identical: same JSON for the distributional body.
-  const std::string ref_json = render_json(reference.report);
-  const std::string res_json = render_json(second.report);
+  const std::string ref_json = render_json(reference);
+  const std::string res_json = render_json(resumed);
   const auto strip_journal = [](std::string text) {
     const auto begin = text.find("\"journal\":{");
     const auto end = text.find('}', begin);
@@ -128,19 +140,9 @@ TEST(EnsembleDriverTest, ResumeAfterKillIsByteIdentical) {
       run_ensemble(test_matrix(), synthetic_run, resume);
   EXPECT_EQ(third.executed, 0u);
   EXPECT_EQ(third.reused, 24u);
-  EXPECT_EQ(render_json(third.report), res_json);
-  EXPECT_EQ(render_text(third.report), render_text(second.report));
-}
-
-TEST(EnsembleDriverTest, FreshStartOverNonEmptyJournalIsRefused) {
-  const TempDir dir("guard");
-  EnsembleOptions options;
-  options.journal_path = dir.file("journal.jsonl");
-  run_ensemble(test_matrix(), synthetic_run, options);
-  EXPECT_THROW(run_ensemble(test_matrix(), synthetic_run, options),
-               CheckError);
-  options.resume = true;
-  EXPECT_NO_THROW(run_ensemble(test_matrix(), synthetic_run, options));
+  const AggregateReport again = report_of(test_matrix(), part.journal_path);
+  EXPECT_EQ(render_json(again), res_json);
+  EXPECT_EQ(render_text(again), render_text(resumed));
 }
 
 TEST(EnsembleDriverTest, FailuresDegradeCoverageInsteadOfAborting) {
@@ -160,14 +162,16 @@ TEST(EnsembleDriverTest, FailuresDegradeCoverageInsteadOfAborting) {
   const EnsembleOutcome outcome =
       run_ensemble(test_matrix(), flaky, options);
   EXPECT_EQ(outcome.executed, 24u);
-  EXPECT_EQ(outcome.report.run_failed, 6u);       // seeds 4,8,12 x 2 engines
-  EXPECT_EQ(outcome.report.analysis_failed, 6u);  // seeds 1,5,9 x 2 engines
-  EXPECT_EQ(outcome.report.ok, 12u);
-  EXPECT_DOUBLE_EQ(outcome.report.coverage, 0.5);
+  const AggregateReport report =
+      report_of(test_matrix(), options.journal_path);
+  EXPECT_EQ(report.run_failed, 6u);       // seeds 4,8,12 x 2 engines
+  EXPECT_EQ(report.analysis_failed, 6u);  // seeds 1,5,9 x 2 engines
+  EXPECT_EQ(report.ok, 12u);
+  EXPECT_DOUBLE_EQ(report.coverage, 0.5);
   // The distributional stats cover exactly the ok runs.
-  EXPECT_EQ(outcome.report.makespan_seconds.count, 12u);
+  EXPECT_EQ(report.makespan_seconds.count, 12u);
   // Rediscovery trials are the ok gas runs: seeds 2,3,6,7,10,11.
-  EXPECT_EQ(outcome.report.sync_bug.trials, 6u);
+  EXPECT_EQ(report.sync_bug.trials, 6u);
 }
 
 TEST(EnsembleDriverTest, JournaledOutcomePreservesAttemptsAndError) {
@@ -194,8 +198,9 @@ TEST(EnsembleDriverTest, ShardsPartitionPendingAndUnionIsByteIdentical) {
 
   EnsembleOptions reference;
   reference.journal_path = dir.file("reference.jsonl");
-  const EnsembleOutcome ref =
-      run_ensemble(test_matrix(), synthetic_run, reference);
+  run_ensemble(test_matrix(), synthetic_run, reference);
+  const AggregateReport ref =
+      report_of(test_matrix(), reference.journal_path);
 
   // Three shard invocations against one shared journal — the multi-process
   // fan-out's access pattern, here in one process. Shards are disjoint and
@@ -203,20 +208,20 @@ TEST(EnsembleDriverTest, ShardsPartitionPendingAndUnionIsByteIdentical) {
   // to the fleet and the final aggregate is byte-identical.
   constexpr std::size_t kShards = 3;
   std::size_t executed_total = 0;
-  EnsembleOutcome last;
   for (std::size_t shard = 0; shard < kShards; ++shard) {
     EnsembleOptions options;
     options.journal_path = dir.file("sharded.jsonl");
-    options.resume = true;  // the shared journal grows shard by shard
     options.shard_count = kShards;
     options.shard_index = shard;
-    last = run_ensemble(test_matrix(), synthetic_run, options);
-    executed_total += last.executed;
+    executed_total +=
+        run_ensemble(test_matrix(), synthetic_run, options).executed;
   }
   EXPECT_EQ(executed_total, 24u);
-  EXPECT_EQ(last.report.ok, 24u);
-  EXPECT_EQ(render_json(last.report), render_json(ref.report));
-  EXPECT_EQ(render_text(last.report), render_text(ref.report));
+  const AggregateReport last =
+      report_of(test_matrix(), dir.file("sharded.jsonl"));
+  EXPECT_EQ(last.ok, 24u);
+  EXPECT_EQ(render_json(last), render_json(ref));
+  EXPECT_EQ(render_text(last), render_text(ref));
 }
 
 TEST(EnsembleDriverTest, ShardIndexOutOfRangeIsRefused) {

@@ -15,7 +15,7 @@
 #include "algorithms/programs.hpp"
 #include "engine/pregel/pregel_engine.hpp"
 #include "grade10/lint/model_lint.hpp"
-#include "grade10/lint/preflight.hpp"
+#include "grade10/lint/trace_lint.hpp"
 #include "grade10/model/model_io.hpp"
 #include "grade10/models/dataflow_model.hpp"
 #include "grade10/models/gas_model.hpp"
@@ -238,6 +238,8 @@ INSTANTIATE_TEST_SUITE_P(
                     false},
         FixtureCase{"trace-sample-nonmonotonic.log",
                     "trace-sample-nonmonotonic", true},
+        FixtureCase{"trace-sample-at-zero.log", "trace-sample-nonmonotonic",
+                    true},
         FixtureCase{"trace-sample-negative.log", "trace-sample-negative",
                     true},
         FixtureCase{"trace-sample-over-capacity.log",
@@ -411,13 +413,14 @@ TEST(CleanCorpusTest, EngineRunLintsClean) {
   const trace::ParseResult parsed = trace::parse_log_text(log_stream.str());
   ASSERT_TRUE(parsed.ok()) << parsed.errors.front().message;
 
-  // Full preflight path: model lint + trace lint, as g10_analyze runs it.
+  // Model lint + trace lint, as g10_analyze's preflight runs them.
   std::stringstream model_stream;
   core::write_model(model_stream, framework.execution, framework.resources,
                     framework.tuned_rules);
   const core::ModelParseResult model = core::parse_model(model_stream);
   ASSERT_TRUE(model.ok()) << model.error->message;
-  const LintReport report = preflight(model, "<model>", parsed, "<run>");
+  LintReport report = lint_model(model, "<model>");
+  report.merge(lint_trace(model.model, parsed.log, {}, "<run>"));
   std::ostringstream os;
   render_text(os, report);
   EXPECT_TRUE(report.clean()) << os.str();
@@ -466,9 +469,9 @@ TEST(BinaryTraceLintTest, CorruptBlockYieldsItsOwnFinding) {
   const trace::ParseResult damaged = opened.reader->read();
   EXPECT_EQ(damaged.error_count, 1u);
 
-  const LintReport report =
-      preflight(model, "trace-model.g10", damaged, path, {},
-                /*binary_trace=*/true);
+  LintReport report = lint_model(model, "trace-model.g10");
+  report.merge(lint_parse_errors(damaged, path, /*binary_trace=*/true));
+  report.merge(lint_trace(model.model, damaged.log, {}, path));
   EXPECT_TRUE(report.has_rule("trace-binary-corrupt-block"));
   EXPECT_FALSE(report.ok());
   // The finding's location is the 1-based block ordinal, not a text line.

@@ -612,7 +612,7 @@ TEST(ReplayPlanOracleTest, GoldenTracesMatchTheReference) {
     options.lenient = true;  // the truncated goldens end mid-phase
     const TraceBuild built = ExecutionTrace::build_checked(
         model.execution, model.resources, log.phase_events,
-        log.blocking_events, options);
+        log.blocking_events, log.samples, options);
     ASSERT_FALSE(built.error.has_value()) << name << ": " << *built.error;
     const ReplaySimulator sim(model.execution, built.trace);
     expect_reference_replay(model.execution, built.trace, sim,

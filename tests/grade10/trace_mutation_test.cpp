@@ -1,14 +1,16 @@
 // Deterministic mutation test of the trace checks. Damaged copies of the
 // trace lint fixtures (lines deleted, duplicated, swapped or cut off, BEGIN
-// and END flipped, times, machines, indices and resources edited) go
-// through the recovering log parser, a strict and a lenient trace build,
-// and trace lint. Whatever the damage, the build and lint must agree on one
-// definition of a malformed trace:
+// and END flipped, times, machines, indices, resources and sample values
+// edited) go through the recovering log parser, a strict and a lenient
+// trace build of all three record kinds, and trace lint. Whatever the
+// damage, the build and lint must agree on one definition of a malformed
+// trace:
 //  - nothing throws (crashes fail the test run itself);
 //  - every defect names a rule of the lint catalog, so each repair or
 //    rejection is something lint reports;
 //  - a trace lint calls clean builds strictly;
-//  - a lenient build holds no more instances than the input has BEGINs;
+//  - a lenient build holds no more instances than the input has BEGINs,
+//    and its monitoring series advance from 0 with no negative rate;
 //  - the recovering parser yields no more records than the mutant has
 //    lines;
 //  - a strict parse either fails, or its write_log rendering parses
@@ -86,7 +88,8 @@ void mutate(std::vector<std::string>& lines, Rng& rng) {
       kind == "PHASE" ? 4 : kind == "BLOCK" ? 5 : kind == "SAMPLE" ? 2 : 0;
   const std::size_t resource = kind == "BLOCK" || kind == "SAMPLE" ? 1 : 0;
   const std::size_t path = kind == "PHASE" || kind == "BLOCK" ? 2 : 0;
-  switch (rng.next_below(9)) {
+  const std::size_t value = kind == "SAMPLE" ? 4 : 0;
+  switch (rng.next_below(10)) {
     case 0:
       lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at));
       return;
@@ -106,7 +109,9 @@ void mutate(std::vector<std::string>& lines, Rng& rng) {
       break;
     case 5:
       if (fields.size() > time) {
-        fields[time] = std::to_string(rng.next_int(0, 250));
+        // A sample at 0 has no window: the first one starts at 0.
+        const bool zero = kind == "SAMPLE" && rng.next_below(4) == 0;
+        fields[time] = std::to_string(zero ? 0 : rng.next_int(0, 250));
       }
       break;
     case 6:
@@ -119,6 +124,12 @@ void mutate(std::vector<std::string>& lines, Rng& rng) {
         static const std::vector<std::string> kResources = {
             "GC", "Retry", "Recovery", "cpu", "net", "Phantom"};
         fields[resource] = kResources[rng.next_below(kResources.size())];
+      }
+      break;
+    case 8:
+      if (value != 0 && fields.size() > value) {
+        // Negative, plausible and over-capacity rates (cpu holds 4).
+        fields[value] = std::to_string(rng.next_int(-3, 6));
       }
       break;
     default:
@@ -177,7 +188,7 @@ void check(const core::ModelDescription& model, const std::string& text,
     EXPECT_NO_THROW(built = core::ExecutionTrace::build_checked(
                         model.execution, model.resources,
                         parsed.log.phase_events, parsed.log.blocking_events,
-                        build_options));
+                        parsed.log.samples, build_options));
     for (const core::TraceDefect& defect : built.defects) {
       EXPECT_NE(find_rule(defect.rule_id), nullptr)
           << "defect without a lint rule: " << defect.error;
@@ -185,6 +196,15 @@ void check(const core::ModelDescription& model, const std::string& text,
     if (lenient && !built.error) {
       EXPECT_LE(built.trace.instances().size(),
                 static_cast<std::size_t>(begins));
+      for (const core::ResourceSeries& series : built.monitored.series()) {
+        TimeNs previous = 0;
+        for (const core::Measurement& m : series.measurements) {
+          EXPECT_EQ(m.begin, previous);
+          EXPECT_GT(m.end, m.begin);
+          EXPECT_GE(m.value, 0.0);
+          previous = m.end;
+        }
+      }
     }
   }
   LintReport report;

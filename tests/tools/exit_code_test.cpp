@@ -14,8 +14,10 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "common/exit_codes.hpp"
+#include "common/subprocess.hpp"
 
 namespace g10 {
 namespace {
@@ -32,6 +34,18 @@ std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
+}
+
+/// Runs a shell command with stdout and stderr into `printed`; returns its
+/// exit code.
+int exit_code(const std::string& command, std::string& printed) {
+  const std::string path = std::filesystem::temp_directory_path() /
+                           ("g10_exit_code_test_" +
+                            std::to_string(::getpid()) + ".out");
+  const int code = exit_code("(" + command + " > " + path + " 2>&1)");
+  printed = slurp(path);
+  std::filesystem::remove(path);
+  return code;
 }
 
 std::filesystem::path test_root() {
@@ -209,6 +223,69 @@ TEST(AnalyzeExitCodeTest, TruncatedCrashLogIsAnalysisError) {
                            "/run.log --no-preflight";
   EXPECT_EQ(exit_code(base), kExitAnalysisError);
   EXPECT_EQ(exit_code(base + " --lenient"), kExitOk);
+}
+
+TEST(AnalyzeExitCodeTest, MalformedSampleSeriesAreRepairedWhenLenient) {
+  // Three damaged copies of a clean run's log, each edited at its first
+  // sample: one more sample at t=0 before it (no window: the first starts
+  // at 0), the sample line twice, and a negative rate. Strict rejects each
+  // with lint's message, in preflight (exit 3) and in the build (exit 5);
+  // --lenient repairs each and lists the repair.
+  const std::string& dir = ok_artifacts();
+  const std::string log = slurp(dir + "/run.log");
+  const std::size_t at = log.find("\nSAMPLE\t") + 1;
+  ASSERT_NE(at, 0u);
+  const std::string line = log.substr(at, log.find('\n', at) + 1 - at);
+  std::vector<std::string> fields;
+  for (std::size_t from = 0; from < line.size();) {
+    const std::size_t to = line.find_first_of("\t\n", from);
+    fields.push_back(line.substr(from, to - from));
+    from = to + 1;
+  }
+  ASSERT_EQ(fields.size(), 5u) << line;
+  const std::string series = fields[1] + "@" + fields[2];
+  const std::string prefix = "SAMPLE\t" + fields[1] + "\t" + fields[2] + "\t";
+  struct Case {
+    std::string name;
+    std::string edited;  ///< what replaces the first sample line
+    std::string message;
+    std::string repair;
+  };
+  const std::vector<Case> cases = {
+      {"at_zero", prefix + "0\t" + fields[4] + "\n" + line,
+       "series repeats or decreases its sample time at 0ns",
+       "sorted monitoring series " + series +
+           "; dropped 1 sample(s) that did not advance"},
+      {"duplicated", line + line,
+       "series repeats or decreases its sample time at " + fields[3] + "ns",
+       "sorted monitoring series " + series +
+           "; dropped 1 sample(s) that did not advance"},
+      {"negative", prefix + fields[3] + "\t-1.5\n",
+       "sample reports a negative rate -1.500",
+       "clamped 1 negative monitoring sample(s) to 0: " + series}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path =
+        (test_root() / ("sample_" + c.name + ".log")).string();
+    std::ofstream(path, std::ios::binary)
+        << log.substr(0, at) << c.edited << log.substr(at + line.size());
+    const std::string base = std::string(G10_ANALYZE_BIN) + " --model " +
+                             dir + "/model.g10 --log " + path;
+    std::string printed;
+    EXPECT_EQ(exit_code(base, printed), kExitParseFailure);
+    EXPECT_NE(printed.find(c.message + "  (" + series + ")"),
+              std::string::npos)
+        << printed;
+    EXPECT_EQ(exit_code(base + " --no-preflight", printed),
+              kExitAnalysisError);
+    EXPECT_NE(printed.find("damaged trace: " + series + ": " + c.message),
+              std::string::npos)
+        << printed;
+    EXPECT_EQ(exit_code(base + " --lenient", printed), kExitOk);
+    EXPECT_NE(printed.find("lenient repairs"), std::string::npos) << printed;
+    EXPECT_NE(printed.find("  " + c.repair + "\n"), std::string::npos)
+        << printed;
+  }
 }
 
 /// A small valid `.g10t`, converted once from the shared run artifacts.
@@ -489,19 +566,36 @@ std::string tiny_fleet(const std::string& out) {
          " --iterations 2 --seeds 3 --quiet";
 }
 
-TEST(EnsembleExitCodeTest, BadJobsIsolateCombosAreBadArgs) {
+TEST(EnsembleExitCodeTest, ZeroJobsIsBadArgs) {
   const std::string out = (test_root() / "combos").string();
   EXPECT_EQ(exit_code(tiny_fleet(out) + " --jobs 0"), kExitBadArgs);
 }
 
 TEST(EnsembleExitCodeTest, DeletedInProcessFlagsAreUnknown) {
   // Worker processes are the only execution path: the in-process pool's
-  // flags are gone, and --deadline-s is the wedge timeout.
+  // flags are gone, and --deadline-s is the wedge timeout. The rlimit
+  // flags apply whenever they are set, so --isolate is gone too.
   const std::string out = (test_root() / "deleted_flags_fleet").string();
-  for (const char* flags :
-       {" --threads 2", " --limit 1", " --wedge-timeout-s 60"}) {
+  for (const char* flags : {" --threads 2", " --limit 1",
+                            " --wedge-timeout-s 60", " --isolate"}) {
     EXPECT_EQ(exit_code(tiny_fleet(out) + flags), kExitBadArgs) << flags;
   }
+}
+
+TEST(EnsembleExitCodeTest, AddressSpaceTooSmallToStartAbandonsTheShard) {
+  if (kAddressSanitizer) {
+    GTEST_SKIP() << "ASan builds install no RLIMIT_AS sandbox";
+  }
+  // 1 MiB holds no worker: each dies before it finishes a scenario, and
+  // after the respawn cap the supervisor abandons the shard. The fleet
+  // still exits 0, with every scenario missing.
+  const std::string out = (test_root() / "rlimit_fleet").string();
+  std::string printed;
+  ASSERT_EQ(exit_code(tiny_fleet(out) + " --jobs 1 --rlimit-as-mb 1", printed),
+            kExitOk);
+  EXPECT_NE(printed.find("abandoned_shards=1"), std::string::npos)
+      << printed;
+  EXPECT_NE(printed.find("remaining 3 runs"), std::string::npos) << printed;
 }
 
 TEST(EnsembleExitCodeTest, SegfaultingWorkerSurfacesRunFailedWithSignal) {
@@ -558,7 +652,9 @@ TEST(EnsembleExitCodeTest, ReportsAreByteIdenticalAcrossJobs) {
   const std::string one = (test_root() / "j1_fleet").string();
   const std::string three = (test_root() / "j3_fleet").string();
   ASSERT_EQ(exit_code(tiny_fleet(one) + " --jobs 1"), kExitOk);
-  ASSERT_EQ(exit_code(tiny_fleet(three) + " --jobs 3 --isolate"), kExitOk);
+  ASSERT_EQ(exit_code(tiny_fleet(three) +
+                      " --jobs 3 --rlimit-as-mb 8192 --rlimit-cpu-s 600"),
+            kExitOk);
   EXPECT_EQ(slurp(one + "/report.json"), slurp(three + "/report.json"));
   EXPECT_EQ(slurp(one + "/report.txt"), slurp(three + "/report.txt"));
 }

@@ -207,8 +207,8 @@ TEST(FlagSweepTest, Ensemble) {
          {"--max-attempts", "2", "2222220"},
          // was 2223220: 2^31 worker processes were accepted
          {"--jobs", "1", "2222220", "", true},
-         {"--isolate", nullptr, "2222220", "--jobs 1"},
-         {"--rlimit-as-mb", "8192", "2220220"},
+         // was 2220220: 0 (no limit) was refused
+         {"--rlimit-as-mb", "8192", "2200220"},
          // was 2200000: 2^31, nan and inf ran
          {"--rlimit-cpu-s", "60", "2202220"},
          // was 2220000
@@ -255,8 +255,8 @@ TEST(FlagSweepTest, ValuesThatDidNotFitTheirTargetAreBadArgs) {
   for (const std::string& flags :
        {std::string(" --deadline-s nan"), std::string(" --hb-timeout-s nan"),
         std::string(" --hb-timeout-s 1e300"),
-        std::string(" --isolate --rlimit-cpu-s inf"),
-        std::string(" --isolate --rlimit-as-mb 17592186044416")}) {
+        std::string(" --rlimit-cpu-s inf"),
+        std::string(" --rlimit-as-mb 17592186044416")}) {
     EXPECT_EQ(exit_code(fleet + flags), kExitBadArgs) << flags;
   }
   EXPECT_EQ(exit_code(std::string(G10_ANALYZE_BIN) + " --model " +

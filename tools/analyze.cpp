@@ -320,10 +320,10 @@ int run(const Args& args) {
       characterization_input(args, model, log, args.threads);
   core::TraceBuild built = core::ExecutionTrace::build_checked(
       *input.model, *input.resources, input.phase_events,
-      input.blocking_events, input.trace_options);
+      input.blocking_events, input.samples, input.trace_options);
 
   // Pre-flight lint: the same static checks g10_lint runs, with the
-  // structural findings taken from `built`. Malformed log lines are
+  // record findings taken from `built`. Malformed log lines are
   // already reported above, so only the model and record-level trace rules
   // run here.
   if (args.preflight) {

@@ -15,8 +15,9 @@
 // a time and appends to the shared journal under O_APPEND. A worker crash
 // (SIGSEGV, OOM kill) or wedge (a run past --deadline-s) is contained: the
 // supervisor charges it to the in-flight scenario, re-queues it with
-// capped backoff, and respawns the worker. --isolate adds kernel
-// sandboxes (RLIMIT_AS/RLIMIT_CPU) to each worker.
+// capped backoff, and respawns the worker. --rlimit-as-mb and
+// --rlimit-cpu-s put each worker in kernel sandboxes (RLIMIT_AS,
+// RLIMIT_CPU); neither is set by default.
 //
 // Crash safety: kill anything — a worker, the whole fleet, the supervisor
 // itself — and rerun with --resume; the journal is replayed, only missing
@@ -49,6 +50,7 @@
 #include "common/exit_codes.hpp"
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
+#include "ensemble/aggregate.hpp"
 #include "ensemble/driver.hpp"
 #include "ensemble/run_grade10.hpp"
 #include "ensemble/supervisor.hpp"
@@ -68,8 +70,7 @@ struct Args {
 
   // Supervisor.
   int jobs = 0;  ///< 0 = not given: ThreadPool::resolve_threads
-  bool isolate = false;
-  std::uint64_t rlimit_as_mb = 8192;
+  std::uint64_t rlimit_as_mb = 0;  ///< 0 = no address-space limit
   ensemble::SupervisorOptions supervisor;  ///< the rest of its flags
 
   // Worker mode (hidden; the supervisor spawns us with these).
@@ -156,9 +157,8 @@ cli::Table flag_table(Args& args) {
        {"--quiet", cli::Switch{&args.quiet}, "no progress lines"},
        {"--jobs N", &args.jobs, "worker processes, default = auto", 1,
         cli::kMaxConcurrency},
-       {"--isolate", cli::Switch{&args.isolate}, "rlimit-sandbox each worker"},
-       {"--rlimit-as-mb N", &args.rlimit_as_mb, "worker address space, MiB", 1,
-        (1ull << 44) - 1},
+       {"--rlimit-as-mb N", &args.rlimit_as_mb,
+        "worker address space, MiB, 0 = unlimited", 0, (1ull << 44) - 1},
        {"--rlimit-cpu-s F", &sv.limits.cpu_seconds,
         "worker CPU, 0 = unlimited", 0.0, cli::kMaxSeconds},
        {"--hb-timeout-s F", &sv.heartbeat_timeout_s,
@@ -236,7 +236,6 @@ int run_worker(const Args& args) {
 
   ensemble::EnsembleOptions options;
   options.journal_path = args.out + "/journal.jsonl";
-  options.resume = true;  // the shared journal always has siblings' entries
   options.shard_count = args.shard_count;
   options.shard_index = args.shard_index;
   options.defer_keys = args.defer_keys;
@@ -271,7 +270,6 @@ int run_supervisor(const Args& args, const char* argv0,
       ThreadPool::resolve_threads(static_cast<std::size_t>(args.jobs));
   options.resume = args.resume;
   options.limits.address_space_bytes = args.rlimit_as_mb * 1024ull * 1024ull;
-  if (!args.isolate) options.limits = {};
   options.stop = &cli::stop_requested();
   if (!args.quiet) {
     options.on_event = [](const std::string& message) {
@@ -296,8 +294,8 @@ int run_supervisor(const Args& args, const char* argv0,
   const std::vector<ensemble::Scenario> scenarios = args.matrix.expand();
   if (!args.quiet) {
     std::cerr << "ensemble: " << scenarios.size() << " scenarios -> "
-              << options.journal_path << " (" << options.jobs << " worker "
-              << "processes" << (args.isolate ? ", isolated" : "") << ")\n";
+              << options.journal_path << " (" << options.jobs
+              << " worker processes)\n";
   }
 
   const ensemble::SupervisorStats stats =

@@ -21,7 +21,7 @@
 
 #include "common/cli.hpp"
 #include "grade10/lint/model_lint.hpp"
-#include "grade10/lint/preflight.hpp"
+#include "grade10/lint/trace_lint.hpp"
 #include "grade10/model/model_io.hpp"
 #include "trace/trace_reader.hpp"
 
@@ -83,8 +83,10 @@ int run(const Args& args) {
       return 2;
     }
     const trace::ParseResult log = opened.reader->read();
-    report = lint::preflight(model, args.model_path, log, args.log_path, {},
-                             opened.reader->is_binary());
+    report = lint::lint_model(model, args.model_path);
+    report.merge(lint::lint_parse_errors(log, args.log_path,
+                                         opened.reader->is_binary()));
+    report.merge(lint::lint_trace(model.model, log.log, {}, args.log_path));
   }
 
   if (args.json) {
