@@ -81,7 +81,6 @@ Series analyze(const CharacterizedRun& run) {
   }
   const core::ResourceSaturation* saturation =
       result.bottlenecks.find_saturation(cpu, 0);
-  const double cap_threshold = 0.85;
   std::vector<double> compute_demand(slices, 0.0);
   for (std::size_t s = 0; s < slices; ++s) {
     for (const auto& entry :
@@ -91,8 +90,9 @@ Series analyze(const CharacterizedRun& run) {
       compute_demand[s] += entry.fraction;
       const bool saturated =
           saturation != nullptr && saturation->saturated[s] != 0;
-      const bool self_limited = entry.exact && entry.demand > 0.0 &&
-                                entry.usage >= cap_threshold * entry.demand;
+      const bool self_limited =
+          entry.exact && entry.demand > 0.0 &&
+          entry.usage >= core::kExactCapThreshold * entry.demand;
       if (saturated || self_limited) out.bottlenecked[s] = 1;
     }
   }

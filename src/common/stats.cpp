@@ -21,24 +21,6 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::variance() const {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);
@@ -99,26 +81,6 @@ ConfidenceInterval wilson_interval(std::size_t successes, std::size_t trials,
   out.low = std::max(0.0, center - margin);
   out.high = std::min(1.0, center + margin);
   return out;
-}
-
-double coefficient_of_variation(const std::vector<double>& values) {
-  RunningStats s;
-  for (double v : values) s.add(v);
-  if (s.count() == 0 || s.mean() == 0.0) return 0.0;
-  return s.stddev() / s.mean();
-}
-
-double relative_l1_error(const std::vector<double>& a,
-                         const std::vector<double>& b) {
-  G10_CHECK_MSG(a.size() == b.size(), "series must have equal length");
-  double num = 0.0;
-  double den = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    num += std::fabs(a[i] - b[i]);
-    den += std::fabs(b[i]);
-  }
-  if (den == 0.0) return num == 0.0 ? 0.0 : num;
-  return num / den;
 }
 
 }  // namespace g10

@@ -12,11 +12,6 @@ class RunningStats {
  public:
   void add(double x);
 
-  /// Folds another accumulator in (Chan's parallel combination); the result
-  /// matches feeding both sample streams into one accumulator, up to
-  /// floating-point association. Either side may be empty.
-  void merge(const RunningStats& other);
-
   std::size_t count() const { return n_; }
   double mean() const { return n_ == 0 ? 0.0 : mean_; }
   /// Sample variance (n-1 denominator); 0 for fewer than two samples.
@@ -61,14 +56,5 @@ struct ConfidenceInterval {
 /// With trials == 0 there is no information: returns [0, 1].
 ConfidenceInterval wilson_interval(std::size_t successes, std::size_t trials,
                                    double z = 1.96);
-
-/// Coefficient of variation (stddev / mean); 0 when the mean is 0.
-double coefficient_of_variation(const std::vector<double>& values);
-
-/// Relative L1 error between two equal-length series:
-/// sum |a_i - b_i| / sum |b_i| (b is the reference). Returns 0 when the
-/// reference is all-zero and a matches, otherwise the absolute L1 of a.
-double relative_l1_error(const std::vector<double>& a,
-                         const std::vector<double>& b);
 
 }  // namespace g10

@@ -99,12 +99,6 @@ int Pipe::release_read() {
   return fd;
 }
 
-int Pipe::release_write() {
-  const int fd = write_fd_;
-  write_fd_ = -1;
-  return fd;
-}
-
 void Pipe::close_read() {
   if (read_fd_ >= 0) ::close(read_fd_);
   read_fd_ = -1;

@@ -102,8 +102,7 @@ class Pipe {
 
   int read_fd() const { return read_fd_; }
   int write_fd() const { return write_fd_; }
-  int release_read();   ///< caller now owns the fd (-1 afterwards)
-  int release_write();
+  int release_read();  ///< caller now owns the fd (-1 afterwards)
   void close_read();
   void close_write();
 

@@ -58,8 +58,6 @@ class PhaseLogger {
   /// so crash handling clamps end times to at least the begin.)
   std::optional<TimeNs> open_begin(const trace::PathRef& path) const;
 
-  std::size_t open_phase_count() const { return open_.size(); }
-
   /// Renders and moves the accumulated records out; the logger must have no
   /// open phases. Records appear in emission order.
   std::vector<trace::PhaseEventRecord> take_phase_events();

@@ -12,15 +12,6 @@ namespace {
 
 constexpr double kEps = 1e-12;
 
-bool in_subtree(const ExecutionTrace& trace, InstanceId node,
-                InstanceId subtree_root) {
-  while (node != kNoInstance) {
-    if (node == subtree_root) return true;
-    node = trace.instance(node).parent;
-  }
-  return false;
-}
-
 /// Upsampling + per-slice attribution of one (resource, machine) matrix.
 AttributedResource attribute_one(const DemandMatrix& matrix,
                                  const ResourceSeries& series,
@@ -134,50 +125,6 @@ AttributedUsage attribute_usage(const std::vector<DemandMatrix>& demand,
     result.resources.push_back(std::move(slots[m]));
   }
   return result;
-}
-
-double subtree_usage(const AttributedResource& resource,
-                     const ExecutionTrace& trace, InstanceId subtree_root,
-                     const TimesliceGrid& grid) {
-  double unit_slices = 0.0;
-  for (const AttributionEntry& entry : resource.entries) {
-    if (in_subtree(trace, entry.instance, subtree_root)) {
-      unit_slices += entry.usage;
-    }
-  }
-  return unit_slices * to_seconds(grid.slice_duration());
-}
-
-std::vector<double> subtree_usage_series(const AttributedResource& resource,
-                                         const ExecutionTrace& trace,
-                                         InstanceId subtree_root) {
-  std::vector<double> series(
-      static_cast<std::size_t>(resource.slice_count()), 0.0);
-  for (TimesliceIndex s = 0; s < resource.slice_count(); ++s) {
-    for (const AttributionEntry& entry : resource.slice_entries(s)) {
-      if (in_subtree(trace, entry.instance, subtree_root)) {
-        series[static_cast<std::size_t>(s)] += entry.usage;
-      }
-    }
-  }
-  return series;
-}
-
-std::vector<double> subtree_demand_series(const DemandMatrix& demand,
-                                          const ExecutionTrace& trace,
-                                          InstanceId subtree_root) {
-  std::vector<double> series(static_cast<std::size_t>(demand.slice_count),
-                             0.0);
-  for (const LeafDemand& leaf : demand.leaves) {
-    if (!in_subtree(trace, leaf.instance, subtree_root)) continue;
-    for (std::size_t i = 0; i < leaf.active_fraction.size(); ++i) {
-      const auto slice = static_cast<std::size_t>(leaf.first_slice) + i;
-      if (slice < series.size()) {
-        series[slice] += leaf.rule.amount * leaf.active_fraction[i];
-      }
-    }
-  }
-  return series;
 }
 
 }  // namespace g10::core

@@ -66,22 +66,4 @@ AttributedUsage attribute_usage(const std::vector<DemandMatrix>& demand,
                                 bool constant_strawman = false,
                                 ThreadPool* pool = nullptr);
 
-/// Total usage (unit·seconds) attributed to the subtree rooted at
-/// `subtree_root`, for one attributed resource.
-double subtree_usage(const AttributedResource& resource,
-                     const ExecutionTrace& trace, InstanceId subtree_root,
-                     const TimesliceGrid& grid);
-
-/// Per-slice usage series summed over the subtree's leaves (units).
-std::vector<double> subtree_usage_series(const AttributedResource& resource,
-                                         const ExecutionTrace& trace,
-                                         InstanceId subtree_root);
-
-/// Per-slice estimated demand series summed over the subtree's leaves:
-/// Exact amounts plus Variable weights, each scaled by active fraction
-/// (the "estimated CPU demand" curve of Fig. 3).
-std::vector<double> subtree_demand_series(const DemandMatrix& demand,
-                                          const ExecutionTrace& trace,
-                                          InstanceId subtree_root);
-
 }  // namespace g10::core

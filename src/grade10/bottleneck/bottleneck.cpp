@@ -15,23 +15,6 @@ const ResourceSaturation* BottleneckReport::find_saturation(
   return nullptr;
 }
 
-DurationNs BottleneckReport::bottleneck_time(InstanceId instance,
-                                             ResourceId resource) const {
-  DurationNs total = 0;
-  if (const auto it = blocked.find({instance, resource}); it != blocked.end()) {
-    total += it->second;
-  }
-  if (const auto it = saturated.find({instance, resource});
-      it != saturated.end()) {
-    total += it->second;
-  }
-  if (const auto it = self_limited.find({instance, resource});
-      it != self_limited.end()) {
-    total += it->second;
-  }
-  return total;
-}
-
 std::map<ResourceId, DurationNs> BottleneckReport::totals_by_resource(
     const std::map<std::pair<InstanceId, ResourceId>, DurationNs>& m) {
   std::map<ResourceId, DurationNs> totals;

@@ -51,9 +51,6 @@ struct BottleneckReport {
   const ResourceSaturation* find_saturation(ResourceId resource,
                                             trace::MachineId machine) const;
 
-  /// Total time the instance was bottlenecked on `resource` for any reason.
-  DurationNs bottleneck_time(InstanceId instance, ResourceId resource) const;
-
   /// Sums a per-(instance, resource) map over all instances, per resource.
   static std::map<ResourceId, DurationNs> totals_by_resource(
       const std::map<std::pair<InstanceId, ResourceId>, DurationNs>& m);

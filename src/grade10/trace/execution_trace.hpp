@@ -74,8 +74,9 @@ struct TraceBuild;
 class ExecutionTrace {
  public:
   struct Options {
-    /// Drop blocking events and samples whose resource is not in the model
-    /// (used to analyze a run against an untuned model, Table II).
+    /// Drop blocking events and samples whose resource is not in the model.
+    /// No production caller sets it: Table II's untuned analysis drops the
+    /// GC records itself before the build.
     bool ignore_unknown_blocking = false;
     /// Graceful degradation for damaged logs (crashed workers): instead of
     /// rejecting, repair what can be repaired and record a warning. A phase

@@ -51,50 +51,6 @@ Graph generate_rmat(const RmatParams& params) {
   return builder.build(options);
 }
 
-Graph generate_erdos_renyi(const ErdosRenyiParams& params) {
-  G10_CHECK(params.vertices > 1);
-  const auto n64 = static_cast<std::uint64_t>(params.vertices);
-  G10_CHECK_MSG(params.edges < n64 * (n64 - 1) / 2,
-                "too many edges requested for G(n, m)");
-  Rng rng(params.seed);
-  GraphBuilder builder(params.vertices);
-  builder.reserve(params.edges);
-  // Draw with replacement, deduplicate at build; top up until m distinct.
-  EdgeIndex produced = 0;
-  while (produced < params.edges) {
-    const auto src = static_cast<VertexId>(rng.next_below(n64));
-    const auto dst = static_cast<VertexId>(rng.next_below(n64));
-    if (src == dst) continue;
-    builder.add_edge(src, dst);
-    ++produced;
-  }
-  GraphBuilder::Options options;
-  options.symmetrize = params.undirected;
-  options.name = "er-n" + std::to_string(params.vertices);
-  return builder.build(options);
-}
-
-Graph generate_grid(VertexId width, VertexId height) {
-  G10_CHECK(width > 0 && height > 0);
-  const auto n = static_cast<std::uint64_t>(width) * height;
-  G10_CHECK_MSG(n <= 0xFFFFFFFFull, "grid too large for 32-bit vertex ids");
-  GraphBuilder builder(static_cast<VertexId>(n));
-  const auto id = [width](VertexId x, VertexId y) {
-    return y * width + x;
-  };
-  for (VertexId y = 0; y < height; ++y) {
-    for (VertexId x = 0; x < width; ++x) {
-      if (x + 1 < width) builder.add_edge(id(x, y), id(x + 1, y));
-      if (y + 1 < height) builder.add_edge(id(x, y), id(x, y + 1));
-    }
-  }
-  GraphBuilder::Options options;
-  options.symmetrize = true;
-  options.name =
-      "grid-" + std::to_string(width) + "x" + std::to_string(height);
-  return builder.build(options);
-}
-
 void assign_random_weights(Graph& graph, double lo, double hi,
                            std::uint64_t seed) {
   G10_CHECK(lo <= hi);

@@ -21,19 +21,6 @@ struct RmatParams {
 };
 Graph generate_rmat(const RmatParams& params);
 
-/// Erdős–Rényi G(n, m): m distinct directed edges chosen uniformly.
-struct ErdosRenyiParams {
-  VertexId vertices = 1 << 14;
-  EdgeIndex edges = 1 << 18;
-  bool undirected = false;
-  std::uint64_t seed = 1;
-};
-Graph generate_erdos_renyi(const ErdosRenyiParams& params);
-
-/// 2-D grid with 4-neighborhood (road-network-like: bounded degree, large
-/// diameter). Always undirected.
-Graph generate_grid(VertexId width, VertexId height);
-
 /// Attaches uniform-random edge weights in [lo, hi) — the stand-in for
 /// Graphalytics' weighted datasets (SSSP workloads). Deterministic by seed.
 /// Symmetrized graphs get symmetric weights: each undirected pair {u, v}

@@ -8,32 +8,6 @@
 
 namespace g10::graph {
 
-std::vector<VertexId> EdgeCutPartition::vertex_counts() const {
-  std::vector<VertexId> counts(partition_count, 0);
-  for (PartitionId p : owner) ++counts[p];
-  return counts;
-}
-
-std::vector<EdgeIndex> EdgeCutPartition::edge_counts(
-    const Graph& graph) const {
-  std::vector<EdgeIndex> counts(partition_count, 0);
-  for (VertexId v = 0; v < graph.vertex_count(); ++v) {
-    counts[owner[v]] += graph.out_degree(v);
-  }
-  return counts;
-}
-
-double EdgeCutPartition::cut_fraction(const Graph& graph) const {
-  if (graph.edge_count() == 0) return 0.0;
-  EdgeIndex cut = 0;
-  for (VertexId v = 0; v < graph.vertex_count(); ++v) {
-    for (VertexId t : graph.out_neighbors(v)) {
-      if (owner[v] != owner[t]) ++cut;
-    }
-  }
-  return static_cast<double>(cut) / static_cast<double>(graph.edge_count());
-}
-
 EdgeCutPartition partition_by_hash(const Graph& graph, PartitionId parts) {
   G10_CHECK(parts > 0);
   EdgeCutPartition result;
@@ -44,40 +18,6 @@ EdgeCutPartition partition_by_hash(const Graph& graph, PartitionId parts) {
     const std::uint64_t h = (static_cast<std::uint64_t>(v) + 1) *
                             0x9E3779B97F4A7C15ULL;
     result.owner[v] = static_cast<PartitionId>((h >> 32) % parts);
-  }
-  return result;
-}
-
-EdgeCutPartition partition_by_range(const Graph& graph, PartitionId parts) {
-  G10_CHECK(parts > 0);
-  EdgeCutPartition result;
-  result.partition_count = parts;
-  result.owner.resize(graph.vertex_count());
-  const auto n = static_cast<std::uint64_t>(graph.vertex_count());
-  for (VertexId v = 0; v < graph.vertex_count(); ++v) {
-    result.owner[v] =
-        static_cast<PartitionId>(static_cast<std::uint64_t>(v) * parts / n);
-  }
-  return result;
-}
-
-EdgeCutPartition partition_by_edge_balance(const Graph& graph,
-                                           PartitionId parts) {
-  G10_CHECK(parts > 0);
-  EdgeCutPartition result;
-  result.partition_count = parts;
-  result.owner.resize(graph.vertex_count());
-  const double per_part =
-      static_cast<double>(graph.edge_count()) / static_cast<double>(parts);
-  EdgeIndex seen = 0;
-  PartitionId current = 0;
-  for (VertexId v = 0; v < graph.vertex_count(); ++v) {
-    if (current + 1 < parts &&
-        static_cast<double>(seen) >= per_part * (current + 1)) {
-      ++current;
-    }
-    result.owner[v] = current;
-    seen += graph.out_degree(v);
   }
   return result;
 }

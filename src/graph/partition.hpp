@@ -23,24 +23,10 @@ using PartitionId = std::uint32_t;
 struct EdgeCutPartition {
   PartitionId partition_count = 0;
   std::vector<PartitionId> owner;  ///< indexed by VertexId
-
-  /// Number of vertices per partition.
-  std::vector<VertexId> vertex_counts() const;
-  /// Number of out-edges whose source lives in each partition.
-  std::vector<EdgeIndex> edge_counts(const Graph& graph) const;
-  /// Fraction of edges whose endpoints live in different partitions.
-  double cut_fraction(const Graph& graph) const;
 };
 
 /// Modulo-hash of the vertex id (Giraph's default partitioner).
 EdgeCutPartition partition_by_hash(const Graph& graph, PartitionId parts);
-
-/// Contiguous ranges with (approximately) equal vertex counts.
-EdgeCutPartition partition_by_range(const Graph& graph, PartitionId parts);
-
-/// Contiguous ranges chosen so each partition holds ~equal out-edge counts.
-EdgeCutPartition partition_by_edge_balance(const Graph& graph,
-                                           PartitionId parts);
 
 /// Edge → partition assignment with vertex replication (vertex-cut).
 /// Every vertex-cut function below walks each vertex's in-edges, so it

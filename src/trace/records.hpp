@@ -83,19 +83,6 @@ struct RunArtifacts {
 
   /// Final per-vertex algorithm values, for correctness validation.
   std::vector<double> vertex_values;
-
-  const GroundTruthSeries* find_ground_truth(const std::string& resource,
-                                             MachineId machine) const;
 };
-
-inline const GroundTruthSeries* RunArtifacts::find_ground_truth(
-    const std::string& resource, MachineId machine) const {
-  for (const auto& series : ground_truth) {
-    if (series.resource == resource && series.machine == machine) {
-      return &series;
-    }
-  }
-  return nullptr;
-}
 
 }  // namespace g10::trace

@@ -284,12 +284,7 @@ TraceReader::OpenResult TraceReader::open(const std::string& path,
     return out;
   }
 
-  TraceFormat format = options.format;
-  if (format == TraceFormat::kAuto) {
-    format = looks_like_g10t(file.bytes()) ? TraceFormat::kBinary
-                                           : TraceFormat::kText;
-  }
-  if (format == TraceFormat::kText) {
+  if (!looks_like_g10t(file.bytes())) {
     out.reader = std::make_unique<TextTraceReader>(std::move(file), options);
     return out;
   }

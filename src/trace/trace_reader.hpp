@@ -44,25 +44,12 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "trace/g10t_io.hpp"
 #include "trace/log_io.hpp"
 
 namespace g10::trace {
-
-enum class TraceFormat {
-  kAuto,    ///< sniff the magic bytes
-  kText,
-  kBinary,
-};
-
-/// The formats' names on the command line, in usage order.
-inline const std::vector<std::pair<std::string, TraceFormat>>
-    kTraceFormatNames = {{"auto", TraceFormat::kAuto},
-                         {"text", TraceFormat::kText},
-                         {"binary", TraceFormat::kBinary}};
 
 struct TraceFilter {
   /// Machines to keep; empty = all. kGlobalMachine records always pass.
@@ -92,9 +79,7 @@ struct TraceFilter {
 /// The text parser's options, whose recover semantics also govern corrupt
 /// binary blocks (recover=true skips damage and keeps going, false stops at
 /// the first problem) and whose thread count also caps block decoding.
-struct TraceReadOptions : ParseOptions {
-  TraceFormat format = TraceFormat::kAuto;
-};
+using TraceReadOptions = ParseOptions;
 
 /// Block counts are summed over every read() of the reader.
 struct TraceReadStats {
@@ -127,9 +112,10 @@ class TraceReader {
     bool ok() const { return reader != nullptr; }
   };
 
-  /// Opens `path` in the resolved format. Unreadable files, truncated or
-  /// corrupt `.g10t` headers/sections all come back as `error` — never an
-  /// assert or exception.
+  /// Opens `path` in the format its bytes name (the .g10t magic, never the
+  /// file's name). Unreadable files, truncated or corrupt `.g10t`
+  /// headers/sections all come back as `error` — never an assert or
+  /// exception.
   static OpenResult open(const std::string& path,
                          const TraceReadOptions& options = {});
 };

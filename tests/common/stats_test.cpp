@@ -60,58 +60,6 @@ TEST(PercentileTest, LinearInterpolation) {
   EXPECT_DOUBLE_EQ(percentile({0.0, 10.0, 20.0, 30.0}, 0.25), 7.5);
 }
 
-TEST(CoefficientOfVariationTest, UniformIsZero) {
-  EXPECT_DOUBLE_EQ(coefficient_of_variation({2.0, 2.0, 2.0}), 0.0);
-}
-
-TEST(CoefficientOfVariationTest, KnownValue) {
-  // mean 2, sample stddev sqrt(2) for {1,3} -> cv = sqrt(2)/2.
-  EXPECT_NEAR(coefficient_of_variation({1.0, 3.0}), std::sqrt(2.0) / 2.0,
-              1e-12);
-}
-
-TEST(RelativeL1ErrorTest, IdenticalSeriesIsZero) {
-  EXPECT_DOUBLE_EQ(relative_l1_error({1.0, 2.0}, {1.0, 2.0}), 0.0);
-}
-
-TEST(RelativeL1ErrorTest, KnownValue) {
-  // |1-2| + |2-2| = 1, reference mass 4 -> 0.25.
-  EXPECT_DOUBLE_EQ(relative_l1_error({1.0, 2.0}, {2.0, 2.0}), 0.25);
-}
-
-TEST(RelativeL1ErrorTest, ZeroReference) {
-  EXPECT_DOUBLE_EQ(relative_l1_error({0.0, 0.0}, {0.0, 0.0}), 0.0);
-  EXPECT_GT(relative_l1_error({1.0, 0.0}, {0.0, 0.0}), 0.0);
-}
-
-TEST(RunningStatsTest, MergeMatchesSingleStream) {
-  const double values[] = {2.0, -4.0, 4.5, 4.0, 5.0, 0.0, 7.25, 9.0, -1.0};
-  RunningStats whole;
-  for (double v : values) whole.add(v);
-  // Every split point, including the degenerate 0/9 and 9/0 ones.
-  for (int split = 0; split <= 9; ++split) {
-    RunningStats left;
-    RunningStats right;
-    for (int i = 0; i < split; ++i) left.add(values[i]);
-    for (int i = split; i < 9; ++i) right.add(values[i]);
-    left.merge(right);
-    EXPECT_EQ(left.count(), whole.count());
-    EXPECT_NEAR(left.mean(), whole.mean(), 1e-12);
-    EXPECT_NEAR(left.variance(), whole.variance(), 1e-12);
-    EXPECT_DOUBLE_EQ(left.min(), whole.min());
-    EXPECT_DOUBLE_EQ(left.max(), whole.max());
-    EXPECT_NEAR(left.sum(), whole.sum(), 1e-12);
-  }
-}
-
-TEST(RunningStatsTest, MergeEmptyIntoEmptyStaysEmpty) {
-  RunningStats a;
-  RunningStats b;
-  a.merge(b);
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-}
-
 TEST(QuantilesTest, EmptyInputYieldsZeros) {
   const auto qs = quantiles({}, {0.0, 0.5, 1.0});
   ASSERT_EQ(qs.size(), 3u);

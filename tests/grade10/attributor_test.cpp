@@ -111,33 +111,6 @@ TEST(AttributorTest, ConsumptionWithNoActivePhases) {
   EXPECT_GT(r.unattributed[1], 0.0);
 }
 
-TEST(AttributorTest, SubtreeRollupsSumChildren) {
-  Fixture f;
-  std::vector<trace::PhaseEventRecord> events;
-  add_phase(events, "Job.0", 0, 20);
-  add_phase(events, "Job.0/Group.0", 0, 20);
-  add_phase(events, "Job.0/Group.0/A.0", 0, 20, 0);
-  add_phase(events, "Job.0/Group.0/B.0", 0, 20, 0);
-  const auto built = f.build(
-      events,
-      {make_sample("cpu", 0, 10, 3.0), make_sample("cpu", 0, 20, 3.0)});
-  const AttributedResource& r = built.usage.resources[0];
-  const TimesliceGrid grid(10);
-
-  const InstanceId group = built.trace.find("Job.0/Group.0");
-  const auto series = subtree_usage_series(r, built.trace, group);
-  ASSERT_EQ(series.size(), 2u);
-  EXPECT_NEAR(series[0], 3.0, 1e-9);
-  EXPECT_NEAR(series[1], 3.0, 1e-9);
-  // Total in unit-seconds: 3 units for 20 ns..
-  EXPECT_NEAR(subtree_usage(r, built.trace, group, grid),
-              3.0 * to_seconds(20), 1e-15);
-
-  // Demand series: exact 2 + variable 1 per slice.
-  const auto demand = subtree_demand_series(built.demand[0], built.trace, group);
-  EXPECT_NEAR(demand[0], 3.0, 1e-9);
-}
-
 TEST(AttributorTest, FindLocatesResourceInstance) {
   Fixture f;
   std::vector<trace::PhaseEventRecord> events;

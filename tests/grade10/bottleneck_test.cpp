@@ -61,7 +61,6 @@ TEST(BottleneckTest, BlockedTimeAccounting) {
   const auto built = f.build(events, blocks, {}, config);
   const InstanceId a = built.trace.find("Job.0/A.0");
   EXPECT_EQ(built.report.blocked.at({a, f.gc}), 30);
-  EXPECT_EQ(built.report.bottleneck_time(a, f.gc), 30);
 }
 
 TEST(BottleneckTest, SaturationRequiresThreshold) {

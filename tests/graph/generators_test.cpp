@@ -2,10 +2,21 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/degree_stats.hpp"
+#include <algorithm>
 
 namespace g10::graph {
 namespace {
+
+/// The largest out-degree over the mean out-degree.
+double max_over_mean_degree(const Graph& g) {
+  EdgeIndex max_out = 0;
+  for (VertexId v = 0; v < g.vertex_count(); ++v) {
+    max_out = std::max(max_out, g.out_degree(v));
+  }
+  const double mean_out = static_cast<double>(g.edge_count()) /
+                          static_cast<double>(g.vertex_count());
+  return static_cast<double>(max_out) / mean_out;
+}
 
 TEST(RmatTest, DeterministicForSeed) {
   RmatParams params;
@@ -37,46 +48,8 @@ TEST(RmatTest, HasExpectedScaleAndSkew) {
   EXPECT_EQ(g.vertex_count(), 1024u);
   // Dedup removes some edges but most should survive.
   EXPECT_GT(g.edge_count(), 1024u * 8);
-  const DegreeStats stats = compute_degree_stats(g);
   // Power-law-ish: heavily skewed out-degree distribution.
-  EXPECT_GT(stats.gini, 0.4);
-  EXPECT_GT(static_cast<double>(stats.max_out), 8.0 * stats.mean_out);
-}
-
-TEST(ErdosRenyiTest, ExactEdgeBudgetBeforeDedup) {
-  ErdosRenyiParams params;
-  params.vertices = 512;
-  params.edges = 4096;
-  const Graph g = generate_erdos_renyi(params);
-  EXPECT_EQ(g.vertex_count(), 512u);
-  // A few duplicates collapse; the count stays close to requested.
-  EXPECT_GT(g.edge_count(), 3900u);
-  EXPECT_LE(g.edge_count(), 4096u);
-  const DegreeStats stats = compute_degree_stats(g);
-  EXPECT_LT(stats.gini, 0.3);  // near-uniform degrees
-}
-
-TEST(ErdosRenyiTest, Deterministic) {
-  ErdosRenyiParams params;
-  params.vertices = 128;
-  params.edges = 512;
-  params.seed = 77;
-  EXPECT_EQ(generate_erdos_renyi(params).out_targets(),
-            generate_erdos_renyi(params).out_targets());
-}
-
-TEST(GridTest, StructureIsCorrect) {
-  const Graph g = generate_grid(4, 3);
-  EXPECT_EQ(g.vertex_count(), 12u);
-  // Undirected 4-neighborhood: 2*w*h - w - h edges, doubled by symmetrize.
-  EXPECT_EQ(g.edge_count(), 2u * (2 * 4 * 3 - 4 - 3));
-  // Corner has degree 2, center degree 4.
-  EXPECT_EQ(g.out_degree(0), 2u);
-  EXPECT_EQ(g.out_degree(5), 4u);  // (1,1)
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_TRUE(g.has_edge(1, 0));
-  EXPECT_TRUE(g.has_edge(0, 4));
-  EXPECT_FALSE(g.has_edge(0, 5));
+  EXPECT_GT(max_over_mean_degree(g), 8.0);
 }
 
 TEST(DatagenTest, DeterministicAndClustered) {
@@ -97,8 +70,7 @@ TEST(DatagenTest, DegreeSkewPresent) {
   params.vertices = 4096;
   params.mean_degree = 16;
   const Graph g = generate_datagen_like(params);
-  const DegreeStats stats = compute_degree_stats(g);
-  EXPECT_GT(static_cast<double>(stats.max_out), 5.0 * stats.mean_out);
+  EXPECT_GT(max_over_mean_degree(g), 5.0);
 }
 
 TEST(RandomWeightsTest, DeterministicSymmetricAndInRange) {

@@ -6,8 +6,7 @@
 // depend on these bytes: a change to a generator, the builder or a cut must
 // reproduce them, or re-pin them on purpose. Specs: the `rmat:<scale>` and
 // `datagen:<n>` tool datasets, the parameters of the tests, the bench
-// harnesses and the examples, undirected R-MAT, and the Erdős–Rényi and
-// grid generators.
+// harnesses and the examples, and undirected R-MAT.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -91,14 +90,6 @@ Graph datagen(VertexId vertices, double mean_degree, std::uint64_t seed) {
   params.mean_degree = mean_degree;
   params.seed = seed;
   return generate_datagen_like(params);
-}
-
-Graph erdos_renyi(VertexId vertices, EdgeIndex edges, bool undirected) {
-  ErdosRenyiParams params;
-  params.vertices = vertices;
-  params.edges = edges;
-  params.undirected = undirected;
-  return generate_erdos_renyi(params);
 }
 
 Graph weighted(Graph g, double lo, double hi, std::uint64_t seed) {
@@ -255,35 +246,6 @@ TEST(GraphDigestTest, DatagenDatasets) {
       {"datagen n131072 d16 seed901",
        [] { return datagen(131072, 16, 901); },
        2078552, 0xbdff6f62a4454a39ull, 0xa876f2d0418dca8bull,
-       kNoWeights},
-  });
-}
-
-TEST(GraphDigestTest, ErdosRenyiAndGrid) {
-  expect_pins({
-      {"er defaults",
-       [] { return generate_erdos_renyi({}); },
-       262003, 0xc0dfd83ee627e56full, 0xf62730ff11c6b007ull,
-       kNoWeights},
-      {"er n512 m4096",
-       [] { return erdos_renyi(512, 4096, false); },
-       4058, 0xb962b43bc80d7dbdull, 0xb5ca13e22ba072bcull,
-       kNoWeights},
-      {"er n128 m1000 undirected",
-       [] { return erdos_renyi(128, 1000, true); },
-       1868, 0xac1567f0f89f836eull, 0x13d9e69a41d3e9baull,
-       kNoWeights},
-      {"grid 4x3",
-       [] { return generate_grid(4, 3); },
-       34, 0xf42f4a1022237bf4ull, 0x684fbe9ac94cd116ull,
-       kNoWeights},
-      {"grid 1x1",
-       [] { return generate_grid(1, 1); },
-       0, 0x88201fb960ff6465ull, 0xcbf29ce484222325ull,
-       kNoWeights},
-      {"grid 64x48",
-       [] { return generate_grid(64, 48); },
-       12064, 0xc97080bb25b58a6aull, 0xe1e07b2a070c508dull,
        kNoWeights},
   });
 }

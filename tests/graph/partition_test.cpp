@@ -18,6 +18,17 @@ Graph test_graph() {
   return generate_rmat(params);
 }
 
+/// Fraction of edges whose endpoints have different owners.
+double cut_fraction(const EdgeCutPartition& p, const Graph& g) {
+  EdgeIndex cut = 0;
+  for (VertexId v = 0; v < g.vertex_count(); ++v) {
+    for (const VertexId t : g.out_neighbors(v)) {
+      if (p.owner[v] != p.owner[t]) ++cut;
+    }
+  }
+  return static_cast<double>(cut) / static_cast<double>(g.edge_count());
+}
+
 class EdgeCutTest : public ::testing::TestWithParam<PartitionId> {};
 
 TEST_P(EdgeCutTest, HashCoversAllVertices) {
@@ -25,30 +36,6 @@ TEST_P(EdgeCutTest, HashCoversAllVertices) {
   const auto p = partition_by_hash(g, GetParam());
   ASSERT_EQ(p.owner.size(), g.vertex_count());
   for (const PartitionId owner : p.owner) EXPECT_LT(owner, GetParam());
-  const auto counts = p.vertex_counts();
-  const VertexId total = std::accumulate(counts.begin(), counts.end(), 0u);
-  EXPECT_EQ(total, g.vertex_count());
-}
-
-TEST_P(EdgeCutTest, RangeIsContiguous) {
-  const Graph g = test_graph();
-  const auto p = partition_by_range(g, GetParam());
-  for (VertexId v = 1; v < g.vertex_count(); ++v) {
-    EXPECT_LE(p.owner[v - 1], p.owner[v]);
-  }
-}
-
-TEST_P(EdgeCutTest, EdgeBalanceBalancesEdges) {
-  const Graph g = test_graph();
-  const auto p = partition_by_edge_balance(g, GetParam());
-  const auto edges = p.edge_counts(g);
-  const auto parts = GetParam();
-  const double mean =
-      static_cast<double>(g.edge_count()) / static_cast<double>(parts);
-  for (const EdgeIndex count : edges) {
-    // Within 50% of the mean (a single hub can distort one bin).
-    EXPECT_LT(static_cast<double>(count), mean * 1.5 + 64.0);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(PartCounts, EdgeCutTest,
@@ -57,15 +44,15 @@ INSTANTIATE_TEST_SUITE_P(PartCounts, EdgeCutTest,
 TEST(EdgeCutTest, SinglePartitionHasNoCut) {
   const Graph g = test_graph();
   const auto p = partition_by_hash(g, 1);
-  EXPECT_DOUBLE_EQ(p.cut_fraction(g), 0.0);
+  EXPECT_DOUBLE_EQ(cut_fraction(p, g), 0.0);
 }
 
 TEST(EdgeCutTest, HashCutFractionIsHigh) {
   const Graph g = test_graph();
   const auto p = partition_by_hash(g, 8);
   // Random-ish placement cuts about (k-1)/k of edges.
-  EXPECT_GT(p.cut_fraction(g), 0.6);
-  EXPECT_LE(p.cut_fraction(g), 1.0);
+  EXPECT_GT(cut_fraction(p, g), 0.6);
+  EXPECT_LE(cut_fraction(p, g), 1.0);
 }
 
 class VertexCutTest

@@ -145,7 +145,6 @@ TEST(FlagSweepTest, Analyze) {
          {"--threads", "2", "2202220"},
          {"--chrome-trace", "t.json", "0000000"},
          {"--det-check", "2", "2222220"},
-         {"--trace-format", "text", "2222220"},
          // was 2000220: 2^31 wrapped to a negative machine id
          {"--machines", "0,1", "2002220"},
          {"--phases", "Superstep", "0000000"},

@@ -252,7 +252,6 @@ void check_g10t(const std::string& bytes) {
   }
 
   trace::TraceReadOptions strict;
-  strict.format = trace::TraceFormat::kBinary;
   strict.threads = 1;
   const std::filesystem::path path = test_root() / "mutant.g10t";
   write_file(path, bytes);

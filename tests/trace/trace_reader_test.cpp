@@ -126,6 +126,27 @@ TEST(TraceReaderTest, SniffsFormatsFromBytes) {
       TraceReader::open(binary_of(golden_logs()[0]));
   ASSERT_TRUE(binary.ok());
   EXPECT_TRUE(binary.reader->is_binary());
+
+  // The extension decides nothing: a .g10t named *.log reads as binary and
+  // a text log named *.g10t reads as text, each to its original records.
+  const auto overwrite = std::filesystem::copy_options::overwrite_existing;
+  const std::string binary_as_log = (test_root() / "renamed.log").string();
+  std::filesystem::copy_file(binary_of(golden_logs()[0]), binary_as_log,
+                             overwrite);
+  const std::string text_as_g10t = (test_root() / "renamed.g10t").string();
+  std::filesystem::copy_file(golden_path(golden_logs()[0]), text_as_g10t,
+                             overwrite);
+  const TraceReader::OpenResult renamed_binary =
+      TraceReader::open(binary_as_log);
+  ASSERT_TRUE(renamed_binary.ok());
+  EXPECT_TRUE(renamed_binary.reader->is_binary());
+  const TraceReader::OpenResult renamed_text = TraceReader::open(text_as_g10t);
+  ASSERT_TRUE(renamed_text.ok());
+  EXPECT_FALSE(renamed_text.reader->is_binary());
+  const std::string original =
+      render(read_trace_file(golden_path(golden_logs()[0])).log);
+  EXPECT_EQ(render(read_trace_file(binary_as_log).log), original);
+  EXPECT_EQ(render(read_trace_file(text_as_g10t).log), original);
 }
 
 TEST(TraceReaderTest, BinaryReadIsByteIdenticalToTextForEveryGolden) {

@@ -84,7 +84,6 @@ struct Args {
   bool lenient = false;
   bool preflight = true;
   int det_check = 0;  ///< 0 = off; otherwise max thread count to sweep
-  trace::TraceFormat trace_format = trace::TraceFormat::kAuto;
   std::vector<trace::MachineId> machines;
   std::vector<std::string> phases;
   std::optional<std::pair<TimeNs, TimeNs>> time_range;
@@ -136,9 +135,6 @@ cli::Table flag_table(Args& args) {
         "skip the lint report"},
        {"--det-check N", &args.det_check,
         "compare analyses at 1, 2 and N threads", 1, cli::kMaxConcurrency},
-       {"--trace-format",
-        cli::one_of(&args.trace_format, trace::kTraceFormatNames),
-        "trace encoding; auto sniffs the bytes"},
        {"--machines M,M,...", cli::Setter(add_machines),
         "keep only these machines' records"},
        {"--phases TYPE,TYPE,...", cli::Setter(add_phases),
@@ -176,9 +172,8 @@ trace::TraceFilter build_filter(const Args& args,
   return filter;
 }
 
-trace::TraceReadOptions reader_options(const Args& args, int threads) {
+trace::TraceReadOptions reader_options(int threads) {
   trace::TraceReadOptions options;
-  options.format = args.trace_format;
   options.recover = true;  // always collect the full error list
   options.threads = threads;
   return options;
@@ -222,7 +217,7 @@ int det_check(const Args& args, const core::ModelParseResult& model) {
   std::vector<DetSummary> summaries;
   for (const int threads : counts) {
     const trace::ParseResult log = trace::read_trace_file(
-        args.log_path, reader_options(args, threads), filter);
+        args.log_path, reader_options(threads), filter);
     if (!log.ok() && log.errors.front().line_number == 0) {
       std::cerr << log.errors.front().message << '\n';
       return kExitParseFailure;
@@ -282,7 +277,7 @@ int run(const Args& args) {
   if (args.det_check > 0) return det_check(args, model);
 
   const trace::ParseResult log = trace::read_trace_file(
-      args.log_path, reader_options(args, args.threads),
+      args.log_path, reader_options(args.threads),
       build_filter(args, model.model.execution));
   if (!log.ok() && log.errors.front().line_number == 0) {
     // File-level failure: unreadable file, or a truncated / corrupt .g10t

@@ -27,6 +27,8 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/exit_codes.hpp"
@@ -37,10 +39,22 @@
 namespace g10 {
 namespace {
 
+enum class TraceFormat {
+  kAuto,  ///< the opposite of the input's format
+  kText,
+  kBinary,
+};
+
+/// The formats' names on the command line, in usage order.
+const std::vector<std::pair<std::string, TraceFormat>> kTraceFormatNames = {
+    {"auto", TraceFormat::kAuto},
+    {"text", TraceFormat::kText},
+    {"binary", TraceFormat::kBinary}};
+
 struct Args {
   std::string in_path;
   std::string out_path;
-  trace::TraceFormat to = trace::TraceFormat::kAuto;
+  TraceFormat to = TraceFormat::kAuto;
   std::uint64_t block_records = trace::kG10tDefaultBlockRecords;
   bool verify = false;
   bool lenient = false;
@@ -51,7 +65,7 @@ cli::Table flag_table(Args& args) {
   return {"g10_convert --in <trace> --out <trace> [flags]",
           {{"--in <trace>", &args.in_path, "text or .g10t trace to read"},
            {"--out <trace>", &args.out_path, "trace to write"},
-           {"--to", cli::one_of(&args.to, trace::kTraceFormatNames),
+           {"--to", cli::one_of(&args.to, kTraceFormatNames),
             "output format; auto = the other one"},
            {"--block-records N", &args.block_records,
             "records per .g10t block", 1},
@@ -98,13 +112,12 @@ int run(const Args& args) {
               << (reader.is_binary() ? "block(s)" : "line(s)") << '\n';
   }
 
-  trace::TraceFormat to = args.to;
-  if (to == trace::TraceFormat::kAuto) {
-    to = reader.is_binary() ? trace::TraceFormat::kText
-                            : trace::TraceFormat::kBinary;
+  TraceFormat to = args.to;
+  if (to == TraceFormat::kAuto) {
+    to = reader.is_binary() ? TraceFormat::kText : TraceFormat::kBinary;
   }
 
-  if (to == trace::TraceFormat::kBinary) {
+  if (to == TraceFormat::kBinary) {
     trace::G10tWriteOptions write_options;
     write_options.block_records = args.block_records;
     std::string error;
@@ -132,11 +145,11 @@ int run(const Args& args) {
   std::cout << "converted " << args.in_path << " ("
             << (reader.is_binary() ? "binary" : "text") << ") -> "
             << args.out_path << " ("
-            << (to == trace::TraceFormat::kBinary ? "binary" : "text")
+            << (to == TraceFormat::kBinary ? "binary" : "text")
             << "): " << parsed.log.phase_events.size() << " phase events, "
             << parsed.log.blocking_events.size() << " blocking events, "
             << parsed.log.samples.size() << " samples";
-  if (to == trace::TraceFormat::kBinary) {
+  if (to == TraceFormat::kBinary) {
     trace::TraceReader::OpenResult written =
         trace::TraceReader::open(args.out_path, {});
     if (written.ok() && written.reader->structure() != nullptr) {
