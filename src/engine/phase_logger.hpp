@@ -6,11 +6,14 @@
 // This is the hot edge of trace generation, so everything is interned: the
 // engines pass PathRef (inline (symbol, index) pairs with a precomputed
 // hash), open-phase tracking keys on that hash, and records are stored in
-// interned form. The string-typed PhaseEventRecord/BlockingEventRecord
-// forms are rendered exactly once, at take_*() time, in emission order —
-// which is what keeps logs byte-identical to the pre-interning ones.
+// interned form, in fixed-size blocks of kBlockEvents. The string-typed
+// PhaseEventRecord/BlockingEventRecord forms are rendered exactly once, at
+// take_*() time, in emission order — which is what keeps logs
+// byte-identical to the pre-interning ones. Each block is freed as soon as
+// it is rendered, so a run's log is never held in both forms at once.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -58,10 +61,14 @@ class PhaseLogger {
   /// so crash handling clamps end times to at least the begin.)
   std::optional<TimeNs> open_begin(const trace::PathRef& path) const;
 
-  /// Renders and moves the accumulated records out; the logger must have no
-  /// open phases. Records appear in emission order.
+  /// Renders and moves the accumulated records out, freeing each storage
+  /// block once it is rendered; the logger must have no open phases.
+  /// Records appear in emission order, and the logger is left empty.
   std::vector<trace::PhaseEventRecord> take_phase_events();
   std::vector<trace::BlockingEventRecord> take_blocking_events();
+
+  /// Interned events per storage block.
+  static constexpr std::size_t kBlockEvents = 4096;
 
  private:
   struct InternedPhaseEvent {
@@ -78,8 +85,11 @@ class PhaseLogger {
     trace::MachineId machine;
   };
 
-  std::vector<InternedPhaseEvent> phase_events_;
-  std::vector<InternedBlockingEvent> blocking_events_;
+  template <typename Event>
+  using Blocks = std::vector<std::vector<Event>>;
+
+  Blocks<InternedPhaseEvent> phase_events_;
+  Blocks<InternedBlockingEvent> blocking_events_;
   std::unordered_map<trace::PathRef, TimeNs, trace::PathRefHash>
       open_;  // path -> begin time
 };

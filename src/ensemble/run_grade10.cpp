@@ -67,8 +67,8 @@ RunAttempt run_scenario(const Scenario& scenario) {
   spec.core_speed = scenario.jitter.core_speed;
   spec.nic_bandwidth = scenario.jitter.nic_bandwidth;
   spec.monitor_interval = kMonitorInterval;
-  const workload::Result run = workload::run(spec, *graph);
-  const trace::RunArtifacts& artifacts = run.artifacts;
+  workload::Result run = workload::run(spec, *graph);
+  trace::RunArtifacts& artifacts = run.artifacts;
   const core::FrameworkModel& framework = run.model;
 
   // Stage 4: characterization.
@@ -84,8 +84,20 @@ RunAttempt run_scenario(const Scenario& scenario) {
   // Serial analysis: the ensemble's parallelism is across worker
   // processes, and a pool in each would oversubscribe the machine.
   input.config.threads = 1;
+  core::TraceBuild built = core::ExecutionTrace::build_checked(
+      *input.model, *input.resources, input.phase_events,
+      input.blocking_events, input.samples, input.trace_options);
+  // Characterization reads only `built`, and the stages below only the
+  // makespan of the artifacts: free the records before demand, attribution
+  // and replay run.
+  std::vector<trace::PhaseEventRecord>().swap(artifacts.phase_events);
+  std::vector<trace::BlockingEventRecord>().swap(artifacts.blocking_events);
+  std::vector<trace::MonitoringSampleRecord>().swap(run.samples);
+  input.phase_events = {};
+  input.blocking_events = {};
+  input.samples = {};
   const core::CheckedCharacterization checked =
-      core::characterize_checked(input);
+      core::characterize_trace(input, std::move(built));
   if (!checked.status.ok() || !checked.result.has_value()) {
     RunAttempt attempt;
     attempt.outcome = RunOutcome::kAnalysisFailed;

@@ -71,5 +71,67 @@ TEST(PhaseLoggerTest, SamePathCanReopenAfterEnd) {
   EXPECT_EQ(log.take_phase_events().size(), 4u);
 }
 
+TEST(PhaseLoggerTest, RendersAcrossStorageBlocksInEmissionOrder) {
+  // Two full blocks plus a partial one of phase events, and as many
+  // blocking events, so rendering crosses every block boundary.
+  const std::int64_t pairs =
+      static_cast<std::int64_t>(PhaseLogger::kBlockEvents) * 5 / 4 + 1;
+  const auto machine = [](std::int64_t i) {
+    return static_cast<trace::MachineId>(i % 7) - 1;
+  };
+  PhaseLogger log;
+  for (std::int64_t i = 0; i < pairs; ++i) {
+    const trace::PathRef p = path("Step", 0).child("Task", i);
+    log.begin(p, 3 * i, machine(i));
+    log.block(i % 2 == 0 ? "GC" : "Queue", p, 3 * i, 3 * i + 1, machine(i));
+    log.block("Net", p, 3 * i + 1, 3 * i + 2, machine(i));
+    log.end(p, 3 * i + 2, machine(i));
+  }
+  const auto per_kind = static_cast<std::size_t>(2 * pairs);
+  ASSERT_GT(per_kind, 2 * PhaseLogger::kBlockEvents);
+  ASSERT_NE(per_kind % PhaseLogger::kBlockEvents, 0u);
+
+  const auto events = log.take_phase_events();
+  ASSERT_EQ(events.size(), per_kind);
+  for (std::int64_t i = 0; i < pairs; ++i) {
+    const std::string expected = "Step.0/Task." + std::to_string(i);
+    for (const int end : {0, 1}) {
+      const auto& event = events[static_cast<std::size_t>(2 * i + end)];
+      ASSERT_EQ(event.kind, end ? trace::PhaseEventRecord::Kind::End
+                                : trace::PhaseEventRecord::Kind::Begin)
+          << i;
+      ASSERT_EQ(event.path.to_string(), expected);
+      ASSERT_EQ(event.time, 3 * i + 2 * end);
+      ASSERT_EQ(event.machine, machine(i));
+    }
+  }
+
+  const auto blocks = log.take_blocking_events();
+  ASSERT_EQ(blocks.size(), per_kind);
+  for (std::int64_t i = 0; i < pairs; ++i) {
+    const std::string expected = "Step.0/Task." + std::to_string(i);
+    for (const int net : {0, 1}) {
+      const auto& block = blocks[static_cast<std::size_t>(2 * i + net)];
+      ASSERT_EQ(block.resource, net ? "Net" : (i % 2 == 0 ? "GC" : "Queue"));
+      ASSERT_EQ(block.path.to_string(), expected);
+      ASSERT_EQ(block.begin, 3 * i + net);
+      ASSERT_EQ(block.end, 3 * i + net + 1);
+      ASSERT_EQ(block.machine, machine(i));
+    }
+  }
+
+  // Taking leaves the logger empty and ready for another run.
+  EXPECT_TRUE(log.take_phase_events().empty());
+  EXPECT_TRUE(log.take_blocking_events().empty());
+  log.begin(path("A", 0), 1, 0);
+  log.block("GC", path("A", 0), 1, 2, 0);
+  log.end(path("A", 0), 2, 0);
+  const auto again = log.take_phase_events();
+  ASSERT_EQ(again.size(), 2u);
+  EXPECT_EQ(again[0].path.to_string(), "A.0");
+  EXPECT_EQ(again[1].time, 2);
+  ASSERT_EQ(log.take_blocking_events().size(), 1u);
+}
+
 }  // namespace
 }  // namespace g10::engine

@@ -4,18 +4,23 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <numeric>
 #include <sstream>
+#include <string>
 
 #include "algorithms/programs.hpp"
 #include "engine/gas/gas_engine.hpp"
 #include "engine/pregel/pregel_engine.hpp"
+#include "grade10/det_fold.hpp"
+#include "grade10/model/model_io.hpp"
 #include "grade10/models/gas_model.hpp"
 #include "grade10/models/pregel_model.hpp"
 #include "grade10/report/report.hpp"
 #include "graph/generators.hpp"
 #include "monitor/sampler.hpp"
 #include "sim/fault_injector.hpp"
+#include "trace/trace_reader.hpp"
 
 namespace g10::core {
 namespace {
@@ -271,6 +276,66 @@ TEST(PipelineTest, TruncatedCrashLogNeedsLenientAndReportsRecoveryIssue) {
     }
   }
   EXPECT_TRUE(found_fault_issue);
+}
+
+TEST(PipelineTest, CharacterizationReadsOnlyTheBuiltTrace) {
+  // The tools free the parsed records once the trace is built; the result
+  // must not change when characterize_trace sees no records at all.
+  struct Golden {
+    const char* model;
+    const char* log;
+    bool lenient;
+  };
+  for (const Golden& golden :
+       {Golden{"gas", "gas_pagerank_d512_s99_batched.log", false},
+        Golden{"pregel", "pregel_pagerank_d512_s99_faulted_truncated.log",
+               true}}) {
+    std::ifstream model_file(std::string(G10_EXAMPLE_MODEL_DIR) + "/" +
+                             golden.model + ".g10");
+    const ModelParseResult model = parse_model(model_file);
+    ASSERT_TRUE(model.ok()) << golden.model;
+    CharacterizationInput input;
+    input.model = &model.model.execution;
+    input.resources = &model.model.resources;
+    input.rules = &model.model.rules;
+    input.config.timeslice = 10 * kMillisecond;
+    input.config.min_issue_impact = 0.0;
+    input.trace_options.lenient = golden.lenient;
+
+    CheckedCharacterization full;
+    TraceBuild built;
+    {
+      const trace::ParseResult log = trace::read_trace_file(
+          std::string(G10_GOLDEN_TRACE_DIR) + "/" + golden.log);
+      ASSERT_TRUE(log.ok()) << golden.log;
+      input.phase_events = log.log.phase_events;
+      input.blocking_events = log.log.blocking_events;
+      input.samples = log.log.samples;
+      full = characterize_checked(input);
+      built = ExecutionTrace::build_checked(
+          *input.model, *input.resources, input.phase_events,
+          input.blocking_events, input.samples, input.trace_options);
+    }  // the records are gone from here on
+    input.phase_events = {};
+    input.blocking_events = {};
+    input.samples = {};
+    const CheckedCharacterization from_build =
+        characterize_trace(input, std::move(built));
+
+    ASSERT_TRUE(full.status.ok() && full.result.has_value()) << golden.log;
+    ASSERT_TRUE(from_build.status.ok() && from_build.result.has_value())
+        << golden.log;
+    EXPECT_EQ(from_build.status.warnings, full.status.warnings);
+    const DetSummary expected =
+        fold_characterization(*full.result, model.model.resources);
+    const DetSummary actual =
+        fold_characterization(*from_build.result, model.model.resources);
+    const auto divergence = first_divergence(expected, actual);
+    EXPECT_FALSE(divergence.has_value())
+        << golden.log << " diverged at '" << divergence->path
+        << "': " << divergence->detail;
+    EXPECT_EQ(actual.overall, expected.overall) << golden.log;
+  }
 }
 
 }  // namespace

@@ -375,7 +375,8 @@ TEST(AnalyzeExitCodeTest, BadFilterSyntaxIsBadArgs) {
   const std::string base = std::string(G10_ANALYZE_BIN) + " --model " +
                            ok_artifacts() + "/model.g10 --log " +
                            ok_binary_trace();
-  EXPECT_EQ(exit_code(base + " --trace-format parquet"), kExitBadArgs);
+  EXPECT_EQ(exit_code(base + " --phases Superstep,,WorkerCompute"),
+            kExitBadArgs);
   EXPECT_EQ(exit_code(base + " --time-range 10"), kExitBadArgs);
   EXPECT_EQ(exit_code(base + " --time-range 50:10"), kExitBadArgs);
   EXPECT_EQ(exit_code(base + " --machines 1,x"), kExitBadArgs);

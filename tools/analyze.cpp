@@ -276,7 +276,7 @@ int run(const Args& args) {
 
   if (args.det_check > 0) return det_check(args, model);
 
-  const trace::ParseResult log = trace::read_trace_file(
+  trace::ParseResult log = trace::read_trace_file(
       args.log_path, reader_options(args.threads),
       build_filter(args, model.model.execution));
   if (!log.ok() && log.errors.front().line_number == 0) {
@@ -311,7 +311,7 @@ int run(const Args& args) {
             << log.log.blocking_events.size() << " blocking events, "
             << log.log.samples.size() << " monitoring samples\n\n";
 
-  const core::CharacterizationInput input =
+  core::CharacterizationInput input =
       characterization_input(args, model, log, args.threads);
   core::TraceBuild built = core::ExecutionTrace::build_checked(
       *input.model, *input.resources, input.phase_events,
@@ -340,6 +340,15 @@ int run(const Args& args) {
                 << " preflight error(s)\n\n";
     }
   }
+
+  // Characterization reads only `built`: free the parsed records, and empty
+  // the spans over them, before demand, attribution and replay run.
+  std::vector<trace::PhaseEventRecord>().swap(log.log.phase_events);
+  std::vector<trace::BlockingEventRecord>().swap(log.log.blocking_events);
+  std::vector<trace::MonitoringSampleRecord>().swap(log.log.samples);
+  input.phase_events = {};
+  input.blocking_events = {};
+  input.samples = {};
 
   core::CheckedCharacterization checked =
       core::characterize_trace(input, std::move(built));
