@@ -29,64 +29,74 @@ AttributedResource attribute_one(const DemandMatrix& matrix,
   out.unattributed.assign(slices, 0.0);
   out.slice_offsets.assign(slices + 1, 0);
 
-  // Bucket leaf demands by slice (sparse: few active leaves per slice).
-  std::vector<std::vector<const LeafDemand*>> per_slice(slices);
+  // Counting pass: one entry per (slice, leaf) with a positive active
+  // fraction, counted into slice_offsets[s + 1], then prefix-summed so the
+  // table is allocated once, in its final size.
   for (const LeafDemand& leaf : matrix.leaves) {
     for (std::size_t i = 0; i < leaf.active_fraction.size(); ++i) {
       if (leaf.active_fraction[i] <= 0.0) continue;
       const auto slice = static_cast<std::size_t>(leaf.first_slice) + i;
-      if (slice < slices) per_slice[slice].push_back(&leaf);
+      if (slice < slices) ++out.slice_offsets[slice + 1];
+    }
+  }
+  for (std::size_t s = 0; s < slices; ++s) {
+    out.slice_offsets[s + 1] += out.slice_offsets[s];
+  }
+
+  // Scatter pass: leaves in matrix order, so each slice keeps leaf order.
+  out.entries.resize(out.slice_offsets[slices]);
+  std::vector<std::uint32_t> next(out.slice_offsets.begin(),
+                                  out.slice_offsets.end() - 1);
+  for (const LeafDemand& leaf : matrix.leaves) {
+    for (std::size_t i = 0; i < leaf.active_fraction.size(); ++i) {
+      const double frac = leaf.active_fraction[i];
+      if (frac <= 0.0) continue;
+      const auto slice = static_cast<std::size_t>(leaf.first_slice) + i;
+      if (slice >= slices) continue;
+      AttributionEntry& entry = out.entries[next[slice]++];
+      entry.instance = leaf.instance;
+      entry.fraction = frac;
+      entry.exact = leaf.rule.is_exact();
+      entry.demand = leaf.rule.amount * frac;
     }
   }
 
+  // Usage pass: Exact phases first, proportionally, capped at their demand;
+  // the remainder goes to Variable phases by weight.
   for (std::size_t s = 0; s < slices; ++s) {
-    out.slice_offsets[s] = static_cast<std::uint32_t>(out.entries.size());
     const double consumption = out.upsampled.usage[s];
-    const auto& leaves = per_slice[s];
-    if (leaves.empty()) {
+    const std::span<AttributionEntry> entries(
+        out.entries.data() + out.slice_offsets[s],
+        out.entries.data() + out.slice_offsets[s + 1]);
+    if (entries.empty()) {
       out.unattributed[s] = consumption;
       continue;
     }
-    // Exact phases first, proportionally, capped at their demand.
     double sum_exact = 0.0;
     double sum_weight = 0.0;
-    for (const LeafDemand* leaf : leaves) {
-      const double frac = leaf->fraction(static_cast<TimesliceIndex>(s));
-      if (leaf->rule.is_exact()) {
-        sum_exact += leaf->rule.amount * frac;
-      } else {
-        sum_weight += leaf->rule.amount * frac;
-      }
+    for (const AttributionEntry& entry : entries) {
+      (entry.exact ? sum_exact : sum_weight) += entry.demand;
     }
     const double exact_scale =
         sum_exact > kEps ? std::min(1.0, consumption / sum_exact) : 0.0;
-    double remaining = consumption - sum_exact * exact_scale;
+    const double remaining = consumption - sum_exact * exact_scale;
     // Exact attribution is capped at the measured consumption, so the
     // residual handed to variable phases can never go negative (unless the
     // monitor itself reported a negative rate, which lint flags upstream).
     G10_ASSERT(remaining >= -kEps || consumption < 0.0);
-    for (const LeafDemand* leaf : leaves) {
-      const double frac = leaf->fraction(static_cast<TimesliceIndex>(s));
-      AttributionEntry entry;
-      entry.instance = leaf->instance;
-      entry.fraction = frac;
-      entry.exact = leaf->rule.is_exact();
+    for (AttributionEntry& entry : entries) {
       if (entry.exact) {
-        entry.demand = leaf->rule.amount * frac;
         entry.usage = entry.demand * exact_scale;
       } else {
-        entry.demand = leaf->rule.amount * frac;
         entry.usage = sum_weight > kEps
                           ? remaining * entry.demand / sum_weight
                           : 0.0;
       }
-      out.entries.push_back(entry);
     }
     if (sum_weight <= kEps && remaining > kEps) {
       out.unattributed[s] = remaining;
     }
   }
-  out.slice_offsets[slices] = static_cast<std::uint32_t>(out.entries.size());
   return out;
 }
 

@@ -4,9 +4,13 @@
 // receive the consumption first, proportionally to and capped at their
 // demand; the remainder is distributed over active Variable phases
 // proportionally to their weights. The result is the paper's 3-D array
-// (resource × timeslice × phase), stored slice-sparse.
+// (resource × timeslice × phase), stored slice-sparse: one 32-byte entry per
+// (slice, active leaf), slice-major and in the matrix's leaf order within a
+// slice. A counting pass sizes the table exactly before it is filled, so it
+// is allocated once and never grows.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/time.hpp"
@@ -17,12 +21,15 @@
 namespace g10::core {
 
 struct AttributionEntry {
-  InstanceId instance = kNoInstance;
   double usage = 0.0;     ///< units attributed in this slice
   double demand = 0.0;    ///< Exact demand (units) or Variable weight
   double fraction = 0.0;  ///< active fraction of the slice
+  InstanceId instance = kNoInstance;
   bool exact = false;
 };
+// The doubles first, the narrow fields last: 24 + 4 + 1 bytes pad to 32, not
+// to the 40 an id-first order costs.
+static_assert(sizeof(AttributionEntry) == 32);
 
 /// Full attribution result for one (resource, machine) instance.
 struct AttributedResource {

@@ -27,15 +27,6 @@ struct LeafDemand {
   TimesliceIndex first_slice = 0;
   /// Active fraction of each slice in [first_slice, first_slice + size).
   std::vector<double> active_fraction;
-
-  double fraction(TimesliceIndex slice) const {
-    const auto offset = slice - first_slice;
-    if (offset < 0 ||
-        offset >= static_cast<TimesliceIndex>(active_fraction.size())) {
-      return 0.0;
-    }
-    return active_fraction[static_cast<std::size_t>(offset)];
-  }
 };
 
 /// Demand matrix of one resource instance.
@@ -46,6 +37,9 @@ struct DemandMatrix {
   TimesliceIndex slice_count = 0;
   std::vector<double> exact;     ///< per slice: summed Exact demand (units)
   std::vector<double> variable;  ///< per slice: summed Variable weight
+  /// Per-leaf active fractions: the input `attribute_usage` scatters into
+  /// its slice-major table. `characterize_trace` releases them once they are
+  /// attributed, so a `CharacterizationResult`'s matrices hold none.
   std::vector<LeafDemand> leaves;
 };
 

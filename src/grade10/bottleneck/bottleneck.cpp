@@ -92,11 +92,15 @@ BottleneckReport detect_bottlenecks(const AttributedUsage& usage,
   parallel_for(pool, usage.resources.size(), 1, [&](std::size_t r) {
     partial[r] = detect_one(usage.resources[r], grid);
   });
+  // `merge` moves the nodes whose keys the report lacks; only the keys it
+  // already holds stay behind in the partial, and are summed.
+  const auto absorb = [](auto& into, auto& from) {
+    into.merge(from);
+    for (const auto& [key, value] : from) into[key] += value;
+  };
   for (ResourceBottlenecks& p : partial) {
-    for (const auto& [key, value] : p.saturated) report.saturated[key] += value;
-    for (const auto& [key, value] : p.self_limited) {
-      report.self_limited[key] += value;
-    }
+    absorb(report.saturated, p.saturated);
+    absorb(report.self_limited, p.self_limited);
     report.saturation.push_back(std::move(p.sat));
   }
   return report;

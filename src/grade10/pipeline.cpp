@@ -47,6 +47,11 @@ CheckedCharacterization characterize_trace(const CharacterizationInput& input,
                                     result.trace, grid, &pool);
     result.usage = attribute_usage(result.demand, result.monitored, grid,
                                    /*constant_strawman=*/false, &pool);
+    // The per-leaf active fractions are spent once attributed; later
+    // stages read only the attributed usage and the per-slice sums.
+    for (DemandMatrix& matrix : result.demand) {
+      matrix.leaves = std::vector<LeafDemand>();
+    }
     result.bottlenecks = detect_bottlenecks(result.usage, result.trace, grid,
                                             input.config, &pool);
     IssueDetector detector(*input.model, *input.resources, result.trace, grid,

@@ -33,6 +33,9 @@ struct CharacterizationInput {
 struct CharacterizationResult {
   ExecutionTrace trace;
   ResourceTrace monitored;
+  /// Per-slice `exact`/`variable` sums of every matrix. The matrices'
+  /// `leaves` are released as soon as attribution has consumed them; call
+  /// `estimate_demand` directly for per-leaf demand.
   std::vector<DemandMatrix> demand;
   AttributedUsage usage;
   BottleneckReport bottlenecks;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "common/rng.hpp"
 #include "test_util.hpp"
 
@@ -215,6 +219,165 @@ TEST_P(AttributionInvariantTest, SliceSumsAndCapsHold) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AttributionInvariantTest,
                          ::testing::Range(1, 11));
+
+// The per-slice pointer-bucket attribution the slice table replaced, kept as
+// the oracle: bucket every leaf's active slices, then attribute slice by
+// slice, appending one entry per bucketed leaf.
+struct SliceTable {
+  std::vector<std::uint32_t> slice_offsets;
+  std::vector<AttributionEntry> entries;
+  std::vector<double> unattributed;
+};
+
+double leaf_fraction(const LeafDemand& leaf, std::size_t slice) {
+  return leaf.active_fraction[slice -
+                              static_cast<std::size_t>(leaf.first_slice)];
+}
+
+SliceTable bucket_attribution(const DemandMatrix& matrix,
+                              const std::vector<double>& consumption) {
+  constexpr double kEps = 1e-12;
+  const auto slices = static_cast<std::size_t>(matrix.slice_count);
+  SliceTable out;
+  out.unattributed.assign(slices, 0.0);
+  out.slice_offsets.assign(slices + 1, 0);
+  std::vector<std::vector<const LeafDemand*>> per_slice(slices);
+  for (const LeafDemand& leaf : matrix.leaves) {
+    for (std::size_t i = 0; i < leaf.active_fraction.size(); ++i) {
+      if (leaf.active_fraction[i] <= 0.0) continue;
+      const auto slice = static_cast<std::size_t>(leaf.first_slice) + i;
+      if (slice < slices) per_slice[slice].push_back(&leaf);
+    }
+  }
+  for (std::size_t s = 0; s < slices; ++s) {
+    out.slice_offsets[s] = static_cast<std::uint32_t>(out.entries.size());
+    if (per_slice[s].empty()) {
+      out.unattributed[s] = consumption[s];
+      continue;
+    }
+    double sum_exact = 0.0;
+    double sum_weight = 0.0;
+    for (const LeafDemand* leaf : per_slice[s]) {
+      const double frac = leaf_fraction(*leaf, s);
+      (leaf->rule.is_exact() ? sum_exact : sum_weight) +=
+          leaf->rule.amount * frac;
+    }
+    const double exact_scale =
+        sum_exact > kEps ? std::min(1.0, consumption[s] / sum_exact) : 0.0;
+    const double remaining = consumption[s] - sum_exact * exact_scale;
+    for (const LeafDemand* leaf : per_slice[s]) {
+      AttributionEntry entry;
+      entry.instance = leaf->instance;
+      entry.fraction = leaf_fraction(*leaf, s);
+      entry.exact = leaf->rule.is_exact();
+      entry.demand = leaf->rule.amount * entry.fraction;
+      if (entry.exact) {
+        entry.usage = entry.demand * exact_scale;
+      } else {
+        entry.usage =
+            sum_weight > kEps ? remaining * entry.demand / sum_weight : 0.0;
+      }
+      out.entries.push_back(entry);
+    }
+    if (sum_weight <= kEps && remaining > kEps) {
+      out.unattributed[s] = remaining;
+    }
+  }
+  out.slice_offsets[slices] = static_cast<std::uint32_t>(out.entries.size());
+  return out;
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+// Seeded random leaves (Exact-only, Variable-only or mixed rules by seed),
+// with blocked gaps inside a leaf's range and a band of slices no leaf
+// covers; the slice table must equal the bucket oracle bit for bit.
+void expect_slice_table_matches_buckets(int seed) {
+  Rng rng(static_cast<std::uint64_t>(seed) * 7919);
+  ResourceModel resources;
+  const ResourceId cpu = resources.add_consumable("cpu", 8.0);
+  constexpr TimesliceIndex kSlices = 64;
+  constexpr TimesliceIndex kGapBegin = 30;  // [30, 36): no leaf is active
+  constexpr TimesliceIndex kGapEnd = 36;
+
+  DemandMatrix matrix;
+  matrix.resource = cpu;
+  matrix.machine = 0;
+  matrix.capacity = 8.0;
+  matrix.slice_count = kSlices;
+  matrix.exact.assign(kSlices, 0.0);
+  matrix.variable.assign(kSlices, 0.0);
+  const int mode = seed % 3;  // 0 Exact-only, 1 Variable-only, 2 mixed
+  const int leaf_count = static_cast<int>(rng.next_int(4, 24));
+  bool blocked_gap = false;
+  for (int l = 0; l < leaf_count; ++l) {
+    const bool exact = mode == 0 || (mode == 2 && rng.next_bool(0.5));
+    LeafDemand leaf;
+    leaf.instance = static_cast<InstanceId>(l);
+    leaf.rule = exact ? AttributionRule::exact(rng.next_double(0.5, 3.0))
+                      : AttributionRule::variable(rng.next_double(0.5, 2.0));
+    const bool early = rng.next_bool(0.5);
+    const TimesliceIndex lo = early ? 0 : kGapEnd;
+    const TimesliceIndex hi = early ? kGapBegin : kSlices;
+    leaf.first_slice = rng.next_int(lo, hi - 1);
+    const auto length = rng.next_int(1, hi - leaf.first_slice);
+    for (std::int64_t i = 0; i < length; ++i) {
+      // Interior zeros are blocked gaps; the ends are partial slices.
+      const bool gap = i > 0 && i + 1 < length && rng.next_bool(0.25);
+      blocked_gap = blocked_gap || gap;
+      leaf.active_fraction.push_back(gap ? 0.0 : rng.next_double(0.05, 1.0));
+    }
+    for (std::size_t i = 0; i < leaf.active_fraction.size(); ++i) {
+      const auto slice = static_cast<std::size_t>(leaf.first_slice) + i;
+      const double demand = leaf.rule.amount * leaf.active_fraction[i];
+      (exact ? matrix.exact : matrix.variable)[slice] += demand;
+    }
+    matrix.leaves.push_back(std::move(leaf));
+  }
+
+  std::vector<trace::MonitoringSampleRecord> samples;
+  for (TimeNs t = 40; t <= 10 * kSlices; t += 40) {
+    samples.push_back(make_sample("cpu", 0, t, rng.next_double(0.0, 8.0)));
+  }
+  const TimesliceGrid grid(10);
+  const auto monitored = ResourceTrace::build(resources, samples);
+  const AttributedUsage usage = attribute_usage({matrix}, monitored, grid);
+  ASSERT_EQ(usage.resources.size(), 1u);
+  const AttributedResource& table = usage.resources[0];
+  const SliceTable oracle =
+      bucket_attribution(matrix, table.upsampled.usage);
+
+  EXPECT_EQ(table.slice_offsets, oracle.slice_offsets);
+  ASSERT_EQ(table.unattributed.size(), oracle.unattributed.size());
+  for (std::size_t s = 0; s < oracle.unattributed.size(); ++s) {
+    EXPECT_EQ(bits(table.unattributed[s]), bits(oracle.unattributed[s]))
+        << "slice " << s;
+  }
+  ASSERT_EQ(table.entries.size(), oracle.entries.size());
+  for (std::size_t e = 0; e < oracle.entries.size(); ++e) {
+    const AttributionEntry& got = table.entries[e];
+    const AttributionEntry& want = oracle.entries[e];
+    EXPECT_EQ(got.instance, want.instance) << "entry " << e;
+    EXPECT_EQ(got.exact, want.exact) << "entry " << e;
+    EXPECT_EQ(bits(got.usage), bits(want.usage)) << "entry " << e;
+    EXPECT_EQ(bits(got.demand), bits(want.demand)) << "entry " << e;
+    EXPECT_EQ(bits(got.fraction), bits(want.fraction)) << "entry " << e;
+  }
+  // The inputs reach every case: blocked gaps inside a leaf, and a slice
+  // with consumption but no active leaf (its measurement window, slices
+  // 32-35, lies inside the band).
+  EXPECT_TRUE(blocked_gap);
+  EXPECT_TRUE(table.slice_entries(32).empty());
+  EXPECT_GT(table.upsampled.usage[32], 0.0);
+  EXPECT_EQ(bits(table.unattributed[32]), bits(table.upsampled.usage[32]));
+}
+
+TEST(AttributorTest, SliceTableMatchesPerSliceBuckets) {
+  for (int seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_slice_table_matches_buckets(seed);
+  }
+}
 
 }  // namespace
 }  // namespace g10::core

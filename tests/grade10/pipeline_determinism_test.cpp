@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "algorithms/programs.hpp"
+#include "common/thread_pool.hpp"
 #include "engine/pregel/pregel_engine.hpp"
 #include "grade10/models/pregel_model.hpp"
 #include "grade10/pipeline.hpp"
@@ -162,6 +163,26 @@ TEST(PipelineDeterminismTest, EightThreadsMatchesSerialBitForBit) {
   const CharacterizationResult serial = characterize_with(1);
   const CharacterizationResult parallel = characterize_with(8);
   expect_identical(serial, parallel);
+}
+
+TEST(PipelineDeterminismTest, LeafDemandMatchesSerialBitForBit) {
+  // characterize() releases the per-leaf fractions once attributed, so the
+  // leaves are compared on direct estimate_demand sweeps of the same trace.
+  const Workload& w = workload();
+  const CharacterizationResult built = characterize_with(1);
+  const auto sweep = [&](std::size_t threads) {
+    ThreadPool pool(threads);
+    return estimate_demand(w.model.resources, w.model.tuned_rules,
+                           built.trace, built.grid, &pool);
+  };
+  const std::vector<DemandMatrix> serial = sweep(1);
+  std::size_t leaves = 0;
+  for (const DemandMatrix& matrix : serial) leaves += matrix.leaves.size();
+  ASSERT_GT(leaves, 0u);
+  for (const std::size_t threads : {2u, 8u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    expect_identical_demand(serial, sweep(threads));
+  }
 }
 
 TEST(PipelineDeterminismTest, RepeatedParallelRunsAreStable) {

@@ -338,5 +338,46 @@ TEST(PipelineTest, CharacterizationReadsOnlyTheBuiltTrace) {
   }
 }
 
+
+TEST(PipelineTest, CharacterizationReleasesLeafDemandAndKeepsSums) {
+  // Attribution consumes the per-leaf fractions; the result keeps only the
+  // per-slice sums, and those equal a direct estimate_demand's.
+  for (const auto& [model_name, log_name] :
+       {std::pair{"gas", "gas_pagerank_d512_s99_batched.log"},
+        std::pair{"pregel", "pregel_sssp_d512_s99.log"}}) {
+    std::ifstream model_file(std::string(G10_EXAMPLE_MODEL_DIR) + "/" +
+                             model_name + ".g10");
+    const ModelParseResult model = parse_model(model_file);
+    ASSERT_TRUE(model.ok()) << model_name;
+    const trace::ParseResult log = trace::read_trace_file(
+        std::string(G10_GOLDEN_TRACE_DIR) + "/" + log_name);
+    ASSERT_TRUE(log.ok()) << log_name;
+    CharacterizationInput input;
+    input.model = &model.model.execution;
+    input.resources = &model.model.resources;
+    input.rules = &model.model.rules;
+    input.phase_events = log.log.phase_events;
+    input.blocking_events = log.log.blocking_events;
+    input.samples = log.log.samples;
+    input.config.timeslice = 10 * kMillisecond;
+    const CharacterizationResult result = characterize(input);
+
+    const std::vector<DemandMatrix> direct =
+        estimate_demand(model.model.resources, model.model.rules,
+                        result.trace, result.grid);
+    ASSERT_EQ(result.demand.size(), direct.size()) << log_name;
+    std::size_t direct_leaves = 0;
+    for (std::size_t m = 0; m < direct.size(); ++m) {
+      EXPECT_TRUE(result.demand[m].leaves.empty()) << log_name << " " << m;
+      EXPECT_EQ(result.demand[m].resource, direct[m].resource);
+      EXPECT_EQ(result.demand[m].machine, direct[m].machine);
+      EXPECT_EQ(result.demand[m].exact, direct[m].exact) << log_name;
+      EXPECT_EQ(result.demand[m].variable, direct[m].variable) << log_name;
+      direct_leaves += direct[m].leaves.size();
+    }
+    EXPECT_GT(direct_leaves, 0u) << log_name;
+  }
+}
+
 }  // namespace
 }  // namespace g10::core
