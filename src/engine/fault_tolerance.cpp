@@ -385,16 +385,15 @@ void FaultHarness::detect_and_recover() {
   schedule_next_crash(resume_at);
 }
 
-trace::RunArtifacts FaultHarness::simulate(std::vector<double>& vertex_values) {
+LoggedRun FaultHarness::simulate(std::vector<double>& vertex_values) {
   sim_.run();
   G10_CHECK_MSG(execute_finished_, "simulation ended before the job finished");
 
-  trace::RunArtifacts artifacts;
+  LoggedRun run{std::move(log_), {}};
+  trace::RunArtifacts& artifacts = run.artifacts;
   artifacts.makespan = makespan_;
   artifacts.vertex_values = std::move(vertex_values);
   artifacts.comm = std::move(comm_);
-  artifacts.phase_events = log_.take_phase_events();
-  artifacts.blocking_events = log_.take_blocking_events();
   for (int w = 0; w < workers_; ++w) {
     Machine& m = machines_[static_cast<std::size_t>(w)];
     trace::GroundTruthSeries cpu;
@@ -412,7 +411,7 @@ trace::RunArtifacts FaultHarness::simulate(std::vector<double>& vertex_values) {
     net.series = m.nic->finalize_rate_series(makespan_);
     artifacts.ground_truth.push_back(std::move(net));
   }
-  return artifacts;
+  return run;
 }
 
 }  // namespace g10::engine

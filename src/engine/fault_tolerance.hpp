@@ -200,10 +200,11 @@ class FaultHarness {
   void close_or_abandon(const trace::PathRef& path, bool truncate,
                         TimeNs now, trace::MachineId machine);
 
-  /// Runs the simulation to completion and assembles the artifacts: logs,
-  /// communication counters, per-machine CPU/network ground truth, and the
-  /// engine's final `vertex_values` (moved out).
-  trace::RunArtifacts simulate(std::vector<double>& vertex_values);
+  /// Runs the simulation to completion and assembles the run: the log
+  /// (moved out, unrendered), communication counters, per-machine
+  /// CPU/network ground truth, and the engine's final `vertex_values`
+  /// (moved out).
+  LoggedRun simulate(std::vector<double>& vertex_values);
 
   Rng rng_;
   sim::FaultInjector faults_;

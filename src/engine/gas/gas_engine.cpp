@@ -93,7 +93,7 @@ class GasRun final : public FaultHarness {
                   "threads per worker must not exceed cores");
   }
 
-  trace::RunArtifacts execute() {
+  LoggedRun execute() {
     load_graph();
     return simulate(value_);
   }
@@ -719,10 +719,15 @@ GasEngine::GasEngine(GasConfig config) : config_(std::move(config)) {
   G10_CHECK(config_.chunk_edges > 0);
 }
 
-trace::RunArtifacts GasEngine::run(const graph::Graph& graph,
-                                   const algorithms::GasProgram& program) const {
+LoggedRun GasEngine::run_logged(const graph::Graph& graph,
+                               const algorithms::GasProgram& program) const {
   GasRun run(config_, graph, program);
   return run.execute();
+}
+
+trace::RunArtifacts GasEngine::run(const graph::Graph& graph,
+                                   const algorithms::GasProgram& program) const {
+  return run_logged(graph, program).render();
 }
 
 TimeNs GasEngine::estimate_horizon(const graph::Graph& graph,

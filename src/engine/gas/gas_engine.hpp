@@ -106,6 +106,9 @@ class GasEngine {
 
   trace::RunArtifacts run(const graph::Graph& graph,
                           const algorithms::GasProgram& program) const;
+  /// run() with the log left in the logger's compact form.
+  LoggedRun run_logged(const graph::Graph& graph,
+                       const algorithms::GasProgram& program) const;
 
   /// Deterministic closed-form makespan estimate, used to resolve
   /// percent-based fault times (see PregelEngine::estimate_horizon).

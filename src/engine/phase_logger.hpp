@@ -3,24 +3,31 @@
 // Tracks open phases so unbalanced begin/end pairs are caught at the source
 // (inside the engine) instead of during later analysis.
 //
-// This is the hot edge of trace generation, so everything is interned: the
-// engines pass PathRef (inline (symbol, index) pairs with a precomputed
-// hash), open-phase tracking keys on that hash, and records are stored in
-// interned form, in fixed-size blocks of kBlockEvents. The string-typed
-// PhaseEventRecord/BlockingEventRecord forms are rendered exactly once, at
-// take_*() time, in emission order — which is what keeps logs
-// byte-identical to the pre-interning ones. Each block is freed as soon as
-// it is rendered, so a run's log is never held in both forms at once.
+// This is the hot edge of trace generation, so the log is stored compactly:
+// every distinct phase path becomes one node of a per-run PathIndex, and
+// each event is a fixed-size record naming its node (24 bytes for a phase
+// event, 32 for a blocking event), kept in fixed blocks of kBlockEvents.
+// BEGIN and END of one instance share a node, and so does a path begun
+// again after abandon(). Open-phase tracking is a begin time per node. The
+// string-typed PhaseEventRecord/BlockingEventRecord forms are rendered only
+// by render_*() (or the take_*() collectors over it), one storage block at
+// a time in emission order, which keeps logs byte-identical to the
+// uncompacted ones. Each storage block is freed as soon as it is rendered,
+// and a caller that consumes each rendered block before the next (g10_run's
+// writers, its determinism fold) never holds more than one block of
+// rendered records.
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <limits>
 #include <optional>
-#include <string>
+#include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/time.hpp"
+#include "trace/path_index.hpp"
 #include "trace/records.hpp"
 #include "trace/symbol_table.hpp"
 
@@ -61,37 +68,72 @@ class PhaseLogger {
   /// so crash handling clamps end times to at least the begin.)
   std::optional<TimeNs> open_begin(const trace::PathRef& path) const;
 
-  /// Renders and moves the accumulated records out, freeing each storage
-  /// block once it is rendered; the logger must have no open phases.
-  /// Records appear in emission order, and the logger is left empty.
+  template <typename Record>
+  using BlockSink = std::function<void(std::span<Record>)>;
+
+  /// Renders the phase events in emission order, one storage block at a
+  /// time: `sink` gets each rendered block (it may move the records out)
+  /// before the next is rendered, and each storage block is freed once
+  /// rendered. The logger must have no open phases. Once both kinds are
+  /// rendered the logger is empty and reusable.
+  void render_phase_events(const BlockSink<trace::PhaseEventRecord>& sink);
+  /// The same for the blocking events.
+  void render_blocking_events(
+      const BlockSink<trace::BlockingEventRecord>& sink);
+
+  /// All of render_*()'s records in one vector.
   std::vector<trace::PhaseEventRecord> take_phase_events();
   std::vector<trace::BlockingEventRecord> take_blocking_events();
 
-  /// Interned events per storage block.
+  /// The path table the stored events name (empty once rendered).
+  const trace::PathIndex& paths() const { return paths_; }
+
+  /// Events per storage block.
   static constexpr std::size_t kBlockEvents = 4096;
 
  private:
-  struct InternedPhaseEvent {
-    trace::PhaseEventRecord::Kind kind;
-    trace::PathRef path;
+  struct PhaseEvent {
     TimeNs time;
+    trace::PathIndex::NodeId node;
     trace::MachineId machine;
+    trace::PhaseEventRecord::Kind kind;
   };
-  struct InternedBlockingEvent {
-    trace::Symbol resource;
-    trace::PathRef path;
+  struct BlockingEvent {
     TimeNs begin;
     TimeNs end;
+    trace::PathIndex::NodeId node;
+    trace::Symbol resource;
     trace::MachineId machine;
   };
+  static_assert(sizeof(PhaseEvent) == 24 && sizeof(BlockingEvent) == 32);
 
   template <typename Event>
   using Blocks = std::vector<std::vector<Event>>;
 
-  Blocks<InternedPhaseEvent> phase_events_;
-  Blocks<InternedBlockingEvent> blocking_events_;
-  std::unordered_map<trace::PathRef, TimeNs, trace::PathRefHash>
-      open_;  // path -> begin time
+  static constexpr TimeNs kNotOpen = std::numeric_limits<TimeNs>::min();
+
+  /// Node of `path` when it is open, else kNoNode.
+  trace::PathIndex::NodeId open_node(const trace::PathRef& path) const;
+  /// Drops the path table once both kinds are rendered and nothing is open.
+  void release_if_drained();
+
+  /// Mutable because a lookup (find) moves the index's prefix memo.
+  mutable trace::PathIndex paths_;
+  /// Begin time of each node's open instance, kNotOpen when closed.
+  std::vector<TimeNs> open_;
+  std::size_t open_count_ = 0;
+  Blocks<PhaseEvent> phase_events_;
+  Blocks<BlockingEvent> blocking_events_;
+};
+
+/// An engine run with its log still in the logger's compact form: every
+/// other artifact is in `artifacts`, whose record vectors are empty.
+struct LoggedRun {
+  PhaseLogger log;
+  trace::RunArtifacts artifacts;
+
+  /// The artifacts with the rendered log: what Engine::run() returns.
+  trace::RunArtifacts render() &&;
 };
 
 }  // namespace g10::engine

@@ -101,11 +101,11 @@ class PregelRun final : public FaultHarness {
                   "threads per worker must not exceed cores");
   }
 
-  trace::RunArtifacts execute() {
+  LoggedRun execute() {
     load_graph();
-    trace::RunArtifacts artifacts = simulate(value_);
-    artifacts.comm.batch_flushes = batcher_.flushes();
-    return artifacts;
+    LoggedRun run = simulate(value_);
+    run.artifacts.comm.batch_flushes = batcher_.flushes();
+    return run;
   }
 
  private:
@@ -869,10 +869,15 @@ PregelEngine::PregelEngine(PregelConfig config) : config_(std::move(config)) {
   G10_CHECK(config_.partitions_per_thread > 0);
 }
 
-trace::RunArtifacts PregelEngine::run(
+LoggedRun PregelEngine::run_logged(
     const graph::Graph& graph, const algorithms::PregelProgram& program) const {
   PregelRun run(config_, graph, program);
   return run.execute();
+}
+
+trace::RunArtifacts PregelEngine::run(
+    const graph::Graph& graph, const algorithms::PregelProgram& program) const {
+  return run_logged(graph, program).render();
 }
 
 TimeNs PregelEngine::estimate_horizon(

@@ -112,6 +112,9 @@ class PregelEngine {
   /// Runs the program to completion; deterministic for a fixed config.
   trace::RunArtifacts run(const graph::Graph& graph,
                           const algorithms::PregelProgram& program) const;
+  /// run() with the log left in the logger's compact form.
+  LoggedRun run_logged(const graph::Graph& graph,
+                       const algorithms::PregelProgram& program) const;
 
   /// Deterministic closed-form estimate of the run's makespan, used to
   /// resolve percent-based fault times ("crash:w2@40%"). Intentionally

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "common/check.hpp"
-#include "common/mutex.hpp"
 #include "common/strings.hpp"
 #include "grade10/pipeline.hpp"
 #include "grade10/report/phase_profile.hpp"
@@ -28,21 +27,21 @@ constexpr double kRediscoveryMinImpact = 0.02;
 
 /// Graphs are deterministic functions of the dataset spec and expensive to
 /// build, so every run in a worker process shares one immutable instance
-/// per spec.
+/// per spec. A worker runs one scenario at a time on its main thread (its
+/// heartbeat thread never touches the cache), so the cache takes no lock.
 std::shared_ptr<const graph::Graph> cached_dataset(const std::string& spec) {
-  static Mutex mutex;
   static std::unordered_map<std::string, std::shared_ptr<const graph::Graph>>
-      cache G10_GUARDED_BY(mutex);
+      cache;
 
-  MutexLock lock(mutex);
   auto& slot = cache[spec];
   if (slot == nullptr) {
     const graph::DatasetSpec parsed = graph::parse_dataset(spec);
     G10_CHECK_MSG(parsed.ok(), "bad dataset spec: " + spec);
     slot =
         std::make_shared<const graph::Graph>(graph::generate_dataset(parsed));
-    // Concurrent runs read the shared graph, and GAS gathers over in-edges:
-    // build the lazily derived reverse index here, before publication.
+    // GAS gathers over in-edges, and an SSSP run works on a weighted copy
+    // (workload::run): building the reverse index once here lets every
+    // such copy inherit it instead of rebuilding it per run.
     slot->ensure_in_index();
   }
   return slot;
@@ -69,6 +68,8 @@ RunAttempt run_scenario(const Scenario& scenario) {
   spec.monitor_interval = kMonitorInterval;
   workload::Result run = workload::run(spec, *graph);
   trace::RunArtifacts& artifacts = run.artifacts;
+  artifacts.phase_events = run.log.take_phase_events();
+  artifacts.blocking_events = run.log.take_blocking_events();
   const core::FrameworkModel& framework = run.model;
 
   // Stage 4: characterization.

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "grade10/trace/path_index.hpp"
+#include "trace/path_index.hpp"
 
 namespace g10::core {
 
@@ -39,6 +39,7 @@ std::vector<Interval> active_intervals(TimeNs begin, TimeNs end,
 
 namespace {
 
+using trace::PathIndex;
 using NodeId = PathIndex::NodeId;
 using Response = TraceDefect::Response;
 

@@ -3,11 +3,10 @@
 #include <string>
 
 namespace g10::trace {
-namespace {
 
 void fold_phase_events(DetHasher& hasher,
-                       std::span<const PhaseEventRecord> events,
-                       std::string& key) {
+                       std::span<const PhaseEventRecord> events) {
+  std::string key;
   for (const PhaseEventRecord& event : events) {
     key.clear();
     event.path.append_to(key);
@@ -18,8 +17,8 @@ void fold_phase_events(DetHasher& hasher,
 }
 
 void fold_blocking_events(DetHasher& hasher,
-                          std::span<const BlockingEventRecord> events,
-                          std::string& key) {
+                          std::span<const BlockingEventRecord> events) {
+  std::string key;
   for (const BlockingEventRecord& event : events) {
     key.clear();
     event.path.append_to(key);
@@ -30,12 +29,9 @@ void fold_blocking_events(DetHasher& hasher,
   }
 }
 
-}  // namespace
-
 void fold_run(DetHasher& hasher, const RunArtifacts& artifacts) {
-  std::string key;
-  fold_phase_events(hasher, artifacts.phase_events, key);
-  fold_blocking_events(hasher, artifacts.blocking_events, key);
+  fold_phase_events(hasher, artifacts.phase_events);
+  fold_blocking_events(hasher, artifacts.blocking_events);
   hasher.fold_i64("run/makespan", artifacts.makespan);
   hasher.fold_double("run/comm", artifacts.comm.remote_bytes_total);
   hasher.fold_i64("run/comm", artifacts.comm.channel_plans);

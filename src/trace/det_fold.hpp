@@ -18,6 +18,14 @@ namespace g10::trace {
 /// plus the "run/" streams (makespan, comm stats, vertex values).
 void fold_run(DetHasher& hasher, const RunArtifacts& artifacts);
 
+/// fold_run's event folds, for records that arrive in chunks: folding a
+/// run's phase events, then its blocking events, chunk by chunk, then
+/// fold_run on artifacts without records, equals fold_run on the whole run.
+void fold_phase_events(DetHasher& hasher,
+                       std::span<const PhaseEventRecord> events);
+void fold_blocking_events(DetHasher& hasher,
+                          std::span<const BlockingEventRecord> events);
+
 /// Folds monitoring samples under "monitor/<resource>/m<machine>" streams
 /// (samples are derived after the engine run, so they fold separately).
 void fold_samples(DetHasher& hasher,

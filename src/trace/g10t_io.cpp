@@ -6,6 +6,7 @@
 #include <fstream>
 #include <unordered_map>
 
+#include "common/check.hpp"
 #include "common/det_hash.hpp"
 
 namespace g10::trace {
@@ -48,6 +49,12 @@ class FileSymbols {
 /// Per-block dictionary of distinct phase paths, in first-use order.
 class PathDict {
  public:
+  /// Sized for a block of `records` records: at most that many paths.
+  explicit PathDict(std::size_t records) {
+    paths_.reserve(records);
+    index_.reserve(records);
+  }
+
   std::uint64_t intern(const PhasePath& path) {
     key_.clear();
     path.append_to(key_);
@@ -105,7 +112,7 @@ EncodedBlock encode_phase_block(const PhaseEventRecord* records,
   block.entry.kind = BlockKind::kPhase;
   std::string& out = block.payload;
 
-  PathDict dict;
+  PathDict dict(count);
   std::vector<std::uint64_t> path_ids(count);
   for (std::size_t i = 0; i < count; ++i) {
     path_ids[i] = dict.intern(records[i].path);
@@ -144,7 +151,7 @@ EncodedBlock encode_blocking_block(const BlockingEventRecord* records,
   block.entry.kind = BlockKind::kBlocking;
   std::string& out = block.payload;
 
-  PathDict dict;
+  PathDict dict(count);
   std::vector<std::uint64_t> path_ids(count);
   for (std::size_t i = 0; i < count; ++i) {
     path_ids[i] = dict.intern(records[i].path);
@@ -203,18 +210,6 @@ EncodedBlock encode_sample_block(const MonitoringSampleRecord* records,
 
   fill_common_entry(block, records, count);
   return block;
-}
-
-template <typename Record, typename Encoder>
-void encode_stream(const std::vector<Record>& records,
-                   std::size_t block_records, FileSymbols& symbols,
-                   Encoder&& encoder, std::vector<EncodedBlock>& out) {
-  for (std::size_t start = 0; start < records.size();
-       start += block_records) {
-    const std::size_t count =
-        std::min(block_records, records.size() - start);
-    out.push_back(encoder(records.data() + start, count, symbols));
-  }
 }
 
 // --- decode helpers ------------------------------------------------------
@@ -360,18 +355,91 @@ std::optional<std::string> decode_sample_block(
 
 }  // namespace
 
-void write_g10t(std::ostream& os, const ParsedLog& log,
-                const G10tWriteOptions& options) {
-  const std::size_t block_records = std::max<std::size_t>(1,
-                                                          options.block_records);
+struct G10tWriter::State {
+  std::vector<LogMeta> meta;
+  std::size_t block_records = 1;
   FileSymbols symbols;
   std::vector<EncodedBlock> blocks;
-  encode_stream(log.phase_events, block_records, symbols, encode_phase_block,
-                blocks);
-  encode_stream(log.blocking_events, block_records, symbols,
-                encode_blocking_block, blocks);
-  encode_stream(log.samples, block_records, symbols, encode_sample_block,
-                blocks);
+  /// The kind records last came in; earlier kinds are closed.
+  BlockKind kind = BlockKind::kPhase;
+  /// The current kind's partial block (the other two are empty).
+  std::vector<PhaseEventRecord> phase_events;
+  std::vector<BlockingEventRecord> blocking_events;
+  std::vector<MonitoringSampleRecord> samples;
+
+  template <typename Record, typename Encoder>
+  void encode_partial(std::vector<Record>& partial, Encoder encoder) {
+    if (partial.empty()) return;
+    blocks.push_back(encoder(partial.data(), partial.size(), symbols));
+    std::vector<Record>().swap(partial);
+  }
+
+  void close_kind() {
+    encode_partial(phase_events, encode_phase_block);
+    encode_partial(blocking_events, encode_blocking_block);
+    encode_partial(samples, encode_sample_block);
+  }
+
+  /// Cuts full blocks straight from `records`; only a block that straddles
+  /// chunks is copied, into `partial`.
+  template <typename Record, typename Encoder>
+  void add(BlockKind record_kind, std::span<const Record> records,
+           std::vector<Record>& partial, Encoder encoder) {
+    if (records.empty()) return;
+    G10_CHECK_MSG(record_kind >= kind,
+                  "g10t records must come as phase events, blocking events, "
+                  "then samples");
+    if (record_kind != kind) {
+      close_kind();
+      kind = record_kind;
+    }
+    if (!partial.empty()) {
+      const std::span<const Record> head =
+          records.first(std::min(block_records - partial.size(),
+                                 records.size()));
+      partial.insert(partial.end(), head.begin(), head.end());
+      records = records.subspan(head.size());
+      if (partial.size() < block_records) return;
+      blocks.push_back(encoder(partial.data(), partial.size(), symbols));
+      partial.clear();
+    }
+    for (; records.size() >= block_records;
+         records = records.subspan(block_records)) {
+      blocks.push_back(encoder(records.data(), block_records, symbols));
+    }
+    partial.assign(records.begin(), records.end());
+  }
+};
+
+G10tWriter::G10tWriter(std::vector<LogMeta> meta,
+                       const G10tWriteOptions& options)
+    : state_(std::make_unique<State>()) {
+  state_->meta = std::move(meta);
+  state_->block_records = std::max<std::size_t>(1, options.block_records);
+}
+
+G10tWriter::~G10tWriter() = default;
+
+void G10tWriter::add(std::span<const PhaseEventRecord> records) {
+  state_->add(BlockKind::kPhase, records, state_->phase_events,
+              encode_phase_block);
+}
+
+void G10tWriter::add(std::span<const BlockingEventRecord> records) {
+  state_->add(BlockKind::kBlocking, records, state_->blocking_events,
+              encode_blocking_block);
+}
+
+void G10tWriter::add(std::span<const MonitoringSampleRecord> records) {
+  state_->add(BlockKind::kSample, records, state_->samples,
+              encode_sample_block);
+}
+
+void G10tWriter::finish(std::ostream& os) {
+  State& state = *state_;
+  state.close_kind();
+  const FileSymbols& symbols = state.symbols;
+  std::vector<EncodedBlock>& blocks = state.blocks;
 
   // The symbol table is finalized only after every block encoded (blocks
   // intern lazily), so sections serialize back to front.
@@ -383,8 +451,8 @@ void write_g10t(std::ostream& os, const ParsedLog& log,
   }
 
   std::string meta;
-  put_varint(meta, log.meta.size());
-  for (const auto& [key, value] : log.meta) {
+  put_varint(meta, state.meta.size());
+  for (const auto& [key, value] : state.meta) {
     put_varint(meta, key.size());
     meta.append(key);
     put_varint(meta, value.size());
@@ -424,20 +492,43 @@ void write_g10t(std::ostream& os, const ParsedLog& log,
   os.write(index.data(), static_cast<std::streamsize>(index.size()));
 }
 
-bool write_g10t_file(const std::string& path, const ParsedLog& log,
-                     const G10tWriteOptions& options, std::string* error) {
+bool G10tWriter::finish_file(const std::string& path, std::string* error) {
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
   if (!file) {
     if (error) *error = "cannot open " + path + " for writing";
     return false;
   }
-  write_g10t(file, log, options);
+  finish(file);
   file.flush();
   if (!file) {
     if (error) *error = "write to " + path + " failed";
     return false;
   }
   return true;
+}
+
+namespace {
+
+void add_all(G10tWriter& writer, const ParsedLog& log) {
+  writer.add(log.phase_events);
+  writer.add(log.blocking_events);
+  writer.add(log.samples);
+}
+
+}  // namespace
+
+void write_g10t(std::ostream& os, const ParsedLog& log,
+                const G10tWriteOptions& options) {
+  G10tWriter writer(log.meta, options);
+  add_all(writer, log);
+  writer.finish(os);
+}
+
+bool write_g10t_file(const std::string& path, const ParsedLog& log,
+                     const G10tWriteOptions& options, std::string* error) {
+  G10tWriter writer(log.meta, options);
+  add_all(writer, log);
+  return writer.finish_file(path, error);
 }
 
 bool looks_like_g10t(std::string_view prefix) {

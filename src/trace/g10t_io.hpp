@@ -1,8 +1,8 @@
 // Writing and block-level decoding of `.g10t` files (format in
 // g10t_format.hpp, demand-paged reading in trace_reader.hpp).
 //
-// The writer takes a fully parsed log (the text parser's output — or an
-// engine's artifacts assembled into one) and serializes it; the block
+// The writer takes a run's records in order, chunk by chunk (an engine's
+// log as it renders, or a whole parsed log) and serializes them; the block
 // decoder turns one encoded payload back into records. Both are lossless
 // for every value the record types can hold: timestamps and machine ids are
 // zigzag-coded (negative values survive even though the text parser rejects
@@ -16,8 +16,10 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,6 +33,32 @@ struct G10tWriteOptions {
   /// Records per block; the seek granularity. Smaller blocks mean finer
   /// filtering but more index entries and worse compression.
   std::size_t block_records = kG10tDefaultBlockRecords;
+};
+
+/// The incremental `.g10t` writer. It takes records as they come, chunk by
+/// chunk, in write_log() order (phase events, blocking events, samples),
+/// and encodes a block whenever `block_records` records of one kind are in,
+/// whatever the chunk sizes, numbering symbols in first use. Only encoded
+/// blocks are kept. finish() writes the file, once: its symbol table
+/// precedes the blocks.
+class G10tWriter {
+ public:
+  explicit G10tWriter(std::vector<LogMeta> meta,
+                      const G10tWriteOptions& options = {});
+  ~G10tWriter();
+
+  void add(std::span<const PhaseEventRecord> records);
+  void add(std::span<const BlockingEventRecord> records);
+  void add(std::span<const MonitoringSampleRecord> records);
+
+  /// Encodes the last partial block and writes the complete stream.
+  void finish(std::ostream& os);
+  /// finish() to a file; on failure returns false and fills `error`.
+  bool finish_file(const std::string& path, std::string* error);
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
 };
 
 /// Serializes `log` as a complete `.g10t` stream.

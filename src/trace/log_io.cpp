@@ -10,34 +10,79 @@ namespace g10::trace {
 
 namespace {
 
-/// Shortest round-trip formatting; the writer hot path allocates no stream.
-std::string format_double(double v) {
+void append_int(std::string& out, std::int64_t value) {
+  char buf[24];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out.append(buf, end);
+}
+
+/// Shortest round-trip formatting.
+void append_double(std::string& out, double value) {
   char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  return ec == std::errc{} ? std::string(buf, ptr) : std::string("0");
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+  if (ec == std::errc{}) {
+    out.append(buf, end);
+  } else {
+    out += '0';
+  }
 }
 
 }  // namespace
 
-void write_phase_event(std::ostream& os, const PhaseEventRecord& rec) {
-  os << "PHASE\t" << (rec.kind == PhaseEventRecord::Kind::Begin ? 'B' : 'E')
-     << '\t' << rec.path.to_string() << '\t' << rec.time << '\t' << rec.machine
-     << '\n';
+LogWriter::LogWriter(std::ostream& os, const std::vector<LogMeta>& meta)
+    : os_(os) {
+  os_ << "# grade10 trace log v1\n";
+  for (const auto& [key, value] : meta) {
+    os_ << "META\t" << key << '\t' << value << '\n';
+  }
 }
 
-void write_blocking_event(std::ostream& os, const BlockingEventRecord& rec) {
-  os << "BLOCK\t" << rec.resource << '\t' << rec.path.to_string() << '\t'
-     << rec.begin << '\t' << rec.end << '\t' << rec.machine << '\n';
+// Each record is formatted into one reused line and written in one call:
+// the writer's hot path allocates nothing and formats no stream fields.
+void LogWriter::add(std::span<const PhaseEventRecord> records) {
+  for (const PhaseEventRecord& rec : records) {
+    line_.assign(rec.kind == PhaseEventRecord::Kind::Begin ? "PHASE\tB\t"
+                                                           : "PHASE\tE\t");
+    rec.path.append_to(line_);
+    line_ += '\t';
+    append_int(line_, rec.time);
+    line_ += '\t';
+    append_int(line_, rec.machine);
+    line_ += '\n';
+    os_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
+  }
 }
 
-void write_monitoring_sample(std::ostream& os,
-                             const MonitoringSampleRecord& rec) {
-  os << "SAMPLE\t" << rec.resource << '\t' << rec.machine << '\t' << rec.time
-     << '\t' << format_double(rec.value) << '\n';
+void LogWriter::add(std::span<const BlockingEventRecord> records) {
+  for (const BlockingEventRecord& rec : records) {
+    line_.assign("BLOCK\t");
+    line_ += rec.resource;
+    line_ += '\t';
+    rec.path.append_to(line_);
+    line_ += '\t';
+    append_int(line_, rec.begin);
+    line_ += '\t';
+    append_int(line_, rec.end);
+    line_ += '\t';
+    append_int(line_, rec.machine);
+    line_ += '\n';
+    os_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
+  }
 }
 
-void write_log_meta(std::ostream& os, const LogMeta& meta) {
-  os << "META\t" << meta.first << '\t' << meta.second << '\n';
+void LogWriter::add(std::span<const MonitoringSampleRecord> records) {
+  for (const MonitoringSampleRecord& rec : records) {
+    line_.assign("SAMPLE\t");
+    line_ += rec.resource;
+    line_ += '\t';
+    append_int(line_, rec.machine);
+    line_ += '\t';
+    append_int(line_, rec.time);
+    line_ += '\t';
+    append_double(line_, rec.value);
+    line_ += '\n';
+    os_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
+  }
 }
 
 void write_log(std::ostream& os,
@@ -45,11 +90,10 @@ void write_log(std::ostream& os,
                const std::vector<BlockingEventRecord>& blocking_events,
                const std::vector<MonitoringSampleRecord>& samples,
                const std::vector<LogMeta>& meta) {
-  os << "# grade10 trace log v1\n";
-  for (const auto& rec : meta) write_log_meta(os, rec);
-  for (const auto& rec : phase_events) write_phase_event(os, rec);
-  for (const auto& rec : blocking_events) write_blocking_event(os, rec);
-  for (const auto& rec : samples) write_monitoring_sample(os, rec);
+  LogWriter writer(os, meta);
+  writer.add(phase_events);
+  writer.add(blocking_events);
+  writer.add(samples);
 }
 
 std::optional<std::string> ParsedLog::meta_value(std::string_view key) const {

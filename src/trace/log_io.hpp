@@ -25,6 +25,7 @@
 
 #include <optional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -38,11 +39,22 @@ namespace g10::trace {
 /// the canonical fault-spec string the run was injected with).
 using LogMeta = std::pair<std::string, std::string>;
 
-void write_phase_event(std::ostream& os, const PhaseEventRecord& rec);
-void write_blocking_event(std::ostream& os, const BlockingEventRecord& rec);
-void write_monitoring_sample(std::ostream& os,
-                             const MonitoringSampleRecord& rec);
-void write_log_meta(std::ostream& os, const LogMeta& meta);
+/// The incremental text writer: the header and META records on
+/// construction, then records as they come, chunk by chunk. A log's records
+/// go in the order write_log() emits them: phase events, blocking events,
+/// then samples.
+class LogWriter {
+ public:
+  explicit LogWriter(std::ostream& os, const std::vector<LogMeta>& meta = {});
+
+  void add(std::span<const PhaseEventRecord> records);
+  void add(std::span<const BlockingEventRecord> records);
+  void add(std::span<const MonitoringSampleRecord> records);
+
+ private:
+  std::ostream& os_;
+  std::string line_;  ///< the record being formatted, reused
+};
 
 /// Writes all loggable records of a run (phase events, blocking events) plus
 /// the given monitoring samples, in a stable order. META records, when

@@ -1,5 +1,7 @@
 #include "trace/phase_path.hpp"
 
+#include <charconv>
+
 #include "common/strings.hpp"
 
 namespace g10::trace {
@@ -29,7 +31,10 @@ void PhasePath::append_to(std::string& out) const {
     if (i != 0) out += '/';
     out += elements[i].type;
     out += '.';
-    out += std::to_string(elements[i].index);
+    char digits[24];
+    const auto end =
+        std::to_chars(digits, digits + sizeof(digits), elements[i].index).ptr;
+    out.append(digits, end);
   }
 }
 

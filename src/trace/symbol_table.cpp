@@ -4,27 +4,6 @@
 
 namespace g10::trace {
 
-namespace {
-
-// FNV-1a style combine over (type, index) pairs. In-process only: symbol
-// values depend on intern order, so these hashes must never be persisted
-// or compared across runs.
-constexpr std::size_t kFnvPrime = 0x100000001b3ull;
-
-std::size_t combine(std::size_t hash, std::uint64_t value) {
-  hash ^= value;
-  hash *= kFnvPrime;
-  return hash;
-}
-
-std::size_t combine_entry(std::size_t hash, const PathEntry& entry) {
-  hash = combine(hash, entry.type);
-  hash = combine(hash, static_cast<std::uint64_t>(entry.index));
-  return hash;
-}
-
-}  // namespace
-
 SymbolTable& SymbolTable::global() {
   static SymbolTable* table = new SymbolTable();  // never destroyed
   return *table;
@@ -64,7 +43,6 @@ void PathRef::push(Symbol type, std::int64_t index) {
     overflow_.push_back(entry);
   }
   ++size_;
-  hash_ = combine_entry(hash_, entry);
 }
 
 PathRef PathRef::child(Symbol type, std::int64_t index) const {
@@ -83,40 +61,16 @@ PathRef PathRef::parent() const {
   return result;
 }
 
-PhasePath PathRef::to_phase_path() const {
-  const SymbolTable& table = SymbolTable::global();
-  PhasePath path;
-  path.elements.reserve(size_);
-  for (const PathEntry& entry : *this) {
-    path.elements.push_back(
-        PathElement{std::string(table.name(entry.type)), entry.index});
-  }
-  return path;
-}
-
 std::string PathRef::to_string() const {
-  std::string out;
-  append_to(out);
-  return out;
-}
-
-void PathRef::append_to(std::string& out) const {
   const SymbolTable& table = SymbolTable::global();
+  std::string out;
   for (std::size_t i = 0; i < size_; ++i) {
     if (i != 0) out += '/';
     out += table.name(data()[i].type);
     out += '.';
     out += std::to_string(data()[i].index);
   }
-}
-
-PathRef PathRef::from_phase_path(const PhasePath& path) {
-  SymbolTable& table = SymbolTable::global();
-  PathRef result;
-  for (const PathElement& element : path.elements) {
-    result.push(table.intern(element.type), element.index);
-  }
-  return result;
+  return out;
 }
 
 }  // namespace g10::trace

@@ -6,9 +6,8 @@
 // map by its rendered form allocates the full string again. The fast path
 // replaces both: phase-type and resource names are interned once in a
 // process-wide SymbolTable, and paths travel as PathRef — an inline
-// small-vector of (symbol, index) pairs carrying an incrementally
-// maintained hash — converting to/from the PhasePath/string form only at
-// the log-write and parse boundaries.
+// small-vector of (symbol, index) pairs — until the phase logger keys them
+// into its path table (trace/path_index.hpp), which renders them.
 //
 // Symbols are process-local handles: their numeric values depend on intern
 // order and must never be persisted. Rendered output always goes through
@@ -27,7 +26,6 @@
 #include "common/check.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
-#include "trace/phase_path.hpp"
 
 namespace g10::trace {
 
@@ -75,7 +73,7 @@ struct PathEntry {
 };
 
 /// A phase-instance path in interned form: an inline small-vector of
-/// PathEntry with a precomputed hash. Copying never allocates for depths up
+/// PathEntry. Copying never allocates for depths up
 /// to kInlineCapacity (the built-in models max out at depth 5); deeper
 /// paths spill to a heap vector.
 class PathRef {
@@ -86,7 +84,6 @@ class PathRef {
 
   bool empty() const { return size_ == 0; }
   std::size_t depth() const { return size_; }
-  std::size_t hash() const { return hash_; }
 
   const PathEntry* begin() const { return data(); }
   const PathEntry* end() const { return data() + size_; }
@@ -113,18 +110,16 @@ class PathRef {
   PathRef parent() const;
 
   friend bool operator==(const PathRef& a, const PathRef& b) {
-    if (a.size_ != b.size_ || a.hash_ != b.hash_) return false;
+    if (a.size_ != b.size_) return false;
     for (std::size_t i = 0; i < a.size_; ++i) {
       if (a.data()[i] != b.data()[i]) return false;
     }
     return true;
   }
 
-  /// Lossless conversions at the log-write / parse boundary.
-  PhasePath to_phase_path() const;
+  /// The rendered path, as PhasePath::to_string would give it (for
+  /// diagnostics).
   std::string to_string() const;
-  void append_to(std::string& out) const;
-  static PathRef from_phase_path(const PhasePath& path);
 
  private:
   const PathEntry* data() const {
@@ -132,15 +127,8 @@ class PathRef {
   }
 
   std::size_t size_ = 0;
-  std::size_t hash_ = kEmptyHash;
   PathEntry inline_[kInlineCapacity] = {};
   std::vector<PathEntry> overflow_;  // holds ALL entries once spilled
-
-  static constexpr std::size_t kEmptyHash = 0x9e3779b97f4a7c15ull;
-};
-
-struct PathRefHash {
-  std::size_t operator()(const PathRef& path) const { return path.hash(); }
 };
 
 }  // namespace g10::trace

@@ -39,7 +39,9 @@ Result run_engine(const Spec& spec, const Config& cfg,
   const Program& program = *programs.find<Program>(spec.algorithm);
   const Engine engine(cfg);
   Result out;
-  out.artifacts = engine.run(graph, program);
+  engine::LoggedRun run = engine.run_logged(graph, program);
+  out.log = std::move(run.log);
+  out.artifacts = std::move(run.artifacts);
   out.model = framework_model(cfg);
   out.samples = monitor::sample_ground_truth(out.artifacts.ground_truth,
                                              spec.monitor_interval,

@@ -51,6 +51,10 @@ struct Spec {
 
 /// Grade10's three inputs from one run, and what the sampler lost.
 struct Result {
+  /// The run's phase and blocking events in the logger's compact form;
+  /// PhaseLogger::render_*() streams them, take_*() collects them.
+  engine::PhaseLogger log;
+  /// Every other engine artifact; its record vectors are empty.
   trace::RunArtifacts artifacts;
   core::FrameworkModel model;
   std::vector<trace::MonitoringSampleRecord> samples;

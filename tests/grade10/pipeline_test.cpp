@@ -190,8 +190,7 @@ engine::PregelConfig crashed_pregel_config() {
   return cfg;
 }
 
-CharacterizationInput pregel_input(const engine::PregelConfig& cfg,
-                                   const trace::RunArtifacts& artifacts,
+CharacterizationInput pregel_input(const trace::RunArtifacts& artifacts,
                                    const std::vector<trace::MonitoringSampleRecord>& samples,
                                    const FrameworkModel& model) {
   CharacterizationInput input;
@@ -223,7 +222,7 @@ TEST(PipelineTest, FaultedPregelStrictSucceedsAndReportsRecoveryIssue) {
   const auto samples = monitor::sample_ground_truth(
       artifacts.ground_truth, 50 * kMillisecond, artifacts.makespan);
   const FrameworkModel model = crashed_pregel_model(cfg);
-  CharacterizationInput input = pregel_input(cfg, artifacts, samples, model);
+  CharacterizationInput input = pregel_input(artifacts, samples, model);
 
   const CheckedCharacterization strict = characterize_checked(input);
   ASSERT_TRUE(strict.status.ok())
@@ -252,7 +251,7 @@ TEST(PipelineTest, TruncatedCrashLogNeedsLenientAndReportsRecoveryIssue) {
   const auto samples = monitor::sample_ground_truth(
       artifacts.ground_truth, 50 * kMillisecond, artifacts.makespan);
   const FrameworkModel model = crashed_pregel_model(cfg);
-  CharacterizationInput input = pregel_input(cfg, artifacts, samples, model);
+  CharacterizationInput input = pregel_input(artifacts, samples, model);
 
   // Strict ingestion fails on the truncated phases the crash left behind.
   const CheckedCharacterization strict = characterize_checked(input);

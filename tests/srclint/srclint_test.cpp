@@ -209,7 +209,9 @@ TEST(SrcLintCatalog, SortedUniqueAndPrefixed) {
   ASSERT_FALSE(catalog.empty());
   for (std::size_t i = 0; i < catalog.size(); ++i) {
     EXPECT_EQ(catalog[i].id.substr(0, 4), "src-");
-    if (i > 0) EXPECT_LT(catalog[i - 1].id, catalog[i].id);
+    if (i > 0) {
+      EXPECT_LT(catalog[i - 1].id, catalog[i].id);
+    }
   }
 }
 

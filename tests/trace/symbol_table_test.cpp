@@ -7,9 +7,25 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "trace/path_index.hpp"
 
 namespace g10::trace {
 namespace {
+
+/// PathRef -> path-table node -> PhasePath, and the parsed rendering back to
+/// the same node: the phase logger's rendering path.
+void expect_round_trip(PathIndex& index, const PathRef& ref) {
+  const PathIndex::NodeId node = index.insert(ref);
+  PhasePath rendered;
+  index.phase_path(node, rendered);
+  EXPECT_EQ(rendered.to_string(), ref.to_string());
+  EXPECT_EQ(index.path(node), ref.to_string());
+  const auto parsed = parse_phase_path(ref.to_string());
+  ASSERT_TRUE(parsed.has_value()) << ref.to_string();
+  EXPECT_EQ(*parsed, rendered);
+  EXPECT_EQ(index.find(*parsed), node);
+  EXPECT_EQ(index.find(ref), node);
+}
 
 TEST(SymbolTableTest, InternDeduplicates) {
   SymbolTable& table = SymbolTable::global();
@@ -31,7 +47,7 @@ TEST(PathRefTest, EmptyPath) {
   EXPECT_TRUE(path.empty());
   EXPECT_EQ(path.depth(), 0u);
   EXPECT_EQ(path.to_string(), "");
-  EXPECT_TRUE(path.to_phase_path().empty());
+  EXPECT_EQ(PathIndex().insert(path), PathIndex::kRoot);
 }
 
 TEST(PathRefTest, ChildAndParentMirrorPhasePath) {
@@ -46,37 +62,33 @@ TEST(PathRefTest, ChildAndParentMirrorPhasePath) {
   EXPECT_EQ(SymbolTable::global().name(path.leaf().type), "Superstep");
 }
 
-TEST(PathRefTest, EqualityAndHashTrackContent) {
+TEST(PathRefTest, EqualityTracksContent) {
   const PathRef a = PathRef{}.child("Job", 0).child("Superstep", 1);
   const PathRef b = PathRef{}.child("Job", 0).child("Superstep", 1);
   const PathRef c = PathRef{}.child("Job", 0).child("Superstep", 2);
   EXPECT_EQ(a, b);
-  EXPECT_EQ(a.hash(), b.hash());
   EXPECT_FALSE(a == c);
   EXPECT_FALSE(a == a.parent());
 }
 
-TEST(PathRefTest, RoundTripsThroughPhasePathAndString) {
+TEST(PathRefTest, RoundTripsThroughThePathIndex) {
   const PathRef ref = PathRef{}
                           .child("Job", 0)
                           .child("Execute", 0)
                           .child("Superstep", 12)
                           .child("WorkerCompute", 2)
                           .child("ComputeThread", 5);
-  const PhasePath path = ref.to_phase_path();
-  EXPECT_EQ(path.to_string(), ref.to_string());
-  const PathRef back = PathRef::from_phase_path(path);
-  EXPECT_EQ(back, ref);
-  EXPECT_EQ(back.hash(), ref.hash());
-
-  const auto parsed = parse_phase_path(ref.to_string());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(PathRef::from_phase_path(*parsed), ref);
+  PathIndex index;
+  expect_round_trip(index, ref);
+  // Every prefix is a node, reached from a PathRef or a PhasePath alike.
+  EXPECT_EQ(index.size(), ref.depth() + 1);
+  expect_round_trip(index, ref.parent());
+  EXPECT_EQ(index.size(), ref.depth() + 1);
 }
 
 TEST(PathRefTest, OverflowBeyondInlineCapacity) {
   // Deeper than kInlineCapacity: entries spill to the heap vector and the
-  // path must behave identically (copies, equality, round-trip).
+  // path must behave identically (copies, equality, rendering).
   PathRef ref;
   for (int i = 0; i < 2 * static_cast<int>(PathRef::kInlineCapacity); ++i) {
     ref = ref.child("Level", i);
@@ -84,13 +96,13 @@ TEST(PathRefTest, OverflowBeyondInlineCapacity) {
   EXPECT_EQ(ref.depth(), 2 * PathRef::kInlineCapacity);
   const PathRef copy = ref;  // copy after spilling
   EXPECT_EQ(copy, ref);
-  EXPECT_EQ(copy.hash(), ref.hash());
-  EXPECT_EQ(PathRef::from_phase_path(ref.to_phase_path()), ref);
+  PathIndex index;
+  expect_round_trip(index, ref);
   // Walking parents back across the spill boundary stays consistent.
   PathRef up = ref;
   for (std::size_t d = ref.depth(); d > 0; --d) {
     EXPECT_EQ(up.depth(), d);
-    EXPECT_EQ(PathRef::from_phase_path(up.to_phase_path()), up);
+    expect_round_trip(index, up);
     up = up.parent();
   }
   EXPECT_TRUE(up.empty());
@@ -102,12 +114,11 @@ TEST(PathRefTest, PushBuildsIncrementally) {
   pushed.push("Stage", 7);
   const PathRef chained = PathRef{}.child("Job", 0).child("Stage", 7);
   EXPECT_EQ(pushed, chained);
-  EXPECT_EQ(pushed.hash(), chained.hash());
 }
 
 // Property test: random paths over the phase vocabulary of all three
-// engine models round-trip losslessly PathRef -> PhasePath -> string ->
-// PhasePath -> PathRef, preserving equality and hashes.
+// engine models render losslessly through one path table, PathRef -> node
+// -> PhasePath -> string, and the parsed string finds the same node.
 TEST(PathRefTest, RandomCorpusRoundTrips) {
   const std::vector<std::string> types = {
       // Pregel
@@ -122,6 +133,7 @@ TEST(PathRefTest, RandomCorpusRoundTrips) {
       // Dataflow
       "Stage", "Task", "ShuffleWrite"};
   Rng rng(20260805);
+  PathIndex index;
   std::unordered_set<std::string> rendered;
   for (int trial = 0; trial < 500; ++trial) {
     // Depths straddle the inline capacity; indices include values that do
@@ -137,17 +149,8 @@ TEST(PathRefTest, RandomCorpusRoundTrips) {
     }
     ASSERT_EQ(ref.depth(), depth);
 
-    const PhasePath via_path = ref.to_phase_path();
-    const std::string text = ref.to_string();
-    EXPECT_EQ(via_path.to_string(), text);
-    rendered.insert(text);
-
-    const auto parsed = parse_phase_path(text);
-    ASSERT_TRUE(parsed.has_value()) << text;
-    EXPECT_EQ(*parsed, via_path);
-    const PathRef back = PathRef::from_phase_path(*parsed);
-    EXPECT_EQ(back, ref) << text;
-    EXPECT_EQ(back.hash(), ref.hash()) << text;
+    expect_round_trip(index, ref);
+    rendered.insert(ref.to_string());
   }
   // Sanity: the corpus was actually diverse.
   EXPECT_GT(rendered.size(), 450u);

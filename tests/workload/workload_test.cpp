@@ -17,6 +17,7 @@
 #include "ensemble/run_grade10.hpp"
 #include "grade10/model/model_io.hpp"
 #include "graph/generators.hpp"
+#include "trace/g10t_io.hpp"
 #include "trace/log_io.hpp"
 
 namespace g10::workload {
@@ -28,16 +29,17 @@ std::string slurp(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// Runs g10_run with `flags` into a fresh directory; returns the directory.
-/// Its stdout lands in <dir>/stdout.txt.
+/// Runs g10_run with `flags` into a fresh directory, writing both trace
+/// formats; returns the directory. Its stdout lands in <dir>/stdout.txt.
 std::string run_cli(const std::string& tag, const std::string& flags) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
       ("g10_workload_test_" + tag + "_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  const std::string command = std::string(G10_RUN_BIN) + flags + " --out " +
-                              dir.string() + " > " +
+  const std::string command = std::string(G10_RUN_BIN) + flags +
+                              " --trace-format both --out " + dir.string() +
+                              " > " +
                               (dir / "stdout.txt").string() + " 2>&1";
   EXPECT_EQ(std::system(command.c_str()), 0) << command;
   return dir.string();
@@ -53,14 +55,22 @@ graph::Graph rmat8() {
   return graph::generate_dataset(graph::parse_dataset("rmat:8"));
 }
 
-/// The recipe's run, serialized the way g10_run dumps it.
+/// The recipe's run, rendered whole and serialized by the vector writers,
+/// equals what g10_run streams into both trace files.
 void expect_matches_cli(const Spec& spec, const std::string& dir) {
-  const Result run = workload::run(spec, rmat8());
+  Result run = workload::run(spec, rmat8());
+  trace::ParsedLog rendered;
+  rendered.meta = {{"faults", spec.faults.to_string()}};
+  rendered.phase_events = run.log.take_phase_events();
+  rendered.blocking_events = run.log.take_blocking_events();
+  rendered.samples = run.samples;
   std::ostringstream log;
-  trace::write_log(log, run.artifacts.phase_events,
-                   run.artifacts.blocking_events, run.samples,
-                   {{"faults", spec.faults.to_string()}});
+  trace::write_log(log, rendered.phase_events, rendered.blocking_events,
+                   rendered.samples, rendered.meta);
   EXPECT_EQ(log.str(), slurp(dir + "/run.log"));
+  std::ostringstream g10t;
+  trace::write_g10t(g10t, rendered);
+  EXPECT_EQ(g10t.str(), slurp(dir + "/run.g10t"));
   std::ostringstream model;
   core::write_model(model, run.model.execution, run.model.resources,
                     run.model.tuned_rules);

@@ -49,6 +49,8 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -158,6 +160,14 @@ int det_check(const Args& args, const workload::Spec& spec,
     const int rc = execute(spec, graph, run);
     if (rc != kExitOk) return rc;
     DetHasher hasher;
+    run.log.render_phase_events(
+        [&hasher](std::span<trace::PhaseEventRecord> block) {
+          trace::fold_phase_events(hasher, block);
+        });
+    run.log.render_blocking_events(
+        [&hasher](std::span<trace::BlockingEventRecord> block) {
+          trace::fold_blocking_events(hasher, block);
+        });
     trace::fold_run(hasher, run.artifacts);
     trace::fold_samples(hasher, run.samples);
     DetSummary summary = hasher.summary();
@@ -233,29 +243,41 @@ int run(const Args& args) {
   }
   const bool want_text = args.trace_format != "binary";
   const bool want_binary = args.trace_format != "text";
+  // The log is rendered one storage block at a time into both writers, so
+  // no more than one block of rendered records is ever held. A large
+  // stream buffer turns the many small record writes into a few big ones;
+  // fault-injected runs can dump millions of records.
+  std::vector<char> buffer(want_text ? 1 << 20 : 0);
+  std::ofstream text_file;
+  std::optional<trace::LogWriter> text;
   if (want_text) {
-    // A large stream buffer turns the many small record writes into a few
-    // big ones; fault-injected runs can dump millions of records.
-    std::vector<char> buffer(1 << 20);
-    std::ofstream log;
-    log.rdbuf()->pubsetbuf(buffer.data(),
-                           static_cast<std::streamsize>(buffer.size()));
-    log.open(args.out + "/run.log");
-    trace::write_log(log, artifacts.phase_events, artifacts.blocking_events,
-                     samples, meta);
+    text_file.rdbuf()->pubsetbuf(buffer.data(),
+                                 static_cast<std::streamsize>(buffer.size()));
+    text_file.open(args.out + "/run.log");
+    text.emplace(text_file, meta);
   }
-  // The counts are printed after the records move into the .g10t writer.
-  const std::size_t phase_count = artifacts.phase_events.size();
-  const std::size_t blocking_count = artifacts.blocking_events.size();
-  const std::size_t sample_count = samples.size();
-  if (want_binary) {
-    trace::ParsedLog log;
-    log.meta = meta;
-    log.phase_events = std::move(artifacts.phase_events);
-    log.blocking_events = std::move(artifacts.blocking_events);
-    log.samples = std::move(samples);
+  std::optional<trace::G10tWriter> binary;
+  if (want_binary) binary.emplace(meta);
+  std::size_t phase_count = 0;
+  std::size_t blocking_count = 0;
+  const auto write_counting = [&](std::size_t& count) {
+    return [&](auto block) {
+      if (text) text->add(block);
+      if (binary) binary->add(block);
+      count += block.size();
+    };
+  };
+  run.log.render_phase_events(write_counting(phase_count));
+  run.log.render_blocking_events(write_counting(blocking_count));
+  if (text) {
+    text->add(samples);
+    text.reset();
+    text_file.close();
+  }
+  if (binary) {
+    binary->add(samples);
     std::string error;
-    if (!trace::write_g10t_file(args.out + "/run.g10t", log, {}, &error)) {
+    if (!binary->finish_file(args.out + "/run.g10t", &error)) {
       std::cerr << error << '\n';
       return kExitInternalError;
     }
@@ -275,7 +297,7 @@ int run(const Args& args) {
   std::cout << "wrote " << args.out << trace_name
             << (want_text && want_binary ? " + /run.g10t (" : " (")
             << phase_count << " phase events, " << blocking_count
-            << " blocking events, " << sample_count << " samples) and "
+            << " blocking events, " << samples.size() << " samples) and "
             << args.out
             << "/model.g10\n";
   std::cout << "analyze with: g10_analyze --model " << args.out
