@@ -6,7 +6,9 @@
 
 namespace g10::engine {
 
+using trace::BlockingEvent;
 using trace::PathIndex;
+using trace::PhaseEvent;
 using trace::PhaseEventRecord;
 
 namespace {

@@ -5,8 +5,10 @@
 //
 // This is the hot edge of trace generation, so the log is stored compactly:
 // every distinct phase path becomes one node of a per-run PathIndex, and
-// each event is a fixed-size record naming its node (24 bytes for a phase
-// event, 32 for a blocking event), kept in fixed blocks of kBlockEvents.
+// each event is a fixed-size record naming its node (trace::PhaseEvent,
+// 24 bytes, and trace::BlockingEvent, 32, whose resource is a SymbolTable
+// symbol here: the event types the trace readers' NodeLog holds), kept in
+// fixed blocks of kBlockEvents.
 // BEGIN and END of one instance share a node, and so does a path begun
 // again after abandon(). Open-phase tracking is a begin time per node. The
 // string-typed PhaseEventRecord/BlockingEventRecord forms are rendered only
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "common/time.hpp"
+#include "trace/node_log.hpp"
 #include "trace/path_index.hpp"
 #include "trace/records.hpp"
 #include "trace/symbol_table.hpp"
@@ -92,21 +95,6 @@ class PhaseLogger {
   static constexpr std::size_t kBlockEvents = 4096;
 
  private:
-  struct PhaseEvent {
-    TimeNs time;
-    trace::PathIndex::NodeId node;
-    trace::MachineId machine;
-    trace::PhaseEventRecord::Kind kind;
-  };
-  struct BlockingEvent {
-    TimeNs begin;
-    TimeNs end;
-    trace::PathIndex::NodeId node;
-    trace::Symbol resource;
-    trace::MachineId machine;
-  };
-  static_assert(sizeof(PhaseEvent) == 24 && sizeof(BlockingEvent) == 32);
-
   template <typename Event>
   using Blocks = std::vector<std::vector<Event>>;
 
@@ -122,8 +110,8 @@ class PhaseLogger {
   /// Begin time of each node's open instance, kNotOpen when closed.
   std::vector<TimeNs> open_;
   std::size_t open_count_ = 0;
-  Blocks<PhaseEvent> phase_events_;
-  Blocks<BlockingEvent> blocking_events_;
+  Blocks<trace::PhaseEvent> phase_events_;
+  Blocks<trace::BlockingEvent> blocking_events_;
 };
 
 /// An engine run with its log still in the logger's compact form: every

@@ -21,15 +21,14 @@ bool per_event(std::string_view rule_id) {
 }  // namespace
 
 LintReport lint_trace(const core::ModelDescription& model,
-                      const trace::ParsedLog& log,
+                      const trace::NodeLog& log,
                       const TraceLintOptions& /*options*/,
                       std::string_view filename,
                       const core::TraceBuild* built) {
   core::TraceBuild own;
   if (built == nullptr) {
-    own = core::ExecutionTrace::build_checked(
-        model.execution, model.resources, log.phase_events,
-        log.blocking_events, log.samples, {});
+    own = core::ExecutionTrace::build_checked(model.execution,
+                                              model.resources, log, {});
     built = &own;
   }
   LintReport report;
@@ -52,17 +51,26 @@ LintReport lint_trace(const core::ModelDescription& model,
   // hand-assembled log whose fault attribution can't be cross-checked.
   const auto spec = log.meta_value("faults");
   if (spec.has_value() && !trim(*spec).empty()) return report;
-  for (const trace::BlockingEventRecord& event : log.blocking_events) {
-    if (event.resource != "Retry" && event.resource != "Recovery") continue;
-    add("trace-fault-blocking-without-spec", event.resource,
-        "log records '" + event.resource +
+  for (const trace::BlockingEvent& event : log.blocking_events) {
+    const std::string& resource = log.resources[event.resource];
+    if (resource != "Retry" && resource != "Recovery") continue;
+    add("trace-fault-blocking-without-spec", resource,
+        "log records '" + resource +
             "' blocked time but no 'faults' META record names the injected "
             "fault spec");
   }
   return report;
 }
 
-LintReport lint_parse_errors(const trace::ParseResult& result,
+LintReport lint_trace(const core::ModelDescription& model,
+                      const trace::ParsedLog& log,
+                      const TraceLintOptions& options,
+                      std::string_view filename,
+                      const core::TraceBuild* built) {
+  return lint_trace(model, trace::intern_log(log), options, filename, built);
+}
+
+LintReport lint_parse_errors(const trace::ReadErrors& result,
                              std::string_view filename, bool binary_trace) {
   LintReport report;
   const std::string file(filename);

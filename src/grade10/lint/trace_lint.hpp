@@ -1,4 +1,4 @@
-// Lint rules over parsed trace records, cross-checked against a model.
+// Lint rules over a read trace, cross-checked against a model.
 //
 // The record findings (unbalanced, duplicated or overlapping phases,
 // blocking events outside their phase or on phantom resources, monitoring
@@ -7,7 +7,8 @@
 // rejection the build makes names its rule, so lint reports what strict
 // rejection and lenient repair act on, in the build's pass order. This
 // linter only filters and deduplicates them, and checks what the build
-// does not read: fault provenance. Findings carry the phase path or
+// does not read: fault provenance, from the node log's META records and
+// blocking-resource names. Findings carry the phase path or
 // resource@machine in Location::context; records have no line numbers.
 #pragma once
 
@@ -24,9 +25,16 @@ namespace g10::lint {
 /// pass. Kept only for the `{}` argument of existing lint_trace calls.
 struct TraceLintOptions {};
 
-/// Lints parsed records against `model`. `filename` seeds finding
-/// locations. The record findings come from `built`, a build of `log`'s
-/// records against `model`, or from a build made here when it is null.
+/// Lints a node log against `model`. `filename` seeds finding locations.
+/// The record findings come from `built`, a build of `log` against
+/// `model`, or from a build made here when it is null.
+LintReport lint_trace(const core::ModelDescription& model,
+                      const trace::NodeLog& log,
+                      const TraceLintOptions& options = {},
+                      std::string_view filename = "<log>",
+                      const core::TraceBuild* built = nullptr);
+
+/// lint_trace of parsed records, interned (trace::intern_log).
 LintReport lint_trace(const core::ModelDescription& model,
                       const trace::ParsedLog& log,
                       const TraceLintOptions& options = {},
@@ -37,7 +45,7 @@ LintReport lint_trace(const core::ModelDescription& model,
 /// numbers). With binary_trace=true the diagnostics came from a `.g10t`
 /// reader, so they surface as trace-binary-corrupt-block findings whose
 /// "line" is the 1-based block ordinal.
-LintReport lint_parse_errors(const trace::ParseResult& result,
+LintReport lint_parse_errors(const trace::ReadErrors& result,
                              std::string_view filename,
                              bool binary_trace = false);
 

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "trace/path_index.hpp"
+#include "trace/node_log.hpp"
 
 namespace g10::core {
 
@@ -83,8 +83,9 @@ class TraceBuilder {
                const ExecutionTrace::Options& options)
       : model_(model), resources_(resources), options_(options) {}
 
-  TraceBuild run(std::span<const trace::PhaseEventRecord> phase_events,
-                 std::span<const trace::BlockingEventRecord> blocking_events,
+  /// The build of `log`'s events, whose nodes it reads from `log.paths`,
+  /// and of `samples`.
+  TraceBuild run(const trace::NodeLog& log,
                  std::span<const trace::MonitoringSampleRecord> samples) {
     try {
       model_.validate();
@@ -92,6 +93,12 @@ class TraceBuilder {
       out_.error = e.what();
       return std::move(out_);
     }
+    paths_ = &log.paths;
+    resource_names_ = &log.resources;
+    nodes_.resize(paths().size());
+    const std::span<const trace::PhaseEvent> phase_events = log.phase_events;
+    const std::span<const trace::BlockingEvent> blocking_events =
+        log.blocking_events;
     // A well-formed log holds one BEGIN and one END per instance.
     instances().reserve(phase_events.size() / 2);
     for (const auto& event : phase_events) phase_event(event);
@@ -138,10 +145,7 @@ class TraceBuilder {
     return instances()[static_cast<std::size_t>(id)];
   }
   RawNode& raw(NodeId node) { return nodes_[static_cast<std::size_t>(node)]; }
-  const RawNode* find(const trace::PhasePath& path) {
-    const NodeId node = index_.find(path);
-    return node == PathIndex::kNoNode ? nullptr : &raw(node);
-  }
+  const PathIndex& paths() const { return *paths_; }
   const std::string& type_name(PhaseTypeId type) const {
     return model_.type(type).name;
   }
@@ -149,17 +153,19 @@ class TraceBuilder {
   void add(TraceDefect&& defect) { out_.defects.push_back(std::move(defect)); }
 
   PhaseTypeId model_type(NodeId node) {
-    const PathIndex::TypeId type = index_.type_id(node);
+    const PathIndex::TypeId type = paths().type_id(node);
     while (model_types_.size() <= type) {
-      model_types_.push_back(model_.find(index_.type_name(
+      model_types_.push_back(model_.find(paths().type_name(
           static_cast<PathIndex::TypeId>(model_types_.size()))));
     }
     return model_types_[type];
   }
 
-  void phase_event(const trace::PhaseEventRecord& event) {
+  void phase_event(const trace::PhaseEvent& event) {
     const bool is_begin = event.kind == trace::PhaseEventRecord::Kind::Begin;
-    if (is_begin && event.path.empty()) {
+    // Only an interned record can name the root: a reader rejects an empty
+    // path.
+    if (is_begin && event.node == PathIndex::kRoot) {
       add(defect("trace-syntax", "", "phase begin with an empty path",
                  Response::kReject, "phase begin with an empty path"));
       return;
@@ -170,25 +176,24 @@ class TraceBuilder {
     if (machines.empty() || machines.back() != event.machine) {
       machines.push_back(event.machine);
     }
-    const NodeId node = index_.insert(event.path);
-    nodes_.resize(index_.size());
     if (is_begin) {
-      begin(event, node);
+      begin(event);
     } else {
-      end(event, raw(node));
+      end(event);
     }
   }
 
-  void begin(const trace::PhaseEventRecord& event, NodeId node) {
+  void begin(const trace::PhaseEvent& event) {
+    const NodeId node = event.node;
     RawNode& r = raw(node);
     r.begun = true;
     const PhaseTypeId type = model_type(node);
     if (type == kNoPhaseType) {
-      const std::string& name = event.path.leaf().type;
+      const std::string& name = paths().type_name(paths().type_id(node));
       add(defect("trace-unknown-phase-type", name,
                  "phase type '" + name + "' is not in the model",
                  Response::kRepair, "unknown phase type in log: " + name,
-                 "skipped phase of unknown type: " + event.path.to_string()));
+                 "skipped phase of unknown type: " + paths().path(node)));
       return;
     }
     if (r.instance != kNoInstance) {
@@ -202,20 +207,21 @@ class TraceBuilder {
     PhaseInstance instance;
     instance.id = static_cast<InstanceId>(instances().size());
     instance.type = type;
-    instance.index = event.path.leaf().index;
+    instance.index = paths().index(node);
     instance.begin = event.time;
     instance.end = -1;
     instance.machine = event.machine;
-    instance.path = index_.path(node);
+    instance.path = paths().path(node);
     r.instance = instance.id;
     node_of_.push_back(node);
     instances().push_back(std::move(instance));
   }
 
-  void end(const trace::PhaseEventRecord& event, RawNode& r) {
+  void end(const trace::PhaseEvent& event) {
+    RawNode& r = raw(event.node);
     if (r.instance == kNoInstance) {
       if (r.begun) return;  // an unknown type, which begin() skipped
-      const std::string key = event.path.to_string();
+      const std::string key = paths().path(event.node);
       add(defect("trace-unbalanced-end", key,
                  "phase instance ends without ever beginning",
                  Response::kRepair, "phase end without begin: " + key,
@@ -268,7 +274,7 @@ class TraceBuilder {
   void link() {
     for (PhaseInstance& inst : instances()) {
       const NodeId parent_node =
-          index_.parent(node_of_[static_cast<std::size_t>(inst.id)]);
+          paths().parent(node_of_[static_cast<std::size_t>(inst.id)]);
       const std::string& name = type_name(inst.type);
       if (parent_node == PathIndex::kRoot) {
         if (inst.type != model_.root()) {
@@ -284,7 +290,7 @@ class TraceBuilder {
       const InstanceId parent_id = raw(parent_node).instance;
       if (parent_id == kNoInstance) {
         add(defect("trace-missing-parent", inst.path,
-                   "parent instance '" + index_.path(parent_node) +
+                   "parent instance '" + paths().path(parent_node) +
                        "' never appears in the log",
                    Response::kReject,
                    "parent instance missing for " + inst.path));
@@ -312,18 +318,18 @@ class TraceBuilder {
   /// whole abandoned subtree closes at one consistent instant.
   void close_unended(
       const std::vector<InstanceId>& unended, std::size_t first_defect,
-      std::span<const trace::BlockingEventRecord> blocking_events) {
+      std::span<const trace::BlockingEvent> blocking_events) {
     if (unended.empty()) return;
     std::vector<TimeNs> block_max(instances().size(),
                                   std::numeric_limits<TimeNs>::min());
     for (const auto& event : blocking_events) {
-      const RawNode* r = find(event.path);
-      if (r == nullptr || r->instance == kNoInstance) continue;
-      auto& latest = block_max[static_cast<std::size_t>(r->instance)];
+      const InstanceId id = raw(event.node).instance;
+      if (id == kNoInstance) continue;
+      auto& latest = block_max[static_cast<std::size_t>(id)];
       latest = std::max(latest, event.end);
     }
     const auto depth_of = [&](InstanceId id) {
-      return index_.depth(node_of_[static_cast<std::size_t>(id)]);
+      return paths().depth(node_of_[static_cast<std::size_t>(id)]);
     };
     std::vector<InstanceId> by_depth = unended;
     std::sort(by_depth.begin(), by_depth.end(),
@@ -415,8 +421,8 @@ class TraceBuilder {
     }
   }
 
-  void attach(const trace::BlockingEventRecord& event) {
-    const std::string& name = event.resource;
+  void attach(const trace::BlockingEvent& event) {
+    const std::string& name = (*resource_names_)[event.resource];
     const ResourceId resource = resources_.find(name);
     const bool blocking =
         resource != kNoResource &&
@@ -448,10 +454,9 @@ class TraceBuilder {
 
     // The build acts only on events of blocking resources.
     const Response response = blocking ? Response::kRepair : Response::kReport;
-    const RawNode* r = find(event.path);
-    const InstanceId id = r == nullptr ? kNoInstance : r->instance;
+    const InstanceId id = raw(event.node).instance;
     if (id == kNoInstance) {
-      const std::string key = event.path.to_string();
+      const std::string key = paths().path(event.node);
       add(defect("trace-blocking-unknown-phase", key,
                  "blocking event names phase instance '" + key +
                      "', which never appears in the log",
@@ -530,11 +535,19 @@ class TraceBuilder {
   const ResourceModel& resources_;
   const ExecutionTrace::Options& options_;
   TraceBuild out_;
-  PathIndex index_;
-  std::vector<RawNode> nodes_;            ///< by index node
+  const PathIndex* paths_ = nullptr;  ///< the node log's table, adopted
+  const std::vector<std::string>* resource_names_ = nullptr;
+  std::vector<RawNode> nodes_;            ///< by path node
   std::vector<NodeId> node_of_;           ///< by instance
   std::vector<PhaseTypeId> model_types_;  ///< by index type, filled lazily
 };
+
+TraceBuild ExecutionTrace::build_checked(const ExecutionModel& model,
+                                         const ResourceModel& resources,
+                                         const trace::NodeLog& log,
+                                         const Options& options) {
+  return TraceBuilder(model, resources, options).run(log, log.samples);
+}
 
 TraceBuild ExecutionTrace::build_checked(
     const ExecutionModel& model, const ResourceModel& resources,
@@ -543,7 +556,7 @@ TraceBuild ExecutionTrace::build_checked(
     std::span<const trace::MonitoringSampleRecord> samples,
     const Options& options) {
   return TraceBuilder(model, resources, options)
-      .run(phase_events, blocking_events, samples);
+      .run(trace::intern_events(phase_events, blocking_events), samples);
 }
 
 ExecutionTrace ExecutionTrace::build(

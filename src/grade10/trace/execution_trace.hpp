@@ -1,7 +1,10 @@
 // Execution trace (paper §III-C): the tree of phase *instances* of one
 // workload run, assembled from the SUT's phase-event log and validated
-// against the execution model, with blocking events attached. The build's
-// one pass, samples included, is also the only check of a trace's records:
+// against the execution model, with blocking events attached. The build
+// works on the log's node form (trace::NodeLog): it adopts the reader's
+// path table, so events pair and parents resolve by node id, and path text
+// is rendered only for defects and PhaseInstance::path. The build's one
+// pass, samples included, is also the only check of a trace's records:
 // g10_lint's trace rules, strict rejection and lenient repair all read it.
 #pragma once
 
@@ -16,6 +19,7 @@
 #include "grade10/model/execution_model.hpp"
 #include "grade10/model/resource_model.hpp"
 #include "grade10/trace/resource_trace.hpp"
+#include "trace/node_log.hpp"
 #include "trace/records.hpp"
 
 namespace g10::core {
@@ -90,9 +94,17 @@ class ExecutionTrace {
     bool lenient = false;
   };
 
-  /// Builds the instance tree and the resource trace, recording every
-  /// defect. Never throws: the first defect whose Response `options` do not
-  /// accept rejects the build (TraceBuild::error).
+  /// Builds the instance tree and the resource trace from `log`'s events
+  /// and samples, recording every defect. Never throws: the first defect
+  /// whose Response `options` do not accept rejects the build
+  /// (TraceBuild::error).
+  static TraceBuild build_checked(const ExecutionModel& model,
+                                  const ResourceModel& resources,
+                                  const trace::NodeLog& log,
+                                  const Options& options);
+
+  /// build_checked of records: the node-log build over
+  /// trace::intern_events of the phase and blocking events.
   static TraceBuild build_checked(
       const ExecutionModel& model, const ResourceModel& resources,
       std::span<const trace::PhaseEventRecord> phase_events,

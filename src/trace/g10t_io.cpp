@@ -216,17 +216,16 @@ EncodedBlock encode_sample_block(const MonitoringSampleRecord* records,
 
 std::optional<std::string> decode_path_dict(
     ByteCursor& cursor, const std::vector<std::string>& symbols,
-    std::vector<PhasePath>& dict) {
+    NodeBlock& out) {
   std::uint64_t dict_count = 0;
   if (!cursor.read_varint(dict_count)) return "truncated path dictionary";
   if (dict_count > cursor.remaining()) return "path dictionary overruns block";
-  dict.reserve(dict_count);
+  out.entries.reserve(dict_count + 1);
+  out.entries.push_back(0);
   for (std::uint64_t i = 0; i < dict_count; ++i) {
     std::uint64_t depth = 0;
     if (!cursor.read_varint(depth)) return "truncated path dictionary";
     if (depth > cursor.remaining()) return "path depth overruns block";
-    PhasePath path;
-    path.elements.reserve(depth);
     for (std::uint64_t d = 0; d < depth; ++d) {
       std::uint64_t symbol = 0;
       std::int64_t index = 0;
@@ -237,28 +236,37 @@ std::optional<std::string> decode_path_dict(
         return "path element references symbol " + std::to_string(symbol) +
                " of " + std::to_string(symbols.size());
       }
-      path.elements.push_back(PathElement{symbols[symbol], index});
+      out.tokens.push_back(PathToken{symbols[symbol], index});
     }
-    if (auto defect = phase_path_defect(path)) {
+    out.entries.push_back(out.tokens.size());
+    if (auto defect = phase_path_defect(out.entry(i))) {
       return "path dictionary entry " + std::to_string(i) + ": " + *defect;
     }
-    dict.push_back(std::move(path));
+  }
+  return std::nullopt;
+}
+
+/// Reads `count` path ids into the events' `node`.
+template <typename Event>
+std::optional<std::string> decode_path_ids(ByteCursor& cursor,
+                                           const NodeBlock& block,
+                                           std::vector<Event>& events) {
+  for (Event& event : events) {
+    std::uint64_t path_id = 0;
+    if (!cursor.read_varint(path_id)) return "truncated path ids";
+    if (path_id >= block.entry_count()) return "path id out of range";
+    event.node = static_cast<PathIndex::NodeId>(path_id);
   }
   return std::nullopt;
 }
 
 std::optional<std::string> decode_phase_block(
     ByteCursor& cursor, std::uint64_t count,
-    const std::vector<std::string>& symbols, DecodedBlock& out) {
-  std::vector<PhasePath> dict;
-  if (auto error = decode_path_dict(cursor, symbols, dict)) return error;
-
+    const std::vector<std::string>& symbols, NodeBlock& out) {
+  if (auto error = decode_path_dict(cursor, symbols, out)) return error;
   out.phase_events.resize(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t path_id = 0;
-    if (!cursor.read_varint(path_id)) return "truncated path ids";
-    if (path_id >= dict.size()) return "path id out of range";
-    out.phase_events[i].path = dict[path_id];
+  if (auto error = decode_path_ids(cursor, out, out.phase_events)) {
+    return error;
   }
   for (std::uint64_t i = 0; i < count; i += 8) {
     std::string_view byte;
@@ -287,22 +295,17 @@ std::optional<std::string> decode_phase_block(
 
 std::optional<std::string> decode_blocking_block(
     ByteCursor& cursor, std::uint64_t count,
-    const std::vector<std::string>& symbols, DecodedBlock& out) {
-  std::vector<PhasePath> dict;
-  if (auto error = decode_path_dict(cursor, symbols, dict)) return error;
-
+    const std::vector<std::string>& symbols, NodeBlock& out) {
+  if (auto error = decode_path_dict(cursor, symbols, out)) return error;
   out.blocking_events.resize(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t path_id = 0;
-    if (!cursor.read_varint(path_id)) return "truncated path ids";
-    if (path_id >= dict.size()) return "path id out of range";
-    out.blocking_events[i].path = dict[path_id];
+  if (auto error = decode_path_ids(cursor, out, out.blocking_events)) {
+    return error;
   }
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t symbol = 0;
     if (!cursor.read_varint(symbol)) return "truncated resource column";
     if (symbol >= symbols.size()) return "resource symbol out of range";
-    out.blocking_events[i].resource = symbols[symbol];
+    out.blocking_events[i].resource = static_cast<std::uint32_t>(symbol);
   }
   TimeNs previous = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -325,7 +328,7 @@ std::optional<std::string> decode_blocking_block(
 
 std::optional<std::string> decode_sample_block(
     ByteCursor& cursor, std::uint64_t count,
-    const std::vector<std::string>& symbols, DecodedBlock& out) {
+    const std::vector<std::string>& symbols, NodeBlock& out) {
   out.samples.resize(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t symbol = 0;
@@ -618,9 +621,9 @@ G10tStructureParse parse_g10t_structure(std::string_view bytes) {
   return out;
 }
 
-std::optional<std::string> decode_block(
+std::optional<std::string> decode_node_block(
     std::string_view payload, const IndexEntry& entry,
-    const std::vector<std::string>& symbols, DecodedBlock& out) {
+    const std::vector<std::string>& symbols, NodeBlock& out) {
   if (payload.size() != entry.encoded_size) {
     return "payload size mismatch (" + std::to_string(payload.size()) +
            " vs indexed " + std::to_string(entry.encoded_size) + ")";
@@ -646,6 +649,36 @@ std::optional<std::string> decode_block(
       return decode_sample_block(cursor, entry.record_count, symbols, out);
   }
   return "unknown block kind";
+}
+
+std::optional<std::string> decode_block(
+    std::string_view payload, const IndexEntry& entry,
+    const std::vector<std::string>& symbols, DecodedBlock& out) {
+  NodeBlock block;
+  if (auto error = decode_node_block(payload, entry, symbols, block)) {
+    return error;
+  }
+  std::vector<PhasePath> paths;
+  paths.reserve(block.entry_count());
+  for (std::size_t i = 0; i < block.entry_count(); ++i) {
+    paths.push_back(to_phase_path(block.entry(i)));
+  }
+  out.phase_events.resize(block.phase_events.size());
+  for (std::size_t i = 0; i < block.phase_events.size(); ++i) {
+    const PhaseEvent& event = block.phase_events[i];
+    out.phase_events[i] = PhaseEventRecord{
+        event.kind, paths[static_cast<std::size_t>(event.node)], event.time,
+        event.machine};
+  }
+  out.blocking_events.resize(block.blocking_events.size());
+  for (std::size_t i = 0; i < block.blocking_events.size(); ++i) {
+    const BlockingEvent& event = block.blocking_events[i];
+    out.blocking_events[i] = BlockingEventRecord{
+        symbols[event.resource], paths[static_cast<std::size_t>(event.node)],
+        event.begin, event.end, event.machine};
+  }
+  out.samples = std::move(block.samples);
+  return std::nullopt;
 }
 
 }  // namespace g10::trace

@@ -3,7 +3,9 @@
 //
 // The writer takes a run's records in order, chunk by chunk (an engine's
 // log as it renders, or a whole parsed log) and serializes them; the block
-// decoder turns one encoded payload back into records. Both are lossless
+// decoder turns one encoded payload back into a node-form block, whose
+// records name its path dictionary's entries (decode_block renders it as
+// records). Both are lossless
 // for every value the record types can hold: timestamps and machine ids are
 // zigzag-coded (negative values survive even though the text parser rejects
 // them), and sample values keep their exact IEEE-754 bits, so re-rendering
@@ -93,6 +95,36 @@ struct G10tStructureParse {
 /// view). Never throws; corruption comes back as `error`.
 G10tStructureParse parse_g10t_structure(std::string_view bytes);
 
+/// One decoded block in node form: the block's path dictionary as tokens
+/// over the file's symbols (the views point into `symbols`), and its
+/// records, each phase and blocking event naming its dictionary entry in
+/// `node` and each blocking event its resource's file symbol in `resource`.
+/// A reader interns the entries its kept records name into its NodeLog.
+/// Only the vectors of the block's kind are populated.
+struct NodeBlock {
+  std::vector<PathToken> tokens;
+  /// Entry i's tokens are [entries[i], entries[i + 1]).
+  std::vector<std::size_t> entries;
+  std::vector<PhaseEvent> phase_events;
+  std::vector<BlockingEvent> blocking_events;
+  std::vector<MonitoringSampleRecord> samples;
+
+  std::size_t entry_count() const {
+    return entries.empty() ? 0 : entries.size() - 1;
+  }
+  std::span<const PathToken> entry(std::size_t i) const {
+    return std::span<const PathToken>(tokens).subspan(
+        entries[i], entries[i + 1] - entries[i]);
+  }
+};
+
+/// Decodes the payload of `entry` (sliced from the file by the caller).
+/// Verifies the payload hash first, then every column; returns an error
+/// message on any corruption, nullopt on success.
+std::optional<std::string> decode_node_block(
+    std::string_view payload, const IndexEntry& entry,
+    const std::vector<std::string>& symbols, NodeBlock& out);
+
 /// One decoded block's records (only the vector matching the block's kind
 /// is populated).
 struct DecodedBlock {
@@ -101,9 +133,7 @@ struct DecodedBlock {
   std::vector<MonitoringSampleRecord> samples;
 };
 
-/// Decodes the payload of `entry` (sliced from the file by the caller).
-/// Verifies the payload hash first, then every column; returns an error
-/// message on any corruption, nullopt on success.
+/// decode_node_block rendered as records.
 std::optional<std::string> decode_block(std::string_view payload,
                                         const IndexEntry& entry,
                                         const std::vector<std::string>& symbols,

@@ -13,14 +13,18 @@
 // kMaxStoredParseErrors diagnostics) instead of stopping at the first —
 // real logs from crashed workers are routinely truncated or corrupted.
 //
-// parse_log_text is the in-memory core: the input is split into
-// newline-aligned chunks parsed concurrently (string_view fields +
-// from_chars, no per-line string or stream allocation), and merged in
-// chunk order. The merged result — records, error list, and every line
-// number — is bit-identical to a line-by-line serial parse at any thread
-// count; strict (non-recover) parses stop at the same first bad line.
-// Files reach it through TraceReader::open (trace/trace_reader.hpp), the
-// one way a trace file becomes records.
+// parse_log_nodes is the in-memory core, and it reads straight into a
+// NodeLog (trace/node_log.hpp): the input is split into newline-aligned
+// chunks parsed and validated concurrently (string_view fields +
+// from_chars, no per-line string or stream allocation; a filter drops
+// records here), then one serial merge in chunk order interns each kept
+// record's path into the log's one PathIndex, so node ids follow first
+// appearance at every thread count. The merged result — events, nodes,
+// error list, and every line number — is identical to a line-by-line
+// serial parse at any thread count; strict (non-recover) parses stop at
+// the same first bad line. parse_log_text is its rendering as records.
+// Files reach it through TraceReader (trace/trace_reader.hpp), the one way
+// a trace file becomes a node log (read_nodes) or records (read).
 #pragma once
 
 #include <optional>
@@ -31,13 +35,10 @@
 #include <utility>
 #include <vector>
 
+#include "trace/node_log.hpp"
 #include "trace/records.hpp"
 
 namespace g10::trace {
-
-/// One META record: run provenance embedded in the log ("faults" carries
-/// the canonical fault-spec string the run was injected with).
-using LogMeta = std::pair<std::string, std::string>;
 
 /// The incremental text writer: the header and META records on
 /// construction, then records as they come, chunk by chunk. A log's records
@@ -99,10 +100,8 @@ struct ParseOptions {
 /// balloon the error list; error_count still counts every bad line.
 inline constexpr std::size_t kMaxStoredParseErrors = 64;
 
-/// The records of a parse or a trace read, and its errors in input order.
-/// (A tiny expected<>-style result to stay dependency-free.)
-struct ParseResult {
-  ParsedLog log;
+/// The errors of a parse or a trace read, in input order.
+struct ReadErrors {
   /// The first kMaxStoredParseErrors errors.
   std::vector<ParseError> errors;
   /// Total number of malformed lines seen, including those beyond the cap.
@@ -111,9 +110,34 @@ struct ParseResult {
   bool ok() const { return error_count == 0; }
 };
 
-/// Parses an in-memory log (the zero-copy core: record fields are sliced
-/// out of `text` with string_views, chunks parse concurrently).
+/// What a parse or a trace read returns: the log, as a NodeLog or as
+/// records, and its errors. (A tiny expected<>-style result to stay
+/// dependency-free.)
+template <typename Log>
+struct ReadResult : ReadErrors {
+  Log log;
+};
+using NodeParseResult = ReadResult<NodeLog>;
+using ParseResult = ReadResult<ParsedLog>;
+
+/// Parses an in-memory log into a NodeLog, keeping the records `filter`
+/// matches (the zero-copy core: record fields are sliced out of `text`
+/// with string_views, chunks parse concurrently, one merge interns).
+NodeParseResult parse_log_nodes(std::string_view text,
+                                const ParseOptions& options = {},
+                                const TraceFilter& filter = {});
+
+/// parse_log_nodes rendered as records.
 ParseResult parse_log_text(std::string_view text,
                            const ParseOptions& options = {});
+
+/// The records a NodeLog names, in its order.
+ParsedLog render_log(const NodeLog& log);
+/// render_log of a read's log, with its errors.
+ParseResult render_result(NodeParseResult&& nodes);
+
+/// The interning adapter for a whole log: intern_events of its records,
+/// with its meta and samples.
+NodeLog intern_log(const ParsedLog& log);
 
 }  // namespace g10::trace

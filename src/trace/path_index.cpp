@@ -71,10 +71,11 @@ PathIndex::TypeId PathIndex::symbol_type(Symbol symbol, bool create) {
   return type;
 }
 
-PathIndex::NodeId PathIndex::resolve(const PhasePath& path, bool create) {
+template <typename Elements>
+PathIndex::NodeId PathIndex::resolve(const Elements& elements, bool create) {
   NodeId node = kRoot;
-  for (std::size_t d = 0; d < path.elements.size(); ++d) {
-    const PathElement& element = path.elements[d];
+  for (std::size_t d = 0; d < elements.size(); ++d) {
+    const auto& element = elements[d];
     TypeId type = kNoType;
     if (d < last_.size()) {
       const Node& cached = at(last_[d]);
@@ -94,6 +95,14 @@ PathIndex::NodeId PathIndex::resolve(const PhasePath& path, bool create) {
     last_.push_back(node);
   }
   return node;
+}
+
+PathIndex::NodeId PathIndex::insert(std::span<const PathToken> path) {
+  return resolve(path, true);
+}
+
+PathIndex::NodeId PathIndex::insert(const PhasePath& path) {
+  return resolve(path.elements, true);
 }
 
 PathIndex::NodeId PathIndex::resolve(const PathRef& path, bool create) {

@@ -1,20 +1,24 @@
 // Path-node table (paper §III-C): gives every distinct phase path of one
-// log a dense integer node id, so the trace build pairs BEGIN/END events
-// and resolves parents without rendering paths, and the phase logger
-// stores each event as a fixed-size record naming its node.
+// log a dense integer node id, so the phase logger and the trace readers
+// store each event as a fixed-size record naming its node (a NodeLog,
+// trace/node_log.hpp), and the trace build pairs BEGIN/END events and
+// resolves parents without rendering paths.
 //
 // A node is reached from its parent node by the exact key (parent node,
 // type id, index); type ids come from an intern table local to the index,
 // so the path vocabulary stays open and nothing is shared or persisted.
-// Paths come in as parsed PhasePaths (the trace build) or as interned
-// PathRefs (the phase logger, whose SymbolTable symbols map one-to-one onto
-// type ids); both resolve to the same nodes. Node ids follow first
-// appearance, and node 0 is the empty path, the parent of every top-level
-// element. Element-wise identity equals rendered identity because
-// well-formed paths have no '/' inside a type (trace::phase_path_defect).
+// Paths come in as tokens (the readers: a text line's path or a `.g10t`
+// dictionary entry), as parsed PhasePaths (records handed in by callers)
+// or as interned PathRefs (the phase logger, whose SymbolTable symbols map
+// one-to-one onto type ids); all resolve to the same nodes. Node ids
+// follow first appearance, and node 0 is the empty path, the parent of
+// every top-level element. Element-wise identity equals rendered identity
+// because well-formed paths have no '/' inside a type
+// (trace::phase_path_defect).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -35,11 +39,11 @@ class PathIndex {
   PathIndex();
 
   /// Node of `path`, adding it and any missing prefixes.
-  NodeId insert(const PhasePath& path) { return resolve(path, true); }
+  NodeId insert(std::span<const PathToken> path);
+  NodeId insert(const PhasePath& path);
   NodeId insert(const PathRef& path) { return resolve(path, true); }
   /// Node of `path`, or kNoNode when it was never inserted (not even as a
   /// prefix). Never adds nodes.
-  NodeId find(const PhasePath& path) { return resolve(path, false); }
   NodeId find(const PathRef& path) { return resolve(path, false); }
 
   std::size_t size() const { return nodes_.size(); }
@@ -86,7 +90,9 @@ class PathIndex {
   TypeId type_of(std::string_view name, bool create);
   /// Type id of the name `symbol` interns, memoized per symbol.
   TypeId symbol_type(Symbol symbol, bool create);
-  NodeId resolve(const PhasePath& path, bool create);
+  /// Resolves named elements (PathTokens or PathElements).
+  template <typename Elements>
+  NodeId resolve(const Elements& elements, bool create);
   NodeId resolve(const PathRef& path, bool create);
 
   std::vector<Node> nodes_;

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,6 +45,24 @@ struct PhasePath {
   friend bool operator==(const PhasePath&, const PhasePath&) = default;
 };
 
+/// One path element as a reader meets it, before it owns any storage: a
+/// view of the type name (into a text line or a `.g10t` symbol table) and
+/// the index.
+struct PathToken {
+  std::string_view type;
+  std::int64_t index = 0;
+};
+
+/// The one path tokenizer: splits "Type.idx/Type.idx/..." into `out`
+/// (cleared first), one token per element. False when `text` is not a
+/// well-formed path (phase_path_defect); `out` is then unspecified.
+/// parse_phase_path and the trace readers' interning parse both read paths
+/// through it, so a "malformed phase path" has one definition.
+bool tokenize_phase_path(std::string_view text, std::vector<PathToken>& out);
+
+/// The path `tokens` name, owning its type names.
+PhasePath to_phase_path(std::span<const PathToken> tokens);
+
 /// Parses "Type.idx/Type.idx/..."; nullopt on malformed input.
 std::optional<PhasePath> parse_phase_path(std::string_view text);
 
@@ -52,6 +71,6 @@ std::optional<PhasePath> parse_phase_path(std::string_view text);
 /// non-empty type without '/' and a non-negative index. Every trace decoder
 /// applies this one check, so two paths are equal element-wise exactly when
 /// their rendered strings are equal.
-std::optional<std::string> phase_path_defect(const PhasePath& path);
+std::optional<std::string> phase_path_defect(std::span<const PathToken> path);
 
 }  // namespace g10::trace

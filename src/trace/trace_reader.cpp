@@ -1,6 +1,7 @@
 #include "trace/trace_reader.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/thread_pool.hpp"
@@ -10,66 +11,6 @@ namespace g10::trace {
 
 namespace {
 
-bool time_window_active(const TraceFilter& f) {
-  return f.time_min != 0 || f.time_max != std::numeric_limits<TimeNs>::max();
-}
-
-}  // namespace
-
-bool TraceFilter::matches_machine(MachineId machine) const {
-  if (machines.empty() || machine == kGlobalMachine) return true;
-  return std::find(machines.begin(), machines.end(), machine) !=
-         machines.end();
-}
-
-bool TraceFilter::matches_path(const PhasePath& path) const {
-  if (phase_types.empty()) return true;
-  for (const PathElement& element : path.elements) {
-    for (const std::string& type : phase_types) {
-      if (element.type == type) return true;
-    }
-  }
-  // The enclosing chain: only the innermost element may be an ancestor
-  // type, otherwise sibling subtrees under a shared ancestor would leak in.
-  if (!path.elements.empty()) {
-    const std::string& last = path.elements.back().type;
-    for (const std::string& type : ancestor_types) {
-      if (last == type) return true;
-    }
-  }
-  return false;
-}
-
-bool TraceFilter::matches(const PhaseEventRecord& rec) const {
-  return rec.time >= time_min && rec.time <= time_max &&
-         matches_machine(rec.machine) && matches_path(rec.path);
-}
-
-bool TraceFilter::matches(const BlockingEventRecord& rec) const {
-  return rec.end >= time_min && rec.begin <= time_max &&
-         matches_machine(rec.machine) && matches_path(rec.path);
-}
-
-bool TraceFilter::matches(const MonitoringSampleRecord& rec) const {
-  return rec.time >= time_min && rec.time <= time_max &&
-         matches_machine(rec.machine);
-}
-
-namespace {
-
-void filter_log(const TraceFilter& filter, ParsedLog& log) {
-  if (filter.empty()) return;
-  std::erase_if(log.phase_events, [&](const PhaseEventRecord& rec) {
-    return !filter.matches(rec);
-  });
-  std::erase_if(log.blocking_events, [&](const BlockingEventRecord& rec) {
-    return !filter.matches(rec);
-  });
-  std::erase_if(log.samples, [&](const MonitoringSampleRecord& rec) {
-    return !filter.matches(rec);
-  });
-}
-
 // --- text ---------------------------------------------------------------
 
 class TextTraceReader final : public TraceReader {
@@ -77,10 +18,8 @@ class TextTraceReader final : public TraceReader {
   TextTraceReader(MappedFile file, TraceReadOptions options)
       : file_(std::move(file)), options_(std::move(options)) {}
 
-  ParseResult read(const TraceFilter& filter) override {
-    ParseResult result = parse_log_text(file_.bytes(), options_);
-    filter_log(filter, result.log);
-    return result;
+  NodeParseResult read_nodes(const TraceFilter& filter) override {
+    return parse_log_nodes(file_.bytes(), options_, filter);
   }
 
   TraceReadStats stats() const override {
@@ -100,8 +39,53 @@ class TextTraceReader final : public TraceReader {
 // --- binary -------------------------------------------------------------
 
 struct DecodeOutcome {
-  DecodedBlock block;
+  NodeBlock block;
   std::string error;  ///< empty = success
+};
+
+/// Drops the records of `block` that `filter` does not match.
+void filter_block(const TraceFilter& filter, NodeBlock& block) {
+  if (filter.empty()) return;
+  std::vector<bool> path_matches(block.entry_count());
+  for (std::size_t i = 0; i < path_matches.size(); ++i) {
+    path_matches[i] = filter.matches_path(block.entry(i));
+  }
+  const auto kept_path = [&path_matches](PathIndex::NodeId entry) {
+    return path_matches[static_cast<std::size_t>(entry)];
+  };
+  std::erase_if(block.phase_events, [&](const PhaseEvent& event) {
+    return !filter.keeps_phase(event.time, event.machine,
+                               kept_path(event.node));
+  });
+  std::erase_if(block.blocking_events, [&](const BlockingEvent& event) {
+    return !filter.keeps_blocking(event.begin, event.end, event.machine,
+                                  kept_path(event.node));
+  });
+  std::erase_if(block.samples, [&](const MonitoringSampleRecord& rec) {
+    return !filter.matches(rec);
+  });
+}
+
+/// Interns the dictionary entries a block's kept records name into
+/// `paths`, each on its first use, and points the records at the nodes.
+class EntryNodes {
+ public:
+  EntryNodes(PathIndex& paths, const NodeBlock& block)
+      : paths_(paths), block_(block), nodes_(block.entry_count(),
+                                             PathIndex::kNoNode) {}
+
+  PathIndex::NodeId operator()(PathIndex::NodeId entry) {
+    PathIndex::NodeId& node = nodes_[static_cast<std::size_t>(entry)];
+    if (node == PathIndex::kNoNode) {
+      node = paths_.insert(block_.entry(static_cast<std::size_t>(entry)));
+    }
+    return node;
+  }
+
+ private:
+  PathIndex& paths_;
+  const NodeBlock& block_;
+  std::vector<PathIndex::NodeId> nodes_;
 };
 
 class BinaryTraceReader final : public TraceReader {
@@ -112,7 +96,7 @@ class BinaryTraceReader final : public TraceReader {
         structure_(std::move(structure)),
         options_(std::move(options)) {}
 
-  ParseResult read(const TraceFilter& filter) override;
+  NodeParseResult read_nodes(const TraceFilter& filter) override;
 
   TraceReadStats stats() const override {
     TraceReadStats out;
@@ -137,7 +121,7 @@ class BinaryTraceReader final : public TraceReader {
     if (entry.record_count == 0) return false;
     // Without a window every record passes, whatever its time (a decoded
     // time may be negative).
-    if (time_window_active(filter) &&
+    if (filter.time_window() &&
         (entry.time_max < filter.time_min ||
          entry.time_min > filter.time_max)) {
       return false;
@@ -164,15 +148,18 @@ class BinaryTraceReader final : public TraceReader {
     return true;
   }
 
-  DecodeOutcome decode_one(std::size_t ordinal) const {
+  DecodeOutcome decode_one(std::size_t ordinal,
+                           const TraceFilter& filter) const {
     const IndexEntry& entry = structure_.index[ordinal];
     DecodeOutcome outcome;
     const std::string_view payload =
         file_.bytes().substr(entry.offset, entry.encoded_size);
     try {
-      if (auto error = decode_block(payload, entry, structure_.symbols,
-                                    outcome.block)) {
+      if (auto error = decode_node_block(payload, entry, structure_.symbols,
+                                         outcome.block)) {
         outcome.error = "block " + std::to_string(ordinal) + ": " + *error;
+      } else {
+        filter_block(filter, outcome.block);
       }
     } catch (const std::exception& e) {
       outcome.error =
@@ -190,9 +177,10 @@ class BinaryTraceReader final : public TraceReader {
   std::uint64_t blocks_decoded_ = 0;
 };
 
-ParseResult BinaryTraceReader::read(const TraceFilter& filter) {
-  ParseResult result;
-  result.log.meta = structure_.meta;
+NodeParseResult BinaryTraceReader::read_nodes(const TraceFilter& filter) {
+  NodeParseResult result;
+  NodeLog& log = result.log;
+  log.meta = structure_.meta;
 
   // Seek: reject blocks via the index alone.
   std::vector<std::uint64_t> filter_blooms;
@@ -216,42 +204,36 @@ ParseResult BinaryTraceReader::read(const TraceFilter& filter) {
   blocks_read_ += selected.size();
   blocks_skipped_ += structure_.index.size() - selected.size();
 
-  // Decode every selected block, each result placed by its position, the
-  // way parse_log_text fans out text chunks.
+  // Decode and filter every selected block, each result placed by its
+  // position, the way parse_log_nodes fans out text chunks.
   std::vector<DecodeOutcome> decoded(selected.size());
   ThreadPool(static_cast<std::size_t>(std::max(options_.threads, 0)))
       .parallel_for(selected.size(), 1, [&](std::size_t k) {
-        decoded[k] = decode_one(selected[k]);
+        decoded[k] = decode_one(selected[k], filter);
       });
 
+  // A strict read stops at the first corrupt block.
+  std::size_t merged = decoded.size();
   std::size_t phase_total = 0;
   std::size_t blocking_total = 0;
   std::size_t sample_total = 0;
-  for (const DecodeOutcome& outcome : decoded) {
+  for (std::size_t k = 0; k < decoded.size(); ++k) {
+    const DecodeOutcome& outcome = decoded[k];
     if (outcome.error.empty()) ++blocks_decoded_;
+    if (k >= merged) continue;
     phase_total += outcome.block.phase_events.size();
     blocking_total += outcome.block.blocking_events.size();
     sample_total += outcome.block.samples.size();
+    if (!outcome.error.empty() && !options_.recover) merged = k + 1;
   }
-  const bool record_filter_active = !filter.machines.empty() ||
-                                    !filter.phase_types.empty() ||
-                                    time_window_active(filter);
-  if (!record_filter_active) {
-    result.log.phase_events.reserve(phase_total);
-    result.log.blocking_events.reserve(blocking_total);
-    result.log.samples.reserve(sample_total);
-  }
+  log.phase_events.reserve(phase_total);
+  log.blocking_events.reserve(blocking_total);
+  log.samples.reserve(sample_total);
 
-  const auto append = [&](auto& from, auto& to) {
-    for (auto& rec : from) {
-      if (!record_filter_active || filter.matches(rec)) {
-        to.push_back(std::move(rec));
-      }
-    }
-  };
-  // Move the records out in index order, freeing each block once appended;
-  // a strict read stops at the first corrupt block.
-  for (std::size_t k = 0; k < decoded.size(); ++k) {
+  // Merge in index order, phase events' paths interned first (blocks hold
+  // one kind each, so each kind keeps its stream order), freeing each
+  // block once merged.
+  for (std::size_t k = 0; k < merged; ++k) {
     DecodeOutcome& outcome = decoded[k];
     if (!outcome.error.empty()) {
       // Corrupt block: 1-based block ordinal in the "line" slot so strict
@@ -262,13 +244,35 @@ ParseResult BinaryTraceReader::read(const TraceFilter& filter) {
         result.errors.push_back(
             {selected[k] + 1, std::move(outcome.error), ""});
       }
-      if (!options_.recover) break;
       continue;
     }
-    append(outcome.block.phase_events, result.log.phase_events);
-    append(outcome.block.blocking_events, result.log.blocking_events);
-    append(outcome.block.samples, result.log.samples);
-    outcome.block = {};
+    NodeBlock& block = outcome.block;
+    EntryNodes node(log.paths, block);
+    for (PhaseEvent event : block.phase_events) {
+      event.node = node(event.node);
+      log.phase_events.push_back(event);
+    }
+    std::move(block.samples.begin(), block.samples.end(),
+              std::back_inserter(log.samples));
+    if (block.blocking_events.empty()) block = {};
+  }
+  ResourceNumbering resource(log.resources);
+  std::vector<std::uint32_t> resource_of(structure_.symbols.size(),
+                                         ~std::uint32_t{0});
+  for (std::size_t k = 0; k < merged; ++k) {
+    NodeBlock& block = decoded[k].block;  // empty when corrupt (decode_one)
+    if (block.blocking_events.empty()) continue;
+    EntryNodes node(log.paths, block);
+    for (BlockingEvent event : block.blocking_events) {
+      event.node = node(event.node);
+      std::uint32_t& id = resource_of[event.resource];
+      if (id == ~std::uint32_t{0}) {
+        id = resource(structure_.symbols[event.resource]);
+      }
+      event.resource = id;
+      log.blocking_events.push_back(event);
+    }
+    block = {};
   }
   return result;
 }
@@ -299,17 +303,23 @@ TraceReader::OpenResult TraceReader::open(const std::string& path,
   return out;
 }
 
-ParseResult read_trace_file(const std::string& path,
-                            const TraceReadOptions& options,
-                            const TraceFilter& filter) {
+NodeParseResult read_trace_nodes(const std::string& path,
+                                 const TraceReadOptions& options,
+                                 const TraceFilter& filter) {
   TraceReader::OpenResult opened = TraceReader::open(path, options);
   if (!opened.ok()) {
-    ParseResult result;
+    NodeParseResult result;
     result.errors.push_back({0, std::move(*opened.error), ""});
     result.error_count = 1;
     return result;
   }
-  return opened.reader->read(filter);
+  return opened.reader->read_nodes(filter);
+}
+
+ParseResult read_trace_file(const std::string& path,
+                            const TraceReadOptions& options,
+                            const TraceFilter& filter) {
+  return render_result(read_trace_nodes(path, options, filter));
 }
 
 }  // namespace g10::trace

@@ -1,29 +1,38 @@
 // Format-independent trace ingestion: text logs and `.g10t` binary traces
 // behind one reader interface, with seek-by-block filtering (DESIGN.md §16).
 //
-// TraceReader::open() is the one way a trace file becomes records. It takes
-// the file's bytes through MappedFile (mapped when it is a regular file,
-// read to EOF when it is a pipe, a FIFO or a process substitution), sniffs
-// them (the .g10t magic wins over any extension) and returns the matching
-// implementation:
+// TraceReader::open() is the one way a trace file becomes a node log or
+// records. It takes the file's bytes through MappedFile (mapped when it is
+// a regular file, read to EOF when it is a pipe, a FIFO or a process
+// substitution), sniffs them (the .g10t magic wins over any extension) and
+// returns the matching implementation. Both read straight into a NodeLog
+// (trace/node_log.hpp) — fixed-size events over one per-trace PathIndex —
+// through one read_nodes() core each; read() is its rendering as records.
 //
 //  - Text: the bytes are handed to the chunked zero-copy parser
-//    (parse_log_text); filters are applied per record after the parse.
+//    (parse_log_nodes): chunks validate and filter their lines in
+//    parallel, and one serial merge in chunk order interns the kept
+//    records' paths.
 //  - Binary: only the header, symbol table, META
-//    section, and block index are touched up front. read() walks the index,
-//    skips blocks whose (machine range, time range, path-type bloom) cannot
-//    match the filter, decodes the rest in parallel (each result placed by
-//    its block's position), and moves their records out in index order.
-//    Nothing decoded outlives the read, so every read() decodes afresh.
+//    section, and block index are touched up front. read_nodes() walks the
+//    index, skips blocks whose (machine range, time range, path-type bloom)
+//    cannot match the filter, decodes and filters the rest in parallel
+//    (each result placed by its block's position), and merges them in
+//    index order, interning the dictionary entries the kept records name.
+//    Nothing decoded outlives the read, so every read decodes afresh.
 //
-// Both implementations return the same ParseResult shape the text parser
-// produces: corrupt binary blocks surface as ParseError entries (with the
-// block ordinal in the message), honoring recover/strict semantics — a
-// strict read stops at the first corrupt block, a recovering read skips it
-// and keeps going. An unfiltered read of a converted trace yields records
-// byte-identical (through write_log) to parsing the original text.
+// Node ids follow first appearance among the kept records (phase events,
+// then blocking events), so a text log and its conversion read into the
+// same nodes at every thread count. Both implementations report errors
+// the way the text parser does: corrupt binary blocks surface as
+// ParseError entries (with the block ordinal in the message), honoring
+// recover/strict semantics — a strict read stops at the first corrupt
+// block, a recovering read skips it and keeps going. An unfiltered read of
+// a converted trace yields records byte-identical (through write_log) to
+// parsing the original text.
 //
-// Filter semantics (identical for both formats, enforced by tests):
+// Filter semantics (both readers apply TraceFilter::keeps_phase and
+// keeps_blocking, so they are identical for both formats):
 //  - machines: record kept when its machine is listed or is kGlobalMachine
 //    (global phases carry the tree structure every analysis needs);
 //  - phase_types: phase/blocking records kept when any path element's type
@@ -51,37 +60,12 @@
 
 namespace g10::trace {
 
-struct TraceFilter {
-  /// Machines to keep; empty = all. kGlobalMachine records always pass.
-  std::vector<MachineId> machines;
-  /// Phase-type names to keep (any path element matches); empty = all.
-  std::vector<std::string> phase_types;
-  /// Types whose paths are kept only when the LAST element matches — the
-  /// ancestor chain enclosing a requested subtree. Ignored when
-  /// phase_types is empty.
-  std::vector<std::string> ancestor_types;
-  /// Inclusive time window.
-  TimeNs time_min = 0;
-  TimeNs time_max = std::numeric_limits<TimeNs>::max();
-
-  bool empty() const {
-    return machines.empty() && phase_types.empty() && time_min == 0 &&
-           time_max == std::numeric_limits<TimeNs>::max();
-  }
-
-  bool matches_machine(MachineId machine) const;
-  bool matches_path(const PhasePath& path) const;
-  bool matches(const PhaseEventRecord& rec) const;
-  bool matches(const BlockingEventRecord& rec) const;
-  bool matches(const MonitoringSampleRecord& rec) const;
-};
-
 /// The text parser's options, whose recover semantics also govern corrupt
 /// binary blocks (recover=true skips damage and keeps going, false stops at
 /// the first problem) and whose thread count also caps block decoding.
 using TraceReadOptions = ParseOptions;
 
-/// Block counts are summed over every read() of the reader.
+/// Block counts are summed over every read of the reader.
 struct TraceReadStats {
   bool binary = false;
   std::uint64_t blocks_total = 0;
@@ -95,9 +79,14 @@ class TraceReader {
  public:
   virtual ~TraceReader() = default;
 
-  /// Reads every record matching `filter`, in stream order. Repeated calls
-  /// are byte-identical.
-  virtual ParseResult read(const TraceFilter& filter = {}) = 0;
+  /// Reads every record matching `filter` into a node log, in stream
+  /// order. Repeated calls are identical.
+  virtual NodeParseResult read_nodes(const TraceFilter& filter = {}) = 0;
+
+  /// read_nodes rendered as records.
+  ParseResult read(const TraceFilter& filter = {}) {
+    return render_result(read_nodes(filter));
+  }
 
   virtual TraceReadStats stats() const = 0;
   virtual bool is_binary() const = 0;
@@ -120,8 +109,13 @@ class TraceReader {
                          const TraceReadOptions& options = {});
 };
 
-/// One-call convenience: open + read. A failed open is reported as one
-/// ParseError with line_number 0.
+/// One-call convenience: open + read_nodes. A failed open is reported as
+/// one ParseError with line_number 0.
+NodeParseResult read_trace_nodes(const std::string& path,
+                                 const TraceReadOptions& options = {},
+                                 const TraceFilter& filter = {});
+
+/// read_trace_nodes rendered as records.
 ParseResult read_trace_file(const std::string& path,
                             const TraceReadOptions& options = {},
                             const TraceFilter& filter = {});

@@ -14,7 +14,11 @@
 //  - the recovering parser yields no more records than the mutant has
 //    lines;
 //  - a strict parse either fails, or its write_log rendering parses
-//    strictly to the same canonical bytes.
+//    strictly to the same canonical bytes;
+//  - the build of the recovering parse's node log (g10_analyze's input)
+//    and the build of its records agree, strict and lenient, on every
+//    defect, the verdict, the warnings and the instance tree, and lint
+//    of either reports the same findings.
 // The mutants come from a fixed seed, so a failure reproduces exactly; the
 // failing mutant's text is printed with it.
 #include <gtest/gtest.h>
@@ -34,6 +38,7 @@
 #include "grade10/model/model_io.hpp"
 #include "grade10/trace/execution_trace.hpp"
 #include "trace/log_io.hpp"
+#include "build_parity.hpp"
 
 namespace g10::lint {
 namespace {
@@ -180,6 +185,8 @@ void check(const core::ModelDescription& model, const std::string& text,
       [](const trace::PhaseEventRecord& event) {
         return event.kind == trace::PhaseEventRecord::Kind::Begin;
       });
+  const trace::NodeParseResult nodes = trace::parse_log_nodes(text, options);
+  EXPECT_EQ(nodes.error_count, parsed.error_count);
   core::TraceBuild builds[2];
   for (const bool lenient : {false, true}) {
     core::ExecutionTrace::Options build_options;
@@ -189,6 +196,11 @@ void check(const core::ModelDescription& model, const std::string& text,
                         model.execution, model.resources,
                         parsed.log.phase_events, parsed.log.blocking_events,
                         parsed.log.samples, build_options));
+    core::TraceBuild from_nodes;
+    EXPECT_NO_THROW(from_nodes = core::ExecutionTrace::build_checked(
+                        model.execution, model.resources, nodes.log,
+                        build_options));
+    core::testing::expect_same_build(from_nodes, built);
     for (const core::TraceDefect& defect : built.defects) {
       EXPECT_NE(find_rule(defect.rule_id), nullptr)
           << "defect without a lint rule: " << defect.error;
@@ -214,6 +226,12 @@ void check(const core::ModelDescription& model, const std::string& text,
     EXPECT_FALSE(builds[0].error.has_value())
         << "lint-clean trace rejected: " << *builds[0].error;
   }
+  // g10_lint's reading: the node log, built by lint itself.
+  std::ostringstream from_records;
+  std::ostringstream from_nodes;
+  render_text(from_records, report);
+  render_text(from_nodes, lint_trace(model, nodes.log, {}, "<mutant>"));
+  EXPECT_EQ(from_nodes.str(), from_records.str());
 }
 
 TEST(TraceMutationTest, BuildAndLintAgreeOnDamagedTraces) {

@@ -15,7 +15,11 @@
 //  - a recovering read (g10_analyze's) and a recovering read filtered by a
 //    machine and a time window never throw; the recovering read reports
 //    an error whenever the strict read failed; every filtered record
-//    matches the filter and appears, in order, in the unfiltered read.
+//    matches the filter and appears, in order, in the unfiltered read;
+//  - the build of the recovering read's node log (g10_analyze's input)
+//    against the golden's example model and the build of its records
+//    agree, strict and lenient, on every defect, the verdict, the warnings
+//    and the instance tree.
 //
 // Journal: lines built with journal_line are damaged (bytes, truncation,
 // number tokens replaced). Then
@@ -43,7 +47,10 @@
 #include "common/det_hash.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
+#include "../grade10/build_parity.hpp"
 #include "ensemble/journal.hpp"
+#include "grade10/model/model_io.hpp"
+#include "grade10/trace/execution_trace.hpp"
 #include "trace/g10t_format.hpp"
 #include "trace/g10t_io.hpp"
 #include "trace/log_io.hpp"
@@ -93,21 +100,33 @@ std::string encode(const trace::ParsedLog& log) {
   return std::move(os).str();
 }
 
-/// Every engine golden as an in-memory `.g10t` file, in name order.
-std::vector<std::string> g10t_corpus() {
+/// An engine golden as an in-memory `.g10t` file, with the example model
+/// of its engine.
+struct Golden {
+  std::string g10t;
+  core::ModelDescription model;
+};
+
+/// Every engine golden, in name order.
+std::vector<Golden> g10t_corpus() {
   std::vector<std::filesystem::path> paths;
   for (const auto& entry :
        std::filesystem::directory_iterator(G10_GOLDEN_TRACE_DIR)) {
     if (entry.path().extension() == ".log") paths.push_back(entry.path());
   }
   std::sort(paths.begin(), paths.end());
-  std::vector<std::string> files;
+  std::vector<Golden> goldens;
   for (const auto& path : paths) {
     const trace::ParseResult parsed = trace::read_trace_file(path.string());
     EXPECT_TRUE(parsed.ok()) << path;
-    files.push_back(encode(parsed.log));
+    const std::string name = path.filename().string();
+    std::ifstream model_file(std::string(G10_EXAMPLE_MODEL_DIR) + "/" +
+                             name.substr(0, name.find('_')) + ".g10");
+    core::ModelParseResult model = core::parse_model(model_file);
+    EXPECT_TRUE(model.ok()) << name;
+    goldens.push_back({encode(parsed.log), std::move(model.model)});
   }
-  return files;
+  return goldens;
 }
 
 std::string render(const trace::ParsedLog& log) {
@@ -230,8 +249,10 @@ void expect_filtered(const std::vector<Record>& filtered,
   }
 }
 
-/// Checks the `.g10t` invariants of the header comment on one mutant.
-void check_g10t(const std::string& bytes) {
+/// Checks the `.g10t` invariants of the header comment on one mutant of a
+/// trace of `model`'s engine.
+void check_g10t(const std::string& bytes,
+                const core::ModelDescription& model) {
   trace::G10tStructureParse parsed;
   EXPECT_NO_THROW(parsed = trace::parse_g10t_structure(bytes));
   if (parsed.ok()) {
@@ -267,6 +288,19 @@ void check_g10t(const std::string& bytes) {
   if (!read.ok()) {
     EXPECT_GE(recovered.error_count, 1u);
   }
+  trace::NodeParseResult nodes;
+  EXPECT_NO_THROW(nodes = trace::read_trace_nodes(path.string(), recover));
+  EXPECT_EQ(nodes.error_count, recovered.error_count);
+  for (const bool lenient : {false, true}) {
+    core::ExecutionTrace::Options options;
+    options.lenient = lenient;
+    core::testing::expect_same_build(
+        core::ExecutionTrace::build_checked(model.execution, model.resources,
+                                            nodes.log, options),
+        core::ExecutionTrace::build_checked(
+            model.execution, model.resources, recovered.log.phase_events,
+            recovered.log.blocking_events, recovered.log.samples, options));
+  }
   trace::TraceFilter filter;
   filter.machines = {1};
   filter.time_min = 1'000'000;
@@ -289,13 +323,13 @@ void check_g10t(const std::string& bytes) {
 }
 
 TEST(G10tMutationTest, DamagedTracesFailCleanlyOrRoundTrip) {
-  const std::vector<std::string> corpus = g10t_corpus();
+  const std::vector<Golden> corpus = g10t_corpus();
   ASSERT_GE(corpus.size(), 5u);
   Rng rng(kSeed);
   for (std::size_t f = 0; f < corpus.size(); ++f) {
     for (int i = 0; i < kMutantsPerTrace; ++i) {
-      const std::string mutant = mutate_g10t(corpus[f], rng);
-      check_g10t(mutant);
+      const std::string mutant = mutate_g10t(corpus[f].g10t, rng);
+      check_g10t(mutant, corpus[f].model);
       if (HasFailure()) {
         FAIL() << "golden " << f << " mutant " << i << " ("
                << mutant.size() << " bytes)";

@@ -23,7 +23,9 @@ void expect_round_trip(PathIndex& index, const PathRef& ref) {
   const auto parsed = parse_phase_path(ref.to_string());
   ASSERT_TRUE(parsed.has_value()) << ref.to_string();
   EXPECT_EQ(*parsed, rendered);
-  EXPECT_EQ(index.find(*parsed), node);
+  const std::size_t nodes = index.size();
+  EXPECT_EQ(index.insert(*parsed), node);
+  EXPECT_EQ(index.size(), nodes);
   EXPECT_EQ(index.find(ref), node);
 }
 

@@ -1,7 +1,9 @@
 // The format-independent TraceReader: text-vs-binary identity over the
 // golden engine traces, pipe-vs-file identity, identity across decode
-// thread counts and re-reads, filter equivalence across formats, and
-// corrupt-block strict/lenient semantics.
+// thread counts and re-reads, filter equivalence across formats, node-log
+// parity (the same records and the same node ids whatever the format,
+// thread count or filter), and corrupt-block and damaged-line
+// strict/lenient semantics.
 #include "trace/trace_reader.hpp"
 
 #include <fcntl.h>
@@ -9,15 +11,18 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/det_hash.hpp"
 #include "trace/g10t_io.hpp"
 #include "trace/mapped_file.hpp"
 
@@ -368,14 +373,50 @@ CorruptTrace corrupt_one_block(const std::string& name) {
   return {path, victim};
 }
 
-/// The records of blocks [0, end) of the intact conversion of `name`.
-ParsedLog blocks_before(const std::string& name, std::size_t end) {
+/// Cuts the last byte off the payload of a blocking block and
+/// re-hashes the payload, so the block passes its checksum, decodes its
+/// path ids, resources and intervals, and only then fails: its machine
+/// column is truncated.
+CorruptTrace truncate_one_blocking_block(const std::string& name) {
+  const std::string path = (test_root() / (name + ".truncated.g10t")).string();
+  const std::string bytes = file_bytes(binary_of(name, 16));
+  const G10tStructureParse parsed = parse_g10t_structure(bytes);
+  EXPECT_TRUE(parsed.ok());
+  std::vector<IndexEntry> index = parsed.structure.index;
+  std::vector<std::size_t> blocking;
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    if (index[i].kind == BlockKind::kBlocking) blocking.push_back(i);
+  }
+  const std::size_t victim = blocking.at(blocking.size() / 2);
+  EXPECT_LT(victim + 1, index.size());  // blocks follow it
+  IndexEntry& entry = index[victim];
+  entry.encoded_size -= 1;
+  entry.payload_hash =
+      fnv1a64(kFnvOffsetBasis, bytes.data() + entry.offset, entry.encoded_size);
+  // The index is the file's last section; the header checksums it.
+  std::string index_bytes;
+  for (const IndexEntry& e : index) encode_index_entry(index_bytes, e);
+  std::string out =
+      bytes.substr(0, parsed.structure.header.index_offset) + index_bytes;
+  FileHeader header = parsed.structure.header;
+  header.index_size = index_bytes.size();
+  header.file_size = out.size();
+  out.replace(0, kG10tHeaderSize, encode_header(header));
+  std::ofstream(path, std::ios::binary) << out;
+  return {path, victim};
+}
+
+/// The records of the blocks of the intact conversion of `name` whose
+/// ordinals `keep` accepts, in block order.
+template <typename Keep>
+ParsedLog intact_blocks(const std::string& name, Keep keep) {
   const std::string bytes = file_bytes(binary_of(name, 16));
   const G10tStructureParse parsed = parse_g10t_structure(bytes);
   EXPECT_TRUE(parsed.ok());
   ParsedLog log;
   log.meta = parsed.structure.meta;
-  for (std::size_t i = 0; i < end; ++i) {
+  for (std::size_t i = 0; i < parsed.structure.index.size(); ++i) {
+    if (!keep(i)) continue;
     const IndexEntry& entry = parsed.structure.index[i];
     DecodedBlock block;
     EXPECT_FALSE(decode_block(bytes.substr(entry.offset, entry.encoded_size),
@@ -390,6 +431,11 @@ ParsedLog blocks_before(const std::string& name, std::size_t end) {
                        block.samples.end());
   }
   return log;
+}
+
+/// The records of blocks [0, end) of the intact conversion of `name`.
+ParsedLog blocks_before(const std::string& name, std::size_t end) {
+  return intact_blocks(name, [end](std::size_t i) { return i < end; });
 }
 
 TEST(TraceReaderTest, CorruptBlockStopsAStrictRead) {
@@ -429,6 +475,37 @@ TEST(TraceReaderTest, CorruptBlockIsSkippedWhenRecovering) {
   EXPECT_GT(damaged.log.phase_events.size(), 0u);
 }
 
+// A checksum-valid blocking block that fails to decode only in its last
+// column contributes nothing: none of its half-decoded events reach a
+// recovering read, and a strict read holds exactly the blocks before it.
+TEST(TraceReaderTest, LateFailingBlockAddsNoEvents) {
+  const std::string name = "pregel_pagerank_d512_s99_faulted_lossy.log";
+  const CorruptTrace corrupt = truncate_one_blocking_block(name);
+  const std::string before = render(blocks_before(name, corrupt.victim));
+  const std::string others = render(intact_blocks(
+      name, [&corrupt](std::size_t i) { return i != corrupt.victim; }));
+  for (const int threads : {1, 4}) {
+    TraceReadOptions strict;
+    strict.recover = false;
+    strict.threads = threads;
+    const ParseResult stopped = read_trace_file(corrupt.path, strict);
+    ASSERT_FALSE(stopped.ok());
+    ASSERT_EQ(stopped.errors.size(), 1u);
+    EXPECT_EQ(stopped.errors[0].line_number, corrupt.victim + 1) << threads;
+    EXPECT_NE(stopped.errors[0].message.find("truncated machine column"),
+              std::string::npos)
+        << stopped.errors[0].message;
+    EXPECT_EQ(render(stopped.log), before) << threads;
+
+    TraceReadOptions recover;
+    recover.recover = true;
+    recover.threads = threads;
+    const ParseResult skipped = read_trace_file(corrupt.path, recover);
+    EXPECT_EQ(skipped.error_count, 1u) << threads;
+    EXPECT_EQ(render(skipped.log), others) << threads;
+  }
+}
+
 // A checksum-valid file whose path dictionary holds the empty path (which
 // the analysis used to dereference as if it had a leaf): a strict read
 // fails on the block, a recovering read skips it.
@@ -453,6 +530,157 @@ TEST(TraceReaderTest, EmptyDictionaryPathIsACorruptBlock) {
   const ParseResult skipped = read_trace_file(path, recover);
   EXPECT_EQ(skipped.error_count, 1u);
   EXPECT_TRUE(skipped.log.phase_events.empty());
+}
+
+// ---- node-log parity ------------------------------------------------------
+
+/// Every golden log, in name order.
+std::vector<std::string> all_golden_logs() {
+  std::vector<std::string> names;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(G10_GOLDEN_TRACE_DIR)) {
+    if (entry.path().extension() == ".log") {
+      names.push_back(entry.path().filename().string());
+    }
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// Same nodes, in the same order, and the same events naming them.
+void expect_same_nodes(const NodeLog& a, const NodeLog& b) {
+  ASSERT_EQ(a.paths.size(), b.paths.size());
+  for (PathIndex::NodeId node = 1;
+       static_cast<std::size_t>(node) < a.paths.size(); ++node) {
+    ASSERT_EQ(a.paths.parent(node), b.paths.parent(node)) << node;
+    ASSERT_EQ(a.paths.type_name(a.paths.type_id(node)),
+              b.paths.type_name(b.paths.type_id(node)))
+        << node;
+    ASSERT_EQ(a.paths.index(node), b.paths.index(node)) << node;
+  }
+  ASSERT_EQ(a.phase_events.size(), b.phase_events.size());
+  for (std::size_t i = 0; i < a.phase_events.size(); ++i) {
+    ASSERT_EQ(a.phase_events[i].node, b.phase_events[i].node) << i;
+  }
+  ASSERT_EQ(a.blocking_events.size(), b.blocking_events.size());
+  for (std::size_t i = 0; i < a.blocking_events.size(); ++i) {
+    ASSERT_EQ(a.blocking_events[i].node, b.blocking_events[i].node) << i;
+    ASSERT_EQ(a.resources[a.blocking_events[i].resource],
+              b.resources[b.blocking_events[i].resource])
+        << i;
+  }
+}
+
+/// The machine, phase-type (with its ancestor chain), and time-window
+/// filters, and no filter, for the golden `name`: the phase type is the
+/// third element of the first path at least three deep.
+std::vector<TraceFilter> filters_for(const std::string& name) {
+  TraceFilter none;
+  TraceFilter machines;
+  machines.machines = {0, 2};
+  TraceFilter window;
+  window.time_min = 1'000'000;
+  window.time_max = 50'000'000;
+  TraceFilter typed;
+  const ParseResult all = read_trace_file(golden_path(name));
+  for (const PhaseEventRecord& rec : all.log.phase_events) {
+    if (rec.path.depth() < 3) continue;
+    typed.phase_types = {rec.path.elements[2].type};
+    typed.ancestor_types = {rec.path.elements[1].type,
+                            rec.path.elements[0].type};
+    break;
+  }
+  EXPECT_FALSE(typed.phase_types.empty()) << name;
+  return {none, machines, typed, window};
+}
+
+/// The text golden's records with `filter` applied record by record: the
+/// reference every filtered read must render to.
+std::string filtered_records(const std::string& name,
+                             const TraceFilter& filter) {
+  ParsedLog log = read_trace_file(golden_path(name)).log;
+  std::erase_if(log.phase_events, [&](const PhaseEventRecord& rec) {
+    return !filter.matches(rec);
+  });
+  std::erase_if(log.blocking_events, [&](const BlockingEventRecord& rec) {
+    return !filter.matches(rec);
+  });
+  std::erase_if(log.samples, [&](const MonitoringSampleRecord& rec) {
+    return !filter.matches(rec);
+  });
+  return render(log);
+}
+
+TEST(TraceReaderTest, NodeReadsMatchRecordsInEveryFormatThreadCountAndFilter) {
+  for (const std::string& name : all_golden_logs()) {
+    SCOPED_TRACE(name);
+    for (const TraceFilter& filter : filters_for(name)) {
+      const std::string expected = filtered_records(name, filter);
+      std::optional<NodeLog> baseline;
+      for (const std::string& path : {golden_path(name), binary_of(name, 16)}) {
+        for (const int threads : {1, 2, 4}) {
+          SCOPED_TRACE(path + " at " + std::to_string(threads) + " threads");
+          TraceReadOptions options;
+          options.threads = threads;
+          options.min_chunk_bytes = 512;  // several text chunks
+          NodeParseResult nodes = read_trace_nodes(path, options, filter);
+          ASSERT_TRUE(nodes.ok());
+          EXPECT_EQ(render(render_log(nodes.log)), expected);
+          const ParseResult records = read_trace_file(path, options, filter);
+          ASSERT_TRUE(records.ok());
+          EXPECT_EQ(render(records.log), expected);
+          if (!baseline) {
+            baseline = std::move(nodes.log);
+          } else {
+            expect_same_nodes(nodes.log, *baseline);
+          }
+        }
+      }
+      // Interning the records gives the readers' nodes too.
+      ASSERT_TRUE(baseline.has_value());
+      expect_same_nodes(intern_log(read_trace_file(golden_path(name), {},
+                                                   filter)
+                                       .log),
+                        *baseline);
+    }
+  }
+}
+
+TEST(TraceReaderTest, StrictNodeReadStopsAtTheSameFirstBadLine) {
+  for (const std::string& name : all_golden_logs()) {
+    SCOPED_TRACE(name);
+    const std::string text = file_bytes(golden_path(name));
+    // A malformed path about two thirds in, then a second bad line.
+    std::size_t cut = text.find('\n', text.size() * 2 / 3) + 1;
+    const std::string prefix = text.substr(0, cut);
+    const std::string damaged = prefix + "PHASE\tB\tJob.0//Execute.0\t5\t0\n" +
+                                text.substr(cut) + "BOGUS\n";
+    const std::string path = (test_root() / (name + ".damaged.log")).string();
+    std::ofstream(path, std::ios::binary) << damaged;
+    const std::size_t bad_line =
+        static_cast<std::size_t>(std::count(prefix.begin(), prefix.end(),
+                                            '\n')) +
+        1;
+    const std::string expected = render(parse_log_text(prefix).log);
+    std::optional<NodeLog> baseline;
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      TraceReadOptions strict;
+      strict.threads = threads;
+      strict.min_chunk_bytes = 512;
+      NodeParseResult nodes = read_trace_nodes(path, strict);
+      ASSERT_EQ(nodes.error_count, 1u);
+      ASSERT_EQ(nodes.errors.size(), 1u);
+      EXPECT_EQ(nodes.errors[0].line_number, bad_line);
+      EXPECT_EQ(nodes.errors[0].message, "malformed phase path");
+      EXPECT_EQ(render(render_log(nodes.log)), expected);
+      if (!baseline) {
+        baseline = std::move(nodes.log);
+      } else {
+        expect_same_nodes(nodes.log, *baseline);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -179,17 +179,14 @@ trace::TraceReadOptions reader_options(int threads) {
   return options;
 }
 
-/// The characterization input over `log`'s records at `threads`.
+/// The characterization input at `threads`; the trace comes in as a build
+/// of the read node log (characterize_trace), not as records.
 core::CharacterizationInput characterization_input(
-    const Args& args, const core::ModelParseResult& model,
-    const trace::ParseResult& log, int threads) {
+    const Args& args, const core::ModelParseResult& model, int threads) {
   core::CharacterizationInput input;
   input.model = &model.model.execution;
   input.resources = &model.model.resources;
   input.rules = &model.model.rules;
-  input.phase_events = log.log.phase_events;
-  input.blocking_events = log.log.blocking_events;
-  input.samples = log.log.samples;
   input.config.timeslice = args.timeslice_ms * kMillisecond;
   input.config.min_issue_impact = args.min_impact;
   input.config.threads = threads;
@@ -216,7 +213,7 @@ int det_check(const Args& args, const core::ModelParseResult& model) {
       build_filter(args, model.model.execution);
   std::vector<DetSummary> summaries;
   for (const int threads : counts) {
-    const trace::ParseResult log = trace::read_trace_file(
+    trace::NodeParseResult log = trace::read_trace_nodes(
         args.log_path, reader_options(threads), filter);
     if (!log.ok() && log.errors.front().line_number == 0) {
       std::cerr << log.errors.front().message << '\n';
@@ -228,8 +225,13 @@ int det_check(const Args& args, const core::ModelParseResult& model) {
       return kExitParseFailure;
     }
 
-    core::CheckedCharacterization checked = core::characterize_checked(
-        characterization_input(args, model, log, threads));
+    const core::CharacterizationInput input =
+        characterization_input(args, model, threads);
+    core::TraceBuild built = core::ExecutionTrace::build_checked(
+        *input.model, *input.resources, log.log, input.trace_options);
+    log.log = trace::NodeLog{};
+    core::CheckedCharacterization checked =
+        core::characterize_trace(input, std::move(built));
     if (!checked.status.ok() || !checked.result.has_value()) {
       std::cerr << "characterization failed at " << threads
                 << " thread(s):\n";
@@ -276,7 +278,7 @@ int run(const Args& args) {
 
   if (args.det_check > 0) return det_check(args, model);
 
-  trace::ParseResult log = trace::read_trace_file(
+  trace::NodeParseResult log = trace::read_trace_nodes(
       args.log_path, reader_options(args.threads),
       build_filter(args, model.model.execution));
   if (!log.ok() && log.errors.front().line_number == 0) {
@@ -311,11 +313,10 @@ int run(const Args& args) {
             << log.log.blocking_events.size() << " blocking events, "
             << log.log.samples.size() << " monitoring samples\n\n";
 
-  core::CharacterizationInput input =
-      characterization_input(args, model, log, args.threads);
+  const core::CharacterizationInput input =
+      characterization_input(args, model, args.threads);
   core::TraceBuild built = core::ExecutionTrace::build_checked(
-      *input.model, *input.resources, input.phase_events,
-      input.blocking_events, input.samples, input.trace_options);
+      *input.model, *input.resources, log.log, input.trace_options);
 
   // Pre-flight lint: the same static checks g10_lint runs, with the
   // record findings taken from `built`. Malformed log lines are
@@ -341,14 +342,9 @@ int run(const Args& args) {
     }
   }
 
-  // Characterization reads only `built`: free the parsed records, and empty
-  // the spans over them, before demand, attribution and replay run.
-  std::vector<trace::PhaseEventRecord>().swap(log.log.phase_events);
-  std::vector<trace::BlockingEventRecord>().swap(log.log.blocking_events);
-  std::vector<trace::MonitoringSampleRecord>().swap(log.log.samples);
-  input.phase_events = {};
-  input.blocking_events = {};
-  input.samples = {};
+  // Characterization reads only `built`: free the node log before demand,
+  // attribution and replay run.
+  log.log = trace::NodeLog{};
 
   core::CheckedCharacterization checked =
       core::characterize_trace(input, std::move(built));

@@ -82,7 +82,7 @@ int run(const Args& args) {
       std::cerr << *opened.error << '\n';
       return 2;
     }
-    const trace::ParseResult log = opened.reader->read();
+    const trace::NodeParseResult log = opened.reader->read_nodes();
     report = lint::lint_model(model, args.model_path);
     report.merge(lint::lint_parse_errors(log, args.log_path,
                                          opened.reader->is_binary()));
