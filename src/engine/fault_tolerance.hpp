@@ -18,6 +18,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -87,6 +88,10 @@ struct RunConfig {
   sim::FailureDetectorConfig heartbeat;
   CrashLogStyle crash_log = CrashLogStyle::kReconciled;
   std::uint64_t seed = 42;
+  /// Host threads the Pregel engine's per-superstep passes fan out on (0 =
+  /// G10_THREADS, else the hardware count). Never changes a result; the
+  /// GAS engine runs its step serially and ignores it.
+  std::size_t host_threads = 0;
 
   int effective_threads() const {
     return threads_per_worker > 0 ? threads_per_worker

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "engine/comm_batcher.hpp"
 #include "engine/resource_names.hpp"
 #include "graph/partition.hpp"
@@ -76,11 +77,13 @@ TimeNs pregel_nominal_horizon(const PregelConfig& cfg, const Graph& g,
 /// checkpoints and the simulated machines live in FaultHarness (DESIGN.md
 /// §10).
 ///
-/// Each superstep runs the vertex program once, in compute_superstep(), in
-/// ascending vertex id before the discrete-event simulation starts; the
-/// simulated compute threads then time the superstep from counts alone —
-/// messages received, degree, send flag and remote fan-out. Values are
-/// therefore independent of the seed, the thread count and the worker count.
+/// Each superstep runs the vertex program once, in compute_superstep(),
+/// before the discrete-event simulation starts; the simulated compute threads
+/// then time the superstep from a per-chunk cost table built from counts
+/// alone — messages received, degree, send flag and remote fan-out. The
+/// pass fans out on the host (DESIGN.md §10), and every slot it writes has
+/// one owner that fills it in the serial order, so values and traces are
+/// independent of the seed, the host thread count and the worker count.
 class PregelRun final : public FaultHarness {
  public:
   PregelRun(const PregelConfig& cfg, const Graph& g, const PregelProgram& prog)
@@ -94,11 +97,13 @@ class PregelRun final : public FaultHarness {
         g_(g),
         prog_(prog),
         threads_(cfg.effective_threads()),
+        pool_(cfg.host_threads),
         combiner_(prog.combiner()),
         batcher_(cfg.cluster.machine_count) {
     G10_CHECK(g_.vertex_count() > 0);
     G10_CHECK_MSG(threads_ <= cfg_.cluster.machine.cores,
                   "threads per worker must not exceed cores");
+    G10_CHECK_MSG(workers_ <= 65536, "remote destinations are 16-bit");
   }
 
   LoggedRun execute() {
@@ -119,13 +124,7 @@ class PregelRun final : public FaultHarness {
     double running_intensity = 0.0;  ///< CPU held by an in-flight chunk
     TimeNs gc_wait_begin = 0;  ///< when this thread started waiting on GC
     PathRef phase;  ///< ComputeThread path for the current superstep
-    /// Per-destination remote bytes of the in-flight chunk. Persistent
-    /// per-thread scratch: exactly one chunk per thread is outstanding and
-    /// send_chunk consumes it before the next dispatch, so reusing the
-    /// buffer replaces what used to be an allocation per chunk.
-    std::vector<double> remote_by_dst;
 
-    /// Per-superstep reset that keeps the scratch buffer's capacity.
     void reset() {
       partition = -1;
       pos = 0;
@@ -137,9 +136,24 @@ class PregelRun final : public FaultHarness {
     }
   };
 
+  /// What one chunk of an active list costs: its compute work, its
+  /// allocation and its remote message bytes.
+  struct ChunkCost {
+    double work = 0.0;
+    double alloc = 0.0;
+    double remote_bytes = 0.0;
+  };
+
   struct WorkerState {
     std::vector<std::vector<VertexId>> partitions;   ///< static vertex split
     std::vector<std::vector<VertexId>> active_lists; ///< per partition, per superstep
+    // This superstep's chunk table (cost_chunks): the chunks of partition p
+    // are chunks[chunk_first[p] .. chunk_first[p + 1]), in active-list
+    // order, and chunk c's remote bytes per destination worker are
+    // remote_by_dst[c * workers .. (c + 1) * workers).
+    std::vector<std::size_t> chunk_first;
+    std::vector<ChunkCost> chunks;
+    std::vector<double> remote_by_dst;
     std::size_t next_partition = 0;
     int threads_done = 0;
     int running_chunks = 0;
@@ -161,38 +175,44 @@ class PregelRun final : public FaultHarness {
   };
 
   // ---- helpers ------------------------------------------------------------
-  /// Delivers v's outbox message to every out-neighbor. The combiner switch
-  /// is hoisted out of the per-edge loop: each case is a tight loop over the
-  /// neighbor span, with a separate weighted variant for add_edge_weight
-  /// (an empty weight span means every edge weighs 1, matching
-  /// Graph::out_weights on unweighted graphs).
-  void deliver_all(VertexId v, std::span<const VertexId> nbrs,
-                   const PregelOutbox& out) {
-    const double base = out.message;
-    const std::span<const double> weights =
-        out.add_edge_weight ? g_.out_weights(v) : std::span<const double>{};
+  /// Per-vertex send bits of the vertex-program pass (sends_).
+  static constexpr char kSends = 1;          ///< sent to all out-neighbors
+  static constexpr char kAddEdgeWeight = 2;  ///< each edge adds its weight
+
+  /// Vertices per task of the vertex-program pass.
+  static constexpr VertexId kComputeRange = 1024;
+
+  /// Per vertex, the message it sends this superstep (compute_range writes
+  /// a sender's slot once it has read its own messages).
+  double* outgoing_messages() {
+    return combiner_ == Combiner::kNone ? outbox_.data()
+                                        : msg_combined_cur_.data();
+  }
+
+  /// Delivers `base` to one sender's out-neighbors `nbrs`. The combiner
+  /// switch is hoisted out of the per-edge loop: each case is a tight loop
+  /// over the row, with a separate weighted variant for add_edge_weight.
+  /// `weights` is the row's weights, empty when the edges add nothing or
+  /// weigh 1 each (an unweighted graph: `base` already includes that 1).
+  void deliver(std::span<const VertexId> nbrs, std::span<const double> weights,
+               double base) {
     switch (combiner_) {
       case Combiner::kSum:
         if (weights.empty()) {
-          const double m = out.add_edge_weight ? base + 1.0 : base;
-          for (const VertexId u : nbrs) {
-            msg_combined_next_[u] += m;
-            ++msg_count_next_[u];
-          }
+          for (const VertexId u : nbrs) msg_combined_next_[u] += base;
         } else {
           for (std::size_t e = 0; e < nbrs.size(); ++e) {
-            const VertexId u = nbrs[e];
-            msg_combined_next_[u] += base + weights[e];
-            ++msg_count_next_[u];
+            msg_combined_next_[nbrs[e]] += base + weights[e];
           }
         }
         break;
       case Combiner::kMin:
+        // The running count marks each receiver's first message, so kMin
+        // counts as it delivers.
         if (weights.empty()) {
-          const double m = out.add_edge_weight ? base + 1.0 : base;
           for (const VertexId u : nbrs) {
-            if (msg_count_next_[u]++ == 0 || m < msg_combined_next_[u]) {
-              msg_combined_next_[u] = m;
+            if (msg_count_next_[u]++ == 0 || base < msg_combined_next_[u]) {
+              msg_combined_next_[u] = base;
             }
           }
         } else {
@@ -211,14 +231,12 @@ class PregelRun final : public FaultHarness {
         msg_log_targets_.insert(msg_log_targets_.end(), nbrs.begin(),
                                 nbrs.end());
         if (weights.empty()) {
-          const double m = out.add_edge_weight ? base + 1.0 : base;
-          msg_log_payloads_.insert(msg_log_payloads_.end(), nbrs.size(), m);
+          msg_log_payloads_.insert(msg_log_payloads_.end(), nbrs.size(), base);
         } else {
           for (std::size_t e = 0; e < nbrs.size(); ++e) {
             msg_log_payloads_.push_back(base + weights[e]);
           }
         }
-        for (const VertexId u : nbrs) ++msg_count_next_[u];
         break;
     }
   }
@@ -227,10 +245,12 @@ class PregelRun final : public FaultHarness {
   void load_graph();
   void start_superstep(TimeNs t);
   void compute_superstep();
+  void compute_range(VertexId begin, VertexId end);
+  void deliver_messages();
+  void cost_chunks(int w);
   void thread_continue(int w, int th);
-  void finish_chunk(int w, int th, double remote_bytes, double alloc_bytes,
-                    double intensity);
-  void send_chunk(int w, int th, double remote_bytes);
+  void finish_chunk(int w, int th, std::size_t chunk, double intensity);
+  void send_chunk(int w, int th, std::size_t chunk);
   TimeNs flush_batch(int w, int dst, double bytes, TimeNs now);
   void arm_flush_timer(int w);
   void resume_after_send(int w, int th, TimeNs now, TimeNs resume);
@@ -251,6 +271,7 @@ class PregelRun final : public FaultHarness {
   const Graph& g_;
   const PregelProgram& prog_;
   int threads_;
+  ThreadPool pool_;  ///< host threads of compute_superstep's passes
   Combiner combiner_;
 
   graph::EdgeCutPartition owner_;
@@ -258,8 +279,12 @@ class PregelRun final : public FaultHarness {
 
   std::vector<double> value_;
   std::vector<char> halted_;
-  std::vector<char> sends_;  ///< per vertex: sent to all out-neighbors
+  std::vector<char> sends_;  ///< per vertex: kSends | kAddEdgeWeight bits
+  // kSum/kMin: the combined message each vertex receives. Once a vertex has
+  // computed, its msg_combined_cur_ slot holds the message it sends, which
+  // the delivery pass reads (kNone keeps that message in outbox_).
   std::vector<double> msg_combined_cur_, msg_combined_next_;
+  std::vector<double> outbox_;
   // Receive counts are kept for every combiner mode: the active-set test
   // and the chunk cost read them without branching on the combiner.
   std::vector<std::uint32_t> msg_count_cur_, msg_count_next_;
@@ -273,13 +298,16 @@ class PregelRun final : public FaultHarness {
   std::vector<VertexId> msg_log_targets_;
   std::vector<double> msg_log_payloads_;
   std::vector<std::uint64_t> arena_cursor_;  ///< scatter scratch, size n
+  /// kSum/kNone: per vertex, its in-edge count; deliver_messages subtracts
+  /// the non-senders' edges from it instead of counting every delivery.
+  std::vector<std::uint32_t> in_degree_;
 
   // Static remote fan-out CSR, built once at load: for each vertex, its
   // remote destination workers and how many of its out-edges land on each.
   // Ownership never changes during a run, so the per-edge owner test leaves
   // the chunk hot loop for good.
   std::vector<std::uint64_t> remote_off_;  ///< size n+1
-  std::vector<std::uint32_t> remote_dst_;
+  std::vector<std::uint16_t> remote_dst_;  ///< 16-bit: at most 65536 workers
   std::vector<std::uint32_t> remote_cnt_;
 
   // Per-destination send coalescing (DESIGN.md §13).
@@ -332,12 +360,16 @@ void PregelRun::load_graph() {
   if (combiner_ == Combiner::kNone) {
     msg_offsets_cur_.assign(static_cast<std::size_t>(n) + 1, 0);
     msg_data_cur_.clear();
-    msg_log_targets_.clear();
-    msg_log_payloads_.clear();
     arena_cursor_.assign(n, 0);
+    outbox_.assign(n, 0.0);
   } else {
     msg_combined_cur_.assign(n, 0.0);
     msg_combined_next_.assign(n, 0.0);
+  }
+
+  if (combiner_ != Combiner::kMin) {
+    in_degree_.assign(n, 0);
+    for (const VertexId u : g_.out_targets()) ++in_degree_[u];
   }
 
   // Remote fan-out CSR: one (destination, edge count) entry per vertex and
@@ -354,7 +386,7 @@ void PregelRun::load_graph() {
     for (std::uint32_t dst = 0; dst < static_cast<std::uint32_t>(workers_);
          ++dst) {
       if (dst_count[dst] == 0) continue;
-      remote_dst_.push_back(dst);
+      remote_dst_.push_back(static_cast<std::uint16_t>(dst));
       remote_cnt_.push_back(dst_count[dst]);
       dst_count[dst] = 0;
     }
@@ -428,21 +460,39 @@ void PregelRun::start_superstep(TimeNs t) {
 }
 
 void PregelRun::compute_superstep() {
-  // This superstep's deliveries replace whatever the last one left behind,
-  // an aborted attempt's included.
-  std::fill(msg_count_next_.begin(), msg_count_next_.end(), 0u);
-  if (combiner_ == Combiner::kNone) {
-    msg_log_targets_.clear();
-    msg_log_payloads_.clear();
-  } else {
-    std::fill(msg_combined_next_.begin(), msg_combined_next_.end(), 0.0);
-  }
-  step_messages_ = 0;
-  // Ascending sender order: a kSum combiner adds each vertex's messages in
-  // in-neighbor order, as pagerank_reference and the GAS gather do.
+  // Pass 1: the vertex program over contiguous vertex ranges. A vertex's
+  // compute reads only its own value and messages and writes only its own
+  // slots.
+  const VertexId n = g_.vertex_count();
+  pool_.parallel_for((n + kComputeRange - 1) / kComputeRange, 1,
+                     [&](std::size_t task) {
+                       const VertexId begin =
+                           static_cast<VertexId>(task) * kComputeRange;
+                       compute_range(begin,
+                                     std::min(n, begin + kComputeRange));
+                     });
+
+  // Passes 2 and 3 share one fan-out: the deliveries (task 0) write only
+  // the next superstep's message state, the chunk costs (one task per
+  // worker) read only this one's.
+  pool_.parallel_for(1 + static_cast<std::size_t>(workers_), 1,
+                     [&](std::size_t task) {
+                       if (task == 0) {
+                         deliver_messages();
+                       } else {
+                         cost_chunks(static_cast<int>(task - 1));
+                       }
+                     });
+}
+
+/// Runs the vertex program on every active vertex in [begin, end) and
+/// records what each one sends.
+void PregelRun::compute_range(VertexId begin, VertexId end) {
   const int superstep = logical_step();
-  for (VertexId v = 0; v < g_.vertex_count(); ++v) {
+  double* outgoing = outgoing_messages();
+  for (VertexId v = begin; v < end; ++v) {
     const std::uint32_t msgs = msg_count_cur_[v];
+    sends_[v] = 0;
     if (halted_[v] && msgs == 0) continue;
     std::span<const double> messages;
     if (msgs > 0) {
@@ -454,11 +504,109 @@ void PregelRun::compute_superstep() {
     PregelOutbox out;
     prog_.compute(v, value_[v], messages, superstep, g_, out);
     halted_[v] = out.vote_to_halt ? 1 : 0;
-    sends_[v] = out.send_to_all_neighbors ? 1 : 0;
-    if (out.send_to_all_neighbors) {
-      const auto nbrs = g_.out_neighbors(v);
-      step_messages_ += nbrs.size();
-      deliver_all(v, nbrs, out);
+    if (!out.send_to_all_neighbors) continue;
+    sends_[v] = out.add_edge_weight ? kSends | kAddEdgeWeight : kSends;
+    outgoing[v] = out.message;
+  }
+}
+
+/// Builds the next superstep's messages. Senders are visited in ascending
+/// id, so a kSum combiner adds each vertex's messages in in-neighbor order,
+/// as pagerank_reference and the GAS gather do.
+void PregelRun::deliver_messages() {
+  // This superstep's deliveries replace whatever the last one left behind,
+  // an aborted attempt's included. kSum and kNone programs send on most
+  // edges, so their receive counts start from the in-degree and lose the
+  // non-senders' edges; kMin counts as it delivers.
+  const bool from_in_degree = combiner_ != Combiner::kMin;
+  if (from_in_degree) {
+    std::copy(in_degree_.begin(), in_degree_.end(), msg_count_next_.begin());
+  } else {
+    std::fill(msg_count_next_.begin(), msg_count_next_.end(), 0u);
+  }
+  if (combiner_ == Combiner::kNone) {
+    msg_log_targets_.clear();
+    msg_log_payloads_.clear();
+  } else {
+    std::fill(msg_combined_next_.begin(), msg_combined_next_.end(), 0.0);
+  }
+  step_messages_ = 0;
+  const double* outgoing = outgoing_messages();
+  for (VertexId v = 0; v < g_.vertex_count(); ++v) {
+    const char flags = sends_[v];
+    const auto nbrs = g_.out_neighbors(v);
+    if (flags == 0) {
+      if (from_in_degree) {
+        for (const VertexId u : nbrs) --msg_count_next_[u];
+      }
+      continue;
+    }
+    step_messages_ += nbrs.size();
+    std::span<const double> weights;
+    double base = outgoing[v];
+    if ((flags & kAddEdgeWeight) != 0) {
+      weights = g_.out_weights(v);
+      if (weights.empty()) base = outgoing[v] + 1.0;
+    }
+    deliver(nbrs, weights, base);
+  }
+}
+
+/// Fills worker w's chunk table for this superstep. The simulated compute
+/// threads take chunk_vertices consecutive entries of a partition's active
+/// list at a time, so the chunks are fixed once the active lists are; each
+/// chunk's sums run in active-list order.
+void PregelRun::cost_chunks(int w) {
+  auto& state = ws_[static_cast<std::size_t>(w)];
+  const std::size_t chunk_vertices =
+      static_cast<std::size_t>(cfg_.chunk_vertices);
+  const std::size_t dsts = static_cast<std::size_t>(workers_);
+  state.chunk_first.resize(state.active_lists.size() + 1);
+  std::size_t count = 0;
+  for (std::size_t p = 0; p < state.active_lists.size(); ++p) {
+    state.chunk_first[p] = count;
+    count += (state.active_lists[p].size() + chunk_vertices - 1) /
+             chunk_vertices;
+  }
+  state.chunk_first.back() = count;
+  state.chunks.resize(count);
+  state.remote_by_dst.assign(count * dsts, 0.0);
+
+  for (std::size_t p = 0; p < state.active_lists.size(); ++p) {
+    const auto& active = state.active_lists[p];
+    for (std::size_t begin = 0; begin < active.size();
+         begin += chunk_vertices) {
+      const std::size_t end = std::min(active.size(), begin + chunk_vertices);
+      const std::size_t chunk = state.chunk_first[p] + begin / chunk_vertices;
+      double* remote_by_dst = state.remote_by_dst.data() + chunk * dsts;
+      double work = 0.0;
+      double alloc = 0.0;
+      double remote_bytes = 0.0;
+      for (std::size_t i = begin; i < end; ++i) {
+        const VertexId v = active[i];
+        work += cfg_.costs.work_per_vertex +
+                cfg_.costs.work_per_message *
+                    static_cast<double>(msg_count_cur_[v]);
+        alloc += cfg_.gc.bytes_per_vertex_update;
+        const double degree = static_cast<double>(g_.out_degree(v));
+        if (sends_[v] != 0) {
+          work += cfg_.costs.work_per_edge * degree;
+          alloc += cfg_.gc.bytes_per_message * degree;
+          // Remote accounting from the precomputed fan-out: one entry per
+          // (vertex, destination) instead of an owner lookup per edge.
+          for (std::uint64_t k = remote_off_[v]; k < remote_off_[v + 1];
+               ++k) {
+            const double bytes = cfg_.costs.bytes_per_message *
+                                 static_cast<double>(remote_cnt_[k]);
+            remote_bytes += bytes;
+            remote_by_dst[remote_dst_[k]] += bytes;
+          }
+        } else {
+          // Giraph still scans the edge list of a computed vertex.
+          work += 0.25 * cfg_.costs.work_per_edge * degree;
+        }
+      }
+      state.chunks[chunk] = {work, alloc, remote_bytes};
     }
   }
 }
@@ -538,47 +686,18 @@ void PregelRun::thread_continue(int w, int th) {
     thread.partition = static_cast<int>(state.next_partition++);
     thread.pos = 0;
   }
-  // 4. Process one chunk of active vertices.
-  const auto& active =
-      state.active_lists[static_cast<std::size_t>(thread.partition)];
+  // 4. Process one chunk of active vertices; its cost is in the superstep's
+  //    chunk table.
+  const std::size_t chunk_vertices =
+      static_cast<std::size_t>(cfg_.chunk_vertices);
   const std::size_t begin = thread.pos;
-  const std::size_t end = std::min(
-      active.size(), begin + static_cast<std::size_t>(cfg_.chunk_vertices));
-  thread.pos = end;
-
-  double work = 0.0;
-  double remote_bytes = 0.0;
-  // Per-destination split of the remote traffic, which the coalescing
-  // buffers frame per destination. The split lives in per-thread scratch:
-  // one chunk per thread is in flight, and send_chunk consumes it before the
-  // next dispatch.
-  auto& remote_by_dst = thread.remote_by_dst;
-  remote_by_dst.assign(static_cast<std::size_t>(workers_), 0.0);
-  double alloc = 0.0;
-  // The program already ran (compute_superstep); the chunk's cost follows
-  // from counts alone.
-  for (std::size_t i = begin; i < end; ++i) {
-    const VertexId v = active[i];
-    work += cfg_.costs.work_per_vertex +
-            cfg_.costs.work_per_message * static_cast<double>(msg_count_cur_[v]);
-    alloc += cfg_.gc.bytes_per_vertex_update;
-    const double degree = static_cast<double>(g_.out_degree(v));
-    if (sends_[v]) {
-      work += cfg_.costs.work_per_edge * degree;
-      alloc += cfg_.gc.bytes_per_message * degree;
-      // Remote accounting from the precomputed fan-out: one entry per
-      // (vertex, destination) instead of an owner lookup per edge.
-      for (std::uint64_t k = remote_off_[v]; k < remote_off_[v + 1]; ++k) {
-        const double bytes = cfg_.costs.bytes_per_message *
-                             static_cast<double>(remote_cnt_[k]);
-        remote_bytes += bytes;
-        remote_by_dst[remote_dst_[k]] += bytes;
-      }
-    } else {
-      // Giraph still scans the edge list of a computed vertex.
-      work += 0.25 * cfg_.costs.work_per_edge * degree;
-    }
-  }
+  thread.pos = std::min(
+      state.active_lists[static_cast<std::size_t>(thread.partition)].size(),
+      begin + chunk_vertices);
+  const std::size_t chunk =
+      state.chunk_first[static_cast<std::size_t>(thread.partition)] +
+      begin / chunk_vertices;
+  const double work = state.chunks[chunk].work;
   // A JVM thread's effective CPU intensity fluctuates below one core;
   // the same work then takes proportionally longer. An active slowdown
   // window stretches the chunk further (sampled once, at dispatch).
@@ -590,20 +709,20 @@ void PregelRun::thread_continue(int w, int th) {
   cpu(w).add(now, intensity);
   thread.running_intensity = intensity;
   ++state.running_chunks;
-  schedule_epoch(now + duration, [this, w, th, remote_bytes, alloc, intensity] {
-    finish_chunk(w, th, remote_bytes, alloc, intensity);
+  schedule_epoch(now + duration, [this, w, th, chunk, intensity] {
+    finish_chunk(w, th, chunk, intensity);
   });
 }
 
-void PregelRun::finish_chunk(int w, int th, double remote_bytes,
-                             double alloc_bytes, double intensity) {
+void PregelRun::finish_chunk(int w, int th, std::size_t chunk,
+                             double intensity) {
   if (dead_[static_cast<std::size_t>(w)] != 0) return;
   auto& state = ws_[static_cast<std::size_t>(w)];
   const TimeNs now = sim_.now();
   cpu(w).add(now, -intensity);
   state.threads[static_cast<std::size_t>(th)].running_intensity = 0.0;
   --state.running_chunks;
-  state.alloc_bytes += alloc_bytes;
+  state.alloc_bytes += state.chunks[chunk].alloc;
   if (state.gc_active) {
     // GC is running: this core is immediately taken over by the collector.
     cpu(w).add(now, 1.0);
@@ -611,7 +730,7 @@ void PregelRun::finish_chunk(int w, int th, double remote_bytes,
   } else if (cfg_.gc.enabled && state.alloc_bytes > cfg_.gc.young_gen_bytes) {
     start_gc(w);
   }
-  send_chunk(w, th, remote_bytes);
+  send_chunk(w, th, chunk);
 }
 
 /// Hands one flushed per-destination batch to the transport. Returns when
@@ -661,7 +780,9 @@ void PregelRun::resume_after_send(int w, int th, TimeNs now, TimeNs resume) {
   thread_continue(w, th);
 }
 
-void PregelRun::send_chunk(int w, int th, double remote_bytes) {
+void PregelRun::send_chunk(int w, int th, std::size_t chunk) {
+  const auto& state = ws_[static_cast<std::size_t>(w)];
+  const double remote_bytes = state.chunks[chunk].remote_bytes;
   const TimeNs now = sim_.now();
   comm_.remote_bytes_total += remote_bytes;
   if (remote_bytes <= 0.0) {
@@ -674,9 +795,8 @@ void PregelRun::send_chunk(int w, int th, double remote_bytes) {
   // The chunk's traffic joins the per-destination coalescing buffers. Only
   // buffers crossing the frame size flush here; the rest wait for the flush
   // timer (trivial channel) or the compute barrier.
-  const auto& remote_by_dst = ws_[static_cast<std::size_t>(w)]
-                                  .threads[static_cast<std::size_t>(th)]
-                                  .remote_by_dst;
+  const double* remote_by_dst =
+      state.remote_by_dst.data() + chunk * static_cast<std::size_t>(workers_);
   bool arm_timer = false;
   TimeNs resume = now;
   for (int dst = 0; dst < workers_; ++dst) {

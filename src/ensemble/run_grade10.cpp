@@ -66,6 +66,9 @@ RunAttempt run_scenario(const Scenario& scenario) {
   spec.core_speed = scenario.jitter.core_speed;
   spec.nic_bandwidth = scenario.jitter.nic_bandwidth;
   spec.monitor_interval = kMonitorInterval;
+  // A serial engine run, like the analysis below: the ensemble's
+  // parallelism is across worker processes.
+  spec.host_threads = 1;
   workload::Result run = workload::run(spec, *graph);
   trace::RunArtifacts& artifacts = run.artifacts;
   artifacts.phase_events = run.log.take_phase_events();

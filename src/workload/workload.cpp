@@ -21,6 +21,7 @@ void apply(const Spec& spec, engine::RunConfig& cfg) {
   cfg.cluster.faults = spec.faults;
   cfg.crash_log = spec.crash_log;
   cfg.seed = spec.seed;
+  cfg.host_threads = spec.host_threads;
 }
 
 template <typename Params>

@@ -47,6 +47,9 @@ struct Spec {
   double core_speed = 1.0;     ///< scales MachineSpec::core_work_per_sec
   double nic_bandwidth = 1.0;  ///< scales MachineSpec::nic_bandwidth_bps
   DurationNs monitor_interval = 400 * kMillisecond;
+  /// Host threads of the engine run (RunConfig::host_threads; 0 = auto).
+  /// Never changes a result.
+  std::size_t host_threads = 0;
 };
 
 /// Grade10's three inputs from one run, and what the sampler lost.

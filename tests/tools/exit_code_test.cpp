@@ -116,7 +116,7 @@ TEST(RunExitCodeTest, BadNumericFlagsAreBadArgs) {
        {" --seed abc", " --seed -1", " --monitor-ms abc", " --monitor-ms 0",
         " --monitor-ms -5", " --monitor-ms 99999999999999",
         " --workers 4294967297", " --cores 2x", " --iterations -3",
-        " --det-check 4294967298"}) {
+        " --det-check 4294967298", " --threads 2000"}) {
     EXPECT_EQ(exit_code(base + flags), kExitBadArgs) << flags;
   }
 }

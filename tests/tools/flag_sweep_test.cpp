@@ -119,7 +119,7 @@ void sweep(const std::string& tool, const std::string& bin,
 TEST(FlagSweepTest, Run) {
   sweep("run", G10_RUN_BIN,
         "--engine pregel --algorithm pagerank --dataset rmat:5 --workers 2"
-        " --cores 2 --iterations 2 --monitor-ms 20 --out out",
+        " --cores 2 --iterations 2 --monitor-ms 20 --out out --threads 1",
         {{"--engine", "gas", "2222220"},
          {"--algorithm", "bfs", "2222220"},
          {"--dataset", "rmat:4", "3333330"},
@@ -133,6 +133,7 @@ TEST(FlagSweepTest, Run) {
          {"--faults", "crash:w1@40%", "3333330"},
          {"--crash-log", "truncated", "2222220"},
          {"--det-check", "2", "2222220"},
+         {"--threads", "2", "2232220", "", true},
          {"--trace-format", "both", "2222220"}});
 }
 
@@ -224,7 +225,7 @@ TEST(FlagSweepTest, Ensemble) {
 TEST(FlagSweepTest, ConcurrencyIsBoundedAt1024) {
   // Each command is rejected while parsing; were the bound broken, the
   // input after it would fail before any thread or worker starts (exit 3
-  // for the first three, 1 for lint's unparseable model).
+  // for the first four, 1 for lint's unparseable model).
   const std::string model = (test_root() / "self_ordered.g10").string();
   std::ofstream(model) << "PHASE Job\nPHASE A PARENT=Job\nORDER A A\n";
   const std::string analyze = std::string(G10_ANALYZE_BIN) +
@@ -235,6 +236,7 @@ TEST(FlagSweepTest, ConcurrencyIsBoundedAt1024) {
                             " --dataset rmat:5 --seeds 1 --quiet";
   for (const std::string& command :
        {analyze + " --threads 1025", analyze + " --det-check 1025",
+        std::string(G10_RUN_BIN) + " --threads 1025 --faults junk",
         std::string(G10_CONVERT_BIN) +
             " --in /nonexistent.log --out " +
             (test_root() / "x.g10t").string() + " --threads 1025",

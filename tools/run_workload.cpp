@@ -25,15 +25,21 @@
 // dropout — is workload::run, the recipe the ensemble runner shares. The
 // dumped directory can be analyzed offline with g10_analyze.
 //
+// --threads N sets the host threads the Pregel engine's per-superstep passes
+// fan out on (0 = auto: G10_THREADS, else the hardware count). It never
+// changes an output byte.
+//
 // --det-check N is the runtime determinism oracle (DESIGN.md §14): instead
-// of dumping logs, it executes the workload N times in one process, folds
-// every artifact stream of each execution into per-phase-path FNV hashes
-// (trace/det_fold.hpp), and compares. The engines are serial discrete-event
-// simulators, so repeated in-process executions catch entropy, ambient
-// time, and address/allocation-order nondeterminism (heap layout differs
-// between executions) — anything that makes a "deterministic" run disagree
-// with itself. On divergence it names the first divergent phase path and
-// exits 5 (analysis error).
+// of dumping logs, it executes the workload N times in one process, at host
+// thread counts 1, 2 and the resolved --threads in turn, folds every
+// artifact stream of each execution into per-phase-path FNV hashes
+// (trace/det_fold.hpp), and compares. Each run is one discrete-event
+// simulation whose per-step passes fan out on the host, so the executions
+// catch a parallel pass that disagrees with the serial one, entropy,
+// ambient time, and address/allocation-order nondeterminism (heap layout
+// differs between executions) — anything that makes a "deterministic" run
+// disagree with itself. On divergence it names the first divergent phase
+// path and exits 5 (analysis error).
 //
 // SIGTERM/SIGINT cancel the run at the next stage boundary (dataset →
 // engine → samples → dump; between executions under --det-check): whatever
@@ -44,6 +50,7 @@
 // 3 unparseable --faults/--dataset spec, 4 fault abort (spec inconsistent
 // with the cluster, or the engine aborted under active faults),
 // 6 when interrupted by SIGTERM/SIGINT, 1 internal.
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -58,6 +65,7 @@
 #include "common/cli.hpp"
 #include "common/det_hash.hpp"
 #include "common/exit_codes.hpp"
+#include "common/thread_pool.hpp"
 #include "grade10/model/model_io.hpp"
 #include "graph/generators.hpp"
 #include "trace/det_fold.hpp"
@@ -69,7 +77,7 @@ namespace g10 {
 namespace {
 
 /// True (after printing the diagnostic) when SIGTERM/SIGINT asked the run
-/// to wind down: the serial engines cancel at stage boundaries. Completed
+/// to wind down: the engines cancel at stage boundaries. Completed
 /// artifact files are already flushed by their stream destructors.
 bool interrupted_at(const char* boundary) {
   if (!cli::stop_requested().load(std::memory_order_acquire)) return false;
@@ -87,6 +95,7 @@ struct Args {
   std::string faults;
   std::int64_t monitor_ms = workload::Spec{}.monitor_interval / kMillisecond;
   int det_check = 0;  ///< 0 = off; otherwise number of executions (>= 2)
+  int threads = 0;    ///< engine host threads; 0 = auto
   std::string trace_format = "text";  ///< text | binary | both
 };
 
@@ -110,8 +119,10 @@ cli::Table flag_table(Args& args) {
                     {{"reconciled", engine::CrashLogStyle::kReconciled},
                      {"truncated", engine::CrashLogStyle::kTruncated}}),
         "how a crashed worker's log ends"},
+       {"--threads N", &args.threads, "engine host threads, 0 = auto", 0,
+        cli::kMaxConcurrency},
        {"--det-check N", &args.det_check,
-        "run N times and compare per-phase hashes", 2},
+        "compare N runs at 1, 2 and --threads host threads", 2},
        {"--trace-format", cli::one_of(&args.trace_format, kTraceFormats),
         "trace file(s) to write"}});
   return table;
@@ -151,13 +162,17 @@ void maybe_inject_divergence(DetSummary& summary, int execution) {
 
 int det_check(const Args& args, const workload::Spec& spec,
               const graph::Graph& graph) {
+  const std::size_t counts[] = {
+      1, 2, ThreadPool::resolve_threads(spec.host_threads)};
   std::vector<DetSummary> summaries;
   for (int execution = 0; execution < args.det_check; ++execution) {
     if (interrupted_at("the next det-check execution")) {
       return kExitInterrupted;
     }
+    workload::Spec at_threads = spec;
+    at_threads.host_threads = counts[execution % 3];
     workload::Result run;
-    const int rc = execute(spec, graph, run);
+    const int rc = execute(at_threads, graph, run);
     if (rc != kExitOk) return rc;
     DetHasher hasher;
     run.log.render_phase_events(
@@ -177,7 +192,11 @@ int det_check(const Args& args, const workload::Spec& spec,
 
   const DetSummary& baseline = summaries.front();
   std::cout << "det-check: " << args.det_check << " executions of "
-            << spec.engine << '/' << spec.algorithm << ", "
+            << spec.engine << '/' << spec.algorithm << " at host threads";
+  for (int i = 0; i < std::min(args.det_check, 3); ++i) {
+    std::cout << (i == 0 ? " " : ", ") << counts[i];
+  }
+  std::cout << ", "
             << baseline.phases.size() << " phase paths, "
             << baseline.total_folds << " folds per execution\n";
   for (std::size_t i = 1; i < summaries.size(); ++i) {
@@ -197,6 +216,7 @@ int det_check(const Args& args, const workload::Spec& spec,
 int run(const Args& args) {
   workload::Spec spec = args.spec;
   spec.monitor_interval = args.monitor_ms * kMillisecond;
+  spec.host_threads = static_cast<std::size_t>(args.threads);
   sim::FaultSpec& fault_spec = spec.faults;
   if (!args.faults.empty()) {
     std::string error;
