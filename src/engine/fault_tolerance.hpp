@@ -88,9 +88,9 @@ struct RunConfig {
   sim::FailureDetectorConfig heartbeat;
   CrashLogStyle crash_log = CrashLogStyle::kReconciled;
   std::uint64_t seed = 42;
-  /// Host threads the Pregel engine's per-superstep passes fan out on (0 =
-  /// G10_THREADS, else the hardware count). Never changes a result; the
-  /// GAS engine runs its step serially and ignores it.
+  /// Host threads the engines' per-step passes (Pregel's superstep, GAS's
+  /// iteration) fan out on (0 = G10_THREADS, else the hardware count).
+  /// Never changes a result.
   std::size_t host_threads = 0;
 
   int effective_threads() const {

@@ -1,10 +1,13 @@
 #include "engine/gas/gas_engine.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "engine/resource_names.hpp"
 #include "graph/partition.hpp"
 
@@ -74,7 +77,10 @@ const GasSymbols& gas_symbols() {
 /// Whole-run mutable state; the run skeleton, crash handling, checkpoints
 /// and the simulated machines live in FaultHarness (DESIGN.md §10). Each
 /// iteration runs the program once, in compute_iteration_effects(), before
-/// its four steps are simulated from per-worker work counts.
+/// its four steps are simulated from per-worker work counts. That pass fans
+/// out on the host over vertex ranges; every slot it writes has one owner
+/// and the work counts are integers, so values and traces are independent
+/// of the host thread count.
 class GasRun final : public FaultHarness {
  public:
   GasRun(const GasConfig& cfg, const Graph& g, const GasProgram& prog)
@@ -87,7 +93,8 @@ class GasRun final : public FaultHarness {
         cfg_(cfg),
         g_(g),
         prog_(prog),
-        threads_(cfg.effective_threads()) {
+        threads_(cfg.effective_threads()),
+        pool_(cfg.host_threads) {
     G10_CHECK(g_.vertex_count() > 0);
     G10_CHECK_MSG(threads_ <= cfg_.cluster.machine.cores,
                   "threads per worker must not exceed cores");
@@ -124,9 +131,31 @@ class GasRun final : public FaultHarness {
   /// chunk_edges-equivalent work, with multiplicative jitter per chunk.
   std::vector<DurationNs> make_chunks(double total_work, double chunk_work);
 
+  /// Per-worker counts of one vertex range's work in an iteration.
+  struct WorkCounts {
+    std::uint64_t gather = 0;   ///< in-edges gathered on the worker
+    std::uint64_t scatter = 0;  ///< out-edges scattered on the worker
+    std::uint64_t apply = 0;    ///< applies of vertices it masters
+    std::uint64_t values = 0;   ///< values it sends in the exchange
+
+    WorkCounts& operator+=(const WorkCounts& o) {
+      gather += o.gather;
+      scatter += o.scatter;
+      apply += o.apply;
+      values += o.values;
+      return *this;
+    }
+  };
+
+  /// Vertices per task of compute_iteration_effects' passes.
+  static constexpr VertexId kComputeRange = 1024;
+
   void load_graph();
   void start_iteration(TimeNs t);
   void compute_iteration_effects();  ///< correctness: apply + activation
+  void gather_apply_range(VertexId begin, VertexId end, WorkCounts* counts);
+  bool activate_range(VertexId begin, VertexId end);
+  void split_exchange_by_dst();
   /// The iteration's steps in order; the exchange's barrier retires it.
   enum Stage { kGather, kApply, kScatter, kExchange };
   void start_stage(int stage, TimeNs t);
@@ -151,6 +180,7 @@ class GasRun final : public FaultHarness {
   const Graph& g_;
   const GasProgram& prog_;
   int threads_;
+  ThreadPool pool_;  ///< host threads of compute_iteration_effects' passes
 
   graph::VertexCutPartition cut_;
 
@@ -159,6 +189,16 @@ class GasRun final : public FaultHarness {
   std::vector<char> active_;
   std::vector<char> next_active_;
   std::vector<char> changed_;
+  /// Whether active_ holds an active vertex, known when pass 2 of the last
+  /// iteration produced it; unset before the first iteration and after a
+  /// snapshot restore.
+  std::optional<bool> any_active_;
+  bool next_any_active_ = false;  ///< the same for next_active_
+
+  /// Pass 1's per-range work counts, row-major ranges x workers, and pass
+  /// 2's per-range "activated a vertex" flags.
+  std::vector<WorkCounts> range_counts_;
+  std::vector<char> range_activates_;
 
   // Per-iteration work aggregates (recomputed each iteration).
   std::vector<double> gather_work_;
@@ -179,11 +219,6 @@ class GasRun final : public FaultHarness {
   };
   OwnerCsr out_owner_;
   OwnerCsr in_owner_;
-
-  // Reused gather scratch for compute_iteration_effects: neighbor values
-  // and, on weighted graphs, in-edge weights.
-  std::vector<double> nbr_val_buf_;
-  std::vector<double> nbr_wt_buf_;
 
   StepRuntime step_;
 
@@ -226,6 +261,9 @@ std::vector<DurationNs> GasRun::make_chunks(double total_work,
 }
 
 void GasRun::load_graph() {
+  // compute_iteration_effects' passes read the in-edge index from several
+  // host threads: build it before they start.
+  g_.ensure_in_index();
   switch (cfg_.partitioning) {
     case VertexCutStrategy::kHashSource:
       cut_ = graph::partition_vertex_cut_hash_source(
@@ -249,7 +287,7 @@ void GasRun::load_graph() {
   // Vertices mastered per worker size its checkpoint, reload and store work.
   std::vector<double> masters(static_cast<std::size_t>(workers_), 0.0);
   for (VertexId v = 0; v < n; ++v) {
-    if (cut_.replicas[v].empty()) {
+    if (cut_.replicas(v).empty()) {
       // Isolated vertices are mastered on a hash-chosen worker.
       cut_.master[v] = v % static_cast<VertexId>(workers_);
     }
@@ -308,117 +346,153 @@ void GasRun::load_graph() {
 }
 
 void GasRun::compute_iteration_effects() {
+  // Pass 1 gathers, applies and counts work over contiguous vertex ranges;
+  // pass 2 pulls activation from the changed_ flags pass 1 left behind.
+  // Each vertex's slots have one writer, and each range counts into its own
+  // row.
   const VertexId n = g_.vertex_count();
-  std::fill(changed_.begin(), changed_.end(), 0);
-  std::fill(next_active_.begin(), next_active_.end(), 0);
+  const std::size_t ranges = (n + kComputeRange - 1) / kComputeRange;
+  const auto workers = static_cast<std::size_t>(workers_);
+  range_counts_.resize(ranges * workers);
+  range_activates_.resize(ranges);
+  pool_.parallel_for(ranges, 1, [&](std::size_t range) {
+    const VertexId begin = static_cast<VertexId>(range) * kComputeRange;
+    gather_apply_range(begin, std::min(n, begin + kComputeRange),
+                       &range_counts_[range * workers]);
+  });
+  pool_.parallel_for(ranges, 1, [&](std::size_t range) {
+    const VertexId begin = static_cast<VertexId>(range) * kComputeRange;
+    range_activates_[range] =
+        activate_range(begin, std::min(n, begin + kComputeRange)) ? 1 : 0;
+  });
+  next_any_active_ = std::ranges::any_of(range_activates_,
+                                         [](char a) { return a != 0; });
+
+  // Per-worker work for the timed steps: the rows summed as integers, then
+  // scaled once. The default costs are exact binary integers, so each
+  // product equals the per-vertex sum of cost terms bit for bit.
+  std::vector<WorkCounts> totals(workers);
+  for (std::size_t range = 0; range < ranges; ++range) {
+    for (std::size_t w = 0; w < workers; ++w) {
+      totals[w] += range_counts_[range * workers + w];
+    }
+  }
+  gather_work_.resize(workers);
+  apply_work_.resize(workers);
+  scatter_work_.resize(workers);
+  exchange_values_.resize(workers);
+  exchange_bytes_.resize(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    gather_work_[w] = cfg_.costs.work_per_gather_edge *
+                      static_cast<double>(totals[w].gather);
+    apply_work_[w] =
+        cfg_.costs.work_per_apply * static_cast<double>(totals[w].apply);
+    scatter_work_[w] = cfg_.costs.work_per_scatter_edge *
+                       static_cast<double>(totals[w].scatter);
+    exchange_values_[w] = static_cast<double>(totals[w].values);
+    exchange_bytes_[w] = cfg_.costs.bytes_per_value * exchange_values_[w];
+  }
+  // Per-destination breakdown is needed only when exchange traffic travels
+  // through the reliable channel, one ack'd transfer per destination.
+  if (!channel_.trivial()) split_exchange_by_dst();
+}
+
+/// Pass 1 over [begin, end): gathers and applies every active vertex, which
+/// writes only its own new_value_ and changed_ slots, and counts the
+/// range's per-worker work into `counts`, one WorkCounts per worker.
+void GasRun::gather_apply_range(VertexId begin, VertexId end,
+                                WorkCounts* counts) {
+  std::fill(counts, counts + workers_, WorkCounts{});
   const bool weighted = g_.weighted();
   const int iteration = logical_step();
-  for (VertexId v = 0; v < n; ++v) {
+  std::vector<double> nbr_values;
+  std::vector<double> nbr_weights;
+  for (VertexId v = begin; v < end; ++v) {
+    changed_[v] = 0;
     if (!active_[v]) {
       new_value_[v] = value_[v];
       continue;
     }
     // Gather over the in-edges, directly from graph storage: neighbor ids
     // are a span into the reverse index; values — and, on weighted graphs,
-    // in-edge weights — are copied into reused scratch. An empty weight span
-    // means every edge weighs 1 (see GasProgram::apply).
+    // in-edge weights — are copied into the task's scratch. An empty weight
+    // span means every edge weighs 1 (see GasProgram::apply).
     const std::span<const VertexId> ids = g_.in_neighbors(v);
-    nbr_val_buf_.clear();
-    for (const VertexId u : ids) nbr_val_buf_.push_back(value_[u]);
+    nbr_values.clear();
+    for (const VertexId u : ids) nbr_values.push_back(value_[u]);
     std::span<const double> weights;
     if (weighted) {
-      nbr_wt_buf_.clear();
+      nbr_weights.clear();
       for (const EdgeIndex id : g_.in_edge_ids(v)) {
-        nbr_wt_buf_.push_back(g_.edge_weight(id));
+        nbr_weights.push_back(g_.edge_weight(id));
       }
-      weights = nbr_wt_buf_;
+      weights = nbr_weights;
     }
-    new_value_[v] = prog_.apply(v, value_[v], ids, nbr_val_buf_, weights,
+    new_value_[v] = prog_.apply(v, value_[v], ids, nbr_values, weights,
                                 iteration, g_);
-    if (prog_.scatter_activates(v, value_[v], new_value_[v], iteration)) {
-      changed_[v] = 1;
-      for (const VertexId u : g_.out_neighbors(v)) next_active_[u] = 1;
-    }
-  }
 
-  // Per-worker work aggregates for the timed steps, computed from the
-  // ownership CSRs: one entry per (vertex, owning partition) instead of an
-  // edge_owner lookup per edge. The default work constants are exact binary
-  // integers, so count * cost regroups the old per-edge sums bit-for-bit.
-  gather_work_.assign(static_cast<std::size_t>(workers_), 0.0);
-  apply_work_.assign(static_cast<std::size_t>(workers_), 0.0);
-  scatter_work_.assign(static_cast<std::size_t>(workers_), 0.0);
-  exchange_bytes_.assign(static_cast<std::size_t>(workers_), 0.0);
-  exchange_values_.assign(static_cast<std::size_t>(workers_), 0.0);
-  // Per-destination breakdown is needed only when exchange traffic travels
-  // through the reliable channel, one ack'd transfer per destination.
-  const bool split_dst = !channel_.trivial();
-  if (split_dst) {
-    exchange_by_dst_.assign(static_cast<std::size_t>(workers_) *
-                                static_cast<std::size_t>(workers_),
-                            0.0);
+    const graph::PartitionId master = cut_.master[v];
+    const auto replicas = cut_.replicas(v);
+    for (std::uint64_t k = in_owner_.off[v]; k < in_owner_.off[v + 1]; ++k) {
+      counts[in_owner_.part[k]].gather += in_owner_.cnt[k];
+    }
+    ++counts[master].apply;
+    // Mirrors push partial gather accumulators to the master.
+    for (const auto r : replicas) {
+      if (r != master) ++counts[r].values;
+    }
+    if (!prog_.scatter_activates(v, value_[v], new_value_[v], iteration)) {
+      continue;
+    }
+    changed_[v] = 1;
+    for (std::uint64_t k = out_owner_.off[v]; k < out_owner_.off[v + 1];
+         ++k) {
+      counts[out_owner_.part[k]].scatter += out_owner_.cnt[k];
+    }
+    // The master broadcasts the new value to every mirror.
+    if (!replicas.empty()) counts[master].values += replicas.size() - 1;
   }
+}
 
-  for (VertexId v = 0; v < n; ++v) {
-    if (active_[v]) {
-      for (std::uint64_t k = in_owner_.off[v]; k < in_owner_.off[v + 1];
-           ++k) {
-        gather_work_[in_owner_.part[k]] +=
-            cfg_.costs.work_per_gather_edge *
-            static_cast<double>(in_owner_.cnt[k]);
-      }
-    }
-    if (changed_[v]) {
-      for (std::uint64_t k = out_owner_.off[v]; k < out_owner_.off[v + 1];
-           ++k) {
-        scatter_work_[out_owner_.part[k]] +=
-            cfg_.costs.work_per_scatter_edge *
-            static_cast<double>(out_owner_.cnt[k]);
-      }
-    }
+/// Pass 2 over [begin, end): a vertex is active next iteration if any
+/// in-neighbor changed in this one, so each vertex writes only its own
+/// next_active_ byte. Returns whether it activated any vertex.
+bool GasRun::activate_range(VertexId begin, VertexId end) {
+  bool any = false;
+  for (VertexId u = begin; u < end; ++u) {
+    const bool next = std::ranges::any_of(
+        g_.in_neighbors(u), [this](VertexId v) { return changed_[v] != 0; });
+    next_active_[u] = next ? 1 : 0;
+    any = any || next;
   }
-  for (VertexId v = 0; v < n; ++v) {
-    if (active_[v]) {
-      apply_work_[cut_.master[v]] += cfg_.costs.work_per_apply;
-      // Mirrors push partial gather accumulators to the master.
-      for (const auto r : cut_.replicas[v]) {
-        if (r != cut_.master[v]) {
-          exchange_bytes_[r] += cfg_.costs.bytes_per_value;
-          exchange_values_[r] += 1.0;
-          if (split_dst) {
-            exchange_to(static_cast<int>(r),
-                        static_cast<int>(cut_.master[v])) +=
-                cfg_.costs.bytes_per_value;
-          }
-        }
-      }
-    }
-    if (changed_[v] && !cut_.replicas[v].empty()) {
-      // Master broadcasts the new value to every mirror.
-      const double mirrors =
-          static_cast<double>(cut_.replicas[v].size()) - 1.0;
-      exchange_bytes_[cut_.master[v]] += mirrors * cfg_.costs.bytes_per_value;
-      exchange_values_[cut_.master[v]] += mirrors;
-      if (split_dst) {
-        for (const auto r : cut_.replicas[v]) {
-          if (r != cut_.master[v]) {
-            exchange_to(static_cast<int>(cut_.master[v]),
-                        static_cast<int>(r)) += cfg_.costs.bytes_per_value;
-          }
-        }
-      }
+  return any;
+}
+
+/// Fills exchange_by_dst_ in ascending vertex id: each (src, dst) cell gets
+/// a vertex's mirror push or its master's broadcast, never both.
+void GasRun::split_exchange_by_dst() {
+  exchange_by_dst_.assign(static_cast<std::size_t>(workers_) *
+                              static_cast<std::size_t>(workers_),
+                          0.0);
+  const double bytes = cfg_.costs.bytes_per_value;
+  for (VertexId v = 0; v < g_.vertex_count(); ++v) {
+    if (!active_[v]) continue;
+    const auto master = static_cast<int>(cut_.master[v]);
+    for (const auto r : cut_.replicas(v)) {
+      const auto mirror = static_cast<int>(r);
+      if (mirror == master) continue;
+      exchange_to(mirror, master) += bytes;
+      if (changed_[v]) exchange_to(master, mirror) += bytes;
     }
   }
 }
 
 void GasRun::start_iteration(TimeNs t) {
-  bool any_active = false;
-  for (char a : active_) {
-    if (a) {
-      any_active = true;
-      break;
-    }
-  }
+  // Pass 2 reports whether it activated any vertex; the first iteration
+  // and a restored snapshot scan active_ instead.
+  const bool any_active =
+      any_active_ ? *any_active_
+                  : std::ranges::any_of(active_, [](char a) { return a != 0; });
   if (!any_active || logical_step() >= prog_.max_iterations()) {
     finish_job(t);
     return;
@@ -659,6 +733,7 @@ void GasRun::finish_iteration(TimeNs t) {
   // full O(n) copy.
   value_.swap(new_value_);
   active_.swap(next_active_);
+  any_active_ = next_any_active_;
   retire_step(t);
 }
 
@@ -670,6 +745,7 @@ void GasRun::save_snapshot() {
 void GasRun::restore_snapshot() {
   value_ = snapshot_.value;
   active_ = snapshot_.active;
+  any_active_.reset();
   // new_value_ / next_active_ / changed_ are recomputed wholesale by
   // compute_iteration_effects when the iteration re-executes.
 }

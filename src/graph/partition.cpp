@@ -29,15 +29,12 @@ std::vector<EdgeIndex> VertexCutPartition::edge_counts() const {
 }
 
 double VertexCutPartition::replication_factor() const {
-  if (replicas.empty()) return 0.0;
-  std::size_t total = 0;
   std::size_t present = 0;
-  for (const auto& r : replicas) {
-    total += r.size();
-    if (!r.empty()) ++present;
+  for (std::size_t v = 0; v + 1 < replica_offsets.size(); ++v) {
+    if (replica_offsets[v + 1] > replica_offsets[v]) ++present;
   }
   return present == 0 ? 0.0
-                      : static_cast<double>(total) /
+                      : static_cast<double>(replica_parts.size()) /
                             static_cast<double>(present);
 }
 
@@ -52,7 +49,8 @@ VertexCutPartition finalize_vertex_cut(const Graph& graph, PartitionId parts,
   result.partition_count = parts;
   result.edge_owner = std::move(edge_owner);
   const VertexId n = graph.vertex_count();
-  result.replicas.assign(n, {});
+  result.replica_offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  result.replica_parts.reserve(n);  // a non-isolated vertex has at least one
   result.master.assign(n, 0);
 
   // Per-vertex edge counts in one dense counter per partition; the touched
@@ -67,7 +65,6 @@ VertexCutPartition finalize_vertex_cut(const Graph& graph, PartitionId parts,
   for (VertexId v = 0; v < n; ++v) {
     for (EdgeIndex e = offsets[v]; e < offsets[v + 1]; ++e) add(e);
     for (const EdgeIndex id : graph.in_edge_ids(v)) add(id);
-    if (touched.empty()) continue;  // isolated vertex: no replicas
     std::sort(touched.begin(), touched.end());
     EdgeIndex best = 0;
     for (const PartitionId p : touched) {
@@ -77,7 +74,11 @@ VertexCutPartition finalize_vertex_cut(const Graph& graph, PartitionId parts,
       }
       count[p] = 0;
     }
-    result.replicas[v].assign(touched.begin(), touched.end());
+    // An isolated vertex touches nothing: an empty replica row.
+    result.replica_parts.insert(result.replica_parts.end(), touched.begin(),
+                                touched.end());
+    result.replica_offsets[static_cast<std::size_t>(v) + 1] =
+        result.replica_parts.size();
     touched.clear();
   }
   return result;

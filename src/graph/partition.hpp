@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -38,8 +39,18 @@ struct VertexCutPartition {
   std::vector<PartitionId> edge_owner;
   /// Master partition of each vertex.
   std::vector<PartitionId> master;
-  /// All partitions where each vertex has a replica (sorted, includes master).
-  std::vector<std::vector<PartitionId>> replicas;
+  /// Replica lists as a CSR: vertex v's replicas are
+  /// replica_parts[replica_offsets[v], replica_offsets[v + 1]). Read them
+  /// through replicas(v).
+  std::vector<std::uint64_t> replica_offsets;  ///< size n + 1
+  std::vector<PartitionId> replica_parts;
+
+  /// All partitions where v has a replica (sorted, includes the master);
+  /// empty for an isolated vertex.
+  std::span<const PartitionId> replicas(VertexId v) const {
+    return {replica_parts.data() + replica_offsets[v],
+            replica_parts.data() + replica_offsets[v + 1]};
+  }
 
   std::vector<EdgeIndex> edge_counts() const;
   /// Mean number of replicas per vertex (PowerGraph's replication factor λ).

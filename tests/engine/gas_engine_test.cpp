@@ -5,12 +5,16 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
+#include <string>
+#include <tuple>
 
 #include "algorithms/programs.hpp"
 #include "algorithms/reference.hpp"
 #include "common/check.hpp"
 #include "engine/resource_names.hpp"
 #include "graph/generators.hpp"
+#include "identical_runs.hpp"
 
 namespace g10::engine {
 namespace {
@@ -19,6 +23,7 @@ using algorithms::Bfs;
 using algorithms::Cdlp;
 using algorithms::PageRank;
 using algorithms::Wcc;
+using testing::expect_identical_runs;
 
 graph::Graph small_graph() {
   graph::RmatParams params;
@@ -339,6 +344,92 @@ TEST(GasFaultTest, CrashUnderLossyNicRecovers) {
     }
   }
 }
+
+/// (algorithm, workers, fault spec, sync bug).
+class GasHostThreadsTest
+    : public ::testing::TestWithParam<
+          std::tuple<std::string, int, std::string, bool>> {};
+
+TEST_P(GasHostThreadsTest, ParallelPassesMatchTheSerialRun) {
+  // Gather/apply with the work counts, and the activation pull, fan out on
+  // the host; every host thread count must reproduce the one-thread run bit
+  // for bit. A graph of 4096 vertices gives each pass four ranges.
+  const auto& [algorithm, workers, faults, sync_bug] = GetParam();
+  graph::RmatParams params;
+  params.scale = 12;
+  params.edge_factor = 8;
+  params.undirected = true;
+  params.seed = 31;
+  graph::Graph g = generate_rmat(params);
+  std::unique_ptr<algorithms::GasProgram> program;
+  std::vector<double> reference;
+  double tolerance = 0.0;
+  if (algorithm == "pagerank") {
+    program = std::make_unique<PageRank>(6);
+    reference = algorithms::pagerank_reference(g, 6);
+  } else if (algorithm == "bfs") {
+    program = std::make_unique<Bfs>(1);
+    reference = algorithms::bfs_reference(g, 1);
+  } else if (algorithm == "wcc") {
+    program = std::make_unique<Wcc>();
+    reference = algorithms::wcc_reference(g);
+  } else if (algorithm == "cdlp") {
+    program = std::make_unique<Cdlp>(4);
+    reference = algorithms::cdlp_reference(g, 4);
+  } else {
+    // Weighted SSSP: the gather reads every in-edge's weight.
+    graph::assign_random_weights(g, 1.0, 10.0, 99);
+    program = std::make_unique<algorithms::Sssp>(1);
+    reference = algorithms::sssp_reference(g, 1);
+    tolerance = 1e-9;
+  }
+  GasConfig cfg = small_config();
+  cfg.cluster.machine_count = workers;
+  if (!faults.empty()) {
+    const auto spec = sim::FaultSpec::parse(faults);
+    ASSERT_TRUE(spec.has_value()) << faults;
+    cfg.cluster.faults = *spec;
+  }
+  cfg.sync_bug.enabled = sync_bug;
+  cfg.host_threads = 1;
+  const auto serial = GasEngine(cfg).run(g, *program);
+  for (const std::size_t threads : {2, 4}) {
+    SCOPED_TRACE("host threads " + std::to_string(threads));
+    cfg.host_threads = threads;
+    const auto parallel = GasEngine(cfg).run(g, *program);
+    expect_identical_runs(parallel, serial);
+    if (threads == 4) {
+      expect_values_near(parallel.vertex_values, reference, tolerance);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, GasHostThreadsTest,
+    ::testing::Combine(::testing::Values("pagerank", "bfs", "wcc", "cdlp",
+                                         "sssp"),
+                       ::testing::Values(1, 2, 8),
+                       ::testing::Values(std::string()),
+                       ::testing::Values(false)));
+
+// A crash restores a snapshot, so the next iteration scans active_ again; a
+// lossy NIC sends the exchange through the per-destination split.
+INSTANTIATE_TEST_SUITE_P(
+    Faults, GasHostThreadsTest,
+    ::testing::Combine(::testing::Values("pagerank", "bfs", "wcc", "cdlp",
+                                         "sssp"),
+                       ::testing::Values(2, 8),
+                       ::testing::Values(std::string("crash:w1@40%"),
+                                         std::string(
+                                             "nic:w*@0s:x0.5:loss=0.4")),
+                       ::testing::Values(false)));
+
+INSTANTIATE_TEST_SUITE_P(
+    SyncBug, GasHostThreadsTest,
+    ::testing::Combine(::testing::Values("pagerank", "bfs", "cdlp"),
+                       ::testing::Values(2, 8),
+                       ::testing::Values(std::string()),
+                       ::testing::Values(true)));
 
 }  // namespace
 }  // namespace g10::engine

@@ -293,7 +293,8 @@ VertexCutPartition cut(const Graph& g, const std::string& strategy,
 
 std::uint64_t replicas_digest(const VertexCutPartition& cut) {
   std::uint64_t h = kFnvOffsetBasis;
-  for (const auto& r : cut.replicas) {
+  for (VertexId v = 0; v < cut.master.size(); ++v) {
+    const auto r = cut.replicas(v);
     const std::uint64_t size = r.size();
     h = fnv1a64(h, &size, sizeof(size));
     h = fnv1a64(h, r.data(), r.size() * sizeof(PartitionId));

@@ -83,13 +83,13 @@ TEST_P(VertexCutTest, EveryEdgeAssignedAndReplicasConsistent) {
     const auto nbrs = g.out_neighbors(u);
     for (EdgeIndex i = 0; i < nbrs.size(); ++i) {
       const PartitionId p = cut.edge_owner[g.edge_id(u, i)];
-      const auto& ru = cut.replicas[u];
-      const auto& rv = cut.replicas[nbrs[i]];
+      const auto ru = cut.replicas(u);
+      const auto rv = cut.replicas(nbrs[i]);
       EXPECT_TRUE(std::find(ru.begin(), ru.end(), p) != ru.end());
       EXPECT_TRUE(std::find(rv.begin(), rv.end(), p) != rv.end());
     }
-    if (!cut.replicas[u].empty()) {
-      const auto& r = cut.replicas[u];
+    if (!cut.replicas(u).empty()) {
+      const auto r = cut.replicas(u);
       EXPECT_TRUE(std::find(r.begin(), r.end(), cut.master[u]) != r.end());
       EXPECT_TRUE(std::is_sorted(r.begin(), r.end()));
     }

@@ -25,8 +25,8 @@
 // dropout — is workload::run, the recipe the ensemble runner shares. The
 // dumped directory can be analyzed offline with g10_analyze.
 //
-// --threads N sets the host threads the Pregel engine's per-superstep passes
-// fan out on (0 = auto: G10_THREADS, else the hardware count). It never
+// --threads N sets the host threads the engines' per-step passes (Pregel's
+// superstep, GAS's iteration) fan out on (0 = auto: G10_THREADS, else the hardware count). It never
 // changes an output byte.
 //
 // --det-check N is the runtime determinism oracle (DESIGN.md §14): instead
