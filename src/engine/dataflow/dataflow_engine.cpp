@@ -172,10 +172,8 @@ trace::RunArtifacts DataflowRun::execute() {
   sim_.run();
   G10_CHECK_MSG(finished_, "dataflow job did not finish");
 
-  trace::RunArtifacts artifacts;
+  trace::RunArtifacts artifacts = LoggedRun{std::move(log_), {}}.render();
   artifacts.makespan = makespan_;
-  artifacts.phase_events = log_.take_phase_events();
-  artifacts.blocking_events = log_.take_blocking_events();
   for (int machine = 0; machine < cfg_.cluster.machine_count; ++machine) {
     auto& m = machines_[static_cast<std::size_t>(machine)];
     trace::GroundTruthSeries cpu;

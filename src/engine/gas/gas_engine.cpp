@@ -304,8 +304,10 @@ void GasRun::load_graph() {
   in_owner_.cnt.clear();
   std::vector<std::uint32_t> owner_count(static_cast<std::size_t>(workers_),
                                          0);
+  // A vertex's replica list names, ascending, exactly the partitions its
+  // out- and in-edges touch: a row visits only those.
   const auto emit_owner_row = [&](OwnerCsr& csr, VertexId v) {
-    for (std::uint32_t p = 0; p < static_cast<std::uint32_t>(workers_); ++p) {
+    for (const graph::PartitionId p : cut_.replicas(v)) {
       if (owner_count[p] == 0) continue;
       csr.part.push_back(p);
       csr.cnt.push_back(owner_count[p]);

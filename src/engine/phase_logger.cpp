@@ -1,8 +1,9 @@
 #include "engine/phase_logger.hpp"
 
-#include <iterator>
+#include <algorithm>
 
 #include "common/check.hpp"
+#include "trace/log_io.hpp"
 
 namespace g10::engine {
 
@@ -21,29 +22,22 @@ void append(std::vector<std::vector<Event>>& blocks, const Event& event) {
   blocks.back().push_back(event);
 }
 
-/// The one renderer: renders every block's events in order into one reused
-/// buffer, frees each storage block once rendered, hands the buffer to
-/// `sink` and leaves `blocks` empty.
-template <typename Event, typename Record, typename Render>
-void render_blocks(std::vector<std::vector<Event>>& blocks, Render render,
-                   const std::function<void(std::span<Record>)>& sink) {
-  std::vector<Record> rendered;
-  for (std::vector<Event>& block : blocks) {
-    rendered.resize(block.size());
-    for (std::size_t i = 0; i < block.size(); ++i) {
-      render(block[i], rendered[i]);
-    }
-    std::vector<Event>().swap(block);
-    sink(rendered);
-  }
-  std::vector<std::vector<Event>>().swap(blocks);
-}
-
+/// Moves every block's events, in order, into `out` with each node
+/// renumbered by `new_id`, freeing each block once moved.
 template <typename Event>
-std::size_t event_count(const std::vector<std::vector<Event>>& blocks) {
+void move_blocks(std::vector<std::vector<Event>>& blocks,
+                 const std::vector<PathIndex::NodeId>& new_id,
+                 std::vector<Event>& out) {
   std::size_t total = 0;
   for (const std::vector<Event>& block : blocks) total += block.size();
-  return total;
+  out.reserve(total);
+  for (std::vector<Event>& block : blocks) {
+    for (Event event : block) {
+      event.node = new_id[static_cast<std::size_t>(event.node)];
+      out.push_back(event);
+    }
+    std::vector<Event>().swap(block);
+  }
 }
 
 }  // namespace
@@ -90,10 +84,8 @@ void PhaseLogger::block(std::string_view resource, const trace::PathRef& path,
                         TimeNs begin, TimeNs end, trace::MachineId machine) {
   G10_CHECK(end >= begin);
   if (end == begin) return;
-  append(blocking_events_,
-         BlockingEvent{begin, end, paths_.insert(path),
-                       trace::SymbolTable::global().intern(resource),
-                       machine});
+  append(blocking_events_, BlockingEvent{begin, end, paths_.insert(path),
+                                         resources_(resource), machine});
 }
 
 bool PhaseLogger::abandon(const trace::PathRef& path) {
@@ -115,68 +107,49 @@ std::optional<TimeNs> PhaseLogger::open_begin(
   return open_[static_cast<std::size_t>(node)];
 }
 
-void PhaseLogger::release_if_drained() {
-  if (!phase_events_.empty() || !blocking_events_.empty() || open_count_ > 0) {
-    return;
-  }
-  paths_ = PathIndex();
-  std::vector<TimeNs>().swap(open_);
-}
-
-void PhaseLogger::render_phase_events(
-    const BlockSink<PhaseEventRecord>& sink) {
+trace::NodeLog PhaseLogger::take_log() {
   G10_CHECK_MSG(open_count_ == 0, "phases still open at end of run");
-  render_blocks(
-      phase_events_,
-      [this](const PhaseEvent& event, PhaseEventRecord& record) {
-        record.kind = event.kind;
-        paths_.phase_path(event.node, record.path);
-        record.time = event.time;
-        record.machine = event.machine;
-      },
-      sink);
-  release_if_drained();
-}
+  // A reader numbers each path, missing prefixes first, where an event
+  // first names it: the phase events in order, then the blocking events.
+  std::vector<PathIndex::NodeId> order = {PathIndex::kRoot};
+  std::vector<PathIndex::NodeId> new_id(paths_.size(), PathIndex::kNoNode);
+  new_id[PathIndex::kRoot] = PathIndex::kRoot;
+  std::vector<PathIndex::NodeId> unnumbered;
+  const auto number = [&](PathIndex::NodeId node) {
+    for (; new_id[static_cast<std::size_t>(node)] == PathIndex::kNoNode;
+         node = paths_.parent(node)) {
+      unnumbered.push_back(node);
+    }
+    for (; !unnumbered.empty(); unnumbered.pop_back()) {
+      new_id[static_cast<std::size_t>(unnumbered.back())] =
+          static_cast<PathIndex::NodeId>(order.size());
+      order.push_back(unnumbered.back());
+    }
+  };
+  for (const auto& block : phase_events_) {
+    for (const PhaseEvent& event : block) number(event.node);
+  }
+  for (const auto& block : blocking_events_) {
+    for (const BlockingEvent& event : block) number(event.node);
+  }
+  G10_CHECK(order.size() == paths_.size());
 
-void PhaseLogger::render_blocking_events(
-    const BlockSink<trace::BlockingEventRecord>& sink) {
-  const trace::SymbolTable& table = trace::SymbolTable::global();
-  render_blocks(
-      blocking_events_,
-      [this, &table](const BlockingEvent& event,
-                     trace::BlockingEventRecord& record) {
-        record.resource = table.name(event.resource);
-        paths_.phase_path(event.node, record.path);
-        record.begin = event.begin;
-        record.end = event.end;
-        record.machine = event.machine;
-      },
-      sink);
-  release_if_drained();
-}
-
-std::vector<PhaseEventRecord> PhaseLogger::take_phase_events() {
-  std::vector<PhaseEventRecord> records;
-  records.reserve(event_count(phase_events_));
-  render_phase_events([&records](std::span<PhaseEventRecord> block) {
-    std::move(block.begin(), block.end(), std::back_inserter(records));
-  });
-  return records;
-}
-
-std::vector<trace::BlockingEventRecord> PhaseLogger::take_blocking_events() {
-  std::vector<trace::BlockingEventRecord> records;
-  records.reserve(event_count(blocking_events_));
-  render_blocking_events(
-      [&records](std::span<trace::BlockingEventRecord> block) {
-        std::move(block.begin(), block.end(), std::back_inserter(records));
-      });
-  return records;
+  trace::NodeLog log;
+  // `order` is a permutation of the node ids: sorted means unchanged.
+  log.paths = std::is_sorted(order.begin(), order.end())
+                  ? std::move(paths_)
+                  : paths_.renumbered(order);
+  move_blocks(phase_events_, new_id, log.phase_events);
+  move_blocks(blocking_events_, new_id, log.blocking_events);
+  log.resources = resources_.take_names();
+  *this = PhaseLogger();
+  return log;
 }
 
 trace::RunArtifacts LoggedRun::render() && {
-  artifacts.phase_events = log.take_phase_events();
-  artifacts.blocking_events = log.take_blocking_events();
+  trace::ParsedLog rendered = trace::render_log(log.take_log());
+  artifacts.phase_events = std::move(rendered.phase_events);
+  artifacts.blocking_events = std::move(rendered.blocking_events);
   return std::move(artifacts);
 }
 

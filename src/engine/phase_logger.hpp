@@ -3,28 +3,22 @@
 // Tracks open phases so unbalanced begin/end pairs are caught at the source
 // (inside the engine) instead of during later analysis.
 //
-// This is the hot edge of trace generation, so the log is stored compactly:
-// every distinct phase path becomes one node of a per-run PathIndex, and
-// each event is a fixed-size record naming its node (trace::PhaseEvent,
-// 24 bytes, and trace::BlockingEvent, 32, whose resource is a SymbolTable
-// symbol here: the event types the trace readers' NodeLog holds), kept in
-// fixed blocks of kBlockEvents.
-// BEGIN and END of one instance share a node, and so does a path begun
-// again after abandon(). Open-phase tracking is a begin time per node. The
-// string-typed PhaseEventRecord/BlockingEventRecord forms are rendered only
-// by render_*() (or the take_*() collectors over it), one storage block at
-// a time in emission order, which keeps logs byte-identical to the
-// uncompacted ones. Each storage block is freed as soon as it is rendered,
-// and a caller that consumes each rendered block before the next (g10_run's
-// writers, its determinism fold) never holds more than one block of
-// rendered records.
+// This is the hot edge of trace generation, so the log is stored in the
+// trace readers' compact form from the start: every distinct phase path
+// becomes one node of a per-run PathIndex, and each event is a fixed-size
+// record naming its node (trace::PhaseEvent, 24 bytes, and
+// trace::BlockingEvent, 32, whose resource is numbered per run in first
+// use), kept in fixed blocks of kBlockEvents. BEGIN and END of one instance
+// share a node, and so does a path begun again after abandon(). Open-phase
+// tracking is a begin time per node. A run ends with one hand-over,
+// take_log(), which moves the events into a trace::NodeLog block by block,
+// freeing each block as it goes: what g10_run writes, the determinism
+// fold reads and the trace build adopts, with nothing rendered on the way.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <limits>
 #include <optional>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -71,24 +65,14 @@ class PhaseLogger {
   /// so crash handling clamps end times to at least the begin.)
   std::optional<TimeNs> open_begin(const trace::PathRef& path) const;
 
-  template <typename Record>
-  using BlockSink = std::function<void(std::span<Record>)>;
+  /// Hands the run's log over as a NodeLog and leaves the logger empty and
+  /// reusable. The logger must have no open phases. Nodes are numbered the
+  /// way a reader of the written log numbers them (NodeLog's rule: phase
+  /// events' paths first, then blocking events'), so a path blocked on
+  /// before its BEGIN is renumbered here.
+  trace::NodeLog take_log();
 
-  /// Renders the phase events in emission order, one storage block at a
-  /// time: `sink` gets each rendered block (it may move the records out)
-  /// before the next is rendered, and each storage block is freed once
-  /// rendered. The logger must have no open phases. Once both kinds are
-  /// rendered the logger is empty and reusable.
-  void render_phase_events(const BlockSink<trace::PhaseEventRecord>& sink);
-  /// The same for the blocking events.
-  void render_blocking_events(
-      const BlockSink<trace::BlockingEventRecord>& sink);
-
-  /// All of render_*()'s records in one vector.
-  std::vector<trace::PhaseEventRecord> take_phase_events();
-  std::vector<trace::BlockingEventRecord> take_blocking_events();
-
-  /// The path table the stored events name (empty once rendered).
+  /// The path table the stored events name.
   const trace::PathIndex& paths() const { return paths_; }
 
   /// Events per storage block.
@@ -102,8 +86,6 @@ class PhaseLogger {
 
   /// Node of `path` when it is open, else kNoNode.
   trace::PathIndex::NodeId open_node(const trace::PathRef& path) const;
-  /// Drops the path table once both kinds are rendered and nothing is open.
-  void release_if_drained();
 
   /// Mutable because a lookup (find) moves the index's prefix memo.
   mutable trace::PathIndex paths_;
@@ -112,15 +94,17 @@ class PhaseLogger {
   std::size_t open_count_ = 0;
   Blocks<trace::PhaseEvent> phase_events_;
   Blocks<trace::BlockingEvent> blocking_events_;
+  trace::ResourceNumbering resources_;
 };
 
-/// An engine run with its log still in the logger's compact form: every
-/// other artifact is in `artifacts`, whose record vectors are empty.
+/// An engine run with its log still in the logger: every other artifact is
+/// in `artifacts`, whose record vectors are empty.
 struct LoggedRun {
   PhaseLogger log;
   trace::RunArtifacts artifacts;
 
-  /// The artifacts with the rendered log: what Engine::run() returns.
+  /// The artifacts with the log rendered as records (trace::render_log of
+  /// the hand-over): what Engine::run() returns.
   trace::RunArtifacts render() &&;
 };
 

@@ -70,36 +70,25 @@ RunAttempt run_scenario(const Scenario& scenario) {
   // parallelism is across worker processes.
   spec.host_threads = 1;
   workload::Result run = workload::run(spec, *graph);
-  trace::RunArtifacts& artifacts = run.artifacts;
-  artifacts.phase_events = run.log.take_phase_events();
-  artifacts.blocking_events = run.log.take_blocking_events();
   const core::FrameworkModel& framework = run.model;
 
-  // Stage 4: characterization.
+  // Stage 4: characterization, of the trace built straight from the
+  // logger's hand-over.
   core::CharacterizationInput input;
   input.model = &framework.execution;
   input.resources = &framework.resources;
   input.rules = &framework.tuned_rules;
-  input.phase_events = artifacts.phase_events;
-  input.blocking_events = artifacts.blocking_events;
-  input.samples = run.samples;
   input.config.timeslice = kTimeslice;
   input.config.min_issue_impact = kMinIssueImpact;
   // Serial analysis: the ensemble's parallelism is across worker
   // processes, and a pool in each would oversubscribe the machine.
   input.config.threads = 1;
   core::TraceBuild built = core::ExecutionTrace::build_checked(
-      *input.model, *input.resources, input.phase_events,
-      input.blocking_events, input.samples, input.trace_options);
+      *input.model, *input.resources, run.log, input.trace_options);
   // Characterization reads only `built`, and the stages below only the
-  // makespan of the artifacts: free the records before demand, attribution
+  // makespan of the artifacts: free the log before demand, attribution
   // and replay run.
-  std::vector<trace::PhaseEventRecord>().swap(artifacts.phase_events);
-  std::vector<trace::BlockingEventRecord>().swap(artifacts.blocking_events);
-  std::vector<trace::MonitoringSampleRecord>().swap(run.samples);
-  input.phase_events = {};
-  input.blocking_events = {};
-  input.samples = {};
+  run.log = trace::NodeLog{};
   const core::CheckedCharacterization checked =
       core::characterize_trace(input, std::move(built));
   if (!checked.status.ok() || !checked.result.has_value()) {
@@ -116,7 +105,7 @@ RunAttempt run_scenario(const Scenario& scenario) {
   RunAttempt attempt;
   attempt.outcome = RunOutcome::kOk;
   RunReport& report = attempt.report;
-  report.makespan_seconds = to_seconds(artifacts.makespan);
+  report.makespan_seconds = to_seconds(run.artifacts.makespan);
 
   for (const core::PerformanceIssue& issue : result.issues) {
     RunReport::Issue out;

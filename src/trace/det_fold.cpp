@@ -4,25 +4,19 @@
 
 namespace g10::trace {
 
-void fold_phase_events(DetHasher& hasher,
-                       std::span<const PhaseEventRecord> events) {
+void fold_events(DetHasher& hasher, const NodeLog& log) {
   std::string key;
-  for (const PhaseEventRecord& event : events) {
+  for (const PhaseEvent& event : log.phase_events) {
     key.clear();
-    event.path.append_to(key);
+    log.paths.append_path(event.node, key);
     hasher.fold_u64(key, event.kind == PhaseEventRecord::Kind::Begin ? 1 : 2);
     hasher.fold_i64(key, event.time);
     hasher.fold_i64(key, event.machine);
   }
-}
-
-void fold_blocking_events(DetHasher& hasher,
-                          std::span<const BlockingEventRecord> events) {
-  std::string key;
-  for (const BlockingEventRecord& event : events) {
+  for (const BlockingEvent& event : log.blocking_events) {
     key.clear();
-    event.path.append_to(key);
-    hasher.fold_bytes(key, event.resource);
+    log.paths.append_path(event.node, key);
+    hasher.fold_bytes(key, log.resources[event.resource]);
     hasher.fold_i64(key, event.begin);
     hasher.fold_i64(key, event.end);
     hasher.fold_i64(key, event.machine);
@@ -30,8 +24,8 @@ void fold_blocking_events(DetHasher& hasher,
 }
 
 void fold_run(DetHasher& hasher, const RunArtifacts& artifacts) {
-  fold_phase_events(hasher, artifacts.phase_events);
-  fold_blocking_events(hasher, artifacts.blocking_events);
+  fold_events(hasher, intern_events(artifacts.phase_events,
+                                    artifacts.blocking_events));
   hasher.fold_i64("run/makespan", artifacts.makespan);
   hasher.fold_double("run/comm", artifacts.comm.remote_bytes_total);
   hasher.fold_i64("run/comm", artifacts.comm.channel_plans);

@@ -10,21 +10,20 @@
 #include <span>
 
 #include "common/det_hash.hpp"
+#include "trace/node_log.hpp"
 #include "trace/records.hpp"
 
 namespace g10::trace {
 
-/// Folds a full run into `hasher`: phase/blocking events per phase path,
-/// plus the "run/" streams (makespan, comm stats, vertex values).
-void fold_run(DetHasher& hasher, const RunArtifacts& artifacts);
+/// Folds a log's phase events, then its blocking events, each under its
+/// phase path.
+void fold_events(DetHasher& hasher, const NodeLog& log);
 
-/// fold_run's event folds, for records that arrive in chunks: folding a
-/// run's phase events, then its blocking events, chunk by chunk, then
-/// fold_run on artifacts without records, equals fold_run on the whole run.
-void fold_phase_events(DetHasher& hasher,
-                       std::span<const PhaseEventRecord> events);
-void fold_blocking_events(DetHasher& hasher,
-                          std::span<const BlockingEventRecord> events);
+/// Folds a full run into `hasher`: fold_events of its records' intern_events,
+/// then the "run/" streams (makespan, comm stats, vertex values). So
+/// fold_events of a logger's hand-over, then fold_run of artifacts without
+/// records, equals fold_run of the rendered run.
+void fold_run(DetHasher& hasher, const RunArtifacts& artifacts);
 
 /// Folds monitoring samples under "monitor/<resource>/m<machine>" streams
 /// (samples are derived after the engine run, so they fold separately).

@@ -4,9 +4,9 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <span>
 #include <unordered_map>
 
-#include "common/check.hpp"
 #include "common/det_hash.hpp"
 
 namespace g10::trace {
@@ -46,170 +46,189 @@ class FileSymbols {
       index_;
 };
 
-/// Per-block dictionary of distinct phase paths, in first-use order.
-class PathDict {
- public:
-  /// Sized for a block of `records` records: at most that many paths.
-  explicit PathDict(std::size_t records) {
-    paths_.reserve(records);
-    index_.reserve(records);
-  }
-
-  std::uint64_t intern(const PhasePath& path) {
-    key_.clear();
-    path.append_to(key_);
-    const auto it = index_.find(key_);
-    if (it != index_.end()) return it->second;
-    paths_.push_back(&path);
-    return index_.emplace(key_, paths_.size() - 1).first->second;
-  }
-
-  const std::vector<const PhasePath*>& paths() const { return paths_; }
-
- private:
-  std::string key_;
-  std::vector<const PhasePath*> paths_;
-  std::unordered_map<std::string, std::uint64_t> index_;
-};
-
-void encode_path_dict(std::string& out, const PathDict& dict,
-                      FileSymbols& symbols, std::uint64_t& bloom) {
-  put_varint(out, dict.paths().size());
-  for (const PhasePath* path : dict.paths()) {
-    put_varint(out, path->elements.size());
-    for (const PathElement& element : path->elements) {
-      put_varint(out, symbols.intern(element.type));
-      put_zigzag(out, element.index);
-      bloom |= name_bloom_bit(element.type);
-    }
-  }
-}
-
 struct EncodedBlock {
   std::string payload;
   IndexEntry entry;
 };
 
 template <typename Record>
-void fill_common_entry(EncodedBlock& block, const Record* records,
-                       std::size_t count) {
+void fill_common_entry(EncodedBlock& block, std::span<const Record> records) {
   IndexEntry& entry = block.entry;
-  entry.record_count = count;
+  entry.record_count = records.size();
   entry.machine_min = records[0].machine;
   entry.machine_max = records[0].machine;
-  for (std::size_t i = 1; i < count; ++i) {
-    entry.machine_min = std::min(entry.machine_min, records[i].machine);
-    entry.machine_max = std::max(entry.machine_max, records[i].machine);
+  for (const Record& record : records) {
+    entry.machine_min = std::min(entry.machine_min, record.machine);
+    entry.machine_max = std::max(entry.machine_max, record.machine);
   }
   entry.encoded_size = block.payload.size();
   entry.payload_hash =
       fnv1a64(kFnvOffsetBasis, block.payload.data(), block.payload.size());
 }
 
-EncodedBlock encode_phase_block(const PhaseEventRecord* records,
-                                std::size_t count, FileSymbols& symbols) {
-  EncodedBlock block;
-  block.entry.kind = BlockKind::kPhase;
-  std::string& out = block.payload;
+/// Encodes one NodeLog's blocks, numbering file symbols in first use. Each
+/// path type and resource is mapped to its file symbol (and a type to its
+/// bloom bit) once, and a block's path dictionary is keyed on node ids.
+class BlockEncoder {
+ public:
+  explicit BlockEncoder(const NodeLog& log)
+      : log_(log),
+        type_symbols_(log.paths.type_count(), kNone),
+        type_blooms_(log.paths.type_count(), 0),
+        resource_symbols_(log.resources.size(), kNone),
+        entry_of_(log.paths.size(), kNone) {}
 
-  PathDict dict(count);
-  std::vector<std::uint64_t> path_ids(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    path_ids[i] = dict.intern(records[i].path);
-  }
-  encode_path_dict(out, dict, symbols, block.entry.name_bloom);
-  for (const std::uint64_t id : path_ids) put_varint(out, id);
+  const FileSymbols& symbols() const { return symbols_; }
 
-  for (std::size_t i = 0; i < count; i += 8) {
-    std::uint8_t bits = 0;
-    for (std::size_t j = i; j < std::min(count, i + 8); ++j) {
-      if (records[j].kind == PhaseEventRecord::Kind::End) {
-        bits |= static_cast<std::uint8_t>(1u << (j - i));
+  EncodedBlock phase_block(std::span<const PhaseEvent> events) {
+    EncodedBlock block;
+    block.entry.kind = BlockKind::kPhase;
+    std::string& out = block.payload;
+    encode_paths(events, block);
+    for (std::size_t i = 0; i < events.size(); i += 8) {
+      std::uint8_t bits = 0;
+      for (std::size_t j = i; j < std::min(events.size(), i + 8); ++j) {
+        if (events[j].kind == PhaseEventRecord::Kind::End) {
+          bits |= static_cast<std::uint8_t>(1u << (j - i));
+        }
       }
+      out.push_back(static_cast<char>(bits));
     }
-    out.push_back(static_cast<char>(bits));
+    TimeNs previous = 0;
+    block.entry.time_min = events[0].time;
+    block.entry.time_max = events[0].time;
+    for (const PhaseEvent& event : events) {
+      put_zigzag(out, event.time - previous);
+      previous = event.time;
+      block.entry.time_min = std::min(block.entry.time_min, event.time);
+      block.entry.time_max = std::max(block.entry.time_max, event.time);
+    }
+    for (const PhaseEvent& event : events) put_zigzag(out, event.machine);
+    fill_common_entry(block, events);
+    return block;
   }
 
-  TimeNs previous = 0;
-  block.entry.time_min = records[0].time;
-  block.entry.time_max = records[0].time;
-  for (std::size_t i = 0; i < count; ++i) {
-    put_zigzag(out, records[i].time - previous);
-    previous = records[i].time;
-    block.entry.time_min = std::min(block.entry.time_min, records[i].time);
-    block.entry.time_max = std::max(block.entry.time_max, records[i].time);
-  }
-  for (std::size_t i = 0; i < count; ++i) put_zigzag(out, records[i].machine);
-
-  fill_common_entry(block, records, count);
-  return block;
-}
-
-EncodedBlock encode_blocking_block(const BlockingEventRecord* records,
-                                   std::size_t count, FileSymbols& symbols) {
-  EncodedBlock block;
-  block.entry.kind = BlockKind::kBlocking;
-  std::string& out = block.payload;
-
-  PathDict dict(count);
-  std::vector<std::uint64_t> path_ids(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    path_ids[i] = dict.intern(records[i].path);
-  }
-  encode_path_dict(out, dict, symbols, block.entry.name_bloom);
-  for (const std::uint64_t id : path_ids) put_varint(out, id);
-  for (std::size_t i = 0; i < count; ++i) {
-    put_varint(out, symbols.intern(records[i].resource));
+  EncodedBlock blocking_block(std::span<const BlockingEvent> events) {
+    EncodedBlock block;
+    block.entry.kind = BlockKind::kBlocking;
+    std::string& out = block.payload;
+    encode_paths(events, block);
+    for (const BlockingEvent& event : events) {
+      std::uint64_t& symbol = resource_symbols_[event.resource];
+      if (symbol == kNone) {
+        symbol = symbols_.intern(log_.resources[event.resource]);
+      }
+      put_varint(out, symbol);
+    }
+    TimeNs previous = 0;
+    block.entry.time_min = std::min(events[0].begin, events[0].end);
+    block.entry.time_max = std::max(events[0].begin, events[0].end);
+    for (const BlockingEvent& event : events) {
+      put_zigzag(out, event.begin - previous);
+      previous = event.begin;
+      put_zigzag(out, event.end - event.begin);
+      block.entry.time_min = std::min(block.entry.time_min,
+                                      std::min(event.begin, event.end));
+      block.entry.time_max = std::max(block.entry.time_max,
+                                      std::max(event.begin, event.end));
+    }
+    for (const BlockingEvent& event : events) put_zigzag(out, event.machine);
+    fill_common_entry(block, events);
+    return block;
   }
 
-  TimeNs previous = 0;
-  block.entry.time_min = std::min(records[0].begin, records[0].end);
-  block.entry.time_max = std::max(records[0].begin, records[0].end);
-  for (std::size_t i = 0; i < count; ++i) {
-    put_zigzag(out, records[i].begin - previous);
-    previous = records[i].begin;
-    put_zigzag(out, records[i].end - records[i].begin);
-    block.entry.time_min = std::min(
-        block.entry.time_min, std::min(records[i].begin, records[i].end));
-    block.entry.time_max = std::max(
-        block.entry.time_max, std::max(records[i].begin, records[i].end));
-  }
-  for (std::size_t i = 0; i < count; ++i) put_zigzag(out, records[i].machine);
-
-  fill_common_entry(block, records, count);
-  return block;
-}
-
-EncodedBlock encode_sample_block(const MonitoringSampleRecord* records,
-                                 std::size_t count, FileSymbols& symbols) {
-  EncodedBlock block;
-  block.entry.kind = BlockKind::kSample;
-  std::string& out = block.payload;
-
-  for (std::size_t i = 0; i < count; ++i) {
-    put_varint(out, symbols.intern(records[i].resource));
-    block.entry.name_bloom |= name_bloom_bit(records[i].resource);
-  }
-  for (std::size_t i = 0; i < count; ++i) put_zigzag(out, records[i].machine);
-
-  TimeNs previous = 0;
-  block.entry.time_min = records[0].time;
-  block.entry.time_max = records[0].time;
-  for (std::size_t i = 0; i < count; ++i) {
-    put_zigzag(out, records[i].time - previous);
-    previous = records[i].time;
-    block.entry.time_min = std::min(block.entry.time_min, records[i].time);
-    block.entry.time_max = std::max(block.entry.time_max, records[i].time);
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(records[i].value));
-    std::memcpy(&bits, &records[i].value, sizeof(bits));
-    put_u64_raw(out, bits);
+  EncodedBlock sample_block(std::span<const MonitoringSampleRecord> records) {
+    EncodedBlock block;
+    block.entry.kind = BlockKind::kSample;
+    std::string& out = block.payload;
+    for (const MonitoringSampleRecord& record : records) {
+      put_varint(out, symbols_.intern(record.resource));
+      block.entry.name_bloom |= name_bloom_bit(record.resource);
+    }
+    for (const MonitoringSampleRecord& record : records) {
+      put_zigzag(out, record.machine);
+    }
+    TimeNs previous = 0;
+    block.entry.time_min = records[0].time;
+    block.entry.time_max = records[0].time;
+    for (const MonitoringSampleRecord& record : records) {
+      put_zigzag(out, record.time - previous);
+      previous = record.time;
+      block.entry.time_min = std::min(block.entry.time_min, record.time);
+      block.entry.time_max = std::max(block.entry.time_max, record.time);
+    }
+    for (const MonitoringSampleRecord& record : records) {
+      std::uint64_t bits = 0;
+      static_assert(sizeof(bits) == sizeof(record.value));
+      std::memcpy(&bits, &record.value, sizeof(bits));
+      put_u64_raw(out, bits);
+    }
+    fill_common_entry(block, records);
+    return block;
   }
 
-  fill_common_entry(block, records, count);
-  return block;
+ private:
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};  ///< not yet met
+
+  /// The block's path dictionary (its distinct nodes in first use, each as
+  /// depth + (symbol, zigzag index) per element), then one dictionary
+  /// ordinal per event.
+  template <typename Event>
+  void encode_paths(std::span<const Event> events, EncodedBlock& block) {
+    std::vector<std::uint64_t> ordinals(events.size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      std::uint64_t& entry = entry_of_[static_cast<std::size_t>(events[i].node)];
+      if (entry == kNone) {
+        entry = entries_.size();
+        entries_.push_back(events[i].node);
+      }
+      ordinals[i] = entry;
+    }
+    std::string& out = block.payload;
+    const PathIndex& paths = log_.paths;
+    put_varint(out, entries_.size());
+    for (const PathIndex::NodeId node : entries_) {
+      put_varint(out, paths.depth(node));
+      chain_.clear();
+      for (PathIndex::NodeId n = node; n != PathIndex::kRoot;
+           n = paths.parent(n)) {
+        chain_.push_back(n);
+      }
+      for (auto it = chain_.rbegin(); it != chain_.rend(); ++it) {
+        const PathIndex::TypeId type = paths.type_id(*it);
+        if (type_symbols_[type] == kNone) {
+          type_symbols_[type] = symbols_.intern(paths.type_name(type));
+          type_blooms_[type] = name_bloom_bit(paths.type_name(type));
+        }
+        put_varint(out, type_symbols_[type]);
+        put_zigzag(out, paths.index(*it));
+        block.entry.name_bloom |= type_blooms_[type];
+      }
+      entry_of_[static_cast<std::size_t>(node)] = kNone;
+    }
+    entries_.clear();
+    for (const std::uint64_t ordinal : ordinals) put_varint(out, ordinal);
+  }
+
+  const NodeLog& log_;
+  FileSymbols symbols_;
+  std::vector<std::uint64_t> type_symbols_;
+  std::vector<std::uint64_t> type_blooms_;
+  std::vector<std::uint64_t> resource_symbols_;
+  /// Each node's ordinal in the current block's dictionary, else kNone.
+  std::vector<std::uint64_t> entry_of_;
+  std::vector<PathIndex::NodeId> entries_;  ///< the current dictionary
+  std::vector<PathIndex::NodeId> chain_;    ///< one path's nodes, leaf first
+};
+
+/// Calls `encode` on each consecutive slice of at most `size` records.
+template <typename Record, typename Encode>
+void for_each_slice(const std::vector<Record>& records, std::size_t size,
+                    Encode encode) {
+  const std::span<const Record> all(records);
+  for (std::size_t start = 0; start < all.size(); start += size) {
+    encode(all.subspan(start, std::min(size, all.size() - start)));
+  }
 }
 
 // --- decode helpers ------------------------------------------------------
@@ -358,104 +377,33 @@ std::optional<std::string> decode_sample_block(
 
 }  // namespace
 
-struct G10tWriter::State {
-  std::vector<LogMeta> meta;
-  std::size_t block_records = 1;
-  FileSymbols symbols;
+void write_g10t(std::ostream& os, const NodeLog& log,
+                const G10tWriteOptions& options) {
+  const std::size_t size = std::max<std::size_t>(1, options.block_records);
+  BlockEncoder encoder(log);
   std::vector<EncodedBlock> blocks;
-  /// The kind records last came in; earlier kinds are closed.
-  BlockKind kind = BlockKind::kPhase;
-  /// The current kind's partial block (the other two are empty).
-  std::vector<PhaseEventRecord> phase_events;
-  std::vector<BlockingEventRecord> blocking_events;
-  std::vector<MonitoringSampleRecord> samples;
-
-  template <typename Record, typename Encoder>
-  void encode_partial(std::vector<Record>& partial, Encoder encoder) {
-    if (partial.empty()) return;
-    blocks.push_back(encoder(partial.data(), partial.size(), symbols));
-    std::vector<Record>().swap(partial);
-  }
-
-  void close_kind() {
-    encode_partial(phase_events, encode_phase_block);
-    encode_partial(blocking_events, encode_blocking_block);
-    encode_partial(samples, encode_sample_block);
-  }
-
-  /// Cuts full blocks straight from `records`; only a block that straddles
-  /// chunks is copied, into `partial`.
-  template <typename Record, typename Encoder>
-  void add(BlockKind record_kind, std::span<const Record> records,
-           std::vector<Record>& partial, Encoder encoder) {
-    if (records.empty()) return;
-    G10_CHECK_MSG(record_kind >= kind,
-                  "g10t records must come as phase events, blocking events, "
-                  "then samples");
-    if (record_kind != kind) {
-      close_kind();
-      kind = record_kind;
-    }
-    if (!partial.empty()) {
-      const std::span<const Record> head =
-          records.first(std::min(block_records - partial.size(),
-                                 records.size()));
-      partial.insert(partial.end(), head.begin(), head.end());
-      records = records.subspan(head.size());
-      if (partial.size() < block_records) return;
-      blocks.push_back(encoder(partial.data(), partial.size(), symbols));
-      partial.clear();
-    }
-    for (; records.size() >= block_records;
-         records = records.subspan(block_records)) {
-      blocks.push_back(encoder(records.data(), block_records, symbols));
-    }
-    partial.assign(records.begin(), records.end());
-  }
-};
-
-G10tWriter::G10tWriter(std::vector<LogMeta> meta,
-                       const G10tWriteOptions& options)
-    : state_(std::make_unique<State>()) {
-  state_->meta = std::move(meta);
-  state_->block_records = std::max<std::size_t>(1, options.block_records);
-}
-
-G10tWriter::~G10tWriter() = default;
-
-void G10tWriter::add(std::span<const PhaseEventRecord> records) {
-  state_->add(BlockKind::kPhase, records, state_->phase_events,
-              encode_phase_block);
-}
-
-void G10tWriter::add(std::span<const BlockingEventRecord> records) {
-  state_->add(BlockKind::kBlocking, records, state_->blocking_events,
-              encode_blocking_block);
-}
-
-void G10tWriter::add(std::span<const MonitoringSampleRecord> records) {
-  state_->add(BlockKind::kSample, records, state_->samples,
-              encode_sample_block);
-}
-
-void G10tWriter::finish(std::ostream& os) {
-  State& state = *state_;
-  state.close_kind();
-  const FileSymbols& symbols = state.symbols;
-  std::vector<EncodedBlock>& blocks = state.blocks;
+  for_each_slice(log.phase_events, size, [&](auto events) {
+    blocks.push_back(encoder.phase_block(events));
+  });
+  for_each_slice(log.blocking_events, size, [&](auto events) {
+    blocks.push_back(encoder.blocking_block(events));
+  });
+  for_each_slice(log.samples, size, [&](auto records) {
+    blocks.push_back(encoder.sample_block(records));
+  });
 
   // The symbol table is finalized only after every block encoded (blocks
   // intern lazily), so sections serialize back to front.
   std::string symtab;
-  put_varint(symtab, symbols.names().size());
-  for (const std::string& name : symbols.names()) {
+  put_varint(symtab, encoder.symbols().names().size());
+  for (const std::string& name : encoder.symbols().names()) {
     put_varint(symtab, name.size());
     symtab.append(name);
   }
 
   std::string meta;
-  put_varint(meta, state.meta.size());
-  for (const auto& [key, value] : state.meta) {
+  put_varint(meta, log.meta.size());
+  for (const auto& [key, value] : log.meta) {
     put_varint(meta, key.size());
     meta.append(key);
     put_varint(meta, value.size());
@@ -495,13 +443,14 @@ void G10tWriter::finish(std::ostream& os) {
   os.write(index.data(), static_cast<std::streamsize>(index.size()));
 }
 
-bool G10tWriter::finish_file(const std::string& path, std::string* error) {
+bool write_g10t_file(const std::string& path, const NodeLog& log,
+                     const G10tWriteOptions& options, std::string* error) {
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
   if (!file) {
     if (error) *error = "cannot open " + path + " for writing";
     return false;
   }
-  finish(file);
+  write_g10t(file, log, options);
   file.flush();
   if (!file) {
     if (error) *error = "write to " + path + " failed";
@@ -510,28 +459,14 @@ bool G10tWriter::finish_file(const std::string& path, std::string* error) {
   return true;
 }
 
-namespace {
-
-void add_all(G10tWriter& writer, const ParsedLog& log) {
-  writer.add(log.phase_events);
-  writer.add(log.blocking_events);
-  writer.add(log.samples);
-}
-
-}  // namespace
-
 void write_g10t(std::ostream& os, const ParsedLog& log,
                 const G10tWriteOptions& options) {
-  G10tWriter writer(log.meta, options);
-  add_all(writer, log);
-  writer.finish(os);
+  write_g10t(os, intern_log(log), options);
 }
 
 bool write_g10t_file(const std::string& path, const ParsedLog& log,
                      const G10tWriteOptions& options, std::string* error) {
-  G10tWriter writer(log.meta, options);
-  add_all(writer, log);
-  return writer.finish_file(path, error);
+  return write_g10t_file(path, intern_log(log), options, error);
 }
 
 bool looks_like_g10t(std::string_view prefix) {

@@ -1,16 +1,15 @@
 // Writing and block-level decoding of `.g10t` files (format in
 // g10t_format.hpp, demand-paged reading in trace_reader.hpp).
 //
-// The writer takes a run's records in order, chunk by chunk (an engine's
-// log as it renders, or a whole parsed log) and serializes them; the block
-// decoder turns one encoded payload back into a node-form block, whose
-// records name its path dictionary's entries (decode_block renders it as
-// records). Both are lossless
-// for every value the record types can hold: timestamps and machine ids are
-// zigzag-coded (negative values survive even though the text parser rejects
-// them), and sample values keep their exact IEEE-754 bits, so re-rendering
-// a decoded trace through write_log() reproduces the original text log byte
-// for byte.
+// The writer takes a whole NodeLog (the phase logger's hand-over or a read
+// trace) and cuts each kind of record into blocks; the block decoder turns
+// one encoded payload back into a node-form block, whose records name its
+// path dictionary's entries (decode_block renders it as records). Both are
+// lossless for every value the record types can hold: timestamps and
+// machine ids are zigzag-coded (negative values survive even though the
+// text parser rejects them), and sample values keep their exact IEEE-754
+// bits, so re-rendering a decoded trace through write_log() reproduces the
+// original text log byte for byte.
 //
 // Every decode path is bounds-checked and returns an error string on
 // corruption — a damaged file must never assert or read out of bounds
@@ -18,7 +17,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <ostream>
 #include <span>
@@ -37,37 +35,21 @@ struct G10tWriteOptions {
   std::size_t block_records = kG10tDefaultBlockRecords;
 };
 
-/// The incremental `.g10t` writer. It takes records as they come, chunk by
-/// chunk, in write_log() order (phase events, blocking events, samples),
-/// and encodes a block whenever `block_records` records of one kind are in,
-/// whatever the chunk sizes, numbering symbols in first use. Only encoded
-/// blocks are kept. finish() writes the file, once: its symbol table
-/// precedes the blocks.
-class G10tWriter {
- public:
-  explicit G10tWriter(std::vector<LogMeta> meta,
-                      const G10tWriteOptions& options = {});
-  ~G10tWriter();
-
-  void add(std::span<const PhaseEventRecord> records);
-  void add(std::span<const BlockingEventRecord> records);
-  void add(std::span<const MonitoringSampleRecord> records);
-
-  /// Encodes the last partial block and writes the complete stream.
-  void finish(std::ostream& os);
-  /// finish() to a file; on failure returns false and fills `error`.
-  bool finish_file(const std::string& path, std::string* error);
-
- private:
-  struct State;
-  std::unique_ptr<State> state_;
-};
-
-/// Serializes `log` as a complete `.g10t` stream.
-void write_g10t(std::ostream& os, const ParsedLog& log,
+/// Serializes `log` as a complete `.g10t` stream: each kind's records cut
+/// into blocks of `block_records` in order (phase events, blocking events,
+/// samples), symbols numbered in first use. A block's path dictionary is
+/// keyed on the log's node ids, and each path type and resource becomes a
+/// file symbol once.
+void write_g10t(std::ostream& os, const NodeLog& log,
                 const G10tWriteOptions& options = {});
 
 /// write_g10t to a file; on failure returns false and fills `error`.
+bool write_g10t_file(const std::string& path, const NodeLog& log,
+                     const G10tWriteOptions& options, std::string* error);
+
+/// The records' adapters: write_g10t of `log`'s intern_log.
+void write_g10t(std::ostream& os, const ParsedLog& log,
+                const G10tWriteOptions& options = {});
 bool write_g10t_file(const std::string& path, const ParsedLog& log,
                      const G10tWriteOptions& options, std::string* error);
 

@@ -29,59 +29,53 @@ void append_double(std::string& out, double value) {
 
 }  // namespace
 
-LogWriter::LogWriter(std::ostream& os, const std::vector<LogMeta>& meta)
-    : os_(os) {
-  os_ << "# grade10 trace log v1\n";
-  for (const auto& [key, value] : meta) {
-    os_ << "META\t" << key << '\t' << value << '\n';
-  }
-}
-
 // Each record is formatted into one reused line and written in one call:
 // the writer's hot path allocates nothing and formats no stream fields.
-void LogWriter::add(std::span<const PhaseEventRecord> records) {
-  for (const PhaseEventRecord& rec : records) {
-    line_.assign(rec.kind == PhaseEventRecord::Kind::Begin ? "PHASE\tB\t"
-                                                           : "PHASE\tE\t");
-    rec.path.append_to(line_);
-    line_ += '\t';
-    append_int(line_, rec.time);
-    line_ += '\t';
-    append_int(line_, rec.machine);
-    line_ += '\n';
-    os_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
+void write_log(std::ostream& os, const NodeLog& log) {
+  os << "# grade10 trace log v1\n";
+  for (const auto& [key, value] : log.meta) {
+    os << "META\t" << key << '\t' << value << '\n';
   }
-}
-
-void LogWriter::add(std::span<const BlockingEventRecord> records) {
-  for (const BlockingEventRecord& rec : records) {
-    line_.assign("BLOCK\t");
-    line_ += rec.resource;
-    line_ += '\t';
-    rec.path.append_to(line_);
-    line_ += '\t';
-    append_int(line_, rec.begin);
-    line_ += '\t';
-    append_int(line_, rec.end);
-    line_ += '\t';
-    append_int(line_, rec.machine);
-    line_ += '\n';
-    os_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
+  std::string line;
+  const auto flush = [&os, &line] {
+    os.write(line.data(), static_cast<std::streamsize>(line.size()));
+  };
+  for (const PhaseEvent& event : log.phase_events) {
+    line.assign(event.kind == PhaseEventRecord::Kind::Begin ? "PHASE\tB\t"
+                                                            : "PHASE\tE\t");
+    log.paths.append_path(event.node, line);
+    line += '\t';
+    append_int(line, event.time);
+    line += '\t';
+    append_int(line, event.machine);
+    line += '\n';
+    flush();
   }
-}
-
-void LogWriter::add(std::span<const MonitoringSampleRecord> records) {
-  for (const MonitoringSampleRecord& rec : records) {
-    line_.assign("SAMPLE\t");
-    line_ += rec.resource;
-    line_ += '\t';
-    append_int(line_, rec.machine);
-    line_ += '\t';
-    append_int(line_, rec.time);
-    line_ += '\t';
-    append_double(line_, rec.value);
-    line_ += '\n';
-    os_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
+  for (const BlockingEvent& event : log.blocking_events) {
+    line.assign("BLOCK\t");
+    line += log.resources[event.resource];
+    line += '\t';
+    log.paths.append_path(event.node, line);
+    line += '\t';
+    append_int(line, event.begin);
+    line += '\t';
+    append_int(line, event.end);
+    line += '\t';
+    append_int(line, event.machine);
+    line += '\n';
+    flush();
+  }
+  for (const MonitoringSampleRecord& rec : log.samples) {
+    line.assign("SAMPLE\t");
+    line += rec.resource;
+    line += '\t';
+    append_int(line, rec.machine);
+    line += '\t';
+    append_int(line, rec.time);
+    line += '\t';
+    append_double(line, rec.value);
+    line += '\n';
+    flush();
   }
 }
 
@@ -90,10 +84,10 @@ void write_log(std::ostream& os,
                const std::vector<BlockingEventRecord>& blocking_events,
                const std::vector<MonitoringSampleRecord>& samples,
                const std::vector<LogMeta>& meta) {
-  LogWriter writer(os, meta);
-  writer.add(phase_events);
-  writer.add(blocking_events);
-  writer.add(samples);
+  NodeLog log = intern_events(phase_events, blocking_events);
+  log.meta = meta;
+  log.samples = samples;
+  write_log(os, log);
 }
 
 std::optional<std::string> ParsedLog::meta_value(std::string_view key) const {
@@ -361,7 +355,7 @@ NodeParseResult parse_log_nodes(std::string_view text,
     }
     std::vector<PendingPhase>().swap(chunk.phase_events);
   }
-  ResourceNumbering resource(log.resources);
+  ResourceNumbering resource;
   for (ChunkResult& chunk : parsed) {
     for (const PendingBlock& rec : chunk.blocking_events) {
       tokenize_phase_path(rec.path, tokens);
@@ -371,6 +365,7 @@ NodeParseResult parse_log_nodes(std::string_view text,
     }
     std::vector<PendingBlock>().swap(chunk.blocking_events);
   }
+  log.resources = resource.take_names();
   return result;
 }
 

@@ -40,27 +40,13 @@
 
 namespace g10::trace {
 
-/// The incremental text writer: the header and META records on
-/// construction, then records as they come, chunk by chunk. A log's records
-/// go in the order write_log() emits them: phase events, blocking events,
-/// then samples.
-class LogWriter {
- public:
-  explicit LogWriter(std::ostream& os, const std::vector<LogMeta>& meta = {});
+/// Writes `log` as text: the header, the META records, then the phase
+/// events, blocking events and samples in order, each path appended
+/// straight from the log's PathIndex.
+void write_log(std::ostream& os, const NodeLog& log);
 
-  void add(std::span<const PhaseEventRecord> records);
-  void add(std::span<const BlockingEventRecord> records);
-  void add(std::span<const MonitoringSampleRecord> records);
-
- private:
-  std::ostream& os_;
-  std::string line_;  ///< the record being formatted, reused
-};
-
-/// Writes all loggable records of a run (phase events, blocking events) plus
-/// the given monitoring samples, in a stable order. META records, when
-/// given, come right after the header; the default keeps existing callers'
-/// output byte-identical.
+/// The records' adapter: write_log of their intern_events, with `samples`
+/// and `meta`.
 void write_log(std::ostream& os,
                const std::vector<PhaseEventRecord>& phase_events,
                const std::vector<BlockingEventRecord>& blocking_events,

@@ -1,6 +1,7 @@
 #include "trace/node_log.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace g10::trace {
 
@@ -25,6 +26,11 @@ std::uint32_t ResourceNumbering::operator()(std::string_view name) {
   return id;
 }
 
+std::vector<std::string> ResourceNumbering::take_names() {
+  ids_.clear();
+  return std::exchange(names_, {});
+}
+
 NodeLog intern_events(std::span<const PhaseEventRecord> phase_events,
                       std::span<const BlockingEventRecord> blocking_events) {
   NodeLog log;
@@ -34,13 +40,14 @@ NodeLog intern_events(std::span<const PhaseEventRecord> phase_events,
         PhaseEvent{rec.time, log.paths.insert(rec.path), rec.machine,
                    rec.kind});
   }
-  ResourceNumbering resource(log.resources);
+  ResourceNumbering resource;
   log.blocking_events.reserve(blocking_events.size());
   for (const BlockingEventRecord& rec : blocking_events) {
     log.blocking_events.push_back(
         BlockingEvent{rec.begin, rec.end, log.paths.insert(rec.path),
                       resource(rec.resource), rec.machine});
   }
+  log.resources = resource.take_names();
   return log;
 }
 

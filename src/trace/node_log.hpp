@@ -1,17 +1,18 @@
 // The compact form of a trace log (paper §III-C): every distinct phase
 // path is one node of a per-log PathIndex, and each phase or blocking event
 // is a fixed-size record naming its node. The phase logger keeps a run's
-// log this way, the trace readers read a file straight into it
-// (TraceReader::read_nodes), and the trace build works on it directly
-// (ExecutionTrace::build_checked). The string-typed records of
-// trace/records.hpp are renderings of it (render_log, log_io.hpp), and
+// log this way and hands it over as one (PhaseLogger::take_log), the trace
+// readers read a file straight into it (TraceReader::read_nodes), both
+// trace writers write it (write_log, write_g10t), and the trace build works
+// on it directly (ExecutionTrace::build_checked). The string-typed records
+// of trace/records.hpp are renderings of it (render_log, log_io.hpp), and
 // records handed in by a caller come back into it through intern_events.
 //
 // Node ids follow first appearance: the phase events' paths in stream
 // order, then the blocking events' (each path's missing prefixes just
 // before it). A text log and its `.g10t` conversion therefore read into
-// the same nodes, at every thread count, and so does interning their
-// records.
+// the same nodes, at every thread count, and so do interning their records
+// and the phase logger's hand-over of the run that wrote them.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +41,8 @@ struct PhaseEvent {
   PathIndex::NodeId node = PathIndex::kRoot;
   MachineId machine = kGlobalMachine;
   PhaseEventRecord::Kind kind = PhaseEventRecord::Kind::Begin;
+
+  friend bool operator==(const PhaseEvent&, const PhaseEvent&) = default;
 };
 
 /// A phase was blocked on a blocking resource for [begin, end).
@@ -47,10 +50,11 @@ struct BlockingEvent {
   TimeNs begin = 0;
   TimeNs end = 0;
   PathIndex::NodeId node = PathIndex::kRoot;
-  /// The resource name's number in its log's name table: a SymbolTable
-  /// symbol in the phase logger, an index into NodeLog::resources here.
+  /// The resource name's index in NodeLog::resources.
   std::uint32_t resource = 0;
   MachineId machine = kGlobalMachine;
+
+  friend bool operator==(const BlockingEvent&, const BlockingEvent&) = default;
 };
 static_assert(sizeof(PhaseEvent) == 24 && sizeof(BlockingEvent) == 32);
 
@@ -70,14 +74,13 @@ struct NodeLog {
 std::optional<std::string> meta_value(const std::vector<LogMeta>& meta,
                                       std::string_view key);
 
-/// Numbers blocking-resource names into a NodeLog's `resources`, in first
-/// use.
+/// Numbers blocking-resource names in first use: a NodeLog's `resources`.
 class ResourceNumbering {
  public:
-  explicit ResourceNumbering(std::vector<std::string>& names)
-      : names_(names) {}
-
   std::uint32_t operator()(std::string_view name);
+
+  /// The names by number; leaves the numbering empty.
+  std::vector<std::string> take_names();
 
  private:
   struct Hash {
@@ -86,7 +89,7 @@ class ResourceNumbering {
       return std::hash<std::string_view>{}(s);
     }
   };
-  std::vector<std::string>& names_;
+  std::vector<std::string> names_;
   std::unordered_map<std::string, std::uint32_t, Hash, std::equal_to<>> ids_;
 };
 

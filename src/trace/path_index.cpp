@@ -128,8 +128,14 @@ PathIndex::NodeId PathIndex::resolve(const PathRef& path, bool create) {
 }
 
 std::string PathIndex::path(NodeId node) const {
+  std::string out;
+  append_path(node, out);
+  return out;
+}
+
+void PathIndex::append_path(NodeId node, std::string& out) const {
   // Sized in one walk up the tree, then filled from the back in a second:
-  // one allocation per path.
+  // at most one allocation per path.
   char digits[24];
   const auto render_index = [&digits](std::int64_t index) {
     return std::string_view(
@@ -142,8 +148,8 @@ std::string PathIndex::path(NodeId node) const {
     length += type_names_[at(n).type].size() + render_index(at(n).index).size() +
               (at(n).parent == kRoot ? 1 : 2);
   }
-  std::string out(length, '\0');
-  std::size_t pos = length;
+  std::size_t pos = out.size() + length;
+  out.resize(pos);
   for (NodeId n = node; n != kRoot; n = at(n).parent) {
     const std::string_view index = render_index(at(n).index);
     const std::string& type = type_names_[at(n).type];
@@ -152,9 +158,8 @@ std::string PathIndex::path(NodeId node) const {
     out[--pos] = '.';
     pos -= type.size();
     type.copy(out.data() + pos, type.size());
-    if (pos > 0) out[--pos] = '/';
+    if (at(n).parent != kRoot) out[--pos] = '/';
   }
-  return out;
 }
 
 void PathIndex::phase_path(NodeId node, PhasePath& out) const {
@@ -164,6 +169,22 @@ void PathIndex::phase_path(NodeId node, PhasePath& out) const {
     element.type = type_names_[at(node).type];
     element.index = at(node).index;
   }
+}
+
+PathIndex PathIndex::renumbered(std::span<const NodeId> order) const {
+  PathIndex out;
+  out.type_names_ = type_names_;
+  out.type_ids_ = type_ids_;
+  out.symbol_types_ = symbol_types_;
+  std::vector<NodeId> new_id(nodes_.size(), kNoNode);
+  new_id[kRoot] = kRoot;
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const Node& node = at(order[i]);
+    new_id[static_cast<std::size_t>(order[i])] = out.child(
+        new_id[static_cast<std::size_t>(node.parent)], node.type, node.index,
+        true);
+  }
+  return out;
 }
 
 }  // namespace g10::trace

@@ -52,11 +52,19 @@ class PathIndex {
   std::int64_t index(NodeId node) const { return at(node).index; }
   TypeId type_id(NodeId node) const { return at(node).type; }
   const std::string& type_name(TypeId type) const { return type_names_[type]; }
+  std::size_t type_count() const { return type_names_.size(); }
 
   /// The node's path rendered as PhasePath::to_string would.
   std::string path(NodeId node) const;
+  /// Appends path(node) to `out`.
+  void append_path(NodeId node, std::string& out) const;
   /// Fills `out` with the node's path, reusing its storage.
   void phase_path(NodeId node, PhasePath& out) const;
+
+  /// The same paths numbered in `order`: node i of the result is node
+  /// order[i] here. `order` lists every node once, the root first and each
+  /// node after its parent.
+  PathIndex renumbered(std::span<const NodeId> order) const;
 
  private:
   static constexpr TypeId kNoType = ~TypeId{0};

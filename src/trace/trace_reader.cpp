@@ -256,7 +256,7 @@ NodeParseResult BinaryTraceReader::read_nodes(const TraceFilter& filter) {
               std::back_inserter(log.samples));
     if (block.blocking_events.empty()) block = {};
   }
-  ResourceNumbering resource(log.resources);
+  ResourceNumbering resource;
   std::vector<std::uint32_t> resource_of(structure_.symbols.size(),
                                          ~std::uint32_t{0});
   for (std::size_t k = 0; k < merged; ++k) {
@@ -274,6 +274,7 @@ NodeParseResult BinaryTraceReader::read_nodes(const TraceFilter& filter) {
     }
     block = {};
   }
+  log.resources = resource.take_names();
   return result;
 }
 

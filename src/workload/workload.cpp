@@ -40,19 +40,21 @@ Result run_engine(const Spec& spec, const Config& cfg,
   const Program& program = *programs.find<Program>(spec.algorithm);
   const Engine engine(cfg);
   Result out;
+  // The hand-over comes after the engine's run state is freed.
   engine::LoggedRun run = engine.run_logged(graph, program);
-  out.log = std::move(run.log);
+  out.log = run.log.take_log();
   out.artifacts = std::move(run.artifacts);
   out.model = framework_model(cfg);
-  out.samples = monitor::sample_ground_truth(out.artifacts.ground_truth,
-                                             spec.monitor_interval,
-                                             out.artifacts.makespan);
+  std::vector<trace::MonitoringSampleRecord>& samples = out.log.samples;
+  samples = monitor::sample_ground_truth(out.artifacts.ground_truth,
+                                         spec.monitor_interval,
+                                         out.artifacts.makespan);
   if (spec.faults.has_kind(sim::FaultKind::kSampleDrop)) {
     sim::FaultInjector dropout(spec.faults, spec.seed);
     dropout.resolve(engine.estimate_horizon(graph, program));
-    const std::size_t before = out.samples.size();
-    out.samples = monitor::apply_sampler_dropout(out.samples, dropout);
-    out.dropped_samples = before - out.samples.size();
+    const std::size_t before = samples.size();
+    samples = monitor::apply_sampler_dropout(samples, dropout);
+    out.dropped_samples = before - samples.size();
   }
   return out;
 }

@@ -19,6 +19,7 @@
 #include "grade10/models/pregel_model.hpp"
 #include "graph/graph.hpp"
 #include "sim/fault_injector.hpp"
+#include "trace/node_log.hpp"
 #include "trace/records.hpp"
 
 namespace g10::workload {
@@ -54,13 +55,13 @@ struct Spec {
 
 /// Grade10's three inputs from one run, and what the sampler lost.
 struct Result {
-  /// The run's phase and blocking events in the logger's compact form;
-  /// PhaseLogger::render_*() streams them, take_*() collects them.
-  engine::PhaseLogger log;
+  /// The run's log as the phase logger hands it over, with the monitoring
+  /// samples (no META records): what both trace writers and the trace
+  /// build take as it is.
+  trace::NodeLog log;
   /// Every other engine artifact; its record vectors are empty.
   trace::RunArtifacts artifacts;
   core::FrameworkModel model;
-  std::vector<trace::MonitoringSampleRecord> samples;
   std::size_t dropped_samples = 0;  ///< removed by injected sampler dropout
 };
 

@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <sstream>
 
+#include "common/det_hash.hpp"
 #include "trace/log_io.hpp"
 
 namespace g10::trace {
@@ -373,6 +376,58 @@ TEST(G10tIoTest, LooksLikeG10tSniffsMagicOnly) {
   EXPECT_FALSE(looks_like_g10t("# grade10 trace log v1\n"));
   EXPECT_FALSE(looks_like_g10t("G10TRC"));  // shorter than the magic
   EXPECT_FALSE(looks_like_g10t(""));
+}
+
+/// FNV-1a digests of every golden trace's `.g10t` conversion, at the
+/// default block size and at 7 records per block (slices that cut across
+/// kinds and leave a short last block). They pin the writer's bytes: the
+/// symbol order, the path dictionaries, the bloom bits and the index.
+struct GoldenDigest {
+  const char* name;
+  std::uint64_t default_blocks;
+  std::uint64_t blocks_of_7;
+};
+
+constexpr GoldenDigest kGoldenDigests[] = {
+    {"dataflow_3stage_s99.log", 0x4ecac1262f741f0full, 0x083ffb03469493adull},
+    {"gas_pagerank_d512_s99_batched.log", 0x4da2e54d42f368deull,
+     0x359f32e0e1c744aeull},
+    {"gas_pagerank_d512_s99_crash_between_steps.log", 0x37e50dc3485402dcull,
+     0x09b955508e125df5ull},
+    {"gas_pagerank_d512_s99_faulted.log", 0xe34a0c964e07c7fdull,
+     0xfdebfc2d577f4ff0ull},
+    {"gas_pagerank_d512_s99_faulted_truncated.log", 0xdfbc03b62a807435ull,
+     0x8b80711f6132bd07ull},
+    {"pregel_pagerank_d512_s99_batched.log", 0x2aff2cd0f28fbb7aull,
+     0xe12362273a500123ull},
+    {"pregel_pagerank_d512_s99_faulted.log", 0x7008776f37207bdeull,
+     0x436726ba6f282b70ull},
+    {"pregel_pagerank_d512_s99_faulted_lossy.log", 0x2eac8e1693d4250dull,
+     0xf0a317c4c63d75c9ull},
+    {"pregel_pagerank_d512_s99_faulted_truncated.log", 0x887ea870b4c7d270ull,
+     0x2ce5688289c733f0ull},
+    {"pregel_sssp_d512_s99.log", 0x29bf9310a760e3caull, 0x405df776b03e4fbaull},
+};
+
+std::uint64_t digest(const std::string& bytes) {
+  return fnv1a64(kFnvOffsetBasis, bytes.data(), bytes.size());
+}
+
+TEST(G10tIoTest, GoldenConversionsKeepTheirBytes) {
+  for (const GoldenDigest& golden : kGoldenDigests) {
+    SCOPED_TRACE(golden.name);
+    std::ifstream in(std::string(G10_GOLDEN_TRACE_DIR) + "/" + golden.name,
+                     std::ios::binary);
+    ASSERT_TRUE(in) << golden.name;
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const ParseResult parsed = parse_log_text(text);
+    ASSERT_TRUE(parsed.ok());
+    const std::uint64_t whole = digest(encode(parsed.log));
+    const std::uint64_t sevens = digest(encode(parsed.log, {7}));
+    EXPECT_EQ(whole, golden.default_blocks) << std::hex << whole;
+    EXPECT_EQ(sevens, golden.blocks_of_7) << std::hex << sevens;
+  }
 }
 
 }  // namespace

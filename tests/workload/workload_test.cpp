@@ -55,15 +55,13 @@ graph::Graph rmat8() {
   return graph::generate_dataset(graph::parse_dataset("rmat:8"));
 }
 
-/// The recipe's run, rendered whole and serialized by the vector writers,
-/// equals what g10_run streams into both trace files.
+/// The recipe's run, rendered as records and serialized by the record
+/// writers, equals what g10_run writes from the hand-over into both trace
+/// files.
 void expect_matches_cli(const Spec& spec, const std::string& dir) {
   Result run = workload::run(spec, rmat8());
-  trace::ParsedLog rendered;
-  rendered.meta = {{"faults", spec.faults.to_string()}};
-  rendered.phase_events = run.log.take_phase_events();
-  rendered.blocking_events = run.log.take_blocking_events();
-  rendered.samples = run.samples;
+  run.log.meta = {{"faults", spec.faults.to_string()}};
+  const trace::ParsedLog rendered = trace::render_log(run.log);
   std::ostringstream log;
   trace::write_log(log, rendered.phase_events, rendered.blocking_events,
                    rendered.samples, rendered.meta);
@@ -94,7 +92,7 @@ TEST(WorkloadTest, PregelDropRunEqualsCli) {
   EXPECT_GT(run.dropped_samples, 0u);
   const std::string line =
       "sampler dropout: " + std::to_string(run.dropped_samples) + " of " +
-      std::to_string(run.samples.size() + run.dropped_samples) +
+      std::to_string(run.log.samples.size() + run.dropped_samples) +
       " samples lost\n";
   EXPECT_NE(slurp(dir + "/stdout.txt").find(line), std::string::npos)
       << line;

@@ -77,11 +77,10 @@ cli::Table flag_table(Args& args) {
             cli::kMaxConcurrency}}};
 }
 
-/// Renders the canonical text form (what write_log emits) of a parsed log.
-std::string render_canonical(const trace::ParsedLog& log) {
+/// Renders the canonical text form (what write_log emits) of a node log.
+std::string render_canonical(const trace::NodeLog& log) {
   std::ostringstream out;
-  trace::write_log(out, log.phase_events, log.blocking_events, log.samples,
-                   log.meta);
+  trace::write_log(out, log);
   return std::move(out).str();
 }
 
@@ -97,7 +96,7 @@ int run(const Args& args) {
   }
   trace::TraceReader& reader = *opened.reader;
 
-  trace::ParseResult parsed = reader.read();
+  trace::NodeParseResult parsed = reader.read_nodes();
   if (!parsed.ok() && !args.lenient) {
     std::cerr << args.in_path << ": " << parsed.error_count << " damaged "
               << (reader.is_binary() ? "block(s)" : "line(s)")
@@ -132,9 +131,7 @@ int run(const Args& args) {
       std::cerr << "cannot open " << args.out_path << " for writing\n";
       return kExitInternalError;
     }
-    trace::write_log(out, parsed.log.phase_events,
-                     parsed.log.blocking_events, parsed.log.samples,
-                     parsed.log.meta);
+    trace::write_log(out, parsed.log);
     out.flush();
     if (!out) {
       std::cerr << "write to " << args.out_path << " failed\n";
@@ -167,8 +164,8 @@ int run(const Args& args) {
   // the exact bytes the input's records render to.
   trace::TraceReadOptions verify_options;
   verify_options.threads = args.threads;
-  trace::ParseResult reread =
-      trace::read_trace_file(args.out_path, verify_options);
+  trace::NodeParseResult reread =
+      trace::read_trace_nodes(args.out_path, verify_options);
   if (!reread.ok()) {
     std::cerr << "verify: cannot re-read " << args.out_path << ": "
               << reread.errors.front().message << '\n';

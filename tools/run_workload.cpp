@@ -56,8 +56,6 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <optional>
-#include <span>
 #include <string>
 #include <utility>
 
@@ -175,16 +173,9 @@ int det_check(const Args& args, const workload::Spec& spec,
     const int rc = execute(at_threads, graph, run);
     if (rc != kExitOk) return rc;
     DetHasher hasher;
-    run.log.render_phase_events(
-        [&hasher](std::span<trace::PhaseEventRecord> block) {
-          trace::fold_phase_events(hasher, block);
-        });
-    run.log.render_blocking_events(
-        [&hasher](std::span<trace::BlockingEventRecord> block) {
-          trace::fold_blocking_events(hasher, block);
-        });
+    trace::fold_events(hasher, run.log);
     trace::fold_run(hasher, run.artifacts);
-    trace::fold_samples(hasher, run.samples);
+    trace::fold_samples(hasher, run.log.samples);
     DetSummary summary = hasher.summary();
     maybe_inject_divergence(summary, execution);
     summaries.push_back(std::move(summary));
@@ -249,55 +240,34 @@ int run(const Args& args) {
   const int rc = execute(spec, graph, run);
   if (rc != kExitOk) return rc;
   if (interrupted_at("the artifact dump")) return kExitInterrupted;
-  trace::RunArtifacts& artifacts = run.artifacts;
-  auto& samples = run.samples;
+  const trace::RunArtifacts& artifacts = run.artifacts;
+  trace::NodeLog& log = run.log;
   if (fault_spec.has_kind(sim::FaultKind::kSampleDrop)) {
     std::cout << "sampler dropout: " << run.dropped_samples << " of "
-              << (samples.size() + run.dropped_samples) << " samples lost\n";
+              << (log.samples.size() + run.dropped_samples)
+              << " samples lost\n";
   }
 
   std::filesystem::create_directories(args.out);
-  std::vector<trace::LogMeta> meta;
   if (!fault_spec.empty()) {
-    meta.emplace_back("faults", fault_spec.to_string());
+    log.meta.emplace_back("faults", fault_spec.to_string());
   }
   const bool want_text = args.trace_format != "binary";
   const bool want_binary = args.trace_format != "text";
-  // The log is rendered one storage block at a time into both writers, so
-  // no more than one block of rendered records is ever held. A large
-  // stream buffer turns the many small record writes into a few big ones;
+  // Both writers take the logger's hand-over as it is. A large stream
+  // buffer turns the many small record writes into a few big ones;
   // fault-injected runs can dump millions of records.
-  std::vector<char> buffer(want_text ? 1 << 20 : 0);
-  std::ofstream text_file;
-  std::optional<trace::LogWriter> text;
   if (want_text) {
+    std::vector<char> buffer(1 << 20);
+    std::ofstream text_file;
     text_file.rdbuf()->pubsetbuf(buffer.data(),
                                  static_cast<std::streamsize>(buffer.size()));
     text_file.open(args.out + "/run.log");
-    text.emplace(text_file, meta);
+    trace::write_log(text_file, log);
   }
-  std::optional<trace::G10tWriter> binary;
-  if (want_binary) binary.emplace(meta);
-  std::size_t phase_count = 0;
-  std::size_t blocking_count = 0;
-  const auto write_counting = [&](std::size_t& count) {
-    return [&](auto block) {
-      if (text) text->add(block);
-      if (binary) binary->add(block);
-      count += block.size();
-    };
-  };
-  run.log.render_phase_events(write_counting(phase_count));
-  run.log.render_blocking_events(write_counting(blocking_count));
-  if (text) {
-    text->add(samples);
-    text.reset();
-    text_file.close();
-  }
-  if (binary) {
-    binary->add(samples);
+  if (want_binary) {
     std::string error;
-    if (!binary->finish_file(args.out + "/run.g10t", &error)) {
+    if (!trace::write_g10t_file(args.out + "/run.g10t", log, {}, &error)) {
       std::cerr << error << '\n';
       return kExitInternalError;
     }
@@ -316,8 +286,9 @@ int run(const Args& args) {
       want_text ? "/run.log" : "/run.g10t";
   std::cout << "wrote " << args.out << trace_name
             << (want_text && want_binary ? " + /run.g10t (" : " (")
-            << phase_count << " phase events, " << blocking_count
-            << " blocking events, " << samples.size() << " samples) and "
+            << log.phase_events.size() << " phase events, "
+            << log.blocking_events.size() << " blocking events, "
+            << log.samples.size() << " samples) and "
             << args.out
             << "/model.g10\n";
   std::cout << "analyze with: g10_analyze --model " << args.out
