@@ -86,6 +86,11 @@ int run() {
   input.config.timeslice = 10;
   input.config.min_issue_impact = 0.0;
   const CharacterizationResult result = characterize(input);
+  // The pipeline keeps no tables; (c) and (f) print the whole-table stages.
+  const std::vector<DemandMatrix> demand =
+      estimate_demand(resources, rules, result.trace, result.grid);
+  const AttributedUsage usage =
+      attribute_usage(demand, result.monitored, result.grid);
 
   std::cout << "Figure 2 worked example (paper timeslices 1..6 are columns)\n\n";
 
@@ -120,7 +125,7 @@ int run() {
   // (c) demand estimation matrix.
   std::cout << "\n(c) timeslice demand (exact + variable weight)\n";
   TextTable demand_table({"", "t1", "t2", "t3", "t4", "t5", "t6"});
-  for (const auto& matrix : result.demand) {
+  for (const auto& matrix : demand) {
     std::vector<std::string> row{
         resources.resource(matrix.resource).name};
     for (int s = 0; s < 6; ++s) {
@@ -158,7 +163,7 @@ int run() {
 
   // (f) attribution to phases.
   std::cout << "\n(f) per-phase attribution (resource:usage at each slice)\n";
-  for (const auto& r : result.usage.resources) {
+  for (const auto& r : usage.resources) {
     std::cout << resources.resource(r.resource).name << ":";
     for (TimesliceIndex s = 0; s < 6; ++s) {
       std::cout << "  t" << (s + 1) << "[";

@@ -10,8 +10,17 @@
 // Paper reference numbers (CPU, 64x/3200 ms row): constant 82.97-98.71%,
 // Giraph untuned 91.02%, Giraph tuned 56.71%, PowerGraph tuned <= 15.28%;
 // at 8x/400 ms the tuned models reach <= 18.83%.
+//
+// `--check` also asserts EXPERIMENTS.md's shape claims on every row: the
+// Giraph errors order constant >= untuned > tuned, and every column's error
+// is monotone (non-decreasing) in the interval. A failed predicate is named
+// on stderr and the harness exits 1; stdout is the same with or without the
+// flag.
+#include <array>
 #include <iostream>
 #include <optional>
+#include <string_view>
+#include <vector>
 
 #include "algorithms/programs.hpp"
 #include "common/csv.hpp"
@@ -103,7 +112,7 @@ double upsampling_error(const EngineRun& run, int factor, Variant variant,
   return den > 0.0 ? num / den : 0.0;
 }
 
-int run() {
+int run(bool check) {
   std::cout << "Table II: relative upsampling error of CPU usage "
                "(PageRank, 50 ms ground truth)\n\n";
 
@@ -147,6 +156,7 @@ int run() {
   csv.write_row(std::vector<std::string>{
       "interval_ms", "ratio", "giraph_constant", "giraph_untuned",
       "giraph_tuned", "powergraph_constant", "powergraph_tuned"});
+  std::vector<std::array<double, 5>> rows;
   for (const int factor : {2, 4, 8, 16, 32, 64}) {
     const double gc = upsampling_error(giraph, factor, Variant::kConstant,
                                        machines);
@@ -164,6 +174,7 @@ int run() {
                    format_percent(pt)});
     csv.write_row(std::vector<double>{50.0 * factor, static_cast<double>(factor),
                                       gc, gu, gt, pc, pt});
+    rows.push_back({gc, gu, gt, pc, pt});
   }
   table.render(std::cout);
 
@@ -173,10 +184,35 @@ int run() {
          "the strawman (91.02%), tuned Giraph materially better (56.71%);\n"
          "tuned PowerGraph stays lowest (<=15.28% at 64x); tuned models are\n"
          "<=~19% at the recommended 8x.\n";
-  return 0;
+  if (!check) return 0;
+  bool ok = true;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& [gc, gu, gt, pc, pt] = rows[i];
+    if (!(gc >= gu && gu > gt)) {
+      std::cerr << "table2 check failed: row " << i
+                << ": giraph constant >= untuned > tuned\n";
+      ok = false;
+    }
+    for (std::size_t column = 0; i > 0 && column < rows[i].size();
+         ++column) {
+      if (rows[i][column] < rows[i - 1][column]) {
+        std::cerr << "table2 check failed: row " << i << ", column "
+                  << column << ": error is monotone in the interval\n";
+        ok = false;
+      }
+    }
+  }
+  return ok ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace g10::bench
 
-int main() { return g10::bench::run(); }
+int main(int argc, char** argv) {
+  const bool check = argc == 2 && std::string_view(argv[1]) == "--check";
+  if (argc > 1 && !check) {
+    std::cerr << "usage: table2_upsampling_accuracy [--check]\n";
+    return 2;
+  }
+  return g10::bench::run(check);
+}

@@ -133,7 +133,7 @@ RunAttempt run_scenario(const Scenario& scenario) {
   }
 
   const auto profile = core::build_phase_profile(
-      result.trace, result.usage, result.bottlenecks, result.grid);
+      result.trace, result.phase_usage, result.bottlenecks);
   for (const core::PhaseTypeStats& stats : profile) {
     if (stats.bottlenecked.empty()) continue;
     // Dominant resource: largest bottlenecked time, lowest id on ties

@@ -84,63 +84,79 @@ void fill_matrix(DemandMatrix& matrix, const AttributionRuleSet& rules,
 
 }  // namespace
 
+DemandEstimator::DemandEstimator(const ResourceModel& resources,
+                                 const AttributionRuleSet& rules,
+                                 const ExecutionTrace& trace,
+                                 const TimesliceGrid& grid)
+    : resources_(resources),
+      rules_(rules),
+      trace_(trace),
+      grid_(grid),
+      leaves_on_(trace.machines().size()) {
+  // Bucket the leaves by machine once, keeping trace order within each
+  // bucket, so every matrix sums its leaves in the same order as a scan.
+  for (const InstanceId leaf : trace.leaves()) {
+    const trace::MachineId machine = trace.instance(leaf).machine;
+    if (machine != trace::kGlobalMachine) {
+      leaves_on_[bucket(machine)].push_back(leaf);
+    }
+  }
+}
+
+std::size_t DemandEstimator::bucket(trace::MachineId machine) const {
+  const std::vector<trace::MachineId>& machines = trace_.machines();
+  return static_cast<std::size_t>(
+      std::lower_bound(machines.begin(), machines.end(), machine) -
+      machines.begin());
+}
+
+std::vector<DemandMatrix> DemandEstimator::matrices() const {
+  const TimesliceIndex slice_count =
+      trace_.end_time() > 0 ? grid_.slice_count(trace_.end_time()) : 0;
+  std::vector<DemandMatrix> matrices;
+  const auto add = [&](ResourceId r, trace::MachineId machine) {
+    DemandMatrix matrix;
+    matrix.resource = r;
+    matrix.machine = machine;
+    matrix.capacity = resources_.resource(r).capacity;
+    matrix.slice_count = slice_count;
+    matrices.push_back(std::move(matrix));
+  };
+  for (ResourceId r = 0;
+       r < static_cast<ResourceId>(resources_.resource_count()); ++r) {
+    const Resource& resource = resources_.resource(r);
+    if (resource.kind != ResourceKind::kConsumable) continue;
+    if (resource.scope == ResourceScope::kGlobal) {
+      add(r, trace::kGlobalMachine);
+    } else {
+      for (const trace::MachineId machine : trace_.machines()) {
+        add(r, machine);
+      }
+    }
+  }
+  return matrices;
+}
+
+void DemandEstimator::fill(DemandMatrix& matrix) const {
+  const bool global =
+      resources_.resource(matrix.resource).scope == ResourceScope::kGlobal;
+  fill_matrix(matrix, rules_, trace_,
+              global ? trace_.leaves() : leaves_on_[bucket(matrix.machine)],
+              grid_, matrix.slice_count);
+}
+
 std::vector<DemandMatrix> estimate_demand(const ResourceModel& resources,
                                           const AttributionRuleSet& rules,
                                           const ExecutionTrace& trace,
                                           const TimesliceGrid& grid,
                                           ThreadPool* pool) {
-  const TimesliceIndex slice_count =
-      trace.end_time() > 0 ? grid.slice_count(trace.end_time()) : 0;
-
-  std::vector<DemandMatrix> matrices;
-  for (ResourceId r = 0; r < static_cast<ResourceId>(resources.resource_count());
-       ++r) {
-    const Resource& resource = resources.resource(r);
-    if (resource.kind != ResourceKind::kConsumable) continue;
-    if (resource.scope == ResourceScope::kGlobal) {
-      DemandMatrix matrix;
-      matrix.resource = r;
-      matrix.machine = trace::kGlobalMachine;
-      matrix.capacity = resource.capacity;
-      matrices.push_back(std::move(matrix));
-    } else {
-      for (const trace::MachineId machine : trace.machines()) {
-        DemandMatrix matrix;
-        matrix.resource = r;
-        matrix.machine = machine;
-        matrix.capacity = resource.capacity;
-        matrices.push_back(std::move(matrix));
-      }
-    }
-  }
-
-  // Bucket the leaves by machine once, keeping trace order within each
-  // bucket, so every matrix sums its leaves in the same order as a scan.
-  const std::vector<trace::MachineId>& machines = trace.machines();
-  std::vector<std::vector<InstanceId>> leaves_on(machines.size());
-  const auto bucket = [&machines](trace::MachineId machine) {
-    return static_cast<std::size_t>(
-        std::lower_bound(machines.begin(), machines.end(), machine) -
-        machines.begin());
-  };
-  for (const InstanceId leaf : trace.leaves()) {
-    const trace::MachineId machine = trace.instance(leaf).machine;
-    if (machine != trace::kGlobalMachine) {
-      leaves_on[bucket(machine)].push_back(leaf);
-    }
-  }
-
+  const DemandEstimator estimator(resources, rules, trace, grid);
+  std::vector<DemandMatrix> matrices = estimator.matrices();
   // Each (resource, machine) matrix is independent; fan out one per task.
   // Every matrix is filled by exactly one thread, so the result is
   // bit-identical to the serial loop.
-  parallel_for(pool, matrices.size(), 1, [&](std::size_t m) {
-    DemandMatrix& matrix = matrices[m];
-    const bool global =
-        resources.resource(matrix.resource).scope == ResourceScope::kGlobal;
-    fill_matrix(matrix, rules, trace,
-                global ? trace.leaves() : leaves_on[bucket(matrix.machine)],
-                grid, slice_count);
-  });
+  parallel_for(pool, matrices.size(), 1,
+               [&](std::size_t m) { estimator.fill(matrices[m]); });
   return matrices;
 }
 

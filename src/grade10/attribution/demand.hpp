@@ -37,10 +37,35 @@ struct DemandMatrix {
   TimesliceIndex slice_count = 0;
   std::vector<double> exact;     ///< per slice: summed Exact demand (units)
   std::vector<double> variable;  ///< per slice: summed Variable weight
-  /// Per-leaf active fractions: the input `attribute_usage` scatters into
-  /// its slice-major table. `characterize_trace` releases them once they are
-  /// attributed, so a `CharacterizationResult`'s matrices hold none.
+  /// Per-leaf active fractions: the input AttributionWindows scatters into
+  /// its slice-major tables. A `CharacterizationResult` holds no matrices.
   std::vector<LeafDemand> leaves;
+};
+
+/// The matrices of one trace, filled one at a time: a caller that consumes
+/// each matrix as it is filled never holds them all.
+class DemandEstimator {
+ public:
+  DemandEstimator(const ResourceModel& resources,
+                  const AttributionRuleSet& rules, const ExecutionTrace& trace,
+                  const TimesliceGrid& grid);
+
+  /// estimate_demand's matrices, in its order, empty: resource, machine,
+  /// capacity and slice_count set.
+  std::vector<DemandMatrix> matrices() const;
+  /// Fills `matrix` (one of matrices()): per-slice sums and leaves.
+  /// Thread-safe for distinct matrices.
+  void fill(DemandMatrix& matrix) const;
+
+ private:
+  std::size_t bucket(trace::MachineId machine) const;
+
+  const ResourceModel& resources_;
+  const AttributionRuleSet& rules_;
+  const ExecutionTrace& trace_;
+  TimesliceGrid grid_;
+  /// The trace's leaves per machine, in trace order.
+  std::vector<std::vector<InstanceId>> leaves_on_;
 };
 
 /// Builds one matrix per (consumable resource, machine) pair — or one

@@ -56,6 +56,53 @@ struct BottleneckReport {
       const std::map<std::pair<InstanceId, ResourceId>, DurationNs>& m);
 };
 
+/// The blocking bottlenecks of `trace`, read from its blocking events; no
+/// consumable resource classified yet.
+BottleneckReport blocking_bottlenecks(const ExecutionTrace& trace);
+
+/// The saturation timeline of one attributed resource instance, from its
+/// upsampled series alone.
+ResourceSaturation saturation_of(const AttributedResource& resource,
+                                 const TimesliceGrid& grid);
+
+/// Saturated and self-limited durations per (phase instance, consumable
+/// resource), gathered table by table (a window or a whole table): dense
+/// per-instance sums while one resource instance's tables are added, then
+/// added to a report's maps in key order. Integer sums: the result does not
+/// depend on the order tables are added in.
+class BottleneckTally {
+ public:
+  /// `instance_count` sizes the per-instance sums up front (they grow on
+  /// demand past it).
+  explicit BottleneckTally(std::size_t instance_count = 0)
+      : saturated_(instance_count, kUntouched),
+        self_limited_(instance_count, kUntouched) {}
+
+  /// Adds the entries of `resource`'s table; `saturation` is the resource
+  /// instance's timeline.
+  void add(const AttributedResource& resource,
+           const ResourceSaturation& saturation, const TimesliceGrid& grid);
+  /// Ends one resource instance's tables: their sums are kept under
+  /// `resource` until flush().
+  void close(ResourceId resource);
+  /// Adds every kept sum to `report`'s saturated and self-limited maps and
+  /// frees the tally's storage.
+  void flush(BottleneckReport& report);
+
+ private:
+  static constexpr DurationNs kUntouched = -1;
+  using Pending =
+      std::vector<std::pair<std::pair<InstanceId, ResourceId>, DurationNs>>;
+  /// Per phase instance id; kUntouched where no entry was classified.
+  std::vector<DurationNs> saturated_;
+  std::vector<DurationNs> self_limited_;
+  /// The phase instances with a classified entry, in first-seen order.
+  std::vector<InstanceId> touched_;
+  /// The sums of the closed resource instances.
+  Pending saturated_pending_;
+  Pending self_limited_pending_;
+};
+
 /// With a pool, resource instances are classified in parallel and merged
 /// in resource order (bit-identical to the serial path). `config` is not
 /// read: the thresholds above are constants.

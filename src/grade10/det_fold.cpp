@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "common/check.hpp"
+
 namespace g10::core {
 namespace {
 
@@ -18,12 +20,9 @@ std::string resource_stream(std::string_view prefix,
 
 }  // namespace
 
-DetSummary fold_characterization(const CharacterizationResult& result,
-                                 const ResourceModel& resources) {
-  DetHasher hasher;
-
+void fold_instances(DetHasher& hasher, const ExecutionTrace& trace) {
   // Instance tree: timing, placement, and blocked intervals per phase path.
-  for (const PhaseInstance& instance : result.trace.instances()) {
+  for (const PhaseInstance& instance : trace.instances()) {
     hasher.fold_i64(instance.path, instance.begin);
     hasher.fold_i64(instance.path, instance.end);
     hasher.fold_i64(instance.path, instance.machine);
@@ -33,27 +32,35 @@ DetSummary fold_characterization(const CharacterizationResult& result,
       hasher.fold_i64(instance.path, interval.end);
     }
   }
+}
 
-  // Attribution: every (resource, machine) series and its per-slice entries,
-  // keyed by the phase instance the usage was attributed to.
-  for (const AttributedResource& attributed : result.usage.resources) {
-    const std::string stream = resource_stream("usage", resources,
-                                               attributed.resource,
-                                               attributed.machine);
-    for (const double usage : attributed.upsampled.usage) {
-      hasher.fold_double(stream, usage);
-    }
-    for (const double unattributed : attributed.unattributed) {
-      hasher.fold_double(stream, unattributed);
-    }
-    for (const AttributionEntry& entry : attributed.entries) {
-      const PhaseInstance& instance = result.trace.instance(entry.instance);
-      hasher.fold_double(instance.path, entry.usage);
-      hasher.fold_double(instance.path, entry.demand);
-      hasher.fold_double(instance.path, entry.fraction);
-    }
+void fold_series(DetHasher& hasher, const AttributedResource& attributed,
+                 const ResourceModel& resources) {
+  // The (resource, machine) series: upsampled, then unattributed usage.
+  const std::string stream = resource_stream(
+      "usage", resources, attributed.resource, attributed.machine);
+  for (const double usage : attributed.upsampled.usage) {
+    hasher.fold_double(stream, usage);
   }
+  for (const double unattributed : attributed.unattributed) {
+    hasher.fold_double(stream, unattributed);
+  }
+}
 
+void fold_entries(DetHasher& hasher, const AttributedResource& attributed,
+                  const ExecutionTrace& trace) {
+  // Per-slice entries, keyed by the phase instance the usage was attributed
+  // to.
+  for (const AttributionEntry& entry : attributed.entries) {
+    const PhaseInstance& instance = trace.instance(entry.instance);
+    hasher.fold_double(instance.path, entry.usage);
+    hasher.fold_double(instance.path, entry.demand);
+    hasher.fold_double(instance.path, entry.fraction);
+  }
+}
+
+void fold_findings(DetHasher& hasher, const CharacterizationResult& result,
+                   const ResourceModel& resources) {
   // Bottlenecks: classifications per phase instance (ordered maps), plus
   // the per-resource saturation timelines.
   const auto fold_classified =
@@ -87,6 +94,19 @@ DetSummary fold_characterization(const CharacterizationResult& result,
     hasher.fold_double("issues", issue.impact);
   }
   hasher.fold_i64("run/baseline_makespan", result.baseline_makespan);
+}
+
+DetSummary fold_characterization(const CharacterizationResult& result,
+                                 const ResourceModel& resources) {
+  DetHasher hasher;
+  fold_instances(hasher, result.trace);
+  for (const AttributedResource& attributed : result.usage.resources) {
+    G10_CHECK_MSG(attributed.has_table(),
+                  "fold_characterization needs every attribution table");
+    fold_series(hasher, attributed, resources);
+    fold_entries(hasher, attributed, result.trace);
+  }
+  fold_findings(hasher, result, resources);
   return hasher.summary();
 }
 

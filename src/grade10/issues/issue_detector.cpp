@@ -101,89 +101,124 @@ PerformanceIssue IssueDetector::imbalance_issue(PhaseTypeId type) const {
 PerformanceIssue IssueDetector::bottleneck_issue(
     ResourceId resource, const AttributedUsage& usage,
     const BottleneckReport& bottlenecks) const {
+  return bottleneck_issue(resource, shrink_of(usage, bottlenecks),
+                          bottlenecks);
+}
+
+PerformanceIssue IssueDetector::bottleneck_issue(
+    ResourceId resource, const BottleneckShrink& shrink,
+    const BottleneckReport& bottlenecks) const {
   PerformanceIssue issue;
   issue.kind = IssueKind::kResourceBottleneck;
   issue.resource = resource;
   issue.description =
       "bottleneck on resource '" + resources_.resource(resource).name + "'";
   return replayed(std::move(issue),
-                  bottleneck_durations(resource, usage, bottlenecks));
+                  bottleneck_durations(resource, shrink, bottlenecks));
+}
+
+void IssueDetector::add_shrink(BottleneckShrink& shrink,
+                               const AttributedResource& ar,
+                               const AttributedUsage& usage,
+                               const BottleneckReport& bottlenecks) const {
+  const auto resource_index = static_cast<std::size_t>(ar.resource);
+  if (shrink.size() <= resource_index) shrink.resize(resource_index + 1);
+  // Per-slice shrinks are accumulated in floating point and applied once
+  // per instance, so slice-granularity rounding does not bias the result.
+  // A resource's vector is allocated at its first shrinking entry.
+  std::vector<double>& shrink_by_instance = shrink[resource_index];
+  const double slice_len = static_cast<double>(grid_.slice_duration());
+  const ResourceSaturation* saturation =
+      bottlenecks.find_saturation(ar.resource, ar.machine);
+  // Utilization of the other consumable resources on this machine: the
+  // next binding constraint once `resource` is removed.
+  std::vector<const AttributedResource*> others;
+  for (const AttributedResource& other : usage.resources) {
+    if (other.machine == ar.machine && other.resource != ar.resource) {
+      others.push_back(&other);
+    }
+  }
+  for (TimesliceIndex s = ar.first_slice; s < ar.table_end(); ++s) {
+    const auto slice = static_cast<std::size_t>(s);
+    const bool slice_saturated =
+        saturation != nullptr && saturation->saturated[slice] != 0;
+    double next_binding = kMinShrinkFraction;
+    for (const AttributedResource* other : others) {
+      if (slice < other->upsampled.usage.size()) {
+        next_binding = std::max(
+            next_binding, other->upsampled.usage[slice] / other->capacity);
+      }
+    }
+    next_binding = std::min(next_binding, 1.0);
+    const auto entries = ar.slice_entries(s);
+    // Self-limited phases (pinned at their own Exact cap while the
+    // resource has headroom) can at best absorb the slice's idle
+    // capacity, shared among them — unlike a saturated resource,
+    // nothing else frees up when the configuration limit is lifted.
+    const auto self_limited = [&](const AttributionEntry& entry) {
+      return entry.exact && entry.demand > 0.0 &&
+             entry.usage >= kExactCapThreshold * entry.demand;
+    };
+    double self_limited_usage = 0.0;
+    for (const AttributionEntry& entry : entries) {
+      if (self_limited(entry)) self_limited_usage += entry.usage;
+    }
+    const double headroom =
+        std::max(0.0, ar.capacity - ar.upsampled.usage[slice]);
+    const double self_limit_factor =
+        self_limited_usage > 0.0
+            ? self_limited_usage / (self_limited_usage + headroom)
+            : 1.0;
+    for (const AttributionEntry& entry : entries) {
+      if (!slice_saturated && !self_limited(entry)) continue;
+      const double factor =
+          slice_saturated ? next_binding
+                          : std::max(next_binding, self_limit_factor);
+      if (shrink_by_instance.empty()) {
+        shrink_by_instance.assign(recorded_.size(), 0.0);
+      }
+      shrink_by_instance[static_cast<std::size_t>(entry.instance)] +=
+          slice_len * entry.fraction * (1.0 - factor);
+    }
+  }
+}
+
+BottleneckShrink IssueDetector::shrink_of(
+    const AttributedUsage& usage, const BottleneckReport& bottlenecks) const {
+  BottleneckShrink shrink;
+  for (const AttributedResource& ar : usage.resources) {
+    add_shrink(shrink, ar, usage, bottlenecks);
+  }
+  return shrink;
 }
 
 std::vector<DurationNs> IssueDetector::bottleneck_durations(
     ResourceId resource, const AttributedUsage& usage,
     const BottleneckReport& bottlenecks) const {
+  return bottleneck_durations(resource, shrink_of(usage, bottlenecks),
+                              bottlenecks);
+}
+
+std::vector<DurationNs> IssueDetector::bottleneck_durations(
+    ResourceId resource, const BottleneckShrink& shrink,
+    const BottleneckReport& bottlenecks) const {
   std::vector<DurationNs> adjusted = recorded_;
-  // Per-slice shrinks are accumulated in floating point and applied once
-  // per instance, so slice-granularity rounding does not bias the result.
-  std::vector<double> shrink_by_instance(recorded_.size(), 0.0);
   if (resources_.resource(resource).kind == ResourceKind::kBlocking) {
     for (const auto& [key, blocked_time] : bottlenecks.blocked) {
       if (key.second != resource) continue;
       auto& duration = adjusted[static_cast<std::size_t>(key.first)];
       duration = std::max<DurationNs>(0, duration - blocked_time);
     }
-  } else {
-    const double slice_len = static_cast<double>(grid_.slice_duration());
-    for (const AttributedResource& ar : usage.resources) {
-      if (ar.resource != resource) continue;
-      const ResourceSaturation* saturation =
-          bottlenecks.find_saturation(resource, ar.machine);
-      // Utilization of the other consumable resources on this machine: the
-      // next binding constraint once `resource` is removed.
-      std::vector<const AttributedResource*> others;
-      for (const AttributedResource& other : usage.resources) {
-        if (other.machine == ar.machine && other.resource != resource) {
-          others.push_back(&other);
-        }
-      }
-      for (TimesliceIndex s = 0; s < ar.slice_count(); ++s) {
-        const auto slice = static_cast<std::size_t>(s);
-        const bool slice_saturated =
-            saturation != nullptr && saturation->saturated[slice] != 0;
-        double next_binding = kMinShrinkFraction;
-        for (const AttributedResource* other : others) {
-          if (slice < other->upsampled.usage.size()) {
-            next_binding = std::max(
-                next_binding, other->upsampled.usage[slice] / other->capacity);
-          }
-        }
-        next_binding = std::min(next_binding, 1.0);
-        const auto entries = ar.slice_entries(s);
-        // Self-limited phases (pinned at their own Exact cap while the
-        // resource has headroom) can at best absorb the slice's idle
-        // capacity, shared among them — unlike a saturated resource,
-        // nothing else frees up when the configuration limit is lifted.
-        const auto self_limited = [&](const AttributionEntry& entry) {
-          return entry.exact && entry.demand > 0.0 &&
-                 entry.usage >= kExactCapThreshold * entry.demand;
-        };
-        double self_limited_usage = 0.0;
-        for (const AttributionEntry& entry : entries) {
-          if (self_limited(entry)) self_limited_usage += entry.usage;
-        }
-        const double headroom =
-            std::max(0.0, ar.capacity - ar.upsampled.usage[slice]);
-        const double self_limit_factor =
-            self_limited_usage > 0.0
-                ? self_limited_usage / (self_limited_usage + headroom)
-                : 1.0;
-        for (const AttributionEntry& entry : entries) {
-          if (!slice_saturated && !self_limited(entry)) continue;
-          const double factor =
-              slice_saturated ? next_binding
-                              : std::max(next_binding, self_limit_factor);
-          shrink_by_instance[static_cast<std::size_t>(entry.instance)] +=
-              slice_len * entry.fraction * (1.0 - factor);
-        }
-      }
-    }
-    for (std::size_t i = 0; i < adjusted.size(); ++i) {
-      if (shrink_by_instance[i] > 0.0) {
-        adjusted[i] = std::max<DurationNs>(
-            0, adjusted[i] - static_cast<DurationNs>(
-                                 std::llround(shrink_by_instance[i])));
-      }
+    return adjusted;
+  }
+  const auto index = static_cast<std::size_t>(resource);
+  if (index >= shrink.size()) return adjusted;
+  const std::vector<double>& shrink_by_instance = shrink[index];
+  for (std::size_t i = 0; i < shrink_by_instance.size(); ++i) {
+    if (shrink_by_instance[i] > 0.0) {
+      adjusted[i] = std::max<DurationNs>(
+          0, adjusted[i] - static_cast<DurationNs>(
+                               std::llround(shrink_by_instance[i])));
     }
   }
   return adjusted;
@@ -220,6 +255,12 @@ PerformanceIssue IssueDetector::fault_recovery_issue() const {
 std::vector<PerformanceIssue> IssueDetector::detect(
     const AttributedUsage& usage, const BottleneckReport& bottlenecks,
     ThreadPool* pool) {
+  return detect(shrink_of(usage, bottlenecks), bottlenecks, pool);
+}
+
+std::vector<PerformanceIssue> IssueDetector::detect(
+    const BottleneckShrink& shrink, const BottleneckReport& bottlenecks,
+    ThreadPool* pool) {
   // Candidate enumeration is cheap and stays serial; evaluating a candidate
   // replays the whole trace, so that fans out — one task per candidate.
   struct Candidate {
@@ -252,7 +293,7 @@ std::vector<PerformanceIssue> IssueDetector::detect(
       parallel_map(pool, candidates, [&](const Candidate& c) {
         return c.type != kNoPhaseType
                    ? imbalance_issue(c.type)
-                   : bottleneck_issue(c.resource, usage, bottlenecks);
+                   : bottleneck_issue(c.resource, shrink, bottlenecks);
       });
 
   // Reassemble in the serial order (bottlenecks, fault recovery,

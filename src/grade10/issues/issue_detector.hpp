@@ -47,6 +47,11 @@ struct PerformanceIssue {
   double impact = 0.0;
 };
 
+/// Per consumable resource, indexed by its id: per phase instance, the
+/// time in ns removing the resource's bottleneck takes off the instance,
+/// summed in slice order. Empty for a resource with no attributed instance.
+using BottleneckShrink = std::vector<std::vector<double>>;
+
 class IssueDetector {
  public:
   IssueDetector(const ExecutionModel& model, const ResourceModel& resources,
@@ -56,9 +61,22 @@ class IssueDetector {
   /// All issues whose impact clears config.min_issue_impact, sorted by
   /// descending impact. With a pool, candidate issues are evaluated in
   /// parallel (one replay each) and reassembled in the serial order.
+  std::vector<PerformanceIssue> detect(const BottleneckShrink& shrink,
+                                       const BottleneckReport& bottlenecks,
+                                       ThreadPool* pool = nullptr);
+  /// detect() over the shrink of `usage`'s tables (shrink_of).
   std::vector<PerformanceIssue> detect(const AttributedUsage& usage,
                                        const BottleneckReport& bottlenecks,
                                        ThreadPool* pool = nullptr);
+
+  /// Adds the shrink of the entries in `ar`'s table (a window or the whole
+  /// table) to `shrink`. `usage` holds the series of every instance (the
+  /// next binding constraint) and `bottlenecks` the saturation timeline of
+  /// `ar`. An instance lies in one matrix per resource, so the sums depend
+  /// only on each matrix's windows being added in slice order.
+  void add_shrink(BottleneckShrink& shrink, const AttributedResource& ar,
+                  const AttributedUsage& usage,
+                  const BottleneckReport& bottlenecks) const;
 
   /// The imbalance issue for one phase type. Thread-safe.
   PerformanceIssue imbalance_issue(PhaseTypeId type) const;
@@ -86,6 +104,15 @@ class IssueDetector {
 
  private:
   bool is_fault_resource(ResourceId resource) const;
+  /// The shrink of every instance of `usage`, which holds the tables.
+  BottleneckShrink shrink_of(const AttributedUsage& usage,
+                             const BottleneckReport& bottlenecks) const;
+  PerformanceIssue bottleneck_issue(ResourceId resource,
+                                    const BottleneckShrink& shrink,
+                                    const BottleneckReport& bottlenecks) const;
+  std::vector<DurationNs> bottleneck_durations(
+      ResourceId resource, const BottleneckShrink& shrink,
+      const BottleneckReport& bottlenecks) const;
   /// `issue` with the makespans of the baseline and of `durations`.
   PerformanceIssue replayed(PerformanceIssue issue,
                             const std::vector<DurationNs>& durations) const;

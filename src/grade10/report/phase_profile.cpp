@@ -7,9 +7,37 @@
 
 namespace g10::core {
 
+void add_phase_usage(PhaseUsage& usage, const ExecutionTrace& trace,
+                     const AttributedResource& resource,
+                     const TimesliceGrid& grid) {
+  // Attributed usage, rolled up to each leaf's own type. Each type's sum
+  // is looked up once per table; map nodes do not move.
+  const double slice_seconds = to_seconds(grid.slice_duration());
+  std::vector<double*> sum_of;
+  for (const AttributionEntry& entry : resource.entries) {
+    const auto type =
+        static_cast<std::size_t>(trace.instance(entry.instance).type);
+    if (type >= sum_of.size()) sum_of.resize(type + 1, nullptr);
+    if (sum_of[type] == nullptr) {
+      sum_of[type] = &usage[static_cast<PhaseTypeId>(type)][resource.resource];
+    }
+    *sum_of[type] += entry.usage * slice_seconds;
+  }
+}
+
 std::vector<PhaseTypeStats> build_phase_profile(
     const ExecutionTrace& trace, const AttributedUsage& usage,
     const BottleneckReport& bottlenecks, const TimesliceGrid& grid) {
+  PhaseUsage by_type;
+  for (const AttributedResource& resource : usage.resources) {
+    add_phase_usage(by_type, trace, resource, grid);
+  }
+  return build_phase_profile(trace, by_type, bottlenecks);
+}
+
+std::vector<PhaseTypeStats> build_phase_profile(
+    const ExecutionTrace& trace, const PhaseUsage& usage,
+    const BottleneckReport& bottlenecks) {
   std::map<PhaseTypeId, PhaseTypeStats> by_type;
   std::vector<PhaseTypeId> instance_type(trace.instances().size(),
                                          kNoPhaseType);
@@ -22,14 +50,8 @@ std::vector<PhaseTypeStats> build_phase_profile(
     stats.total_blocked += instance.blocked_time();
     instance_type[static_cast<std::size_t>(instance.id)] = instance.type;
   }
-  // Attributed usage, rolled up to each leaf's own type.
-  const double slice_seconds = to_seconds(grid.slice_duration());
-  for (const AttributedResource& resource : usage.resources) {
-    for (const AttributionEntry& entry : resource.entries) {
-      const PhaseTypeId type =
-          instance_type[static_cast<std::size_t>(entry.instance)];
-      by_type[type].usage[resource.resource] += entry.usage * slice_seconds;
-    }
+  for (const auto& [type, by_resource] : usage) {
+    by_type[type].usage = by_resource;
   }
   const auto accumulate =
       [&](const std::map<std::pair<InstanceId, ResourceId>, DurationNs>& m) {

@@ -28,7 +28,22 @@ struct PhaseTypeStats {
   std::map<ResourceId, DurationNs> bottlenecked;
 };
 
-/// Aggregates the trace + attribution + bottleneck results by phase type.
+/// Attributed usage in unit·seconds per (leaf type, consumable resource),
+/// each sum taken in attribution-table order.
+using PhaseUsage = std::map<PhaseTypeId, std::map<ResourceId, double>>;
+
+/// Adds the entries of one attributed resource instance (with its table) to
+/// `usage`. Sums are order-sensitive: add instances in table order.
+void add_phase_usage(PhaseUsage& usage, const ExecutionTrace& trace,
+                     const AttributedResource& resource,
+                     const TimesliceGrid& grid);
+
+/// Aggregates the trace, the attributed usage per type and the bottleneck
+/// results by phase type.
+std::vector<PhaseTypeStats> build_phase_profile(
+    const ExecutionTrace& trace, const PhaseUsage& usage,
+    const BottleneckReport& bottlenecks);
+/// The same over `usage`'s tables (add_phase_usage of each instance).
 std::vector<PhaseTypeStats> build_phase_profile(
     const ExecutionTrace& trace, const AttributedUsage& usage,
     const BottleneckReport& bottlenecks, const TimesliceGrid& grid);

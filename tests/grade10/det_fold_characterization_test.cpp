@@ -62,7 +62,9 @@ DetSummary digest_at(int threads) {
   input.config.timeslice = 10 * kMillisecond;
   input.config.min_issue_impact = 0.0;
   input.config.threads = threads;
-  return fold_characterization(characterize(input), w.model.resources);
+  DetHasher hasher;
+  characterize(input, &hasher);
+  return hasher.summary();
 }
 
 TEST(DetFoldCharacterization, DigestCoversTheWholeResult) {

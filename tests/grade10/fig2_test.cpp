@@ -78,6 +78,12 @@ class Fig2Test : public ::testing::Test {
     return characterize(input);
   }
 
+  /// The whole-table stages over a pipeline result's trace, which keeps
+  /// neither demand nor tables.
+  std::vector<DemandMatrix> demand(const CharacterizationResult& result) {
+    return estimate_demand(resources_, rules_, result.trace, result.grid);
+  }
+
   ExecutionModel execution_;
   ResourceModel resources_;
   AttributionRuleSet rules_{AttributionRule::none()};
@@ -103,7 +109,9 @@ TEST_F(Fig2Test, UpsamplingMatchesPaperNumbers) {
 
 TEST_F(Fig2Test, AttributionMatchesPaperNumbers) {
   const auto result = run();
-  const AttributedResource* r2 = result.usage.find(r2_, 0);
+  const AttributedUsage usage =
+      attribute_usage(demand(result), result.monitored, result.grid);
+  const AttributedResource* r2 = usage.find(r2_, 0);
   ASSERT_NE(r2, nullptr);
   // Paper §III-D3: at paper-slice 3, P3 (Exact) gets 50%, P2 gets 15%.
   const InstanceId p2 = result.trace.find("Workload.0/P2.0");
@@ -159,8 +167,9 @@ TEST_F(Fig2Test, IssueDetectionRanksR3AndR1) {
 
 TEST_F(Fig2Test, DemandMatrixMatchesRules) {
   const auto result = run();
+  const std::vector<DemandMatrix> matrices = demand(result);
   const DemandMatrix* r2 = nullptr;
-  for (const auto& m : result.demand) {
+  for (const auto& m : matrices) {
     if (m.resource == r2_) r2 = &m;
   }
   ASSERT_NE(r2, nullptr);

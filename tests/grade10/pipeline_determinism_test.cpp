@@ -149,6 +149,7 @@ void expect_identical(const CharacterizationResult& a,
   expect_identical_demand(a.demand, b.demand);
   expect_identical_usage(a.usage, b.usage);
   expect_identical_bottlenecks(a.bottlenecks, b.bottlenecks);
+  EXPECT_EQ(a.phase_usage, b.phase_usage);  // exact double equality
   expect_identical_issues(a.issues, b.issues);
   EXPECT_EQ(a.baseline_makespan, b.baseline_makespan);
 }

@@ -302,6 +302,7 @@ TEST(PipelineTest, CharacterizationReadsOnlyTheBuiltTrace) {
     input.trace_options.lenient = golden.lenient;
 
     CheckedCharacterization full;
+    DetHasher full_digest;
     TraceBuild built;
     {
       const trace::ParseResult log = trace::read_trace_file(
@@ -310,7 +311,7 @@ TEST(PipelineTest, CharacterizationReadsOnlyTheBuiltTrace) {
       input.phase_events = log.log.phase_events;
       input.blocking_events = log.log.blocking_events;
       input.samples = log.log.samples;
-      full = characterize_checked(input);
+      full = characterize_checked(input, &full_digest);
       built = ExecutionTrace::build_checked(
           *input.model, *input.resources, input.phase_events,
           input.blocking_events, input.samples, input.trace_options);
@@ -318,17 +319,16 @@ TEST(PipelineTest, CharacterizationReadsOnlyTheBuiltTrace) {
     input.phase_events = {};
     input.blocking_events = {};
     input.samples = {};
+    DetHasher build_digest;
     const CheckedCharacterization from_build =
-        characterize_trace(input, std::move(built));
+        characterize_trace(input, std::move(built), &build_digest);
 
     ASSERT_TRUE(full.status.ok() && full.result.has_value()) << golden.log;
     ASSERT_TRUE(from_build.status.ok() && from_build.result.has_value())
         << golden.log;
     EXPECT_EQ(from_build.status.warnings, full.status.warnings);
-    const DetSummary expected =
-        fold_characterization(*full.result, model.model.resources);
-    const DetSummary actual =
-        fold_characterization(*from_build.result, model.model.resources);
+    const DetSummary expected = full_digest.summary();
+    const DetSummary actual = build_digest.summary();
     const auto divergence = first_divergence(expected, actual);
     EXPECT_FALSE(divergence.has_value())
         << golden.log << " diverged at '" << divergence->path
@@ -338,12 +338,13 @@ TEST(PipelineTest, CharacterizationReadsOnlyTheBuiltTrace) {
 }
 
 
-TEST(PipelineTest, CharacterizationReleasesLeafDemandAndKeepsSums) {
-  // Attribution consumes the per-leaf fractions; the result keeps only the
-  // per-slice sums, and those equal a direct estimate_demand's.
+TEST(PipelineTest, CharacterizationHoldsNoDemandOrTables) {
+  // Attribution folds each window of a matrix's table into the aggregates
+  // and frees it: the result keeps the per-slice series, equal to the
+  // whole-table stages', but no demand matrices, leaves or entries.
   for (const auto& [model_name, log_name] :
-       {std::pair{"gas", "gas_pagerank_d512_s99_batched.log"},
-        std::pair{"pregel", "pregel_sssp_d512_s99.log"}}) {
+       {std::pair{"gas", "gas_pagerank_d512_s99_faulted.log"},
+        std::pair{"pregel", "pregel_pagerank_d512_s99_faulted.log"}}) {
     std::ifstream model_file(std::string(G10_EXAMPLE_MODEL_DIR) + "/" +
                              model_name + ".g10");
     const ModelParseResult model = parse_model(model_file);
@@ -360,21 +361,25 @@ TEST(PipelineTest, CharacterizationReleasesLeafDemandAndKeepsSums) {
     input.samples = log.log.samples;
     input.config.timeslice = 10 * kMillisecond;
     const CharacterizationResult result = characterize(input);
+    EXPECT_TRUE(result.demand.empty()) << log_name;
 
-    const std::vector<DemandMatrix> direct =
+    const AttributedUsage direct = attribute_usage(
         estimate_demand(model.model.resources, model.model.rules,
-                        result.trace, result.grid);
-    ASSERT_EQ(result.demand.size(), direct.size()) << log_name;
-    std::size_t direct_leaves = 0;
-    for (std::size_t m = 0; m < direct.size(); ++m) {
-      EXPECT_TRUE(result.demand[m].leaves.empty()) << log_name << " " << m;
-      EXPECT_EQ(result.demand[m].resource, direct[m].resource);
-      EXPECT_EQ(result.demand[m].machine, direct[m].machine);
-      EXPECT_EQ(result.demand[m].exact, direct[m].exact) << log_name;
-      EXPECT_EQ(result.demand[m].variable, direct[m].variable) << log_name;
-      direct_leaves += direct[m].leaves.size();
+                        result.trace, result.grid),
+        result.monitored, result.grid);
+    ASSERT_EQ(result.usage.resources.size(), direct.resources.size())
+        << log_name;
+    std::size_t direct_entries = 0;
+    for (std::size_t r = 0; r < direct.resources.size(); ++r) {
+      const AttributedResource& kept = result.usage.resources[r];
+      EXPECT_TRUE(kept.entries.empty()) << log_name << " " << r;
+      EXPECT_TRUE(kept.slice_offsets.empty()) << log_name << " " << r;
+      EXPECT_EQ(kept.upsampled.usage, direct.resources[r].upsampled.usage);
+      EXPECT_EQ(kept.unattributed, direct.resources[r].unattributed)
+          << log_name;
+      direct_entries += direct.resources[r].entries.size();
     }
-    EXPECT_GT(direct_leaves, 0u) << log_name;
+    EXPECT_GT(direct_entries, 0u) << log_name;
   }
 }
 

@@ -685,12 +685,17 @@ TEST(ReplayPlanOracleTest, DetectorCandidatesMatchTheReference) {
     const CharacterizationResult result = characterize(input);
     const IssueDetector detector(model.execution, model.resources,
                                  result.trace, result.grid, input.config);
+    // The pipeline keeps no tables; the whole-table stages rebuild them.
+    const AttributedUsage usage = attribute_usage(
+        estimate_demand(model.resources, model.rules, result.trace,
+                        result.grid),
+        result.monitored, result.grid);
     const ReplaySimulator sim(model.execution, result.trace);
     for (ResourceId r = 0;
          r < static_cast<ResourceId>(model.resources.resource_count()); ++r) {
       expect_reference_replay(
           model.execution, result.trace, sim,
-          detector.bottleneck_durations(r, result.usage, result.bottlenecks),
+          detector.bottleneck_durations(r, usage, result.bottlenecks),
           name + " bottleneck " + model.resources.resource(r).name);
     }
     for (PhaseTypeId t = 0;

@@ -87,7 +87,9 @@ DetSummary digest(const ModelDescription& model, const trace::ParsedLog& log,
   input.config.timeslice = 10 * kMillisecond;
   input.config.min_issue_impact = 0.0;
   input.config.threads = threads;
-  return fold_characterization(characterize(input), model.resources);
+  DetHasher hasher;
+  characterize(input, &hasher);
+  return hasher.summary();
 }
 
 TEST(TraceFormatPipelineTest, CharacterizationIsBitIdenticalAcrossFormats) {

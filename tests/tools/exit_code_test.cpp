@@ -6,14 +6,20 @@
 // always exercises the binaries from its own build tree.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/exit_codes.hpp"
@@ -57,6 +63,63 @@ std::filesystem::path test_root() {
     return path;
   }();
   return root;
+}
+
+/// Polls `ready` every 10 ms for up to a minute; true once it holds.
+bool wait_until(const std::function<bool()>& ready) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!ready()) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return true;
+}
+
+/// True once `pid` has a handler installed for `sig` (the SigCgt mask of
+/// /proc/<pid>/status).
+bool catches(pid_t pid, int sig) {
+  std::ifstream status("/proc/" + std::to_string(pid) + "/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("SigCgt:", 0) != 0) continue;
+    std::uint64_t mask = 0;
+    std::istringstream(line.substr(7)) >> std::hex >> mask;
+    return (mask >> (sig - 1)) & 1;
+  }
+  return false;
+}
+
+/// Number of complete lines in `path` (0 while it does not exist).
+int line_count(const std::string& path) {
+  std::ifstream in(path);
+  int lines = 0;
+  for (std::string line; std::getline(in, line);) ++lines;
+  return lines;
+}
+
+/// Spawns `argv` with stdout and stderr discarded and `env` ("NAME=value",
+/// or empty) added to the environment.
+Subprocess spawn_quiet(const std::vector<std::string>& argv,
+                       const std::string& env = "") {
+  const int null_fd = ::open("/dev/null", O_WRONLY | O_CLOEXEC);
+  EXPECT_GE(null_fd, 0);
+  SpawnOptions options;
+  options.dup_fds = {{null_fd, 1}, {null_fd, 2}};
+  const std::string name = env.substr(0, env.find('='));
+  if (!env.empty()) {
+    ::setenv(name.c_str(), env.substr(name.size() + 1).c_str(), 1);
+  }
+  Subprocess child = Subprocess::spawn(argv, options);
+  if (!env.empty()) ::unsetenv(name.c_str());
+  ::close(null_fd);
+  return child;
+}
+
+/// Waits for `child`, returning its exit code (-1 when a signal killed it).
+int exit_code_of(Subprocess& child) {
+  const ExitStatus status = child.wait();
+  EXPECT_TRUE(status.exited) << status.describe();
+  return status.exited ? status.code : -1;
 }
 
 /// A tiny successful g10_run, produced once and shared by the analyze tests.
@@ -629,13 +692,33 @@ TEST(EnsembleExitCodeTest, SigkilledWorkerSurfacesRunFailedWithSignal) {
 
 TEST(EnsembleExitCodeTest, SpinningRunIsJournaledTimeoutPastTheDeadline) {
   const std::string out = (test_root() / "wedge_fleet").string();
+  const std::string journal_path = out + "/journal.jsonl";
+  // The healthy scenarios run first, with no deadline, so no host speed
+  // can time them out: the whole fleet runs, and the seed=2 scenario's
+  // line is then dropped from the journal so that a resume runs it again.
+  ASSERT_EQ(exit_code(tiny_fleet(out)), kExitOk);
+  {
+    std::string kept;
+    int dropped = 0;
+    std::ifstream journal(journal_path);
+    for (std::string line; std::getline(journal, line);) {
+      if (line.find("seed=2 ") != std::string::npos) {
+        ++dropped;
+      } else {
+        kept += line + '\n';
+      }
+    }
+    ASSERT_EQ(dropped, 1);
+    std::ofstream(journal_path, std::ios::binary | std::ios::trunc) << kept;
+  }
   // The hook parks any worker that starts a seed=2 scenario, heartbeats
   // still flowing; past --deadline-s the supervisor kills it and, with a
-  // 1-attempt budget, journals timeout. The rest of the fleet completes.
+  // 1-attempt budget, journals timeout. The resume then completes.
   ASSERT_EQ(exit_code("G10_ENSEMBLE_TEST_CRASH=spin:seed=2 " +
-                      tiny_fleet(out) + " --deadline-s 1 --max-attempts 1"),
+                      tiny_fleet(out) +
+                      " --resume --deadline-s 1 --max-attempts 1"),
             kExitOk);
-  std::ifstream journal(out + "/journal.jsonl");
+  std::ifstream journal(journal_path);
   int lines = 0;
   for (std::string line; std::getline(journal, line); ++lines) {
     if (line.find("seed=2 ") != std::string::npos) {
@@ -662,28 +745,38 @@ TEST(EnsembleExitCodeTest, ReportsAreByteIdenticalAcrossJobs) {
 
 TEST(InterruptExitCodeTest, SigtermedEnsembleExitsInterrupted) {
   const std::string out = (test_root() / "interrupted_fleet").string();
-  // A fleet big enough to still be running when the SIGTERM lands; the
-  // supervisor terminates its workers and exits 6 with the journal
-  // flushed and resumable.
-  const std::string fleet =
-      std::string(G10_ENSEMBLE_BIN) + " --out " + out +
-      " --engines pregel,gas --dataset rmat:14 --workers 4 --cores 4"
-      " --iterations 10 --seeds 30 --quiet";
-  EXPECT_EQ(exit_code(fleet + " >/dev/null 2>&1 & pid=$!; sleep 0.3;"
-                      " kill -TERM $pid; wait $pid"),
-            kExitInterrupted);
+  // The spin hook parks every seed=7 scenario, so the fleet is still
+  // running when the SIGTERM lands; it is sent once the journal holds a
+  // run, well after the supervisor installed its handler. The supervisor
+  // terminates its workers and exits 6 with the journal flushed and
+  // resumable.
+  std::vector<std::string> fleet = {
+      G10_ENSEMBLE_BIN, "--out", out, "--engines", "pregel,gas",
+      "--dataset", "rmat:14", "--workers", "4", "--cores", "4",
+      "--iterations", "10", "--seeds", "30", "--quiet"};
+  Subprocess supervisor =
+      spawn_quiet(fleet, "G10_ENSEMBLE_TEST_CRASH=spin:seed=7 ");
+  ASSERT_TRUE(
+      wait_until([&] { return line_count(out + "/journal.jsonl") >= 1; }));
+  supervisor.kill(SIGTERM);
+  EXPECT_EQ(exit_code_of(supervisor), kExitInterrupted);
   // The interrupted journal resumes cleanly.
-  EXPECT_EQ(exit_code(fleet + " --resume"), kExitOk);
+  fleet.push_back("--resume");
+  Subprocess resumed = spawn_quiet(fleet);
+  EXPECT_EQ(exit_code_of(resumed), kExitOk);
 }
 
 TEST(InterruptExitCodeTest, SigtermedRunExitsInterrupted) {
-  const std::string cmd =
-      std::string(G10_RUN_BIN) +
-      " --engine pregel --algorithm pagerank --dataset rmat:16"
-      " --workers 4 --cores 4 --iterations 20 --det-check 8";
-  EXPECT_EQ(exit_code(cmd + " >/dev/null 2>&1 & pid=$!; sleep 0.3;"
-                      " kill -TERM $pid; wait $pid"),
-            kExitInterrupted);
+  // The SIGTERM is sent once g10_run has installed its handler; eight
+  // det-check executions of rmat:16 take far longer than the graph stage,
+  // so it lands before the run could finish.
+  Subprocess run = spawn_quiet(
+      {G10_RUN_BIN, "--engine", "pregel", "--algorithm", "pagerank",
+       "--dataset", "rmat:16", "--workers", "4", "--cores", "4",
+       "--iterations", "20", "--det-check", "8"});
+  ASSERT_TRUE(wait_until([&] { return catches(run.pid(), SIGTERM); }));
+  run.kill(SIGTERM);
+  EXPECT_EQ(exit_code_of(run), kExitInterrupted);
 }
 
 }  // namespace

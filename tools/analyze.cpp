@@ -57,9 +57,9 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/det_hash.hpp"
 #include "common/exit_codes.hpp"
 #include "common/strings.hpp"
-#include "grade10/det_fold.hpp"
 #include "grade10/lint/model_lint.hpp"
 #include "grade10/lint/trace_lint.hpp"
 #include "grade10/model/model_io.hpp"
@@ -230,8 +230,9 @@ int det_check(const Args& args, const core::ModelParseResult& model) {
     core::TraceBuild built = core::ExecutionTrace::build_checked(
         *input.model, *input.resources, log.log, input.trace_options);
     log.log = trace::NodeLog{};
+    DetHasher hasher;
     core::CheckedCharacterization checked =
-        core::characterize_trace(input, std::move(built));
+        core::characterize_trace(input, std::move(built), &hasher);
     if (!checked.status.ok() || !checked.result.has_value()) {
       std::cerr << "characterization failed at " << threads
                 << " thread(s):\n";
@@ -240,8 +241,7 @@ int det_check(const Args& args, const core::ModelParseResult& model) {
       }
       return kExitAnalysisError;
     }
-    summaries.push_back(
-        core::fold_characterization(*checked.result, model.model.resources));
+    summaries.push_back(hasher.summary());
   }
 
   const DetSummary& baseline = summaries.front();
@@ -377,7 +377,7 @@ int run(const Args& args) {
   core::render_issues(std::cout, result.issues);
   std::cout << '\n';
   const auto profile = core::build_phase_profile(
-      result.trace, result.usage, result.bottlenecks, result.grid);
+      result.trace, result.phase_usage, result.bottlenecks);
   core::render_phase_profile(std::cout, model.model.execution,
                              model.model.resources, profile);
   std::cout << '\n';
